@@ -32,7 +32,6 @@ from .bsm import (
 from .distributions import (
     DensityCurve,
     Distribution,
-    DistributionSpec,
     Gamma,
     LogNormal,
     Normal,

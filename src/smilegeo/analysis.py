@@ -185,6 +185,15 @@ class DivergenceReport:
         return self.clamped_fraction > 0.0
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with sum(w * f) the trapezoid integral of f over the grid x."""
+    w = np.empty_like(x)
+    w[0] = 0.5 * (x[1] - x[0])
+    w[-1] = 0.5 * (x[-1] - x[-2])
+    w[1:-1] = 0.5 * (x[2:] - x[:-2])
+    return w
+
+
 def kl_divergence(
     p: DensityCurve,
     q: DensityCurve,
@@ -211,15 +220,20 @@ def kl_divergence(
     clamped = q_vals <= clamp_floor
     q_vals = np.where(clamped, clamp_floor, q_vals)
 
-    # Trapezoid weights; discrete renormalisation keeps Gibbs' inequality exact.
-    w = np.empty_like(grid)
-    w[0] = 0.5 * (grid[1] - grid[0])
-    w[-1] = 0.5 * (grid[-1] - grid[-2])
-    w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
+    # Discrete renormalisation keeps Gibbs' inequality exact.  Scaling by the
+    # maximum first keeps the mass of an all-subnormal curve from rounding to 0.
+    w = _trapezoid_weights(grid)
+    p_vals = p_vals / float(np.max(p_vals))
+    q_vals = q_vals / float(np.max(q_vals))
     p_norm = p_vals / float(np.sum(w * p_vals))
     q_norm = q_vals / float(np.sum(w * q_vals))
-    ratio = np.where(p_norm > 0.0, p_norm / np.where(q_norm > 0.0, q_norm, 1.0), 1.0)
-    kl = float(np.sum(w * np.where(p_norm > 0.0, p_norm * np.log(ratio), 0.0)))
+    # A difference of logs, not the log of a ratio: p/q of subnormal values
+    # underflows to 0 and would make the sum -inf.
+    support = p_norm > 0.0
+    log_ratio = np.zeros_like(p_norm)
+    np.log(p_norm, out=log_ratio, where=support)
+    log_ratio -= np.log(q_norm, out=np.zeros_like(q_norm), where=support)
+    kl = float(np.sum(w * np.where(support, p_norm * log_ratio, 0.0)))
     return DivergenceReport(
         kl_nats=kl,
         clamped_fraction=float(np.mean(clamped)),
@@ -239,10 +253,7 @@ def best_lognormal(p: DensityCurve):
         raise ValueError("density must be supported on positive strikes")
     if np.any(p.values < 0.0):
         raise ValueError("p must be a non-negative density")
-    w = np.empty_like(p.strikes)
-    w[0] = 0.5 * (p.strikes[1] - p.strikes[0])
-    w[-1] = 0.5 * (p.strikes[-1] - p.strikes[-2])
-    w[1:-1] = 0.5 * (p.strikes[2:] - p.strikes[:-2])
+    w = _trapezoid_weights(p.strikes)
     mass = float(np.sum(w * p.values))
     if mass < BEST_LOGNORMAL_MIN_MASS:
         raise DegenerateMass(

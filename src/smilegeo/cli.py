@@ -18,7 +18,6 @@ from .bsm import DeltaConvention
 from .emit import RepresentationScene, TableArtifact, render_csv, render_json, render_svg
 from .errors import MissingAnchor, ParseError, SmileGeoError
 from .georep import RepresentationConfig, flat_context, represent, represent_anchors
-from .shapes import circumcircle, conic_through_5
 from .smile import density_from_smile
 from .surface import (
     LABELS,
@@ -164,9 +163,7 @@ def _density_grid(completed, n: int) -> np.ndarray:
 def _scene(completed) -> RepresentationScene:
     curve = represent(completed.smile, completed.ctx)
     pts = represent_anchors(completed.anchors, completed.ctx)
-    circle = None
-    if completed.method == "circle":
-        circle = circumcircle(pts[0], pts[1], pts[2])
+    circle = completed.shape if completed.method == "circle" else None
     return RepresentationScene(curve=curve, circle=circle, anchor_points=pts)
 
 
@@ -184,9 +181,8 @@ def run(argv=None) -> int:
         if args.output_format == "svg":
             _write(_scene(completed), args)
         else:
+            shape = completed.shape
             if method == "circle":
-                pts = represent_anchors(completed.anchors, completed.ctx)
-                shape = circumcircle(pts[0], pts[1], pts[2])
                 art = TableArtifact(
                     kind="fitted-circle",
                     columns=("cx", "cy", "radius", "atm_rn", "radius_scale"),
@@ -201,8 +197,6 @@ def run(argv=None) -> int:
                     ),
                 )
             else:
-                pts = represent_anchors(completed.anchors, completed.ctx)
-                shape = conic_through_5(pts)
                 art = TableArtifact(
                     kind="fitted-ellipse",
                     columns=("A", "B", "C", "D", "E", "F", "atm_rn", "radius_scale"),
@@ -221,8 +215,7 @@ def run(argv=None) -> int:
         curve = represent(
             completed.smile, completed.ctx, completed.smile.default_grid(args.grid_points)
         )
-        pts = represent_anchors(completed.anchors, completed.ctx)
-        profile = curvature_profile(curve, circle=circumcircle(pts[0], pts[1], pts[2]))
+        profile = curvature_profile(curve, circle=completed.shape)
         _write(profile, args)
     elif args.command == "complete-surface":
         conv = _convention(args)

@@ -12,11 +12,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv, gammainc, gammaincinv, gammaln, ndtr, ndtri
 
-from .bsm import SQRT_2PI, MarketState, implied_vol
-from .errors import InconsistentForward, NoConvergence
+from .bsm import SQRT_2PI, MarketState
+from .errors import InconsistentForward
 
 FORWARD_CONSISTENCY_TOL = 1e-9
 UNIFORM_EDGE_MARGIN = 1e-6  # fraction of (b - a) kept away from the kinks
@@ -103,10 +102,6 @@ class Distribution(ABC):
         out = ms.df_dom() * self.expected_call_payoff(strike)
         return float(out) if np.ndim(out) == 0 else out
 
-    def atm_rn(self, ms: MarketState) -> float:
-        """Strike of the delta-neutral straddle, solved through the implied smile."""
-        return _atm_rn_root(self, ms)
-
     def restricted_quantile(self, p: float) -> float:
         """Quantile of the distribution restricted to positive values."""
         p0 = self.mass_below_zero()
@@ -153,9 +148,6 @@ class LogNormal(Distribution):
         d1 = (self.mu + self.s * self.s - np.log(strike)) / self.s
         d2 = (self.mu - np.log(strike)) / self.s
         return self.mean() * ndtr(d1) - strike * ndtr(d2)
-
-    def atm_rn(self, ms: MarketState) -> float:
-        return math.exp(self.mu + self.s * self.s)
 
 
 @dataclass(frozen=True)
@@ -230,9 +222,6 @@ class Normal(Distribution):
         z = (self.mu - np.asarray(strike, dtype=float)) / self.s
         return (self.mu - strike) * ndtr(z) + self.s * np.exp(-0.5 * z * z) / SQRT_2PI
 
-    def atm_rn(self, ms: MarketState) -> float:
-        return self.mu
-
 
 @dataclass(frozen=True)
 class StudentT(Distribution):
@@ -290,9 +279,6 @@ class StudentT(Distribution):
         inc_beta = betainc(0.5 * nu, 0.5, y)
         return tail_term + 0.5 * (mu - strike) * np.where(strike >= mu, inc_beta, 2.0 - inc_beta)
 
-    def atm_rn(self, ms: MarketState) -> float:
-        return self.mu
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
@@ -330,41 +316,6 @@ class Uniform(Distribution):
         mid = (b - strike) ** 2 / (2.0 * (b - a))
         out = np.where(strike <= a, 0.5 * (a + b) - strike, np.where(strike < b, mid, 0.0))
         return out
-
-    def atm_rn(self, ms: MarketState) -> float:
-        return self.a + (self.b - self.a) / math.sqrt(2.0)
-
-
-DistributionSpec = Distribution
-
-
-def _atm_rn_root(dist: Distribution, ms: MarketState) -> float:
-    """Solve d1(K, sigma(K)) = 0 where sigma is the distribution's implied smile."""
-    sqrt_t = math.sqrt(ms.tenor)
-
-    def straddle_d1(ln_k: float) -> float:
-        k = math.exp(ln_k)
-        vol = implied_vol(ms, k, float(dist.call_price(ms, k)))
-        total = vol * sqrt_t
-        return (
-            math.log(ms.spot / k) + (ms.dom_rate - ms.for_rate) * ms.tenor
-        ) / total + 0.5 * total
-
-    lo_bound, hi_bound = dist.strike_bounds()
-    center = math.log(ms.forward())
-    width = 0.05
-    for _ in range(60):
-        lo = max(center - width, math.log(lo_bound) if lo_bound > 0 else center - width)
-        hi = min(center + width, math.log(hi_bound) if math.isfinite(hi_bound) else center + width)
-        try:
-            f_lo, f_hi = straddle_d1(lo), straddle_d1(hi)
-        except Exception:
-            width *= 0.7
-            continue
-        if f_lo > 0.0 > f_hi:
-            return math.exp(brentq(straddle_d1, lo, hi, xtol=1e-14))
-        width *= 1.6
-    raise NoConvergence("could not bracket the delta-neutral strike")
 
 
 def density_curve(dist: Distribution, strikes, rescale: bool = True) -> DensityCurve:

@@ -308,9 +308,9 @@ def smile_from_shape(
         raise ValueError("either a grid or explicit [k_lo, k_hi] is required")
 
     if isinstance(shape, CircleShape):
-        rho_derivs = lambda phi: _circle_rho_derivs(shape, phi)
+        rho_derivs = _circle_rho_derivs
     elif isinstance(shape, ConicShape):
-        rho_derivs = lambda phi: _conic_rho_derivs(shape, phi)
+        rho_derivs = _conic_rho_derivs
     else:
         raise TypeError(f"unsupported shape {type(shape).__name__}")
 
@@ -327,15 +327,11 @@ def smile_from_shape(
         phi, _, _ = angle(lnk)
         return shape_ray_radius(shape, phi) - r_scale
 
-    def dvol_fn(lnk):
-        phi, dphi, _ = angle(lnk)
-        _, drho, _ = rho_derivs(phi)
-        return drho * dphi
-
-    def d2vol_fn(lnk):
+    def jet_fn(lnk):
         phi, dphi, d2phi = angle(lnk)
-        _, drho, d2rho = rho_derivs(phi)
-        return d2rho * dphi * dphi + drho * d2phi
+        # rho here is the same expression shape_ray_radius evaluates.
+        rho, drho, d2rho = rho_derivs(shape, phi)
+        return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
     sweep = np.linspace(math.log(k_lo), math.log(k_hi), validate_n)
     vols = vol_fn(sweep)  # raises OriginOutsideShape for inadmissible shapes
@@ -349,7 +345,6 @@ def smile_from_shape(
         k_lo=k_lo,
         k_hi=k_hi,
         vol_fn=vol_fn,
-        dvol_fn=dvol_fn,
-        d2vol_fn=d2vol_fn,
+        jet_fn=jet_fn,
         label=f"{type(shape).__name__.lower()}-smile",
     )

@@ -1,9 +1,11 @@
 """Two-way bridge between volatility smiles and risk-neutral densities.
 
-A SmileCurve is an evaluable sigma(K) on a stated strike domain, carrying
-exact first and second derivatives with respect to ln K.  Densities follow
-from the smile through the closed-form second strike derivative of the call
-price; the same bracket expression decides non-negativity of the density.
+A SmileCurve is an evaluable sigma(K) on a stated strike domain with two
+read paths in ln K: ``vol_fn`` gives sigma alone (label-strike reads, delta
+solves) and ``jet_fn`` gives sigma with its exact first and second ln-K
+derivatives in one evaluation (densities).  Densities follow from the jet
+through the closed-form second strike derivative of the call price; the same
+bracket expression decides non-negativity of the density.
 """
 from __future__ import annotations
 
@@ -61,17 +63,17 @@ class DeltaAnchor:
 class SmileCurve:
     """sigma(K) on [k_lo, k_hi] with exact log-strike derivatives.
 
-    ``vol_fn`` maps ln K -> sigma; ``dvol_fn`` and ``d2vol_fn`` are its
-    first and second derivatives in ln K (spline derivatives for grid-backed
-    curves, chain-rule closed forms for shape-backed ones).
+    ``vol_fn`` maps ln K -> sigma.  ``jet_fn`` maps ln K -> (sigma,
+    d sigma/d lnK, d^2 sigma/d lnK^2) in one evaluation (spline derivatives
+    for grid-backed curves, chain-rule closed forms for shape-backed and
+    vanna-volga ones); its sigma equals ``vol_fn``'s bit for bit.
     """
 
     market: MarketState
     k_lo: float
     k_hi: float
     vol_fn: Callable[[np.ndarray], np.ndarray]
-    dvol_fn: Callable[[np.ndarray], np.ndarray]
-    d2vol_fn: Callable[[np.ndarray], np.ndarray]
+    jet_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     label: str = "smile"
 
     def __post_init__(self):
@@ -85,8 +87,7 @@ class SmileCurve:
 
     def vol_with_derivs(self, strike):
         """(sigma, d sigma/d lnK, d^2 sigma/d lnK^2) at the given strike(s)."""
-        lnk = np.log(np.asarray(strike, dtype=float))
-        return self.vol_fn(lnk), self.dvol_fn(lnk), self.d2vol_fn(lnk)
+        return self.jet_fn(np.log(np.asarray(strike, dtype=float)))
 
     def d1(self, strike, vol=None):
         """BSM d1 evaluated with the smile vol (or a supplied vol)."""
@@ -103,7 +104,10 @@ class SmileCurve:
         return bool(strikes.min() >= self.k_lo and strikes.max() <= self.k_hi)
 
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-        return np.exp(np.linspace(math.log(self.k_lo), math.log(self.k_hi), n))
+        """n log-uniform strikes spanning the domain, ends kept inside it."""
+        grid = np.exp(np.linspace(math.log(self.k_lo), math.log(self.k_hi), n))
+        # exp(log(k)) can land one ulp outside the domain.
+        return np.clip(grid, self.k_lo, self.k_hi)
 
 
 def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: float | None = None) -> SmileCurve:
@@ -115,14 +119,16 @@ def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: flo
         fwd = ms.forward()
         k_lo = fwd * math.exp(-width) if k_lo is None else k_lo
         k_hi = fwd * math.exp(width) if k_hi is None else k_hi
+
+    def vol_fn(lnk):
+        return np.full_like(np.asarray(lnk, dtype=float), vol)
+
+    def jet_fn(lnk):
+        zero = np.zeros_like(np.asarray(lnk, dtype=float))
+        return vol_fn(lnk), zero, zero
+
     return SmileCurve(
-        market=ms,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        vol_fn=lambda lnk: np.full_like(np.asarray(lnk, dtype=float), vol),
-        dvol_fn=lambda lnk: np.zeros_like(np.asarray(lnk, dtype=float)),
-        d2vol_fn=lambda lnk: np.zeros_like(np.asarray(lnk, dtype=float)),
-        label=f"flat({vol:g})",
+        market=ms, k_lo=k_lo, k_hi=k_hi, vol_fn=vol_fn, jet_fn=jet_fn, label=f"flat({vol:g})"
     )
 
 
@@ -213,13 +219,14 @@ def smile_from_distribution(
     vols = implied_vol_grid(ms, strikes, prices)
     lnk = np.log(strikes)
     spline = CubicSpline(lnk, vols, bc_type="natural")
+    # Precomputed derivative splines: spline(x, nu) rounds differently.
+    dspline, d2spline = spline.derivative(1), spline.derivative(2)
     return SmileCurve(
         market=ms,
         k_lo=float(strikes[0]),
         k_hi=float(strikes[-1]),
         vol_fn=spline,
-        dvol_fn=spline.derivative(1),
-        d2vol_fn=spline.derivative(2),
+        jet_fn=lambda x: (spline(x), dspline(x), d2spline(x)),
         label=f"{type(dist).__name__.lower()}-smile",
     )
 
@@ -269,7 +276,7 @@ def atm_rn_strike(smile: SmileCurve) -> float:
 def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: float):
     lnk = np.log(strikes)
     if mode == "analytic":
-        return smile.vol_fn(lnk), smile.dvol_fn(lnk), smile.d2vol_fn(lnk)
+        return smile.jet_fn(lnk)
     if mode != "fd":
         raise ValueError(f"unknown derivative mode {mode!r}")
     h = fd_step

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .errors import MissingAnchor, ParseError, SmileGeoError
@@ -28,8 +26,8 @@ from .georep import (
     represent_anchors,
     smile_from_shape,
 )
-from .shapes import CircleShape, circumcircle, conic_through_5
-from .smile import DeltaAnchor, SmileCurve
+from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
+from .smile import DeltaAnchor, SmileCurve, strike_for_delta
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
@@ -76,6 +74,7 @@ class SurfaceQuoteRow:
             raise ValueError(f"expiry {self.expiry_label!r} has non-positive vols")
         if self.tenor_years <= 0.0:
             raise ValueError("tenor_years must be positive")
+        self.market()  # rejects a bad spot or rate
 
     def market(self) -> MarketState:
         return MarketState(
@@ -118,9 +117,12 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
         def number(fld: str) -> float:
             raw = named[fld]
             try:
-                return float(raw)
+                value = float(raw)
             except ValueError:
                 raise ParseError(f"non-numeric value {raw!r}", line=lineno, field=fld) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {raw!r}", line=lineno, field=fld)
+            return value
 
         vols: dict[str, float] = {}
         for lab, fld in zip(LABELS, _VOL_FIELDS):
@@ -174,15 +176,16 @@ def label_strike(row: SurfaceQuoteRow, label: str, conv: DeltaConvention) -> flo
 
 
 def row_anchors(
-    row: SurfaceQuoteRow, labels, conv: DeltaConvention
+    row: SurfaceQuoteRow, labels, conv: DeltaConvention, strikes: dict[str, float]
 ) -> list[DeltaAnchor]:
+    """Anchors at the given labels, by strike, from already solved label strikes."""
     anchors = []
     for lab in labels:
         target, side = _LABEL_DELTA[lab]
         anchors.append(
             DeltaAnchor(
                 target=0.5 if side == "atm" else target,
-                strike=label_strike(row, lab, conv),
+                strike=strikes[lab],
                 vol=row.vols[lab],
                 convention=conv,
             )
@@ -193,13 +196,19 @@ def row_anchors(
 
 @dataclass(frozen=True)
 class CompletedExpiry:
-    """A completed smile for one surface row."""
+    """A completed smile for one surface row.
+
+    ``shape`` is the circle or conic fitted through the anchors' polar
+    points (``None`` for vanna-volga); ``smile`` is its inversion, and
+    ``label_strikes`` holds every quoted label's strike.
+    """
 
     row: SurfaceQuoteRow
     method: str
     smile: SmileCurve
     anchors: tuple[DeltaAnchor, ...]
     ctx: ReprContext | None
+    shape: CircleShape | ConicShape | None
     label_strikes: dict[str, float]
 
 
@@ -229,7 +238,7 @@ def complete_expiry(
     k_lo, k_hi = _completion_domain(strikes)
 
     if method == "vanna-volga":
-        anchors = row_anchors(row, ANCHOR_LABELS, conv)
+        anchors = row_anchors(row, ANCHOR_LABELS, conv, strikes)
         smile = vv_smile(
             ThreeQuoteSmile(anchors=tuple(anchors), market=ms),
             k_lo=k_lo,
@@ -238,12 +247,12 @@ def complete_expiry(
         )
         return CompletedExpiry(
             row=row, method=method, smile=smile, anchors=tuple(anchors),
-            ctx=None, label_strikes=strikes,
+            ctx=None, shape=None, label_strikes=strikes,
         )
 
     ctx = flat_context(ms, row.vols["ATM"], cfg)
     if method == "circle":
-        anchors = row_anchors(row, ANCHOR_LABELS, conv)
+        anchors = row_anchors(row, ANCHOR_LABELS, conv, strikes)
         pts = represent_anchors(anchors, ctx)
         shape = circumcircle(pts[0], pts[1], pts[2])
     else:
@@ -252,7 +261,7 @@ def complete_expiry(
             raise MissingAnchor(
                 f"ellipse completion needs {ELLIPSE_LABELS}; missing {missing}"
             )
-        anchors = row_anchors(row, ELLIPSE_LABELS, conv)
+        anchors = row_anchors(row, ELLIPSE_LABELS, conv, strikes)
         pts = represent_anchors(anchors, ctx)
         shape = conic_through_5(pts)
     if np.max(anchor_residuals(shape, pts)) > 1e-9 * max(1.0, ctx.radius_scale):
@@ -260,7 +269,7 @@ def complete_expiry(
     smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
     return CompletedExpiry(
         row=row, method=method, smile=smile, anchors=tuple(anchors),
-        ctx=ctx, label_strikes=strikes,
+        ctx=ctx, shape=shape, label_strikes=strikes,
     )
 
 
@@ -351,18 +360,10 @@ STANDARD_EXPIRIES = (
 
 def _self_consistent_label_quotes(smile: SmileCurve, conv: DeltaConvention) -> dict[str, float]:
     """Solve the nine label strikes on a full smile and read the vols there."""
-    ms = smile.market
-    quotes: dict[str, float] = {}
-    lo, hi = math.log(smile.k_lo), math.log(smile.k_hi)
-    for lab in LABELS:
-        eff = effective_nd1_target(lab, ms, conv)
-
-        def f(lnk):
-            return float(ndtr(-smile.d1(math.exp(lnk)))) - eff
-
-        lnk = brentq(f, lo, hi, xtol=1e-15)
-        quotes[lab] = float(smile.vol(math.exp(lnk)))
-    return quotes
+    return {
+        lab: strike_for_delta(smile, effective_nd1_target(lab, smile.market, conv)).vol
+        for lab in LABELS
+    }
 
 
 def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:

@@ -94,18 +94,16 @@ class _FirstOrder:
         s1, s2, s3 = self.q.vols
         return w1 * s1 + w2 * s2 + w3 * s3
 
-    def dvol(self, lnk):
+    def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
         m1, m2, m3 = self.m
         s1, s2, s3 = self.q.vols
-        return (
+        dsig = (
             s1 * (2.0 * lnk - m2 - m3) / self.den[0]
             + s2 * (2.0 * lnk - m1 - m3) / self.den[1]
             + s3 * (2.0 * lnk - m1 - m2) / self.den[2]
         )
-
-    def d2vol(self, lnk):
-        return np.full_like(np.asarray(lnk, dtype=float), self.curv)
+        return self.vol(lnk), dsig, np.full_like(lnk, self.curv)
 
 
 class _MarketOrder:
@@ -170,7 +168,7 @@ class _MarketOrder:
         dd2 = 2.0 / (self.c * self.c)
         return b, b1, b2, dd, dd1, dd2
 
-    def _all(self, lnk):
+    def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
         s2 = self.s2
         b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
@@ -223,13 +221,7 @@ class _MarketOrder:
         return sig, dsig, d2sig
 
     def vol(self, lnk):
-        return self._all(lnk)[0]
-
-    def dvol(self, lnk):
-        return self._all(lnk)[1]
-
-    def d2vol(self, lnk):
-        return self._all(lnk)[2]
+        return self.jet(lnk)[0]
 
 
 def vv_vol_market(q: ThreeQuoteSmile, strike):
@@ -269,7 +261,6 @@ def vv_smile(
         k_lo=k_lo,
         k_hi=k_hi,
         vol_fn=backend.vol,
-        dvol_fn=backend.dvol,
-        d2vol_fn=backend.d2vol,
+        jet_fn=backend.jet,
         label=f"vanna-volga-{variant}",
     )

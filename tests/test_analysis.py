@@ -179,6 +179,19 @@ class TestKlDivergence:
 
         check()
 
+    def test_subnormal_values_stay_finite(self):
+        # p/q of subnormal values underflows to 0, and the trapezoid mass of
+        # an all-subnormal curve to 0; neither may turn the divergence into
+        # -inf or nan.
+        grid = np.exp(np.linspace(0.0, 1.0, 64))
+        tiny = 5e-324
+        q = DensityCurve(strikes=grid, values=np.r_[7.0, np.full(63, 0.0625)])
+        for pv in (np.r_[tiny, 3.0, np.full(62, tiny)], np.full(64, tiny)):
+            p = DensityCurve(strikes=grid, values=pv)
+            kl = kl_divergence(p, q, n=257).kl_nats
+            assert math.isfinite(kl)
+            assert kl >= -1e-10
+
     def test_clamping_sets_pseudo_flag(self):
         p = lognormal_curve(0.0, 0.2)
         grid = p.strikes

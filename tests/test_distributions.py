@@ -2,7 +2,7 @@
 
 Closed-form call prices are checked against direct quadrature of the payoff
 integral; densities against unit-mass quadrature; the delta-neutral strikes
-against their closed forms and the straddle-delta root.
+of their implied smiles against a closed form and the straddle-delta root.
 """
 import math
 
@@ -22,7 +22,8 @@ from smilegeo.distributions import (
     support_transform_exp,
 )
 from smilegeo.errors import InconsistentForward
-from smilegeo.workflows import market_state_for
+from smilegeo.smile import atm_rn_strike
+from smilegeo.workflows import market_state_for, smile_with_coverage
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
 UNIFORM = Uniform(a=2.0109, b=5.4750)
@@ -179,35 +180,19 @@ class TestBreedenLitzenberger:
 
 
 class TestAtmRn:
-    def test_uniform_closed_form(self):
-        ms = market_state_for(UNIFORM)
-        assert UNIFORM.atm_rn(ms) == pytest.approx(
-            2.0109 + (5.4750 - 2.0109) / math.sqrt(2.0), rel=1e-14
-        )
+    """The delta-neutral strike is read off the implied smile."""
 
     def test_lognormal_closed_form(self):
         ms = MarketState(
             spot=LOGNORM.mean(), dom_rate=0.0, for_rate=0.0, tenor=1.0
         )
-        assert LOGNORM.atm_rn(ms) == pytest.approx(math.exp(1.0 + 0.25**2), rel=1e-14)
-
-    def test_translated_families_closed_form(self):
-        assert STUDENT.atm_rn(market_state_for(STUDENT)) == STUDENT.mu
-        assert NORMAL.atm_rn(market_state_for(NORMAL)) == NORMAL.mu
+        k = atm_rn_strike(smile_with_coverage(LOGNORM, ms))
+        assert k == pytest.approx(math.exp(1.0 + 0.25**2), rel=1e-14)
 
     def test_gamma_root_is_straddle_neutral(self):
         ms = market_state_for(GAMMA)
-        k = GAMMA.atm_rn(ms)
+        k = atm_rn_strike(smile_with_coverage(GAMMA, ms))
         vol = implied_vol(ms, k, float(GAMMA.call_price(ms, k)))
-        straddle = bsm_delta(ms, k, vol, OptionSide.CALL) + bsm_delta(
-            ms, k, vol, OptionSide.PUT
-        )
-        assert abs(straddle) <= 1e-8
-
-    def test_lognormal_closed_form_is_straddle_neutral(self):
-        ms = MarketState(spot=LOGNORM.mean(), dom_rate=0.0, for_rate=0.0, tenor=1.0)
-        k = LOGNORM.atm_rn(ms)
-        vol = implied_vol(ms, k, float(LOGNORM.call_price(ms, k)))
         straddle = bsm_delta(ms, k, vol, OptionSide.CALL) + bsm_delta(
             ms, k, vol, OptionSide.PUT
         )

@@ -167,6 +167,32 @@ class TestCli:
         assert code == 2
         assert b"smilegeo:" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d10p", "nan"),
+            ("d25p", "nan"),
+            ("tenor_years", "nan"),
+            ("spot", "inf"),
+            ("spot", "0"),
+            ("spot", "-3.4"),
+        ],
+    )
+    def test_bad_number_exit_2(self, tmp_path, capsys, field, value):
+        from smilegeo import cli
+        from smilegeo.surface import CSV_HEADER
+
+        lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.split(",").index(field)] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        code = cli.main(["compare", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "line 3" in err
+
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("compare", "/nonexistent/surface.csv")
         assert code == 2

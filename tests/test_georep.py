@@ -204,8 +204,10 @@ class TestSmileFromShape:
         s_circle = smile_from_shape(circle, ctx, k_lo=60.0, k_hi=160.0)
         s_conic = smile_from_shape(conic, ctx, k_lo=60.0, k_hi=160.0)
         lnk = np.log(s_circle.default_grid(51))
-        assert np.max(np.abs(s_circle.dvol_fn(lnk) - s_conic.dvol_fn(lnk))) <= 1e-11
-        assert np.max(np.abs(s_circle.d2vol_fn(lnk) - s_conic.d2vol_fn(lnk))) <= 1e-10
+        _, d_circle, d2_circle = s_circle.jet_fn(lnk)
+        _, d_conic, d2_conic = s_conic.jet_fn(lnk)
+        assert np.max(np.abs(d_circle - d_conic)) <= 1e-11
+        assert np.max(np.abs(d2_circle - d2_conic)) <= 1e-10
 
     def test_analytic_derivatives_match_finite_differences(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.1)
@@ -215,8 +217,9 @@ class TestSmileFromShape:
         h = 1e-5
         fd1 = (smile.vol_fn(lnk + h) - smile.vol_fn(lnk - h)) / (2 * h)
         fd2 = (smile.vol_fn(lnk + h) - 2 * smile.vol_fn(lnk) + smile.vol_fn(lnk - h)) / h**2
-        assert np.max(np.abs(smile.dvol_fn(lnk) - fd1)) <= 1e-9
-        assert np.max(np.abs(smile.d2vol_fn(lnk) - fd2)) <= 1e-5
+        _, dvol, d2vol = smile.jet_fn(lnk)
+        assert np.max(np.abs(dvol - fd1)) <= 1e-9
+        assert np.max(np.abs(d2vol - fd2)) <= 1e-5
 
 
 class TestUniformRepresentation:

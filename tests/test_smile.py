@@ -1,5 +1,6 @@
 """Tests for the smile <-> density bridge."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from smilegeo.smile import (
     smile_from_distribution,
     strike_for_delta,
 )
+from smilegeo.surface import complete_expiry, parse_surface
+from smilegeo.vanna_volga import MARKET_VV_SMALL_D1D2
 from smilegeo.workflows import market_state_for, smile_with_coverage
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
+GAMMA_CSV = pathlib.Path(__file__).resolve().parent.parent / "data" / "synthetic_gamma_surface.csv"
 
 
 def synthetic_sine_smile(ms: MarketState) -> SmileCurve:
@@ -31,8 +35,7 @@ def synthetic_sine_smile(ms: MarketState) -> SmileCurve:
         k_lo=ms.spot * math.exp(-1.5),
         k_hi=ms.spot * math.exp(1.5),
         vol_fn=lambda lnk: 0.2 + 0.05 * np.sin(lnk),
-        dvol_fn=lambda lnk: 0.05 * np.cos(lnk),
-        d2vol_fn=lambda lnk: -0.05 * np.sin(lnk),
+        jet_fn=lambda lnk: (0.2 + 0.05 * np.sin(lnk), 0.05 * np.cos(lnk), -0.05 * np.sin(lnk)),
         label="sine",
     )
 
@@ -195,6 +198,38 @@ class TestRoundTrip:
         dens = density_from_smile(smile, grid)
         mean = np.trapezoid(grid * dens.values, grid)
         assert abs(mean - ms.forward()) <= 1e-3 * ms.forward()
+
+
+def completed_1y(method, variant="market"):
+    row = parse_surface(GAMMA_CSV.read_bytes())[8]
+    return complete_expiry(row, method, DeltaConvention.SPOT_PIPS, vv_variant=variant).smile
+
+
+JET_BACKENDS = {
+    "spline": lambda: smile_from_distribution(GAMMA, market_state_for(GAMMA), GridSpec(n=501)),
+    "flat": lambda: flat_smile(FLAT_MS, 0.2),
+    "circle": lambda: completed_1y("circle"),
+    "conic": lambda: completed_1y("ellipse"),
+    "vv-first": lambda: completed_1y("vanna-volga", "first"),
+    "vv-market": lambda: completed_1y("vanna-volga", "market"),
+}
+
+
+class TestJet:
+    @pytest.mark.parametrize("backend", list(JET_BACKENDS))
+    def test_sigma_is_vol_fn(self, backend):
+        smile = JET_BACKENDS[backend]()
+        lnk = np.log(smile.default_grid(401))
+        if backend == "vv-market":
+            # Add the clamped upper wing and the roots of d1 d2 (series branch).
+            market = smile.jet_fn.__self__
+            roots = np.array([market.a1, market.a2]) * market.c
+            lnk = np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
+            b, _, _, dd, _, _ = market._pieces(lnk)
+            clamped = market.s2**2 + dd * b <= 0.0
+            assert np.any(clamped)
+            assert np.any((np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped)
+        assert np.array_equal(smile.jet_fn(lnk)[0], smile.vol_fn(lnk))
 
 
 class TestAtmRnStrike:

@@ -1,15 +1,20 @@
 """Tests for surface parsing, completion, and discrepancy tables."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal
 from smilegeo.errors import MissingAnchor, ParseError
+from smilegeo.georep import represent_anchors
+from smilegeo.shapes import circumcircle, conic_through_5
+from smilegeo.smile import density_from_smile
 from smilegeo.surface import (
     ANCHOR_LABELS,
     CSV_HEADER,
     LABELS,
+    METHODS,
     SurfaceQuoteRow,
     complete_expiry,
     discrepancy_table,
@@ -21,6 +26,7 @@ from smilegeo.surface import (
 )
 
 CONV = DeltaConvention.SPOT_PIPS
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def flat_row(vol=0.10, expiry="1Y", tenor=1.0):
@@ -130,6 +136,21 @@ class TestCompleteExpiry:
             assert float(completed.smile.vol(anchor.strike)) == pytest.approx(
                 anchor.vol, abs=1e-10
             )
+        # The completion carries the very shape fitted through its anchors.
+        if method == "vanna-volga":
+            assert completed.shape is None
+        else:
+            pts = represent_anchors(completed.anchors, completed.ctx)
+            fit = circumcircle(*pts) if method == "circle" else conic_through_5(pts)
+            assert completed.shape == fit
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_density_on_default_grid(self, method):
+        # exp(log(k_hi)) may overshoot k_hi by an ulp; the grid must not.
+        for name in ("synthetic_circle_surface", "synthetic_gamma_surface"):
+            for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+                smile = complete_expiry(row, method, CONV).smile
+                density_from_smile(smile, smile.default_grid())
 
     def test_evaluable_at_all_labels(self):
         rows = parse_surface(synthetic_gamma_surface())

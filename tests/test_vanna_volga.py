@@ -140,8 +140,9 @@ class TestSmileWrapper:
         fd1 = (smile.vol_fn(lnk + 1e-6) - smile.vol_fn(lnk - 1e-6)) / 2e-6
         h = 1e-4  # second difference: balance roundoff against truncation
         fd2 = (smile.vol_fn(lnk + h) - 2 * smile.vol_fn(lnk) + smile.vol_fn(lnk - h)) / h**2
-        assert np.max(np.abs(smile.dvol_fn(lnk) - fd1)) <= 1e-7
-        assert np.max(np.abs(smile.d2vol_fn(lnk) - fd2)) <= 1e-5
+        _, dvol, d2vol = smile.jet_fn(lnk)
+        assert np.max(np.abs(dvol - fd1)) <= 1e-7
+        assert np.max(np.abs(d2vol - fd2)) <= 1e-5
 
     def test_wrapper_matches_direct_evaluation(self):
         q = quotes()

@@ -1,0 +1,83 @@
+"""Run every smilegeo CLI subcommand over the shipped surfaces and keep the bytes.
+
+Usage: python3 tools/cli_outputs.py SRC_ROOT OUT_DIR
+
+SRC_ROOT is the directory that holds the ``smilegeo`` package (a checkout's
+``src/``); it is imported in-process and ``cli.main`` is called once per run.
+The runs cover both surfaces under ``data/`` next to this tool, in csv, json
+and svg:
+
+- per expiry: represent, fit-circle, fit-ellipse, curvature, and density
+  with circle, ellipse, vanna-volga market and vanna-volga first;
+- per surface: complete-surface and compare with each of those four.
+
+Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
+lists every run with its exit code (and its stderr when non-empty).  Trees
+written from two checkouts compare with ``diff -r``.
+"""
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import os
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+SURFACES = ("synthetic_circle_surface", "synthetic_gamma_surface")
+FORMATS = ("csv", "json", "svg")
+METHODS = (
+    ("circle", ["--method", "circle"]),
+    ("ellipse", ["--method", "ellipse"]),
+    ("vv-market", ["--method", "vanna-volga", "--vv-variant", "market"]),
+    ("vv-first", ["--method", "vanna-volga", "--vv-variant", "first"]),
+)
+
+
+def runs():
+    """(relative output path, argv without --out) for every run."""
+    for name in SURFACES:
+        path = DATA / f"{name}.csv"
+        with open(path, newline="") as fh:
+            expiries = [rec[0] for rec in list(csv.reader(fh))[1:] if rec]
+        for fmt in FORMATS:
+            common = [str(path), "--output-format", fmt]
+            for expiry in expiries:
+                row = common + ["--expiry", expiry]
+                for cmd in ("represent", "fit-circle", "fit-ellipse", "curvature"):
+                    yield f"{name}/{expiry}/{cmd}.{fmt}", [cmd, *row]
+                for tag, flags in METHODS:
+                    yield f"{name}/{expiry}/density-{tag}.{fmt}", ["density", *row, *flags]
+            for tag, flags in METHODS:
+                for cmd in ("complete-surface", "compare"):
+                    yield f"{name}/{cmd}-{tag}.{fmt}", [cmd, *common, *flags]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src_root, out_dir = Path(argv[0]).resolve(), Path(argv[1])
+    # The grid-size default is read from the environment; pin it.
+    os.environ.pop("SMILEGEO_GRID_POINTS", None)
+    sys.path.insert(0, str(src_root))
+    from smilegeo import cli
+
+    log = []
+    for rel, args in runs():
+        target = out_dir / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*args, "--out", str(target)])
+        note = err.getvalue().strip().replace("\n", " | ")
+        log.append(f"{rel} {code}" + (f" {note}" if note else ""))
+    (out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n")
+    failed = sum(1 for line in log if line.split(" ")[1] != "0")
+    print(f"{len(log)} runs, {failed} non-zero exits, outputs in {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
