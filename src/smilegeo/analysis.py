@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import ndtr
 
-from .distributions import DensityCurve
+from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
 from .georep import RepresentationCurve
 from .shapes import CircleShape
@@ -67,6 +66,8 @@ def _curve_points(curve) -> np.ndarray:
 
 def _resample_uniform_arclength(pts: np.ndarray, n: int):
     """Uniform-arc-length resampling via chord-length cubic interpolation."""
+    from scipy.interpolate import CubicSpline  # kept off the CLI import path
+
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     if np.any(seg == 0.0):
         keep = np.concatenate([[True], seg > 0.0])
@@ -136,6 +137,8 @@ def curvature_profile(
     (unwrapped, so it plots continuously) and, when the input is a
     RepresentationCurve, N(-d1) of the underlying smile.
     """
+    from scipy.interpolate import PchipInterpolator  # kept off the CLI import path
+
     pts = _curve_points(curve)
     if len(pts) < MIN_POINTS_SIMILARITY or resample_n < MIN_POINTS_SIMILARITY:
         raise CurveTooShort(f"need at least {MIN_POINTS_SIMILARITY} points")
@@ -247,8 +250,6 @@ def best_lognormal(p: DensityCurve):
     The optimum is in closed form: mu* and s*^2 are the mean and variance of
     ln X under p.
     """
-    from .distributions import LogNormal
-
     if float(p.strikes[0]) <= 0.0:
         raise ValueError("density must be supported on positive strikes")
     if np.any(p.values < 0.0):

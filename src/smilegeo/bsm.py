@@ -54,11 +54,11 @@ class MarketState:
     tenor: float
 
     def __post_init__(self):
-        if not (self.spot > 0.0 and np.isfinite(self.spot)):
+        if not (self.spot > 0.0 and math.isfinite(self.spot)):
             raise ValueError(f"spot must be positive and finite, got {self.spot}")
-        if self.tenor < 0.0 or not np.isfinite(self.tenor):
+        if self.tenor < 0.0 or not math.isfinite(self.tenor):
             raise ValueError(f"tenor must be >= 0 and finite, got {self.tenor}")
-        if not (np.isfinite(self.dom_rate) and np.isfinite(self.for_rate)):
+        if not (math.isfinite(self.dom_rate) and math.isfinite(self.for_rate)):
             raise ValueError("rates must be finite")
 
     def forward(self) -> float:

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from .bsm import SQRT_2PI, DeltaConvention, MarketState, bsm_price, implied_vol_grid
+from .bsm import (
+    IV_BRACKET_HI,
+    IV_BRACKET_LO,
+    SQRT_2PI,
+    DeltaConvention,
+    MarketState,
+    bsm_price,
+    implied_vol_grid,
+)
 from .distributions import DensityCurve, Distribution, FORWARD_CONSISTENCY_TOL
 from .errors import DomainTooNarrow, InconsistentForward, TargetOutsideDomain
 
@@ -141,8 +147,6 @@ def _proxy_vol(dist: Distribution, ms: MarketState) -> float:
 
 def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
     """Whether the model price at e^{ln_k} sits strictly inside the vol bracket's band."""
-    from .bsm import IV_BRACKET_HI, IV_BRACKET_LO
-
     k = math.exp(ln_k)
     price = float(dist.call_price(ms, k))
     lo = float(bsm_price(ms, k, IV_BRACKET_LO))
@@ -208,6 +212,8 @@ def smile_from_distribution(
     grid strike the BSM price at the spline value reproduces the
     distribution call price to solver accuracy.
     """
+    from scipy.interpolate import CubicSpline  # kept off the CLI import path
+
     fwd = ms.forward()
     if abs(dist.mean() - fwd) > FORWARD_CONSISTENCY_TOL * max(1.0, abs(fwd)):
         raise InconsistentForward(
@@ -249,6 +255,8 @@ def strike_for_delta(
     smile: SmileCurve, target: float, conv: DeltaConvention = DeltaConvention.FORWARD_N
 ) -> DeltaAnchor:
     """Strike where the smile's N(-d1) (or raw |put delta|) hits ``target``."""
+    from scipy.optimize import brentq  # kept off the CLI import path
+
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
     f = _nd1_target_fn(smile, target, conv)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
+from .distributions import Gamma
 from .errors import MissingAnchor, ParseError, SmileGeoError
 from .fitting import anchor_residuals
 from .georep import (
@@ -27,7 +28,7 @@ from .georep import (
     smile_from_shape,
 )
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
-from .smile import DeltaAnchor, SmileCurve, strike_for_delta
+from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strike_for_delta
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
@@ -75,6 +76,29 @@ class SurfaceQuoteRow:
         if self.tenor_years <= 0.0:
             raise ValueError("tenor_years must be positive")
         self.market()  # rejects a bad spot or rate
+        self._check_strike_range()
+
+    def _check_strike_range(self) -> None:
+        """Rejects numbers so large that a completion domain leaves the float range.
+
+        The label strikes are closed forms in exp(rates, tenor and vol^2); a
+        finite but huge input overflows them (or underflows them to zero).
+        """
+        for conv in DeltaConvention:
+            try:
+                strikes = [label_strike(self, lab, conv) for lab in self.vols]
+            except OverflowError:
+                strikes = [math.inf]
+            except ValueError:
+                continue  # a delta target outside (0, 1) under this convention
+            if all(0.0 < k < math.inf for k in strikes):
+                k_lo, k_hi = _completion_domain(strikes)
+                if 0.0 < k_lo and k_hi < math.inf:
+                    continue
+            raise ValueError(
+                f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
+                "range (rates, tenor or vols too large)"
+            )
 
     def market(self) -> MarketState:
         return MarketState(
@@ -212,8 +236,8 @@ class CompletedExpiry:
     label_strikes: dict[str, float]
 
 
-def _completion_domain(strikes: dict[str, float]) -> tuple[float, float]:
-    ks = np.array(sorted(strikes.values()))
+def _completion_domain(strikes) -> tuple[float, float]:
+    ks = np.array(sorted(strikes))
     pad = 0.10 * (math.log(ks[-1]) - math.log(ks[0]))
     return float(ks[0] * math.exp(-pad)), float(ks[-1] * math.exp(pad))
 
@@ -235,7 +259,7 @@ def complete_expiry(
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     ms = row.market()
     strikes = {lab: label_strike(row, lab, conv) for lab in row.vols}
-    k_lo, k_hi = _completion_domain(strikes)
+    k_lo, k_hi = _completion_domain(strikes.values())
 
     if method == "vanna-volga":
         anchors = row_anchors(row, ANCHOR_LABELS, conv, strikes)
@@ -399,9 +423,6 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
 
 def synthetic_gamma_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
     """A 14-expiry surface generated from gamma-distribution smiles."""
-    from .distributions import Gamma
-    from .smile import GridSpec, smile_from_distribution
-
     lines = [CSV_HEADER]
     spot, dom, forr = 3.40, 0.015, 0.005
     for i, (label, tenor) in enumerate(STANDARD_EXPIRIES):

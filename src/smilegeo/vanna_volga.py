@@ -130,8 +130,8 @@ class _MarketOrder:
         self.q_coef = d_anchor * np.square(np.array([s1 - s2, 0.0, s3 - s2]))
         self.sig = np.array(q.vols)
 
-    def _pieces(self, lnk):
-        lnk = np.asarray(lnk, dtype=float)
+    def _weights(self, lnk):
+        """The Lagrange weights in ln K, stacked, and their denominators."""
         m1, m2, m3 = self.m
         den1 = (m1 - m2) * (m1 - m3)
         den2 = (m2 - m1) * (m2 - m3)
@@ -143,6 +143,22 @@ class _MarketOrder:
                 (lnk - m1) * (lnk - m2) / den3,
             ]
         )
+        return w, (den1, den2, den3)
+
+    def _b(self, w):
+        """B = 2 sigma2 P + Q, the quotient's numerator term."""
+        p = np.tensordot(self.sig, w, axes=1) - self.s2
+        qq = np.tensordot(self.q_coef, w, axes=1)
+        return 2.0 * self.s2 * p + qq
+
+    def _d1_d2(self, lnk):
+        return self.a1 - lnk / self.c, self.a2 - lnk / self.c
+
+    def _pieces(self, lnk):
+        """B and D = d1 d2 with their first and second ln-K derivatives."""
+        lnk = np.asarray(lnk, dtype=float)
+        m1, m2, m3 = self.m
+        w, (den1, den2, den3) = self._weights(lnk)
         wp = np.stack(
             [
                 (2.0 * lnk - m2 - m3) / den1,
@@ -151,36 +167,48 @@ class _MarketOrder:
             ]
         )
         wpp = np.array([2.0 / den1, 2.0 / den2, 2.0 / den3])
-        p = np.tensordot(self.sig, w, axes=1) - self.s2
         p1 = np.tensordot(self.sig, wp, axes=1)
         p2 = float(np.dot(self.sig, wpp))
-        qq = np.tensordot(self.q_coef, w, axes=1)
         q1 = np.tensordot(self.q_coef, wp, axes=1)
         q2 = float(np.dot(self.q_coef, wpp))
         s2 = self.s2
-        b = 2.0 * s2 * p + qq
+        b = self._b(w)
         b1 = 2.0 * s2 * p1 + q1
         b2 = 2.0 * s2 * p2 + q2
-        d1 = self.a1 - lnk / self.c
-        d2_ = self.a2 - lnk / self.c
+        d1, d2_ = self._d1_d2(lnk)
         dd = d1 * d2_
         dd1 = -(d1 + d2_) / self.c
         dd2 = 2.0 / (self.c * self.c)
         return b, b1, b2, dd, dd1, dd2
 
+    def _sigma(self, b, dd):
+        """sigma from B and D, with the square root and the branch masks.
+
+        The clamped branch pins a negative square-root argument at zero; the
+        series branch replaces the quotient where |D| is tiny.
+        """
+        s2 = self.s2
+        arg = s2 * s2 + dd * b
+        clamped = arg <= 0.0
+        small = (np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_ = np.sqrt(np.where(arg > 0.0, arg, 1.0))
+            sig_m = s2 + (w_ - s2) / dd
+            sig_c = s2 - s2 / dd
+        s3_, s5_ = s2**3, s2**5
+        sig_s = s2 + b / (2.0 * s2) - dd * b * b / (8.0 * s3_) + dd * dd * b**3 / (16.0 * s5_)
+        sig = np.where(clamped, sig_c, np.where(small, sig_s, sig_m))
+        return sig, w_, clamped, small
+
     def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
         s2 = self.s2
         b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
-        arg = s2 * s2 + dd * b
-        clamped = arg <= 0.0
-        small = (np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped
+        sig, w_, clamped, small = self._sigma(b, dd)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            w_ = np.sqrt(np.where(arg > 0.0, arg, 1.0))
             w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
             w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
-            sig_m = s2 + (w_ - s2) / dd
             dsig_m = w1_ / dd - (w_ - s2) * dd1 / (dd * dd)
             d2sig_m = (
                 w2_ / dd
@@ -189,13 +217,11 @@ class _MarketOrder:
                 + 2.0 * (w_ - s2) * dd1 * dd1 / dd**3
             )
             # Clamped branch: sqrt argument pinned at zero.
-            sig_c = s2 - s2 / dd
             dsig_c = s2 * dd1 / (dd * dd)
             d2sig_c = s2 * (dd2 * dd - 2.0 * dd1 * dd1) / dd**3
 
         # Series around d1 d2 = 0 (the quotient is smooth there).
-        s3_, s5_, s7_ = s2**3, s2**5, s2**7
-        sig_s = s2 + b / (2.0 * s2) - dd * b * b / (8.0 * s3_) + dd * dd * b**3 / (16.0 * s5_)
+        s3_, s5_ = s2**3, s2**5
         dsig_s = (
             b1 / (2.0 * s2)
             - (dd1 * b * b + 2.0 * dd * b * b1) / (8.0 * s3_)
@@ -215,13 +241,15 @@ class _MarketOrder:
             / (16.0 * s5_)
         )
 
-        sig = np.where(clamped, sig_c, np.where(small, sig_s, sig_m))
         dsig = np.where(clamped, dsig_c, np.where(small, dsig_s, dsig_m))
         d2sig = np.where(clamped, d2sig_c, np.where(small, d2sig_s, d2sig_m))
         return sig, dsig, d2sig
 
     def vol(self, lnk):
-        return self.jet(lnk)[0]
+        """sigma alone: the jet's sigma expressions without the derivative terms."""
+        lnk = np.asarray(lnk, dtype=float)
+        d1, d2_ = self._d1_d2(lnk)
+        return self._sigma(self._b(self._weights(lnk)[0]), d1 * d2_)[0]
 
 
 def vv_vol_market(q: ThreeQuoteSmile, strike):

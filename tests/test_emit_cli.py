@@ -111,6 +111,47 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+# Run in a fresh interpreter: the CLI's import must leave the spline and
+# root-finding subpackages unloaded, and the functions that need them must
+# then load them on first use.
+IMPORT_PATH_PROBE = """
+import sys
+
+import smilegeo.cli
+
+
+def heavy():
+    return sorted(
+        m for m in sys.modules if m.split(".")[:2] in (["scipy", "interpolate"], ["scipy", "optimize"])
+    )
+
+
+assert not heavy(), heavy()
+
+from smilegeo import Gamma, curvature_profile, represent, smile_from_distribution, strike_for_delta
+from smilegeo.workflows import market_state_for
+
+dist = Gamma(kappa=5.12, theta=0.64)
+smile = smile_from_distribution(dist, market_state_for(dist))
+anchor = strike_for_delta(smile, 0.25)
+assert abs(float(smile.d1(anchor.strike)) - 0.6744897501960817) < 1e-9
+profile = curvature_profile(represent(smile))
+assert profile.n_minus_d1 is not None
+assert "scipy.interpolate" in heavy() and "scipy.optimize" in heavy()
+"""
+
+
+def test_cli_import_leaves_interpolate_and_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_PROBE],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestCli:
     def test_compare_stdout(self):
         code, out, err = run_cli("compare", GAMMA_CSV, "--method", "circle")
@@ -168,23 +209,28 @@ class TestCli:
         assert b"smilegeo:" in err
 
     @pytest.mark.parametrize(
-        "field,value",
+        "edits",
         [
-            ("d10p", "nan"),
-            ("d25p", "nan"),
-            ("tenor_years", "nan"),
-            ("spot", "inf"),
-            ("spot", "0"),
-            ("spot", "-3.4"),
+            (("d10p", "nan"),),
+            (("d25p", "nan"),),
+            (("tenor_years", "nan"),),
+            (("spot", "inf"),),
+            (("spot", "0"),),
+            (("spot", "-3.4"),),
+            # Finite but so large that the label strikes overflow.
+            (("atm", "900"),),
+            (("dom_rate", "200"), ("tenor_years", "5")),
         ],
+        ids=lambda edits: "-".join(f"{field}-{value}" for field, value in edits),
     )
-    def test_bad_number_exit_2(self, tmp_path, capsys, field, value):
+    def test_bad_number_exit_2(self, tmp_path, capsys, edits):
         from smilegeo import cli
         from smilegeo.surface import CSV_HEADER
 
         lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
         cells = lines[2].split(",")
-        cells[CSV_HEADER.split(",").index(field)] = value
+        for field, value in edits:
+            cells[CSV_HEADER.split(",").index(field)] = value
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
         code = cli.main(["compare", str(bad)])
