@@ -52,6 +52,7 @@ from .errors import (
     InconsistentForward,
     MissingAnchor,
     NoConvergence,
+    NonFiniteDensity,
     NonpositiveVol,
     NotAnEllipse,
     OriginOutsideShape,

@@ -12,17 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateTenor, NoConvergence, PriceOutOfBand
+from .errors import DegenerateTenor, NoConvergence, PriceOutOfBand, TargetOutsideDomain
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Implied-vol solver: safeguarded Newton on a maintained bracket.  The
-# price tolerance sits just above the double-precision pricing noise floor;
-# vol-space second derivatives downstream need every digit available.
+# Implied-vol solver: safeguarded Newton on a per-strike bracket, swept only
+# over the strikes still iterating.  A strike stops once its price residual
+# is within IV_PRICE_TOL (just above the double-precision pricing noise
+# floor) and its Newton step within IV_VOL_TOL of sigma: vol-space second
+# derivatives downstream need every digit, and a strike iterated past that
+# point only gets bisected off its root.
 IV_BRACKET_LO = 1e-6
 IV_BRACKET_HI = 5.0
 IV_MAX_ITER = 100
 IV_PRICE_TOL = 1e-14
+IV_VOL_TOL = 1e-15
 
 
 class OptionSide(enum.Enum):
@@ -181,7 +185,7 @@ def strike_for_target_nd1(ms: MarketState, vol: float, target: float) -> float:
     z the normal quantile of the target.
     """
     if not 0.0 < target < 1.0:
-        raise ValueError("target must lie in (0, 1)")
+        raise TargetOutsideDomain(f"N(-d1) target {target:.6g} outside (0, 1)")
     z = float(ndtri(target))
     return ms.spot * math.exp(
         z * vol * math.sqrt(ms.tenor)
@@ -197,48 +201,80 @@ def _price_band(ms: MarketState, strike: float, side: OptionSide) -> tuple[float
     return max(dfd * strike - dff * ms.spot, 0.0), dfd * strike
 
 
+def _sweep_price(ln_m, dfd_k, total, fwd_df: float, put: bool):
+    """Option price and d1 from ln(S/K) + (r - q)T, e^{-rT} K and vol sqrt(T) > 0.
+
+    The same expressions as ``bsm_price``'s, so the prices agree bit for bit.
+    """
+    d1 = ln_m / total + 0.5 * total
+    price = fwd_df * ndtr(d1) - dfd_k * ndtr(d1 - total)
+    if put:
+        price = price - fwd_df + dfd_k
+    return price, d1
+
+
 def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = OptionSide.CALL):
     """Vectorised implied vol for arrays of in-band prices.
 
     Safeguarded Newton on a per-element bracket; every in-band price inside
-    the [IV_BRACKET_LO, IV_BRACKET_HI] vol range converges.
+    the [IV_BRACKET_LO, IV_BRACKET_HI] vol range converges.  Each sweep
+    prices only the strikes not yet converged and takes the vega from the
+    same d1.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if ms.tenor <= 0.0:
         raise PriceOutOfBand("implied vol undefined at zero tenor")
-    lo_p = bsm_price(ms, strikes, np.full_like(strikes, IV_BRACKET_LO), side)
-    hi_p = bsm_price(ms, strikes, np.full_like(strikes, IV_BRACKET_HI), side)
+    if np.any(strikes <= 0.0):
+        raise ValueError("strike must be positive")
+    sqrt_t = math.sqrt(ms.tenor)
+    fwd_df = ms.df_for() * ms.spot
+    vega_df = fwd_df * sqrt_t / SQRT_2PI
+    put = side is OptionSide.PUT
+    ln_m = np.log(ms.spot / strikes) + (ms.dom_rate - ms.for_rate) * ms.tenor
+    dfd_k = ms.df_dom() * strikes
+    lo_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_LO * sqrt_t, fwd_df, put)
+    hi_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_HI * sqrt_t, fwd_df, put)
     if np.any(prices <= lo_p) or np.any(prices >= hi_p):
         bad = int(np.argmax((prices <= lo_p) | (prices >= hi_p)))
         raise PriceOutOfBand(
             f"price {prices[bad]:.6g} at strike {strikes[bad]:.6g} outside the "
-            f"attainable band ({lo_p[bad] if np.ndim(lo_p) else lo_p:.6g}, "
-            f"{hi_p[bad] if np.ndim(hi_p) else hi_p:.6g})"
+            f"attainable band ({lo_p[bad]:.6g}, {hi_p[bad]:.6g})"
         )
+    sig = np.empty_like(strikes)
+    # Per-strike state of the strikes still iterating; ``idx`` maps it back.
+    idx = np.arange(strikes.size)
+    c = prices
+    tol = IV_PRICE_TOL * np.maximum(np.abs(c), 1.0)
     lo = np.full_like(strikes, IV_BRACKET_LO)
     hi = np.full_like(strikes, IV_BRACKET_HI)
-    sig = np.full_like(strikes, 0.25)
-    scale = np.maximum(np.abs(prices), 1.0)
-    for _ in range(IV_MAX_ITER):
-        f = bsm_price(ms, strikes, sig, side) - prices
-        lo = np.where(f < 0.0, np.maximum(lo, sig), lo)
-        hi = np.where(f > 0.0, np.minimum(hi, sig), hi)
-        if np.all(np.abs(f) <= IV_PRICE_TOL * scale):
-            break
-        vega = bsm_vega(ms, strikes, sig)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = sig - f / vega
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        if np.all(np.abs(cand - sig) <= 1e-16 * np.maximum(cand, IV_BRACKET_LO)):
-            sig = cand
-            break  # stagnated at the pricing-noise floor
-        sig = cand
-    else:
-        f = bsm_price(ms, strikes, sig, side) - prices
-        if np.any(np.abs(f) > 1e-8 * scale):
-            raise NoConvergence("implied vol iteration budget exhausted")
+    s = np.full_like(strikes, 0.25)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(IV_MAX_ITER):
+            model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)
+            f = model - c
+            np.maximum(lo, s, out=lo, where=f < 0.0)
+            np.minimum(hi, s, out=hi, where=f > 0.0)
+            vega = vega_df * np.exp(-0.5 * d1 * d1)
+            af = np.abs(f)
+            conv = (af <= tol) & (af <= IV_VOL_TOL * s * vega)
+            cand = s - f / vega
+            cand = np.where((cand > lo) & (cand < hi), cand, 0.5 * (lo + hi))
+            # Stagnation at the pricing-noise floor also ends a strike.
+            done = conv | (np.abs(cand - s) <= 1e-16 * cand)
+            s = np.where(conv, s, cand)
+            if done.any():
+                sig[idx[done]] = s[done]
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    return sig
+                idx, c, ln_m, dfd_k, tol, lo, hi, s = (
+                    a[keep] for a in (idx, c, ln_m, dfd_k, tol, lo, hi, s)
+                )
+    sig[idx] = s
+    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)[0] - c
+    if np.any(np.abs(f) > 1e-8 * np.maximum(np.abs(c), 1.0)):
+        raise NoConvergence("implied vol iteration budget exhausted")
     return sig
 
 

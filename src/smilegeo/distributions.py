@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, gammainc, gammaincinv, gammaln, ndtr, ndtri
 
 from .bsm import SQRT_2PI, MarketState
-from .errors import InconsistentForward
+from .errors import InconsistentForward, NonFiniteDensity
 
 FORWARD_CONSISTENCY_TOL = 1e-9
 UNIFORM_EDGE_MARGIN = 1e-6  # fraction of (b - a) kept away from the kinks
@@ -42,7 +42,11 @@ class DensityCurve:
         if strikes.size < 2 or np.any(np.diff(strikes) <= 0.0):
             raise ValueError("strikes must be strictly increasing")
         if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
+            bad = ~np.isfinite(values)
+            raise NonFiniteDensity(
+                f"density is not finite at {int(bad.sum())} of {values.size} grid "
+                f"strikes, first at {strikes[np.argmax(bad)]:.6g}"
+            )
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "values", values)
 

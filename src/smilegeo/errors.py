@@ -37,6 +37,10 @@ class NonpositiveVol(SmileGeoError):
     """Inverted shape implies a non-positive volatility somewhere on the grid."""
 
 
+class NonFiniteDensity(SmileGeoError):
+    """Density values are not finite on the grid (an implied density that overflows)."""
+
+
 class CollinearPoints(SmileGeoError):
     """Three points do not define a circle."""
 

@@ -345,15 +345,17 @@ def density_from_smile(
     ms = smile.market
     sqrt_t = math.sqrt(ms.tenor)
     sig, sig_dot, sig_ddot, d1, d2, _ = _bracket_terms(smile, strikes, mode, fd_step)
-    # Strike-space derivatives from the log-strike ones.
-    sig_p = sig_dot / strikes
-    sig_pp = (sig_ddot - sig_dot) / (strikes * strikes)
-    bracket_k = (
-        1.0
-        + 2.0 * strikes * sqrt_t * d1 * sig_p
-        + strikes * strikes * ms.tenor * (d1 * d2 * sig_p * sig_p + sig * sig_pp)
-    )
-    values = bracket_k * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
+    # Strike-space derivatives from the log-strike ones.  Overflow on a huge
+    # domain is reported by DensityCurve (NonFiniteDensity), not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig_p = sig_dot / strikes
+        sig_pp = (sig_ddot - sig_dot) / (strikes * strikes)
+        bracket_k = (
+            1.0
+            + 2.0 * strikes * sqrt_t * d1 * sig_p
+            + strikes * strikes * ms.tenor * (d1 * d2 * sig_p * sig_p + sig * sig_pp)
+        )
+        values = bracket_k * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
     return DensityCurve(strikes=strikes, values=values)
 
 

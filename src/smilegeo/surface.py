@@ -18,7 +18,7 @@ import numpy as np
 
 from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .distributions import Gamma
-from .errors import MissingAnchor, ParseError, SmileGeoError
+from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
 from .fitting import anchor_residuals
 from .georep import (
     ReprContext,
@@ -89,7 +89,7 @@ class SurfaceQuoteRow:
                 strikes = [label_strike(self, lab, conv) for lab in self.vols]
             except OverflowError:
                 strikes = [math.inf]
-            except ValueError:
+            except TargetOutsideDomain:
                 continue  # a delta target outside (0, 1) under this convention
             if all(0.0 < k < math.inf for k in strikes):
                 k_lo, k_hi = _completion_domain(strikes)
@@ -184,7 +184,7 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
     if conv is DeltaConvention.SPOT_PIPS:
         eff = target / ms.df_for()
     if not 0.0 < eff < 1.0:
-        raise ValueError(f"label {label} target {eff:.6g} outside (0, 1)")
+        raise TargetOutsideDomain(f"label {label} target {eff:.6g} outside (0, 1)")
     return eff if side == "put" else 1.0 - eff
 
 

@@ -17,16 +17,17 @@ from .analysis import DivergenceReport, best_lognormal, kl_divergence
 from .bsm import DeltaConvention, MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import TargetOutsideDomain
-from .fitting import fit_circle_to_smile, smile_anchors, CIRCLE_TARGETS
+from .fitting import CIRCLE_TARGETS, smile_anchors
 from .georep import (
     RepresentationConfig,
     RepresentationCurve,
     ReprContext,
     context_for_smile,
     represent,
+    represent_anchors,
     smile_from_shape,
 )
-from .shapes import CircleShape
+from .shapes import CircleShape, circumcircle
 from .smile import (
     GridSpec,
     SmileCurve,
@@ -122,12 +123,14 @@ def distribution_report(
     smile = smile_with_coverage(dist, ms, grid, window_targets)
     ctx = context_for_smile(smile, cfg)
     curve = represent(smile, ctx)
-    circle = fit_circle_to_smile(smile, ctx, conv)
-
     anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS, conv)
+    circle = circumcircle(*represent_anchors(anchors, ctx))
+
     k_lo = strike_for_delta(smile, window_targets[0], DeltaConvention.FORWARD_N).strike
     k_hi = strike_for_delta(smile, window_targets[1], DeltaConvention.FORWARD_N).strike
     window_grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), window_n))
+    # exp(log(k)) can land one ulp outside the window (and the smiles' domain).
+    window_grid = np.clip(window_grid, k_lo, k_hi)
 
     circle_smile = smile_from_shape(circle, ctx, k_lo=k_lo, k_hi=k_hi)
     vv = vv_smile(

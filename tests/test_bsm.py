@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import smilegeo.bsm as bsm_module
 from smilegeo.bsm import (
+    IV_BRACKET_HI,
+    IV_BRACKET_LO,
     MarketState,
     OptionSide,
     atm_rn_lognormal,
     bsm_delta,
     bsm_price,
+    bsm_vega,
     d1_d2,
     d1_d2_identity_residual,
     implied_vol,
@@ -26,7 +30,10 @@ from smilegeo.bsm import (
     std_normal_cdf,
     strike_for_target_nd1,
 )
-from smilegeo.errors import DegenerateTenor, PriceOutOfBand
+from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.errors import DegenerateTenor, PriceOutOfBand, TargetOutsideDomain
+from smilegeo.smile import GridSpec, strike_grid
+from smilegeo.workflows import market_state_for
 
 FLAT = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 
@@ -176,6 +183,15 @@ class TestImpliedVol:
         out = implied_vol_grid(FLAT, ks, prices)
         assert np.max(np.abs(out - vols)) <= 1e-10
 
+    def test_round_trip_grid_put(self):
+        ms = MarketState(spot=100.0, dom_rate=0.03, for_rate=0.01, tenor=0.75)
+        vols = np.linspace(0.01, 2.0, 400)
+        z = np.linspace(-2.0, 2.0, 400)
+        ks = ms.forward() * np.exp(z * vols * math.sqrt(ms.tenor))
+        prices = bsm_price(ms, ks, vols, OptionSide.PUT)
+        out = implied_vol_grid(ms, ks, prices, OptionSide.PUT)
+        assert np.max(np.abs(out - vols)) <= 1e-10
+
     def test_below_intrinsic_rejected(self):
         ms = MarketState(spot=100.0, dom_rate=0.02, for_rate=0.0, tenor=1.0)
         intrinsic = ms.df_for() * 100.0 - ms.df_dom() * 80.0
@@ -199,6 +215,79 @@ class TestImpliedVol:
         vol = implied_vol(ms, atmf, float(dist.call_price(ms, atmf)))
         smile = smile_from_distribution(dist, ms)
         assert vol == pytest.approx(float(smile.vol(atmf)), abs=1e-10)
+
+
+def _reference_grid(dist, width_mult=1.0):
+    """The strikes and model call prices a smile of ``dist`` is inverted from."""
+    ms = market_state_for(dist)
+    strikes = strike_grid(dist, ms, GridSpec(width_mult=width_mult))
+    return ms, strikes, np.asarray(dist.call_price(ms, strikes), dtype=float)
+
+
+def _bisection_vols(ms, strikes, prices, steps=200):
+    """Oracle: plain bisection of the call price over the solver's vol bracket."""
+    lo = np.full_like(strikes, IV_BRACKET_LO)
+    hi = np.full_like(strikes, IV_BRACKET_HI)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = bsm_price(ms, strikes, mid) > prices
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+REFERENCE_FAMILIES = {
+    "gamma": Gamma(kappa=5.12, theta=0.64),
+    "uniform": Uniform(a=2.0109, b=5.4750),
+    "student_negative": StudentT(mu=3.7322, nu=3.9565),
+    "student": StudentT(mu=3.7201, nu=7.3824),
+    "normal": Normal(mu=11.3328, s=3.0),
+    "lognormal": LogNormal(mu=1.0, s=0.25),
+}
+
+
+class TestImpliedVolGridAccuracy:
+    @pytest.mark.parametrize("width_mult", [1.0, 2.56])
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_within_price_noise_of_bisection(self, name, width_mult):
+        # A price known to a few ulps pins sigma to that error over vega;
+        # strikes iterated past convergence drift further than this.
+        ms, ks, prices = _reference_grid(REFERENCE_FAMILIES[name], width_mult)
+        ref = _bisection_vols(ms, ks, prices)
+        noise = 8.0 * np.finfo(float).eps * np.maximum(prices, 1.0) / bsm_vega(ms, ks, ref)
+        err = np.abs(implied_vol_grid(ms, ks, prices) - ref)
+        assert np.all(err <= 1e-13 * ref + noise)
+
+    @pytest.mark.parametrize("side", [OptionSide.CALL, OptionSide.PUT])
+    def test_sweep_prices_are_bsm_prices(self, side):
+        # The solver prices its sweeps without bsm_price's validation and
+        # branches; its prices must still be bsm_price's, bit for bit.
+        ms = MarketState(spot=80.0, dom_rate=0.04, for_rate=0.01, tenor=0.7)
+        ks = np.geomspace(20.0, 300.0, 301)
+        vols = np.linspace(1e-6, 5.0, 301)
+        ln_m = np.log(ms.spot / ks) + (ms.dom_rate - ms.for_rate) * ms.tenor
+        price, _ = bsm_module._sweep_price(
+            ln_m, ms.df_dom() * ks, vols * math.sqrt(ms.tenor),
+            ms.df_for() * ms.spot, side is OptionSide.PUT,
+        )
+        assert np.array_equal(price, bsm_price(ms, ks, vols, side))
+
+    def test_converged_strikes_stop_iterating(self, monkeypatch):
+        # Normal-CDF evaluations while inverting the 2001-strike gamma grid:
+        # 184092 when the whole grid iterated until its slowest strike
+        # converged, 43682 when each strike stops on its own.
+        ms, ks, prices = _reference_grid(REFERENCE_FAMILIES["gamma"])
+        evaluated = 0
+        ndtr = bsm_module.ndtr
+
+        def counting_ndtr(x):
+            nonlocal evaluated
+            evaluated += np.size(x)
+            return ndtr(x)
+
+        monkeypatch.setattr(bsm_module, "ndtr", counting_ndtr)
+        implied_vol_grid(ms, ks, prices)
+        assert 0 < evaluated <= 61364
 
 
 class TestCallStrikeDerivative:
@@ -264,3 +353,8 @@ class TestAtmRn:
             k = strike_for_target_nd1(ms, 0.12, target)
             d1, _ = d1_d2(ms, k, 0.12)
             assert float(std_normal_cdf(-d1)) == pytest.approx(target, abs=1e-12)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, 1.5])
+    def test_strike_for_target_outside_unit_interval(self, target):
+        with pytest.raises(TargetOutsideDomain):
+            strike_for_target_nd1(FLAT, 0.2, target)

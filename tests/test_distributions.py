@@ -21,7 +21,7 @@ from smilegeo.distributions import (
     density_curve,
     support_transform_exp,
 )
-from smilegeo.errors import InconsistentForward
+from smilegeo.errors import InconsistentForward, NonFiniteDensity
 from smilegeo.smile import atm_rn_strike
 from smilegeo.workflows import market_state_for, smile_with_coverage
 
@@ -211,6 +211,10 @@ class TestDensityCurve:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             DensityCurve(strikes=np.array([1.0, 1.0, 2.0]), values=np.zeros(3))
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(NonFiniteDensity, match="2 of 3 grid strikes, first at 2"):
+            DensityCurve(strikes=np.array([1.0, 2.0, 3.0]), values=np.array([0.1, np.inf, np.nan]))
 
     def test_support_transform_exp(self):
         xs = np.linspace(-8.0, 8.0, 200001)

@@ -102,6 +102,24 @@ class TestRenderers:
             emit(small_table(), "pdf", tmp_path / "t.pdf")
 
 
+def edit_row(line: str, edits) -> str:
+    """A surface CSV data line with the given (field, value) edits applied."""
+    from smilegeo.surface import CSV_HEADER
+
+    cells = line.split(",")
+    for field, value in edits:
+        cells[CSV_HEADER.split(",").index(field)] = value
+    return ",".join(cells)
+
+
+def one_row_csv(tmp_path, row: int, edits) -> pathlib.Path:
+    """Row ``row`` (1-based) of the gamma surface alone, edited, as a CSV file."""
+    lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()
+    out = tmp_path / "one_row.csv"
+    out.write_text(lines[0] + "\n" + edit_row(lines[row], edits) + "\n")
+    return out
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "smilegeo.cli", *args],
@@ -225,19 +243,50 @@ class TestCli:
     )
     def test_bad_number_exit_2(self, tmp_path, capsys, edits):
         from smilegeo import cli
-        from smilegeo.surface import CSV_HEADER
 
         lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
-        cells = lines[2].split(",")
-        for field, value in edits:
-            cells[CSV_HEADER.split(",").index(field)] = value
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        bad.write_text("\n".join(lines[:2] + [edit_row(lines[2], edits)]) + "\n")
         code = cli.main(["compare", str(bad)])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
         assert "line 3" in err
+
+    @pytest.mark.parametrize("command", ["density", "fit-circle", "represent", "complete-surface"])
+    def test_delta_target_outside_domain_exit_3(self, tmp_path, capsys, command):
+        # e^{-qT} = e^{-30} lifts the 10P spot-pips target to about 1e12;
+        # read as plain N(-d1) values the same labels are fine.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 1, (("for_rate", "30"), ("tenor_years", "1")))
+        code = cli.main([command, str(bad)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "10P" in err
+        assert cli.main([command, str(bad), "--delta-convention", "forward-n"]) == 0
+
+    def test_delta_target_outside_domain_blanks_compare_row(self, tmp_path, capsys):
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 1, (("for_rate", "30"), ("tenor_years", "1")))
+        assert cli.main(["compare", str(bad)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "2W" and set(row[1:]) == {""}
+
+    @pytest.mark.parametrize("method", ["circle", "vanna-volga"])
+    def test_non_finite_density_exit_3(self, tmp_path, capsys, method):
+        # A 10C vol of 113.6 widens the completion domain to ~1e154, where
+        # the density formula overflows.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 2, (("d10c", "113.6"),))
+        code = cli.main(["density", str(bad), "--method", method])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "not finite" in err
 
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("compare", "/nonexistent/surface.csv")

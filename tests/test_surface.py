@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal
-from smilegeo.errors import MissingAnchor, ParseError
+from smilegeo.errors import MissingAnchor, ParseError, TargetOutsideDomain
 from smilegeo.georep import represent_anchors
 from smilegeo.shapes import circumcircle, conic_through_5
 from smilegeo.smile import density_from_smile
@@ -117,6 +117,13 @@ class TestLabelStrikes:
         assert fw == 0.25
         assert sp == pytest.approx(0.25 * math.exp(0.01 * 1.0), rel=1e-14)
         assert effective_nd1_target("25C", ms, DeltaConvention.FORWARD_N) == 0.75
+
+    def test_spot_pips_target_outside_domain(self):
+        # e^{-qT} = e^{-30}: the 25P target divided by it leaves (0, 1).
+        ms = MarketState(spot=3.4, dom_rate=0.015, for_rate=30.0, tenor=1.0)
+        with pytest.raises(TargetOutsideDomain, match="25P"):
+            effective_nd1_target("25P", ms, DeltaConvention.SPOT_PIPS)
+        assert effective_nd1_target("25P", ms, DeltaConvention.FORWARD_N) == 0.25
 
 
 class TestCompleteExpiry:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from smilegeo.distributions import Gamma, Normal, StudentT, Uniform
+from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.fitting import fit_circle_to_smile
 from smilegeo.smile import GridSpec
 from smilegeo.workflows import distribution_report, market_state_for, smile_with_coverage
 
@@ -70,6 +71,29 @@ class TestWindow:
         assert float(ndtr(-report.smile.d1(k_hi))) == pytest.approx(0.99, abs=1e-9)
         assert report.window_grid[0] == pytest.approx(k_lo, rel=1e-12)
         assert report.window_grid[-1] == pytest.approx(k_hi, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            LogNormal(mu=2.3459483414117317, s=0.13333905670626447),
+            StudentT(mu=10.429390320542002, nu=4.151550865318709),
+        ],
+        ids=["lognormal", "student"],
+    )
+    def test_window_grid_stays_in_the_window(self, dist):
+        # exp(log(k_hi)) lands one ulp above k_hi for these parameter sets;
+        # unclipped, the densities raised DomainTooNarrow.
+        report = distribution_report(dist)
+        k_lo, k_hi = report.window
+        assert report.window_grid[0] == k_lo
+        assert report.window_grid[-1] == k_hi
+        assert report.circle_smile.contains(report.window_grid)
+        assert report.vanna_volga_smile.contains(report.window_grid)
+
+    def test_circle_is_the_fitted_circle(self):
+        # The report fits its circle through its own anchors, solved once.
+        report = distribution_report(GAMMA)
+        assert report.circle == fit_circle_to_smile(report.smile, report.ctx)
 
     def test_true_density_rescaled_for_negative_mass(self):
         dist = StudentT(mu=3.7322, nu=3.9565)
