@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .bsm import forward_log_moneyness
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
 from .georep import RepresentationCurve
@@ -154,13 +155,10 @@ def curvature_profile(
         lnk = PchipInterpolator(s_nodes, np.log(curve.strikes))(arc)
         strikes = np.exp(lnk)
         ctx = curve.context
-        ms = ctx.market
         # sigma along the resampled curve from the radial coordinate
         sigma = np.hypot(x, y) - ctx.radius_scale
-        total = sigma * math.sqrt(ms.tenor)
-        d1 = (
-            np.log(ms.spot / strikes) + (ms.dom_rate - ms.for_rate) * ms.tenor
-        ) / total + 0.5 * total
+        total = sigma * math.sqrt(ctx.market.tenor)
+        d1 = forward_log_moneyness(ctx.market, strikes) / total + 0.5 * total
         n_minus_d1 = ndtr(-d1)
     return CurvatureProfile(
         arc=arc,

@@ -87,9 +87,9 @@ def std_normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
 
 
-def std_normal_inv(p):
-    """Inverse of the standard normal CDF."""
-    return ndtri(p)
+def forward_log_moneyness(ms: MarketState, strike):
+    """ln(S/K) + (r - q)T, the numerator of every d1 in the package."""
+    return np.log(ms.spot / strike) + (ms.dom_rate - ms.for_rate) * ms.tenor
 
 
 def d1_d2(ms: MarketState, strike, vol):
@@ -108,7 +108,7 @@ def d1_d2(ms: MarketState, strike, vol):
         raise ValueError("strike must be positive")
     sqrt_t = math.sqrt(ms.tenor)
     total = vol * sqrt_t
-    d1 = (np.log(ms.spot / strike) + (ms.dom_rate - ms.for_rate) * ms.tenor) / total + 0.5 * total
+    d1 = forward_log_moneyness(ms, strike) / total + 0.5 * total
     d2 = d1 - total
     if d1.ndim == 0:
         return float(d1), float(d2)
@@ -132,8 +132,7 @@ def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
         with np.errstate(divide="ignore"):
             d1 = np.where(
                 total > 0.0,
-                (np.log(ms.spot / strike) + (ms.dom_rate - ms.for_rate) * ms.tenor)
-                / np.where(total > 0.0, total, 1.0)
+                forward_log_moneyness(ms, strike) / np.where(total > 0.0, total, 1.0)
                 + 0.5 * total,
                 np.inf,
             )
@@ -231,7 +230,7 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
     fwd_df = ms.df_for() * ms.spot
     vega_df = fwd_df * sqrt_t / SQRT_2PI
     put = side is OptionSide.PUT
-    ln_m = np.log(ms.spot / strikes) + (ms.dom_rate - ms.for_rate) * ms.tenor
+    ln_m = forward_log_moneyness(ms, strikes)
     dfd_k = ms.df_dom() * strikes
     lo_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_LO * sqrt_t, fwd_df, put)
     hi_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_HI * sqrt_t, fwd_df, put)

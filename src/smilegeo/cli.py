@@ -3,6 +3,7 @@
 Subcommands: represent, fit-circle, fit-ellipse, density, curvature,
 complete-surface, compare.  Exit codes: 0 on success, 2 on input/parse
 errors, 3 on numeric failures (inadmissible shapes, out-of-band prices).
+``compare`` blanks a failed row, names it on stderr, and still exits 0.
 """
 from __future__ import annotations
 
@@ -15,9 +16,16 @@ import numpy as np
 
 from .analysis import curvature_profile
 from .bsm import DeltaConvention
-from .emit import RepresentationScene, TableArtifact, render_csv, render_json, render_svg
+from .emit import RENDERERS, RepresentationScene, TableArtifact
 from .errors import MissingAnchor, ParseError, SmileGeoError
-from .georep import RepresentationConfig, flat_context, represent, represent_anchors
+from .georep import (
+    RepresentationConfig,
+    continuous_angle,
+    flat_context,
+    represent,
+    represent_anchors,
+    strike_to_x,
+)
 from .smile import density_from_smile
 from .surface import (
     LABELS,
@@ -25,6 +33,7 @@ from .surface import (
     discrepancy_table,
     label_strike,
     parse_surface,
+    row_anchors,
 )
 
 GRID_POINTS_ENV = "SMILEGEO_GRID_POINTS"
@@ -112,8 +121,7 @@ def _pick_row(rows, args):
 
 
 def _write(artifact, args) -> None:
-    fmt = args.output_format
-    payload = {"csv": render_csv, "json": render_json, "svg": render_svg}[fmt](artifact)
+    payload = RENDERERS[args.output_format](artifact)
     if args.out is None:
         sys.stdout.buffer.write(payload)
     else:
@@ -136,18 +144,13 @@ def _representation_points_table(rows, args) -> TableArtifact:
     row = _pick_row(rows, args)
     conv = _convention(args)
     ctx = flat_context(row.market(), row.vols["ATM"], _config(args))
+    labels = [lab for lab in LABELS if lab in row.vols]
+    anchors = row_anchors(row, labels, conv, {lab: label_strike(row, lab, conv) for lab in labels})
     out = []
-    for lab in LABELS:
-        if lab not in row.vols:
-            continue
-        k = label_strike(row, lab, conv)
-        vol = row.vols[lab]
-        x_coord = math.log(k / ctx.atm_rn) / ctx.radius_scale
-        phi = 2.0 * math.atan(x_coord) - 0.5 * math.pi
-        rho = ctx.radius_scale + vol
-        out.append(
-            (lab, k, vol, x_coord, phi, rho, rho * math.cos(phi), rho * math.sin(phi))
-        )
+    for lab, a, (x, y) in zip(labels, anchors, represent_anchors(anchors, ctx)):
+        x_coord = strike_to_x(a.strike, ctx.atm_rn, ctx.radius_scale)
+        phi = continuous_angle(x_coord)
+        out.append((lab, a.strike, a.vol, x_coord, phi, ctx.radius_scale + a.vol, x, y))
     return TableArtifact(
         kind="representation-points",
         columns=("label", "strike", "vol", "X", "angle", "radius", "x", "y"),
@@ -244,6 +247,8 @@ def run(argv=None) -> int:
             rows, args.method, _convention(args), _config(args), vv_variant=args.vv_variant
         )
         _write(table, args)
+        for expiry, reason in table.errors.items():
+            print(f"smilegeo: expiry {expiry!r} failed: {reason}", file=sys.stderr)
     return 0
 
 

@@ -123,11 +123,6 @@ class LogNormal(Distribution):
         if self.s <= 0.0:
             raise ValueError("s must be positive")
 
-    @classmethod
-    def matching_forward(cls, ms: MarketState, s: float) -> "LogNormal":
-        """The log-normal with standard deviation s whose mean is the forward."""
-        return cls(mu=math.log(ms.forward()) - 0.5 * s * s, s=s)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -59,11 +59,6 @@ def table_from_density(curve: DensityCurve) -> TableArtifact:
     return TableArtifact(kind="density", columns=("strike", "density"), rows=rows)
 
 
-def table_from_smile_samples(strikes, vols, kind: str = "smile") -> TableArtifact:
-    rows = tuple((float(k), float(v)) for k, v in zip(strikes, vols))
-    return TableArtifact(kind=kind, columns=("strike", "vol"), rows=rows)
-
-
 def table_from_representation(curve: RepresentationCurve) -> TableArtifact:
     rows = tuple(
         (float(k), float(a), float(r), float(p[0]), float(p[1]))
@@ -264,7 +259,7 @@ def _render_scene_svg(scene: RepresentationScene) -> bytes:
     return _svg_doc(body, "x", "y")
 
 
-_RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
+RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
 
 
 def emit(artifact, fmt: str, path) -> int:
@@ -272,9 +267,9 @@ def emit(artifact, fmt: str, path) -> int:
 
     Returns the number of bytes written; I/O failures raise OSError.
     """
-    if fmt not in _RENDERERS:
-        raise ValueError(f"unknown format {fmt!r}; pick one of {sorted(_RENDERERS)}")
-    payload = _RENDERERS[fmt](artifact)
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}; pick one of {sorted(RENDERERS)}")
+    payload = RENDERERS[fmt](artifact)
     with open(path, "wb") as fh:
         fh.write(payload)
     return len(payload)

@@ -1,16 +1,18 @@
 """Fit circles and ellipses to smiles through delta anchors.
 
-The circle takes three anchors (25-delta put side, the delta-neutral strike,
-25-delta call side as N(-d1) targets 0.25 / 0.5 / 0.75); the ellipse takes
-five (targets 0.10, 0.25, 0.5, 0.75, 0.90).  The middle anchor is always the
-context's centre strike.
+``fit_shape`` is the one path from anchors to a shape: it maps the anchors
+to their polar points and puts the circle through three of them or the conic
+through five.  On a smile, the circle's anchors are the 25-delta put side,
+the centre strike and the 25-delta call side (N(-d1) targets 0.25 / 0.5 /
+0.75); the ellipse's are targets 0.10, 0.25, 0.5, 0.75, 0.90.  The middle
+anchor is always the context's centre strike.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .bsm import DeltaConvention
-from .georep import ReprContext, RepresentationConfig, context_for_smile, represent_anchors
+from .georep import ReprContext, RepresentationConfig, represent_anchors, resolve_context
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from .smile import DeltaAnchor, SmileCurve, strike_for_delta
 
@@ -18,12 +20,14 @@ CIRCLE_TARGETS = (0.25, 0.75)
 ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
 
 
-def _resolve_ctx(smile: SmileCurve, ctx) -> ReprContext:
-    if isinstance(ctx, ReprContext):
-        return ctx
-    if ctx is None or isinstance(ctx, RepresentationConfig):
-        return context_for_smile(smile, ctx)
-    raise TypeError("ctx must be a ReprContext, RepresentationConfig, or None")
+def fit_shape(anchors, ctx: ReprContext) -> tuple[CircleShape | ConicShape, np.ndarray]:
+    """The circle (3 anchors) or conic (5 anchors) through the anchors' polar points.
+
+    Returns the shape and the points, rows of (x, y).
+    """
+    pts = represent_anchors(anchors, ctx)
+    shape = circumcircle(*pts) if len(pts) == 3 else conic_through_5(pts)
+    return shape, pts
 
 
 def smile_anchors(
@@ -52,10 +56,8 @@ def fit_circle_to_smile(
     conv: DeltaConvention = DeltaConvention.FORWARD_N,
 ) -> CircleShape:
     """Circle through the represented 0.25 / centre / 0.75 anchors."""
-    ctx = _resolve_ctx(smile, ctx)
-    anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS, conv)
-    pts = represent_anchors(anchors, ctx)
-    return circumcircle(pts[0], pts[1], pts[2])
+    ctx = resolve_context(smile, ctx)
+    return fit_shape(smile_anchors(smile, ctx, CIRCLE_TARGETS, conv), ctx)[0]
 
 
 def fit_ellipse_to_smile(
@@ -64,10 +66,8 @@ def fit_ellipse_to_smile(
     conv: DeltaConvention = DeltaConvention.FORWARD_N,
 ) -> ConicShape:
     """Conic through the represented 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
-    ctx = _resolve_ctx(smile, ctx)
-    anchors = smile_anchors(smile, ctx, ELLIPSE_TARGETS, conv)
-    pts = represent_anchors(anchors, ctx)
-    return conic_through_5(pts)
+    ctx = resolve_context(smile, ctx)
+    return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS, conv), ctx)[0]
 
 
 def anchor_residuals(shape, points: np.ndarray) -> np.ndarray:

@@ -138,6 +138,21 @@ def angle_for_strike(strike, ctx: ReprContext):
     return continuous_angle(strike_to_x(strike, ctx.atm_rn, ctx.radius_scale))
 
 
+def _context(ms: MarketState, atm_rn: float, cfg: RepresentationConfig | None, window_strike):
+    """ReprContext at the centre strike; auto R from ``window_strike(target)``.
+
+    Auto R places the strikes at the [window_lo, window_hi] N(-d1) window
+    just inside the unit circle, symmetrised by the larger log-distance.
+    """
+    cfg = cfg or RepresentationConfig()
+    if cfg.radius_scale is not None:
+        return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=cfg.radius_scale)
+    half_width = max(
+        abs(math.log(window_strike(t) / atm_rn)) for t in (cfg.window_lo, cfg.window_hi)
+    )
+    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / cfg.unit_fraction)
+
+
 def context_for_smile(
     smile: SmileCurve,
     cfg: RepresentationConfig | None = None,
@@ -146,19 +161,13 @@ def context_for_smile(
     """Resolve (atm_rn, R) for a smile.
 
     The centre strike defaults to the smile's delta-neutral strike; auto R
-    places the smile's own [window_lo, window_hi] delta window just inside
-    the unit circle.
+    reads the window strikes off the smile's own N(-d1).
     """
-    cfg = cfg or RepresentationConfig()
-    if atm_rn is None:
-        atm_rn = atm_rn_strike(smile)
-    if cfg.radius_scale is not None:
-        return ReprContext(market=smile.market, atm_rn=atm_rn, radius_scale=cfg.radius_scale)
-    k_lo = strike_for_delta(smile, cfg.window_lo, DeltaConvention.FORWARD_N).strike
-    k_hi = strike_for_delta(smile, cfg.window_hi, DeltaConvention.FORWARD_N).strike
-    half_width = max(abs(math.log(k_lo / atm_rn)), abs(math.log(k_hi / atm_rn)))
-    return ReprContext(
-        market=smile.market, atm_rn=atm_rn, radius_scale=half_width / cfg.unit_fraction
+    return _context(
+        smile.market,
+        atm_rn_strike(smile) if atm_rn is None else atm_rn,
+        cfg,
+        lambda t: strike_for_delta(smile, t, DeltaConvention.FORWARD_N).strike,
     )
 
 
@@ -170,14 +179,21 @@ def flat_context(
     Uses the flat-vol proxy: the delta window of a constant-vol smile is
     symmetric about its delta-neutral strike in log-strike.
     """
-    cfg = cfg or RepresentationConfig()
-    atm = atm_rn_lognormal(ms, atm_vol)
-    if cfg.radius_scale is not None:
-        return ReprContext(market=ms, atm_rn=atm, radius_scale=cfg.radius_scale)
-    k_hi = strike_for_target_nd1(ms, atm_vol, cfg.window_hi)
-    k_lo = strike_for_target_nd1(ms, atm_vol, cfg.window_lo)
-    half_width = max(abs(math.log(k_hi / atm)), abs(math.log(k_lo / atm)))
-    return ReprContext(market=ms, atm_rn=atm, radius_scale=half_width / cfg.unit_fraction)
+    return _context(
+        ms,
+        atm_rn_lognormal(ms, atm_vol),
+        cfg,
+        lambda t: strike_for_target_nd1(ms, atm_vol, t),
+    )
+
+
+def resolve_context(smile: SmileCurve, ctx) -> ReprContext:
+    """A given ReprContext as is; a RepresentationConfig (or None) resolved for the smile."""
+    if isinstance(ctx, ReprContext):
+        return ctx
+    if ctx is None or isinstance(ctx, RepresentationConfig):
+        return context_for_smile(smile, ctx)
+    raise TypeError("ctx must be a ReprContext, RepresentationConfig, or None")
 
 
 def represent(
@@ -190,8 +206,7 @@ def represent(
     Flat smiles land on an origin-centred circle of radius R + sigma; the
     angle grid is strictly monotone in ln K.
     """
-    if not isinstance(ctx, ReprContext):
-        ctx = context_for_smile(smile, ctx)
+    ctx = resolve_context(smile, ctx)
     if strikes is None:
         strikes = smile.default_grid(DEFAULT_CURVE_POINTS)
     strikes = np.asarray(strikes, dtype=float)

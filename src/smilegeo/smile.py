@@ -23,10 +23,11 @@ from .bsm import (
     DeltaConvention,
     MarketState,
     bsm_price,
+    forward_log_moneyness,
     implied_vol_grid,
 )
 from .distributions import DensityCurve, Distribution, FORWARD_CONSISTENCY_TOL
-from .errors import DomainTooNarrow, InconsistentForward, TargetOutsideDomain
+from .errors import DomainTooNarrow, InconsistentForward, NonpositiveVol, TargetOutsideDomain
 
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_FD_STEP = 1e-3  # central-difference step in ln K
@@ -91,19 +92,12 @@ class SmileCurve:
         out = self.vol_fn(np.log(np.asarray(strike, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 
-    def vol_with_derivs(self, strike):
-        """(sigma, d sigma/d lnK, d^2 sigma/d lnK^2) at the given strike(s)."""
-        return self.jet_fn(np.log(np.asarray(strike, dtype=float)))
-
     def d1(self, strike, vol=None):
         """BSM d1 evaluated with the smile vol (or a supplied vol)."""
         strike = np.asarray(strike, dtype=float)
         sig = self.vol(strike) if vol is None else vol
-        ms = self.market
-        total = sig * math.sqrt(ms.tenor)
-        return (
-            np.log(ms.spot / strike) + (ms.dom_rate - ms.for_rate) * ms.tenor
-        ) / total + 0.5 * total
+        total = sig * math.sqrt(self.market.tenor)
+        return forward_log_moneyness(self.market, strike) / total + 0.5 * total
 
     def contains(self, strikes) -> bool:
         strikes = np.asarray(strikes, dtype=float)
@@ -302,11 +296,10 @@ def _bracket_terms(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: f
     sqrt_t = math.sqrt(ms.tenor)
     sig, sig_dot, sig_ddot = _derivs_on_grid(smile, strikes, mode, fd_step)
     if np.any(sig <= 0.0):
-        raise ValueError("smile must be positive on the density grid")
+        k_bad = strikes[int(np.argmax(sig <= 0.0))]
+        raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
     total = sig * sqrt_t
-    d1 = (
-        np.log(ms.spot / strikes) + (ms.dom_rate - ms.for_rate) * ms.tenor
-    ) / total + 0.5 * total
+    d1 = forward_log_moneyness(ms, strikes) / total + 0.5 * total
     d2 = d1 - total
     t = ms.tenor
     bracket = (

@@ -19,15 +19,9 @@ import numpy as np
 from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .distributions import Gamma
 from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
-from .fitting import anchor_residuals
-from .georep import (
-    ReprContext,
-    RepresentationConfig,
-    flat_context,
-    represent_anchors,
-    smile_from_shape,
-)
-from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
+from .fitting import anchor_residuals, fit_shape
+from .georep import ReprContext, RepresentationConfig, flat_context, smile_from_shape
+from .shapes import CircleShape, ConicShape
 from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strike_for_delta
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
@@ -51,7 +45,11 @@ _LABEL_DELTA = {
     "10C": (0.10, "call"),
 }
 ANCHOR_EXACTNESS_TOL = 1e-10
-METHODS = ("circle", "ellipse", "vanna-volga")
+# The quoted labels each completion method puts its smile through.
+METHOD_ANCHORS = {
+    "circle": ANCHOR_LABELS, "ellipse": ELLIPSE_LABELS, "vanna-volga": ANCHOR_LABELS
+}
+METHODS = tuple(METHOD_ANCHORS)
 
 
 @dataclass(frozen=True)
@@ -202,20 +200,23 @@ def label_strike(row: SurfaceQuoteRow, label: str, conv: DeltaConvention) -> flo
 def row_anchors(
     row: SurfaceQuoteRow, labels, conv: DeltaConvention, strikes: dict[str, float]
 ) -> list[DeltaAnchor]:
-    """Anchors at the given labels, by strike, from already solved label strikes."""
-    anchors = []
-    for lab in labels:
-        target, side = _LABEL_DELTA[lab]
-        anchors.append(
-            DeltaAnchor(
-                target=0.5 if side == "atm" else target,
-                strike=strikes[lab],
-                vol=row.vols[lab],
-                convention=conv,
-            )
+    """Anchors at the given labels, in label order, from already solved label strikes."""
+    return [
+        DeltaAnchor(
+            target=0.5 if _LABEL_DELTA[lab][1] == "atm" else _LABEL_DELTA[lab][0],
+            strike=strikes[lab],
+            vol=row.vols[lab],
+            convention=conv,
         )
-    anchors.sort(key=lambda a: a.strike)
-    return anchors
+        for lab in labels
+    ]
+
+
+def anchor_labels(method: str) -> tuple[str, ...]:
+    """The quoted labels a completion method fits through."""
+    if method not in METHOD_ANCHORS:
+        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    return METHOD_ANCHORS[method]
 
 
 @dataclass(frozen=True)
@@ -255,44 +256,28 @@ def complete_expiry(
     at every quoted label strike.  Geometry failures (origin outside the
     fitted shape, non-positive vols) surface as their specific errors.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    labels = anchor_labels(method)
     ms = row.market()
     strikes = {lab: label_strike(row, lab, conv) for lab in row.vols}
     k_lo, k_hi = _completion_domain(strikes.values())
+    missing = [lab for lab in labels if lab not in row.vols]
+    if missing:
+        raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
+    anchors = tuple(sorted(row_anchors(row, labels, conv, strikes), key=lambda a: a.strike))
 
     if method == "vanna-volga":
-        anchors = row_anchors(row, ANCHOR_LABELS, conv, strikes)
+        ctx = shape = None
         smile = vv_smile(
-            ThreeQuoteSmile(anchors=tuple(anchors), market=ms),
-            k_lo=k_lo,
-            k_hi=k_hi,
-            variant=vv_variant,
+            ThreeQuoteSmile(anchors=anchors, market=ms), k_lo=k_lo, k_hi=k_hi, variant=vv_variant
         )
-        return CompletedExpiry(
-            row=row, method=method, smile=smile, anchors=tuple(anchors),
-            ctx=None, shape=None, label_strikes=strikes,
-        )
-
-    ctx = flat_context(ms, row.vols["ATM"], cfg)
-    if method == "circle":
-        anchors = row_anchors(row, ANCHOR_LABELS, conv, strikes)
-        pts = represent_anchors(anchors, ctx)
-        shape = circumcircle(pts[0], pts[1], pts[2])
     else:
-        missing = [lab for lab in ELLIPSE_LABELS if lab not in row.vols]
-        if missing:
-            raise MissingAnchor(
-                f"ellipse completion needs {ELLIPSE_LABELS}; missing {missing}"
-            )
-        anchors = row_anchors(row, ELLIPSE_LABELS, conv, strikes)
-        pts = represent_anchors(anchors, ctx)
-        shape = conic_through_5(pts)
-    if np.max(anchor_residuals(shape, pts)) > 1e-9 * max(1.0, ctx.radius_scale):
-        raise SmileGeoError("fitted shape fails to interpolate its anchors")
-    smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
+        ctx = flat_context(ms, row.vols["ATM"], cfg)
+        shape, pts = fit_shape(anchors, ctx)
+        if np.max(anchor_residuals(shape, pts)) > 1e-9 * max(1.0, ctx.radius_scale):
+            raise SmileGeoError("fitted shape fails to interpolate its anchors")
+        smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
     return CompletedExpiry(
-        row=row, method=method, smile=smile, anchors=tuple(anchors),
+        row=row, method=method, smile=smile, anchors=anchors,
         ctx=ctx, shape=shape, label_strikes=strikes,
     )
 
@@ -325,7 +310,7 @@ def discrepancy_table(
     vv_variant: str = "market",
 ) -> DiscrepancyTable:
     """Completion-versus-market discrepancies with per-expiry, per-label, and grand L2 norms."""
-    anchor_set = ELLIPSE_LABELS if method == "ellipse" else ANCHOR_LABELS
+    anchor_set = anchor_labels(method)
     cells: list[dict[str, float | None]] = []
     row_l2: list[float | None] = []
     errors: dict[str, str] = {}

@@ -5,7 +5,7 @@ approximation: a weighted combination of the three anchor vols with
 log-ratio (quadratic Lagrange in ln K) weights that sum to one.  It
 reproduces the anchors exactly and reduces to the flat value for equal
 quotes.  ``vv_vol_market`` is the market-consistency variant built on the
-same weights,
+same weights (one ``_LnKWeights`` serves both),
 
     sigma(K) = sigma2 + (-sigma2 + sqrt(sigma2^2 + d1 d2 (2 sigma2 P + Q)))
                / (d1 d2),
@@ -53,18 +53,42 @@ class ThreeQuoteSmile:
         return tuple(a.vol for a in self.anchors)
 
 
-def _log_weights(q: ThreeQuoteSmile, lnk: np.ndarray):
-    m1, m2, m3 = (math.log(k) for k in q.strikes)
-    w1 = (lnk - m2) * (lnk - m3) / ((m1 - m2) * (m1 - m3))
-    w2 = (lnk - m1) * (lnk - m3) / ((m2 - m1) * (m2 - m3))
-    w3 = (lnk - m1) * (lnk - m2) / ((m3 - m1) * (m3 - m2))
-    return w1, w2, w3
+class _LnKWeights:
+    """The quadratic Lagrange weights in ln K through the log-strikes m.
+
+    The denominators and the constant second derivatives ``wpp`` are fixed
+    at construction.  Callers pass m: the two backends take it from
+    different logarithms, which can differ in the last bit.
+    """
+
+    def __init__(self, m):
+        m1, m2, m3 = self.m = tuple(m)
+        self.den = ((m1 - m2) * (m1 - m3), (m2 - m1) * (m2 - m3), (m3 - m1) * (m3 - m2))
+        self.wpp = np.array([2.0 / d for d in self.den])
+
+    def __call__(self, lnk):
+        m1, m2, m3 = self.m
+        den1, den2, den3 = self.den
+        return (
+            (lnk - m2) * (lnk - m3) / den1,
+            (lnk - m1) * (lnk - m3) / den2,
+            (lnk - m1) * (lnk - m2) / den3,
+        )
+
+    def slopes(self, lnk):
+        """The weights' first ln-K derivatives."""
+        m1, m2, m3 = self.m
+        den1, den2, den3 = self.den
+        return (
+            (2.0 * lnk - m2 - m3) / den1,
+            (2.0 * lnk - m1 - m3) / den2,
+            (2.0 * lnk - m1 - m2) / den3,
+        )
 
 
 def vv_weights(q: ThreeQuoteSmile, strike):
     """The three log-ratio interpolation weights; they sum to one at every K."""
-    lnk = np.log(np.asarray(strike, dtype=float))
-    return _log_weights(q, lnk)
+    return _FirstOrder(q).w(np.log(np.asarray(strike, dtype=float)))
 
 
 def vv_vol(q: ThreeQuoteSmile, strike):
@@ -72,9 +96,7 @@ def vv_vol(q: ThreeQuoteSmile, strike):
     strike = np.asarray(strike, dtype=float)
     if np.any(strike <= 0.0):
         raise ValueError("strike must be positive")
-    w1, w2, w3 = vv_weights(q, strike)
-    s1, s2, s3 = q.vols
-    out = w1 * s1 + w2 * s2 + w3 * s3
+    out = _FirstOrder(q).vol(np.log(strike))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -82,26 +104,26 @@ class _FirstOrder:
     """sigma(lnK) in Lagrange form: exact at the anchors by construction."""
 
     def __init__(self, q: ThreeQuoteSmile):
-        self.q = q
-        m1, m2, m3 = (math.log(k) for k in q.strikes)
-        self.m = (m1, m2, m3)
-        self.den = ((m1 - m2) * (m1 - m3), (m2 - m1) * (m2 - m3), (m3 - m1) * (m3 - m2))
+        self.sig = q.vols
+        self.w = _LnKWeights(math.log(k) for k in q.strikes)
         s1, s2, s3 = q.vols
-        self.curv = 2.0 * (s1 / self.den[0] + s2 / self.den[1] + s3 / self.den[2])
+        den = self.w.den
+        self.curv = 2.0 * (s1 / den[0] + s2 / den[1] + s3 / den[2])
 
     def vol(self, lnk):
-        w1, w2, w3 = _log_weights(self.q, np.asarray(lnk, dtype=float))
-        s1, s2, s3 = self.q.vols
+        w1, w2, w3 = self.w(np.asarray(lnk, dtype=float))
+        s1, s2, s3 = self.sig
         return w1 * s1 + w2 * s2 + w3 * s3
 
     def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
-        m1, m2, m3 = self.m
-        s1, s2, s3 = self.q.vols
+        m1, m2, m3 = self.w.m
+        den = self.w.den
+        s1, s2, s3 = self.sig
         dsig = (
-            s1 * (2.0 * lnk - m2 - m3) / self.den[0]
-            + s2 * (2.0 * lnk - m1 - m3) / self.den[1]
-            + s3 * (2.0 * lnk - m1 - m2) / self.den[2]
+            s1 * (2.0 * lnk - m2 - m3) / den[0]
+            + s2 * (2.0 * lnk - m1 - m3) / den[1]
+            + s3 * (2.0 * lnk - m1 - m2) / den[2]
         )
         return self.vol(lnk), dsig, np.full_like(lnk, self.curv)
 
@@ -125,25 +147,14 @@ class _MarketOrder:
         self.a1 = a1
         self.a2 = a1 - c
         m = np.log(q.strikes)
-        self.m = m
+        self.w = _LnKWeights(m)
         d_anchor = (self.a1 - m / c) * (self.a2 - m / c)
         self.q_coef = d_anchor * np.square(np.array([s1 - s2, 0.0, s3 - s2]))
         self.sig = np.array(q.vols)
-
-    def _weights(self, lnk):
-        """The Lagrange weights in ln K, stacked, and their denominators."""
-        m1, m2, m3 = self.m
-        den1 = (m1 - m2) * (m1 - m3)
-        den2 = (m2 - m1) * (m2 - m3)
-        den3 = (m3 - m1) * (m3 - m2)
-        w = np.stack(
-            [
-                (lnk - m2) * (lnk - m3) / den1,
-                (lnk - m1) * (lnk - m3) / den2,
-                (lnk - m1) * (lnk - m2) / den3,
-            ]
-        )
-        return w, (den1, den2, den3)
+        # B's second derivative is constant: the weights are quadratics.
+        p2 = float(np.dot(self.sig, self.w.wpp))
+        q2 = float(np.dot(self.q_coef, self.w.wpp))
+        self.b2 = 2.0 * s2 * p2 + q2
 
     def _b(self, w):
         """B = 2 sigma2 P + Q, the quotient's numerator term."""
@@ -157,24 +168,12 @@ class _MarketOrder:
     def _pieces(self, lnk):
         """B and D = d1 d2 with their first and second ln-K derivatives."""
         lnk = np.asarray(lnk, dtype=float)
-        m1, m2, m3 = self.m
-        w, (den1, den2, den3) = self._weights(lnk)
-        wp = np.stack(
-            [
-                (2.0 * lnk - m2 - m3) / den1,
-                (2.0 * lnk - m1 - m3) / den2,
-                (2.0 * lnk - m1 - m2) / den3,
-            ]
-        )
-        wpp = np.array([2.0 / den1, 2.0 / den2, 2.0 / den3])
+        wp = np.stack(self.w.slopes(lnk))
         p1 = np.tensordot(self.sig, wp, axes=1)
-        p2 = float(np.dot(self.sig, wpp))
         q1 = np.tensordot(self.q_coef, wp, axes=1)
-        q2 = float(np.dot(self.q_coef, wpp))
-        s2 = self.s2
-        b = self._b(w)
-        b1 = 2.0 * s2 * p1 + q1
-        b2 = 2.0 * s2 * p2 + q2
+        b = self._b(np.stack(self.w(lnk)))
+        b1 = 2.0 * self.s2 * p1 + q1
+        b2 = self.b2
         d1, d2_ = self._d1_d2(lnk)
         dd = d1 * d2_
         dd1 = -(d1 + d2_) / self.c
@@ -249,7 +248,7 @@ class _MarketOrder:
         """sigma alone: the jet's sigma expressions without the derivative terms."""
         lnk = np.asarray(lnk, dtype=float)
         d1, d2_ = self._d1_d2(lnk)
-        return self._sigma(self._b(self._weights(lnk)[0]), d1 * d2_)[0]
+        return self._sigma(self._b(np.stack(self.w(lnk))), d1 * d2_)[0]
 
 
 def vv_vol_market(q: ThreeQuoteSmile, strike):

@@ -8,7 +8,7 @@ divergences on the stated delta window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -17,17 +17,16 @@ from .analysis import DivergenceReport, best_lognormal, kl_divergence
 from .bsm import DeltaConvention, MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import TargetOutsideDomain
-from .fitting import CIRCLE_TARGETS, smile_anchors
+from .fitting import CIRCLE_TARGETS, fit_shape, smile_anchors
 from .georep import (
     RepresentationConfig,
     RepresentationCurve,
     ReprContext,
     context_for_smile,
     represent,
-    represent_anchors,
     smile_from_shape,
 )
-from .shapes import CircleShape, circumcircle
+from .shapes import CircleShape
 from .smile import (
     GridSpec,
     SmileCurve,
@@ -70,13 +69,7 @@ def smile_with_coverage(
         nd1_hi = float(ndtr(-smile.d1(smile.k_hi * 0.9999999)))
         if (nd1_lo < lo_t and nd1_hi > hi_t) or bounded:
             return smile
-        grid = GridSpec(
-            n=grid.n,
-            delta_lo=grid.delta_lo,
-            delta_hi=grid.delta_hi,
-            extend=grid.extend,
-            width_mult=grid.width_mult * 1.6,
-        )
+        grid = replace(grid, width_mult=grid.width_mult * 1.6)
     raise TargetOutsideDomain(
         f"could not widen the grid to cover the N(-d1) window {targets}"
     )
@@ -124,7 +117,7 @@ def distribution_report(
     ctx = context_for_smile(smile, cfg)
     curve = represent(smile, ctx)
     anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS, conv)
-    circle = circumcircle(*represent_anchors(anchors, ctx))
+    circle, _ = fit_shape(anchors, ctx)
 
     k_lo = strike_for_delta(smile, window_targets[0], DeltaConvention.FORWARD_N).strike
     k_hi = strike_for_delta(smile, window_targets[1], DeltaConvention.FORWARD_N).strike

@@ -272,8 +272,12 @@ class TestCli:
 
         bad = one_row_csv(tmp_path, 1, (("for_rate", "30"), ("tenor_years", "1")))
         assert cli.main(["compare", str(bad)]) == 0
-        row = capsys.readouterr().out.splitlines()[1].split(",")
+        captured = capsys.readouterr()
+        row = captured.out.splitlines()[1].split(",")
         assert row[0] == "2W" and set(row[1:]) == {""}
+        prefix = "smilegeo: expiry '2W' failed: "
+        failed = [ln for ln in captured.err.splitlines() if ln.startswith(prefix)]
+        assert len(failed) == 1 and "10P" in failed[0]
 
     @pytest.mark.parametrize("method", ["circle", "vanna-volga"])
     def test_non_finite_density_exit_3(self, tmp_path, capsys, method):
@@ -287,6 +291,49 @@ class TestCli:
         assert code == 3
         assert "Traceback" not in err
         assert "not finite" in err
+
+    @pytest.mark.parametrize("field", ["d25p", "d25c"])
+    @pytest.mark.parametrize("variant", ["market", "first"])
+    def test_nonpositive_vv_smile_density_exit_3(self, tmp_path, capsys, variant, field):
+        # A 0.001 wing anchor bends the vanna-volga smile below zero inside
+        # the density grid.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 1, ((field, "0.001"),))
+        argv = ["density", str(bad), "--method", "vanna-volga", "--vv-variant", variant]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "vol <= 0 at strike" in err
+
+    @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
+    def test_represent_is_the_library_polar_map(self, csv_path, capsys):
+        # Each row's X, angle and (x, y) are strike_to_x, continuous_angle and
+        # represent_anchors of the same label anchors, bit for bit.
+        from smilegeo import cli
+        from smilegeo.georep import continuous_angle, flat_context, represent_anchors, strike_to_x
+        from smilegeo.smile import DeltaAnchor
+        from smilegeo.surface import label_strike
+
+        conv = DeltaConvention.SPOT_PIPS
+        for row in parse_surface(pathlib.Path(csv_path).read_bytes()):
+            argv = ["represent", csv_path, "--expiry", row.expiry_label, "--output-format", "json"]
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            ctx = flat_context(row.market(), row.vols["ATM"])
+            anchors = [
+                DeltaAnchor(target=0.5, strike=label_strike(row, lab, conv), vol=row.vols[lab])
+                for lab, *_ in doc["rows"]
+            ]
+            pts = represent_anchors(anchors, ctx)
+            assert len(doc["rows"]) == len(row.vols)
+            for got, anchor, (x, y) in zip(doc["rows"], anchors, pts):
+                cells = dict(zip(doc["columns"], got))
+                x_coord = strike_to_x(anchor.strike, ctx.atm_rn, ctx.radius_scale)
+                assert cells["X"] == x_coord
+                assert cells["angle"] == continuous_angle(x_coord)
+                assert (cells["x"], cells["y"]) == (x, y)
 
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("compare", "/nonexistent/surface.csv")

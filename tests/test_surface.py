@@ -249,3 +249,14 @@ class TestSynthetics:
         assert (data / "synthetic_circle_surface.csv").read_text() == synthetic_circle_surface()
         assert (data / "synthetic_gamma_surface.csv").read_text() == synthetic_gamma_surface()
         assert (data / "surface_template.csv").read_text().strip() == CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "name, builder",
+        [
+            ("synthetic_circle_surface", synthetic_circle_surface),
+            ("synthetic_gamma_surface", synthetic_gamma_surface),
+        ],
+    )
+    def test_shipped_bytes_regenerate(self, name, builder):
+        # Bytes, not text: reading text would translate line endings.
+        assert (DATA / f"{name}.csv").read_bytes() == builder().encode("utf-8")
