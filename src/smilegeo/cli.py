@@ -31,7 +31,6 @@ from .surface import (
     LABELS,
     complete_expiry,
     discrepancy_table,
-    label_strike,
     parse_surface,
     row_anchors,
 )
@@ -145,7 +144,7 @@ def _representation_points_table(rows, args) -> TableArtifact:
     conv = _convention(args)
     ctx = flat_context(row.market(), row.vols["ATM"], _config(args))
     labels = [lab for lab in LABELS if lab in row.vols]
-    anchors = row_anchors(row, labels, conv, {lab: label_strike(row, lab, conv) for lab in labels})
+    anchors = row_anchors(row, labels, conv, row.strikes(conv))
     out = []
     for lab, a, (x, y) in zip(labels, anchors, represent_anchors(anchors, ctx)):
         x_coord = strike_to_x(a.strike, ctx.atm_rn, ctx.radius_scale)

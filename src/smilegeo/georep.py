@@ -15,9 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
-from .errors import NonpositiveVol, OriginOutsideShape
+from .errors import OriginOutsideShape
 from .shapes import CircleShape, ConicShape
-from .smile import DeltaConvention, SmileCurve, atm_rn_strike, strike_for_delta
+from .smile import (
+    ADMISSIBILITY_POINTS,
+    DeltaConvention,
+    SmileCurve,
+    atm_rn_strike,
+    require_positive_vol,
+    strike_for_delta,
+)
 
 DEFAULT_CURVE_POINTS = 2001
 
@@ -236,22 +243,26 @@ def _circle_ray_radius(shape: CircleShape, phi):
     return proj + np.sqrt(disc)
 
 
-def _conic_ray_coeffs(shape: ConicShape, phi):
+def _conic_ray_coeffs(shape: ConicShape, cos, sin):
+    """quad rho^2 + lin rho + F: the conic along the ray (cos, sin)."""
     a, b, c, d, e, _f = shape.coefficients
-    cos, sin = np.cos(phi), np.sin(phi)
     quad = a * cos * cos + b * cos * sin + c * sin * sin
     lin = d * cos + e * sin
     return quad, lin
 
 
-def _conic_ray_radius(shape: ConicShape, phi):
-    a, b, c, d, e, f = shape.coefficients
+def _conic_ray_root(shape: ConicShape, quad, lin):
+    """The positive root of quad rho^2 + lin rho + F for an origin inside the ellipse."""
+    f = shape.coefficients[5]
     if f >= 0.0:
         # Ellipse value at the origin shares the sign of the outside region.
         raise OriginOutsideShape("origin not strictly inside the ellipse")
-    quad, lin = _conic_ray_coeffs(shape, phi)
     disc = lin * lin - 4.0 * quad * f
     return (-lin + np.sqrt(disc)) / (2.0 * quad)
+
+
+def _conic_ray_radius(shape: ConicShape, phi):
+    return _conic_ray_root(shape, *_conic_ray_coeffs(shape, np.cos(phi), np.sin(phi)))
 
 
 def shape_ray_radius(shape, phi):
@@ -283,11 +294,11 @@ def _circle_rho_derivs(shape: CircleShape, phi):
 def _conic_rho_derivs(shape: ConicShape, phi):
     a, b, c, d, e, _f = shape.coefficients
     cos, sin = np.cos(phi), np.sin(phi)
-    quad, lin = _conic_ray_coeffs(shape, phi)
+    quad, lin = _conic_ray_coeffs(shape, cos, sin)
     quad_p = (c - a) * 2.0 * sin * cos + b * (cos * cos - sin * sin)
     quad_pp = 2.0 * (c - a) * (cos * cos - sin * sin) - 4.0 * b * sin * cos
     lin_p = -d * sin + e * cos
-    rho = _conic_ray_radius(shape, phi)
+    rho = _conic_ray_root(shape, quad, lin)
     slope = 2.0 * quad * rho + lin
     d1 = -(quad_p * rho * rho + lin_p * rho) / slope
     d2 = -(
@@ -306,7 +317,7 @@ def smile_from_shape(
     k_lo: float | None = None,
     k_hi: float | None = None,
     grid=None,
-    validate_n: int = 513,
+    validate_n: int = ADMISSIBILITY_POINTS,
 ) -> SmileCurve:
     """Invert a fitted shape back into a smile.
 
@@ -348,13 +359,8 @@ def smile_from_shape(
         rho, drho, d2rho = rho_derivs(shape, phi)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
-    sweep = np.linspace(math.log(k_lo), math.log(k_hi), validate_n)
-    vols = vol_fn(sweep)  # raises OriginOutsideShape for inadmissible shapes
-    if np.any(vols <= 0.0):
-        k_bad = math.exp(float(sweep[int(np.argmin(vols))]))
-        raise NonpositiveVol(
-            f"inverted shape implies vol <= 0 near strike {k_bad:.6g}"
-        )
+    # vol_fn raises OriginOutsideShape for inadmissible shapes.
+    require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape", validate_n)
     return SmileCurve(
         market=ctx.market,
         k_lo=k_lo,

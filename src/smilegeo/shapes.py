@@ -6,6 +6,7 @@ two translations) is the three-number group action connecting shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -89,21 +90,24 @@ def circumcircle(p1, p2, p3) -> CircleShape:
     return CircleShape(center=(float(center[0]), float(center[1])), radius=radius)
 
 
+# Index rows of the 10 pairs and 10 triples of five points.
+_PAIRS = np.array(list(combinations(range(5), 2))).T
+_TRIPLES = np.array(list(combinations(range(5), 3))).T
+
+
 def _any_triple_collinear(pts: np.ndarray) -> bool:
-    n = len(pts)
-    scale2 = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale2 = max(scale2, float(np.dot(pts[i] - pts[j], pts[i] - pts[j])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                cross = (pts[j][0] - pts[i][0]) * (pts[k][1] - pts[i][1]) - (
-                    pts[j][1] - pts[i][1]
-                ) * (pts[k][0] - pts[i][0])
-                if abs(cross) <= 2.0 * COLLINEARITY_TOL * scale2:
-                    return True
-    return False
+    """Whether some triple of the five points has a cross product within
+    2 COLLINEARITY_TOL of the largest squared pairwise distance."""
+    i, j = _PAIRS
+    d = pts[i] - pts[j]
+    # One BLAS dot per pair, bit for bit np.dot(d, d); max() keeps its NaN rule.
+    scale2 = max(0.0, *np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist())
+    i, j, k = _TRIPLES
+    pi, pj, pk = pts[i], pts[j], pts[k]
+    cross = (pj[:, 0] - pi[:, 0]) * (pk[:, 1] - pi[:, 1]) - (pj[:, 1] - pi[:, 1]) * (
+        pk[:, 0] - pi[:, 0]
+    )
+    return bool(np.any(np.abs(cross) <= 2.0 * COLLINEARITY_TOL * scale2))
 
 
 def conic_through_5(points) -> ConicShape:

@@ -30,6 +30,7 @@ from .distributions import DensityCurve, Distribution, FORWARD_CONSISTENCY_TOL
 from .errors import DomainTooNarrow, InconsistentForward, NonpositiveVol, TargetOutsideDomain
 
 DEFAULT_GRID_POINTS = 2001
+ADMISSIBILITY_POINTS = 513  # sweep of a closed-form smile's domain at construction
 DEFAULT_FD_STEP = 1e-3  # central-difference step in ln K
 
 
@@ -108,6 +109,20 @@ class SmileCurve:
         grid = np.exp(np.linspace(math.log(self.k_lo), math.log(self.k_hi), n))
         # exp(log(k)) can land one ulp outside the domain.
         return np.clip(grid, self.k_lo, self.k_hi)
+
+
+def require_positive_vol(
+    vol_fn, k_lo: float, k_hi: float, what: str, n: int = ADMISSIBILITY_POINTS
+) -> None:
+    """Sweep n log-uniform strikes of [k_lo, k_hi]; NonpositiveVol unless every vol > 0.
+
+    The test is ``not (vol > 0)``, so a NaN vol fails it too.
+    """
+    sweep = np.linspace(math.log(k_lo), math.log(k_hi), n)
+    vols = vol_fn(sweep)
+    if not np.all(vols > 0.0):
+        k_bad = math.exp(float(sweep[int(np.argmin(vols))]))  # argmin: first NaN, else lowest
+        raise NonpositiveVol(f"{what} implies vol <= 0 at strike {k_bad:.6g}")
 
 
 def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: float | None = None) -> SmileCurve:

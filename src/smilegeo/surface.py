@@ -54,7 +54,11 @@ METHODS = tuple(METHOD_ANCHORS)
 
 @dataclass(frozen=True)
 class SurfaceQuoteRow:
-    """One expiry of a delta-quoted surface."""
+    """One expiry of a delta-quoted surface.
+
+    Every quoted label's strike is solved once per delta convention at
+    construction; ``strikes`` hands them out.
+    """
 
     expiry_label: str
     tenor_years: float
@@ -62,6 +66,7 @@ class SurfaceQuoteRow:
     dom_rate: float
     for_rate: float
     vols: dict[str, float]
+    _strikes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [lab for lab in ANCHOR_LABELS if lab not in self.vols]
@@ -74,29 +79,53 @@ class SurfaceQuoteRow:
         if self.tenor_years <= 0.0:
             raise ValueError("tenor_years must be positive")
         self.market()  # rejects a bad spot or rate
-        self._check_strike_range()
+        object.__setattr__(self, "_strikes", self._check_strike_range())
 
-    def _check_strike_range(self) -> None:
-        """Rejects numbers so large that a completion domain leaves the float range.
+    def _check_strike_range(self) -> dict:
+        """Solves the label strikes under each convention; rejects numbers out of range.
 
         The label strikes are closed forms in exp(rates, tenor and vol^2); a
         finite but huge input overflows them (or underflows them to zero).
+        A tiny tenor or ATM vol underflows the automatic radial scale R to 0.
+        Returns the strikes by convention, or the TargetOutsideDomain of a
+        convention that puts a delta target outside (0, 1).
         """
+        solved = {}
         for conv in DeltaConvention:
             try:
-                strikes = [label_strike(self, lab, conv) for lab in self.vols]
+                strikes = {lab: label_strike(self, lab, conv) for lab in self.vols}
             except OverflowError:
-                strikes = [math.inf]
-            except TargetOutsideDomain:
-                continue  # a delta target outside (0, 1) under this convention
-            if all(0.0 < k < math.inf for k in strikes):
-                k_lo, k_hi = _completion_domain(strikes)
+                strikes = None
+            except TargetOutsideDomain as exc:
+                solved[conv] = exc
+                continue
+            if strikes is not None and all(0.0 < k < math.inf for k in strikes.values()):
+                k_lo, k_hi = _completion_domain(strikes.values())
                 if 0.0 < k_lo and k_hi < math.inf:
+                    solved[conv] = strikes
                     continue
             raise ValueError(
                 f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
                 "range (rates, tenor or vols too large)"
             )
+        try:
+            flat_context(self.market(), self.vols["ATM"])
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"expiry {self.expiry_label!r}: radial scale R leaves the floating-point "
+                "range (tenor or ATM vol out of range)"
+            ) from None
+        return solved
+
+    def strikes(self, conv: DeltaConvention) -> dict[str, float]:
+        """Every quoted label's strike under ``conv``, in quote order.
+
+        Raises TargetOutsideDomain where ``conv`` puts a target outside (0, 1).
+        """
+        solved = self._strikes[conv]
+        if isinstance(solved, TargetOutsideDomain):
+            raise TargetOutsideDomain(*solved.args)
+        return dict(solved)
 
     def market(self) -> MarketState:
         return MarketState(
@@ -258,7 +287,7 @@ def complete_expiry(
     """
     labels = anchor_labels(method)
     ms = row.market()
-    strikes = {lab: label_strike(row, lab, conv) for lab in row.vols}
+    strikes = row.strikes(conv)
     k_lo, k_hi = _completion_domain(strikes.values())
     missing = [lab for lab in labels if lab not in row.vols]
     if missing:

@@ -14,6 +14,18 @@ with d1, d2 evaluated at the middle vol, P the first-order correction and
 Q the anchor convexity term.  Its wings bend away from the quadratic, which
 is what makes it the interesting comparison baseline; where the square-root
 argument turns negative (far wings) it is clamped at zero.
+
+The market variant has three branches: the main quotient, a series form
+where |d1 d2| is tiny, and the clamped form.  On an array, the branch masks
+come from B and D first and each branch's expressions run on its own points
+only (``_per_branch``), so a density grid pays for the series and clamped
+derivative terms only where they apply.  A single strike takes a 0-d path:
+float arithmetic with the branch picked by ``if``, no masks or error-state
+switching.  Both paths form B = 2 sigma2 P + Q with ``np.dot`` over the
+three weights, never a Python sum: the BLAS dot rounds differently from
+``s1*w1 + s2*w2 + s3*w3``, and ``np.dot`` keeps every vol as it was bit for
+bit.  ``vv_smile`` sweeps its domain with ``require_positive_vol``, the same
+admissibility check the inverted shapes use.
 """
 from __future__ import annotations
 
@@ -23,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState
-from .smile import DeltaAnchor, SmileCurve
+from .smile import DeltaAnchor, SmileCurve, require_positive_vol
 
 MARKET_VV_SMALL_D1D2 = 1e-5  # below this, use the series form of the quotient
 
@@ -62,7 +74,7 @@ class _LnKWeights:
     """
 
     def __init__(self, m):
-        m1, m2, m3 = self.m = tuple(m)
+        m1, m2, m3 = self.m = tuple(float(v) for v in m)
         self.den = ((m1 - m2) * (m1 - m3), (m2 - m1) * (m2 - m3), (m3 - m1) * (m3 - m2))
         self.wpp = np.array([2.0 / d for d in self.den])
 
@@ -135,12 +147,14 @@ class _MarketOrder:
     Q, and D = d1 d2 at the middle vol.  The vol, its derivative, and its
     second derivative follow by differentiating the quotient, switching to a
     series expansion where D crosses zero and to the clamped branch where the
-    square-root argument is negative.
+    square-root argument is negative.  Each branch is evaluated on its own
+    points only.
     """
 
     def __init__(self, q: ThreeQuoteSmile, ms: MarketState):
         s1, s2, s3 = q.vols
         self.s2 = s2
+        self.s3, self.s5 = s2**3, s2**5
         c = s2 * math.sqrt(ms.tenor)
         a1 = (math.log(ms.spot) + (ms.dom_rate - ms.for_rate) * ms.tenor) / c + 0.5 * c
         self.c = c
@@ -157,9 +171,9 @@ class _MarketOrder:
         self.b2 = 2.0 * s2 * p2 + q2
 
     def _b(self, w):
-        """B = 2 sigma2 P + Q, the quotient's numerator term."""
-        p = np.tensordot(self.sig, w, axes=1) - self.s2
-        qq = np.tensordot(self.q_coef, w, axes=1)
+        """B = 2 sigma2 P + Q from the three weights: floats, or the rows of a (3, n) array."""
+        p = np.dot(self.sig, w) - self.s2
+        qq = np.dot(self.q_coef, w)
         return 2.0 * self.s2 * p + qq
 
     def _d1_d2(self, lnk):
@@ -169,8 +183,8 @@ class _MarketOrder:
         """B and D = d1 d2 with their first and second ln-K derivatives."""
         lnk = np.asarray(lnk, dtype=float)
         wp = np.stack(self.w.slopes(lnk))
-        p1 = np.tensordot(self.sig, wp, axes=1)
-        q1 = np.tensordot(self.q_coef, wp, axes=1)
+        p1 = np.dot(self.sig, wp)
+        q1 = np.dot(self.q_coef, wp)
         b = self._b(np.stack(self.w(lnk)))
         b1 = 2.0 * self.s2 * p1 + q1
         b2 = self.b2
@@ -180,53 +194,61 @@ class _MarketOrder:
         dd2 = 2.0 / (self.c * self.c)
         return b, b1, b2, dd, dd1, dd2
 
-    def _sigma(self, b, dd):
-        """sigma from B and D, with the square root and the branch masks.
+    def _branches(self, b, dd):
+        """The square-root argument and the main, series and clamped masks.
 
         The clamped branch pins a negative square-root argument at zero; the
         series branch replaces the quotient where |D| is tiny.
         """
-        s2 = self.s2
-        arg = s2 * s2 + dd * b
+        arg = self.s2 * self.s2 + dd * b
         clamped = arg <= 0.0
         small = (np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_ = np.sqrt(np.where(arg > 0.0, arg, 1.0))
-            sig_m = s2 + (w_ - s2) / dd
-            sig_c = s2 - s2 / dd
-        s3_, s5_ = s2**3, s2**5
-        sig_s = s2 + b / (2.0 * s2) - dd * b * b / (8.0 * s3_) + dd * dd * b**3 / (16.0 * s5_)
-        sig = np.where(clamped, sig_c, np.where(small, sig_s, sig_m))
-        return sig, w_, clamped, small
+        return arg, (~(clamped | small), small, clamped)
 
-    def jet(self, lnk):
-        lnk = np.asarray(lnk, dtype=float)
+    @staticmethod
+    def _root(arg):
+        """sqrt(arg), read only where arg > 0 (NaN arguments give 1)."""
+        return np.sqrt(np.where(arg > 0.0, arg, 1.0))
+
+    # sigma on one branch's points: (arg, b, dd) -> (sigma,)
+    def _main_vol(self, arg, b, dd):
+        return (self.s2 + (self._root(arg) - self.s2) / dd,)
+
+    def _series_vol(self, arg, b, dd):
         s2 = self.s2
-        b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
-        sig, w_, clamped, small = self._sigma(b, dd)
+        return (
+            s2 + b / (2.0 * s2) - dd * b * b / (8.0 * self.s3) + dd * dd * b**3 / (16.0 * self.s5),
+        )
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
-            w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
-            dsig_m = w1_ / dd - (w_ - s2) * dd1 / (dd * dd)
-            d2sig_m = (
-                w2_ / dd
-                - 2.0 * w1_ * dd1 / (dd * dd)
-                - (w_ - s2) * dd2 / (dd * dd)
-                + 2.0 * (w_ - s2) * dd1 * dd1 / dd**3
-            )
-            # Clamped branch: sqrt argument pinned at zero.
-            dsig_c = s2 * dd1 / (dd * dd)
-            d2sig_c = s2 * (dd2 * dd - 2.0 * dd1 * dd1) / dd**3
+    def _clamped_vol(self, arg, b, dd):
+        return (self.s2 - self.s2 / dd,)
 
+    # (sigma, sigma', sigma'') on one branch's points, from the _pieces terms
+    def _main_jet(self, arg, b, b1, b2, dd, dd1, dd2):
+        s2 = self.s2
+        w_ = self._root(arg)
+        sig = s2 + (w_ - s2) / dd
+        w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
+        w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
+        dsig = w1_ / dd - (w_ - s2) * dd1 / (dd * dd)
+        d2sig = (
+            w2_ / dd
+            - 2.0 * w1_ * dd1 / (dd * dd)
+            - (w_ - s2) * dd2 / (dd * dd)
+            + 2.0 * (w_ - s2) * dd1 * dd1 / dd**3
+        )
+        return sig, dsig, d2sig
+
+    def _series_jet(self, arg, b, b1, b2, dd, dd1, dd2):
         # Series around d1 d2 = 0 (the quotient is smooth there).
-        s3_, s5_ = s2**3, s2**5
-        dsig_s = (
+        s2, s3_, s5_ = self.s2, self.s3, self.s5
+        (sig,) = self._series_vol(arg, b, dd)
+        dsig = (
             b1 / (2.0 * s2)
             - (dd1 * b * b + 2.0 * dd * b * b1) / (8.0 * s3_)
             + (2.0 * dd * dd1 * b**3 + 3.0 * dd * dd * b * b * b1) / (16.0 * s5_)
         )
-        d2sig_s = (
+        d2sig = (
             b2 / (2.0 * s2)
             - (dd2 * b * b + 4.0 * dd1 * b * b1 + 2.0 * dd * b1 * b1 + 2.0 * dd * b * b2)
             / (8.0 * s3_)
@@ -239,16 +261,69 @@ class _MarketOrder:
             )
             / (16.0 * s5_)
         )
-
-        dsig = np.where(clamped, dsig_c, np.where(small, dsig_s, dsig_m))
-        d2sig = np.where(clamped, d2sig_c, np.where(small, d2sig_s, d2sig_m))
         return sig, dsig, d2sig
+
+    def _clamped_jet(self, arg, b, b1, b2, dd, dd1, dd2):
+        # sqrt argument pinned at zero.
+        s2 = self.s2
+        (sig,) = self._clamped_vol(arg, b, dd)
+        return sig, s2 * dd1 / (dd * dd), s2 * (dd2 * dd - 2.0 * dd1 * dd1) / dd**3
+
+    def jet(self, lnk):
+        lnk = np.asarray(lnk, dtype=float)
+        b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
+        arg, masks = self._branches(b, dd)
+        fns = (self._main_jet, self._series_jet, self._clamped_jet)
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite B or D
+            return _per_branch(masks, fns, (arg, b, b1, b2, dd, dd1, dd2))
 
     def vol(self, lnk):
         """sigma alone: the jet's sigma expressions without the derivative terms."""
+        if np.ndim(lnk) == 0:
+            return self._vol_at(float(lnk))
         lnk = np.asarray(lnk, dtype=float)
         d1, d2_ = self._d1_d2(lnk)
-        return self._sigma(self._b(np.stack(self.w(lnk))), d1 * d2_)[0]
+        b, dd = self._b(np.stack(self.w(lnk))), d1 * d2_
+        arg, masks = self._branches(b, dd)
+        fns = (self._main_vol, self._series_vol, self._clamped_vol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _per_branch(masks, fns, (arg, b, dd))[0]
+
+    def _vol_at(self, x: float) -> float:
+        """sigma at one ln K in float arithmetic, branch picked by ``if``."""
+        s2 = self.s2
+        b = float(self._b(self.w(x)))
+        d1, d2_ = self._d1_d2(x)
+        dd = d1 * d2_
+        arg = s2 * s2 + dd * b
+        if arg <= 0.0:
+            return self._clamped_vol(arg, b, dd)[0]
+        if abs(dd) <= MARKET_VV_SMALL_D1D2:
+            # numpy scalars: b**3 overflows to inf instead of raising.
+            return float(self._series_vol(arg, np.float64(b), np.float64(dd))[0])
+        return s2 + ((math.sqrt(arg) if arg > 0.0 else 1.0) - s2) / dd
+
+
+def _per_branch(masks, fns, args):
+    """Each ``fns[i](*args)`` on the points of ``masks[i]``, put back in order.
+
+    The masks partition the points.  A branch with no points is skipped, and
+    one that holds every point runs on ``args`` unindexed; scalar args pass
+    through as they are.  Returns a tuple of arrays shaped like the masks.
+    """
+    for mask, fn in zip(masks, fns):
+        if mask.all():
+            return fn(*args)
+    out = None
+    for mask, fn in zip(masks, fns):
+        if not mask.any():
+            continue
+        part = fn(*(a[mask] if isinstance(a, np.ndarray) else a for a in args))
+        if out is None:
+            out = tuple(np.empty(mask.shape) for _ in part)
+        for o, p in zip(out, part):
+            o[mask] = p
+    return out
 
 
 def vv_vol_market(q: ThreeQuoteSmile, strike):
@@ -270,7 +345,8 @@ def vv_smile(
 
     ``variant`` selects "first" (first-order approximation) or "market".
     Extrapolation beyond the anchors is permitted; the domain defaults to a
-    generous band around them.
+    generous band around them.  A vol <= 0 or NaN anywhere on the domain's
+    sweep raises NonpositiveVol.
     """
     k1, _, k3 = q.strikes
     if k_lo is None:
@@ -283,6 +359,7 @@ def vv_smile(
         backend = _MarketOrder(q, q.market)
     else:
         raise ValueError(f"unknown vanna-volga variant {variant!r}")
+    require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
     return SmileCurve(
         market=q.market,
         k_lo=k_lo,

@@ -238,6 +238,9 @@ class TestCli:
             # Finite but so large that the label strikes overflow.
             (("atm", "900"),),
             (("dom_rate", "200"), ("tenor_years", "5")),
+            # So small that the radial scale R underflows to 0.
+            (("tenor_years", "1e-300"),),
+            (("atm", "1e-300"),),
         ],
         ids=lambda edits: "-".join(f"{field}-{value}" for field, value in edits),
     )
@@ -247,11 +250,12 @@ class TestCli:
         lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:2] + [edit_row(lines[2], edits)]) + "\n")
-        code = cli.main(["compare", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "Traceback" not in err
-        assert "line 3" in err
+        for argv in (["compare"], ["density", "--method", "circle"]):
+            code = cli.main([*argv, str(bad)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "Traceback" not in err
+            assert "line 3" in err
 
     @pytest.mark.parametrize("command", ["density", "fit-circle", "represent", "complete-surface"])
     def test_delta_target_outside_domain_exit_3(self, tmp_path, capsys, command):
@@ -306,6 +310,22 @@ class TestCli:
         assert code == 3
         assert "Traceback" not in err
         assert "vol <= 0 at strike" in err
+
+    @pytest.mark.parametrize("variant", ["market", "first"])
+    @pytest.mark.parametrize("command", ["density", "complete-surface"])
+    def test_vanishing_vv_quote_exit_3(self, tmp_path, capsys, command, variant):
+        # A 25C vol of 1e-300 leaves the vanna-volga smile NaN or <= 0 on its
+        # domain; the completion's admissibility sweep rejects it.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 2, (("d25c", "1e-300"),))
+        argv = [command, str(bad), "--method", "vanna-volga", "--vv-variant", variant]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        assert f"vanna-volga-{variant} smile implies vol <= 0 at strike" in captured.err
+        assert "nan" not in captured.out
 
     @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
     def test_represent_is_the_library_polar_map(self, csv_path, capsys):

@@ -1,13 +1,17 @@
 """Tests for circle/conic interpolation and the circle transform."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from smilegeo.errors import CollinearPoints, DegenerateConfiguration, NotAnEllipse
 from smilegeo.shapes import (
+    COLLINEARITY_TOL,
     CircleShape,
     ConicShape,
     circle_between,
     circumcircle,
+    _any_triple_collinear,
     conic_through_5,
     transform_circle,
 )
@@ -178,3 +182,39 @@ class TestShapeValidation:
     def test_contains_origin(self):
         assert CircleShape(center=(0.2, 0.1), radius=1.0).contains_origin
         assert not CircleShape(center=(2.0, 0.0), radius=1.0).contains_origin
+
+
+def triple_collinear_loop(pts) -> bool:
+    """The pair-and-triple loop form of the collinearity test, for reference."""
+    n = len(pts)
+    scale2 = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            scale2 = max(scale2, float(np.dot(pts[i] - pts[j], pts[i] - pts[j])))
+    for i, j, k in combinations(range(n), 3):
+        cross = (pts[j][0] - pts[i][0]) * (pts[k][1] - pts[i][1]) - (
+            pts[j][1] - pts[i][1]
+        ) * (pts[k][0] - pts[i][0])
+        if abs(cross) <= 2.0 * COLLINEARITY_TOL * scale2:
+            return True
+    return False
+
+
+class TestTripleCollinear:
+    @pytest.mark.parametrize("triple", list(combinations(range(5), 3)))
+    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["inside", "outside"])
+    def test_threshold_decision_matches_loop(self, triple, side):
+        # Move the triple's last point off the line through the other two by
+        # side times the threshold distance 2 COLLINEARITY_TOL scale2 / |pj - pi|.
+        i, j, k = triple
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            pts = np.array(circle_points((0.3, -0.2), 1.7, np.sort(rng.uniform(0, 2 * np.pi, 5))))
+            pts[k] = pts[i] + rng.uniform(1.2, 1.6) * (pts[j] - pts[i])
+            edge = pts[j] - pts[i]
+            normal = np.array([-edge[1], edge[0]]) / np.hypot(*edge)
+            scale2 = max(float(np.dot(p - q, p - q)) for p, q in combinations(pts, 2))
+            pts[k] += normal * side * 2.0 * COLLINEARITY_TOL * scale2 / np.hypot(*edge)
+            want = triple_collinear_loop(pts)
+            assert want == (side < 1.0)
+            assert _any_triple_collinear(pts) == want

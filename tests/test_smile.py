@@ -231,6 +231,35 @@ class TestJet:
             assert np.any((np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped)
         assert np.array_equal(smile.jet_fn(lnk)[0], smile.vol_fn(lnk))
 
+    def test_market_vv_branches_evaluated_apart(self):
+        # One grid through the main, series and clamped branches.  Each
+        # branch's expressions, given only its own points, must give jet's
+        # values there.  B, D and their slopes are formed once on the whole
+        # grid: the BLAS dot behind B rounds by position in the array, so
+        # re-forming it on a subset can move its last bit.
+        smile = completed_1y("vanna-volga", "market")
+        market = smile.jet_fn.__self__
+        lnk = np.log(smile.default_grid(401))
+        roots = np.array([market.a1, market.a2]) * market.c
+        lnk = np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
+        pieces = market._pieces(lnk)
+        arg, masks = market._branches(pieces[0], pieces[3])
+        assert [bool(np.any(m)) for m in masks] == [True, True, True]
+        assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(lnk.size, dtype=int))
+        whole = market.jet(lnk)
+        branches = (market._main_jet, market._series_jet, market._clamped_jet)
+        args = (arg,) + pieces
+        for mask, branch in zip(masks, branches):
+            alone = branch(*(a[mask] if isinstance(a, np.ndarray) else a for a in args))
+            for got, want in zip(whole, alone):
+                assert np.array_equal(got[mask], want)
+        sig_alone = [
+            fn(*(a[m] for a in (arg, pieces[0], pieces[3])))[0]
+            for m, fn in zip(masks, (market._main_vol, market._series_vol, market._clamped_vol))
+        ]
+        vol = market.vol(lnk)
+        assert all(np.array_equal(vol[m], s) for m, s in zip(masks, sig_alone))
+
 
 class TestAtmRnStrike:
     def test_flat_matches_closed_form(self):

@@ -126,6 +126,31 @@ class TestLabelStrikes:
         assert effective_nd1_target("25P", ms, DeltaConvention.FORWARD_N) == 0.25
 
 
+    @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
+    def test_stored_strikes_are_label_strikes(self, name):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            for conv in DeltaConvention:
+                stored = row.strikes(conv)
+                assert list(stored) == list(row.vols)
+                for lab in row.vols:
+                    assert stored[lab] == label_strike(row, lab, conv)
+                stored.clear()  # a copy: the row keeps its strikes
+                assert row.strikes(conv)
+
+    def test_target_outside_domain_raised_at_completion(self):
+        row = SurfaceQuoteRow(
+            expiry_label="1Y", tenor_years=1.0, spot=3.4, dom_rate=0.015, for_rate=30.0,
+            vols={lab: 0.1 for lab in LABELS},
+        )
+        with pytest.raises(TargetOutsideDomain, match="10P"):
+            row.strikes(CONV)
+        with pytest.raises(TargetOutsideDomain, match="10P"):
+            complete_expiry(row, "vanna-volga", CONV)
+        assert complete_expiry(row, "vanna-volga", DeltaConvention.FORWARD_N).label_strikes == {
+            lab: label_strike(row, lab, DeltaConvention.FORWARD_N) for lab in LABELS
+        }
+
+
 class TestCompleteExpiry:
     @pytest.mark.parametrize("method", ["circle", "ellipse", "vanna-volga"])
     def test_flat_quotes_give_flat_smile(self, method):

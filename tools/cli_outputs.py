@@ -11,6 +11,9 @@ and svg:
   with circle, ellipse, vanna-volga market and vanna-volga first;
 - per surface: complete-surface and compare with each of those four.
 
+density, complete-surface and compare run under both delta conventions:
+the default spot-pips, and forward-n (files tagged ``-forward-n``).
+
 Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
 lists every run with its exit code (and its stderr when non-empty).  Trees
 written from two checkouts compare with ``diff -r``.
@@ -33,6 +36,7 @@ METHODS = (
     ("vv-market", ["--method", "vanna-volga", "--vv-variant", "market"]),
     ("vv-first", ["--method", "vanna-volga", "--vv-variant", "first"]),
 )
+CONVENTIONS = (("", []), ("-forward-n", ["--delta-convention", "forward-n"]))
 
 
 def runs():
@@ -48,10 +52,15 @@ def runs():
                 for cmd in ("represent", "fit-circle", "fit-ellipse", "curvature"):
                     yield f"{name}/{expiry}/{cmd}.{fmt}", [cmd, *row]
                 for tag, flags in METHODS:
-                    yield f"{name}/{expiry}/density-{tag}.{fmt}", ["density", *row, *flags]
+                    for conv, conv_flags in CONVENTIONS:
+                        yield (
+                            f"{name}/{expiry}/density-{tag}{conv}.{fmt}",
+                            ["density", *row, *flags, *conv_flags],
+                        )
             for tag, flags in METHODS:
                 for cmd in ("complete-surface", "compare"):
-                    yield f"{name}/{cmd}-{tag}.{fmt}", [cmd, *common, *flags]
+                    for conv, conv_flags in CONVENTIONS:
+                        yield f"{name}/{cmd}-{tag}{conv}.{fmt}", [cmd, *common, *flags, *conv_flags]
 
 
 def main(argv) -> int:
