@@ -21,12 +21,18 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # is within IV_PRICE_TOL (just above the double-precision pricing noise
 # floor) and its Newton step within IV_VOL_TOL of sigma: vol-space second
 # derivatives downstream need every digit, and a strike iterated past that
-# point only gets bisected off its root.
+# point only gets bisected off its root.  Once at most IV_SCALAR_TAIL
+# strikes are left (at once for a single strike), each finishes in a scalar
+# loop of the same expressions: an array sweep costs tens of microseconds of
+# call overhead however few strikes it holds, and the wing strikes of wide
+# grids take dozens of sweeps.  The loop calls the same ufuncs (``ndtr``,
+# ``np.exp``, never ``math.exp``), so every vol is the same bit for bit.
 IV_BRACKET_LO = 1e-6
 IV_BRACKET_HI = 5.0
 IV_MAX_ITER = 100
 IV_PRICE_TOL = 1e-14
 IV_VOL_TOL = 1e-15
+IV_SCALAR_TAIL = 4
 
 
 class OptionSide(enum.Enum):
@@ -249,7 +255,14 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
     hi = np.full_like(strikes, IV_BRACKET_HI)
     s = np.full_like(strikes, 0.25)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(IV_MAX_ITER):
+        for sweep in range(IV_MAX_ITER):
+            if idx.size <= IV_SCALAR_TAIL:
+                for j in range(idx.size):
+                    sig[idx[j]] = _newton_scalar(
+                        ln_m[j], dfd_k[j], c[j], tol[j], lo[j], hi[j], s[j],
+                        sqrt_t, fwd_df, vega_df, put, IV_MAX_ITER - sweep,
+                    )
+                return sig
             model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)
             f = model - c
             np.maximum(lo, s, out=lo, where=f < 0.0)
@@ -275,6 +288,37 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
     if np.any(np.abs(f) > 1e-8 * np.maximum(np.abs(c), 1.0)):
         raise NoConvergence("implied vol iteration budget exhausted")
     return sig
+
+
+def _newton_scalar(ln_m, dfd_k, c, tol, lo, hi, s, sqrt_t, fwd_df, vega_df, put, budget):
+    """One strike of ``implied_vol_grid``'s sweep, iterated on numpy scalars.
+
+    The operations are the sweep's, element for element, so the vol is the
+    one the array loop would give.  Runs inside its error-state block:
+    a vega that underflows to 0 gives an inf or NaN step, then a bisection.
+    """
+    for _ in range(budget):
+        model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)
+        f = model - c
+        if f < 0.0:
+            lo = max(lo, s)
+        elif f > 0.0:
+            hi = min(hi, s)
+        vega = vega_df * np.exp(-0.5 * d1 * d1)
+        af = abs(f)
+        if af <= tol and af <= IV_VOL_TOL * s * vega:
+            return s
+        cand = s - f / vega
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        # Stagnation at the pricing-noise floor also ends a strike.
+        if abs(cand - s) <= 1e-16 * cand:
+            return cand
+        s = cand
+    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)[0] - c
+    if abs(f) > 1e-8 * max(abs(c), 1.0):
+        raise NoConvergence("implied vol iteration budget exhausted")
+    return s
 
 
 def implied_vol(

@@ -14,7 +14,7 @@ import numpy as np
 from .bsm import DeltaConvention
 from .georep import ReprContext, RepresentationConfig, represent_anchors, resolve_context
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
-from .smile import DeltaAnchor, SmileCurve, strike_for_delta
+from .smile import DeltaAnchor, SmileCurve, strikes_for_deltas
 
 CIRCLE_TARGETS = (0.25, 0.75)
 ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
@@ -37,7 +37,22 @@ def smile_anchors(
     conv: DeltaConvention = DeltaConvention.FORWARD_N,
 ) -> list[DeltaAnchor]:
     """Wing anchors at the given targets plus the centre-strike anchor, by strike."""
-    anchors = [strike_for_delta(smile, t, conv) for t in wing_targets]
+    return anchors_at_strikes(
+        smile, ctx, wing_targets, strikes_for_deltas(smile, wing_targets, conv), conv
+    )
+
+
+def anchors_at_strikes(
+    smile: SmileCurve, ctx: ReprContext, wing_targets, wing_strikes, conv: DeltaConvention
+) -> list[DeltaAnchor]:
+    """``smile_anchors`` from wing strikes already solved for ``wing_targets``.
+
+    Each anchor's vol is a scalar read of the smile at its strike.
+    """
+    anchors = [
+        DeltaAnchor(target=t, strike=k, vol=float(smile.vol(k)), convention=conv)
+        for t, k in zip(wing_targets, map(float, wing_strikes))
+    ]
     anchors.append(
         DeltaAnchor(
             target=0.5,

@@ -17,14 +17,7 @@ import numpy as np
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .errors import OriginOutsideShape
 from .shapes import CircleShape, ConicShape
-from .smile import (
-    ADMISSIBILITY_POINTS,
-    DeltaConvention,
-    SmileCurve,
-    atm_rn_strike,
-    require_positive_vol,
-    strike_for_delta,
-)
+from .smile import ADMISSIBILITY_POINTS, SmileCurve, require_positive_vol, strikes_for_deltas
 
 DEFAULT_CURVE_POINTS = 2001
 
@@ -50,6 +43,11 @@ class RepresentationConfig:
             raise ValueError("need 0 < window_lo < window_hi < 1")
         if not 0.0 < self.unit_fraction <= 1.0:
             raise ValueError("unit_fraction must lie in (0, 1]")
+
+    @property
+    def window_targets(self) -> tuple[float, ...]:
+        """The N(-d1) targets whose strikes set auto R; none when R is fixed."""
+        return () if self.radius_scale is not None else (self.window_lo, self.window_hi)
 
 
 @dataclass(frozen=True)
@@ -168,13 +166,14 @@ def context_for_smile(
     """Resolve (atm_rn, R) for a smile.
 
     The centre strike defaults to the smile's delta-neutral strike; auto R
-    reads the window strikes off the smile's own N(-d1).
+    reads the window strikes off the smile's own N(-d1).  All of them come
+    from one ``strikes_for_deltas`` solve.
     """
+    cfg = cfg or RepresentationConfig()
+    targets = ((0.5,) if atm_rn is None else ()) + cfg.window_targets
+    strikes = dict(zip(targets, strikes_for_deltas(smile, targets).tolist()))
     return _context(
-        smile.market,
-        atm_rn_strike(smile) if atm_rn is None else atm_rn,
-        cfg,
-        lambda t: strike_for_delta(smile, t, DeltaConvention.FORWARD_N).strike,
+        smile.market, strikes[0.5] if atm_rn is None else atm_rn, cfg, strikes.__getitem__
     )
 
 

@@ -1,11 +1,18 @@
 """Two-way bridge between volatility smiles and risk-neutral densities.
 
 A SmileCurve is an evaluable sigma(K) on a stated strike domain with two
-read paths in ln K: ``vol_fn`` gives sigma alone (label-strike reads, delta
-solves) and ``jet_fn`` gives sigma with its exact first and second ln-K
-derivatives in one evaluation (densities).  Densities follow from the jet
-through the closed-form second strike derivative of the call price; the same
-bracket expression decides non-negativity of the density.
+read paths in ln K: ``vol_fn`` gives sigma alone (label-strike reads, the
+sample that brackets delta solves) and ``jet_fn`` gives sigma with its exact
+first and second ln-K derivatives in one evaluation (densities, Newton steps
+of delta solves).  Densities follow from the jet through the closed-form
+second strike derivative of the call price; the same bracket expression
+decides non-negativity of the density.
+
+Delta strikes come from ``strikes_for_deltas``: one safeguarded Newton
+solve in ln K over every target of a smile at once, each target bracketed
+from one sampled ``vol_fn`` read over the domain.  A distribution report
+solves the union of its targets (its centre, its R window, two wing anchors
+and its KL window) together; ``strike_for_delta`` is the one-target case.
 """
 from __future__ import annotations
 
@@ -22,16 +29,27 @@ from .bsm import (
     SQRT_2PI,
     DeltaConvention,
     MarketState,
-    bsm_price,
+    _sweep_price,
     forward_log_moneyness,
     implied_vol_grid,
 )
 from .distributions import DensityCurve, Distribution, FORWARD_CONSISTENCY_TOL
-from .errors import DomainTooNarrow, InconsistentForward, NonpositiveVol, TargetOutsideDomain
+from .errors import (
+    DomainTooNarrow,
+    InconsistentForward,
+    NoConvergence,
+    NonpositiveVol,
+    TargetOutsideDomain,
+)
 
 DEFAULT_GRID_POINTS = 2001
 ADMISSIBILITY_POINTS = 513  # sweep of a closed-form smile's domain at construction
 DEFAULT_FD_STEP = 1e-3  # central-difference step in ln K
+DELTA_SAMPLES = 65  # vol reads over the domain that bracket the delta solves
+DELTA_XTOL = 1e-15  # ln-K step that ends a delta solve, plus 4 eps |ln K|
+DELTA_MAX_ITER = 100
+_EPS = float(np.finfo(float).eps)
+_BRACKET_VOLS = np.array([IV_BRACKET_LO, IV_BRACKET_HI])
 
 
 @dataclass(frozen=True)
@@ -155,11 +173,19 @@ def _proxy_vol(dist: Distribution, ms: MarketState) -> float:
 
 
 def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
-    """Whether the model price at e^{ln_k} sits strictly inside the vol bracket's band."""
+    """Whether the model price at e^{ln_k} sits strictly inside the vol bracket's band.
+
+    Both band ends come from one solver sweep, whose prices are ``bsm_price``'s.
+    """
     k = math.exp(ln_k)
     price = float(dist.call_price(ms, k))
-    lo = float(bsm_price(ms, k, IV_BRACKET_LO))
-    hi = float(bsm_price(ms, k, IV_BRACKET_HI))
+    lo, hi = _sweep_price(
+        forward_log_moneyness(ms, k),
+        ms.df_dom() * k,
+        _BRACKET_VOLS * math.sqrt(ms.tenor),
+        ms.df_for() * ms.spot,
+        False,
+    )[0]
     slack = 1e-13 * max(1.0, abs(price))
     return price - lo > slack and hi - price > slack
 
@@ -246,48 +272,90 @@ def smile_from_distribution(
     )
 
 
-def _nd1_target_fn(smile: SmileCurve, target: float, conv: DeltaConvention):
-    eff = target
-    if conv is DeltaConvention.SPOT_PIPS:
-        eff = target / smile.market.df_for()
+def nd1_level(ms: MarketState, target: float, conv: DeltaConvention) -> float:
+    """The N(-d1) level a delta target pins: the target itself under FORWARD_N,
+    the raw |put delta| divided by e^{-qT} under SPOT_PIPS."""
+    if not 0.0 < target < 1.0:
+        raise ValueError("target must lie in (0, 1)")
+    eff = target / ms.df_for() if conv is DeltaConvention.SPOT_PIPS else target
     if not 0.0 < eff < 1.0:
         raise TargetOutsideDomain(f"effective N(-d1) target {eff:.6g} outside (0, 1)")
+    return eff
 
-    def f(lnk: float) -> float:
-        k = math.exp(lnk)
-        return float(ndtr(-smile.d1(k))) - eff
 
-    return f
+def strikes_for_deltas(
+    smile: SmileCurve, targets, conv: DeltaConvention = DeltaConvention.FORWARD_N
+) -> np.ndarray:
+    """Strikes where the smile's N(-d1) (or raw |put delta|) hits each target.
+
+    One solve for all targets: ``DELTA_SAMPLES`` vol reads over the domain
+    give each target the first closed interval of ln K where N(-d1) crosses
+    it; a safeguarded Newton step on ``jet_fn`` (bisection when the step
+    leaves the interval) then runs on every target at once.  Each target's
+    arithmetic is its own, so a spline smile gives the same strike whether
+    a target is solved alone or with others.
+    """
+    targets = [float(t) for t in targets]
+    ms = smile.market
+    eff = np.array([nd1_level(ms, t, conv) for t in targets], dtype=float)
+    sqrt_t = math.sqrt(ms.tenor)
+
+    def d1_d2(lnk, sig):
+        total = sig * sqrt_t
+        d1 = forward_log_moneyness(ms, np.exp(lnk)) / total + 0.5 * total
+        return d1, d1 - total, total
+
+    xs = np.linspace(math.log(smile.k_lo), math.log(smile.k_hi), DELTA_SAMPLES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = ndtr(-d1_d2(xs, smile.vol_fn(xs))[0])[:, None] - eff
+    crosses = ((gap[:-1] <= 0.0) & (gap[1:] >= 0.0)) | ((gap[:-1] >= 0.0) & (gap[1:] <= 0.0))
+    missing = ~crosses.any(axis=0)
+    if missing.any():
+        raise TargetOutsideDomain(
+            f"target {targets[int(np.argmax(missing))]:g} not bracketed on "
+            f"[{smile.k_lo:.6g}, {smile.k_hi:.6g}]"
+        )
+    cols = np.arange(eff.size)
+    first = np.argmax(crosses, axis=0)
+    a, b = xs[first], xs[first + 1]
+    g_a, g_b = gap[first, cols], gap[first + 1, cols]
+    # Ends of the bracket where N(-d1) is below / above the target.
+    below, above = np.where(g_a <= 0.0, a, b), np.where(g_a <= 0.0, b, a)
+    tol = DELTA_XTOL + 4.0 * _EPS * np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Regula falsi in the bracket, exact where a sample hits the target.
+        x = np.where(g_a == 0.0, a, np.where(g_b == 0.0, b, a - g_a * (b - a) / (g_b - g_a)))
+        done = np.zeros(eff.size, dtype=bool)
+        for _ in range(DELTA_MAX_ITER):
+            sig, sig_dot, _ = smile.jet_fn(x)
+            d1, d2, total = d1_d2(x, sig)
+            h = ndtr(-d1) - eff
+            # d N(-d1) / d ln K = n(d1) (1 + sqrt(T) sigma' d2) / (sigma sqrt(T)).
+            slope = np.exp(-0.5 * d1 * d1) * (1.0 + sqrt_t * sig_dot * d2) / (SQRT_2PI * total)
+            below = np.where(h < 0.0, x, below)
+            above = np.where(h > 0.0, x, above)
+            cand = x - h / slope
+            # The bracket is closed: a step onto either end is kept.
+            cand = np.where((cand - below) * (cand - above) <= 0.0, cand, 0.5 * (below + above))
+            step_done = (h == 0.0) | (np.abs(cand - x) <= tol)
+            x = np.where(done | (h == 0.0), x, cand)
+            done |= step_done
+            if done.all():
+                return np.exp(x)
+    raise NoConvergence("delta solve iteration budget exhausted")
 
 
 def strike_for_delta(
     smile: SmileCurve, target: float, conv: DeltaConvention = DeltaConvention.FORWARD_N
 ) -> DeltaAnchor:
     """Strike where the smile's N(-d1) (or raw |put delta|) hits ``target``."""
-    from scipy.optimize import brentq  # kept off the CLI import path
-
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must lie in (0, 1)")
-    f = _nd1_target_fn(smile, target, conv)
-    lo, hi = math.log(smile.k_lo), math.log(smile.k_hi)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        lnk = lo
-    elif f_hi == 0.0:
-        lnk = hi
-    elif f_lo * f_hi > 0.0:
-        raise TargetOutsideDomain(
-            f"target {target:g} not bracketed on [{smile.k_lo:.6g}, {smile.k_hi:.6g}]"
-        )
-    else:
-        lnk = brentq(f, lo, hi, xtol=1e-15)
-    strike = math.exp(lnk)
+    strike = float(strikes_for_deltas(smile, [target], conv)[0])
     return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)), convention=conv)
 
 
 def atm_rn_strike(smile: SmileCurve) -> float:
     """The smile's delta-neutral-straddle strike: d1(K, sigma(K)) = 0."""
-    return strike_for_delta(smile, 0.5, DeltaConvention.FORWARD_N).strike
+    return float(strikes_for_deltas(smile, [0.5])[0])
 
 
 def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: float):
@@ -349,10 +417,17 @@ def density_from_smile(
     with primes denoting strike derivatives.  Negative values are reported
     as-is; use ``nonnegativity_margin`` to detect them.
     """
+    return density_with_margin(smile, strikes, mode, fd_step)[0]
+
+
+def density_with_margin(
+    smile: SmileCurve, strikes, mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
+) -> tuple[DensityCurve, float]:
+    """``density_from_smile`` and ``nonnegativity_margin`` from one bracket evaluation."""
     strikes = _check_grid(smile, strikes)
     ms = smile.market
     sqrt_t = math.sqrt(ms.tenor)
-    sig, sig_dot, sig_ddot, d1, d2, _ = _bracket_terms(smile, strikes, mode, fd_step)
+    sig, sig_dot, sig_ddot, d1, d2, bracket = _bracket_terms(smile, strikes, mode, fd_step)
     # Strike-space derivatives from the log-strike ones.  Overflow on a huge
     # domain is reported by DensityCurve (NonFiniteDensity), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,7 +439,7 @@ def density_from_smile(
             + strikes * strikes * ms.tenor * (d1 * d2 * sig_p * sig_p + sig * sig_pp)
         )
         values = bracket_k * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
-    return DensityCurve(strikes=strikes, values=values)
+    return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
 
 
 def log_strike_density(

@@ -22,7 +22,7 @@ from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomai
 from .fitting import anchor_residuals, fit_shape
 from .georep import ReprContext, RepresentationConfig, flat_context, smile_from_shape
 from .shapes import CircleShape, ConicShape
-from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strike_for_delta
+from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strikes_for_deltas
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
@@ -397,11 +397,10 @@ STANDARD_EXPIRIES = (
 
 
 def _self_consistent_label_quotes(smile: SmileCurve, conv: DeltaConvention) -> dict[str, float]:
-    """Solve the nine label strikes on a full smile and read the vols there."""
-    return {
-        lab: strike_for_delta(smile, effective_nd1_target(lab, smile.market, conv)).vol
-        for lab in LABELS
-    }
+    """Solve the nine label strikes on a full smile in one solve and read the vols there."""
+    levels = [effective_nd1_target(lab, smile.market, conv) for lab in LABELS]
+    strikes = strikes_for_deltas(smile, levels).tolist()
+    return {lab: float(smile.vol(k)) for lab, k in zip(LABELS, strikes)}
 
 
 def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState
+from .errors import NonpositiveVol
 from .smile import DeltaAnchor, SmileCurve, require_positive_vol
 
 MARKET_VV_SMALL_D1D2 = 1e-5  # below this, use the series form of the quotient
@@ -156,6 +157,13 @@ class _MarketOrder:
         self.s2 = s2
         self.s3, self.s5 = s2**3, s2**5
         c = s2 * math.sqrt(ms.tenor)
+        # Every d1, d2 divides by c and the jet by c * c: a middle vol that
+        # leaves either 0 in floats is no vol at all.
+        if not c * c > 0.0:
+            raise NonpositiveVol(
+                f"vanna-volga-market smile implies vol <= 0 at strike {q.strikes[1]:.6g} "
+                f"(middle anchor vol {s2:.6g} times sqrt(T) squares to 0)"
+            )
         a1 = (math.log(ms.spot) + (ms.dom_rate - ms.for_rate) * ms.tenor) / c + 0.5 * c
         self.c = c
         self.a1 = a1

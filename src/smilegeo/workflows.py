@@ -17,12 +17,12 @@ from .analysis import DivergenceReport, best_lognormal, kl_divergence
 from .bsm import DeltaConvention, MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import TargetOutsideDomain
-from .fitting import CIRCLE_TARGETS, fit_shape, smile_anchors
+from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
 from .georep import (
     RepresentationConfig,
     RepresentationCurve,
     ReprContext,
-    context_for_smile,
+    _context,
     represent,
     smile_from_shape,
 )
@@ -31,9 +31,10 @@ from .smile import (
     GridSpec,
     SmileCurve,
     density_from_smile,
-    nonnegativity_margin,
+    density_with_margin,
+    nd1_level,
     smile_from_distribution,
-    strike_for_delta,
+    strikes_for_deltas,
 )
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
@@ -111,16 +112,25 @@ def distribution_report(
     conv: DeltaConvention = DeltaConvention.FORWARD_N,
     vv_variant: str = "market",
 ) -> DistributionReport:
-    """Run the full circle-versus-baselines study for one distribution."""
+    """Run the full circle-versus-baselines study for one distribution.
+
+    Every delta strike it needs (the context's centre and window, the
+    circle's wing anchors and the KL window) comes from one
+    ``strikes_for_deltas`` solve, the wings through their N(-d1) levels.
+    """
     ms = ms or market_state_for(dist)
+    cfg = cfg or RepresentationConfig()
     smile = smile_with_coverage(dist, ms, grid, window_targets)
-    ctx = context_for_smile(smile, cfg)
+    plain = tuple(dict.fromkeys((0.5, *cfg.window_targets, *window_targets)))
+    levels = plain + tuple(nd1_level(ms, t, conv) for t in CIRCLE_TARGETS)
+    solved = strikes_for_deltas(smile, levels).tolist()
+    strike = dict(zip(plain, solved))
+    ctx = _context(ms, strike[0.5], cfg, strike.__getitem__)
     curve = represent(smile, ctx)
-    anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS, conv)
+    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, solved[len(plain):], conv)
     circle, _ = fit_shape(anchors, ctx)
 
-    k_lo = strike_for_delta(smile, window_targets[0], DeltaConvention.FORWARD_N).strike
-    k_hi = strike_for_delta(smile, window_targets[1], DeltaConvention.FORWARD_N).strike
+    k_lo, k_hi = strike[window_targets[0]], strike[window_targets[1]]
     window_grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), window_n))
     # exp(log(k)) can land one ulp outside the window (and the smiles' domain).
     window_grid = np.clip(window_grid, k_lo, k_hi)
@@ -134,7 +144,8 @@ def distribution_report(
     )
 
     p_true = density_curve(dist, window_grid, rescale=True)
-    p_circle = density_from_smile(circle_smile, window_grid)
+    # The circle's density and its non-negativity margin share one bracket.
+    p_circle, margin = density_with_margin(circle_smile, window_grid)
     p_vv = density_from_smile(vv, window_grid)
 
     # Fit the log-normal on a wide quantile grid of the analysed density,
@@ -165,5 +176,5 @@ def distribution_report(
         kl_circle=kl_divergence(p_true, p_circle),
         kl_vanna_volga=kl_divergence(p_true, p_vv),
         kl_best_lognormal=kl_divergence(p_true, p_ln),
-        margin=nonnegativity_margin(circle_smile, window_grid),
+        margin=margin,
     )

@@ -272,6 +272,24 @@ class TestImpliedVolGridAccuracy:
         )
         assert np.array_equal(price, bsm_price(ms, ks, vols, side))
 
+    @pytest.mark.parametrize("side", [OptionSide.CALL, OptionSide.PUT])
+    @pytest.mark.parametrize("width_mult", [1.0, 2.56])
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_grid_equals_strikes_solved_alone(self, name, width_mult, side):
+        # A one-strike call runs the scalar loop from its first sweep; in a
+        # grid, the last few strikes finish in it.  Either way each vol is
+        # the one the array sweep gives.
+        ms, ks, calls = _reference_grid(REFERENCE_FAMILIES[name], width_mult)
+        prices = calls
+        if side is OptionSide.PUT:
+            prices = calls - ms.df_for() * ms.spot + ms.df_dom() * ks
+        grid = implied_vol_grid(ms, ks, prices, side)
+        idx = np.unique(np.r_[0:12, 12:ks.size - 12:97, ks.size - 12:ks.size])
+        alone = [implied_vol_grid(ms, [ks[i]], [prices[i]], side)[0] for i in idx]
+        assert np.array_equal(grid[idx], alone)
+        if side is OptionSide.CALL:
+            assert implied_vol(ms, float(ks[idx[20]]), float(prices[idx[20]])) == grid[idx[20]]
+
     def test_converged_strikes_stop_iterating(self, monkeypatch):
         # Normal-CDF evaluations while inverting the 2001-strike gamma grid:
         # 184092 when the whole grid iterated until its slowest strike

@@ -1,4 +1,5 @@
 """Tests for artifact emission and the command-line interface."""
+import ast
 import json
 import os
 import pathlib
@@ -132,8 +133,10 @@ def run_cli(*args):
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 # Run in a fresh interpreter: the CLI's import must leave the spline and
-# root-finding subpackages unloaded, and the functions that need them must
-# then load them on first use.
+# root-finding subpackages unloaded, and the spline functions must then load
+# scipy.interpolate on first use.  (scipy.interpolate itself loads part of
+# scipy.optimize, so whether the library needs the latter is checked apart,
+# on the source.)
 IMPORT_PATH_PROBE = """
 import sys
 
@@ -157,7 +160,7 @@ anchor = strike_for_delta(smile, 0.25)
 assert abs(float(smile.d1(anchor.strike)) - 0.6744897501960817) < 1e-9
 profile = curvature_profile(represent(smile))
 assert profile.n_minus_d1 is not None
-assert "scipy.interpolate" in heavy() and "scipy.optimize" in heavy()
+assert "scipy.interpolate" in heavy()
 """
 
 
@@ -168,6 +171,21 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_library_never_imports_scipy_optimize():
+    src = pathlib.Path(SRC) / "smilegeo"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.startswith("scipy.optimize")]
+    assert found == []
 
 
 class TestCli:
@@ -314,18 +332,21 @@ class TestCli:
     @pytest.mark.parametrize("variant", ["market", "first"])
     @pytest.mark.parametrize("command", ["density", "complete-surface"])
     def test_vanishing_vv_quote_exit_3(self, tmp_path, capsys, command, variant):
-        # A 25C vol of 1e-300 leaves the vanna-volga smile NaN or <= 0 on its
-        # domain; the completion's admissibility sweep rejects it.
+        # A tiny 25C vol is the row's middle anchor.  The market variant
+        # rejects it before dividing by its vol times sqrt(T) (at 5e-324 that
+        # product is 0); the first-order smile comes out NaN or <= 0 on its
+        # domain and the admissibility sweep rejects it.
         from smilegeo import cli
 
-        bad = one_row_csv(tmp_path, 2, (("d25c", "1e-300"),))
-        argv = [command, str(bad), "--method", "vanna-volga", "--vv-variant", variant]
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "Traceback" not in captured.err
-        assert f"vanna-volga-{variant} smile implies vol <= 0 at strike" in captured.err
-        assert "nan" not in captured.out
+        for value in ("1e-300", "5e-324"):
+            bad = one_row_csv(tmp_path, 2, (("d25c", value),))
+            argv = [command, str(bad), "--method", "vanna-volga", "--vv-variant", variant]
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 3, value
+            assert "Traceback" not in captured.err
+            assert f"vanna-volga-{variant} smile implies vol <= 0 at strike" in captured.err
+            assert "nan" not in captured.out
 
     @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
     def test_represent_is_the_library_polar_map(self, csv_path, capsys):

@@ -7,8 +7,12 @@ import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState, bsm_price
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from scipy.special import ndtr
+
+import smilegeo.smile as smile_module
 from smilegeo.errors import DomainTooNarrow, TargetOutsideDomain
 from smilegeo.smile import (
+    DELTA_SAMPLES,
     GridSpec,
     SmileCurve,
     atm_rn_strike,
@@ -18,6 +22,7 @@ from smilegeo.smile import (
     nonnegativity_margin,
     smile_from_distribution,
     strike_for_delta,
+    strikes_for_deltas,
 )
 from smilegeo.surface import complete_expiry, parse_surface
 from smilegeo.vanna_volga import MARKET_VV_SMALL_D1D2
@@ -113,6 +118,80 @@ class TestStrikeForDelta:
         smile = flat_smile(FLAT_MS, 0.2, k_lo=95.0, k_hi=108.0)
         with pytest.raises(TargetOutsideDomain):
             strike_for_delta(smile, 0.01)
+
+
+REFERENCE_FAMILIES = {
+    "gamma": GAMMA,
+    "uniform": Uniform(a=2.0109, b=5.4750),
+    "student_negative": StudentT(mu=3.7322, nu=3.9565),
+    "student": StudentT(mu=3.7201, nu=7.3824),
+    "normal": Normal(mu=11.3328, s=3.0),
+    "lognormal": LogNormal(mu=1.0, s=0.25),
+}
+DELTA_TARGETS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+def _reference_smile(name):
+    # A foreign rate makes the two conventions differ; the coverage targets
+    # leave room for the spot-pips levels t / e^{-qT}.
+    dist = REFERENCE_FAMILIES[name]
+    ms = market_state_for(dist, dom_rate=0.01, for_rate=0.002, tenor=1.0)
+    return smile_with_coverage(dist, ms, targets=(0.005, 0.995))
+
+
+class TestStrikesForDeltas:
+    @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_targets_hit(self, name, conv):
+        smile = _reference_smile(name)
+        strikes = strikes_for_deltas(smile, DELTA_TARGETS, conv)
+        scale = smile.market.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
+        for target, strike in zip(DELTA_TARGETS, strikes):
+            nd1 = float(ndtr(-smile.d1(strike)))
+            assert abs(scale * nd1 - target) <= 1e-12, (target, strike)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_together_equals_alone(self, name):
+        # A target's iteration never reads another's, and spline reads do
+        # not depend on the array they sit in.
+        smile = _reference_smile(name)
+        together = strikes_for_deltas(smile, DELTA_TARGETS)
+        alone = np.array([strikes_for_deltas(smile, [t])[0] for t in DELTA_TARGETS])
+        assert np.array_equal(together, alone)
+        anchors = [strike_for_delta(smile, t) for t in DELTA_TARGETS]
+        assert np.array_equal(together, [a.strike for a in anchors])
+        assert [a.vol for a in anchors] == [float(smile.vol(k)) for k in together]
+
+    @pytest.mark.parametrize("j", [0, 17, DELTA_SAMPLES - 1], ids=["lo_end", "sample", "hi_end"])
+    def test_root_on_a_sample_point(self, monkeypatch, j):
+        # The bracket is closed: a target met exactly at a sampled strike
+        # (a domain end included) is solved there on the first jet read.
+        smile = flat_smile(FLAT_MS, 0.2, k_lo=70.0, k_hi=140.0)
+        xs = np.linspace(math.log(smile.k_lo), math.log(smile.k_hi), DELTA_SAMPLES)
+        target = float(ndtr(-smile.d1(np.exp(xs)))[j])
+        reads = 0
+        jet_fn = smile.jet_fn
+
+        def counting_jet(lnk):
+            nonlocal reads
+            reads += 1
+            return jet_fn(lnk)
+
+        counted = smile_module.SmileCurve(
+            market=smile.market, k_lo=smile.k_lo, k_hi=smile.k_hi,
+            vol_fn=smile.vol_fn, jet_fn=counting_jet,
+        )
+        (strike,) = strikes_for_deltas(counted, [target])
+        assert reads == 1
+        assert strike == np.exp(xs)[j]
+
+    def test_unbracketed_target_raises(self):
+        smile = flat_smile(FLAT_MS, 0.2, k_lo=95.0, k_hi=108.0)
+        with pytest.raises(TargetOutsideDomain, match="target 0.01 not bracketed"):
+            strikes_for_deltas(smile, [0.5, 0.01])
+
+    def test_no_targets(self):
+        assert strikes_for_deltas(flat_smile(FLAT_MS, 0.2), []).shape == (0,)
 
 
 class TestDensityFromSmile:

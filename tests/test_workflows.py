@@ -6,7 +6,8 @@ import pytest
 
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.fitting import fit_circle_to_smile
-from smilegeo.smile import GridSpec
+from smilegeo.georep import context_for_smile
+from smilegeo.smile import GridSpec, nonnegativity_margin, strike_for_delta
 from smilegeo.workflows import distribution_report, market_state_for, smile_with_coverage
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
@@ -89,6 +90,19 @@ class TestWindow:
         assert report.window_grid[-1] == k_hi
         assert report.circle_smile.contains(report.window_grid)
         assert report.vanna_volga_smile.contains(report.window_grid)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [GAMMA, StudentT(mu=3.7322, nu=3.9565), Uniform(a=2.0109, b=5.4750)],
+        ids=["gamma", "student_negative", "uniform"],
+    )
+    def test_one_solve_gives_every_strike(self, dist):
+        # The report's single delta solve and its shared density bracket
+        # give what the public one-at-a-time functions give, bit for bit.
+        report = distribution_report(dist)
+        assert report.ctx == context_for_smile(report.smile)
+        assert report.window == tuple(strike_for_delta(report.smile, t).strike for t in (0.01, 0.99))
+        assert report.margin == nonnegativity_margin(report.circle_smile, report.window_grid)
 
     def test_circle_is_the_fitted_circle(self):
         # The report fits its circle through its own anchors, solved once.

@@ -1,0 +1,128 @@
+"""Dump what distribution_report gives for reference and seeded distributions.
+
+Usage: python3 tools/report_outputs.py SRC_ROOT OUT
+       python3 tools/report_outputs.py --compare OUT_A OUT_B
+
+SRC_ROOT is the directory that holds the ``smilegeo`` package (a checkout's
+``src/``); it is imported in-process.  The cases are the six reference
+distributions of the acceptance suite and DRAWS seeded draws of each of the
+five families, with market-like widths (annual vol about 8-45 %).
+
+OUT is a JSON file with one record per case: the KL window, the anchors
+(target, strike, vol), the fitted circle, the three KL values and the
+non-negativity margin, or the error a case raised.  Floats are written with
+``repr``, so files from two checkouts compare exactly.  ``--compare`` prints,
+for each field, how many cases differ, the largest absolute change, the
+largest change relative to the field's largest magnitude in its case, and
+the largest distance in units in the last place between values of one sign
+(a value near zero, such as a centred circle's centre or the KL of a perfect
+fit, can change sign).
+"""
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+DRAWS = 12
+SEED = 20240611
+
+
+def cases(sg):
+    yield from (
+        ("gamma", sg.Gamma(kappa=5.12, theta=0.64)),
+        ("uniform", sg.Uniform(a=2.0109, b=5.4750)),
+        ("student_negative", sg.StudentT(mu=3.7322, nu=3.9565)),
+        ("student", sg.StudentT(mu=3.7201, nu=7.3824)),
+        ("normal", sg.Normal(mu=11.3328, s=3.0)),
+        ("lognormal", sg.LogNormal(mu=1.0, s=0.25)),
+    )
+    rng = np.random.default_rng(SEED)
+    for i in range(DRAWS):
+        u = (i + rng.uniform()) / DRAWS
+        vol = 0.10 + 0.35 * u
+        kappa = 1.0 / (vol * vol)
+        yield f"gamma_{i}", sg.Gamma(kappa=kappa, theta=rng.uniform(1.0, 10.0) / kappa)
+        yield f"lognormal_{i}", sg.LogNormal(mu=rng.uniform(-0.5, 2.5), s=0.08 + 0.37 * u)
+        mu = rng.uniform(2.0, 20.0)
+        yield f"normal_{i}", sg.Normal(mu=mu, s=mu * (0.08 + 0.22 * u))
+        yield f"student_{i}", sg.StudentT(mu=rng.uniform(3.0, 12.0), nu=3.0 + 7.0 * u)
+        a = rng.uniform(1.0, 5.0)
+        yield f"uniform_{i}", sg.Uniform(a=a, b=a * (1.5 + 2.0 * u))
+
+
+def record(sg, dist) -> dict:
+    try:
+        rep = sg.distribution_report(dist)
+    except sg.SmileGeoError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "window": list(rep.window),
+        "atm_rn": rep.ctx.atm_rn,
+        "radius_scale": rep.ctx.radius_scale,
+        "anchors": [[a.target, a.strike, a.vol] for a in rep.anchors],
+        "circle": [*rep.circle.center, rep.circle.radius],
+        "kl": [rep.kl_circle.kl_nats, rep.kl_vanna_volga.kl_nats, rep.kl_best_lognormal.kl_nats],
+        "margin": rep.margin,
+    }
+
+
+def dump(src_root: Path, out: Path) -> None:
+    sys.path.insert(0, str(src_root))
+    import smilegeo as sg
+
+    doc = {name: record(sg, dist) for name, dist in cases(sg)}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    failed = sum("error" in rec for rec in doc.values())
+    print(f"{len(doc)} cases, {failed} raised, written to {out}")
+
+
+def _ulps(a, b) -> int:
+    """Largest distance in units in the last place between same-sign elements."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    same = np.signbit(a) == np.signbit(b)
+    bits_a, bits_b = np.abs(a[same]).view(np.int64), np.abs(b[same]).view(np.int64)
+    return int(np.max(np.abs(bits_a - bits_b), initial=0))
+
+
+def compare(path_a: Path, path_b: Path) -> None:
+    doc_a, doc_b = json.loads(path_a.read_text()), json.loads(path_b.read_text())
+    if doc_a.keys() != doc_b.keys():
+        print("case lists differ")
+        return
+    fields: dict[str, list[tuple[float, float, int]]] = {}
+    for name in doc_a:
+        rec_a, rec_b = doc_a[name], doc_b[name]
+        if "error" in rec_a or "error" in rec_b:
+            if rec_a != rec_b:
+                print(f"{name}: {rec_a.get('error', 'ok')} -> {rec_b.get('error', 'ok')}")
+            continue
+        for key in rec_a:
+            a, b = np.ravel(rec_a[key]), np.ravel(rec_b[key])
+            change = float(np.max(np.abs(a - b)))
+            rel = change / max(float(np.max(np.abs(a))), 1e-300)
+            fields.setdefault(key, []).append((change, rel, _ulps(a, b)))
+    for key, per_case in fields.items():
+        change, rel, ulps = (max(col) for col in zip(*per_case))
+        moved = sum(c > 0.0 for c, _, _ in per_case)
+        print(
+            f"{key:13s} {moved:3d} of {len(per_case)} cases differ; at most {change:.2g} "
+            f"absolute, {rel:.2g} relative, {ulps} ulp"
+        )
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]), Path(argv[2]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    dump(Path(argv[0]).resolve(), Path(argv[1]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
