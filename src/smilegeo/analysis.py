@@ -1,8 +1,8 @@
 """Curve diagnostics: curvature profiles and density divergences.
 
-Curvatures are computed after resampling the curve to uniform arc length
-(cubic interpolation on the chord-length parameter) with 5-point central
-difference stencils:
+Curvatures are computed after resampling the curve to CURVATURE_RESAMPLE_N
+points of uniform arc length (cubic interpolation on the chord-length
+parameter) with 5-point central difference stencils:
 
     kappa_E = (x' y'' - y' x'') / (x'^2 + y'^2)^{3/2}
     kappa_s = 3 (x' x'' + y' y'') / (x' y'' - y' x'')
@@ -56,12 +56,16 @@ class CurvatureProfile:
     strikes: np.ndarray | None = None
 
 
-def _curve_points(curve) -> np.ndarray:
+def _curve_points(curve, least: int) -> np.ndarray:
+    """The curve's (n, 2) points; CurveTooShort below ``least`` of them."""
     if isinstance(curve, RepresentationCurve):
-        return curve.points
-    pts = np.asarray(curve, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
+        pts = curve.points
+    else:
+        pts = np.asarray(curve, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
+    if len(pts) < least:
+        raise CurveTooShort(f"need at least {least} points")
     return pts
 
 
@@ -89,8 +93,8 @@ def _stencil(f: np.ndarray, h: float):
     return d1, d2, d3
 
 
-def _curvatures(pts: np.ndarray, resample_n: int):
-    _, s_uniform, x, y = _resample_uniform_arclength(pts, resample_n)
+def _curvatures(pts: np.ndarray):
+    _, s_uniform, x, y = _resample_uniform_arclength(pts, CURVATURE_RESAMPLE_N)
     h = float(s_uniform[1] - s_uniform[0])
     x1, x2, x3 = _stencil(x, h)
     y1, y2, y3 = _stencil(y, h)
@@ -111,27 +115,17 @@ def _curvatures(pts: np.ndarray, resample_n: int):
     return s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
 
 
-def euclidean_curvature(curve, resample_n: int = CURVATURE_RESAMPLE_N) -> np.ndarray:
+def euclidean_curvature(curve) -> np.ndarray:
     """kappa_E at the interior resampled points (NaN where masked)."""
-    pts = _curve_points(curve)
-    if len(pts) < MIN_POINTS_EUCLIDEAN or resample_n < MIN_POINTS_EUCLIDEAN:
-        raise CurveTooShort(f"need at least {MIN_POINTS_EUCLIDEAN} points")
-    return _curvatures(pts, resample_n)[3]
+    return _curvatures(_curve_points(curve, MIN_POINTS_EUCLIDEAN))[3]
 
 
-def similarity_curvature(curve, resample_n: int = CURVATURE_RESAMPLE_N) -> np.ndarray:
+def similarity_curvature(curve) -> np.ndarray:
     """kappa_s at the interior resampled points (NaN where masked)."""
-    pts = _curve_points(curve)
-    if len(pts) < MIN_POINTS_SIMILARITY or resample_n < MIN_POINTS_SIMILARITY:
-        raise CurveTooShort(f"need at least {MIN_POINTS_SIMILARITY} points")
-    return _curvatures(pts, resample_n)[4]
+    return _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY))[4]
 
 
-def curvature_profile(
-    curve,
-    resample_n: int = CURVATURE_RESAMPLE_N,
-    circle: CircleShape | None = None,
-) -> CurvatureProfile:
+def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProfile:
     """Both curvatures against two reporting abscissas.
 
     The profile carries the polar angle about the fitted circle's centre
@@ -140,10 +134,7 @@ def curvature_profile(
     """
     from scipy.interpolate import PchipInterpolator  # kept off the CLI import path
 
-    pts = _curve_points(curve)
-    if len(pts) < MIN_POINTS_SIMILARITY or resample_n < MIN_POINTS_SIMILARITY:
-        raise CurveTooShort(f"need at least {MIN_POINTS_SIMILARITY} points")
-    arc, x, y, kappa_e, kappa_s = _curvatures(pts, resample_n)
+    arc, x, y, kappa_e, kappa_s = _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY))
     cx, cy = circle.center if circle is not None else (0.0, 0.0)
     angle = np.unwrap(np.arctan2(y - cy, x - cx))
 

@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--grid-points",
-        type=int,
-        default=int(os.environ.get(GRID_POINTS_ENV, "2001")),
+        default=os.environ.get(GRID_POINTS_ENV, "2001"),
         help=f"points per evaluation grid (default 2001, env {GRID_POINTS_ENV})",
     )
     common.add_argument(
@@ -100,6 +99,20 @@ def _config(args) -> RepresentationConfig:
         return RepresentationConfig(radius_scale=float(args.radius_scale))
     except ValueError:
         raise ParseError("--radius-scale must be a positive number or 'auto'") from None
+
+
+def _grid_points(args, least: int) -> int:
+    """--grid-points (or its environment default) as an integer of at least ``least``."""
+    try:
+        n = int(args.grid_points)
+    except ValueError:
+        n = least - 1
+    if n < least:
+        raise ParseError(
+            f"--grid-points (default from {GRID_POINTS_ENV}) must be an integer "
+            f">= {least}, got {args.grid_points!r}"
+        )
+    return n
 
 
 def _convention(args) -> DeltaConvention:
@@ -171,6 +184,8 @@ def _scene(completed) -> RepresentationScene:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A density grid needs both ends; a short curvature grid is CurveTooShort.
+    grid_points = _grid_points(args, 2 if args.command == "density" else 0)
     rows = parse_surface(open(args.surface, "rb").read())
     if not rows:
         raise ParseError("surface file has no data rows")
@@ -210,12 +225,12 @@ def run(argv=None) -> int:
             _write(art, args)
     elif args.command == "density":
         completed = _completed_row(rows, args)
-        grid = _density_grid(completed, args.grid_points)
+        grid = _density_grid(completed, grid_points)
         _write(density_from_smile(completed.smile, grid), args)
     elif args.command == "curvature":
         completed = _completed_row(rows, args, method="circle")
         curve = represent(
-            completed.smile, completed.ctx, completed.smile.default_grid(args.grid_points)
+            completed.smile, completed.ctx, completed.smile.default_grid(grid_points)
         )
         profile = curvature_profile(curve, circle=completed.shape)
         _write(profile, args)

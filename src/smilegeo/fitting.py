@@ -66,23 +66,19 @@ def anchors_at_strikes(
 
 
 def fit_circle_to_smile(
-    smile: SmileCurve,
-    ctx: ReprContext | RepresentationConfig | None = None,
-    conv: DeltaConvention = DeltaConvention.FORWARD_N,
+    smile: SmileCurve, ctx: ReprContext | RepresentationConfig | None = None
 ) -> CircleShape:
-    """Circle through the represented 0.25 / centre / 0.75 anchors."""
+    """Circle through the represented N(-d1) 0.25 / centre / 0.75 anchors."""
     ctx = resolve_context(smile, ctx)
-    return fit_shape(smile_anchors(smile, ctx, CIRCLE_TARGETS, conv), ctx)[0]
+    return fit_shape(smile_anchors(smile, ctx, CIRCLE_TARGETS), ctx)[0]
 
 
 def fit_ellipse_to_smile(
-    smile: SmileCurve,
-    ctx: ReprContext | RepresentationConfig | None = None,
-    conv: DeltaConvention = DeltaConvention.FORWARD_N,
+    smile: SmileCurve, ctx: ReprContext | RepresentationConfig | None = None
 ) -> ConicShape:
-    """Conic through the represented 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
+    """Conic through the represented N(-d1) 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
     ctx = resolve_context(smile, ctx)
-    return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS, conv), ctx)[0]
+    return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)[0]
 
 
 def anchor_residuals(shape, points: np.ndarray) -> np.ndarray:

@@ -17,9 +17,11 @@ import numpy as np
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .errors import OriginOutsideShape
 from .shapes import CircleShape, ConicShape
-from .smile import ADMISSIBILITY_POINTS, SmileCurve, require_positive_vol, strikes_for_deltas
+from .smile import SmileCurve, require_positive_vol, strikes_for_deltas
 
 DEFAULT_CURVE_POINTS = 2001
+R_WINDOW = (0.01, 0.99)  # N(-d1) targets whose strikes set auto R
+R_UNIT_FRACTION = 0.95  # |X| the farther window strike maps to under auto R
 
 
 @dataclass(frozen=True)
@@ -27,27 +29,20 @@ class RepresentationConfig:
     """Choice of the radial scale R, the method's one free parameter.
 
     ``radius_scale=None`` resolves R automatically: the strikes at the
-    [window_lo, window_hi] N(-d1) window map to X = -/+ unit_fraction,
+    ``R_WINDOW`` N(-d1) window map to X = -/+ ``R_UNIT_FRACTION``,
     symmetrised by the larger log-distance from the centre strike.
     """
 
     radius_scale: float | None = None
-    window_lo: float = 0.01
-    window_hi: float = 0.99
-    unit_fraction: float = 0.95
 
     def __post_init__(self):
         if self.radius_scale is not None and self.radius_scale <= 0.0:
             raise ValueError("radius_scale must be positive")
-        if not 0.0 < self.window_lo < self.window_hi < 1.0:
-            raise ValueError("need 0 < window_lo < window_hi < 1")
-        if not 0.0 < self.unit_fraction <= 1.0:
-            raise ValueError("unit_fraction must lie in (0, 1]")
 
     @property
     def window_targets(self) -> tuple[float, ...]:
         """The N(-d1) targets whose strikes set auto R; none when R is fixed."""
-        return () if self.radius_scale is not None else (self.window_lo, self.window_hi)
+        return () if self.radius_scale is not None else R_WINDOW
 
 
 @dataclass(frozen=True)
@@ -146,35 +141,27 @@ def angle_for_strike(strike, ctx: ReprContext):
 def _context(ms: MarketState, atm_rn: float, cfg: RepresentationConfig | None, window_strike):
     """ReprContext at the centre strike; auto R from ``window_strike(target)``.
 
-    Auto R places the strikes at the [window_lo, window_hi] N(-d1) window
-    just inside the unit circle, symmetrised by the larger log-distance.
+    Auto R places the strikes at the ``R_WINDOW`` N(-d1) window just inside
+    the unit circle, symmetrised by the larger log-distance.
     """
     cfg = cfg or RepresentationConfig()
     if cfg.radius_scale is not None:
         return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=cfg.radius_scale)
-    half_width = max(
-        abs(math.log(window_strike(t) / atm_rn)) for t in (cfg.window_lo, cfg.window_hi)
-    )
-    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / cfg.unit_fraction)
+    half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in R_WINDOW)
+    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / R_UNIT_FRACTION)
 
 
-def context_for_smile(
-    smile: SmileCurve,
-    cfg: RepresentationConfig | None = None,
-    atm_rn: float | None = None,
-) -> ReprContext:
+def context_for_smile(smile: SmileCurve, cfg: RepresentationConfig | None = None) -> ReprContext:
     """Resolve (atm_rn, R) for a smile.
 
-    The centre strike defaults to the smile's delta-neutral strike; auto R
-    reads the window strikes off the smile's own N(-d1).  All of them come
-    from one ``strikes_for_deltas`` solve.
+    The centre strike is the smile's delta-neutral strike; auto R reads the
+    window strikes off the smile's own N(-d1).  All of them come from one
+    ``strikes_for_deltas`` solve.
     """
     cfg = cfg or RepresentationConfig()
-    targets = ((0.5,) if atm_rn is None else ()) + cfg.window_targets
+    targets = (0.5, *cfg.window_targets)
     strikes = dict(zip(targets, strikes_for_deltas(smile, targets).tolist()))
-    return _context(
-        smile.market, strikes[0.5] if atm_rn is None else atm_rn, cfg, strikes.__getitem__
-    )
+    return _context(smile.market, strikes[0.5], cfg, strikes.__getitem__)
 
 
 def flat_context(
@@ -310,28 +297,14 @@ def _conic_rho_derivs(shape: ConicShape, phi):
     return rho, d1, d2
 
 
-def smile_from_shape(
-    shape,
-    ctx: ReprContext,
-    k_lo: float | None = None,
-    k_hi: float | None = None,
-    grid=None,
-    validate_n: int = ADMISSIBILITY_POINTS,
-) -> SmileCurve:
-    """Invert a fitted shape back into a smile.
+def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> SmileCurve:
+    """Invert a fitted shape back into a smile on [k_lo, k_hi].
 
     sigma(K) is the radial excess over R of the ray-shape intersection at the
-    strike's angle.  The whole requested domain is swept for admissibility:
-    the origin must sit strictly inside the shape and the implied vol must be
-    positive everywhere.
+    strike's angle.  The whole domain is swept for admissibility: the origin
+    must sit strictly inside the shape and the implied vol must be positive
+    everywhere.
     """
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        k_lo = float(grid.min()) if k_lo is None else k_lo
-        k_hi = float(grid.max()) if k_hi is None else k_hi
-    if k_lo is None or k_hi is None:
-        raise ValueError("either a grid or explicit [k_lo, k_hi] is required")
-
     if isinstance(shape, CircleShape):
         rho_derivs = _circle_rho_derivs
     elif isinstance(shape, ConicShape):
@@ -359,7 +332,7 @@ def smile_from_shape(
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
     # vol_fn raises OriginOutsideShape for inadmissible shapes.
-    require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape", validate_n)
+    require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
     return SmileCurve(
         market=ctx.market,
         k_lo=k_lo,

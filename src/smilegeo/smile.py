@@ -33,18 +33,14 @@ from .bsm import (
     forward_log_moneyness,
     implied_vol_grid,
 )
-from .distributions import DensityCurve, Distribution, FORWARD_CONSISTENCY_TOL
-from .errors import (
-    DomainTooNarrow,
-    InconsistentForward,
-    NoConvergence,
-    NonpositiveVol,
-    TargetOutsideDomain,
-)
+from .distributions import DensityCurve, Distribution
+from .errors import DomainTooNarrow, NoConvergence, NonpositiveVol, TargetOutsideDomain
 
 DEFAULT_GRID_POINTS = 2001
+GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
+GRID_EXTEND = 0.10  # share of the window's log-width added at each end
 ADMISSIBILITY_POINTS = 513  # sweep of a closed-form smile's domain at construction
-DEFAULT_FD_STEP = 1e-3  # central-difference step in ln K
+FD_STEP = 1e-3  # central-difference step in ln K of mode="fd"
 DELTA_SAMPLES = 65  # vol reads over the domain that bracket the delta solves
 DELTA_XTOL = 1e-15  # ln-K step that ends a delta solve, plus 4 eps |ln K|
 DELTA_MAX_ITER = 100
@@ -56,23 +52,18 @@ _BRACKET_VOLS = np.array([IV_BRACKET_LO, IV_BRACKET_HI])
 class GridSpec:
     """Strike-grid recipe for building smiles from distributions.
 
-    The grid spans the [delta_lo, delta_hi] N(-d1) window of a flat-vol
-    proxy at the at-the-money-forward vol, extended by ``extend`` of its
+    The grid spans the ``GRID_DELTA_WINDOW`` N(-d1) window of a flat-vol
+    proxy at the at-the-money-forward vol, extended by ``GRID_EXTEND`` of its
     log-strike width at each end, then clipped to the distribution's strike
     bounds.  ``width_mult`` widens the proxy window for heavy-tailed cases.
     """
 
     n: int = DEFAULT_GRID_POINTS
-    delta_lo: float = 0.005
-    delta_hi: float = 0.995
-    extend: float = 0.10
     width_mult: float = 1.0
 
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("grid needs at least 16 points")
-        if not 0.0 < self.delta_lo < self.delta_hi < 1.0:
-            raise ValueError("need 0 < delta_lo < delta_hi < 1")
 
 
 @dataclass(frozen=True)
@@ -111,11 +102,10 @@ class SmileCurve:
         out = self.vol_fn(np.log(np.asarray(strike, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 
-    def d1(self, strike, vol=None):
-        """BSM d1 evaluated with the smile vol (or a supplied vol)."""
+    def d1(self, strike):
+        """BSM d1 evaluated with the smile vol."""
         strike = np.asarray(strike, dtype=float)
-        sig = self.vol(strike) if vol is None else vol
-        total = sig * math.sqrt(self.market.tenor)
+        total = self.vol(strike) * math.sqrt(self.market.tenor)
         return forward_log_moneyness(self.market, strike) / total + 0.5 * total
 
     def contains(self, strikes) -> bool:
@@ -124,19 +114,23 @@ class SmileCurve:
 
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
         """n log-uniform strikes spanning the domain, ends kept inside it."""
-        grid = np.exp(np.linspace(math.log(self.k_lo), math.log(self.k_hi), n))
-        # exp(log(k)) can land one ulp outside the domain.
-        return np.clip(grid, self.k_lo, self.k_hi)
+        return log_uniform_grid(self.k_lo, self.k_hi, n)
 
 
-def require_positive_vol(
-    vol_fn, k_lo: float, k_hi: float, what: str, n: int = ADMISSIBILITY_POINTS
-) -> None:
-    """Sweep n log-uniform strikes of [k_lo, k_hi]; NonpositiveVol unless every vol > 0.
+def log_uniform_grid(k_lo: float, k_hi: float, n: int) -> np.ndarray:
+    """n log-uniform strikes from k_lo to k_hi, clipped to [k_lo, k_hi]."""
+    grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), n))
+    # exp(log(k)) can land one ulp outside the ends.
+    return np.clip(grid, k_lo, k_hi)
+
+
+def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
+    """Sweep ``ADMISSIBILITY_POINTS`` log-uniform strikes of [k_lo, k_hi];
+    NonpositiveVol unless every vol > 0.
 
     The test is ``not (vol > 0)``, so a NaN vol fails it too.
     """
-    sweep = np.linspace(math.log(k_lo), math.log(k_hi), n)
+    sweep = np.linspace(math.log(k_lo), math.log(k_hi), ADMISSIBILITY_POINTS)
     vols = vol_fn(sweep)
     if not np.all(vols > 0.0):
         k_bad = math.exp(float(sweep[int(np.argmin(vols))]))  # argmin: first NaN, else lowest
@@ -218,13 +212,13 @@ def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec) -> np.ndarr
     atm_flat = ms.spot * math.exp(
         (ms.dom_rate - ms.for_rate + 0.5 * proxy * proxy) * ms.tenor
     )
-    half_lo = float(ndtri(grid.delta_lo)) * proxy * sqrt_t * grid.width_mult
-    half_hi = float(ndtri(grid.delta_hi)) * proxy * sqrt_t * grid.width_mult
+    half_lo = float(ndtri(GRID_DELTA_WINDOW[0])) * proxy * sqrt_t * grid.width_mult
+    half_hi = float(ndtri(GRID_DELTA_WINDOW[1])) * proxy * sqrt_t * grid.width_mult
     ln_lo = math.log(atm_flat) + half_lo
     ln_hi = math.log(atm_flat) + half_hi
     width = ln_hi - ln_lo
-    ln_lo -= grid.extend * width
-    ln_hi += grid.extend * width
+    ln_lo -= GRID_EXTEND * width
+    ln_hi += GRID_EXTEND * width
     b_lo, b_hi = dist.strike_bounds()
     if b_lo > 0.0:
         ln_lo = max(ln_lo, math.log(b_lo))
@@ -245,15 +239,11 @@ def smile_from_distribution(
 
     The smile is backed by a natural cubic spline in (ln K, sigma); at every
     grid strike the BSM price at the spline value reproduces the
-    distribution call price to solver accuracy.
+    distribution call price to solver accuracy.  A forward other than the
+    distribution mean raises InconsistentForward from ``call_price``.
     """
     from scipy.interpolate import CubicSpline  # kept off the CLI import path
 
-    fwd = ms.forward()
-    if abs(dist.mean() - fwd) > FORWARD_CONSISTENCY_TOL * max(1.0, abs(fwd)):
-        raise InconsistentForward(
-            f"distribution mean {dist.mean():.12g} != forward {fwd:.12g}"
-        )
     grid = grid or GridSpec()
     strikes = strike_grid(dist, ms, grid)
     prices = np.asarray(dist.call_price(ms, strikes), dtype=float)
@@ -358,13 +348,13 @@ def atm_rn_strike(smile: SmileCurve) -> float:
     return float(strikes_for_deltas(smile, [0.5])[0])
 
 
-def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: float):
+def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str):
     lnk = np.log(strikes)
     if mode == "analytic":
         return smile.jet_fn(lnk)
     if mode != "fd":
         raise ValueError(f"unknown derivative mode {mode!r}")
-    h = fd_step
+    h = FD_STEP
     if strikes[0] * math.exp(-h) < smile.k_lo or strikes[-1] * math.exp(h) > smile.k_hi:
         raise DomainTooNarrow("finite-difference stencil leaves the smile domain")
     sig = smile.vol_fn(lnk)
@@ -373,11 +363,11 @@ def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: 
     return sig, (up - dn) / (2.0 * h), (up - 2.0 * sig + dn) / (h * h)
 
 
-def _bracket_terms(smile: SmileCurve, strikes: np.ndarray, mode: str, fd_step: float):
+def _bracket_terms(smile: SmileCurve, strikes: np.ndarray, mode: str):
     """sigma, d1, d2 and the non-negativity bracket of the density formula."""
     ms = smile.market
     sqrt_t = math.sqrt(ms.tenor)
-    sig, sig_dot, sig_ddot = _derivs_on_grid(smile, strikes, mode, fd_step)
+    sig, sig_dot, sig_ddot = _derivs_on_grid(smile, strikes, mode)
     if np.any(sig <= 0.0):
         k_bad = strikes[int(np.argmax(sig <= 0.0))]
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
@@ -406,9 +396,7 @@ def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
     return strikes
 
 
-def density_from_smile(
-    smile: SmileCurve, strikes, mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
-) -> DensityCurve:
+def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
     """Implied density via the strike-space second derivative of the call.
 
     p(K) = [1 + 2K sqrt(T) d1 sigma' + K^2 T (d1 d2 sigma'^2 + sigma sigma'')]
@@ -417,17 +405,17 @@ def density_from_smile(
     with primes denoting strike derivatives.  Negative values are reported
     as-is; use ``nonnegativity_margin`` to detect them.
     """
-    return density_with_margin(smile, strikes, mode, fd_step)[0]
+    return density_with_margin(smile, strikes, mode)[0]
 
 
 def density_with_margin(
-    smile: SmileCurve, strikes, mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
+    smile: SmileCurve, strikes, mode: str = "analytic"
 ) -> tuple[DensityCurve, float]:
     """``density_from_smile`` and ``nonnegativity_margin`` from one bracket evaluation."""
     strikes = _check_grid(smile, strikes)
     ms = smile.market
     sqrt_t = math.sqrt(ms.tenor)
-    sig, sig_dot, sig_ddot, d1, d2, bracket = _bracket_terms(smile, strikes, mode, fd_step)
+    sig, sig_dot, sig_ddot, d1, d2, bracket = _bracket_terms(smile, strikes, mode)
     # Strike-space derivatives from the log-strike ones.  Overflow on a huge
     # domain is reported by DensityCurve (NonFiniteDensity), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -442,9 +430,7 @@ def density_with_margin(
     return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
 
 
-def log_strike_density(
-    smile: SmileCurve, strikes, mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
-) -> DensityCurve:
+def log_strike_density(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
     """Same density through the log-strike form of the formula.
 
     p(K) = [1 + sqrt(T)(d1 + d2) sigma_dot + T d1 d2 sigma_dot^2
@@ -455,19 +441,17 @@ def log_strike_density(
     """
     strikes = _check_grid(smile, strikes)
     sqrt_t = math.sqrt(smile.market.tenor)
-    sig, _, _, _, d2, bracket = _bracket_terms(smile, strikes, mode, fd_step)
+    sig, _, _, _, d2, bracket = _bracket_terms(smile, strikes, mode)
     values = bracket * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
     return DensityCurve(strikes=strikes, values=values)
 
 
-def nonnegativity_margin(
-    smile: SmileCurve, strikes, mode: str = "analytic", fd_step: float = DEFAULT_FD_STEP
-) -> float:
+def nonnegativity_margin(smile: SmileCurve, strikes, mode: str = "analytic") -> float:
     """Minimum over the grid of the density-sign bracket.
 
     A negative return value is equivalent to the implied density taking
     negative values somewhere on the grid.
     """
     strikes = _check_grid(smile, strikes)
-    _, _, _, _, _, bracket = _bracket_terms(smile, strikes, mode, fd_step)
+    _, _, _, _, _, bracket = _bracket_terms(smile, strikes, mode)
     return float(np.min(bracket))

@@ -86,9 +86,11 @@ class SurfaceQuoteRow:
 
         The label strikes are closed forms in exp(rates, tenor and vol^2); a
         finite but huge input overflows them (or underflows them to zero).
-        A tiny tenor or ATM vol underflows the automatic radial scale R to 0.
-        Returns the strikes by convention, or the TargetOutsideDomain of a
-        convention that puts a delta target outside (0, 1).
+        A tiny tenor collapses them onto one another, so no two may
+        coincide.  A tiny tenor or ATM vol underflows the automatic radial
+        scale R to 0.  Returns the strikes by convention, or the
+        TargetOutsideDomain of a convention that puts a delta target outside
+        (0, 1).
         """
         solved = {}
         for conv in DeltaConvention:
@@ -102,6 +104,11 @@ class SurfaceQuoteRow:
             if strikes is not None and all(0.0 < k < math.inf for k in strikes.values()):
                 k_lo, k_hi = _completion_domain(strikes.values())
                 if 0.0 < k_lo and k_hi < math.inf:
+                    if len(set(strikes.values())) < len(strikes):
+                        raise ValueError(
+                            f"expiry {self.expiry_label!r}: {conv.value} label strikes "
+                            "collapse onto one another (tenor or vols too small)"
+                        )
                     solved[conv] = strikes
                     continue
             raise ValueError(

@@ -3,7 +3,7 @@
 ``distribution_report`` runs the full study for one analytic distribution:
 smile, polar representation, circle fit, inverted smile, reconstructed
 densities (circle and vanna-volga), the best log-normal fit, and the KL
-divergences on the stated delta window.
+divergences on the ``KL_WINDOW`` N(-d1) window.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .distributions import DensityCurve, Distribution, density_curve
 from .errors import TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
 from .georep import (
+    R_WINDOW,
     RepresentationConfig,
     RepresentationCurve,
     ReprContext,
@@ -32,13 +33,15 @@ from .smile import (
     SmileCurve,
     density_from_smile,
     density_with_margin,
-    nd1_level,
+    log_uniform_grid,
     smile_from_distribution,
     strikes_for_deltas,
 )
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
 MAX_GRID_WIDENINGS = 8
+KL_WINDOW = (0.01, 0.99)  # N(-d1) window the report's densities are compared on
+WINDOW_GRID_POINTS = 4001
 
 
 def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float = 0.0,
@@ -49,10 +52,7 @@ def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float 
 
 
 def smile_with_coverage(
-    dist: Distribution,
-    ms: MarketState,
-    grid: GridSpec | None = None,
-    targets: tuple[float, float] = (0.01, 0.99),
+    dist: Distribution, ms: MarketState, targets: tuple[float, float] = KL_WINDOW
 ) -> SmileCurve:
     """Distribution smile on a grid wide enough to bracket the delta targets.
 
@@ -60,7 +60,7 @@ def smile_with_coverage(
     their delta window past it, so the proxy window is widened until the
     smile's own N(-d1) range covers ``targets`` (support bounds permitting).
     """
-    grid = grid or GridSpec()
+    grid = GridSpec()
     lo_t, hi_t = targets
     b_lo, b_hi = dist.strike_bounds()
     bounded = b_lo > 0.0 or math.isfinite(b_hi)
@@ -102,46 +102,33 @@ class DistributionReport:
     margin: float
 
 
-def distribution_report(
-    dist: Distribution,
-    ms: MarketState | None = None,
-    cfg: RepresentationConfig | None = None,
-    grid: GridSpec | None = None,
-    window_targets: tuple[float, float] = (0.01, 0.99),
-    window_n: int = 4001,
-    conv: DeltaConvention = DeltaConvention.FORWARD_N,
-    vv_variant: str = "market",
-) -> DistributionReport:
+def distribution_report(dist: Distribution) -> DistributionReport:
     """Run the full circle-versus-baselines study for one distribution.
 
-    Every delta strike it needs (the context's centre and window, the
+    The market is ``market_state_for(dist)``, R is automatic, the anchors
+    are plain N(-d1) targets and the baseline is market vanna-volga.  Every
+    delta strike the report needs (the context's centre and R window, the
     circle's wing anchors and the KL window) comes from one
-    ``strikes_for_deltas`` solve, the wings through their N(-d1) levels.
+    ``strikes_for_deltas`` solve.
     """
-    ms = ms or market_state_for(dist)
-    cfg = cfg or RepresentationConfig()
-    smile = smile_with_coverage(dist, ms, grid, window_targets)
-    plain = tuple(dict.fromkeys((0.5, *cfg.window_targets, *window_targets)))
-    levels = plain + tuple(nd1_level(ms, t, conv) for t in CIRCLE_TARGETS)
-    solved = strikes_for_deltas(smile, levels).tolist()
+    ms = market_state_for(dist)
+    smile = smile_with_coverage(dist, ms)
+    plain = tuple(dict.fromkeys((0.5, *R_WINDOW, *KL_WINDOW)))
+    solved = strikes_for_deltas(smile, plain + CIRCLE_TARGETS).tolist()
     strike = dict(zip(plain, solved))
-    ctx = _context(ms, strike[0.5], cfg, strike.__getitem__)
+    ctx = _context(ms, strike[0.5], RepresentationConfig(), strike.__getitem__)
     curve = represent(smile, ctx)
-    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, solved[len(plain):], conv)
+    anchors = anchors_at_strikes(
+        smile, ctx, CIRCLE_TARGETS, solved[len(plain):], DeltaConvention.FORWARD_N
+    )
     circle, _ = fit_shape(anchors, ctx)
 
-    k_lo, k_hi = strike[window_targets[0]], strike[window_targets[1]]
-    window_grid = np.exp(np.linspace(math.log(k_lo), math.log(k_hi), window_n))
-    # exp(log(k)) can land one ulp outside the window (and the smiles' domain).
-    window_grid = np.clip(window_grid, k_lo, k_hi)
+    k_lo, k_hi = strike[KL_WINDOW[0]], strike[KL_WINDOW[1]]
+    # Clipped to the window, and so to the smiles' domain.
+    window_grid = log_uniform_grid(k_lo, k_hi, WINDOW_GRID_POINTS)
 
     circle_smile = smile_from_shape(circle, ctx, k_lo=k_lo, k_hi=k_hi)
-    vv = vv_smile(
-        ThreeQuoteSmile(anchors=tuple(anchors), market=ms),
-        k_lo=k_lo,
-        k_hi=k_hi,
-        variant=vv_variant,
-    )
+    vv = vv_smile(ThreeQuoteSmile(anchors=tuple(anchors), market=ms), k_lo=k_lo, k_hi=k_hi)
 
     p_true = density_curve(dist, window_grid, rescale=True)
     # The circle's density and its non-negativity margin share one bracket.

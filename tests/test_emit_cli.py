@@ -259,6 +259,8 @@ class TestCli:
             # So small that the radial scale R underflows to 0.
             (("tenor_years", "1e-300"),),
             (("atm", "1e-300"),),
+            # So small that the label strikes collapse onto one another.
+            (("tenor_years", "1e-30"),),
         ],
         ids=lambda edits: "-".join(f"{field}-{value}" for field, value in edits),
     )
@@ -268,7 +270,9 @@ class TestCli:
         lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines[:2] + [edit_row(lines[2], edits)]) + "\n")
-        for argv in (["compare"], ["density", "--method", "circle"]):
+        for argv in (
+            ["compare"], ["density", "--method", "circle"], ["density", "--method", "vanna-volga"]
+        ):
             code = cli.main([*argv, str(bad)])
             err = capsys.readouterr().err
             assert code == 2
@@ -417,6 +421,32 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert len(out_path.read_text().strip().splitlines()) == 52
+
+    @pytest.mark.parametrize(
+        "points, env",
+        [("1", None), ("0", None), ("-5", None), ("abc", None), (None, "abc"), (None, "1")],
+        ids=["flag-1", "flag-0", "flag-neg5", "flag-abc", "env-abc", "env-1"],
+    )
+    def test_bad_density_grid_points_exit_2(self, capsys, monkeypatch, points, env):
+        from smilegeo import cli
+
+        if env is not None:
+            monkeypatch.setenv("SMILEGEO_GRID_POINTS", env)
+        flag = [] if points is None else ["--grid-points", points]
+        code = cli.main(["density", GAMMA_CSV, *flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "--grid-points" in err and "SMILEGEO_GRID_POINTS" in err
+
+    def test_curvature_grid_points_negative_exit_2_short_exit_3(self, capsys):
+        from smilegeo import cli
+
+        assert cli.main(["curvature", GAMMA_CSV, "--grid-points", "-5"]) == 2
+        assert "--grid-points" in capsys.readouterr().err
+        for points in ("0", "1", "8"):
+            assert cli.main(["curvature", GAMMA_CSV, "--grid-points", points]) == 3
+            assert "need at least 9 points" in capsys.readouterr().err
 
     def test_radius_scale_flag(self):
         code, out, _ = run_cli("fit-circle", GAMMA_CSV, "--radius-scale", "1.5")

@@ -10,7 +10,7 @@ from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from scipy.special import ndtr
 
 import smilegeo.smile as smile_module
-from smilegeo.errors import DomainTooNarrow, TargetOutsideDomain
+from smilegeo.errors import DomainTooNarrow, InconsistentForward, TargetOutsideDomain
 from smilegeo.smile import (
     DELTA_SAMPLES,
     GridSpec,
@@ -82,6 +82,13 @@ class TestSmileFromDistribution:
         assert vols[0] < vols[len(ks) // 2] < 1.0
         # vol collapses toward zero at the support edges
         assert vols[-1] < 0.2
+
+    @pytest.mark.parametrize("spot", [99.0, 3.2768 * (1.0 + 1e-8)])
+    def test_mismatched_forward_raises(self, spot):
+        # GAMMA's mean is 3.2768; the second spot is off by 10x the tolerance.
+        bad = MarketState(spot=spot, dom_rate=0.0, for_rate=0.0, tenor=1.0)
+        with pytest.raises(InconsistentForward, match="distribution mean"):
+            smile_from_distribution(GAMMA, bad)
 
 
 class TestStrikeForDelta:
