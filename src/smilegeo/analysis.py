@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .bsm import forward_log_moneyness
+from .bsm import forward_log_moneyness, ndtr
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
 from .georep import RepresentationCurve

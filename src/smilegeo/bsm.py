@@ -2,6 +2,18 @@
 
 Everything here is a pure function of its arguments; prices and deltas accept
 numpy arrays for the strike/vol slots and broadcast in the usual way.
+
+This module is the package's one home of the standard normal CDF and
+quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call.
+``ndtri`` is a scalar pure-Python port of the Cephes ``ndtri`` (S. L.
+Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
+algorithm ``scipy.special.ndtri`` runs: the same three rational
+approximations, coefficients and Horner order, so it returns the same
+double bit for bit.  Importing ``scipy.special`` costs a cold process more
+than the CLI's own work (its array-API layer loads ``numpy.testing``,
+``numpy.f2py`` and ``numpy.ma``), and the quantile is the only special
+function the CLI needs outside ``curvature``; ``math``'s ``erf``/``erfc``
+and ``statistics.NormalDist`` differ from scipy in the last bits.
 """
 from __future__ import annotations
 
@@ -10,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateTenor, NoConvergence, PriceOutOfBand, TargetOutsideDomain
 
@@ -83,9 +94,94 @@ class MarketState:
         return math.exp(-self.for_rate * self.tenor)
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF N(x)."""
-    return ndtr(x)
+_scipy_ndtr = None
+
+
+def ndtr(x):
+    """Standard normal CDF N(x): ``scipy.special.ndtr``, imported on the first call."""
+    global _scipy_ndtr
+    if _scipy_ndtr is None:
+        from scipy.special import ndtr as _scipy_ndtr
+    return _scipy_ndtr(x)
+
+
+# Cephes ndtri.  Central branch: |y - 1/2| <= 1/2 - e^-2, in y - 1/2.  Tail
+# branches in z = 1/sqrt(-2 ln y): P1/Q1 for y > e^-32, P2/Q2 below.  Each Q
+# leads with the 1 that Cephes' p1evl leaves implicit.  Horner from 0.0 then
+# repeats polevl and p1evl exactly: 0 * x + c0 is c0, and 1 * x + c1 is x + c1.
+_NDTRI_S2PI = 2.50662827463100050242e0
+_NDTRI_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _horner(x: float, coef) -> float:
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri_term(x: float, p, q) -> float:
+    """x P(x) / Q(x) in Cephes' order: (x * P(x)) / Q(x)."""
+    return x * _horner(x, p) / _horner(x, q)
+
+
+def ndtri(y: float) -> float:
+    """Standard normal quantile, bit for bit ``scipy.special.ndtri`` on a scalar.
+
+    -inf at 0, inf at 1, NaN outside [0, 1] or for NaN.
+    """
+    y = float(y)
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _NDTRI_EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _NDTRI_EXP_M2:
+        y = y - 0.5
+        return (y + y * _ndtri_term(y * y, _NDTRI_P0, _NDTRI_Q0)) * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    if x < 8.0:
+        tail = _ndtri_term(1.0 / x, _NDTRI_P1, _NDTRI_Q1)
+    else:
+        tail = _ndtri_term(1.0 / x, _NDTRI_P2, _NDTRI_Q2)
+    x = (x - math.log(x) / x) - tail
+    return x if upper else -x
+
+
+std_normal_cdf = ndtr
 
 
 def std_normal_pdf(x):
@@ -191,7 +287,7 @@ def strike_for_target_nd1(ms: MarketState, vol: float, target: float) -> float:
     """
     if not 0.0 < target < 1.0:
         raise TargetOutsideDomain(f"N(-d1) target {target:.6g} outside (0, 1)")
-    z = float(ndtri(target))
+    z = ndtri(target)
     return ms.spot * math.exp(
         z * vol * math.sqrt(ms.tenor)
         + (ms.dom_rate - ms.for_rate + 0.5 * vol * vol) * ms.tenor

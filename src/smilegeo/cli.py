@@ -2,7 +2,8 @@
 
 Subcommands: represent, fit-circle, fit-ellipse, density, curvature,
 complete-surface, compare.  Exit codes: 0 on success, 2 on input/parse
-errors, 3 on numeric failures (inadmissible shapes, out-of-band prices).
+errors, 3 on numeric failures (inadmissible shapes, out-of-band prices,
+grids too narrow for distinct strikes).
 ``compare`` blanks a failed row, names it on stderr, and still exits 0.
 """
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 from .analysis import curvature_profile
 from .bsm import DeltaConvention
 from .emit import RENDERERS, RepresentationScene, TableArtifact
-from .errors import MissingAnchor, ParseError, SmileGeoError
+from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
 from .georep import (
+    DEFAULT_CURVE_POINTS,
     RepresentationConfig,
     continuous_angle,
     flat_context,
@@ -170,13 +172,34 @@ def _representation_points_table(rows, args) -> TableArtifact:
     )
 
 
+def _increasing(grid: np.ndarray, completed) -> np.ndarray:
+    """``grid`` if it strictly increases, else DomainTooNarrow.
+
+    Label strikes a few ulp apart (tenors near 1e-28) leave too few floats
+    between the ends for every point of a grid to be distinct.
+    """
+    if np.all(np.diff(grid) > 0.0):
+        return grid
+    raise DomainTooNarrow(
+        f"expiry {completed.row.expiry_label!r}: strike domain "
+        f"[{float(grid[0])!r}, {float(grid[-1])!r}] is too narrow for {grid.size} distinct "
+        "grid strikes"
+    )
+
+
 def _density_grid(completed, n: int) -> np.ndarray:
     ks = sorted(completed.label_strikes.values())
-    return np.exp(np.linspace(math.log(ks[0]), math.log(ks[-1]), n))
+    return _increasing(np.exp(np.linspace(math.log(ks[0]), math.log(ks[-1]), n)), completed)
+
+
+def _curve_grid(completed, n: int) -> np.ndarray:
+    return _increasing(completed.smile.default_grid(n), completed)
 
 
 def _scene(completed) -> RepresentationScene:
-    curve = represent(completed.smile, completed.ctx)
+    curve = represent(
+        completed.smile, completed.ctx, _curve_grid(completed, DEFAULT_CURVE_POINTS)
+    )
     pts = represent_anchors(completed.anchors, completed.ctx)
     circle = completed.shape if completed.method == "circle" else None
     return RepresentationScene(curve=curve, circle=circle, anchor_points=pts)
@@ -229,9 +252,7 @@ def run(argv=None) -> int:
         _write(density_from_smile(completed.smile, grid), args)
     elif args.command == "curvature":
         completed = _completed_row(rows, args, method="circle")
-        curve = represent(
-            completed.smile, completed.ctx, completed.smile.default_grid(grid_points)
-        )
+        curve = represent(completed.smile, completed.ctx, _curve_grid(completed, grid_points))
         profile = curvature_profile(curve, circle=completed.shape)
         _write(profile, args)
     elif args.command == "complete-surface":

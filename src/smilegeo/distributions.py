@@ -4,6 +4,10 @@ Each family knows its density, CDF, mean, quantile, and the closed form of
 the undiscounted call payoff expectation; ``call_price`` wraps that with the
 discount factor after checking that the distribution mean matches the market
 forward (the consistency constraint every implied density must satisfy).
+
+The normal CDF and quantile come from ``bsm``; the gamma and beta functions
+of ``scipy.special`` are imported where they are used, which keeps
+``scipy.special`` off the CLI's import path.
 """
 from __future__ import annotations
 
@@ -12,9 +16,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammainc, gammaincinv, gammaln, ndtr, ndtri
 
-from .bsm import SQRT_2PI, MarketState
+from .bsm import SQRT_2PI, MarketState, ndtr, ndtri
 from .errors import InconsistentForward, NonFiniteDensity
 
 FORWARD_CONSISTENCY_TOL = 1e-9
@@ -140,7 +143,7 @@ class LogNormal(Distribution):
         return math.exp(self.mu + 0.5 * self.s * self.s)
 
     def quantile(self, p: float) -> float:
-        return math.exp(self.mu + self.s * float(ndtri(p)))
+        return math.exp(self.mu + self.s * ndtri(p))
 
     def expected_call_payoff(self, strike):
         strike = np.asarray(strike, dtype=float)
@@ -159,6 +162,8 @@ class Gamma(Distribution):
             raise ValueError("kappa and theta must be positive")
 
     def pdf(self, x):
+        from scipy.special import gammaln
+
         x = np.asarray(x, dtype=float)
         safe = np.where(x > 0, x, 1.0)
         logp = (
@@ -171,6 +176,8 @@ class Gamma(Distribution):
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
         out = np.where(x > 0, gammainc(self.kappa, np.maximum(x, 0.0) / self.theta), 0.0)
         return float(out) if np.ndim(out) == 0 else out
@@ -179,9 +186,13 @@ class Gamma(Distribution):
         return self.kappa * self.theta
 
     def quantile(self, p: float) -> float:
+        from scipy.special import gammaincinv
+
         return self.theta * float(gammaincinv(self.kappa, p))
 
     def expected_call_payoff(self, strike):
+        from scipy.special import gammainc
+
         strike = np.asarray(strike, dtype=float)
         k, th = self.kappa, self.theta
         out = th * k * (1.0 - gammainc(k + 1.0, strike / th)) - strike * (
@@ -212,7 +223,7 @@ class Normal(Distribution):
         return self.mu
 
     def quantile(self, p: float) -> float:
-        return self.mu + self.s * float(ndtri(p))
+        return self.mu + self.s * ndtri(p)
 
     def mass_below_zero(self) -> float:
         return float(ndtr(-self.mu / self.s))
@@ -235,6 +246,8 @@ class StudentT(Distribution):
 
     @property
     def _norm_const(self) -> float:
+        from scipy.special import gammaln
+
         return math.exp(gammaln(0.5 * (self.nu + 1.0)) - gammaln(0.5 * self.nu)) / math.sqrt(
             self.nu * math.pi
         )
@@ -245,6 +258,8 @@ class StudentT(Distribution):
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, x):
+        from scipy.special import betainc
+
         t = np.asarray(x, dtype=float) - self.mu
         y = self.nu / (self.nu + t * t)
         upper_tail = 0.5 * betainc(0.5 * self.nu, 0.5, y)
@@ -257,6 +272,8 @@ class StudentT(Distribution):
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
+        from scipy.special import betaincinv
+
         tail = 2.0 * min(p, 1.0 - p)
         y = float(betaincinv(0.5 * self.nu, 0.5, tail))
         t = math.sqrt(self.nu * (1.0 - y) / y) if y < 1.0 else 0.0
@@ -266,6 +283,8 @@ class StudentT(Distribution):
         return float(self.cdf(0.0))
 
     def expected_call_payoff(self, strike):
+        from scipy.special import betainc
+
         strike = np.asarray(strike, dtype=float)
         mu, nu = self.mu, self.nu
         tail_term = (

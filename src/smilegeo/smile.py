@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .bsm import (
     IV_BRACKET_HI,
@@ -32,6 +31,8 @@ from .bsm import (
     _sweep_price,
     forward_log_moneyness,
     implied_vol_grid,
+    ndtr,
+    ndtri,
 )
 from .distributions import DensityCurve, Distribution
 from .errors import DomainTooNarrow, NoConvergence, NonpositiveVol, TargetOutsideDomain
@@ -212,8 +213,8 @@ def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec) -> np.ndarr
     atm_flat = ms.spot * math.exp(
         (ms.dom_rate - ms.for_rate + 0.5 * proxy * proxy) * ms.tenor
     )
-    half_lo = float(ndtri(GRID_DELTA_WINDOW[0])) * proxy * sqrt_t * grid.width_mult
-    half_hi = float(ndtri(GRID_DELTA_WINDOW[1])) * proxy * sqrt_t * grid.width_mult
+    half_lo = ndtri(GRID_DELTA_WINDOW[0]) * proxy * sqrt_t * grid.width_mult
+    half_hi = ndtri(GRID_DELTA_WINDOW[1]) * proxy * sqrt_t * grid.width_mult
     ln_lo = math.log(atm_flat) + half_lo
     ln_hi = math.log(atm_flat) + half_hi
     width = ln_hi - ln_lo

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .analysis import DivergenceReport, best_lognormal, kl_divergence
-from .bsm import DeltaConvention, MarketState
+from .bsm import DeltaConvention, MarketState, ndtr
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape

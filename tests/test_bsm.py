@@ -67,6 +67,31 @@ class TestNormalCdf:
         assert np.all(np.diff(std_normal_cdf(xs)) >= 0.0)
 
 
+class TestNormalQuantile:
+    def test_bit_for_bit_scipy(self):
+        # The port against the ufunc it ports, on every branch: the centre,
+        # each tail on both sides with z = sqrt(-2 ln y) below 8 and from 8
+        # up (y above and below e^-32), the branch edges e^-2 and 1 - e^-2
+        # with their neighbours, and exact ends.  Near 1 the floats are
+        # 1 - k 2^-53, and k below about 114 000 is the upper z >= 8 tail.
+        from scipy.special import ndtri as scipy_ndtri
+
+        rng = np.random.default_rng(20261018)
+        edges = [0.13533528323661269189, 1.0 - 0.13533528323661269189, math.exp(-32.0)]
+        ys = np.concatenate([
+            rng.uniform(edges[0], edges[1], 100_000),
+            np.exp(-rng.uniform(2.0, 32.0, 60_000)),
+            np.exp(-rng.uniform(32.0, 744.0, 60_000)),
+            -np.expm1(-rng.uniform(2.0, 32.0, 60_000)),
+            1.0 - rng.integers(1, 2**17, 40_000) * 2.0**-53,
+            [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)],
+            edges,
+            [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, -0.0, -1e-300, 1.5, np.nan],
+        ])
+        ported = np.array([bsm_module.ndtri(y) for y in ys.tolist()])
+        assert np.array_equal(ported, scipy_ndtri(ys), equal_nan=True)
+
+
 class TestD1D2:
     def test_forward_neutral_case(self):
         d1, d2 = d1_d2(FLAT, 100.0, 0.2)

@@ -173,6 +173,40 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+# A cold CLI process runs every subcommand but curvature without loading any
+# scipy module: the normal quantile is bsm's own, and the normal CDF and the
+# gamma and beta functions import scipy.special on their first call.
+SCIPY_FREE_PROBE = """
+import os
+import sys
+
+from smilegeo import cli
+
+surface = sys.argv[1]
+for argv in (
+    ["represent"],
+    ["fit-circle"],
+    ["fit-ellipse"],
+    ["density", "--method", "circle"],
+    ["density", "--method", "vanna-volga"],
+    ["complete-surface"],
+    ["compare"],
+):
+    assert cli.main([argv[0], surface, *argv[1:], "--out", os.devnull]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_PROBE, GAMMA_CSV],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_library_never_imports_scipy_optimize():
     src = pathlib.Path(SRC) / "smilegeo"
     found = []
@@ -351,6 +385,33 @@ class TestCli:
             assert "Traceback" not in captured.err
             assert f"vanna-volga-{variant} smile implies vol <= 0 at strike" in captured.err
             assert "nan" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--method", "circle"],
+            ["density", "--method", "ellipse"],
+            ["density", "--method", "vanna-volga"],
+            ["density", "--method", "vanna-volga", "--vv-variant", "first"],
+            ["curvature"],
+            ["fit-circle", "--output-format", "svg"],
+            ["fit-ellipse", "--output-format", "svg"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_ulp_apart_label_strikes_exit_3(self, tmp_path, capsys, argv):
+        # A tenor of 1e-28 leaves the label strikes of gamma row 1 a few ulp
+        # apart: distinct, so the row parses, but with too few floats between
+        # them for a grid of distinct strikes.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 1, (("tenor_years", "1e-28"),))
+        code = cli.main([argv[0], str(bad), *argv[1:], "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "expiry '2W': strike domain [3.39999999999999" in err
+        assert "too narrow" in err
 
     @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
     def test_represent_is_the_library_polar_map(self, csv_path, capsys):
