@@ -15,16 +15,20 @@ Q the anchor convexity term.  Its wings bend away from the quadratic, which
 is what makes it the interesting comparison baseline; where the square-root
 argument turns negative (far wings) it is clamped at zero.
 
-The market variant has three branches: the main quotient, a series form
-where |d1 d2| is tiny, and the clamped form.  On an array, the branch masks
-come from B and D first and each branch's expressions run on its own points
-only (``_per_branch``), so a density grid pays for the series and clamped
-derivative terms only where they apply.  A single strike takes a 0-d path:
-float arithmetic with the branch picked by ``if``, no masks or error-state
-switching.  Both paths form B = 2 sigma2 P + Q with ``np.dot`` over the
-three weights, never a Python sum: the BLAS dot rounds differently from
-``s1*w1 + s2*w2 + s3*w3``, and ``np.dot`` keeps every vol as it was bit for
-bit.  ``vv_smile`` sweeps its domain with ``require_positive_vol``, the same
+The market variant has two branches: the quotient, and the clamped form.
+The quotient is evaluated rationalised, sigma2 + B / (sqrt(sigma2^2 + D B)
++ sigma2) with B = 2 sigma2 P + Q and D = d1 d2: it never divides by D, so
+it is smooth where d1 d2 crosses zero near the money and needs no series
+there.  On an array, the branch masks come from B and D first and each
+branch's expressions run on its own points only (``_per_branch``), so a
+density grid pays for the clamped derivative terms only where they apply.
+A single strike takes a 0-d path: float arithmetic with the branch picked by
+``if``, no masks or error-state switching.  B and its slopes are formed
+as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the three weights.  A
+dot product would round each strike's sum by its position in the array, so
+a vol could change with the grid it is read on; the elementwise sum gives a
+strike the same bits alone, inside any grid, and on the float path.
+``vv_smile`` sweeps its domain with ``require_positive_vol``, the same
 admissibility check the inverted shapes use.
 """
 from __future__ import annotations
@@ -37,8 +41,6 @@ import numpy as np
 from .bsm import MarketState
 from .errors import NonpositiveVol
 from .smile import DeltaAnchor, SmileCurve, require_positive_vol
-
-MARKET_VV_SMALL_D1D2 = 1e-5  # below this, use the series form of the quotient
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,8 @@ class ThreeQuoteSmile:
         k1, k2, k3 = (a.strike for a in self.anchors)
         if not k1 < k2 < k3:
             raise ValueError("anchor strikes must be strictly increasing")
-        if any(a.vol <= 0.0 for a in self.anchors):
-            raise ValueError("anchor vols must be positive")
+        if not all(0.0 < a.vol < math.inf for a in self.anchors):
+            raise ValueError("anchor vols must be finite and positive")
 
     @property
     def strikes(self) -> tuple[float, float, float]:
@@ -77,7 +79,7 @@ class _LnKWeights:
     def __init__(self, m):
         m1, m2, m3 = self.m = tuple(float(v) for v in m)
         self.den = ((m1 - m2) * (m1 - m3), (m2 - m1) * (m2 - m3), (m3 - m1) * (m3 - m2))
-        self.wpp = np.array([2.0 / d for d in self.den])
+        self.wpp = tuple(2.0 / d for d in self.den)
 
     def __call__(self, lnk):
         m1, m2, m3 = self.m
@@ -106,10 +108,15 @@ def vv_weights(q: ThreeQuoteSmile, strike):
 
 def vv_vol(q: ThreeQuoteSmile, strike):
     """First-order vanna-volga vol at the given strike(s)."""
+    return _vol_at_strikes(_FirstOrder(q), strike)
+
+
+def _vol_at_strikes(backend, strike):
+    """``backend.vol`` at finite, positive strike(s): a float for one strike."""
     strike = np.asarray(strike, dtype=float)
-    if np.any(strike <= 0.0):
-        raise ValueError("strike must be positive")
-    out = _FirstOrder(q).vol(np.log(strike))
+    if not np.all(np.isfinite(strike) & (strike > 0.0)):
+        raise ValueError("strike must be finite and positive")
+    out = backend.vol(np.log(strike))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -145,17 +152,24 @@ class _MarketOrder:
     """Market vanna-volga vol with exact ln-K derivatives.
 
     All building blocks are quadratics in m = ln K: the Lagrange terms P and
-    Q, and D = d1 d2 at the middle vol.  The vol, its derivative, and its
-    second derivative follow by differentiating the quotient, switching to a
-    series expansion where D crosses zero and to the clamped branch where the
-    square-root argument is negative.  Each branch is evaluated on its own
-    points only.
+    Q, and D = d1 d2 at the middle vol.  With B = 2 sigma2 P + Q,
+    w = sqrt(sigma2^2 + D B) and u = w + sigma2, the quotient
+    (w - sigma2) / D is rationalised to B / u: since (w - sigma2) u = D B,
+    it is the same function, but it never divides by D.  So it needs no
+    series where D crosses zero, and its derivatives lose no digits there:
+
+        sigma   = sigma2 + B / u
+        sigma'  = B' / u - B w' / u^2
+        sigma'' = B'' / u - 2 B' w' / u^2 - B w'' / u^2 + 2 B w'^2 / u^3
+
+    Where the square-root argument is not positive the clamped branch
+    sigma2 - sigma2 / D takes over (D B < -sigma2^2 there, so D != 0).
+    Each branch is evaluated on its own points only.
     """
 
     def __init__(self, q: ThreeQuoteSmile, ms: MarketState):
         s1, s2, s3 = q.vols
         self.s2 = s2
-        self.s3, self.s5 = s2**3, s2**5
         c = s2 * math.sqrt(ms.tenor)
         # Every d1, d2 divides by c and the jet by c * c: a middle vol that
         # leaves either 0 in floats is no vol at all.
@@ -170,19 +184,14 @@ class _MarketOrder:
         self.a2 = a1 - c
         m = np.log(q.strikes)
         self.w = _LnKWeights(m)
+        # B = 2 sigma2 P + Q is one sum over the weights.  The weights sum to
+        # one, so P = sum (sigma_i - sigma2) w_i: written with the gaps to the
+        # middle vol, B loses no digits where it is small.
         d_anchor = (self.a1 - m / c) * (self.a2 - m / c)
-        self.q_coef = d_anchor * np.square(np.array([s1 - s2, 0.0, s3 - s2]))
-        self.sig = np.array(q.vols)
+        gap = np.array([s1 - s2, 0.0, s3 - s2])
+        self.b_coef = tuple((gap * (2.0 * s2 + d_anchor * gap)).tolist())
         # B's second derivative is constant: the weights are quadratics.
-        p2 = float(np.dot(self.sig, self.w.wpp))
-        q2 = float(np.dot(self.q_coef, self.w.wpp))
-        self.b2 = 2.0 * s2 * p2 + q2
-
-    def _b(self, w):
-        """B = 2 sigma2 P + Q from the three weights: floats, or the rows of a (3, n) array."""
-        p = np.dot(self.sig, w) - self.s2
-        qq = np.dot(self.q_coef, w)
-        return 2.0 * self.s2 * p + qq
+        self.b2 = _sum3(self.b_coef, self.w.wpp)
 
     def _d1_d2(self, lnk):
         return self.a1 - lnk / self.c, self.a2 - lnk / self.c
@@ -190,84 +199,41 @@ class _MarketOrder:
     def _pieces(self, lnk):
         """B and D = d1 d2 with their first and second ln-K derivatives."""
         lnk = np.asarray(lnk, dtype=float)
-        wp = np.stack(self.w.slopes(lnk))
-        p1 = np.dot(self.sig, wp)
-        q1 = np.dot(self.q_coef, wp)
-        b = self._b(np.stack(self.w(lnk)))
-        b1 = 2.0 * self.s2 * p1 + q1
-        b2 = self.b2
+        b = _sum3(self.b_coef, self.w(lnk))
+        b1 = _sum3(self.b_coef, self.w.slopes(lnk))
         d1, d2_ = self._d1_d2(lnk)
-        dd = d1 * d2_
         dd1 = -(d1 + d2_) / self.c
         dd2 = 2.0 / (self.c * self.c)
-        return b, b1, b2, dd, dd1, dd2
+        return b, b1, self.b2, d1 * d2_, dd1, dd2
 
     def _branches(self, b, dd):
-        """The square-root argument and the main, series and clamped masks.
+        """The square-root argument and the main and clamped masks.
 
-        The clamped branch pins a negative square-root argument at zero; the
-        series branch replaces the quotient where |D| is tiny.
+        The clamped branch pins a non-positive square-root argument at zero.
         """
         arg = self.s2 * self.s2 + dd * b
         clamped = arg <= 0.0
-        small = (np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped
-        return arg, (~(clamped | small), small, clamped)
-
-    @staticmethod
-    def _root(arg):
-        """sqrt(arg), read only where arg > 0 (NaN arguments give 1)."""
-        return np.sqrt(np.where(arg > 0.0, arg, 1.0))
+        return arg, (~clamped, clamped)
 
     # sigma on one branch's points: (arg, b, dd) -> (sigma,)
     def _main_vol(self, arg, b, dd):
-        return (self.s2 + (self._root(arg) - self.s2) / dd,)
-
-    def _series_vol(self, arg, b, dd):
-        s2 = self.s2
-        return (
-            s2 + b / (2.0 * s2) - dd * b * b / (8.0 * self.s3) + dd * dd * b**3 / (16.0 * self.s5),
-        )
+        return (self.s2 + b / (np.sqrt(arg) + self.s2),)
 
     def _clamped_vol(self, arg, b, dd):
         return (self.s2 - self.s2 / dd,)
 
     # (sigma, sigma', sigma'') on one branch's points, from the _pieces terms
     def _main_jet(self, arg, b, b1, b2, dd, dd1, dd2):
-        s2 = self.s2
-        w_ = self._root(arg)
-        sig = s2 + (w_ - s2) / dd
+        w_ = np.sqrt(arg)
+        u = w_ + self.s2
         w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
         w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
-        dsig = w1_ / dd - (w_ - s2) * dd1 / (dd * dd)
+        sig = self.s2 + b / u
+        dsig = b1 / u - b * w1_ / (u * u)
         d2sig = (
-            w2_ / dd
-            - 2.0 * w1_ * dd1 / (dd * dd)
-            - (w_ - s2) * dd2 / (dd * dd)
-            + 2.0 * (w_ - s2) * dd1 * dd1 / dd**3
-        )
-        return sig, dsig, d2sig
-
-    def _series_jet(self, arg, b, b1, b2, dd, dd1, dd2):
-        # Series around d1 d2 = 0 (the quotient is smooth there).
-        s2, s3_, s5_ = self.s2, self.s3, self.s5
-        (sig,) = self._series_vol(arg, b, dd)
-        dsig = (
-            b1 / (2.0 * s2)
-            - (dd1 * b * b + 2.0 * dd * b * b1) / (8.0 * s3_)
-            + (2.0 * dd * dd1 * b**3 + 3.0 * dd * dd * b * b * b1) / (16.0 * s5_)
-        )
-        d2sig = (
-            b2 / (2.0 * s2)
-            - (dd2 * b * b + 4.0 * dd1 * b * b1 + 2.0 * dd * b1 * b1 + 2.0 * dd * b * b2)
-            / (8.0 * s3_)
-            + (
-                2.0 * dd1 * dd1 * b**3
-                + 2.0 * dd * dd2 * b**3
-                + 12.0 * dd * dd1 * b * b * b1
-                + 6.0 * dd * dd * b * b1 * b1
-                + 3.0 * dd * dd * b * b * b2
-            )
-            / (16.0 * s5_)
+            b2 / u
+            - (2.0 * b1 * w1_ + b * w2_) / (u * u)
+            + 2.0 * b * w1_ * w1_ / (u * u * u)
         )
         return sig, dsig, d2sig
 
@@ -275,13 +241,13 @@ class _MarketOrder:
         # sqrt argument pinned at zero.
         s2 = self.s2
         (sig,) = self._clamped_vol(arg, b, dd)
-        return sig, s2 * dd1 / (dd * dd), s2 * (dd2 * dd - 2.0 * dd1 * dd1) / dd**3
+        return sig, s2 * dd1 / (dd * dd), s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd)
 
     def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
         b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
         arg, masks = self._branches(b, dd)
-        fns = (self._main_jet, self._series_jet, self._clamped_jet)
+        fns = (self._main_jet, self._clamped_jet)
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite B or D
             return _per_branch(masks, fns, (arg, b, b1, b2, dd, dd1, dd2))
 
@@ -291,25 +257,27 @@ class _MarketOrder:
             return self._vol_at(float(lnk))
         lnk = np.asarray(lnk, dtype=float)
         d1, d2_ = self._d1_d2(lnk)
-        b, dd = self._b(np.stack(self.w(lnk))), d1 * d2_
+        b, dd = _sum3(self.b_coef, self.w(lnk)), d1 * d2_
         arg, masks = self._branches(b, dd)
-        fns = (self._main_vol, self._series_vol, self._clamped_vol)
+        fns = (self._main_vol, self._clamped_vol)
         with np.errstate(divide="ignore", invalid="ignore"):
             return _per_branch(masks, fns, (arg, b, dd))[0]
 
     def _vol_at(self, x: float) -> float:
         """sigma at one ln K in float arithmetic, branch picked by ``if``."""
         s2 = self.s2
-        b = float(self._b(self.w(x)))
+        b = _sum3(self.b_coef, self.w(x))
         d1, d2_ = self._d1_d2(x)
         dd = d1 * d2_
         arg = s2 * s2 + dd * b
         if arg <= 0.0:
-            return self._clamped_vol(arg, b, dd)[0]
-        if abs(dd) <= MARKET_VV_SMALL_D1D2:
-            # numpy scalars: b**3 overflows to inf instead of raising.
-            return float(self._series_vol(arg, np.float64(b), np.float64(dd))[0])
-        return s2 + ((math.sqrt(arg) if arg > 0.0 else 1.0) - s2) / dd
+            return s2 - s2 / dd
+        return s2 + b / (math.sqrt(arg) + s2)
+
+
+def _sum3(coef, w):
+    """coef[0] w[0] + coef[1] w[1] + coef[2] w[2], element by element."""
+    return coef[0] * w[0] + coef[1] * w[1] + coef[2] * w[2]
 
 
 def _per_branch(masks, fns, args):
@@ -336,11 +304,7 @@ def _per_branch(masks, fns, args):
 
 def vv_vol_market(q: ThreeQuoteSmile, strike):
     """Market vanna-volga vol at the given strike(s)."""
-    strike = np.asarray(strike, dtype=float)
-    if np.any(strike <= 0.0):
-        raise ValueError("strike must be positive")
-    out = _MarketOrder(q, q.market).vol(np.log(strike))
-    return float(out) if np.ndim(out) == 0 else out
+    return _vol_at_strikes(_MarketOrder(q, q.market), strike)
 
 
 def vv_smile(

@@ -2,6 +2,7 @@
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from scipy.special import ndtr
 
 import smilegeo.smile as smile_module
 from smilegeo.errors import DomainTooNarrow, InconsistentForward, TargetOutsideDomain
+from smilegeo.shapes import CircleShape
 from smilegeo.smile import (
     DELTA_SAMPLES,
     GridSpec,
@@ -25,12 +27,13 @@ from smilegeo.smile import (
     strikes_for_deltas,
 )
 from smilegeo.surface import complete_expiry, parse_surface
-from smilegeo.vanna_volga import MARKET_VV_SMALL_D1D2
 from smilegeo.workflows import market_state_for, smile_with_coverage
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
-GAMMA_CSV = pathlib.Path(__file__).resolve().parent.parent / "data" / "synthetic_gamma_surface.csv"
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+GAMMA_CSV = DATA / "synthetic_gamma_surface.csv"
+SHIPPED_SURFACES = (DATA / "synthetic_circle_surface.csv", GAMMA_CSV)
 
 
 def synthetic_sine_smile(ms: MarketState) -> SmileCurve:
@@ -301,39 +304,52 @@ JET_BACKENDS = {
 }
 
 
+def completed_shipped_rows(method, variant="market"):
+    """Every row of both shipped surfaces, completed under spot-pips."""
+    return [
+        complete_expiry(row, method, DeltaConvention.SPOT_PIPS, vv_variant=variant)
+        for path in SHIPPED_SURFACES
+        for row in parse_surface(path.read_bytes())
+    ]
+
+
+def with_market_vv_extras(market, lnk):
+    """lnk plus the clamped upper wing and the two roots of d1 d2 (last four points)."""
+    roots = np.array([market.a1, market.a2]) * market.c
+    return np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
+
+
 class TestJet:
     @pytest.mark.parametrize("backend", list(JET_BACKENDS))
     def test_sigma_is_vol_fn(self, backend):
         smile = JET_BACKENDS[backend]()
         lnk = np.log(smile.default_grid(401))
         if backend == "vv-market":
-            # Add the clamped upper wing and the roots of d1 d2 (series branch).
+            # The grid crosses both branches; the roots of d1 d2 are main-branch points.
             market = smile.jet_fn.__self__
-            roots = np.array([market.a1, market.a2]) * market.c
-            lnk = np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
+            lnk = with_market_vv_extras(market, lnk)
             b, _, _, dd, _, _ = market._pieces(lnk)
             clamped = market.s2**2 + dd * b <= 0.0
+            _, (main_mask, clamped_mask) = market._branches(b, dd)
+            assert np.array_equal(main_mask, ~clamped) and np.array_equal(clamped_mask, clamped)
             assert np.any(clamped)
-            assert np.any((np.abs(dd) <= MARKET_VV_SMALL_D1D2) & ~clamped)
+            assert not np.any(clamped[-4:]) and np.all(np.abs(dd[-4:]) <= 1e-8)
         assert np.array_equal(smile.jet_fn(lnk)[0], smile.vol_fn(lnk))
 
     def test_market_vv_branches_evaluated_apart(self):
-        # One grid through the main, series and clamped branches.  Each
-        # branch's expressions, given only its own points, must give jet's
-        # values there.  B, D and their slopes are formed once on the whole
-        # grid: the BLAS dot behind B rounds by position in the array, so
-        # re-forming it on a subset can move its last bit.
+        # One grid through the main and clamped branches, with the roots of
+        # d1 d2 in the main one.  Each branch's expressions, given only its
+        # own points, must give jet's (and vol's) values there.
         smile = completed_1y("vanna-volga", "market")
         market = smile.jet_fn.__self__
-        lnk = np.log(smile.default_grid(401))
-        roots = np.array([market.a1, market.a2]) * market.c
-        lnk = np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
+        lnk = with_market_vv_extras(market, np.log(smile.default_grid(401)))
         pieces = market._pieces(lnk)
         arg, masks = market._branches(pieces[0], pieces[3])
-        assert [bool(np.any(m)) for m in masks] == [True, True, True]
+        assert [bool(np.any(m)) for m in masks] == [True, True]
         assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(lnk.size, dtype=int))
+        assert np.all(masks[0][-4:])
         whole = market.jet(lnk)
-        branches = (market._main_jet, market._series_jet, market._clamped_jet)
+        branches = (market._main_jet, market._clamped_jet)
         args = (arg,) + pieces
         for mask, branch in zip(masks, branches):
             alone = branch(*(a[mask] if isinstance(a, np.ndarray) else a for a in args))
@@ -341,10 +357,111 @@ class TestJet:
                 assert np.array_equal(got[mask], want)
         sig_alone = [
             fn(*(a[m] for a in (arg, pieces[0], pieces[3])))[0]
-            for m, fn in zip(masks, (market._main_vol, market._series_vol, market._clamped_vol))
+            for m, fn in zip(masks, (market._main_vol, market._clamped_vol))
         ]
         vol = market.vol(lnk)
         assert all(np.array_equal(vol[m], s) for m, s in zip(masks, sig_alone))
+
+    def test_market_vv_read_alone_equals_read_in_grid(self):
+        # A strike's vol and jet do not depend on the array it is read in.
+        for done in completed_shipped_rows("vanna-volga"):
+            smile = done.smile
+            lnk = np.log(smile.default_grid(201))
+            alone_vol = [smile.vol_fn(x) for x in lnk.tolist()]
+            alone_jet = np.array([smile.jet_fn(x) for x in lnk.tolist()]).T
+            assert np.array_equal(smile.vol_fn(lnk), alone_vol)
+            assert np.array_equal(np.array(smile.jet_fn(lnk)), alone_jet)
+
+
+def _mp_sigma(done):
+    """sigma(ln K) of a completion in mpmath, from the backend's float parameters.
+
+    Circles and conics take the fitted shape and the context; vanna-volga
+    takes the anchor vols and the backend's log-strikes and d1 terms, and
+    the market variant its quotient in the textbook form.
+    """
+    mp = mpmath.mp
+    if done.shape is None:
+        backend = done.smile.jet_fn.__self__
+        m, vols = backend.w.m, [a.vol for a in done.anchors]
+
+        def weights(x):
+            return [
+                mp.fprod((x - m[j]) / (m[i] - m[j]) for j in range(3) if j != i)
+                for i in range(3)
+            ]
+
+        if done.smile.label == "vanna-volga-first":
+            return lambda x: mp.fdot(weights(x), vols)
+        s2, c = mp.mpf(backend.s2), mp.mpf(backend.c)
+
+        def d1d2(x):
+            return (backend.a1 - x / c) * (backend.a2 - x / c)
+
+        def market_vv(x):
+            w = weights(x)
+            p = mp.fdot(w, vols) - s2
+            q = mp.fsum(wi * d1d2(mi) * (si - s2) ** 2 for wi, mi, si in zip(w, m, vols))
+            dd = d1d2(x)
+            arg = s2 * s2 + dd * (2 * s2 * p + q)
+            if arg <= 0:
+                return s2 - s2 / dd
+            return s2 + (-s2 + mp.sqrt(arg)) / dd
+
+        return market_vv
+    r_scale = mp.mpf(done.ctx.radius_scale)
+    ln_atm = mp.log(done.ctx.atm_rn)
+
+    def sigma(x):
+        phi = 2 * mp.atan((x - ln_atm) / r_scale) - mp.pi / 2
+        cos, sin = mp.cos(phi), mp.sin(phi)
+        if isinstance(done.shape, CircleShape):
+            cx, cy = done.shape.center
+            g = cx * cos + cy * sin
+            rho = g + mp.sqrt(g * g - cx * cx - cy * cy + mp.mpf(done.shape.radius) ** 2)
+        else:
+            a, b, cc, d, e, f = done.shape.coefficients
+            quad = a * cos * cos + b * cos * sin + cc * sin * sin
+            lin = d * cos + e * sin
+            rho = (-lin + mp.sqrt(lin * lin - 4 * quad * f)) / (2 * quad)
+        return rho - r_scale
+
+    return sigma
+
+
+ORACLE_BACKENDS = {
+    "circle": ("circle", "market"),
+    "conic": ("ellipse", "market"),
+    "vv-first": ("vanna-volga", "first"),
+    "vv-market": ("vanna-volga", "market"),
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("backend", list(ORACLE_BACKENDS))
+    def test_jet_matches_mpmath(self, backend):
+        # sigma, sigma' and sigma'' against 40-digit derivatives of the same
+        # function, relative to the row's largest |sigma''| or to 1 where
+        # that is smaller.  vv-first is nearly straight on the circle
+        # surface's short tenors (|sigma''| about 2e-7), and its Lagrange
+        # curvature, a sum of terms of size sigma / (anchor spacing)^2, is
+        # known in floats only to about 1e-13 there.  Market vanna-volga adds
+        # points where |d1 d2| is 1e-6 to 1e-2, around both of its roots.
+        for done in completed_shipped_rows(*ORACLE_BACKENDS[backend]):
+            lnk = np.log(done.smile.default_grid(41))
+            if backend == "vv-market":
+                market = done.smile.jet_fn.__self__
+                near = np.concatenate([-np.geomspace(1e-6, 1e-2, 5), np.geomspace(1e-6, 1e-2, 5)])
+                roots = (market.a1 * market.c, market.a2 * market.c)
+                lnk = np.concatenate([lnk, *(root + near for root in roots)])
+            with mpmath.workdps(40):
+                sigma = _mp_sigma(done)
+                ref = np.array(
+                    [[float(v) for v in mpmath.diffs(sigma, x, 2)] for x in lnk.tolist()]
+                )
+            got = np.array(done.smile.jet_fn(lnk)).T
+            err = np.max(np.abs(got - ref)) / max(np.max(np.abs(ref[:, 2])), 1.0)
+            assert err <= 1e-12, (done.row.expiry_label, err)
 
 
 class TestAtmRnStrike:

@@ -123,7 +123,7 @@ class TestMarketVariant:
 
     def test_smooth_across_d1d2_zero(self):
         # d1 d2 changes sign near the money; the quotient has a removable
-        # singularity there and the series branch must bridge it smoothly.
+        # singularity there and its evaluation must pass it smoothly.
         q = quotes()
         ks = np.linspace(90.0, 115.0, 4001)
         vols = np.asarray(vv_vol_market(q, ks))
@@ -166,3 +166,14 @@ class TestSmileWrapper:
         )
         with pytest.raises(ValueError):
             ThreeQuoteSmile(anchors=anchors, market=MS)
+
+    @pytest.mark.parametrize("vol", [0.0, -0.2, math.nan, math.inf])
+    def test_anchor_vols_must_be_finite_and_positive(self, vol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            quotes(s2=vol)
+
+    @pytest.mark.parametrize("fn", [vv_vol, vv_vol_market])
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan, math.inf, [100.0, math.nan]])
+    def test_strikes_must_be_finite_and_positive(self, fn, strike):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fn(quotes(), strike)

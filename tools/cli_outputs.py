@@ -1,6 +1,7 @@
 """Run every smilegeo CLI subcommand over the shipped surfaces and keep the bytes.
 
 Usage: python3 tools/cli_outputs.py SRC_ROOT OUT_DIR
+       python3 tools/cli_outputs.py --compare DIR_A DIR_B
 
 SRC_ROOT is the directory that holds the ``smilegeo`` package (a checkout's
 ``src/``); it is imported in-process and ``cli.main`` is called once per run.
@@ -23,6 +24,13 @@ process, which loads no scipy module.  The run order is also the order of
 Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
 lists every run with its exit code (and its stderr when non-empty).  Trees
 written from two checkouts compare with ``diff -r``.
+
+``--compare`` lists what moved between two such trees: every output whose
+bytes differ (and any that only one tree has), and for each numeric column
+of a differing CSV the largest absolute move and the largest move relative
+to the column's peak |value| in DIR_A.  JSON and SVG outputs are listed by
+path only; their numbers are those of the CSV of the same run.  The last
+line counts the differing files and says whether ``exit_codes.txt`` differs.
 """
 from __future__ import annotations
 
@@ -73,7 +81,50 @@ def _all_runs():
                         yield f"{name}/{cmd}-{tag}{conv}.{fmt}", [cmd, *common, *flags, *conv_flags]
 
 
+def _columns(data: bytes) -> dict[str, list[float]]:
+    """The numeric columns of a CSV output, by header name."""
+    header, *rows = list(csv.reader(io.StringIO(data.decode())))
+    out = {}
+    for i, name in enumerate(header):
+        try:
+            out[name] = [float(row[i]) for row in rows]
+        except (ValueError, IndexError):
+            continue
+    return out
+
+
+def compare(dir_a: Path, dir_b: Path) -> None:
+    files = [{p.relative_to(d) for p in d.rglob("*") if p.is_file()} for d in (dir_a, dir_b)]
+    for rel in sorted(files[0] ^ files[1]):
+        print(f"{rel}: only in {dir_a if rel in files[0] else dir_b}")
+    common = sorted(files[0] & files[1])
+    moved = [rel for rel in common if (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes()]
+    for rel in moved:
+        print(rel)
+        if rel.suffix != ".csv":
+            continue
+        cols_a, cols_b = (_columns((d / rel).read_bytes()) for d in (dir_a, dir_b))
+        for name, col_a in cols_a.items():
+            col_b = cols_b.get(name)
+            if col_b is None or len(col_b) != len(col_a):
+                print(f"  {name}: column missing or of another length")
+                continue
+            move = max((abs(a - b) for a, b in zip(col_a, col_b)), default=0.0)
+            if move > 0.0:
+                peak = max(abs(a) for a in col_a)
+                rel_move = move / peak if peak > 0.0 else float("inf")
+                print(f"  {name}: at most {move:.2g} absolute, {rel_move:.2g} of the column's peak")
+    exit_codes = Path("exit_codes.txt")
+    print(
+        f"{len(moved)} of {len(common)} files differ; exit_codes.txt "
+        + ("differs" if exit_codes in moved else "is identical")
+    )
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]), Path(argv[2]))
+        return 0
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
