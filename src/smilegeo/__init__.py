@@ -63,7 +63,6 @@ from .errors import (
 )
 from .fitting import fit_circle_to_smile, fit_ellipse_to_smile
 from .georep import (
-    RepresentationConfig,
     RepresentationCurve,
     ReprContext,
     context_for_smile,

@@ -21,7 +21,6 @@ from .emit import RENDERERS, RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
 from .georep import (
     DEFAULT_CURVE_POINTS,
-    RepresentationConfig,
     continuous_angle,
     flat_context,
     represent,
@@ -50,8 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("surface", help="surface CSV file")
     common.add_argument(
         "--radius-scale",
+        type=_radius_scale,
         default="auto",
-        help="radial scale R, or 'auto' (default) for the delta-window rule",
+        help="radial scale R (finite, positive), or 'auto' (default) for the delta-window rule",
     )
     common.add_argument(
         "--grid-points",
@@ -94,13 +94,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RepresentationConfig:
-    if args.radius_scale == "auto":
-        return RepresentationConfig()
+def _radius_scale(text: str) -> float | None:
+    """--radius-scale as a finite positive float, or None for 'auto'.
+
+    Raises ParseError, which argparse lets through, so ``main`` exits 2.
+    """
+    if text == "auto":
+        return None
     try:
-        return RepresentationConfig(radius_scale=float(args.radius_scale))
+        value = float(text)
     except ValueError:
-        raise ParseError("--radius-scale must be a positive number or 'auto'") from None
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ParseError(
+            f"--radius-scale must be a finite positive number or 'auto', got {text!r}"
+        )
+    return value
 
 
 def _grid_points(args, least: int) -> int:
@@ -149,7 +158,7 @@ def _completed_row(rows, args, method=None):
         row,
         method or args.method,
         _convention(args),
-        _config(args),
+        args.radius_scale,
         vv_variant=args.vv_variant,
     )
 
@@ -157,7 +166,7 @@ def _completed_row(rows, args, method=None):
 def _representation_points_table(rows, args) -> TableArtifact:
     row = _pick_row(rows, args)
     conv = _convention(args)
-    ctx = flat_context(row.market(), row.vols["ATM"], _config(args))
+    ctx = flat_context(row.market(), row.vols["ATM"], args.radius_scale)
     labels = [lab for lab in LABELS if lab in row.vols]
     anchors = row_anchors(row, labels, conv, row.strikes(conv))
     out = []
@@ -165,6 +174,11 @@ def _representation_points_table(rows, args) -> TableArtifact:
         x_coord = strike_to_x(a.strike, ctx.atm_rn, ctx.radius_scale)
         phi = continuous_angle(x_coord)
         out.append((lab, a.strike, a.vol, x_coord, phi, ctx.radius_scale + a.vol, x, y))
+    if not np.all(np.isfinite([r[1:] for r in out])):
+        raise SmileGeoError(
+            f"expiry {row.expiry_label!r}: representation points are not finite "
+            f"under radius scale {ctx.radius_scale!r}"
+        )
     return TableArtifact(
         kind="representation-points",
         columns=("label", "strike", "vol", "X", "angle", "radius", "x", "y"),
@@ -260,7 +274,7 @@ def run(argv=None) -> int:
         out_rows = []
         for row in rows:
             completed = complete_expiry(
-                row, args.method, conv, _config(args), vv_variant=args.vv_variant
+                row, args.method, conv, args.radius_scale, vv_variant=args.vv_variant
             )
             vols = tuple(
                 float(completed.smile.vol(completed.label_strikes[lab]))
@@ -279,7 +293,7 @@ def run(argv=None) -> int:
         )
     elif args.command == "compare":
         table = discrepancy_table(
-            rows, args.method, _convention(args), _config(args), vv_variant=args.vv_variant
+            rows, args.method, _convention(args), args.radius_scale, vv_variant=args.vv_variant
         )
         _write(table, args)
         for expiry, reason in table.errors.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bsm import DeltaConvention
-from .georep import ReprContext, RepresentationConfig, represent_anchors, resolve_context
+from .georep import ReprContext, context_for_smile, represent_anchors
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from .smile import DeltaAnchor, SmileCurve, strikes_for_deltas
 
@@ -65,19 +65,15 @@ def anchors_at_strikes(
     return anchors
 
 
-def fit_circle_to_smile(
-    smile: SmileCurve, ctx: ReprContext | RepresentationConfig | None = None
-) -> CircleShape:
+def fit_circle_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> CircleShape:
     """Circle through the represented N(-d1) 0.25 / centre / 0.75 anchors."""
-    ctx = resolve_context(smile, ctx)
+    ctx = ctx or context_for_smile(smile)
     return fit_shape(smile_anchors(smile, ctx, CIRCLE_TARGETS), ctx)[0]
 
 
-def fit_ellipse_to_smile(
-    smile: SmileCurve, ctx: ReprContext | RepresentationConfig | None = None
-) -> ConicShape:
+def fit_ellipse_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> ConicShape:
     """Conic through the represented N(-d1) 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
-    ctx = resolve_context(smile, ctx)
+    ctx = ctx or context_for_smile(smile)
     return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)[0]
 
 

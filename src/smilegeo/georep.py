@@ -25,37 +25,20 @@ R_UNIT_FRACTION = 0.95  # |X| the farther window strike maps to under auto R
 
 
 @dataclass(frozen=True)
-class RepresentationConfig:
-    """Choice of the radial scale R, the method's one free parameter.
-
-    ``radius_scale=None`` resolves R automatically: the strikes at the
-    ``R_WINDOW`` N(-d1) window map to X = -/+ ``R_UNIT_FRACTION``,
-    symmetrised by the larger log-distance from the centre strike.
-    """
-
-    radius_scale: float | None = None
-
-    def __post_init__(self):
-        if self.radius_scale is not None and self.radius_scale <= 0.0:
-            raise ValueError("radius_scale must be positive")
-
-    @property
-    def window_targets(self) -> tuple[float, ...]:
-        """The N(-d1) targets whose strikes set auto R; none when R is fixed."""
-        return () if self.radius_scale is not None else R_WINDOW
-
-
-@dataclass(frozen=True)
 class ReprContext:
-    """Resolved representation context: market, centre strike, and R."""
+    """Resolved representation context: market, centre strike, and R.
+
+    The one check on a resolved frame: ``atm_rn`` and ``radius_scale`` must
+    be finite and positive.
+    """
 
     market: MarketState
     atm_rn: float
     radius_scale: float
 
     def __post_init__(self):
-        if self.atm_rn <= 0.0 or self.radius_scale <= 0.0:
-            raise ValueError("atm_rn and radius_scale must be positive")
+        if not (0.0 < self.atm_rn < math.inf and 0.0 < self.radius_scale < math.inf):
+            raise ValueError("atm_rn and radius_scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -92,8 +75,8 @@ class RepresentationCurve:
 
 def strike_to_x(strike, atm_rn: float, radius_scale: float):
     """X(K) = ln(K / atm_rn) / R, the stereographic abscissa of a strike."""
-    if atm_rn <= 0.0 or radius_scale <= 0.0:
-        raise ValueError("atm_rn and radius_scale must be positive")
+    if not (0.0 < atm_rn < math.inf and 0.0 < radius_scale < math.inf):
+        raise ValueError("atm_rn and radius_scale must be finite and positive")
     strike = np.asarray(strike, dtype=float)
     if np.any(strike <= 0.0):
         raise ValueError("strike must be positive")
@@ -138,35 +121,32 @@ def angle_for_strike(strike, ctx: ReprContext):
     return continuous_angle(strike_to_x(strike, ctx.atm_rn, ctx.radius_scale))
 
 
-def _context(ms: MarketState, atm_rn: float, cfg: RepresentationConfig | None, window_strike):
-    """ReprContext at the centre strike; auto R from ``window_strike(target)``.
+def _context(ms: MarketState, atm_rn: float, radius_scale: float | None, window_strike):
+    """ReprContext at the centre strike, with R fixed or, for ``None``, automatic.
 
-    Auto R places the strikes at the ``R_WINDOW`` N(-d1) window just inside
-    the unit circle, symmetrised by the larger log-distance.
+    Auto R reads ``window_strike(target)`` and places the strikes at the
+    ``R_WINDOW`` N(-d1) window just inside the unit circle, symmetrised by
+    the larger log-distance.
     """
-    cfg = cfg or RepresentationConfig()
-    if cfg.radius_scale is not None:
-        return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=cfg.radius_scale)
-    half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in R_WINDOW)
-    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / R_UNIT_FRACTION)
+    if radius_scale is None:
+        half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in R_WINDOW)
+        radius_scale = half_width / R_UNIT_FRACTION
+    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=radius_scale)
 
 
-def context_for_smile(smile: SmileCurve, cfg: RepresentationConfig | None = None) -> ReprContext:
-    """Resolve (atm_rn, R) for a smile.
+def context_for_smile(smile: SmileCurve, radius_scale: float | None = None) -> ReprContext:
+    """Resolve (atm_rn, R) for a smile; ``radius_scale=None`` is auto R.
 
     The centre strike is the smile's delta-neutral strike; auto R reads the
     window strikes off the smile's own N(-d1).  All of them come from one
     ``strikes_for_deltas`` solve.
     """
-    cfg = cfg or RepresentationConfig()
-    targets = (0.5, *cfg.window_targets)
+    targets = (0.5,) if radius_scale is not None else (0.5, *R_WINDOW)
     strikes = dict(zip(targets, strikes_for_deltas(smile, targets).tolist()))
-    return _context(smile.market, strikes[0.5], cfg, strikes.__getitem__)
+    return _context(smile.market, strikes[0.5], radius_scale, strikes.__getitem__)
 
 
-def flat_context(
-    ms: MarketState, atm_vol: float, cfg: RepresentationConfig | None = None
-) -> ReprContext:
+def flat_context(ms: MarketState, atm_vol: float, radius_scale: float | None = None) -> ReprContext:
     """Context from a single at-the-money vol (three-quote market rows).
 
     Uses the flat-vol proxy: the delta window of a constant-vol smile is
@@ -175,31 +155,20 @@ def flat_context(
     return _context(
         ms,
         atm_rn_lognormal(ms, atm_vol),
-        cfg,
+        radius_scale,
         lambda t: strike_for_target_nd1(ms, atm_vol, t),
     )
 
 
-def resolve_context(smile: SmileCurve, ctx) -> ReprContext:
-    """A given ReprContext as is; a RepresentationConfig (or None) resolved for the smile."""
-    if isinstance(ctx, ReprContext):
-        return ctx
-    if ctx is None or isinstance(ctx, RepresentationConfig):
-        return context_for_smile(smile, ctx)
-    raise TypeError("ctx must be a ReprContext, RepresentationConfig, or None")
-
-
 def represent(
-    smile: SmileCurve,
-    ctx: ReprContext | RepresentationConfig | None = None,
-    strikes=None,
+    smile: SmileCurve, ctx: ReprContext | None = None, strikes=None
 ) -> RepresentationCurve:
-    """Map a smile to its polar-plane curve.
+    """Map a smile to its polar-plane curve; ``ctx=None`` is ``context_for_smile(smile)``.
 
     Flat smiles land on an origin-centred circle of radius R + sigma; the
     angle grid is strictly monotone in ln K.
     """
-    ctx = resolve_context(smile, ctx)
+    ctx = ctx or context_for_smile(smile)
     if strikes is None:
         strikes = smile.default_grid(DEFAULT_CURVE_POINTS)
     strikes = np.asarray(strikes, dtype=float)

@@ -20,7 +20,7 @@ from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_targ
 from .distributions import Gamma
 from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
 from .fitting import anchor_residuals, fit_shape
-from .georep import ReprContext, RepresentationConfig, flat_context, smile_from_shape
+from .georep import ReprContext, flat_context, smile_from_shape
 from .shapes import CircleShape, ConicShape
 from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strikes_for_deltas
 from .vanna_volga import ThreeQuoteSmile, vv_smile
@@ -283,7 +283,7 @@ def complete_expiry(
     row: SurfaceQuoteRow,
     method: str = "circle",
     conv: DeltaConvention = DeltaConvention.SPOT_PIPS,
-    cfg: RepresentationConfig | None = None,
+    radius_scale: float | None = None,
     vv_variant: str = "market",
 ) -> CompletedExpiry:
     """Rebuild one expiry's smile from its anchor quotes.
@@ -307,7 +307,7 @@ def complete_expiry(
             ThreeQuoteSmile(anchors=anchors, market=ms), k_lo=k_lo, k_hi=k_hi, variant=vv_variant
         )
     else:
-        ctx = flat_context(ms, row.vols["ATM"], cfg)
+        ctx = flat_context(ms, row.vols["ATM"], radius_scale)
         shape, pts = fit_shape(anchors, ctx)
         if np.max(anchor_residuals(shape, pts)) > 1e-9 * max(1.0, ctx.radius_scale):
             raise SmileGeoError("fitted shape fails to interpolate its anchors")
@@ -342,7 +342,7 @@ def discrepancy_table(
     rows,
     method: str = "circle",
     conv: DeltaConvention = DeltaConvention.SPOT_PIPS,
-    cfg: RepresentationConfig | None = None,
+    radius_scale: float | None = None,
     vv_variant: str = "market",
 ) -> DiscrepancyTable:
     """Completion-versus-market discrepancies with per-expiry, per-label, and grand L2 norms."""
@@ -353,7 +353,7 @@ def discrepancy_table(
     for row in rows:
         entry: dict[str, float | None] = {lab: None for lab in LABELS}
         try:
-            completed = complete_expiry(row, method, conv, cfg, vv_variant)
+            completed = complete_expiry(row, method, conv, radius_scale, vv_variant)
             for lab in LABELS:
                 if lab not in row.vols:
                     continue

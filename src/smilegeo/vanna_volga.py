@@ -128,7 +128,8 @@ class _FirstOrder:
         self.w = _LnKWeights(math.log(k) for k in q.strikes)
         s1, s2, s3 = q.vols
         den = self.w.den
-        self.curv = 2.0 * (s1 / den[0] + s2 / den[1] + s3 / den[2])
+        # sum(1 / den) = 0, so the gaps to s2 give the same sum without cancelling.
+        self.curv = 2.0 * ((s1 - s2) / den[0] + (s3 - s2) / den[2])
 
     def vol(self, lnk):
         w1, w2, w3 = self.w(np.asarray(lnk, dtype=float))

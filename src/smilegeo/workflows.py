@@ -19,7 +19,6 @@ from .errors import TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
 from .georep import (
     R_WINDOW,
-    RepresentationConfig,
     RepresentationCurve,
     ReprContext,
     _context,
@@ -115,7 +114,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     plain = tuple(dict.fromkeys((0.5, *R_WINDOW, *KL_WINDOW)))
     solved = strikes_for_deltas(smile, plain + CIRCLE_TARGETS).tolist()
     strike = dict(zip(plain, solved))
-    ctx = _context(ms, strike[0.5], RepresentationConfig(), strike.__getitem__)
+    ctx = _context(ms, strike[0.5], None, strike.__getitem__)
     curve = represent(smile, ctx)
     anchors = anchors_at_strikes(
         smile, ctx, CIRCLE_TARGETS, solved[len(plain):], DeltaConvention.FORWARD_N

@@ -1,13 +1,18 @@
 """Tests for artifact emission and the command-line interface."""
 import ast
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smilegeo.bsm import DeltaConvention
 from smilegeo.distributions import DensityCurve
@@ -450,9 +455,18 @@ class TestCli:
         assert code == 2
         assert b"7Y" in err
 
-    def test_bad_radius_scale_exit_2(self):
-        code, _, _ = run_cli("density", GAMMA_CSV, "--radius-scale", "banana")
+    @pytest.mark.parametrize("value", ["banana", "nan", "inf", "0", "-1", "1e-400"])
+    def test_bad_radius_scale_exit_2(self, value):
+        code, _, err = run_cli("density", GAMMA_CSV, "--radius-scale", value)
         assert code == 2
+        assert b"--radius-scale" in err and b"Traceback" not in err
+
+    def test_subnormal_radius_scale_exit_3(self):
+        # R = 1e-320 is finite and positive, but ln(K / K_atm) / R overflows.
+        code, out, err = run_cli("represent", GAMMA_CSV, "--radius-scale", "1e-320")
+        assert code == 3
+        assert b"expiry '2W'" in err and b"Traceback" not in err
+        assert b"inf" not in out.lower() and b"nan" not in out.lower()
 
     def test_numeric_failure_exit_3(self, tmp_path):
         # An inconsistent middle quote makes the circle inadmissible.
@@ -516,6 +530,73 @@ class TestCli:
         assert float(row[4]) == 1.5
 
 
+SHIPPED_ROWS = [
+    line.split(",")
+    for path in (GAMMA_CSV, CIRCLE_CSV)
+    for line in pathlib.Path(path).read_text().splitlines()[1:]
+    if line
+]
+FUZZ_COMMANDS = [
+    ["represent"],
+    ["fit-circle"],
+    ["fit-ellipse"],
+    ["curvature"],
+    ["density", "--method", "circle"],
+    ["density", "--method", "ellipse"],
+    ["density", "--method", "vanna-volga", "--vv-variant", "market"],
+    ["density", "--method", "vanna-volga", "--vv-variant", "first"],
+    ["complete-surface", "--method", "ellipse"],
+    ["compare", "--method", "circle"],
+    ["compare", "--method", "vanna-volga", "--vv-variant", "first"],
+]
+FUZZ_RADIUS = st.one_of(
+    st.just("auto"),
+    st.floats(min_value=1e-4, max_value=1e4).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-400"]),
+    st.floats(max_value=-1e-300, allow_nan=False).map(repr),
+    st.floats(min_value=5e-324, max_value=2.2e-308).map(repr),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        row=st.sampled_from(SHIPPED_ROWS),
+        factors=st.dictionaries(
+            st.integers(min_value=1, max_value=13),
+            st.one_of(st.just(-1.0), st.floats(min_value=0.2, max_value=10.0)),
+            max_size=3,
+        ),
+        command=st.sampled_from(FUZZ_COMMANDS),
+        convention=st.sampled_from(["spot-pips", "forward-n"]),
+        radius=FUZZ_RADIUS,
+    )
+    def test_exit_code_documented_and_output_finite(
+        self, row, factors, command, convention, radius
+    ):
+        # One-row surfaces from shipped rows, up to three fields scaled by 0.2
+        # to 10 or sign-flipped: every run exits 0, 2 or 3, and exit-0 output
+        # is finite.
+        from smilegeo import cli
+        from smilegeo.surface import CSV_HEADER
+
+        fields = [row[0], *(repr(float(v) * factors.get(i, 1.0)) for i, v in enumerate(row) if i)]
+        with tempfile.TemporaryDirectory() as tmp:
+            surface, out = pathlib.Path(tmp, "s.csv"), pathlib.Path(tmp, "out.csv")
+            surface.write_text(CSV_HEADER + "\n" + ",".join(fields) + "\n")
+            # "=" keeps argparse from reading a value such as "-inf" as an option.
+            argv = [
+                *command, str(surface), "--delta-convention", convention,
+                f"--radius-scale={radius}", "--grid-points", "201", "--out", str(out),
+            ]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                text = out.read_text().lower()
+                assert "nan" not in text and "inf" not in text, argv
+
+
 class TestDocsFidelity:
     def test_readme_quick_start_runs(self):
         import smilegeo as sg
@@ -527,6 +608,8 @@ class TestDocsFidelity:
 
         smile = sg.smile_from_distribution(dist, sg.market_state_for(dist))
         sg.represent(smile)
+        fixed_r = sg.represent(smile, sg.context_for_smile(smile, radius_scale=2.5))
+        assert fixed_r.context.radius_scale == 2.5
         circle = sg.fit_circle_to_smile(smile)
         completed = sg.smile_from_shape(
             circle, sg.context_for_smile(smile), k_lo=smile.k_lo, k_hi=smile.k_hi

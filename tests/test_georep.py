@@ -8,7 +8,6 @@ from smilegeo.bsm import MarketState
 from smilegeo.distributions import Gamma, Uniform
 from smilegeo.errors import NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
-    RepresentationConfig,
     ReprContext,
     context_for_smile,
     continuous_angle,
@@ -122,8 +121,7 @@ class TestRepresent:
 
 class TestAutoRadiusScale:
     def test_flat_context_closed_form(self):
-        cfg = RepresentationConfig()
-        ctx = flat_context(FLAT_MS, 0.2, cfg)
+        ctx = flat_context(FLAT_MS, 0.2)
         from scipy.special import ndtri
 
         expected = float(ndtri(0.99)) * 0.2 / 0.95
@@ -144,8 +142,18 @@ class TestAutoRadiusScale:
 
     def test_explicit_radius_scale_wins(self):
         smile = flat_smile(FLAT_MS, 0.2)
-        ctx = context_for_smile(smile, RepresentationConfig(radius_scale=2.5))
+        ctx = context_for_smile(smile, radius_scale=2.5)
         assert ctx.radius_scale == 2.5
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_centre_and_scale_must_be_finite_and_positive(self, bad):
+        for atm_rn, r_scale in ((bad, 1.0), (100.0, bad)):
+            with pytest.raises(ValueError):
+                ReprContext(market=FLAT_MS, atm_rn=atm_rn, radius_scale=r_scale)
+            with pytest.raises(ValueError):
+                strike_to_x(100.0, atm_rn, r_scale)
+        with pytest.raises(ValueError):
+            context_for_smile(flat_smile(FLAT_MS, 0.2), radius_scale=bad)
 
 
 class TestSmileFromShape:

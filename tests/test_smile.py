@@ -444,8 +444,8 @@ class TestOracle:
         # function, relative to the row's largest |sigma''| or to 1 where
         # that is smaller.  vv-first is nearly straight on the circle
         # surface's short tenors (|sigma''| about 2e-7), and its Lagrange
-        # curvature, a sum of terms of size sigma / (anchor spacing)^2, is
-        # known in floats only to about 1e-13 there.  Market vanna-volga adds
+        # slope, a sum of terms of size sigma / (anchor spacing), is known in
+        # floats only to about 1e-14 there.  Market vanna-volga adds
         # points where |d1 d2| is 1e-6 to 1e-2, around both of its roots.
         for done in completed_shipped_rows(*ORACLE_BACKENDS[backend]):
             lnk = np.log(done.smile.default_grid(41))

@@ -13,7 +13,12 @@ and svg:
 - per surface: complete-surface and compare with each of those four.
 
 density, complete-surface and compare run under both delta conventions:
-the default spot-pips, and forward-n (files tagged ``-forward-n``).
+the default spot-pips, and forward-n (files tagged ``-forward-n``).  The
+runs above use the automatic radial scale R.  A fixed ``--radius-scale 0.5``
+(files tagged ``-r0.5``) runs in csv only: per expiry, represent,
+fit-circle, fit-ellipse, and density with circle and with ellipse; per
+surface, compare with circle and with ellipse.  On the two 14-expiry
+surfaces that makes 1248 runs.
 
 Every curvature run comes after all other runs.  curvature is the one
 subcommand that imports ``scipy.interpolate`` (and with it
@@ -51,6 +56,7 @@ METHODS = (
     ("vv-first", ["--method", "vanna-volga", "--vv-variant", "first"]),
 )
 CONVENTIONS = (("", []), ("-forward-n", ["--delta-convention", "forward-n"]))
+FIXED_R = ("-r0.5", ["--radius-scale", "0.5"])
 
 
 def runs():
@@ -79,6 +85,16 @@ def _all_runs():
                 for cmd in ("complete-surface", "compare"):
                     for conv, conv_flags in CONVENTIONS:
                         yield f"{name}/{cmd}-{tag}{conv}.{fmt}", [cmd, *common, *flags, *conv_flags]
+        r_tag, r_flags = FIXED_R
+        fixed = [str(path), "--output-format", "csv", *r_flags]
+        for expiry in expiries:
+            row = fixed + ["--expiry", expiry]
+            for cmd in ("represent", "fit-circle", "fit-ellipse"):
+                yield f"{name}/{expiry}/{cmd}{r_tag}.csv", [cmd, *row]
+            for tag, flags in METHODS[:2]:
+                yield f"{name}/{expiry}/density-{tag}{r_tag}.csv", ["density", *row, *flags]
+        for tag, flags in METHODS[:2]:
+            yield f"{name}/compare-{tag}{r_tag}.csv", ["compare", *fixed, *flags]
 
 
 def _columns(data: bytes) -> dict[str, list[float]]:
