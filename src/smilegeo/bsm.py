@@ -229,17 +229,12 @@ def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
     if ms.tenor <= 0.0 or np.all(vol == 0.0):
         call = np.maximum(dff * ms.spot - dfd * strike, 0.0)
     else:
-        sqrt_t = math.sqrt(ms.tenor)
-        total = vol * sqrt_t
-        with np.errstate(divide="ignore"):
-            d1 = np.where(
-                total > 0.0,
-                forward_log_moneyness(ms, strike) / np.where(total > 0.0, total, 1.0)
-                + 0.5 * total,
-                np.inf,
+        total = vol * math.sqrt(ms.tenor)
+        # A zero total is a 0/0 or x/0 in _sweep_price; its intrinsic replaces it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            live, _ = _sweep_price(
+                forward_log_moneyness(ms, strike), dfd * strike, total, dff * ms.spot, False
             )
-        d2 = d1 - total
-        live = dff * ms.spot * ndtr(d1) - dfd * strike * ndtr(d2)
         call = np.where(total > 0.0, live, np.maximum(dff * ms.spot - dfd * strike, 0.0))
     if side is OptionSide.CALL:
         out = call
@@ -305,7 +300,7 @@ def _price_band(ms: MarketState, strike: float, side: OptionSide) -> tuple[float
 def _sweep_price(ln_m, dfd_k, total, fwd_df: float, put: bool):
     """Option price and d1 from ln(S/K) + (r - q)T, e^{-rT} K and vol sqrt(T) > 0.
 
-    The same expressions as ``bsm_price``'s, so the prices agree bit for bit.
+    The one Black-Scholes price formula: ``bsm_price`` prices through it too.
     """
     d1 = ln_m / total + 0.5 * total
     price = fwd_df * ndtr(d1) - dfd_k * ndtr(d1 - total)

@@ -220,7 +220,10 @@ def _scene(completed) -> RepresentationScene:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+        return exc.code
     # A density grid needs both ends; a short curvature grid is CurveTooShort.
     grid_points = _grid_points(args, 2 if args.command == "density" else 0)
     rows = parse_surface(open(args.surface, "rb").read())
@@ -304,10 +307,7 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ParseError, MissingAnchor) as exc:
-        print(f"smilegeo: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, MissingAnchor, FileNotFoundError) as exc:
         print(f"smilegeo: {exc}", file=sys.stderr)
         return 2
     except SmileGeoError as exc:

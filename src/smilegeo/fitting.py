@@ -75,14 +75,3 @@ def fit_ellipse_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> C
     """Conic through the represented N(-d1) 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
     ctx = ctx or context_for_smile(smile)
     return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)[0]
-
-
-def anchor_residuals(shape, points: np.ndarray) -> np.ndarray:
-    """Interpolation residuals of a fitted shape at its anchor points."""
-    points = np.asarray(points, dtype=float)
-    if isinstance(shape, CircleShape):
-        dist = np.hypot(points[:, 0] - shape.center[0], points[:, 1] - shape.center[1])
-        return np.abs(dist - shape.radius)
-    if isinstance(shape, ConicShape):
-        return np.abs(shape.evaluate(points[:, 0], points[:, 1]))
-    raise TypeError(f"unsupported shape {type(shape).__name__}")

@@ -5,7 +5,9 @@ X(K) = ln(K / K_atm) / R lands on the circle at (2X/(1+X^2), (X^2-1)/(1+X^2)),
 whose polar angle runs monotonically from -pi/2 at X = 0.  The radial
 coordinate is R + sigma(K), so a flat smile draws an origin-centred circle of
 radius R + sigma.  Inverting a fitted shape intersects each strike's ray with
-the shape and reads sigma back off the radial excess over R.
+the shape and reads sigma back off the radial excess over R.  The ray
+geometry itself (origin check, intersection, derivatives) belongs to the
+shape classes in ``shapes``; this module maps strikes to angles and back.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
-from .errors import OriginOutsideShape
-from .shapes import CircleShape, ConicShape
 from .smile import SmileCurve, require_positive_vol, strikes_for_deltas
 
 DEFAULT_CURVE_POINTS = 2001
@@ -80,7 +80,8 @@ def strike_to_x(strike, atm_rn: float, radius_scale: float):
     strike = np.asarray(strike, dtype=float)
     if np.any(strike <= 0.0):
         raise ValueError("strike must be positive")
-    out = np.log(strike / atm_rn) / radius_scale
+    with np.errstate(over="ignore"):  # a subnormal R overflows X to +-inf
+        out = np.log(strike / atm_rn) / radius_scale
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -190,97 +191,14 @@ def represent_anchors(anchors, ctx: ReprContext) -> np.ndarray:
     return out
 
 
-def _circle_ray_radius(shape: CircleShape, phi):
-    """Distance from the origin to the circle along the ray at angle phi."""
-    cx, cy = shape.center
-    proj = cx * np.cos(phi) + cy * np.sin(phi)
-    disc = proj * proj - (cx * cx + cy * cy) + shape.radius * shape.radius
-    return proj + np.sqrt(disc)
-
-
-def _conic_ray_coeffs(shape: ConicShape, cos, sin):
-    """quad rho^2 + lin rho + F: the conic along the ray (cos, sin)."""
-    a, b, c, d, e, _f = shape.coefficients
-    quad = a * cos * cos + b * cos * sin + c * sin * sin
-    lin = d * cos + e * sin
-    return quad, lin
-
-
-def _conic_ray_root(shape: ConicShape, quad, lin):
-    """The positive root of quad rho^2 + lin rho + F for an origin inside the ellipse."""
-    f = shape.coefficients[5]
-    if f >= 0.0:
-        # Ellipse value at the origin shares the sign of the outside region.
-        raise OriginOutsideShape("origin not strictly inside the ellipse")
-    disc = lin * lin - 4.0 * quad * f
-    return (-lin + np.sqrt(disc)) / (2.0 * quad)
-
-
-def _conic_ray_radius(shape: ConicShape, phi):
-    return _conic_ray_root(shape, *_conic_ray_coeffs(shape, np.cos(phi), np.sin(phi)))
-
-
-def shape_ray_radius(shape, phi):
-    """rho(phi): the unique positive ray-shape intersection distance."""
-    if isinstance(shape, CircleShape):
-        if not shape.contains_origin:
-            raise OriginOutsideShape(
-                "circle does not enclose the origin; rays miss it or cut it twice"
-            )
-        return _circle_ray_radius(shape, phi)
-    if isinstance(shape, ConicShape):
-        return _conic_ray_radius(shape, phi)
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
-
-
-def _circle_rho_derivs(shape: CircleShape, phi):
-    """(rho, d rho/d phi, d^2 rho/d phi^2) for a circle."""
-    cx, cy = shape.center
-    cos, sin = np.cos(phi), np.sin(phi)
-    g = cx * cos + cy * sin
-    g_hat = -cx * sin + cy * cos
-    s = np.sqrt(g * g - (cx * cx + cy * cy) + shape.radius * shape.radius)
-    rho = g + s
-    d1 = g_hat * (1.0 + g / s)
-    d2 = -g + (g_hat * g_hat - g * g) / s - g * g * g_hat * g_hat / s**3
-    return rho, d1, d2
-
-
-def _conic_rho_derivs(shape: ConicShape, phi):
-    a, b, c, d, e, _f = shape.coefficients
-    cos, sin = np.cos(phi), np.sin(phi)
-    quad, lin = _conic_ray_coeffs(shape, cos, sin)
-    quad_p = (c - a) * 2.0 * sin * cos + b * (cos * cos - sin * sin)
-    quad_pp = 2.0 * (c - a) * (cos * cos - sin * sin) - 4.0 * b * sin * cos
-    lin_p = -d * sin + e * cos
-    rho = _conic_ray_root(shape, quad, lin)
-    slope = 2.0 * quad * rho + lin
-    d1 = -(quad_p * rho * rho + lin_p * rho) / slope
-    d2 = -(
-        quad_pp * rho * rho
-        + 4.0 * quad_p * rho * d1
-        + 2.0 * quad * d1 * d1
-        - lin * rho
-        + 2.0 * lin_p * d1
-    ) / slope
-    return rho, d1, d2
-
-
 def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> SmileCurve:
-    """Invert a fitted shape back into a smile on [k_lo, k_hi].
+    """Invert a fitted circle or ellipse back into a smile on [k_lo, k_hi].
 
     sigma(K) is the radial excess over R of the ray-shape intersection at the
-    strike's angle.  The whole domain is swept for admissibility: the origin
-    must sit strictly inside the shape and the implied vol must be positive
-    everywhere.
+    strike's angle.  The origin must sit strictly inside the shape, checked
+    once here, and the whole domain is swept for a positive implied vol.
     """
-    if isinstance(shape, CircleShape):
-        rho_derivs = _circle_rho_derivs
-    elif isinstance(shape, ConicShape):
-        rho_derivs = _conic_rho_derivs
-    else:
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
-
+    shape.require_origin_inside()
     r_scale = ctx.radius_scale
     ln_atm = math.log(ctx.atm_rn)
 
@@ -292,15 +210,14 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
 
     def vol_fn(lnk):
         phi, _, _ = angle(lnk)
-        return shape_ray_radius(shape, phi) - r_scale
+        return shape.ray_radius(phi) - r_scale
 
     def jet_fn(lnk):
         phi, dphi, d2phi = angle(lnk)
-        # rho here is the same expression shape_ray_radius evaluates.
-        rho, drho, d2rho = rho_derivs(shape, phi)
+        # rho here is the same expression shape.ray_radius evaluates.
+        rho, drho, d2rho = shape.ray_jet(phi)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
-    # vol_fn raises OriginOutsideShape for inadmissible shapes.
     require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
     return SmileCurve(
         market=ctx.market,

@@ -2,6 +2,11 @@
 
 Pure plane geometry, no market context.  The circle transform (scale plus
 two translations) is the three-number group action connecting shapes.
+Each shape owns its ray geometry: the origin-inside check
+(``require_origin_inside``), the ray-shape intersection distance rho(phi)
+(``ray_radius``), its first two angle derivatives (``ray_jet``), and the
+interpolation residuals at given points (``residuals``).  The ray methods
+assume the origin check has passed.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CollinearPoints, DegenerateConfiguration, NotAnEllipse
+from .errors import CollinearPoints, DegenerateConfiguration, NotAnEllipse, OriginOutsideShape
 
 COLLINEARITY_TOL = 1e-12
 CONIC_RANK_TOL = 1e-10
@@ -31,6 +36,39 @@ class CircleShape:
         """Whether every ray from the origin cuts the circle exactly once."""
         cx, cy = self.center
         return cx * cx + cy * cy < self.radius * self.radius
+
+    def require_origin_inside(self) -> None:
+        if not self.contains_origin:
+            raise OriginOutsideShape(
+                "circle does not enclose the origin; rays miss it or cut it twice"
+            )
+
+    def _ray(self, cos, sin):
+        """(g, s) with rho = g + s along the ray (cos, sin); g projects the centre on the ray."""
+        cx, cy = self.center
+        g = cx * cos + cy * sin
+        return g, np.sqrt(g * g - (cx * cx + cy * cy) + self.radius * self.radius)
+
+    def ray_radius(self, phi):
+        """rho(phi): distance from the origin to the circle along the ray at angle phi."""
+        g, s = self._ray(np.cos(phi), np.sin(phi))
+        return g + s
+
+    def ray_jet(self, phi):
+        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray at angle phi."""
+        cx, cy = self.center
+        cos, sin = np.cos(phi), np.sin(phi)
+        g, s = self._ray(cos, sin)
+        g_hat = -cx * sin + cy * cos
+        d1 = g_hat * (1.0 + g / s)
+        d2 = -g + (g_hat * g_hat - g * g) / s - g * g * g_hat * g_hat / s**3
+        return g + s, d1, d2
+
+    def residuals(self, points) -> np.ndarray:
+        """|distance to the centre - radius| at each (x, y) row of ``points``."""
+        points = np.asarray(points, dtype=float)
+        dist = np.hypot(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
+        return np.abs(dist - self.radius)
 
 
 @dataclass(frozen=True)
@@ -61,6 +99,48 @@ class ConicShape:
         """Value of the conic polynomial at (x, y)."""
         a, b, c, d, e, f = self.coefficients
         return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+
+    def require_origin_inside(self) -> None:
+        # The ellipse's value at the origin, F, shares the sign of the outside region.
+        if self.coefficients[5] >= 0.0:
+            raise OriginOutsideShape("origin not strictly inside the ellipse")
+
+    def _ray(self, cos, sin):
+        """(quad, lin, rho): the conic along the ray (cos, sin) is quad rho^2 + lin rho + F,
+        and rho is its positive root (F < 0)."""
+        a, b, c, d, e, f = self.coefficients
+        quad = a * cos * cos + b * cos * sin + c * sin * sin
+        lin = d * cos + e * sin
+        disc = lin * lin - 4.0 * quad * f
+        return quad, lin, (-lin + np.sqrt(disc)) / (2.0 * quad)
+
+    def ray_radius(self, phi):
+        """rho(phi): distance from the origin to the ellipse along the ray at angle phi."""
+        return self._ray(np.cos(phi), np.sin(phi))[2]
+
+    def ray_jet(self, phi):
+        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray at angle phi."""
+        a, b, c, d, e, _f = self.coefficients
+        cos, sin = np.cos(phi), np.sin(phi)
+        quad, lin, rho = self._ray(cos, sin)
+        quad_p = (c - a) * 2.0 * sin * cos + b * (cos * cos - sin * sin)
+        quad_pp = 2.0 * (c - a) * (cos * cos - sin * sin) - 4.0 * b * sin * cos
+        lin_p = -d * sin + e * cos
+        slope = 2.0 * quad * rho + lin
+        d1 = -(quad_p * rho * rho + lin_p * rho) / slope
+        d2 = -(
+            quad_pp * rho * rho
+            + 4.0 * quad_p * rho * d1
+            + 2.0 * quad * d1 * d1
+            - lin * rho
+            + 2.0 * lin_p * d1
+        ) / slope
+        return rho, d1, d2
+
+    def residuals(self, points) -> np.ndarray:
+        """|conic polynomial| at each (x, y) row of ``points``."""
+        points = np.asarray(points, dtype=float)
+        return np.abs(self.evaluate(points[:, 0], points[:, 1]))
 
 
 def _as_point(p) -> np.ndarray:

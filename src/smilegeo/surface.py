@@ -19,7 +19,7 @@ import numpy as np
 from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .distributions import Gamma
 from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
-from .fitting import anchor_residuals, fit_shape
+from .fitting import fit_shape
 from .georep import ReprContext, flat_context, smile_from_shape
 from .shapes import CircleShape, ConicShape
 from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strikes_for_deltas
@@ -309,7 +309,7 @@ def complete_expiry(
     else:
         ctx = flat_context(ms, row.vols["ATM"], radius_scale)
         shape, pts = fit_shape(anchors, ctx)
-        if np.max(anchor_residuals(shape, pts)) > 1e-9 * max(1.0, ctx.radius_scale):
+        if np.max(shape.residuals(pts)) > 1e-9 * max(1.0, ctx.radius_scale):
             raise SmileGeoError("fitted shape fails to interpolate its anchors")
         smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
     return CompletedExpiry(

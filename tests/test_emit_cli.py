@@ -461,12 +461,35 @@ class TestCli:
         assert code == 2
         assert b"--radius-scale" in err and b"Traceback" not in err
 
-    def test_subnormal_radius_scale_exit_3(self):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "represent", "fit-circle", "fit-ellipse", "density",
+            "curvature", "complete-surface", "compare",
+        ],
+    )
+    def test_subnormal_radius_scale_exit_3(self, command):
         # R = 1e-320 is finite and positive, but ln(K / K_atm) / R overflows.
-        code, out, err = run_cli("represent", GAMMA_CSV, "--radius-scale", "1e-320")
-        assert code == 3
-        assert b"expiry '2W'" in err and b"Traceback" not in err
+        # Every subcommand gives its one-line reason and no warning; compare
+        # blanks the failed rows and exits 0.
+        code, out, err = run_cli(command, GAMMA_CSV, "--radius-scale", "1e-320")
+        assert code == (0 if command == "compare" else 3), err
+        assert err.startswith(b"smilegeo: "), err
+        assert b"RuntimeWarning" not in err and b"Traceback" not in err
         assert b"inf" not in out.lower() and b"nan" not in out.lower()
+        if command == "represent":
+            assert b"expiry '2W'" in err
+
+    def test_usage_error_and_help_return_codes(self):
+        # In process, argparse's exits come back as main's return value.
+        from smilegeo import cli
+
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["represent", GAMMA_CSV, "--radius-scale", "-inf"]) == 2
+        assert "expected one argument" in err.getvalue()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["--help"]) == 0
+        assert out.getvalue().startswith("usage: smilegeo")
 
     def test_numeric_failure_exit_3(self, tmp_path):
         # An inconsistent middle quote makes the circle inadmissible.
@@ -570,13 +593,15 @@ class TestCliFuzz:
         command=st.sampled_from(FUZZ_COMMANDS),
         convention=st.sampled_from(["spot-pips", "forward-n"]),
         radius=FUZZ_RADIUS,
+        one_token=st.booleans(),
     )
     def test_exit_code_documented_and_output_finite(
-        self, row, factors, command, convention, radius
+        self, row, factors, command, convention, radius, one_token
     ):
         # One-row surfaces from shipped rows, up to three fields scaled by 0.2
         # to 10 or sign-flipped: every run exits 0, 2 or 3, and exit-0 output
-        # is finite.
+        # is finite.  The radius goes as "--radius-scale=VALUE" or as two
+        # tokens, where argparse reads a value such as "-inf" as an option.
         from smilegeo import cli
         from smilegeo.surface import CSV_HEADER
 
@@ -584,10 +609,10 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             surface, out = pathlib.Path(tmp, "s.csv"), pathlib.Path(tmp, "out.csv")
             surface.write_text(CSV_HEADER + "\n" + ",".join(fields) + "\n")
-            # "=" keeps argparse from reading a value such as "-inf" as an option.
+            radius_args = [f"--radius-scale={radius}"] if one_token else ["--radius-scale", radius]
             argv = [
                 *command, str(surface), "--delta-convention", convention,
-                f"--radius-scale={radius}", "--grid-points", "201", "--out", str(out),
+                *radius_args, "--grid-points", "201", "--out", str(out),
             ]
             with contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

@@ -9,7 +9,6 @@ from smilegeo.distributions import Gamma
 from smilegeo.fitting import (
     CIRCLE_TARGETS,
     ELLIPSE_TARGETS,
-    anchor_residuals,
     fit_circle_to_smile,
     fit_ellipse_to_smile,
     smile_anchors,
@@ -41,7 +40,7 @@ class TestCircleFit:
         ctx = context_for_smile(smile)
         circle = fit_circle_to_smile(smile, ctx)
         pts = represent_anchors(smile_anchors(smile, ctx, CIRCLE_TARGETS), ctx)
-        assert np.max(anchor_residuals(circle, pts)) <= 1e-10 * circle.radius
+        assert np.max(circle.residuals(pts)) <= 1e-10 * circle.radius
 
     def test_gamma_circle_is_translated_from_origin(self):
         smile = smile_from_distribution(GAMMA, market_state_for(GAMMA))
@@ -94,7 +93,7 @@ class TestEllipseFit:
         ctx = context_for_smile(smile)
         conic = fit_ellipse_to_smile(smile, ctx)
         pts = represent_anchors(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)
-        assert np.max(anchor_residuals(conic, pts)) <= 1e-9
+        assert np.max(conic.residuals(pts)) <= 1e-9
 
     def test_ellipse_inverts_through_anchors(self):
         smile = smile_from_distribution(GAMMA, market_state_for(GAMMA))

@@ -174,12 +174,47 @@ class TestSmileFromShape:
         )
         assert np.max(np.abs(dist_to_center - 1.25)) <= 1e-10
 
-    def test_origin_outside_raises(self):
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (
+                CircleShape(center=(2.0, 0.0), radius=1.0),
+                "circle does not enclose the origin; rays miss it or cut it twice",
+            ),
+            (
+                ConicShape(coefficients=(1.0, 0.0, 1.0, -4.0, 0.0, 3.0)),
+                "origin not strictly inside the ellipse",
+            ),
+        ],
+        ids=["circle", "conic"],
+    )
+    def test_origin_outside_raises(self, shape, message):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
-        with pytest.raises(OriginOutsideShape):
-            smile_from_shape(
-                CircleShape(center=(2.0, 0.0), radius=1.0), ctx, k_lo=80.0, k_hi=120.0
-            )
+        with pytest.raises(OriginOutsideShape) as exc:
+            smile_from_shape(shape, ctx, k_lo=80.0, k_hi=120.0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            CircleShape(center=(0.03, -0.05), radius=1.25),
+            ConicShape(coefficients=(1.0, 0.0, 1.1, -0.06, 0.1, -1.5)),
+        ],
+        ids=["circle", "conic"],
+    )
+    def test_origin_checked_once_per_inversion(self, shape, monkeypatch):
+        # The check runs before the admissibility sweep, not on every vol or jet read.
+        calls = []
+        check = type(shape).require_origin_inside
+        monkeypatch.setattr(
+            type(shape), "require_origin_inside", lambda s: calls.append(s) or check(s)
+        )
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
+        smile = smile_from_shape(shape, ctx, k_lo=50.0, k_hi=200.0)
+        grid = smile.default_grid(11)
+        smile.vol(grid)
+        smile.jet_fn(np.log(grid))
+        assert calls == [shape]
 
     def test_nonpositive_vol_raises(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)

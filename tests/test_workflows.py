@@ -3,11 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.errors import SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
-from smilegeo.georep import context_for_smile
-from smilegeo.smile import GridSpec, nonnegativity_margin, strike_for_delta
+from smilegeo.georep import context_for_smile, represent, smile_from_shape
+from smilegeo.smile import (
+    GridSpec,
+    density_from_smile,
+    nonnegativity_margin,
+    smile_from_distribution,
+    strike_for_delta,
+)
 from smilegeo.workflows import distribution_report, market_state_for, smile_with_coverage
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
@@ -122,3 +131,61 @@ class TestUniformContrast:
         uniform = distribution_report(Uniform(a=2.0109, b=5.4750))
         gamma = distribution_report(GAMMA)
         assert uniform.kl_circle.kl_nats > 10.0 * gamma.kl_circle.kl_nats
+
+
+# Parameter ranges cover and exceed tools/report_outputs.py's seeded draws
+# (annual vol about 8-45 %), with StudentT mass below zero and Uniform b/a up to 40.
+FAMILIES = {
+    "lognormal": st.builds(LogNormal, mu=st.floats(-1.0, 3.0), s=st.floats(0.05, 0.6)),
+    "gamma": st.builds(
+        lambda vol, mean: Gamma(kappa=1.0 / (vol * vol), theta=mean * vol * vol),
+        st.floats(0.05, 0.6),
+        st.floats(0.5, 20.0),
+    ),
+    "normal": st.builds(
+        lambda mu, cv: Normal(mu=mu, s=mu * cv), st.floats(1.0, 30.0), st.floats(0.05, 0.4)
+    ),
+    "student": st.builds(StudentT, mu=st.floats(0.5, 15.0), nu=st.floats(2.5, 12.0)),
+    "uniform": st.builds(
+        lambda a, ratio: Uniform(a=a, b=a * ratio), st.floats(0.5, 8.0), st.floats(1.2, 40.0)
+    ),
+}
+
+
+def _all_finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(np.asarray(a, dtype=float))) for a in arrays)
+
+
+class TestQuickStartProperty:
+    """The README quick start and distribution_report, for every shipped family:
+    finite output or a SmileGeoError, never another exception."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_finite_or_documented_error(self, family, data):
+        dist = data.draw(FAMILIES[family], label="dist")
+        try:
+            smile = smile_from_distribution(dist, market_state_for(dist))
+            curve = represent(smile)
+            circle = fit_circle_to_smile(smile)
+            completed = smile_from_shape(
+                circle, context_for_smile(smile), k_lo=smile.k_lo, k_hi=smile.k_hi
+            )
+            density = density_from_smile(completed, completed.default_grid())
+        except SmileGeoError:
+            pass
+        else:
+            assert _all_finite(
+                curve.points, circle.center, circle.radius, density.values,
+                completed.vol(completed.default_grid()),
+            ), dist
+        try:
+            report = distribution_report(dist)
+        except SmileGeoError:
+            return
+        assert _all_finite(
+            report.circle.center, report.circle.radius, report.p_circle.values,
+            report.kl_circle.kl_nats, report.kl_vanna_volga.kl_nats,
+            report.kl_best_lognormal.kl_nats, report.margin,
+        ), dist
