@@ -11,6 +11,10 @@ parameter) with 5-point central difference stencils:
 kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
+
+The resampling spline, the PCHIP strike map and the N(-d1) column come
+from ``_interp``: numpy ports that match the reference routines bit for
+bit, so a cold ``curvature`` run loads numpy only.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import forward_log_moneyness, ndtr
+from . import _interp
+from .bsm import forward_log_moneyness
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
 from .georep import RepresentationCurve
@@ -55,33 +60,34 @@ class CurvatureProfile:
     strikes: np.ndarray | None = None
 
 
-def _curve_points(curve, least: int) -> np.ndarray:
-    """The curve's (n, 2) points; CurveTooShort below ``least`` of them."""
+def _curve_points(curve, least: int):
+    """The curve's (n, 2) points without repeats of the point before.
+
+    Returns the points kept and the mask that keeps them; CurveTooShort
+    when fewer than ``least`` remain.
+    """
     if isinstance(curve, RepresentationCurve):
         pts = curve.points
     else:
         pts = np.asarray(curve, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
+    kept = np.ones(len(pts), dtype=bool)
+    kept[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    if not kept.all():
+        pts = pts[kept]
     if len(pts) < least:
         raise CurveTooShort(f"need at least {least} points")
-    return pts
+    return pts, kept
 
 
 def _resample_uniform_arclength(pts: np.ndarray, n: int):
     """Uniform-arc-length resampling via chord-length cubic interpolation."""
-    from scipy.interpolate import CubicSpline  # kept off the CLI import path
-
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    if np.any(seg == 0.0):
-        keep = np.concatenate([[True], seg > 0.0])
-        pts = pts[keep]
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     s_uniform = np.linspace(0.0, float(s[-1]), n)
-    x = CubicSpline(s, pts[:, 0])(s_uniform)
-    y = CubicSpline(s, pts[:, 1])(s_uniform)
-    return s, s_uniform, x, y
+    xy = _interp.curve_spline(s, pts)(s_uniform)
+    return s, s_uniform, xy[:, 0], xy[:, 1]
 
 
 def _stencil(f: np.ndarray, h: float):
@@ -93,7 +99,7 @@ def _stencil(f: np.ndarray, h: float):
 
 
 def _curvatures(pts: np.ndarray):
-    _, s_uniform, x, y = _resample_uniform_arclength(pts, CURVATURE_RESAMPLE_N)
+    s_nodes, s_uniform, x, y = _resample_uniform_arclength(pts, CURVATURE_RESAMPLE_N)
     h = float(s_uniform[1] - s_uniform[0])
     x1, x2, x3 = _stencil(x, h)
     y1, y2, y3 = _stencil(y, h)
@@ -111,17 +117,17 @@ def _curvatures(pts: np.ndarray):
     # last cells feed the outermost stencils with lower-order accuracy.
     t = CURVATURE_EDGE_TRIM
     sl = slice(2 + t, -(2 + t))
-    return s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
+    return s_nodes, s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
 
 
 def euclidean_curvature(curve) -> np.ndarray:
     """kappa_E at the interior resampled points (NaN where masked)."""
-    return _curvatures(_curve_points(curve, MIN_POINTS_EUCLIDEAN))[3]
+    return _curvatures(_curve_points(curve, MIN_POINTS_EUCLIDEAN)[0])[4]
 
 
 def similarity_curvature(curve) -> np.ndarray:
     """kappa_s at the interior resampled points (NaN where masked)."""
-    return _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY))[4]
+    return _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY)[0])[5]
 
 
 def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProfile:
@@ -129,27 +135,25 @@ def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProf
 
     The profile carries the polar angle about the fitted circle's centre
     (unwrapped, so it plots continuously) and, when the input is a
-    RepresentationCurve, N(-d1) of the underlying smile.
+    RepresentationCurve, N(-d1) of the underlying smile.  Strikes along the
+    resampled curve come from a PCHIP map on the spline's own nodes, so
+    repeated points drop out of both.
     """
-    from scipy.interpolate import PchipInterpolator  # kept off the CLI import path
-
-    arc, x, y, kappa_e, kappa_s = _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY))
+    pts, kept = _curve_points(curve, MIN_POINTS_SIMILARITY)
+    s_nodes, arc, x, y, kappa_e, kappa_s = _curvatures(pts)
     cx, cy = circle.center if circle is not None else (0.0, 0.0)
     angle = np.unwrap(np.arctan2(y - cy, x - cx))
 
     n_minus_d1 = None
     strikes = None
     if isinstance(curve, RepresentationCurve):
-        seg = np.hypot(np.diff(curve.points[:, 0]), np.diff(curve.points[:, 1]))
-        s_nodes = np.concatenate([[0.0], np.cumsum(seg)])
-        lnk = PchipInterpolator(s_nodes, np.log(curve.strikes))(arc)
-        strikes = np.exp(lnk)
+        strikes = np.exp(_interp.pchip(s_nodes, np.log(curve.strikes[kept]))(arc))
         ctx = curve.context
         # sigma along the resampled curve from the radial coordinate
         sigma = np.hypot(x, y) - ctx.radius_scale
         total = sigma * math.sqrt(ctx.market.tenor)
         d1 = forward_log_moneyness(ctx.market, strikes) / total + 0.5 * total
-        n_minus_d1 = ndtr(-d1)
+        n_minus_d1 = _interp.ndtr(-d1)
     return CurvatureProfile(
         arc=arc,
         x=x,

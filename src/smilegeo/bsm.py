@@ -3,17 +3,21 @@
 Everything here is a pure function of its arguments; prices and deltas accept
 numpy arrays for the strike/vol slots and broadcast in the usual way.
 
-This module is the package's one home of the standard normal CDF and
-quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call.
-``ndtri`` is a scalar pure-Python port of the Cephes ``ndtri`` (S. L.
-Moshier, *Methods and Programs for Mathematical Functions*, 1989), the
-algorithm ``scipy.special.ndtri`` runs: the same three rational
-approximations, coefficients and Horner order, so it returns the same
-double bit for bit.  Importing ``scipy.special`` costs a cold process more
-than the CLI's own work (its array-API layer loads ``numpy.testing``,
-``numpy.f2py`` and ``numpy.ma``), and the quantile is the only special
-function the CLI needs outside ``curvature``; ``math``'s ``erf``/``erfc``
-and ``statistics.NormalDist`` differ from scipy in the last bits.
+This module holds the package's standard normal quantile and its main
+normal CDF.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first
+call; the inversion and density arrays run through it.  The CDF has one
+other home: ``_interp.ndtr``, a numpy port of the same Cephes routine that
+returns the same doubles, gives ``curvature_profile`` its N(-d1) without
+loading scipy (it costs about ten times as much per element, so the arrays
+here keep scipy's).  ``ndtri`` is a scalar pure-Python port of the Cephes
+``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
+Functions*, 1989), the algorithm ``scipy.special.ndtri`` runs: the same
+three rational approximations, coefficients and Horner order, so it
+returns the same double bit for bit.  Importing ``scipy.special`` costs a
+cold process more than the CLI's own work (its array-API layer loads
+``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``), and no subcommand
+needs it; ``math``'s ``erf``/``erfc`` and ``statistics.NormalDist`` differ
+from scipy in the last bits.
 """
 from __future__ import annotations
 

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import DivergenceReport, best_lognormal, kl_divergence
 from .bsm import DeltaConvention, MarketState, ndtr
 from .distributions import DensityCurve, Distribution, density_curve
-from .errors import TargetOutsideDomain
+from .errors import InconsistentForward, TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
 from .georep import (
     R_WINDOW,
@@ -44,8 +44,17 @@ WINDOW_GRID_POINTS = 4001
 
 def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float = 0.0,
                      tenor: float = 1.0) -> MarketState:
-    """The market state whose forward equals the distribution mean."""
-    spot = dist.mean() * math.exp(-(dom_rate - for_rate) * tenor)
+    """The market state whose forward equals the distribution mean.
+
+    Raises InconsistentForward when the mean is not a positive finite
+    number: no market forward can equal it.
+    """
+    mean = dist.mean()
+    if not (mean > 0.0 and math.isfinite(mean)):
+        raise InconsistentForward(
+            f"distribution mean {float(mean)!r} is not a positive finite forward"
+        )
+    spot = mean * math.exp(-(dom_rate - for_rate) * tenor)
     return MarketState(spot=spot, dom_rate=dom_rate, for_rate=for_rate, tenor=tenor)
 
 

@@ -123,6 +123,27 @@ class TestCurvatureProfile:
         ke = profile.kappa_e[np.isfinite(profile.kappa_e)]
         assert (ke.max() - ke.min()) / np.median(ke) < 0.25
 
+    def test_repeated_point_drops_out(self):
+        # Two strikes an ulp apart can land on one point of the curve; the
+        # profile is then that of the curve without the repeat.
+        from smilegeo.georep import RepresentationCurve, represent
+        from smilegeo.smile import smile_from_distribution
+
+        dist = Gamma(kappa=5.12, theta=0.64)
+        curve = represent(smile_from_distribution(dist, market_state_for(dist)))
+        i = 700
+        doubled = RepresentationCurve(
+            strikes=np.insert(curve.strikes, i + 1, np.nextafter(curve.strikes[i], np.inf)),
+            angles=np.insert(curve.angles, i + 1, np.nextafter(curve.angles[i], np.inf)),
+            radii=np.insert(curve.radii, i + 1, curve.radii[i]),
+            points=np.insert(curve.points, i + 1, curve.points[i], axis=0),
+            context=curve.context,
+        )
+        got, want = curvature_profile(doubled), curvature_profile(curve)
+        for name in ("arc", "x", "y", "kappa_e", "kappa_s", "angle_about_center",
+                     "n_minus_d1", "strikes"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
 
 class TestKlDivergence:
     def test_identical_curves_zero(self):

@@ -178,26 +178,55 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-# A cold CLI process runs every subcommand but curvature without loading any
-# scipy module: the normal quantile is bsm's own, and the normal CDF and the
-# gamma and beta functions import scipy.special on their first call.
+# The curvature profile of a surface row's completed smile, N(-d1) included,
+# runs on the package's own spline, PCHIP and normal CDF: no scipy module.
+CURVATURE_PROBE = """
+import sys
+
+from smilegeo import curvature_profile, represent
+from smilegeo.surface import complete_expiry, parse_surface
+
+row = parse_surface(open(sys.argv[1], "rb").read())[0]
+completed = complete_expiry(row, "circle")
+profile = curvature_profile(represent(completed.smile, completed.ctx), circle=completed.shape)
+assert profile.n_minus_d1 is not None
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_curvature_profile_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", CURVATURE_PROBE, GAMMA_CSV],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# A cold CLI process runs every subcommand without loading any scipy module:
+# the normal quantile is bsm's own, curvature resamples with the package's
+# own spline, and the normal CDF and the gamma and beta functions, which
+# import scipy.special on their first call, are off every subcommand's path.
 SCIPY_FREE_PROBE = """
 import os
 import sys
 
 from smilegeo import cli
 
-surface = sys.argv[1]
-for argv in (
-    ["represent"],
-    ["fit-circle"],
-    ["fit-ellipse"],
-    ["density", "--method", "circle"],
-    ["density", "--method", "vanna-volga"],
-    ["complete-surface"],
-    ["compare"],
-):
-    assert cli.main([argv[0], surface, *argv[1:], "--out", os.devnull]) == 0, argv
+for surface in sys.argv[1:]:
+    for argv in (
+        ["represent"],
+        ["fit-circle"],
+        ["fit-ellipse"],
+        ["density", "--method", "circle"],
+        ["density", "--method", "vanna-volga"],
+        ["complete-surface"],
+        ["compare"],
+        ["curvature"],
+        ["curvature", "--output-format", "json"],
+    ):
+        assert cli.main([argv[0], surface, *argv[1:], "--out", os.devnull]) == 0, argv
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 """
@@ -205,7 +234,7 @@ assert not loaded, loaded
 
 def test_cli_runs_without_scipy():
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_PROBE, GAMMA_CSV],
+        [sys.executable, "-c", SCIPY_FREE_PROBE, GAMMA_CSV, CIRCLE_CSV],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )

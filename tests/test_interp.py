@@ -1,0 +1,219 @@
+"""The numpy ports in smilegeo._interp against the scipy routines they port.
+
+Every comparison is bit for bit: equal NaN positions and equal bits
+everywhere else (so -0.0 and 0.0 differ).
+"""
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.special import ndtr as scipy_ndtr
+
+from smilegeo import _interp
+from smilegeo.analysis import curvature_profile
+from smilegeo.bsm import forward_log_moneyness, ndtr
+from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.georep import represent
+from smilegeo.surface import complete_expiry, parse_surface
+from smilegeo.workflows import distribution_report
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
+FAMILIES = (
+    Gamma(kappa=5.12, theta=0.64),
+    Uniform(a=2.0109, b=5.4750),
+    StudentT(mu=3.7322, nu=3.9565),
+    Normal(mu=11.3328, s=3.0),
+    LogNormal(mu=1.0, s=0.25),
+)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
+
+
+def assert_spline_matches(t, pts, xs):
+    got = _interp.curve_spline(t, pts)(xs)
+    for j in range(2):
+        assert same_bits(got[:, j], CubicSpline(t, pts[:, j])(xs)), j
+
+
+def assert_pchip_matches(x, y, xs):
+    assert same_bits(_interp.pchip(x, y)(xs), PchipInterpolator(x, y)(xs))
+
+
+def chord_nodes(pts):
+    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def random_nodes(rng, n, kind):
+    """Strictly increasing nodes: smooth, cubed-uniform or with rare long gaps."""
+    if kind == 0:
+        steps = rng.exponential(1.0, n - 1)
+    elif kind == 1:
+        steps = rng.uniform(0.01, 1.0, n - 1) ** 3
+    else:
+        steps = np.where(rng.random(n - 1) < 0.1, 50.0, 0.01) * rng.uniform(0.5, 1.0, n - 1)
+    start = rng.normal()
+    return np.concatenate([[start], start + np.cumsum(steps)])
+
+
+class TestSpline:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_curves(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, 2501)) if seed else 9
+        t = random_nodes(rng, n, seed % 3)
+        pts = np.column_stack([np.cumsum(rng.normal(size=n)), np.sin(t) + 0.1 * rng.normal(size=n)])
+        xs = np.concatenate([
+            np.linspace(t[0], t[-1], 2001), rng.uniform(t[0] - 1.0, t[-1] + 1.0, 500), t,
+        ])
+        assert_spline_matches(t, pts, xs)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            # Row interchanges inside the sweep and in its last row.
+            [0.0, 1.0, 2.0, 100.0, 101.0, 102.0, 300.0, 301.0, 5000.0],
+            [0.0, 100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 10000.0],
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.001, 100.0],
+            [0.0, 1.0, 2.0, 3.0],
+        ],
+    )
+    def test_pivoting_spacings(self, t):
+        t = np.asarray(t)
+        pts = np.column_stack([np.sin(t), np.cos(t / 7.0)])
+        assert_spline_matches(t, pts, np.linspace(t[0] - 1.0, t[-1] + 1.0, 3001))
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
+    def test_report_curves(self, dist):
+        curve = distribution_report(dist).curve
+        s = chord_nodes(curve.points)
+        su = np.linspace(0.0, float(s[-1]), 2001)
+        assert_spline_matches(s, curve.points, su)
+        assert_pchip_matches(s, np.log(curve.strikes), su[6:-6])
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_cli_curves(self, surface):
+        for row in parse_surface((DATA / surface).read_bytes()):
+            completed = complete_expiry(row, "circle")
+            curve = represent(completed.smile, completed.ctx, completed.smile.default_grid(2001))
+            s = chord_nodes(curve.points)
+            su = np.linspace(0.0, float(s[-1]), 2001)
+            assert_spline_matches(s, curve.points, su)
+            assert_pchip_matches(s, np.log(curve.strikes), su[6:-6])
+
+
+class TestPchip:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_data(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(9, 2501))
+        x = random_nodes(rng, n, seed % 3)
+        y = np.cumsum(rng.normal(size=n))
+        if seed % 2:
+            y = np.round(y)  # flat runs and sign changes of the slope
+        assert_pchip_matches(x, y, np.linspace(x[0] - 1.0, x[-1] + 1.0, 3001))
+
+    @pytest.mark.parametrize(
+        "y, end_slope",
+        [
+            ([0.0, 1.0, 11.0, 12.0, 12.5], 0.0),  # three-point slope against m0: flattened
+            ([0.0, 1.0, -9.0, -8.0, -8.5], 3.0),  # sign change, |d| > 3|m0|: capped
+            ([0.0, 1.0, 1.5, 1.0, 2.0], 1.25),  # the three-point slope stands
+        ],
+    )
+    def test_end_rules(self, y, end_slope):
+        x = np.arange(5.0)
+        fit = _interp.pchip(x, y)
+        assert fit.c[2, 0] == end_slope
+        assert_pchip_matches(x, np.asarray(y), np.linspace(-1.0, 5.0, 601))
+
+    def test_two_nodes(self):
+        assert_pchip_matches(np.array([0.0, 2.0]), np.array([1.0, -3.0]), np.linspace(-1, 3, 9))
+
+
+Y5 = np.sin(np.arange(5.0))
+BAD_INPUTS = [
+    ([0.0, 1.0, np.nan, 3.0, 4.0], Y5),
+    ([0.0, 1.0, 2.0, np.inf, 4.0], Y5),
+    ([0.0, 1.0, 1.0, 3.0, 4.0], Y5),  # repeated node
+    ([0.0, 2.0, 1.0, 3.0, 4.0], Y5),  # decreasing node
+    ([0.0, 1.0, 2.0, 3.0, 4.0], np.where(np.arange(5) == 2, np.nan, Y5)),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], np.where(np.arange(5) == 2, np.inf, Y5)),
+]
+
+
+@pytest.mark.parametrize("x, y", BAD_INPUTS)
+def test_value_errors_where_scipy_raises(x, y):
+    x = np.asarray(x)
+    for ref in (PchipInterpolator, CubicSpline):
+        with pytest.raises(ValueError):
+            ref(x, y)
+    with pytest.raises(ValueError):
+        _interp.pchip(x, y)
+    with pytest.raises(ValueError):
+        _interp.curve_spline(x, np.column_stack([Y5, y]))
+
+
+def neighbours(v, k=40):
+    """v and the k floats on either side of it."""
+    out = [v]
+    lo = hi = v
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestNdtr:
+    def test_branch_edges(self):
+        # x = a / sqrt(2) switches formula at 1/sqrt(2) (ndtr), 1 and 8
+        # (erfc), and erfc underflows once x^2 > MAXLOG.
+        edges = [1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0),
+                 math.sqrt(2.0 * 7.09782712893383996843e2), 38.0, 40.0]
+        a = []
+        for e in edges:
+            a += neighbours(e) + neighbours(-e)
+        a = np.array(a + [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+        assert same_bits(_interp.ndtr(a), scipy_ndtr(a))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(2024)
+        a = np.concatenate([
+            rng.normal(0.0, 3.0, 400_000), rng.uniform(-40.0, 40.0, 400_000),
+            rng.uniform(-2.0, 2.0, 400_000), np.exp(rng.uniform(-700.0, 5.0, 20_000)),
+        ])
+        assert same_bits(_interp.ndtr(a), scipy_ndtr(a))
+
+    def test_pinned_to_bsm(self):
+        a = np.linspace(-12.0, 12.0, 20_001)
+        assert same_bits(_interp.ndtr(a), ndtr(a))
+
+
+def scipy_profile(curve):
+    """curvature_profile's resampled points, strikes and N(-d1) through scipy."""
+    s = chord_nodes(curve.points)
+    su = np.linspace(0.0, float(s[-1]), 2001)
+    x = CubicSpline(s, curve.points[:, 0])(su)[6:-6]
+    y = CubicSpline(s, curve.points[:, 1])(su)[6:-6]
+    strikes = np.exp(PchipInterpolator(s, np.log(curve.strikes))(su[6:-6]))
+    total = (np.hypot(x, y) - curve.context.radius_scale) * math.sqrt(curve.context.market.tenor)
+    d1 = forward_log_moneyness(curve.context.market, strikes) / total + 0.5 * total
+    return x, y, strikes, scipy_ndtr(-d1)
+
+
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
+def test_profile_matches_scipy_pipeline(dist):
+    report = distribution_report(dist)
+    profile = curvature_profile(report.curve, circle=report.circle)
+    got = (profile.x, profile.y, profile.strikes, profile.n_minus_d1)
+    for name, a, b in zip(("x", "y", "strikes", "n_minus_d1"), got, scipy_profile(report.curve)):
+        assert same_bits(a, b), name

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
-from smilegeo.errors import SmileGeoError
+from smilegeo.errors import InconsistentForward, SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
 from smilegeo.georep import context_for_smile, represent, smile_from_shape
 from smilegeo.smile import (
@@ -26,6 +26,11 @@ class TestMarketStateFor:
     def test_forward_matches_mean(self):
         ms = market_state_for(GAMMA, dom_rate=0.03, for_rate=0.01, tenor=2.0)
         assert ms.forward() == pytest.approx(GAMMA.mean(), rel=1e-14)
+
+    @pytest.mark.parametrize("dist", [Normal(mu=-1.0, s=1.0), StudentT(mu=-0.1, nu=13.0)])
+    def test_nonpositive_mean_is_inconsistent_forward(self, dist):
+        with pytest.raises(InconsistentForward, match="distribution mean -"):
+            market_state_for(dist)
 
 
 class TestCoverage:
@@ -135,6 +140,7 @@ class TestUniformContrast:
 
 # Parameter ranges cover and exceed tools/report_outputs.py's seeded draws
 # (annual vol about 8-45 %), with StudentT mass below zero and Uniform b/a up to 40.
+# Normal and StudentT means reach down to -2, where no positive forward exists.
 FAMILIES = {
     "lognormal": st.builds(LogNormal, mu=st.floats(-1.0, 3.0), s=st.floats(0.05, 0.6)),
     "gamma": st.builds(
@@ -143,9 +149,11 @@ FAMILIES = {
         st.floats(0.5, 20.0),
     ),
     "normal": st.builds(
-        lambda mu, cv: Normal(mu=mu, s=mu * cv), st.floats(1.0, 30.0), st.floats(0.05, 0.4)
+        lambda mu, cv: Normal(mu=mu, s=max(abs(mu), 1.0) * cv),
+        st.floats(-2.0, 30.0),
+        st.floats(0.05, 0.4),
     ),
-    "student": st.builds(StudentT, mu=st.floats(0.5, 15.0), nu=st.floats(2.5, 12.0)),
+    "student": st.builds(StudentT, mu=st.floats(-2.0, 15.0), nu=st.floats(2.5, 12.0)),
     "uniform": st.builds(
         lambda a, ratio: Uniform(a=a, b=a * ratio), st.floats(0.5, 8.0), st.floats(1.2, 40.0)
     ),
@@ -165,6 +173,12 @@ class TestQuickStartProperty:
     @given(data=st.data())
     def test_finite_or_documented_error(self, family, data):
         dist = data.draw(FAMILIES[family], label="dist")
+        if not dist.mean() > 0.0:
+            with pytest.raises(SmileGeoError, match="mean"):
+                smile_from_distribution(dist, market_state_for(dist))
+            with pytest.raises(SmileGeoError, match="mean"):
+                distribution_report(dist)
+            return
         try:
             smile = smile_from_distribution(dist, market_state_for(dist))
             curve = represent(smile)

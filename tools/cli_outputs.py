@@ -20,15 +20,11 @@ fit-circle, fit-ellipse, and density with circle and with ellipse; per
 surface, compare with circle and with ellipse.  On the two 14-expiry
 surfaces that makes 1248 runs.
 
-Every curvature run comes after all other runs.  curvature is the one
-subcommand that imports ``scipy.interpolate`` (and with it
-``scipy.special``), so the runs before it take the path of a cold CLI
-process, which loads no scipy module.  The run order is also the order of
-``exit_codes.txt``: compare trees written by the same version of this tool.
-
 Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
-lists every run with its exit code (and its stderr when non-empty).  Trees
-written from two checkouts compare with ``diff -r``.
+lists every run with its exit code (and its stderr when non-empty), in
+run order.  Trees written from two checkouts by the same version of this
+tool compare with ``diff -r``; versions that order or name the runs
+differently give different trees.
 
 ``--compare`` lists what moved between two such trees: every output whose
 bytes differ (and any that only one tree has), and for each numeric column
@@ -60,11 +56,7 @@ FIXED_R = ("-r0.5", ["--radius-scale", "0.5"])
 
 
 def runs():
-    """(relative output path, argv without --out) for every run, curvature last."""
-    return sorted(_all_runs(), key=lambda run: run[1][0] == "curvature")
-
-
-def _all_runs():
+    """(relative output path, argv without --out) for every run."""
     for name in SURFACES:
         path = DATA / f"{name}.csv"
         with open(path, newline="") as fh:
@@ -151,7 +143,6 @@ def main(argv) -> int:
     from smilegeo import cli
 
     log = []
-    scipy_from = "import" if "scipy" in sys.modules else None
     for rel, args in runs():
         target = out_dir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -160,12 +151,9 @@ def main(argv) -> int:
             code = cli.main([*args, "--out", str(target)])
         note = err.getvalue().strip().replace("\n", " | ")
         log.append(f"{rel} {code}" + (f" {note}" if note else ""))
-        if scipy_from is None and "scipy" in sys.modules:
-            scipy_from = rel
     (out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n")
     failed = sum(1 for line in log if line.split(" ")[1] != "0")
     print(f"{len(log)} runs, {failed} non-zero exits, outputs in {out_dir}")
-    print(f"scipy first loaded by: {scipy_from or 'no run'}")
     return 0
 
 
