@@ -349,7 +349,7 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
     lo = np.full_like(strikes, IV_BRACKET_LO)
     hi = np.full_like(strikes, IV_BRACKET_HI)
     s = np.full_like(strikes, 0.25)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for sweep in range(IV_MAX_ITER):
             if idx.size <= IV_SCALAR_TAIL:
                 for j in range(idx.size):

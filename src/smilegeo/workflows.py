@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import DivergenceReport, best_lognormal, kl_divergence
-from .bsm import DeltaConvention, MarketState, ndtr
+from .bsm import DeltaConvention, MarketState, d1_d2, implied_vol_grid, ndtr
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import InconsistentForward, TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
@@ -33,6 +33,7 @@ from .smile import (
     density_with_margin,
     log_uniform_grid,
     smile_from_distribution,
+    strike_grid,
     strikes_for_deltas,
 )
 from .vanna_volga import ThreeQuoteSmile, vv_smile
@@ -58,25 +59,38 @@ def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float 
     return MarketState(spot=spot, dom_rate=dom_rate, for_rate=for_rate, tenor=tenor)
 
 
+def _ends_cover(
+    dist: Distribution, ms: MarketState, grid: GridSpec, targets: tuple[float, float]
+) -> bool:
+    """Whether N(-d1) at the grid's end strikes lies below ``targets[0]`` and
+    above ``targets[1]``.
+
+    Inverts the two end prices alone: the smile's spline passes through the
+    vols at its nodes, so no smile is built to decide a width.
+    """
+    ends = strike_grid(dist, ms, grid)[[0, -1]]
+    vols = implied_vol_grid(ms, ends, dist.call_price(ms, ends))
+    nd1_lo, nd1_hi = ndtr(-d1_d2(ms, ends, vols)[0])
+    return bool(nd1_lo < targets[0] and nd1_hi > targets[1])
+
+
 def smile_with_coverage(
     dist: Distribution, ms: MarketState, targets: tuple[float, float] = KL_WINDOW
 ) -> SmileCurve:
     """Distribution smile on a grid wide enough to bracket the delta targets.
 
     The default grid recipe hugs a flat-vol proxy; heavy-tailed smiles push
-    their delta window past it, so the proxy window is widened until the
-    smile's own N(-d1) range covers ``targets`` (support bounds permitting).
+    their delta window past it, so the proxy window is widened by 1.6 until
+    N(-d1) at the grid's two end strikes brackets ``targets`` (support
+    bounds permitting).  Each width is decided from its end strikes alone,
+    and the smile is built once, on the width that passes.
     """
     grid = GridSpec()
-    lo_t, hi_t = targets
     b_lo, b_hi = dist.strike_bounds()
     bounded = b_lo > 0.0 or math.isfinite(b_hi)
     for _ in range(MAX_GRID_WIDENINGS):
-        smile = smile_from_distribution(dist, ms, grid)
-        nd1_lo = float(ndtr(-smile.d1(smile.k_lo * 1.0000001)))
-        nd1_hi = float(ndtr(-smile.d1(smile.k_hi * 0.9999999)))
-        if (nd1_lo < lo_t and nd1_hi > hi_t) or bounded:
-            return smile
+        if bounded or _ends_cover(dist, ms, grid, targets):
+            return smile_from_distribution(dist, ms, grid)
         grid = replace(grid, width_mult=grid.width_mult * 1.6)
     raise TargetOutsideDomain(
         f"could not widen the grid to cover the N(-d1) window {targets}"

@@ -11,7 +11,12 @@ from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from scipy.special import ndtr
 
 import smilegeo.smile as smile_module
-from smilegeo.errors import DomainTooNarrow, InconsistentForward, TargetOutsideDomain
+from smilegeo.errors import (
+    DomainTooNarrow,
+    InconsistentForward,
+    NoConvergence,
+    TargetOutsideDomain,
+)
 from smilegeo.shapes import CircleShape
 from smilegeo.smile import (
     DELTA_SAMPLES,
@@ -202,6 +207,12 @@ class TestStrikesForDeltas:
 
     def test_no_targets(self):
         assert strikes_for_deltas(flat_smile(FLAT_MS, 0.2), []).shape == (0,)
+
+    def test_exhausted_budget_off_the_floor_raises(self, monkeypatch):
+        # After the budget, only residuals within 4 eps of the target pass.
+        monkeypatch.setattr(smile_module, "DELTA_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="delta solve iteration budget exhausted"):
+            strikes_for_deltas(_reference_smile("gamma"), DELTA_TARGETS)
 
 
 class TestDensityFromSmile:

@@ -1,11 +1,18 @@
 """End-to-end pipeline tests across the analysed distribution families."""
+import importlib.util
 import math
+import pathlib
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+import smilegeo
+import smilegeo.workflows as workflows_module
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.errors import InconsistentForward, SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
@@ -17,7 +24,13 @@ from smilegeo.smile import (
     smile_from_distribution,
     strike_for_delta,
 )
-from smilegeo.workflows import distribution_report, market_state_for, smile_with_coverage
+from smilegeo.workflows import (
+    KL_WINDOW,
+    MAX_GRID_WIDENINGS,
+    distribution_report,
+    market_state_for,
+    smile_with_coverage,
+)
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
 
@@ -33,12 +46,39 @@ class TestMarketStateFor:
             market_state_for(dist)
 
 
+def _load_report_outputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_outputs.py"
+    spec = importlib.util.spec_from_file_location("report_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPORT_CASES = dict(_load_report_outputs().cases(smilegeo))
+
+
+def _spline_read_rule(dist, ms, targets=KL_WINDOW):
+    """The width rule that builds every smile and reads N(-d1) on the spline
+    just inside its ends; returns the number of widenings and the smile."""
+    grid = GridSpec()
+    b_lo, b_hi = dist.strike_bounds()
+    bounded = b_lo > 0.0 or math.isfinite(b_hi)
+    for k in range(MAX_GRID_WIDENINGS):
+        smile = smile_from_distribution(dist, ms, grid)
+        nd1_lo = float(ndtr(-smile.d1(smile.k_lo * 1.0000001)))
+        nd1_hi = float(ndtr(-smile.d1(smile.k_hi * 0.9999999)))
+        if (nd1_lo < targets[0] and nd1_hi > targets[1]) or bounded:
+            return k, smile
+        grid = replace(grid, width_mult=grid.width_mult * 1.6)
+    raise AssertionError("the spline-read rule found no width")
+
+
 class TestCoverage:
+    HEAVY = StudentT(mu=3.7322, nu=3.9565)
+
     def test_heavy_tail_grid_widens(self):
-        dist = StudentT(mu=3.7322, nu=3.9565)
+        dist = self.HEAVY
         ms = market_state_for(dist)
-        from smilegeo.smile import smile_from_distribution
-        from scipy.special import ndtr
 
         narrow = smile_from_distribution(dist, ms, GridSpec())
         assert float(ndtr(-narrow.d1(narrow.k_lo * 1.000001))) > 0.01  # default misses
@@ -46,6 +86,36 @@ class TestCoverage:
         wide = smile_with_coverage(dist, ms)
         assert float(ndtr(-wide.d1(wide.k_lo * 1.000001))) < 0.01
         assert float(ndtr(-wide.d1(wide.k_hi * 0.999999))) > 0.99
+
+    def test_builds_one_smile(self, monkeypatch):
+        # The widths that fail are decided from their end strikes alone.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return smile_from_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(workflows_module, "smile_from_distribution", counting)
+        smile_with_coverage(self.HEAVY, market_state_for(self.HEAVY))
+        assert len(calls) == 1
+
+    def test_smile_is_the_spline_read_rules(self):
+        dist = self.HEAVY
+        ms = market_state_for(dist)
+        k, _ = _spline_read_rule(dist, ms)
+        assert k >= 1
+        smile = smile_with_coverage(dist, ms)
+        strikes = smile.default_grid(777)
+        expected = smile_from_distribution(dist, ms, GridSpec(width_mult=1.6**k))
+        assert np.array_equal(smile.vol(strikes), expected.vol(strikes))
+
+    @pytest.mark.parametrize("name", list(REPORT_CASES))
+    def test_ends_match_the_spline_read_rule(self, name):
+        dist = REPORT_CASES[name]
+        ms = market_state_for(dist)
+        _, expected = _spline_read_rule(dist, ms)
+        smile = smile_with_coverage(dist, ms)
+        assert (smile.k_lo, smile.k_hi) == (expected.k_lo, expected.k_hi)
 
 
 class TestBellShapedFamilies:
@@ -79,8 +149,6 @@ class TestBellShapedFamilies:
 class TestWindow:
     def test_window_spans_requested_targets(self):
         report = distribution_report(GAMMA)
-        from scipy.special import ndtr
-
         k_lo, k_hi = report.window
         assert float(ndtr(-report.smile.d1(k_lo))) == pytest.approx(0.01, abs=1e-9)
         assert float(ndtr(-report.smile.d1(k_hi))) == pytest.approx(0.99, abs=1e-9)
@@ -123,12 +191,35 @@ class TestWindow:
         report = distribution_report(GAMMA)
         assert report.circle == fit_circle_to_smile(report.smile, report.ctx)
 
+    def test_delta_solve_ending_in_an_ulp_cycle(self):
+        # The 0.99 target's Newton iterate alternated between two strikes
+        # whose residuals are one ulp of 0.99, and the budget ran out.
+        report = distribution_report(StudentT(mu=3.120173330585679, nu=3.711714292082463))
+        nd1_hi = float(ndtr(-report.smile.d1(report.window[1])))
+        assert abs(nd1_hi - 0.99) <= 4.0 * np.finfo(float).eps * 0.99
+
     def test_true_density_rescaled_for_negative_mass(self):
         dist = StudentT(mu=3.7322, nu=3.9565)
         report = distribution_report(dist)
         assert report.p_true.mass_below_zero == pytest.approx(dist.cdf(0.0), abs=1e-14)
         ratio = report.p_true.values / np.asarray(dist.pdf(report.window_grid))
         assert np.allclose(ratio, 1.0 / (1.0 - dist.cdf(0.0)), rtol=1e-12)
+
+
+def test_infinite_newton_step_is_silent():
+    # A vega that underflows makes an infinite Newton step, which the vol
+    # solve turns into a bisection without an overflow warning.
+    dist = StudentT(mu=0.782252297406306, nu=2.6166645965643442)
+    ms = market_state_for(dist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = smile_from_distribution(dist, ms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smile = smile_from_distribution(dist, ms)
+        distribution_report(dist)
+    strikes = smile.default_grid()
+    assert np.array_equal(smile.vol(strikes), quiet.vol(strikes))
 
 
 class TestUniformContrast:

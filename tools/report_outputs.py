@@ -8,8 +8,9 @@ SRC_ROOT is the directory that holds the ``smilegeo`` package (a checkout's
 distributions of the acceptance suite and DRAWS seeded draws of each of the
 five families, with market-like widths (annual vol about 8-45 %).
 
-OUT is a JSON file with one record per case: the KL window, the anchors
-(target, strike, vol), the fitted circle, the three KL values and the
+OUT is a JSON file with one record per case: the ends of the smile's
+strike grid (``k_lo``, ``k_hi``), the KL window, the anchors (target,
+strike, vol), the fitted circle, the three KL values and the
 non-negativity margin, or the error a case raised.  Floats are written with
 ``repr``, so files from two checkouts compare exactly.  ``--compare`` prints,
 for each field, how many cases differ, the largest absolute change, the
@@ -59,6 +60,7 @@ def record(sg, dist) -> dict:
     except sg.SmileGeoError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
+        "grid": [rep.smile.k_lo, rep.smile.k_hi],
         "window": list(rep.window),
         "atm_rn": rep.ctx.atm_rn,
         "radius_scale": rep.ctx.radius_scale,
