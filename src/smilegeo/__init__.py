@@ -20,13 +20,9 @@ from .bsm import (
     MarketState,
     OptionSide,
     atm_rn_lognormal,
-    bsm_delta,
     bsm_price,
-    bsm_vega,
     d1_d2,
     d1_d2_identity_residual,
-    implied_vol,
-    std_normal_cdf,
     strike_for_target_nd1,
 )
 from .distributions import (
@@ -40,7 +36,7 @@ from .distributions import (
     density_curve,
     support_transform_exp,
 )
-from .emit import RepresentationScene, TableArtifact, emit
+from .emit import RepresentationScene, TableArtifact
 from .errors import (
     CollinearPoints,
     CurveTooShort,
@@ -50,6 +46,7 @@ from .errors import (
     DisjointSupport,
     DomainTooNarrow,
     InconsistentForward,
+    InvalidInput,
     MissingAnchor,
     NoConvergence,
     NonFiniteDensity,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .bsm import forward_log_moneyness
+from .bsm import d1_total
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
 from .georep import RepresentationCurve
@@ -151,9 +151,7 @@ def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProf
         ctx = curve.context
         # sigma along the resampled curve from the radial coordinate
         sigma = np.hypot(x, y) - ctx.radius_scale
-        total = sigma * math.sqrt(ctx.market.tenor)
-        d1 = forward_log_moneyness(ctx.market, strikes) / total + 0.5 * total
-        n_minus_d1 = _interp.ndtr(-d1)
+        n_minus_d1 = _interp.ndtr(-d1_total(ctx.market, strikes, sigma)[0])
     return CurvatureProfile(
         arc=arc,
         x=x,

@@ -1,6 +1,6 @@
-"""Black-Scholes-Merton pricing, deltas, and implied-volatility inversion.
+"""Black-Scholes-Merton pricing, d1/d2, and implied-volatility inversion.
 
-Everything here is a pure function of its arguments; prices and deltas accept
+Everything here is a pure function of its arguments; prices and d's accept
 numpy arrays for the strike/vol slots and broadcast in the usual way.
 
 This module holds the package's standard normal quantile and its main
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTenor, NoConvergence, PriceOutOfBand, TargetOutsideDomain
+from .errors import DegenerateTenor, InvalidInput, NoConvergence, PriceOutOfBand, TargetOutsideDomain
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -80,11 +80,11 @@ class MarketState:
 
     def __post_init__(self):
         if not (self.spot > 0.0 and math.isfinite(self.spot)):
-            raise ValueError(f"spot must be positive and finite, got {self.spot}")
+            raise InvalidInput(f"spot must be positive and finite, got {self.spot}")
         if self.tenor < 0.0 or not math.isfinite(self.tenor):
-            raise ValueError(f"tenor must be >= 0 and finite, got {self.tenor}")
+            raise InvalidInput(f"tenor must be >= 0 and finite, got {self.tenor}")
         if not (math.isfinite(self.dom_rate) and math.isfinite(self.for_rate)):
-            raise ValueError("rates must be finite")
+            raise InvalidInput("rates must be finite")
 
     def forward(self) -> float:
         return self.spot * math.exp((self.dom_rate - self.for_rate) * self.tenor)
@@ -185,9 +185,6 @@ def ndtri(y: float) -> float:
     return x if upper else -x
 
 
-std_normal_cdf = ndtr
-
-
 def std_normal_pdf(x):
     """Standard normal density n(x)."""
     return np.exp(-0.5 * np.square(x)) / SQRT_2PI
@@ -196,6 +193,15 @@ def std_normal_pdf(x):
 def forward_log_moneyness(ms: MarketState, strike):
     """ln(S/K) + (r - q)T, the numerator of every d1 in the package."""
     return np.log(ms.spot / strike) + (ms.dom_rate - ms.for_rate) * ms.tenor
+
+
+def d1_total(ms: MarketState, strike, vol):
+    """d1 and the total vol vol sqrt(T), unchecked (``d1_d2`` checks first).
+
+    Every d1 but the pricing sweep's and the vanna-volga quadratics' is this one.
+    """
+    total = vol * math.sqrt(ms.tenor)
+    return forward_log_moneyness(ms, strike) / total + 0.5 * total, total
 
 
 def d1_d2(ms: MarketState, strike, vol):
@@ -212,9 +218,7 @@ def d1_d2(ms: MarketState, strike, vol):
         raise DegenerateTenor("d1/d2 undefined at zero volatility")
     if np.any(strike <= 0.0):
         raise ValueError("strike must be positive")
-    sqrt_t = math.sqrt(ms.tenor)
-    total = vol * sqrt_t
-    d1 = forward_log_moneyness(ms, strike) / total + 0.5 * total
+    d1, total = d1_total(ms, strike, vol)
     d2 = d1 - total
     if d1.ndim == 0:
         return float(d1), float(d2)
@@ -237,29 +241,11 @@ def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
         # A zero total is a 0/0 or x/0 in _sweep_price; its intrinsic replaces it.
         with np.errstate(divide="ignore", invalid="ignore"):
             live, _ = _sweep_price(
-                forward_log_moneyness(ms, strike), dfd * strike, total, dff * ms.spot, False
+                forward_log_moneyness(ms, strike), dfd * strike, total, dff * ms.spot
             )
         call = np.where(total > 0.0, live, np.maximum(dff * ms.spot - dfd * strike, 0.0))
-    if side is OptionSide.CALL:
-        out = call
-    else:
-        out = call - dff * ms.spot + dfd * strike
+    out = call if side is OptionSide.CALL else call - dff * ms.spot + dfd * strike
     return float(out) if np.ndim(out) == 0 else out
-
-
-def bsm_delta(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
-    """Spot delta: e^{-qT} N(d1) for calls, minus e^{-qT} N(-d1) for puts."""
-    d1, _ = d1_d2(ms, strike, vol)
-    dff = ms.df_for()
-    if side is OptionSide.CALL:
-        return dff * ndtr(d1)
-    return dff * (ndtr(d1) - 1.0)
-
-
-def bsm_vega(ms: MarketState, strike, vol):
-    """Price sensitivity to vol (per unit of vol)."""
-    d1, _ = d1_d2(ms, strike, vol)
-    return ms.df_for() * ms.spot * std_normal_pdf(d1) * math.sqrt(ms.tenor)
 
 
 def d1_d2_identity_residual(ms: MarketState, strike, vol) -> float:
@@ -275,14 +261,14 @@ def atm_rn_lognormal(ms: MarketState, vol: float) -> float:
     """Strike zeroing the call+put delta under a flat vol: S0 e^{(r-q+vol^2/2)T}."""
     if vol < 0.0:
         raise ValueError("vol must be >= 0")
-    return ms.spot * math.exp((ms.dom_rate - ms.for_rate + 0.5 * vol * vol) * ms.tenor)
+    return strike_for_target_nd1(ms, vol, 0.5)
 
 
 def strike_for_target_nd1(ms: MarketState, vol: float, target: float) -> float:
     """Strike where N(-d1(K)) equals ``target`` under a flat vol.
 
     Closed form: K = S0 exp(z vol sqrt(T) + (r - q + vol^2/2) T) with
-    z the normal quantile of the target.
+    z the normal quantile of the target (exactly 0 at 0.5).
     """
     if not 0.0 < target < 1.0:
         raise TargetOutsideDomain(f"N(-d1) target {target:.6g} outside (0, 1)")
@@ -293,33 +279,24 @@ def strike_for_target_nd1(ms: MarketState, vol: float, target: float) -> float:
     )
 
 
-def _price_band(ms: MarketState, strike: float, side: OptionSide) -> tuple[float, float]:
-    """Open no-arbitrage band (intrinsic, forward-bound) for one option."""
-    dff, dfd = ms.df_for(), ms.df_dom()
-    if side is OptionSide.CALL:
-        return max(dff * ms.spot - dfd * strike, 0.0), dff * ms.spot
-    return max(dfd * strike - dff * ms.spot, 0.0), dfd * strike
+def _sweep_price(ln_m, dfd_k, total, fwd_df: float):
+    """Call price and d1 from ln(S/K) + (r - q)T, e^{-rT} K and vol sqrt(T) > 0.
 
-
-def _sweep_price(ln_m, dfd_k, total, fwd_df: float, put: bool):
-    """Option price and d1 from ln(S/K) + (r - q)T, e^{-rT} K and vol sqrt(T) > 0.
-
-    The one Black-Scholes price formula: ``bsm_price`` prices through it too.
+    The one Black-Scholes price formula: ``bsm_price`` prices through it too,
+    and forms puts from it by parity.
     """
     d1 = ln_m / total + 0.5 * total
-    price = fwd_df * ndtr(d1) - dfd_k * ndtr(d1 - total)
-    if put:
-        price = price - fwd_df + dfd_k
-    return price, d1
+    return fwd_df * ndtr(d1) - dfd_k * ndtr(d1 - total), d1
 
 
-def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = OptionSide.CALL):
-    """Vectorised implied vol for arrays of in-band prices.
+def implied_vol_grid(ms: MarketState, strikes, prices):
+    """Vectorised implied vol for arrays of in-band call prices.
 
     Safeguarded Newton on a per-element bracket; every in-band price inside
-    the [IV_BRACKET_LO, IV_BRACKET_HI] vol range converges.  Each sweep
-    prices only the strikes not yet converged and takes the vega from the
-    same d1.
+    the [IV_BRACKET_LO, IV_BRACKET_HI] vol range converges; a price outside
+    that range's band raises PriceOutOfBand.  Each sweep prices only the
+    strikes not yet converged and takes the vega from the same d1.  A put
+    quote inverts as its parity call.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
@@ -330,11 +307,10 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
     sqrt_t = math.sqrt(ms.tenor)
     fwd_df = ms.df_for() * ms.spot
     vega_df = fwd_df * sqrt_t / SQRT_2PI
-    put = side is OptionSide.PUT
     ln_m = forward_log_moneyness(ms, strikes)
     dfd_k = ms.df_dom() * strikes
-    lo_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_LO * sqrt_t, fwd_df, put)
-    hi_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_HI * sqrt_t, fwd_df, put)
+    lo_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_LO * sqrt_t, fwd_df)
+    hi_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_HI * sqrt_t, fwd_df)
     if np.any(prices <= lo_p) or np.any(prices >= hi_p):
         bad = int(np.argmax((prices <= lo_p) | (prices >= hi_p)))
         raise PriceOutOfBand(
@@ -355,10 +331,10 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
                 for j in range(idx.size):
                     sig[idx[j]] = _newton_scalar(
                         ln_m[j], dfd_k[j], c[j], tol[j], lo[j], hi[j], s[j],
-                        sqrt_t, fwd_df, vega_df, put, IV_MAX_ITER - sweep,
+                        sqrt_t, fwd_df, vega_df, IV_MAX_ITER - sweep,
                     )
                 return sig
-            model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)
+            model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df)
             f = model - c
             np.maximum(lo, s, out=lo, where=f < 0.0)
             np.minimum(hi, s, out=hi, where=f > 0.0)
@@ -379,13 +355,13 @@ def implied_vol_grid(ms: MarketState, strikes, prices, side: OptionSide = Option
                     a[keep] for a in (idx, c, ln_m, dfd_k, tol, lo, hi, s)
                 )
     sig[idx] = s
-    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)[0] - c
+    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df)[0] - c
     if np.any(np.abs(f) > 1e-8 * np.maximum(np.abs(c), 1.0)):
         raise NoConvergence("implied vol iteration budget exhausted")
     return sig
 
 
-def _newton_scalar(ln_m, dfd_k, c, tol, lo, hi, s, sqrt_t, fwd_df, vega_df, put, budget):
+def _newton_scalar(ln_m, dfd_k, c, tol, lo, hi, s, sqrt_t, fwd_df, vega_df, budget):
     """One strike of ``implied_vol_grid``'s sweep, iterated on numpy scalars.
 
     The operations are the sweep's, element for element, so the vol is the
@@ -393,7 +369,7 @@ def _newton_scalar(ln_m, dfd_k, c, tol, lo, hi, s, sqrt_t, fwd_df, vega_df, put,
     a vega that underflows to 0 gives an inf or NaN step, then a bisection.
     """
     for _ in range(budget):
-        model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)
+        model, d1 = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df)
         f = model - c
         if f < 0.0:
             lo = max(lo, s)
@@ -410,23 +386,7 @@ def _newton_scalar(ln_m, dfd_k, c, tol, lo, hi, s, sqrt_t, fwd_df, vega_df, put,
         if abs(cand - s) <= 1e-16 * cand:
             return cand
         s = cand
-    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df, put)[0] - c
+    f = _sweep_price(ln_m, dfd_k, s * sqrt_t, fwd_df)[0] - c
     if abs(f) > 1e-8 * max(abs(c), 1.0):
         raise NoConvergence("implied vol iteration budget exhausted")
     return s
-
-
-def implied_vol(
-    ms: MarketState, strike: float, observed_price: float, side: OptionSide = OptionSide.CALL
-) -> float:
-    """Volatility making the BSM price match ``observed_price``.
-
-    Raises PriceOutOfBand when the price sits outside the no-arbitrage band
-    (or outside the solver's vol bracket), NoConvergence otherwise-never.
-    """
-    lo_b, hi_b = _price_band(ms, strike, side)
-    if not lo_b < observed_price < hi_b:
-        raise PriceOutOfBand(
-            f"price {observed_price:.6g} outside no-arbitrage band ({lo_b:.6g}, {hi_b:.6g})"
-        )
-    return float(implied_vol_grid(ms, [strike], [observed_price], side)[0])

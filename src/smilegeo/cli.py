@@ -127,11 +127,7 @@ def _grid_points(args, least: int) -> int:
 
 
 def _convention(args) -> DeltaConvention:
-    return (
-        DeltaConvention.SPOT_PIPS
-        if args.delta_convention == "spot-pips"
-        else DeltaConvention.FORWARD_N
-    )
+    return DeltaConvention(args.delta_convention)
 
 
 def _pick_row(rows, args):
@@ -152,14 +148,10 @@ def _write(artifact, args) -> None:
             fh.write(payload)
 
 
-def _completed_row(rows, args, method=None):
-    row = _pick_row(rows, args)
+def _complete(row, args, method=None):
+    """``complete_expiry`` of one row under the command line's options."""
     return complete_expiry(
-        row,
-        method or args.method,
-        _convention(args),
-        args.radius_scale,
-        vv_variant=args.vv_variant,
+        row, method or args.method, _convention(args), args.radius_scale, args.vv_variant
     )
 
 
@@ -234,58 +226,37 @@ def run(argv=None) -> int:
         _write(_representation_points_table(rows, args), args)
     elif args.command in ("fit-circle", "fit-ellipse"):
         method = "circle" if args.command == "fit-circle" else "ellipse"
-        completed = _completed_row(rows, args, method=method)
+        completed = _complete(_pick_row(rows, args), args, method)
         if args.output_format == "svg":
             _write(_scene(completed), args)
         else:
-            shape = completed.shape
+            shape, ctx = completed.shape, completed.ctx
             if method == "circle":
-                art = TableArtifact(
-                    kind="fitted-circle",
-                    columns=("cx", "cy", "radius", "atm_rn", "radius_scale"),
-                    rows=(
-                        (
-                            shape.center[0],
-                            shape.center[1],
-                            shape.radius,
-                            completed.ctx.atm_rn,
-                            completed.ctx.radius_scale,
-                        ),
-                    ),
-                )
+                columns, values = ("cx", "cy", "radius"), (*shape.center, shape.radius)
             else:
-                art = TableArtifact(
-                    kind="fitted-ellipse",
-                    columns=("A", "B", "C", "D", "E", "F", "atm_rn", "radius_scale"),
-                    rows=(
-                        shape.coefficients
-                        + (completed.ctx.atm_rn, completed.ctx.radius_scale),
-                    ),
-                )
-            _write(art, args)
+                columns, values = ("A", "B", "C", "D", "E", "F"), shape.coefficients
+            _write(
+                TableArtifact(
+                    kind=f"fitted-{method}",
+                    columns=columns + ("atm_rn", "radius_scale"),
+                    rows=((*values, ctx.atm_rn, ctx.radius_scale),),
+                ),
+                args,
+            )
     elif args.command == "density":
-        completed = _completed_row(rows, args)
+        completed = _complete(_pick_row(rows, args), args)
         grid = _density_grid(completed, grid_points)
         _write(density_from_smile(completed.smile, grid), args)
     elif args.command == "curvature":
-        completed = _completed_row(rows, args, method="circle")
+        completed = _complete(_pick_row(rows, args), args, "circle")
         curve = represent(completed.smile, completed.ctx, _curve_grid(completed, grid_points))
         profile = curvature_profile(curve, circle=completed.shape)
         _write(profile, args)
     elif args.command == "complete-surface":
-        conv = _convention(args)
         out_rows = []
         for row in rows:
-            completed = complete_expiry(
-                row, args.method, conv, args.radius_scale, vv_variant=args.vv_variant
-            )
-            vols = tuple(
-                float(completed.smile.vol(completed.label_strikes[lab]))
-                if lab in completed.label_strikes
-                else None
-                for lab in LABELS
-            )
-            out_rows.append((row.expiry_label,) + vols)
+            vols = _complete(row, args).label_vols()
+            out_rows.append((row.expiry_label, *(vols.get(lab) for lab in LABELS)))
         _write(
             TableArtifact(
                 kind=f"completed-{args.method}",

@@ -53,14 +53,6 @@ class DensityCurve:
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "values", values)
 
-    @property
-    def has_negative_values(self) -> bool:
-        return bool(np.any(self.values < 0.0))
-
-    def mass(self) -> float:
-        """Trapezoid integral over the grid."""
-        return float(np.trapezoid(self.values, self.strikes))
-
 
 class Distribution(ABC):
     """Common surface of the Table-of-families distributions."""

@@ -260,16 +260,3 @@ def _render_scene_svg(scene: RepresentationScene) -> bytes:
 
 
 RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
-
-
-def emit(artifact, fmt: str, path) -> int:
-    """Write the artifact to ``path`` in the requested format.
-
-    Returns the number of bytes written; I/O failures raise OSError.
-    """
-    if fmt not in RENDERERS:
-        raise ValueError(f"unknown format {fmt!r}; pick one of {sorted(RENDERERS)}")
-    payload = RENDERERS[fmt](artifact)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return len(payload)

@@ -5,6 +5,10 @@ class SmileGeoError(Exception):
     """Base class for all smilegeo errors."""
 
 
+class InvalidInput(SmileGeoError, ValueError):
+    """A constructor argument outside its domain; a ValueError too, for ``except ValueError``."""
+
+
 class DegenerateTenor(SmileGeoError):
     """d1/d2 requested with zero tenor or zero volatility."""
 

@@ -86,7 +86,10 @@ def strike_to_x(strike, atm_rn: float, radius_scale: float):
 
 
 def stereographic_point(x_coord):
-    """Point of the unit circle projecting to X: (2X, X^2 - 1) / (1 + X^2)."""
+    """Point of the unit circle projecting to X: (2X, X^2 - 1) / (1 + X^2).
+
+    The paper's reference map, kept for tests that check ``continuous_angle``.
+    """
     x_coord = np.asarray(x_coord, dtype=float)
     denom = 1.0 + x_coord * x_coord
     px = 2.0 * x_coord / denom
@@ -97,7 +100,10 @@ def stereographic_point(x_coord):
 
 
 def polar_angle(x, z):
-    """Principal polar angle of (x, z) in (-pi, pi]."""
+    """Principal polar angle of (x, z) in (-pi, pi].
+
+    Kept with ``stereographic_point`` for tests of ``continuous_angle``.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any((x == 0.0) & (z == 0.0)):

@@ -15,7 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CollinearPoints, DegenerateConfiguration, NotAnEllipse, OriginOutsideShape
+from .errors import (
+    CollinearPoints, DegenerateConfiguration, InvalidInput, NotAnEllipse, OriginOutsideShape
+)
 
 COLLINEARITY_TOL = 1e-12
 CONIC_RANK_TOL = 1e-10
@@ -28,7 +30,7 @@ class CircleShape:
 
     def __post_init__(self):
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+            raise InvalidInput("radius must be positive and finite")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     @property
@@ -85,7 +87,7 @@ class ConicShape:
         coefs = np.asarray(self.coefficients, dtype=float)
         norm = float(np.linalg.norm(coefs))
         if norm == 0.0 or not np.all(np.isfinite(coefs)):
-            raise ValueError("conic coefficients must be finite and not all zero")
+            raise InvalidInput("conic coefficients must be finite and not all zero")
         coefs = coefs / norm
         lead = coefs[np.nonzero(np.abs(coefs) > 1e-14)[0][0]]
         if lead < 0.0:

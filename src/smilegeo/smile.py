@@ -29,6 +29,8 @@ from .bsm import (
     DeltaConvention,
     MarketState,
     _sweep_price,
+    atm_rn_lognormal,
+    d1_total,
     forward_log_moneyness,
     implied_vol_grid,
     ndtr,
@@ -103,16 +105,6 @@ class SmileCurve:
         out = self.vol_fn(np.log(np.asarray(strike, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 
-    def d1(self, strike):
-        """BSM d1 evaluated with the smile vol."""
-        strike = np.asarray(strike, dtype=float)
-        total = self.vol(strike) * math.sqrt(self.market.tenor)
-        return forward_log_moneyness(self.market, strike) / total + 0.5 * total
-
-    def contains(self, strikes) -> bool:
-        strikes = np.asarray(strikes, dtype=float)
-        return bool(strikes.min() >= self.k_lo and strikes.max() <= self.k_hi)
-
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
         """n log-uniform strikes spanning the domain, ends kept inside it."""
         return log_uniform_grid(self.k_lo, self.k_hi, n)
@@ -179,7 +171,6 @@ def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
         ms.df_dom() * k,
         _BRACKET_VOLS * math.sqrt(ms.tenor),
         ms.df_for() * ms.spot,
-        False,
     )[0]
     slack = 1e-13 * max(1.0, abs(price))
     return price - lo > slack and hi - price > slack
@@ -210,9 +201,7 @@ def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec) -> np.ndarr
     """
     sqrt_t = math.sqrt(ms.tenor)
     proxy = _proxy_vol(dist, ms)
-    atm_flat = ms.spot * math.exp(
-        (ms.dom_rate - ms.for_rate + 0.5 * proxy * proxy) * ms.tenor
-    )
+    atm_flat = atm_rn_lognormal(ms, proxy)
     half_lo = ndtri(GRID_DELTA_WINDOW[0]) * proxy * sqrt_t * grid.width_mult
     half_hi = ndtri(GRID_DELTA_WINDOW[1]) * proxy * sqrt_t * grid.width_mult
     ln_lo = math.log(atm_flat) + half_lo
@@ -290,15 +279,9 @@ def strikes_for_deltas(
     ms = smile.market
     eff = np.array([nd1_level(ms, t, conv) for t in targets], dtype=float)
     sqrt_t = math.sqrt(ms.tenor)
-
-    def d1_d2(lnk, sig):
-        total = sig * sqrt_t
-        d1 = forward_log_moneyness(ms, np.exp(lnk)) / total + 0.5 * total
-        return d1, d1 - total, total
-
     xs = np.linspace(math.log(smile.k_lo), math.log(smile.k_hi), DELTA_SAMPLES)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = ndtr(-d1_d2(xs, smile.vol_fn(xs))[0])[:, None] - eff
+        gap = ndtr(-d1_total(ms, np.exp(xs), smile.vol_fn(xs))[0])[:, None] - eff
     crosses = ((gap[:-1] <= 0.0) & (gap[1:] >= 0.0)) | ((gap[:-1] >= 0.0) & (gap[1:] <= 0.0))
     missing = ~crosses.any(axis=0)
     if missing.any():
@@ -319,7 +302,8 @@ def strikes_for_deltas(
         done = np.zeros(eff.size, dtype=bool)
         for _ in range(DELTA_MAX_ITER):
             sig, sig_dot, _ = smile.jet_fn(x)
-            d1, d2, total = d1_d2(x, sig)
+            d1, total = d1_total(ms, np.exp(x), sig)
+            d2 = d1 - total
             h = ndtr(-d1) - eff
             # d N(-d1) / d ln K = n(d1) (1 + sqrt(T) sigma' d2) / (sigma sqrt(T)).
             slope = np.exp(-0.5 * d1 * d1) * (1.0 + sqrt_t * sig_dot * d2) / (SQRT_2PI * total)
@@ -335,7 +319,7 @@ def strikes_for_deltas(
                 return np.exp(x)
         # A Newton iterate can cycle between strikes one ulp of the target
         # apart; a residual at that floor is converged too.
-        h = ndtr(-d1_d2(x, smile.vol_fn(x))[0]) - eff
+        h = ndtr(-d1_total(ms, np.exp(x), smile.vol_fn(x))[0]) - eff
     if not np.all(done | (np.abs(h) <= 4.0 * _EPS * eff)):
         raise NoConvergence("delta solve iteration budget exhausted")
     return np.exp(x)
@@ -347,11 +331,6 @@ def strike_for_delta(
     """Strike where the smile's N(-d1) (or raw |put delta|) hits ``target``."""
     strike = float(strikes_for_deltas(smile, [target], conv)[0])
     return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)), convention=conv)
-
-
-def atm_rn_strike(smile: SmileCurve) -> float:
-    """The smile's delta-neutral-straddle strike: d1(K, sigma(K)) = 0."""
-    return float(strikes_for_deltas(smile, [0.5])[0])
 
 
 def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str):
@@ -377,8 +356,7 @@ def _bracket_terms(smile: SmileCurve, strikes: np.ndarray, mode: str):
     if np.any(sig <= 0.0):
         k_bad = strikes[int(np.argmax(sig <= 0.0))]
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
-    total = sig * sqrt_t
-    d1 = forward_log_moneyness(ms, strikes) / total + 0.5 * total
+    d1, total = d1_total(ms, strikes, sig)
     d2 = d1 - total
     t = ms.tenor
     bracket = (
@@ -394,7 +372,7 @@ def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 strikes")
-    if not smile.contains(strikes):
+    if not (strikes.min() >= smile.k_lo and strikes.max() <= smile.k_hi):
         raise DomainTooNarrow(
             f"grid [{strikes.min():.6g}, {strikes.max():.6g}] exceeds smile domain "
             f"[{smile.k_lo:.6g}, {smile.k_hi:.6g}]"

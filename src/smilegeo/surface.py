@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
+from .bsm import DeltaConvention, MarketState, strike_for_target_nd1
 from .distributions import Gamma
 from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
 from .fitting import fit_shape
 from .georep import ReprContext, flat_context, smile_from_shape
 from .shapes import CircleShape, ConicShape
-from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strikes_for_deltas
+from .smile import (
+    DeltaAnchor, GridSpec, SmileCurve, nd1_level, smile_from_distribution, strikes_for_deltas
+)
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
@@ -214,11 +216,12 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
     target, side = _LABEL_DELTA[label]
     if side == "atm":
         return 0.5
-    eff = target
-    if conv is DeltaConvention.SPOT_PIPS:
-        eff = target / ms.df_for()
-    if not 0.0 < eff < 1.0:
-        raise TargetOutsideDomain(f"label {label} target {eff:.6g} outside (0, 1)")
+    try:
+        eff = nd1_level(ms, target, conv)
+    except TargetOutsideDomain:
+        raise TargetOutsideDomain(
+            f"label {label} target {target / ms.df_for():.6g} outside (0, 1)"
+        ) from None
     return eff if side == "put" else 1.0 - eff
 
 
@@ -227,10 +230,7 @@ def label_strike(row: SurfaceQuoteRow, label: str, conv: DeltaConvention) -> flo
     if label not in row.vols:
         raise MissingAnchor(f"no quote at {label} for expiry {row.expiry_label!r}")
     ms = row.market()
-    vol = row.vols[label]
-    if label == "ATM":
-        return atm_rn_lognormal(ms, vol)
-    return strike_for_target_nd1(ms, vol, effective_nd1_target(label, ms, conv))
+    return strike_for_target_nd1(ms, row.vols[label], effective_nd1_target(label, ms, conv))
 
 
 def row_anchors(
@@ -271,6 +271,11 @@ class CompletedExpiry:
     ctx: ReprContext | None
     shape: CircleShape | ConicShape | None
     label_strikes: dict[str, float]
+
+    def label_vols(self) -> dict[str, float]:
+        """The completed smile's vol at every quoted label's strike, in ``LABELS`` order."""
+        ks = self.label_strikes
+        return {lab: float(self.smile.vol(ks[lab])) for lab in LABELS if lab in ks}
 
 
 def _completion_domain(strikes) -> tuple[float, float]:
@@ -354,10 +359,8 @@ def discrepancy_table(
         entry: dict[str, float | None] = {lab: None for lab in LABELS}
         try:
             completed = complete_expiry(row, method, conv, radius_scale, vv_variant)
-            for lab in LABELS:
-                if lab not in row.vols:
-                    continue
-                diff = float(completed.smile.vol(completed.label_strikes[lab])) - row.vols[lab]
+            for lab, vol in completed.label_vols().items():
+                diff = vol - row.vols[lab]
                 if lab in anchor_set:
                     if abs(diff) > ANCHOR_EXACTNESS_TOL:
                         raise SmileGeoError(

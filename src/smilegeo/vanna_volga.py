@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState
-from .errors import NonpositiveVol
+from .errors import InvalidInput, NonpositiveVol
 from .smile import DeltaAnchor, SmileCurve, require_positive_vol
 
 
@@ -52,12 +52,12 @@ class ThreeQuoteSmile:
 
     def __post_init__(self):
         if len(self.anchors) != 3:
-            raise ValueError("exactly three anchors are required")
+            raise InvalidInput("exactly three anchors are required")
         k1, k2, k3 = (a.strike for a in self.anchors)
         if not k1 < k2 < k3:
-            raise ValueError("anchor strikes must be strictly increasing")
+            raise InvalidInput("anchor strikes must be strictly increasing")
         if not all(0.0 < a.vol < math.inf for a in self.anchors):
-            raise ValueError("anchor vols must be finite and positive")
+            raise InvalidInput("anchor vols must be finite and positive")
 
     @property
     def strikes(self) -> tuple[float, float, float]:
@@ -101,11 +101,6 @@ class _LnKWeights:
         )
 
 
-def vv_weights(q: ThreeQuoteSmile, strike):
-    """The three log-ratio interpolation weights; they sum to one at every K."""
-    return _FirstOrder(q).w(np.log(np.asarray(strike, dtype=float)))
-
-
 def vv_vol(q: ThreeQuoteSmile, strike):
     """First-order vanna-volga vol at the given strike(s)."""
     return _vol_at_strikes(_FirstOrder(q), strike)
@@ -132,15 +127,14 @@ class _FirstOrder:
         self.curv = 2.0 * ((s1 - s2) / den[0] + (s3 - s2) / den[2])
 
     def vol(self, lnk):
-        w1, w2, w3 = self.w(np.asarray(lnk, dtype=float))
-        s1, s2, s3 = self.sig
-        return w1 * s1 + w2 * s2 + w3 * s3
+        return _sum3(self.sig, self.w(np.asarray(lnk, dtype=float)))
 
     def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
         m1, m2, m3 = self.w.m
         den = self.w.den
         s1, s2, s3 = self.sig
+        # Vol times slope numerator, then / den: w.slopes would round differently.
         dsig = (
             s1 * (2.0 * lnk - m2 - m3) / den[0]
             + s2 * (2.0 * lnk - m1 - m3) / den[1]

@@ -157,10 +157,12 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     p_vv = density_from_smile(vv, window_grid)
 
     # Fit the log-normal on a wide quantile grid of the analysed density,
-    # then judge it on the same window as the other candidates.
-    q_lo = dist.restricted_quantile(1e-5)
+    # then judge it on the same window as the other candidates.  The floor,
+    # the smallest normal double, only keeps log() off a quantile that
+    # underflowed to 0.
+    q_lo = max(dist.restricted_quantile(1e-5), np.finfo(float).tiny)
     q_hi = dist.restricted_quantile(1.0 - 1e-5)
-    fit_grid = np.exp(np.linspace(math.log(max(q_lo, 1e-12)), math.log(q_hi), 8001))
+    fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
     best_ln = best_lognormal(density_curve(dist, fit_grid, rescale=True))
     p_ln = density_curve(best_ln, window_grid, rescale=False)
 

@@ -1,5 +1,9 @@
-"""The benchmark's traced run wraps library functions by name; they must exist."""
+"""The benchmark's traced run wraps library functions by name, and the benchmark
+and the byte-gate tools read library names off module aliases; they must exist."""
+import ast
+import importlib
 import pathlib
+import types
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -17,3 +21,78 @@ def test_tracing_installs_and_uninstalls(monkeypatch):
     assert len(undo) >= len(tracing.WRAPPED)
     for owner, key, orig in undo:
         assert vars(owner)[key] is orig, (owner, key)
+
+
+# Module aliases the benchmark and the byte-gate tools bind to smilegeo.
+BENCH_ALIASES = {"sg", "wf", "an", "sm", "sf", "em", "cli"}
+
+
+def _smilegeo_bindings(tree: ast.AST) -> dict[str, str]:
+    """Every name the file binds to a smilegeo module or name, with its dotted path.
+
+    Covers ``import smilegeo as sg``, ``from smilegeo[.mod] import name`` and
+    ``x = importlib.import_module("smilegeo.mod")``, at any depth.
+    """
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "smilegeo" and a.asname:
+                    out[a.asname] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "smilegeo":
+            for a in node.names:
+                out[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "import_module"
+            and node.value.args
+            and isinstance(node.value.args[0], ast.Constant)
+            and str(node.value.args[0].value).split(".")[0] == "smilegeo"
+        ):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node.value.args[0].value
+    return out
+
+
+def _resolve(path: str):
+    """The smilegeo module or module attribute at a dotted path."""
+    try:
+        return importlib.import_module(path)
+    except ModuleNotFoundError:
+        module, _, name = path.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+
+def test_bench_and_tools_read_only_names_the_library_defines():
+    # A library name the benchmark or a byte-gate tool reads, deleted or
+    # renamed, would break that script long before the script is next run.
+    files = sorted(PERFBENCH.glob("*.py")) + sorted((PERFBENCH.parent / "tools").glob("*.py"))
+    seen_aliases, missing, checked = set(), [], 0
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bindings = _smilegeo_bindings(tree)
+        for name, dotted in bindings.items():
+            try:
+                bound = _resolve(dotted)
+            except (ImportError, AttributeError):
+                missing.append(f"{path.name}: {dotted}")
+                continue
+            if not isinstance(bound, types.ModuleType):
+                continue
+            seen_aliases.add(name)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == name
+                ):
+                    checked += 1
+                    if not hasattr(bound, node.attr):
+                        missing.append(f"{path.name}:{node.lineno}: {name}.{node.attr}")
+    assert not missing, missing
+    assert BENCH_ALIASES <= seen_aliases, BENCH_ALIASES - seen_aliases
+    assert checked >= len(BENCH_ALIASES)

@@ -1,4 +1,4 @@
-"""Tests for pricing, deltas, and implied-vol inversion.
+"""Tests for pricing, d1/d2, and implied-vol inversion.
 
 Derived reference values are computed by independent oracles: a Maclaurin
 erf series for the normal CDF, Decimal arithmetic for d1/d2, and direct
@@ -20,14 +20,12 @@ from smilegeo.bsm import (
     MarketState,
     OptionSide,
     atm_rn_lognormal,
-    bsm_delta,
     bsm_price,
-    bsm_vega,
     d1_d2,
     d1_d2_identity_residual,
-    implied_vol,
     implied_vol_grid,
-    std_normal_cdf,
+    ndtr,
+    std_normal_pdf,
     strike_for_target_nd1,
 )
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
@@ -49,22 +47,22 @@ N_ONE = 0.8413447460685429  # 0.5 * (1 + erf(1/sqrt(2))) by the series above
 
 class TestNormalCdf:
     def test_zero_is_half(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert ndtr(0.0) == 0.5
 
     def test_tail_limit(self):
-        assert abs(std_normal_cdf(10.0) - 1.0) <= 1e-15
+        assert abs(ndtr(10.0) - 1.0) <= 1e-15
 
     def test_against_series_oracle(self):
         assert abs(0.5 * (1.0 + erf_series(1.0 / math.sqrt(2.0))) - N_ONE) < 1e-16
-        assert std_normal_cdf(1.0) == pytest.approx(N_ONE, abs=1e-15)
+        assert ndtr(1.0) == pytest.approx(N_ONE, abs=1e-15)
 
     @pytest.mark.parametrize("x", [-8.0, -3.2, -1.0, -0.1, 0.4, 2.7, 6.0])
     def test_symmetry(self, x):
-        assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15
+        assert abs(ndtr(x) + ndtr(-x) - 1.0) <= 1e-15
 
     def test_monotone(self):
         xs = np.linspace(-10, 10, 5001)
-        assert np.all(np.diff(std_normal_cdf(xs)) >= 0.0)
+        assert np.all(np.diff(ndtr(xs)) >= 0.0)
 
 
 class TestNormalQuantile:
@@ -171,32 +169,32 @@ class TestPrice:
 
 
 class TestDelta:
+    """Spot deltas from d1: e^{-qT} N(d1) for a call, -e^{-qT} N(-d1) for a put."""
+
     def test_atm_rn_straddle_is_delta_neutral(self):
-        k = atm_rn_lognormal(FLAT, 0.2)
-        total = bsm_delta(FLAT, k, 0.2, OptionSide.CALL) + bsm_delta(
-            FLAT, k, 0.2, OptionSide.PUT
-        )
-        assert abs(total) <= 1e-12
+        d1, _ = d1_d2(FLAT, atm_rn_lognormal(FLAT, 0.2), 0.2)
+        assert abs(ndtr(d1) - ndtr(-d1)) <= 1e-12
 
     def test_deep_itm_call(self):
         ms = MarketState(spot=100.0, dom_rate=0.02, for_rate=0.03, tenor=1.5)
-        assert bsm_delta(ms, 1e-4, 0.2) == pytest.approx(ms.df_for(), abs=1e-12)
+        d1, _ = d1_d2(ms, 1e-4, 0.2)
+        assert ms.df_for() * ndtr(d1) == pytest.approx(ms.df_for(), abs=1e-12)
 
     def test_atm_call_delta_is_cdf_value(self):
-        assert bsm_delta(FLAT, 100.0, 0.2) == pytest.approx(float(std_normal_cdf(0.1)), abs=1e-15)
+        d1, _ = d1_d2(FLAT, 100.0, 0.2)
+        assert FLAT.df_for() * ndtr(d1) == pytest.approx(float(ndtr(0.1)), abs=1e-15)
 
     def test_put_call_delta_gap(self):
         ms = MarketState(spot=90.0, dom_rate=0.01, for_rate=0.04, tenor=2.0)
-        gap = bsm_delta(ms, 100.0, 0.3, OptionSide.CALL) - bsm_delta(
-            ms, 100.0, 0.3, OptionSide.PUT
-        )
+        d1, _ = d1_d2(ms, 100.0, 0.3)
+        gap = ms.df_for() * ndtr(d1) + ms.df_for() * ndtr(-d1)
         assert gap == pytest.approx(ms.df_for(), rel=1e-14)
 
 
 class TestImpliedVol:
     def test_round_trip(self):
         price = bsm_price(FLAT, 110.0, 0.2)
-        assert implied_vol(FLAT, 110.0, price) == pytest.approx(0.2, abs=1e-10)
+        assert implied_vol_grid(FLAT, [110.0], [price])[0] == pytest.approx(0.2, abs=1e-10)
 
     def test_round_trip_grid(self):
         # Strikes within two total standard deviations of the forward, so
@@ -209,23 +207,24 @@ class TestImpliedVol:
         assert np.max(np.abs(out - vols)) <= 1e-10
 
     def test_round_trip_grid_put(self):
+        # A put quote inverts as its parity call.
         ms = MarketState(spot=100.0, dom_rate=0.03, for_rate=0.01, tenor=0.75)
         vols = np.linspace(0.01, 2.0, 400)
         z = np.linspace(-2.0, 2.0, 400)
         ks = ms.forward() * np.exp(z * vols * math.sqrt(ms.tenor))
-        prices = bsm_price(ms, ks, vols, OptionSide.PUT)
-        out = implied_vol_grid(ms, ks, prices, OptionSide.PUT)
+        puts = bsm_price(ms, ks, vols, OptionSide.PUT)
+        out = implied_vol_grid(ms, ks, puts + ms.df_for() * ms.spot - ms.df_dom() * ks)
         assert np.max(np.abs(out - vols)) <= 1e-10
 
     def test_below_intrinsic_rejected(self):
         ms = MarketState(spot=100.0, dom_rate=0.02, for_rate=0.0, tenor=1.0)
         intrinsic = ms.df_for() * 100.0 - ms.df_dom() * 80.0
         with pytest.raises(PriceOutOfBand):
-            implied_vol(ms, 80.0, intrinsic * 0.999)
+            implied_vol_grid(ms, [80.0], [intrinsic * 0.999])
 
     def test_above_forward_bound_rejected(self):
         with pytest.raises(PriceOutOfBand):
-            implied_vol(FLAT, 100.0, 100.0)
+            implied_vol_grid(FLAT, [100.0], [100.0])
 
     def test_gamma_call_cross_check(self):
         # The smile value implied from the gamma call at the forward strike
@@ -237,7 +236,7 @@ class TestImpliedVol:
         dist = Gamma(kappa=5.12, theta=0.64)
         ms = market_state_for(dist)
         atmf = ms.forward()
-        vol = implied_vol(ms, atmf, float(dist.call_price(ms, atmf)))
+        vol = implied_vol_grid(ms, [atmf], [float(dist.call_price(ms, atmf))])[0]
         smile = smile_from_distribution(dist, ms)
         assert vol == pytest.approx(float(smile.vol(atmf)), abs=1e-10)
 
@@ -279,22 +278,24 @@ class TestImpliedVolGridAccuracy:
         # strikes iterated past convergence drift further than this.
         ms, ks, prices = _reference_grid(REFERENCE_FAMILIES[name], width_mult)
         ref = _bisection_vols(ms, ks, prices)
-        noise = 8.0 * np.finfo(float).eps * np.maximum(prices, 1.0) / bsm_vega(ms, ks, ref)
+        vega = ms.df_for() * ms.spot * std_normal_pdf(d1_d2(ms, ks, ref)[0]) * math.sqrt(ms.tenor)
+        noise = 8.0 * np.finfo(float).eps * np.maximum(prices, 1.0) / vega
         err = np.abs(implied_vol_grid(ms, ks, prices) - ref)
         assert np.all(err <= 1e-13 * ref + noise)
 
     @pytest.mark.parametrize("side", [OptionSide.CALL, OptionSide.PUT])
     def test_sweep_prices_are_bsm_prices(self, side):
         # The solver prices its sweeps without bsm_price's validation and
-        # branches; its prices must still be bsm_price's, bit for bit.
+        # branches; its calls, and puts formed from them by parity, must
+        # still be bsm_price's, bit for bit.
         ms = MarketState(spot=80.0, dom_rate=0.04, for_rate=0.01, tenor=0.7)
         ks = np.geomspace(20.0, 300.0, 301)
         vols = np.linspace(1e-6, 5.0, 301)
         ln_m = np.log(ms.spot / ks) + (ms.dom_rate - ms.for_rate) * ms.tenor
-        price, _ = bsm_module._sweep_price(
-            ln_m, ms.df_dom() * ks, vols * math.sqrt(ms.tenor),
-            ms.df_for() * ms.spot, side is OptionSide.PUT,
-        )
+        fwd_df, dfd_k = ms.df_for() * ms.spot, ms.df_dom() * ks
+        price, _ = bsm_module._sweep_price(ln_m, dfd_k, vols * math.sqrt(ms.tenor), fwd_df)
+        if side is OptionSide.PUT:
+            price = price - fwd_df + dfd_k
         assert np.array_equal(price, bsm_price(ms, ks, vols, side))
 
     @pytest.mark.parametrize("side", [OptionSide.CALL, OptionSide.PUT])
@@ -303,17 +304,16 @@ class TestImpliedVolGridAccuracy:
     def test_grid_equals_strikes_solved_alone(self, name, width_mult, side):
         # A one-strike call runs the scalar loop from its first sweep; in a
         # grid, the last few strikes finish in it.  Either way each vol is
-        # the one the array sweep gives.
-        ms, ks, calls = _reference_grid(REFERENCE_FAMILIES[name], width_mult)
-        prices = calls
+        # the one the array sweep gives.  Put quotes invert as their parity
+        # calls, which round differently from the model calls.
+        ms, ks, prices = _reference_grid(REFERENCE_FAMILIES[name], width_mult)
         if side is OptionSide.PUT:
-            prices = calls - ms.df_for() * ms.spot + ms.df_dom() * ks
-        grid = implied_vol_grid(ms, ks, prices, side)
+            puts = prices - ms.df_for() * ms.spot + ms.df_dom() * ks
+            prices = puts + ms.df_for() * ms.spot - ms.df_dom() * ks
+        grid = implied_vol_grid(ms, ks, prices)
         idx = np.unique(np.r_[0:12, 12:ks.size - 12:97, ks.size - 12:ks.size])
-        alone = [implied_vol_grid(ms, [ks[i]], [prices[i]], side)[0] for i in idx]
+        alone = [implied_vol_grid(ms, [ks[i]], [prices[i]])[0] for i in idx]
         assert np.array_equal(grid[idx], alone)
-        if side is OptionSide.CALL:
-            assert implied_vol(ms, float(ks[idx[20]]), float(prices[idx[20]])) == grid[idx[20]]
 
     def test_converged_strikes_stop_iterating(self, monkeypatch):
         # Normal-CDF evaluations while inverting the 2001-strike gamma grid:
@@ -340,7 +340,7 @@ class TestCallStrikeDerivative:
         ms = MarketState(spot=100.0, dom_rate=0.03, for_rate=0.01, tenor=1.5)
         ks = np.linspace(70.0, 150.0, 41)
         _, d2 = d1_d2(ms, ks, 0.25)
-        closed = ms.df_dom() * (std_normal_cdf(-d2) - 1.0)
+        closed = ms.df_dom() * (ndtr(-d2) - 1.0)
         errs = []
         for h in (1e-2, 1e-3):
             fd = (bsm_price(ms, ks + h, 0.25) - bsm_price(ms, ks - h, 0.25)) / (2.0 * h)
@@ -395,7 +395,7 @@ class TestAtmRn:
         for target in (0.1, 0.25, 0.75, 0.9):
             k = strike_for_target_nd1(ms, 0.12, target)
             d1, _ = d1_d2(ms, k, 0.12)
-            assert float(std_normal_cdf(-d1)) == pytest.approx(target, abs=1e-12)
+            assert float(ndtr(-d1)) == pytest.approx(target, abs=1e-12)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, 1.5])
     def test_strike_for_target_outside_unit_interval(self, target):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from smilegeo.bsm import MarketState, OptionSide, bsm_delta, implied_vol
+from smilegeo.bsm import MarketState, d1_d2, implied_vol_grid, ndtr
 from smilegeo.distributions import (
     DensityCurve,
     Gamma,
@@ -22,7 +22,7 @@ from smilegeo.distributions import (
     support_transform_exp,
 )
 from smilegeo.errors import InconsistentForward, NonFiniteDensity
-from smilegeo.smile import atm_rn_strike
+from smilegeo.smile import strikes_for_deltas
 from smilegeo.workflows import market_state_for, smile_with_coverage
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
@@ -186,16 +186,16 @@ class TestAtmRn:
         ms = MarketState(
             spot=LOGNORM.mean(), dom_rate=0.0, for_rate=0.0, tenor=1.0
         )
-        k = atm_rn_strike(smile_with_coverage(LOGNORM, ms))
+        k = float(strikes_for_deltas(smile_with_coverage(LOGNORM, ms), [0.5])[0])
         assert k == pytest.approx(math.exp(1.0 + 0.25**2), rel=1e-14)
 
     def test_gamma_root_is_straddle_neutral(self):
         ms = market_state_for(GAMMA)
-        k = atm_rn_strike(smile_with_coverage(GAMMA, ms))
-        vol = implied_vol(ms, k, float(GAMMA.call_price(ms, k)))
-        straddle = bsm_delta(ms, k, vol, OptionSide.CALL) + bsm_delta(
-            ms, k, vol, OptionSide.PUT
-        )
+        k = float(strikes_for_deltas(smile_with_coverage(GAMMA, ms), [0.5])[0])
+        vol = implied_vol_grid(ms, [k], [float(GAMMA.call_price(ms, k))])[0]
+        d1, _ = d1_d2(ms, k, vol)
+        # Call delta e^{-qT} N(d1) plus put delta -e^{-qT} N(-d1).
+        straddle = ms.df_for() * (ndtr(d1) - ndtr(-d1))
         assert abs(straddle) <= 1e-8
 
 
@@ -206,7 +206,7 @@ class TestDensityCurve:
         curve = density_curve(STUDENT_WIDE, grid)
         assert curve.mass_below_zero == pytest.approx(STUDENT_WIDE.cdf(0.0), abs=1e-14)
         assert curve.mass_below_zero > 0.01
-        assert 0.99 <= curve.mass() <= 1.01
+        assert 0.99 <= np.trapezoid(curve.values, curve.strikes) <= 1.01
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
@@ -224,5 +224,6 @@ class TestDensityCurve:
         # Standard normal maps to log-normal(0, 1).
         ref = LogNormal(mu=0.0, s=1.0).pdf(out.strikes)
         assert np.max(np.abs(out.values - ref)) <= 1e-12
-        assert out.mass() == pytest.approx(curve.mass(), abs=1e-8)
+        mass = np.trapezoid(curve.values, curve.strikes)
+        assert np.trapezoid(out.values, out.strikes) == pytest.approx(mass, abs=1e-8)
         assert np.all(np.diff(out.strikes) > 0.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from smilegeo.bsm import DeltaConvention, MarketState
+from smilegeo.bsm import DeltaConvention, MarketState, d1_d2
 from smilegeo.distributions import Gamma
 from smilegeo.fitting import (
     CIRCLE_TARGETS,
@@ -130,7 +130,7 @@ class TestRandomizedMarkets:
             )
             smile = smile_from_distribution(dist, ms)
             ctx = context_for_smile(smile)
-            assert abs(float(smile.d1(ctx.atm_rn))) <= 1e-10
+            assert abs(d1_d2(ms, ctx.atm_rn, smile.vol(ctx.atm_rn))[0]) <= 1e-10
             anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS, conv)
             pts = represent_anchors(anchors, ctx)
             circle = circumcircle(pts[0], pts[1], pts[2])

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from smilegeo.bsm import DeltaConvention, MarketState, bsm_price
+from smilegeo.bsm import DeltaConvention, MarketState, bsm_price, d1_total
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from scipy.special import ndtr
 
@@ -22,7 +22,6 @@ from smilegeo.smile import (
     DELTA_SAMPLES,
     GridSpec,
     SmileCurve,
-    atm_rn_strike,
     density_from_smile,
     flat_smile,
     log_strike_density,
@@ -38,6 +37,13 @@ FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 GAMMA_CSV = DATA / "synthetic_gamma_surface.csv"
+
+
+def smile_d1(smile, strike):
+    """d1 at the strike(s) under the smile's own vol there."""
+    return d1_total(smile.market, strike, smile.vol(strike))[0]
+
+
 SHIPPED_SURFACES = (DATA / "synthetic_circle_surface.csv", GAMMA_CSV)
 
 
@@ -112,7 +118,7 @@ class TestStrikeForDelta:
 
         for target in (0.25, 0.5, 0.75):
             anchor = strike_for_delta(smile, target)
-            assert float(ndtr(-smile.d1(anchor.strike))) == pytest.approx(target, abs=1e-10)
+            assert float(ndtr(-smile_d1(smile, anchor.strike))) == pytest.approx(target, abs=1e-10)
 
     def test_spot_pips_convention(self):
         ms = MarketState(spot=1.2, dom_rate=0.03, for_rate=0.02, tenor=2.0)
@@ -120,7 +126,7 @@ class TestStrikeForDelta:
         anchor = strike_for_delta(smile, 0.25, DeltaConvention.SPOT_PIPS)
         from scipy.special import ndtr
 
-        raw_put_delta = ms.df_for() * float(ndtr(-smile.d1(anchor.strike)))
+        raw_put_delta = ms.df_for() * float(ndtr(-smile_d1(smile, anchor.strike)))
         assert raw_put_delta == pytest.approx(0.25, abs=1e-10)
 
     def test_monotone_target_strike(self):
@@ -162,7 +168,7 @@ class TestStrikesForDeltas:
         strikes = strikes_for_deltas(smile, DELTA_TARGETS, conv)
         scale = smile.market.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
         for target, strike in zip(DELTA_TARGETS, strikes):
-            nd1 = float(ndtr(-smile.d1(strike)))
+            nd1 = float(ndtr(-smile_d1(smile, strike)))
             assert abs(scale * nd1 - target) <= 1e-12, (target, strike)
 
     @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
@@ -183,7 +189,7 @@ class TestStrikesForDeltas:
         # (a domain end included) is solved there on the first jet read.
         smile = flat_smile(FLAT_MS, 0.2, k_lo=70.0, k_hi=140.0)
         xs = np.linspace(math.log(smile.k_lo), math.log(smile.k_hi), DELTA_SAMPLES)
-        target = float(ndtr(-smile.d1(np.exp(xs)))[j])
+        target = float(ndtr(-smile_d1(smile, np.exp(xs)))[j])
         reads = 0
         jet_fn = smile.jet_fn
 
@@ -478,10 +484,11 @@ class TestOracle:
 class TestAtmRnStrike:
     def test_flat_matches_closed_form(self):
         smile = flat_smile(FLAT_MS, 0.2)
-        assert atm_rn_strike(smile) == pytest.approx(100.0 * math.exp(0.02), rel=1e-12)
+        k = float(strikes_for_deltas(smile, [0.5])[0])
+        assert k == pytest.approx(100.0 * math.exp(0.02), rel=1e-12)
 
     def test_gamma_straddle_neutral(self):
         ms = market_state_for(GAMMA)
         smile = smile_from_distribution(GAMMA, ms)
-        k = atm_rn_strike(smile)
-        assert float(smile.d1(k)) == pytest.approx(0.0, abs=1e-10)
+        k = float(strikes_for_deltas(smile, [0.5])[0])
+        assert float(smile_d1(smile, k)) == pytest.approx(0.0, abs=1e-10)

@@ -5,11 +5,18 @@ import pathlib
 import numpy as np
 import pytest
 
+import smilegeo
 from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal
-from smilegeo.errors import MissingAnchor, ParseError, TargetOutsideDomain
+from smilegeo.errors import (
+    InvalidInput,
+    MissingAnchor,
+    ParseError,
+    SmileGeoError,
+    TargetOutsideDomain,
+)
 from smilegeo.georep import represent_anchors
-from smilegeo.shapes import circumcircle, conic_through_5
-from smilegeo.smile import density_from_smile
+from smilegeo.shapes import CircleShape, ConicShape, circumcircle, conic_through_5
+from smilegeo.smile import DeltaAnchor, density_from_smile
 from smilegeo.surface import (
     ANCHOR_LABELS,
     CSV_HEADER,
@@ -24,6 +31,7 @@ from smilegeo.surface import (
     synthetic_circle_surface,
     synthetic_gamma_surface,
 )
+from smilegeo.vanna_volga import ThreeQuoteSmile
 
 CONV = DeltaConvention.SPOT_PIPS
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -95,6 +103,44 @@ class TestParse:
     def test_blank_lines_skipped(self):
         text = CSV_HEADER + "\n\n1Y,1.0,1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n\n"
         assert len(parse_surface(text)) == 1
+
+
+def _three_quotes(strikes):
+    anchors = tuple(DeltaAnchor(target=0.5, strike=k, vol=0.1) for k in strikes)
+    return ThreeQuoteSmile(anchors=anchors, market=flat_row().market())
+
+
+class TestConstructorErrors:
+    """Bad input to a library constructor raises InvalidInput, which is both a
+    SmileGeoError and a ValueError."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MarketState(spot=-1.1, dom_rate=0.02, for_rate=0.01, tenor=1.0),
+            lambda: MarketState(spot=1.1, dom_rate=0.02, for_rate=0.01, tenor=-1.0),
+            lambda: MarketState(spot=1.1, dom_rate=math.inf, for_rate=0.01, tenor=1.0),
+            lambda: _three_quotes((1.0, 1.1)),
+            lambda: _three_quotes((1.0, 1.2, 1.1)),
+            lambda: CircleShape(center=(0.0, 0.0), radius=0.0),
+            lambda: ConicShape(coefficients=(0.0,) * 6),
+        ],
+        ids=[
+            "spot", "tenor", "rate", "three-anchors", "anchor-order", "radius", "conic-zero",
+        ],
+    )
+    def test_caught_as_both_types(self, build):
+        with pytest.raises(InvalidInput) as err:
+            build()
+        assert isinstance(err.value, SmileGeoError)
+        assert isinstance(err.value, ValueError)
+        assert smilegeo.InvalidInput is InvalidInput
+
+    def test_parse_surface_still_names_the_line(self):
+        text = CSV_HEADER + "\n1Y,1.0,-1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n"
+        with pytest.raises(ParseError, match="spot must be positive") as err:
+            parse_surface(text)
+        assert err.value.line == 2
 
 
 class TestLabelStrikes:

@@ -10,10 +10,10 @@ from smilegeo.bsm import MarketState
 from smilegeo.smile import DeltaAnchor
 from smilegeo.vanna_volga import (
     ThreeQuoteSmile,
+    _LnKWeights,
     vv_smile,
     vv_vol,
     vv_vol_market,
-    vv_weights,
 )
 
 MS = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=1.0)
@@ -67,7 +67,7 @@ class TestFirstOrder:
     @given(k=st.floats(10.0, 600.0))
     @settings(max_examples=300, deadline=None)
     def test_weights_sum_to_one(self, k):
-        w1, w2, w3 = vv_weights(quotes(), k)
+        w1, w2, w3 = _LnKWeights(np.log(quotes().strikes))(math.log(k))
         assert abs(w1 + w2 + w3 - 1.0) <= 1e-12
 
     def test_smooth_between_anchors(self):
