@@ -91,7 +91,7 @@ from .surface import (
     synthetic_circle_surface,
     synthetic_gamma_surface,
 )
-from .vanna_volga import ThreeQuoteSmile, vv_smile, vv_vol, vv_vol_market
+from .vanna_volga import ThreeQuoteSmile, vv_smile
 from .workflows import DistributionReport, distribution_report, market_state_for
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import SQRT_2PI, MarketState, ndtr, ndtri
-from .errors import InconsistentForward, NonFiniteDensity
+from .errors import InconsistentForward, InvalidInput, NonFiniteDensity
 
 FORWARD_CONSISTENCY_TOL = 1e-9
 UNIFORM_EDGE_MARGIN = 1e-6  # fraction of (b - a) kept away from the kinks
@@ -41,9 +41,9 @@ class DensityCurve:
         strikes = np.asarray(self.strikes, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if strikes.ndim != 1 or strikes.shape != values.shape:
-            raise ValueError("strikes and values must be 1-d arrays of equal length")
+            raise InvalidInput("strikes and values must be 1-d arrays of equal length")
         if strikes.size < 2 or np.any(np.diff(strikes) <= 0.0):
-            raise ValueError("strikes must be strictly increasing")
+            raise InvalidInput("strikes must be strictly increasing")
         if not np.all(np.isfinite(values)):
             bad = ~np.isfinite(values)
             raise NonFiniteDensity(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
+from .errors import InvalidInput
 from .smile import SmileCurve, require_positive_vol, strikes_for_deltas
 
 DEFAULT_CURVE_POINTS = 2001
@@ -38,7 +39,7 @@ class ReprContext:
 
     def __post_init__(self):
         if not (0.0 < self.atm_rn < math.inf and 0.0 < self.radius_scale < math.inf):
-            raise ValueError("atm_rn and radius_scale must be finite and positive")
+            raise InvalidInput("atm_rn and radius_scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,13 @@ class RepresentationCurve:
         radii = np.asarray(self.radii, dtype=float)
         points = np.asarray(self.points, dtype=float)
         if np.any(np.diff(strikes) <= 0.0):
-            raise ValueError("strikes must be strictly increasing")
+            raise InvalidInput("strikes must be strictly increasing")
         if np.any(np.diff(angles) <= 0.0):
-            raise ValueError("angles must be strictly increasing in ln K")
+            raise InvalidInput("angles must be strictly increasing in ln K")
         if np.any(radii <= 0.0):
-            raise ValueError("radii must be positive")
+            raise InvalidInput("radii must be positive")
         if points.shape != (strikes.size, 2):
-            raise ValueError("points must be an (n, 2) array")
+            raise InvalidInput("points must be an (n, 2) array")
         for name, arr in (("strikes", strikes), ("angles", angles), ("radii", radii), ("points", points)):
             object.__setattr__(self, name, arr)
 

@@ -37,7 +37,7 @@ from .bsm import (
     ndtri,
 )
 from .distributions import DensityCurve, Distribution
-from .errors import DomainTooNarrow, NoConvergence, NonpositiveVol, TargetOutsideDomain
+from .errors import DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol, TargetOutsideDomain
 
 DEFAULT_GRID_POINTS = 2001
 GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
@@ -66,7 +66,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 16:
-            raise ValueError("grid needs at least 16 points")
+            raise InvalidInput("grid needs at least 16 points")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class SmileCurve:
 
     def __post_init__(self):
         if not 0.0 < self.k_lo < self.k_hi:
-            raise ValueError("need 0 < k_lo < k_hi")
+            raise InvalidInput("need 0 < k_lo < k_hi")
 
     def vol(self, strike):
         """Implied volatility at the given strike(s)."""
@@ -133,7 +133,7 @@ def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
 def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: float | None = None) -> SmileCurve:
     """A constant-vol smile (the log-normal case)."""
     if vol <= 0.0:
-        raise ValueError("vol must be positive")
+        raise InvalidInput("vol must be positive")
     if k_lo is None or k_hi is None:
         width = 6.0 * vol * math.sqrt(max(ms.tenor, 1e-12)) + 0.5
         fwd = ms.forward()

@@ -1,11 +1,11 @@
 """Vanna-volga smile interpolation from three quotes.
 
-Two flavours are provided.  ``vv_vol`` is the first-order smile
-approximation: a weighted combination of the three anchor vols with
-log-ratio (quadratic Lagrange in ln K) weights that sum to one.  It
-reproduces the anchors exactly and reduces to the flat value for equal
-quotes.  ``vv_vol_market`` is the market-consistency variant built on the
-same weights (one ``_LnKWeights`` serves both),
+``vv_smile`` wraps either flavour as a SmileCurve.  The first-order smile
+is a weighted combination of the three anchor vols with log-ratio
+(quadratic Lagrange in ln K) weights that sum to one.  It reproduces the
+anchors exactly and reduces to the flat value for equal quotes.  The
+market-consistency variant is built on the same weights (one
+``_LnKWeights`` serves both),
 
     sigma(K) = sigma2 + (-sigma2 + sqrt(sigma2^2 + d1 d2 (2 sigma2 P + Q)))
                / (d1 d2),
@@ -15,21 +15,16 @@ Q the anchor convexity term.  Its wings bend away from the quadratic, which
 is what makes it the interesting comparison baseline; where the square-root
 argument turns negative (far wings) it is clamped at zero.
 
-The market variant has two branches: the quotient, and the clamped form.
 The quotient is evaluated rationalised, sigma2 + B / (sqrt(sigma2^2 + D B)
 + sigma2) with B = 2 sigma2 P + Q and D = d1 d2: it never divides by D, so
 it is smooth where d1 d2 crosses zero near the money and needs no series
-there.  On an array, the branch masks come from B and D first and each
-branch's expressions run on its own points only (``_per_branch``), so a
-density grid pays for the clamped derivative terms only where they apply.
-A single strike takes a 0-d path: float arithmetic with the branch picked by
-``if``, no masks or error-state switching.  B and its slopes are formed
-as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the three weights.  A
-dot product would round each strike's sum by its position in the array, so
-a vol could change with the grid it is read on; the elementwise sum gives a
-strike the same bits alone, inside any grid, and on the float path.
-``vv_smile`` sweeps its domain with ``require_positive_vol``, the same
-admissibility check the inverted shapes use.
+there.  A single strike's vol takes a 0-d path: float arithmetic with the
+branch picked by ``if``, no masks or error-state switching.  B and its
+slopes are formed as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the
+three weights.  A dot product would round each strike's sum by its position
+in the array, so a vol could change with the grid it is read on; the
+elementwise sum gives a strike the same bits alone, inside any grid, and on
+the float path.
 """
 from __future__ import annotations
 
@@ -101,20 +96,6 @@ class _LnKWeights:
         )
 
 
-def vv_vol(q: ThreeQuoteSmile, strike):
-    """First-order vanna-volga vol at the given strike(s)."""
-    return _vol_at_strikes(_FirstOrder(q), strike)
-
-
-def _vol_at_strikes(backend, strike):
-    """``backend.vol`` at finite, positive strike(s): a float for one strike."""
-    strike = np.asarray(strike, dtype=float)
-    if not np.all(np.isfinite(strike) & (strike > 0.0)):
-        raise ValueError("strike must be finite and positive")
-    out = backend.vol(np.log(strike))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 class _FirstOrder:
     """sigma(lnK) in Lagrange form: exact at the anchors by construction."""
 
@@ -158,8 +139,8 @@ class _MarketOrder:
         sigma'' = B'' / u - 2 B' w' / u^2 - B w'' / u^2 + 2 B w'^2 / u^3
 
     Where the square-root argument is not positive the clamped branch
-    sigma2 - sigma2 / D takes over (D B < -sigma2^2 there, so D != 0).
-    Each branch is evaluated on its own points only.
+    sigma2 - sigma2 / D takes over (D B < -sigma2^2 there, so D != 0):
+    ``np.where`` writes it over the quotient on those points.
     """
 
     def __init__(self, q: ThreeQuoteSmile, ms: MarketState):
@@ -201,62 +182,46 @@ class _MarketOrder:
         dd2 = 2.0 / (self.c * self.c)
         return b, b1, self.b2, d1 * d2_, dd1, dd2
 
-    def _branches(self, b, dd):
-        """The square-root argument and the main and clamped masks.
-
-        The clamped branch pins a non-positive square-root argument at zero.
-        """
-        arg = self.s2 * self.s2 + dd * b
-        clamped = arg <= 0.0
-        return arg, (~clamped, clamped)
-
-    # sigma on one branch's points: (arg, b, dd) -> (sigma,)
-    def _main_vol(self, arg, b, dd):
-        return (self.s2 + b / (np.sqrt(arg) + self.s2),)
-
-    def _clamped_vol(self, arg, b, dd):
-        return (self.s2 - self.s2 / dd,)
-
-    # (sigma, sigma', sigma'') on one branch's points, from the _pieces terms
-    def _main_jet(self, arg, b, b1, b2, dd, dd1, dd2):
-        w_ = np.sqrt(arg)
-        u = w_ + self.s2
-        w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
-        w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
-        sig = self.s2 + b / u
-        dsig = b1 / u - b * w1_ / (u * u)
-        d2sig = (
-            b2 / u
-            - (2.0 * b1 * w1_ + b * w2_) / (u * u)
-            + 2.0 * b * w1_ * w1_ / (u * u * u)
-        )
-        return sig, dsig, d2sig
-
-    def _clamped_jet(self, arg, b, b1, b2, dd, dd1, dd2):
-        # sqrt argument pinned at zero.
-        s2 = self.s2
-        (sig,) = self._clamped_vol(arg, b, dd)
-        return sig, s2 * dd1 / (dd * dd), s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd)
-
     def jet(self, lnk):
-        lnk = np.asarray(lnk, dtype=float)
+        s2 = self.s2
         b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
-        arg, masks = self._branches(b, dd)
-        fns = (self._main_jet, self._clamped_jet)
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite B or D
-            return _per_branch(masks, fns, (arg, b, b1, b2, dd, dd1, dd2))
+        arg = s2 * s2 + dd * b
+        with np.errstate(divide="ignore", invalid="ignore"):  # clamped points, non-finite B or D
+            w_ = np.sqrt(arg)
+            u = w_ + s2
+            w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
+            w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
+            sig = s2 + b / u
+            dsig = b1 / u - b * w1_ / (u * u)
+            d2sig = (
+                b2 / u
+                - (2.0 * b1 * w1_ + b * w2_) / (u * u)
+                + 2.0 * b * w1_ * w1_ / (u * u * u)
+            )
+            clamped = arg <= 0.0
+            if np.any(clamped):  # sqrt argument pinned at zero
+                sig = np.where(clamped, s2 - s2 / dd, sig)
+                dsig = np.where(clamped, s2 * dd1 / (dd * dd), dsig)
+                d2sig = np.where(
+                    clamped, s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd), d2sig
+                )
+        return sig, dsig, d2sig
 
     def vol(self, lnk):
         """sigma alone: the jet's sigma expressions without the derivative terms."""
         if np.ndim(lnk) == 0:
             return self._vol_at(float(lnk))
         lnk = np.asarray(lnk, dtype=float)
+        s2 = self.s2
         d1, d2_ = self._d1_d2(lnk)
         b, dd = _sum3(self.b_coef, self.w(lnk)), d1 * d2_
-        arg, masks = self._branches(b, dd)
-        fns = (self._main_vol, self._clamped_vol)
+        arg = s2 * s2 + dd * b
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _per_branch(masks, fns, (arg, b, dd))[0]
+            sig = s2 + b / (np.sqrt(arg) + s2)
+            clamped = arg <= 0.0
+            if np.any(clamped):
+                sig = np.where(clamped, s2 - s2 / dd, sig)
+        return sig
 
     def _vol_at(self, x: float) -> float:
         """sigma at one ln K in float arithmetic, branch picked by ``if``."""
@@ -275,51 +240,14 @@ def _sum3(coef, w):
     return coef[0] * w[0] + coef[1] * w[1] + coef[2] * w[2]
 
 
-def _per_branch(masks, fns, args):
-    """Each ``fns[i](*args)`` on the points of ``masks[i]``, put back in order.
-
-    The masks partition the points.  A branch with no points is skipped, and
-    one that holds every point runs on ``args`` unindexed; scalar args pass
-    through as they are.  Returns a tuple of arrays shaped like the masks.
-    """
-    for mask, fn in zip(masks, fns):
-        if mask.all():
-            return fn(*args)
-    out = None
-    for mask, fn in zip(masks, fns):
-        if not mask.any():
-            continue
-        part = fn(*(a[mask] if isinstance(a, np.ndarray) else a for a in args))
-        if out is None:
-            out = tuple(np.empty(mask.shape) for _ in part)
-        for o, p in zip(out, part):
-            o[mask] = p
-    return out
-
-
-def vv_vol_market(q: ThreeQuoteSmile, strike):
-    """Market vanna-volga vol at the given strike(s)."""
-    return _vol_at_strikes(_MarketOrder(q, q.market), strike)
-
-
-def vv_smile(
-    q: ThreeQuoteSmile,
-    k_lo: float | None = None,
-    k_hi: float | None = None,
-    variant: str = "market",
-) -> SmileCurve:
-    """Wrap a three-quote interpolation as a SmileCurve.
+def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "market") -> SmileCurve:
+    """Wrap a three-quote interpolation as a SmileCurve on [k_lo, k_hi].
 
     ``variant`` selects "first" (first-order approximation) or "market".
-    Extrapolation beyond the anchors is permitted; the domain defaults to a
-    generous band around them.  A vol <= 0 or NaN anywhere on the domain's
-    sweep raises NonpositiveVol.
+    Extrapolation beyond the anchors is permitted.  A vol <= 0 or NaN
+    anywhere on the domain's ``require_positive_vol`` sweep, the check the
+    inverted shapes use too, raises NonpositiveVol.
     """
-    k1, _, k3 = q.strikes
-    if k_lo is None:
-        k_lo = k1 * math.exp(-2.0)
-    if k_hi is None:
-        k_hi = k3 * math.exp(2.0)
     if variant == "first":
         backend = _FirstOrder(q)
     elif variant == "market":

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import DivergenceReport, best_lognormal, kl_divergence
+from .analysis import BEST_LOGNORMAL_MIN_MASS, DivergenceReport, best_lognormal, kl_divergence
 from .bsm import DeltaConvention, MarketState, d1_d2, implied_vol_grid, ndtr
 from .distributions import DensityCurve, Distribution, density_curve
-from .errors import InconsistentForward, TargetOutsideDomain
+from .errors import DegenerateMass, InconsistentForward, TargetOutsideDomain
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
 from .georep import (
     R_WINDOW,
@@ -41,6 +41,7 @@ from .vanna_volga import ThreeQuoteSmile, vv_smile
 MAX_GRID_WIDENINGS = 8
 KL_WINDOW = (0.01, 0.99)  # N(-d1) window the report's densities are compared on
 WINDOW_GRID_POINTS = 4001
+TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float = 0.0,
@@ -86,10 +87,8 @@ def smile_with_coverage(
     and the smile is built once, on the width that passes.
     """
     grid = GridSpec()
-    b_lo, b_hi = dist.strike_bounds()
-    bounded = b_lo > 0.0 or math.isfinite(b_hi)
     for _ in range(MAX_GRID_WIDENINGS):
-        if bounded or _ends_cover(dist, ms, grid, targets):
+        if _ends_cover(dist, ms, grid, targets):
             return smile_from_distribution(dist, ms, grid)
         grid = replace(grid, width_mult=grid.width_mult * 1.6)
     raise TargetOutsideDomain(
@@ -133,6 +132,21 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     ``strikes_for_deltas`` solve.
     """
     ms = market_state_for(dist)
+    # The best-lognormal fit grid spans the restricted 1e-5 to 1 - 1e-5 quantiles,
+    # floored at the smallest normal double.  No grid of doubles carries the mass
+    # below it: more than best_lognormal may miss fails before any smile is built.
+    q_lo = dist.restricted_quantile(1e-5)
+    if q_lo < TINY:
+        p0 = dist.mass_below_zero()
+        below = (float(dist.cdf(TINY)) - p0) / (1.0 - p0)
+        if below > 1.0 - BEST_LOGNORMAL_MIN_MASS:
+            raise DegenerateMass(
+                f"mass {below:.4g} lies below the smallest normal double {TINY:.4g}, "
+                f"more than the {1.0 - BEST_LOGNORMAL_MIN_MASS:.2g} a log-normal fit may miss"
+            )
+        q_lo = TINY
+    q_hi = dist.restricted_quantile(1.0 - 1e-5)
+    fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
     smile = smile_with_coverage(dist, ms)
     plain = tuple(dict.fromkeys((0.5, *R_WINDOW, *KL_WINDOW)))
     solved = strikes_for_deltas(smile, plain + CIRCLE_TARGETS).tolist()
@@ -156,13 +170,8 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     p_circle, margin = density_with_margin(circle_smile, window_grid)
     p_vv = density_from_smile(vv, window_grid)
 
-    # Fit the log-normal on a wide quantile grid of the analysed density,
-    # then judge it on the same window as the other candidates.  The floor,
-    # the smallest normal double, only keeps log() off a quantile that
-    # underflowed to 0.
-    q_lo = max(dist.restricted_quantile(1e-5), np.finfo(float).tiny)
-    q_hi = dist.restricted_quantile(1.0 - 1e-5)
-    fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
+    # Fit the log-normal on the wide quantile grid of the analysed density,
+    # then judge it on the same window as the other candidates.
     best_ln = best_lognormal(density_curve(dist, fit_grid, rescale=True))
     p_ln = density_curve(best_ln, window_grid, rescale=False)
 

@@ -5,7 +5,13 @@ import importlib
 import pathlib
 import types
 
+import pytest
+
+from smilegeo.bsm import DeltaConvention
+from smilegeo.surface import complete_expiry, parse_surface
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+DATA = PERFBENCH.parent / "data"
 
 
 def test_tracing_installs_and_uninstalls(monkeypatch):
@@ -96,3 +102,23 @@ def test_bench_and_tools_read_only_names_the_library_defines():
     assert not missing, missing
     assert BENCH_ALIASES <= seen_aliases, BENCH_ALIASES - seen_aliases
     assert checked >= len(BENCH_ALIASES)
+
+
+@pytest.mark.parametrize(
+    "method,variant,backend",
+    [
+        ("circle", "market", "circle"),
+        ("ellipse", "market", "ellipse"),
+        ("vanna-volga", "market", "vv_market"),
+        ("vanna-volga", "first", "vv_first"),
+    ],
+)
+def test_trace_backends_name_each_completion_label(monkeypatch, method, variant, backend):
+    # The traced run files density and vol spans under BACKENDS[smile.label];
+    # a renamed label would move them into trace.uncovered without a word.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    row = parse_surface((DATA / "synthetic_gamma_surface.csv").read_bytes())[8]
+    done = complete_expiry(row, method, DeltaConvention.SPOT_PIPS, vv_variant=variant)
+    assert tracing.BACKENDS[done.smile.label] == backend

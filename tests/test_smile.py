@@ -336,6 +336,34 @@ def with_market_vv_extras(market, lnk):
     return np.concatenate([lnk, lnk[-1] + np.linspace(0.0, 1.0, 101), roots, roots + 1e-9])
 
 
+def market_vv_branches(market, lnk):
+    """The clamped mask and each branch's closed-form jet, built from ``_pieces``.
+
+    The main branch is the rationalised quotient sigma2 + B / u with
+    u = sqrt(sigma2^2 + D B) + sigma2; the clamped one, where that square-root
+    argument is not positive, is sigma2 - sigma2 / D.
+    """
+    s2 = market.s2
+    b, b1, b2, dd, dd1, dd2 = market._pieces(lnk)
+    arg = s2 * s2 + dd * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.sqrt(arg)
+        u = w + s2
+        w1 = (dd1 * b + dd * b1) / (2.0 * w)
+        w2 = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w) - w1 * w1 / w
+        main = (
+            s2 + b / u,
+            b1 / u - b * w1 / (u * u),
+            b2 / u - (2.0 * b1 * w1 + b * w2) / (u * u) + 2.0 * b * w1 * w1 / (u * u * u),
+        )
+        clamped = (
+            s2 - s2 / dd,
+            s2 * dd1 / (dd * dd),
+            s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd),
+        )
+    return arg <= 0.0, main, clamped
+
+
 class TestJet:
     @pytest.mark.parametrize("backend", list(JET_BACKENDS))
     def test_sigma_is_vol_fn(self, backend):
@@ -345,39 +373,29 @@ class TestJet:
             # The grid crosses both branches; the roots of d1 d2 are main-branch points.
             market = smile.jet_fn.__self__
             lnk = with_market_vv_extras(market, lnk)
-            b, _, _, dd, _, _ = market._pieces(lnk)
-            clamped = market.s2**2 + dd * b <= 0.0
-            _, (main_mask, clamped_mask) = market._branches(b, dd)
-            assert np.array_equal(main_mask, ~clamped) and np.array_equal(clamped_mask, clamped)
+            clamped, _, _ = market_vv_branches(market, lnk)
+            dd = market._pieces(lnk)[3]
             assert np.any(clamped)
             assert not np.any(clamped[-4:]) and np.all(np.abs(dd[-4:]) <= 1e-8)
         assert np.array_equal(smile.jet_fn(lnk)[0], smile.vol_fn(lnk))
 
     def test_market_vv_branches_evaluated_apart(self):
         # One grid through the main and clamped branches, with the roots of
-        # d1 d2 in the main one.  Each branch's expressions, given only its
-        # own points, must give jet's (and vol's) values there.
+        # d1 d2 in the main one.  On each branch's points, jet (and vol) must
+        # give that branch's closed forms, built here from _pieces.
         smile = completed_1y("vanna-volga", "market")
         market = smile.jet_fn.__self__
         lnk = with_market_vv_extras(market, np.log(smile.default_grid(401)))
-        pieces = market._pieces(lnk)
-        arg, masks = market._branches(pieces[0], pieces[3])
-        assert [bool(np.any(m)) for m in masks] == [True, True]
-        assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(lnk.size, dtype=int))
-        assert np.all(masks[0][-4:])
+        clamped, main, pinned = market_vv_branches(market, lnk)
+        assert np.any(clamped) and not np.all(clamped)
+        assert not np.any(clamped[-4:])
         whole = market.jet(lnk)
-        branches = (market._main_jet, market._clamped_jet)
-        args = (arg,) + pieces
-        for mask, branch in zip(masks, branches):
-            alone = branch(*(a[mask] if isinstance(a, np.ndarray) else a for a in args))
-            for got, want in zip(whole, alone):
-                assert np.array_equal(got[mask], want)
-        sig_alone = [
-            fn(*(a[m] for a in (arg, pieces[0], pieces[3])))[0]
-            for m, fn in zip(masks, (market._main_vol, market._clamped_vol))
-        ]
+        for got, want_main, want_clamped in zip(whole, main, pinned):
+            assert np.array_equal(got[~clamped], want_main[~clamped])
+            assert np.array_equal(got[clamped], want_clamped[clamped])
         vol = market.vol(lnk)
-        assert all(np.array_equal(vol[m], s) for m, s in zip(masks, sig_alone))
+        assert np.array_equal(vol[~clamped], main[0][~clamped])
+        assert np.array_equal(vol[clamped], pinned[0][clamped])
 
     def test_market_vv_read_alone_equals_read_in_grid(self):
         # A strike's vol and jet do not depend on the array it is read in.
@@ -388,6 +406,26 @@ class TestJet:
             alone_jet = np.array([smile.jet_fn(x) for x in lnk.tolist()]).T
             assert np.array_equal(smile.vol_fn(lnk), alone_vol)
             assert np.array_equal(np.array(smile.jet_fn(lnk)), alone_jet)
+
+    def test_market_vv_clamped_wings_read_alone_equal_read_in_grid(self):
+        # The shipped rows' domains hold no clamped point, so extend a few
+        # rows' grids through both clamped wings and the roots of d1 d2.
+        wings = np.zeros(2, dtype=int)
+        for done in completed_shipped_rows("vanna-volga")[::9]:
+            market = done.smile.jet_fn.__self__
+            lnk = np.log(done.smile.default_grid(101))
+            lower = lnk[0] - np.linspace(3.0, 0.0, 101)[:-1]
+            lnk = with_market_vv_extras(market, np.concatenate([lower, lnk]))
+            clamped, _, pinned = market_vv_branches(market, lnk)
+            wings += [np.sum(clamped[:100]), np.sum(clamped[-105:-4])]
+            alone_vol = [done.smile.vol_fn(x) for x in lnk.tolist()]
+            alone_jet = np.array([done.smile.jet_fn(x) for x in lnk.tolist()]).T
+            vol, jet = done.smile.vol_fn(lnk), np.array(done.smile.jet_fn(lnk))
+            assert np.array_equal(vol, alone_vol)
+            assert np.array_equal(jet, alone_jet)
+            for got, want in zip(jet, pinned):
+                assert np.array_equal(got[clamped], want[clamped])
+        assert np.all(wings > 0)
 
 
 def _mp_sigma(done):

@@ -14,9 +14,10 @@ from smilegeo.errors import (
     SmileGeoError,
     TargetOutsideDomain,
 )
-from smilegeo.georep import represent_anchors
+from smilegeo.distributions import DensityCurve
+from smilegeo.georep import ReprContext, RepresentationCurve, flat_context, represent_anchors
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle, conic_through_5
-from smilegeo.smile import DeltaAnchor, density_from_smile
+from smilegeo.smile import DeltaAnchor, GridSpec, SmileCurve, density_from_smile, flat_smile
 from smilegeo.surface import (
     ANCHOR_LABELS,
     CSV_HEADER,
@@ -34,6 +35,7 @@ from smilegeo.surface import (
 from smilegeo.vanna_volga import ThreeQuoteSmile
 
 CONV = DeltaConvention.SPOT_PIPS
+MS = MarketState(spot=1.1, dom_rate=0.02, for_rate=0.01, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
@@ -124,9 +126,23 @@ class TestConstructorErrors:
             lambda: _three_quotes((1.0, 1.2, 1.1)),
             lambda: CircleShape(center=(0.0, 0.0), radius=0.0),
             lambda: ConicShape(coefficients=(0.0,) * 6),
+            lambda: flat_context(MS, 1e300),
+            lambda: ReprContext(market=MS, atm_rn=1.1, radius_scale=-1.0),
+            lambda: GridSpec(n=3),
+            lambda: SmileCurve(MS, 2.0, 1.0, np.log, np.log),
+            lambda: DensityCurve(strikes=np.array([1.0, 1.0]), values=np.zeros(2)),
+            lambda: DensityCurve(strikes=np.ones(3), values=np.zeros(2)),
+            lambda: RepresentationCurve(
+                strikes=np.array([1.0, 2.0]), angles=np.array([0.1, 0.2]),
+                radii=np.array([1.0, -1.0]), points=np.zeros((2, 2)),
+                context=ReprContext(market=MS, atm_rn=1.1, radius_scale=0.5),
+            ),
+            lambda: flat_smile(MS, 0.0),
         ],
         ids=[
             "spot", "tenor", "rate", "three-anchors", "anchor-order", "radius", "conic-zero",
+            "flat-context-overflow", "context-scale", "grid-points", "smile-domain",
+            "density-order", "density-shape", "repr-radii", "flat-smile-vol",
         ],
     )
     def test_caught_as_both_types(self, build):

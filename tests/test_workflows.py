@@ -15,7 +15,7 @@ import smilegeo
 import smilegeo.workflows as workflows_module
 from smilegeo.bsm import d1_total
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
-from smilegeo.errors import InconsistentForward, SmileGeoError
+from smilegeo.errors import DegenerateMass, InconsistentForward, SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
 from smilegeo.georep import context_for_smile, represent, smile_from_shape
 from smilegeo.smile import (
@@ -244,17 +244,42 @@ class TestSmallShapeGamma:
     """A Gamma with a small shape holds much of its mass below 1e-12, where the
     best-lognormal fit grid once stopped (mass 0.934 at kappa = 0.1)."""
 
-    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("kappa", [0.008, 0.01, 0.05, 0.1, 0.15])
     def test_report_completes(self, kappa):
         report = distribution_report(Gamma(kappa=kappa, theta=1.0))
         kls = (report.kl_circle, report.kl_vanna_volga, report.kl_best_lognormal)
         assert all(math.isfinite(kl.kl_nats) for kl in kls)
 
     def test_smaller_shape_is_a_documented_error(self):
-        # Its 1e-5 quantile underflows: the fit grid, floored at the smallest
-        # normal double, carries too little mass.
+        # Its 1e-5 quantile underflows, and a quarter of its mass lies below
+        # the smallest normal double, where the fit grid is floored.
         with pytest.raises(SmileGeoError):
             distribution_report(Gamma(kappa=0.002, theta=1.0))
+
+    @pytest.mark.parametrize("kappa", [0.002, 0.005, 0.006])
+    def test_mass_below_smallest_double_rejected_up_front(self, kappa, monkeypatch):
+        # More than 1 % of the mass lies below the smallest normal double,
+        # which no grid of doubles reaches: the report says so before it
+        # builds a smile.
+        def no_smile(*args, **kwargs):
+            raise AssertionError("a smile was built")
+
+        monkeypatch.setattr(workflows_module, "smile_with_coverage", no_smile)
+        with pytest.raises(DegenerateMass, match="below the smallest normal double"):
+            distribution_report(Gamma(kappa=kappa, theta=1.0))
+
+
+class TestWideUniform:
+    """A bounded support goes through the same end-strike coverage test as any
+    other: the grid widens up to the support bounds until it covers the KL
+    window."""
+
+    @pytest.mark.parametrize("b", [30.0, 31.0, 40.0, 100.0])
+    def test_report_completes(self, b):
+        report = distribution_report(Uniform(a=1.0, b=b))
+        kls = (report.kl_circle, report.kl_vanna_volga, report.kl_best_lognormal)
+        assert all(math.isfinite(kl.kl_nats) for kl in kls)
+        assert report.smile.k_lo >= 1.0 and report.smile.k_hi <= b
 
 
 # Parameter ranges cover and exceed tools/report_outputs.py's seeded draws
