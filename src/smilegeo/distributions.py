@@ -54,6 +54,12 @@ class DensityCurve:
         object.__setattr__(self, "values", values)
 
 
+def _require_finite(**params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value!r}")
+
+
 class Distribution(ABC):
     """Common surface of the Table-of-families distributions."""
 
@@ -115,8 +121,9 @@ class LogNormal(Distribution):
     s: float
 
     def __post_init__(self):
+        _require_finite(mu=self.mu, s=self.s)
         if self.s <= 0.0:
-            raise ValueError("s must be positive")
+            raise InvalidInput("s must be positive")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,8 +157,9 @@ class Gamma(Distribution):
     theta: float
 
     def __post_init__(self):
+        _require_finite(kappa=self.kappa, theta=self.theta)
         if self.kappa <= 0.0 or self.theta <= 0.0:
-            raise ValueError("kappa and theta must be positive")
+            raise InvalidInput("kappa and theta must be positive")
 
     def pdf(self, x):
         from scipy.special import gammaln
@@ -199,8 +207,9 @@ class Normal(Distribution):
     s: float
 
     def __post_init__(self):
+        _require_finite(mu=self.mu, s=self.s)
         if self.s <= 0.0:
-            raise ValueError("s must be positive")
+            raise InvalidInput("s must be positive")
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.s
@@ -233,8 +242,9 @@ class StudentT(Distribution):
     nu: float
 
     def __post_init__(self):
+        _require_finite(mu=self.mu, nu=self.nu)
         if self.nu <= 1.0:
-            raise ValueError("nu must exceed 1 for a finite mean")
+            raise InvalidInput("nu must exceed 1 for a finite mean")
 
     @property
     def _norm_const(self) -> float:
@@ -263,7 +273,7 @@ class StudentT(Distribution):
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+            raise InvalidInput("p must lie in (0, 1)")
         from scipy.special import betaincinv
 
         tail = 2.0 * min(p, 1.0 - p)
@@ -296,8 +306,9 @@ class Uniform(Distribution):
     b: float
 
     def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
         if self.a < 0.0 or self.b <= self.a:
-            raise ValueError("need 0 <= a < b")
+            raise InvalidInput("need 0 <= a < b")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

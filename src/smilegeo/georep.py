@@ -18,10 +18,9 @@ import numpy as np
 
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .errors import InvalidInput
-from .smile import SmileCurve, require_positive_vol, strikes_for_deltas
+from .smile import ND1_WINDOW, SmileCurve, require_positive_vol, strikes_for_deltas
 
 DEFAULT_CURVE_POINTS = 2001
-R_WINDOW = (0.01, 0.99)  # N(-d1) targets whose strikes set auto R
 R_UNIT_FRACTION = 0.95  # |X| the farther window strike maps to under auto R
 
 
@@ -133,11 +132,11 @@ def _context(ms: MarketState, atm_rn: float, radius_scale: float | None, window_
     """ReprContext at the centre strike, with R fixed or, for ``None``, automatic.
 
     Auto R reads ``window_strike(target)`` and places the strikes at the
-    ``R_WINDOW`` N(-d1) window just inside the unit circle, symmetrised by
+    ``smile.ND1_WINDOW`` N(-d1) window just inside the unit circle, symmetrised by
     the larger log-distance.
     """
     if radius_scale is None:
-        half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in R_WINDOW)
+        half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in ND1_WINDOW)
         radius_scale = half_width / R_UNIT_FRACTION
     return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=radius_scale)
 
@@ -149,7 +148,7 @@ def context_for_smile(smile: SmileCurve, radius_scale: float | None = None) -> R
     window strikes off the smile's own N(-d1).  All of them come from one
     ``strikes_for_deltas`` solve.
     """
-    targets = (0.5,) if radius_scale is not None else (0.5, *R_WINDOW)
+    targets = (0.5,) if radius_scale is not None else (0.5, *ND1_WINDOW)
     strikes = dict(zip(targets, strikes_for_deltas(smile, targets).tolist()))
     return _context(smile.market, strikes[0.5], radius_scale, strikes.__getitem__)
 

@@ -8,16 +8,20 @@ of delta solves).  Densities follow from the jet through the closed-form
 second strike derivative of the call price; the same bracket expression
 decides non-negativity of the density.
 
+Without a grid, ``smile_from_distribution`` widens the default one until its
+end strikes bracket the ``ND1_WINDOW`` N(-d1) window, which also sets auto R
+and the report's KL window, and builds the spline once.
+
 Delta strikes come from ``strikes_for_deltas``: one safeguarded Newton
 solve in ln K over every target of a smile at once, each target bracketed
 from one sampled ``vol_fn`` read over the domain.  A distribution report
-solves the union of its targets (its centre, its R window, two wing anchors
-and its KL window) together; ``strike_for_delta`` is the one-target case.
+solves all of its targets (its centre, the ``ND1_WINDOW`` strikes and two
+wing anchors) together; ``strike_for_delta`` is the one-target case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +46,8 @@ from .errors import DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol
 DEFAULT_GRID_POINTS = 2001
 GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
 GRID_EXTEND = 0.10  # share of the window's log-width added at each end
+ND1_WINDOW = (0.01, 0.99)  # N(-d1) window a default smile covers: auto R and the KL window
+MAX_GRID_WIDENINGS = 8
 ADMISSIBILITY_POINTS = 513  # sweep of a closed-form smile's domain at construction
 FD_STEP = 1e-3  # central-difference step in ln K of mode="fd"
 DELTA_SAMPLES = 65  # vol reads over the domain that bracket the delta solves
@@ -101,8 +107,13 @@ class SmileCurve:
             raise InvalidInput("need 0 < k_lo < k_hi")
 
     def vol(self, strike):
-        """Implied volatility at the given strike(s)."""
-        out = self.vol_fn(np.log(np.asarray(strike, dtype=float)))
+        """Implied volatility at the given strike(s); InvalidInput unless each is > 0."""
+        strike = np.asarray(strike, dtype=float)
+        # False for NaN too.  One strike takes a float compare: a numpy
+        # reduction costs more than the read, and a surface reads ~1,000 scalars.
+        if not (float(strike) > 0.0 if strike.ndim == 0 else (strike > 0.0).all()):
+            raise InvalidInput(f"strike {float(strike[~(strike > 0.0)][0]):g} is not positive")
+        out = self.vol_fn(np.log(strike))
         return float(out) if np.ndim(out) == 0 else out
 
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -152,13 +163,6 @@ def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: flo
     )
 
 
-def _proxy_vol(dist: Distribution, ms: MarketState) -> float:
-    """Implied vol of the distribution's call at the forward strike."""
-    fwd = ms.forward()
-    price = float(dist.call_price(ms, fwd))
-    return float(implied_vol_grid(ms, [fwd], [price])[0])
-
-
 def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
     """Whether the model price at e^{ln_k} sits strictly inside the vol bracket's band.
 
@@ -172,7 +176,8 @@ def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
         _BRACKET_VOLS * math.sqrt(ms.tenor),
         ms.df_for() * ms.spot,
     )[0]
-    slack = 1e-13 * max(1.0, abs(price))
+    # The payoff's cancellation noise grows with the strike, about eps K.
+    slack = 1e-13 * max(1.0, abs(price), k)
     return price - lo > slack and hi - price > slack
 
 
@@ -192,34 +197,49 @@ def _shrink_to_priceable(
     return good
 
 
-def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec) -> np.ndarray:
-    """Log-uniform strike grid per the GridSpec recipe.
+def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec | None = None) -> np.ndarray:
+    """Log-uniform strike grid per the GridSpec recipe, or for ``None`` the
+    first default-recipe width whose grid covers ``ND1_WINDOW``.
 
     Edges are clipped to the distribution's strike bounds and pulled inward
     where tail prices collapse onto the arbitrage band within float
-    resolution (no implied vol is recoverable there).
+    resolution (no implied vol is recoverable there).  Without a GridSpec the
+    proxy window widens by 1.6 until N(-d1) at the two end strikes, inverted
+    on their own, lies below and above the window: a spline smile passes
+    through the vols at its nodes, so no smile is built to decide a width.
     """
-    sqrt_t = math.sqrt(ms.tenor)
-    proxy = _proxy_vol(dist, ms)
-    atm_flat = atm_rn_lognormal(ms, proxy)
-    half_lo = ndtri(GRID_DELTA_WINDOW[0]) * proxy * sqrt_t * grid.width_mult
-    half_hi = ndtri(GRID_DELTA_WINDOW[1]) * proxy * sqrt_t * grid.width_mult
-    ln_lo = math.log(atm_flat) + half_lo
-    ln_hi = math.log(atm_flat) + half_hi
-    width = ln_hi - ln_lo
-    ln_lo -= GRID_EXTEND * width
-    ln_hi += GRID_EXTEND * width
+    given = grid is not None
+    grid = grid or GridSpec()
+    fwd, sqrt_t = ms.forward(), math.sqrt(ms.tenor)
+    proxy = float(implied_vol_grid(ms, [fwd], [float(dist.call_price(ms, fwd))])[0])
+    ln_atm, ln_fwd = math.log(atm_rn_lognormal(ms, proxy)), math.log(fwd)
+    half_lo = ndtri(GRID_DELTA_WINDOW[0]) * proxy * sqrt_t
+    half_hi = ndtri(GRID_DELTA_WINDOW[1]) * proxy * sqrt_t
     b_lo, b_hi = dist.strike_bounds()
-    if b_lo > 0.0:
-        ln_lo = max(ln_lo, math.log(b_lo))
-    if math.isfinite(b_hi):
-        ln_hi = min(ln_hi, math.log(b_hi))
-    ln_fwd = math.log(ms.forward())
-    ln_lo = _shrink_to_priceable(dist, ms, ln_fwd, ln_lo)
-    ln_hi = _shrink_to_priceable(dist, ms, ln_fwd, ln_hi)
-    if ln_hi <= ln_lo:
-        raise DomainTooNarrow("strike bounds leave no room for the requested grid")
-    return np.exp(np.linspace(ln_lo, ln_hi, grid.n))
+    for _ in range(MAX_GRID_WIDENINGS):
+        ln_lo = ln_atm + half_lo * grid.width_mult
+        ln_hi = ln_atm + half_hi * grid.width_mult
+        width = ln_hi - ln_lo
+        ln_lo -= GRID_EXTEND * width
+        ln_hi += GRID_EXTEND * width
+        if b_lo > 0.0:
+            ln_lo = max(ln_lo, math.log(b_lo))
+        if math.isfinite(b_hi):
+            ln_hi = min(ln_hi, math.log(b_hi))
+        ln_lo = _shrink_to_priceable(dist, ms, ln_fwd, ln_lo)
+        ln_hi = _shrink_to_priceable(dist, ms, ln_fwd, ln_hi)
+        if ln_hi <= ln_lo:
+            raise DomainTooNarrow("strike bounds leave no room for the requested grid")
+        strikes = np.exp(np.linspace(ln_lo, ln_hi, grid.n))
+        if given:
+            return strikes
+        ends = strikes[[0, -1]]
+        vols = implied_vol_grid(ms, ends, dist.call_price(ms, ends))
+        nd1_lo, nd1_hi = ndtr(-d1_total(ms, ends, vols)[0])
+        if nd1_lo < ND1_WINDOW[0] and nd1_hi > ND1_WINDOW[1]:
+            return strikes
+        grid = replace(grid, width_mult=grid.width_mult * 1.6)
+    raise TargetOutsideDomain(f"could not widen the grid to cover the N(-d1) window {ND1_WINDOW}")
 
 
 def smile_from_distribution(
@@ -229,12 +249,13 @@ def smile_from_distribution(
 
     The smile is backed by a natural cubic spline in (ln K, sigma); at every
     grid strike the BSM price at the spline value reproduces the
-    distribution call price to solver accuracy.  A forward other than the
-    distribution mean raises InconsistentForward from ``call_price``.
+    distribution call price to solver accuracy.  Without ``grid`` the grid
+    is the first width that covers ``ND1_WINDOW`` (``strike_grid``); a given
+    GridSpec is built as it stands.  A forward other than the distribution
+    mean raises InconsistentForward from ``call_price``.
     """
     from scipy.interpolate import CubicSpline  # kept off the CLI import path
 
-    grid = grid or GridSpec()
     strikes = strike_grid(dist, ms, grid)
     prices = np.asarray(dist.call_price(ms, strikes), dtype=float)
     vols = implied_vol_grid(ms, strikes, prices)

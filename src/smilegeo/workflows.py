@@ -3,43 +3,34 @@
 ``distribution_report`` runs the full study for one analytic distribution:
 smile, polar representation, circle fit, inverted smile, reconstructed
 densities (circle and vanna-volga), the best log-normal fit, and the KL
-divergences on the ``KL_WINDOW`` N(-d1) window.
+divergences on the ``smile.ND1_WINDOW`` N(-d1) window, the window whose
+strikes also set auto R and which the report's smile covers.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import BEST_LOGNORMAL_MIN_MASS, DivergenceReport, best_lognormal, kl_divergence
-from .bsm import DeltaConvention, MarketState, d1_d2, implied_vol_grid, ndtr
+from .bsm import DeltaConvention, MarketState
 from .distributions import DensityCurve, Distribution, density_curve
-from .errors import DegenerateMass, InconsistentForward, TargetOutsideDomain
+from .errors import DegenerateMass, InconsistentForward
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
-from .georep import (
-    R_WINDOW,
-    RepresentationCurve,
-    ReprContext,
-    _context,
-    represent,
-    smile_from_shape,
-)
+from .georep import RepresentationCurve, ReprContext, _context, represent, smile_from_shape
 from .shapes import CircleShape
 from .smile import (
-    GridSpec,
+    ND1_WINDOW,
     SmileCurve,
     density_from_smile,
     density_with_margin,
     log_uniform_grid,
     smile_from_distribution,
-    strike_grid,
     strikes_for_deltas,
 )
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
-MAX_GRID_WIDENINGS = 8
-KL_WINDOW = (0.01, 0.99)  # N(-d1) window the report's densities are compared on
 WINDOW_GRID_POINTS = 4001
 TINY = float(np.finfo(float).tiny)  # smallest normal double
 
@@ -60,40 +51,13 @@ def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float 
     return MarketState(spot=spot, dom_rate=dom_rate, for_rate=for_rate, tenor=tenor)
 
 
-def _ends_cover(
-    dist: Distribution, ms: MarketState, grid: GridSpec, targets: tuple[float, float]
-) -> bool:
-    """Whether N(-d1) at the grid's end strikes lies below ``targets[0]`` and
-    above ``targets[1]``.
+def smile_with_coverage(dist: Distribution, ms: MarketState) -> SmileCurve:
+    """``smile_from_distribution(dist, ms)``, which picks its own covering grid.
 
-    Inverts the two end prices alone: the smile's spline passes through the
-    vols at its nodes, so no smile is built to decide a width.
+    Kept only because the benchmark's tracing wraps this name; it goes when
+    that tracing reads its layers from the library instead.
     """
-    ends = strike_grid(dist, ms, grid)[[0, -1]]
-    vols = implied_vol_grid(ms, ends, dist.call_price(ms, ends))
-    nd1_lo, nd1_hi = ndtr(-d1_d2(ms, ends, vols)[0])
-    return bool(nd1_lo < targets[0] and nd1_hi > targets[1])
-
-
-def smile_with_coverage(
-    dist: Distribution, ms: MarketState, targets: tuple[float, float] = KL_WINDOW
-) -> SmileCurve:
-    """Distribution smile on a grid wide enough to bracket the delta targets.
-
-    The default grid recipe hugs a flat-vol proxy; heavy-tailed smiles push
-    their delta window past it, so the proxy window is widened by 1.6 until
-    N(-d1) at the grid's two end strikes brackets ``targets`` (support
-    bounds permitting).  Each width is decided from its end strikes alone,
-    and the smile is built once, on the width that passes.
-    """
-    grid = GridSpec()
-    for _ in range(MAX_GRID_WIDENINGS):
-        if _ends_cover(dist, ms, grid, targets):
-            return smile_from_distribution(dist, ms, grid)
-        grid = replace(grid, width_mult=grid.width_mult * 1.6)
-    raise TargetOutsideDomain(
-        f"could not widen the grid to cover the N(-d1) window {targets}"
-    )
+    return smile_from_distribution(dist, ms)
 
 
 @dataclass(frozen=True)
@@ -148,7 +112,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     q_hi = dist.restricted_quantile(1.0 - 1e-5)
     fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
     smile = smile_with_coverage(dist, ms)
-    plain = tuple(dict.fromkeys((0.5, *R_WINDOW, *KL_WINDOW)))
+    plain = (0.5, *ND1_WINDOW)
     solved = strikes_for_deltas(smile, plain + CIRCLE_TARGETS).tolist()
     strike = dict(zip(plain, solved))
     ctx = _context(ms, strike[0.5], None, strike.__getitem__)
@@ -158,7 +122,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     )
     circle, _ = fit_shape(anchors, ctx)
 
-    k_lo, k_hi = strike[KL_WINDOW[0]], strike[KL_WINDOW[1]]
+    k_lo, k_hi = strike[ND1_WINDOW[0]], strike[ND1_WINDOW[1]]
     # Clipped to the window, and so to the smiles' domain.
     window_grid = log_uniform_grid(k_lo, k_hi, WINDOW_GRID_POINTS)
 

@@ -22,8 +22,8 @@ from smilegeo.distributions import (
     support_transform_exp,
 )
 from smilegeo.errors import InconsistentForward, NonFiniteDensity
-from smilegeo.smile import strikes_for_deltas
-from smilegeo.workflows import market_state_for, smile_with_coverage
+from smilegeo.smile import smile_from_distribution, strikes_for_deltas
+from smilegeo.workflows import market_state_for
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
 UNIFORM = Uniform(a=2.0109, b=5.4750)
@@ -186,12 +186,12 @@ class TestAtmRn:
         ms = MarketState(
             spot=LOGNORM.mean(), dom_rate=0.0, for_rate=0.0, tenor=1.0
         )
-        k = float(strikes_for_deltas(smile_with_coverage(LOGNORM, ms), [0.5])[0])
+        k = float(strikes_for_deltas(smile_from_distribution(LOGNORM, ms), [0.5])[0])
         assert k == pytest.approx(math.exp(1.0 + 0.25**2), rel=1e-14)
 
     def test_gamma_root_is_straddle_neutral(self):
         ms = market_state_for(GAMMA)
-        k = float(strikes_for_deltas(smile_with_coverage(GAMMA, ms), [0.5])[0])
+        k = float(strikes_for_deltas(smile_from_distribution(GAMMA, ms), [0.5])[0])
         vol = implied_vol_grid(ms, [k], [float(GAMMA.call_price(ms, k))])[0]
         d1, _ = d1_d2(ms, k, vol)
         # Call delta e^{-qT} N(d1) plus put delta -e^{-qT} N(-d1).

@@ -14,6 +14,7 @@ import smilegeo.smile as smile_module
 from smilegeo.errors import (
     DomainTooNarrow,
     InconsistentForward,
+    InvalidInput,
     NoConvergence,
     TargetOutsideDomain,
 )
@@ -31,7 +32,7 @@ from smilegeo.smile import (
     strikes_for_deltas,
 )
 from smilegeo.surface import complete_expiry, parse_surface
-from smilegeo.workflows import market_state_for, smile_with_coverage
+from smilegeo.workflows import market_state_for
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
@@ -150,14 +151,25 @@ REFERENCE_FAMILIES = {
     "lognormal": LogNormal(mu=1.0, s=0.25),
 }
 DELTA_TARGETS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+# Proxy-window widths whose grids bracket N(-d1) 0.005 and 0.995, wider than
+# the default smile's window, leaving room for the spot-pips levels t / e^{-qT}.
+REFERENCE_WIDTHS = {"student_negative": 1.6**3, "student": 1.6**2, "normal": 1.6}
+
+
+def _smile_covering(dist, ms, width_mult, window):
+    """The spline smile on GridSpec(width_mult), after checking that N(-d1)
+    at its two end strikes brackets ``window``."""
+    smile = smile_from_distribution(dist, ms, GridSpec(width_mult=width_mult))
+    nd1_lo, nd1_hi = ndtr(-smile_d1(smile, np.array([smile.k_lo, smile.k_hi])))
+    assert nd1_lo < window[0] and nd1_hi > window[1], (dist, width_mult)
+    return smile
 
 
 def _reference_smile(name):
-    # A foreign rate makes the two conventions differ; the coverage targets
-    # leave room for the spot-pips levels t / e^{-qT}.
+    # A foreign rate makes the two conventions differ.
     dist = REFERENCE_FAMILIES[name]
     ms = market_state_for(dist, dom_rate=0.01, for_rate=0.002, tenor=1.0)
-    return smile_with_coverage(dist, ms, targets=(0.005, 0.995))
+    return _smile_covering(dist, ms, REFERENCE_WIDTHS.get(name, 1.0), (0.005, 0.995))
 
 
 class TestStrikesForDeltas:
@@ -297,7 +309,7 @@ class TestRoundTrip:
 
     def test_recovered_mean_matches_forward(self):
         ms = market_state_for(GAMMA)
-        smile = smile_with_coverage(GAMMA, ms, targets=(0.002, 0.998))
+        smile = _smile_covering(GAMMA, ms, 1.6, (0.002, 0.998))
         grid = np.exp(
             np.linspace(math.log(smile.k_lo) + 1e-6, math.log(smile.k_hi) - 1e-6, 4001)
         )
@@ -362,6 +374,17 @@ def market_vv_branches(market, lnk):
             s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd),
         )
     return arg <= 0.0, main, clamped
+
+
+class TestVolStrikeCheck:
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("backend", ["spline", "circle", "vv-market"])
+    def test_nonpositive_strike_is_invalid_input(self, backend, strike):
+        smile = JET_BACKENDS[backend]()
+        with pytest.raises(InvalidInput, match=f"strike {strike:g} is not positive"):
+            smile.vol(strike)
+        with pytest.raises(InvalidInput, match=f"strike {strike:g} is not positive"):
+            smile.vol(np.array([smile.k_lo, strike, smile.k_hi]))
 
 
 class TestJet:

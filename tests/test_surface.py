@@ -14,7 +14,7 @@ from smilegeo.errors import (
     SmileGeoError,
     TargetOutsideDomain,
 )
-from smilegeo.distributions import DensityCurve
+from smilegeo.distributions import DensityCurve, Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.georep import ReprContext, RepresentationCurve, flat_context, represent_anchors
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from smilegeo.smile import DeltaAnchor, GridSpec, SmileCurve, density_from_smile, flat_smile
@@ -138,11 +138,28 @@ class TestConstructorErrors:
                 context=ReprContext(market=MS, atm_rn=1.1, radius_scale=0.5),
             ),
             lambda: flat_smile(MS, 0.0),
+            lambda: StudentT(mu=10.0, nu=math.inf),
+            lambda: StudentT(mu=10.0, nu=math.nan),
+            lambda: StudentT(mu=math.nan, nu=3.0),
+            lambda: StudentT(mu=10.0, nu=1.0),
+            lambda: StudentT(mu=10.0, nu=3.0).quantile(1.0),
+            lambda: Normal(mu=10.0, s=math.inf),
+            lambda: Normal(mu=-math.inf, s=3.0),
+            lambda: Normal(mu=10.0, s=0.0),
+            lambda: LogNormal(mu=math.nan, s=0.2),
+            lambda: LogNormal(mu=1.0, s=-0.2),
+            lambda: Gamma(kappa=math.inf, theta=1.0),
+            lambda: Gamma(kappa=1.0, theta=0.0),
+            lambda: Uniform(a=1.0, b=math.inf),
+            lambda: Uniform(a=2.0, b=1.0),
         ],
         ids=[
             "spot", "tenor", "rate", "three-anchors", "anchor-order", "radius", "conic-zero",
             "flat-context-overflow", "context-scale", "grid-points", "smile-domain",
             "density-order", "density-shape", "repr-radii", "flat-smile-vol",
+            "student-inf-nu", "student-nan-nu", "student-nan-mu", "student-nu", "student-quantile",
+            "normal-inf-s", "normal-inf-mu", "normal-s", "lognormal-nan-mu", "lognormal-s",
+            "gamma-inf-kappa", "gamma-theta", "uniform-inf-b", "uniform-order",
         ],
     )
     def test_caught_as_both_types(self, build):

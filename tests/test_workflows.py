@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import smilegeo
+import smilegeo.smile as smile_module
 import smilegeo.workflows as workflows_module
 from smilegeo.bsm import d1_total
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
@@ -19,19 +20,15 @@ from smilegeo.errors import DegenerateMass, InconsistentForward, SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
 from smilegeo.georep import context_for_smile, represent, smile_from_shape
 from smilegeo.smile import (
+    MAX_GRID_WIDENINGS,
+    ND1_WINDOW,
     GridSpec,
     density_from_smile,
     nonnegativity_margin,
     smile_from_distribution,
     strike_for_delta,
 )
-from smilegeo.workflows import (
-    KL_WINDOW,
-    MAX_GRID_WIDENINGS,
-    distribution_report,
-    market_state_for,
-    smile_with_coverage,
-)
+from smilegeo.workflows import distribution_report, market_state_for
 
 GAMMA = Gamma(kappa=5.12, theta=0.64)
 
@@ -68,7 +65,7 @@ def _load_report_outputs():
 REPORT_CASES = dict(_load_report_outputs().cases(smilegeo))
 
 
-def _spline_read_rule(dist, ms, targets=KL_WINDOW):
+def _spline_read_rule(dist, ms, targets=ND1_WINDOW):
     """The width rule that builds every smile and reads N(-d1) on the spline
     just inside its ends; returns the number of widenings and the smile."""
     grid = GridSpec()
@@ -94,28 +91,32 @@ class TestCoverage:
         narrow = smile_from_distribution(dist, ms, GridSpec())
         assert float(ndtr(-smile_d1(narrow, narrow.k_lo * 1.000001))) > 0.01  # default misses
 
-        wide = smile_with_coverage(dist, ms)
+        wide = smile_from_distribution(dist, ms)
         assert float(ndtr(-smile_d1(wide, wide.k_lo * 1.000001))) < 0.01
         assert float(ndtr(-smile_d1(wide, wide.k_hi * 0.999999))) > 0.99
 
     def test_builds_one_smile(self, monkeypatch):
-        # The widths that fail are decided from their end strikes alone.
-        calls = []
+        # The proxy vol is inverted once, each width that fails is decided
+        # from its two end strikes alone, and the spline is built once.
+        dist = self.HEAVY
+        ms = market_state_for(dist)
+        k, _ = _spline_read_rule(dist, ms)
+        sizes, implied_vol_grid = [], smile_module.implied_vol_grid
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return smile_from_distribution(*args, **kwargs)
+        def counting(ms, strikes, prices):
+            sizes.append(len(strikes))
+            return implied_vol_grid(ms, strikes, prices)
 
-        monkeypatch.setattr(workflows_module, "smile_from_distribution", counting)
-        smile_with_coverage(self.HEAVY, market_state_for(self.HEAVY))
-        assert len(calls) == 1
+        monkeypatch.setattr(smile_module, "implied_vol_grid", counting)
+        smile_from_distribution(dist, ms)
+        assert sizes == [1] + [2] * (k + 1) + [GridSpec().n]
 
     def test_smile_is_the_spline_read_rules(self):
         dist = self.HEAVY
         ms = market_state_for(dist)
         k, _ = _spline_read_rule(dist, ms)
         assert k >= 1
-        smile = smile_with_coverage(dist, ms)
+        smile = smile_from_distribution(dist, ms)
         strikes = smile.default_grid(777)
         expected = smile_from_distribution(dist, ms, GridSpec(width_mult=1.6**k))
         assert np.array_equal(smile.vol(strikes), expected.vol(strikes))
@@ -125,7 +126,7 @@ class TestCoverage:
         dist = REPORT_CASES[name]
         ms = market_state_for(dist)
         _, expected = _spline_read_rule(dist, ms)
-        smile = smile_with_coverage(dist, ms)
+        smile = smile_from_distribution(dist, ms)
         assert (smile.k_lo, smile.k_hi) == (expected.k_lo, expected.k_hi)
 
 
@@ -250,6 +251,15 @@ class TestSmallShapeGamma:
         kls = (report.kl_circle, report.kl_vanna_volga, report.kl_best_lognormal)
         assert all(math.isfinite(kl.kl_nats) for kl in kls)
 
+    @pytest.mark.parametrize("mean", [0.5, 1.0, 20.0, 1000.0])
+    @pytest.mark.parametrize("kappa", [0.2, 0.1, 0.05, 0.01])
+    def test_report_is_scale_free(self, kappa, mean):
+        # The Gamma payoff's cancellation noise grows with the strike, so a
+        # far end strike's price band needs a slack that grows with it too.
+        report = distribution_report(Gamma(kappa=kappa, theta=mean / kappa))
+        kls = (report.kl_circle, report.kl_vanna_volga, report.kl_best_lognormal)
+        assert all(math.isfinite(kl.kl_nats) for kl in kls)
+
     def test_smaller_shape_is_a_documented_error(self):
         # Its 1e-5 quantile underflows, and a quarter of its mass lies below
         # the smallest normal double, where the fit grid is floored.
@@ -283,13 +293,14 @@ class TestWideUniform:
 
 
 # Parameter ranges cover and exceed tools/report_outputs.py's seeded draws
-# (annual vol about 8-45 %), with StudentT mass below zero and Uniform b/a up to 40.
-# Normal and StudentT means reach down to -2, where no positive forward exists.
+# (annual vol about 8-45 %), with StudentT mass below zero, Uniform b/a up to 40
+# and Gamma shapes down to about 0.05 (vol 4.5).  Normal and StudentT means
+# reach down to -2, where no positive forward exists.
 FAMILIES = {
     "lognormal": st.builds(LogNormal, mu=st.floats(-1.0, 3.0), s=st.floats(0.05, 0.6)),
     "gamma": st.builds(
         lambda vol, mean: Gamma(kappa=1.0 / (vol * vol), theta=mean * vol * vol),
-        st.floats(0.05, 0.6),
+        st.floats(0.05, 4.5),
         st.floats(0.5, 20.0),
     ),
     "normal": st.builds(
@@ -308,9 +319,33 @@ def _all_finite(*arrays) -> bool:
     return all(np.all(np.isfinite(np.asarray(a, dtype=float))) for a in arrays)
 
 
+def _quick_start(dist):
+    """The README quick start's chain; asserts its outputs are finite."""
+    smile = smile_from_distribution(dist, market_state_for(dist))
+    curve = represent(smile)
+    circle = fit_circle_to_smile(smile)
+    completed = smile_from_shape(circle, context_for_smile(smile), k_lo=smile.k_lo, k_hi=smile.k_hi)
+    density = density_from_smile(completed, completed.default_grid())
+    assert _all_finite(
+        curve.points, circle.center, circle.radius, density.values,
+        completed.vol(completed.default_grid()),
+    ), dist
+
+
+def _report(dist):
+    """distribution_report; asserts its outputs are finite."""
+    report = distribution_report(dist)
+    assert _all_finite(
+        report.circle.center, report.circle.radius, report.p_circle.values,
+        report.kl_circle.kl_nats, report.kl_vanna_volga.kl_nats,
+        report.kl_best_lognormal.kl_nats, report.margin,
+    ), dist
+
+
 class TestQuickStartProperty:
     """The README quick start and distribution_report, for every shipped family:
-    finite output or a SmileGeoError, never another exception."""
+    finite output or a SmileGeoError, never another exception, and the quick
+    start completes wherever the report does."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @settings(max_examples=40, deadline=None)
@@ -324,26 +359,20 @@ class TestQuickStartProperty:
                 distribution_report(dist)
             return
         try:
-            smile = smile_from_distribution(dist, market_state_for(dist))
-            curve = represent(smile)
-            circle = fit_circle_to_smile(smile)
-            completed = smile_from_shape(
-                circle, context_for_smile(smile), k_lo=smile.k_lo, k_hi=smile.k_hi
-            )
-            density = density_from_smile(completed, completed.default_grid())
+            _report(dist)
         except SmileGeoError:
-            pass
-        else:
-            assert _all_finite(
-                curve.points, circle.center, circle.radius, density.values,
-                completed.vol(completed.default_grid()),
-            ), dist
-        try:
-            report = distribution_report(dist)
-        except SmileGeoError:
+            try:
+                _quick_start(dist)
+            except SmileGeoError:
+                pass
             return
-        assert _all_finite(
-            report.circle.center, report.circle.radius, report.p_circle.values,
-            report.kl_circle.kl_nats, report.kl_vanna_volga.kl_nats,
-            report.kl_best_lognormal.kl_nats, report.margin,
-        ), dist
+        _quick_start(dist)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [Normal(10.0, 3.0), StudentT(10.0, 3.0), Gamma(0.1, 1.0), Uniform(1.0, 30.0)],
+        ids=repr,
+    )
+    def test_both_paths_complete(self, dist):
+        _quick_start(dist)
+        _report(dist)
