@@ -8,6 +8,8 @@ radius R + sigma.  Inverting a fitted shape intersects each strike's ray with
 the shape and reads sigma back off the radial excess over R.  The ray
 geometry itself (origin check, intersection, derivatives) belongs to the
 shape classes in ``shapes``; this module maps strikes to angles and back.
+Anchor strikes map to angles in one array call, which gives each the bits
+of its 0-d read (numpy; see ``smile``), then ``math.cos``/``math.sin``.
 """
 from __future__ import annotations
 
@@ -189,9 +191,9 @@ def represent(
 
 def represent_anchors(anchors, ctx: ReprContext) -> np.ndarray:
     """Representation points of delta anchors: rows of (x, y)."""
+    phis = angle_for_strike(np.array([a.strike for a in anchors], dtype=float), ctx).tolist()
     out = np.empty((len(anchors), 2), dtype=float)
-    for i, anchor in enumerate(anchors):
-        phi = angle_for_strike(anchor.strike, ctx)
+    for i, (anchor, phi) in enumerate(zip(anchors, phis)):
         rho = ctx.radius_scale + anchor.vol
         out[i] = (rho * math.cos(phi), rho * math.sin(phi))
     return out
@@ -208,18 +210,17 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
     r_scale = ctx.radius_scale
     ln_atm = math.log(ctx.atm_rn)
 
-    def angle(lnk):
+    def x_phi(lnk):
         x = (np.asarray(lnk, dtype=float) - ln_atm) / r_scale
-        dphi = 2.0 / ((1.0 + x * x) * r_scale)
-        d2phi = -4.0 * x / ((1.0 + x * x) ** 2 * r_scale * r_scale)
-        return 2.0 * np.arctan(x) - 0.5 * math.pi, dphi, d2phi
+        return x, 2.0 * np.arctan(x) - 0.5 * math.pi
 
     def vol_fn(lnk):
-        phi, _, _ = angle(lnk)
-        return shape.ray_radius(phi) - r_scale
+        return shape.ray_radius(x_phi(lnk)[1]) - r_scale
 
     def jet_fn(lnk):
-        phi, dphi, d2phi = angle(lnk)
+        x, phi = x_phi(lnk)
+        dphi = 2.0 / ((1.0 + x * x) * r_scale)
+        d2phi = -4.0 * x / ((1.0 + x * x) ** 2 * r_scale * r_scale)
         # rho here is the same expression shape.ray_radius evaluates.
         rho, drho, d2rho = shape.ray_jet(phi)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi

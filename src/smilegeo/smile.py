@@ -5,8 +5,14 @@ read paths in ln K: ``vol_fn`` gives sigma alone (label-strike reads, the
 sample that brackets delta solves) and ``jet_fn`` gives sigma with its exact
 first and second ln-K derivatives in one evaluation (densities, Newton steps
 of delta solves).  Densities follow from the jet through the closed-form
-second strike derivative of the call price; the same bracket expression
-decides non-negativity of the density.
+second strike derivative of the call price; the log-strike bracket that
+decides non-negativity is formed only where the margin is read.
+
+Many strikes are read in one array call: array and 0-d numpy calls of
+``log``, ``exp``, ``arctan``, ``cos``, ``sin`` and ``sqrt`` agree bit for bit
+(numpy 2.4, x86-64), so a vol has the same bits read alone or in any array.
+``math.log``, ``math.atan`` and ``math.exp`` differ from numpy in the last
+bit on some inputs, so none of them stands in for a numpy call.
 
 Without a grid, ``smile_from_distribution`` widens the default one until its
 end strikes bracket the ``ND1_WINDOW`` N(-d1) window, which also sets auto R
@@ -41,7 +47,9 @@ from .bsm import (
     ndtri,
 )
 from .distributions import DensityCurve, Distribution
-from .errors import DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol, TargetOutsideDomain
+from .errors import (
+    DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol, PriceOutOfBand, TargetOutsideDomain
+)
 
 DEFAULT_GRID_POINTS = 2001
 GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
@@ -211,7 +219,17 @@ def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec | None = Non
     given = grid is not None
     grid = grid or GridSpec()
     fwd, sqrt_t = ms.forward(), math.sqrt(ms.tenor)
-    proxy = float(implied_vol_grid(ms, [fwd], [float(dist.call_price(ms, fwd))])[0])
+    price = float(dist.call_price(ms, fwd))
+    try:
+        proxy = float(implied_vol_grid(ms, [fwd], [price])[0])
+    except PriceOutOfBand:
+        p0, dfwd = dist.mass_below_zero(), ms.df_dom() * fwd
+        if p0 > 0.0 and price > dfwd:  # no vol prices a call above the discounted forward
+            raise PriceOutOfBand(
+                f"the distribution's mass {p0:.3g} below zero makes its call at the forward "
+                f"{fwd:.6g} worth {price:.6g}, more than the discounted forward {dfwd:.6g}"
+            ) from None
+        raise
     ln_atm, ln_fwd = math.log(atm_rn_lognormal(ms, proxy)), math.log(fwd)
     half_lo = ndtri(GRID_DELTA_WINDOW[0]) * proxy * sqrt_t
     half_hi = ndtri(GRID_DELTA_WINDOW[1]) * proxy * sqrt_t
@@ -354,39 +372,36 @@ def strike_for_delta(
     return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)), convention=conv)
 
 
-def _derivs_on_grid(smile: SmileCurve, strikes: np.ndarray, mode: str):
+def _terms(smile: SmileCurve, strikes, mode: str):
+    """The checked grid, sigma with its two ln-K derivatives, d1 and d2."""
+    strikes = _check_grid(smile, strikes)
     lnk = np.log(strikes)
     if mode == "analytic":
-        return smile.jet_fn(lnk)
-    if mode != "fd":
+        sig, sig_dot, sig_ddot = smile.jet_fn(lnk)
+    elif mode == "fd":
+        h = FD_STEP
+        if strikes[0] * math.exp(-h) < smile.k_lo or strikes[-1] * math.exp(h) > smile.k_hi:
+            raise DomainTooNarrow("finite-difference stencil leaves the smile domain")
+        sig, up, dn = smile.vol_fn(lnk), smile.vol_fn(lnk + h), smile.vol_fn(lnk - h)
+        sig_dot, sig_ddot = (up - dn) / (2.0 * h), (up - 2.0 * sig + dn) / (h * h)
+    else:
         raise ValueError(f"unknown derivative mode {mode!r}")
-    h = FD_STEP
-    if strikes[0] * math.exp(-h) < smile.k_lo or strikes[-1] * math.exp(h) > smile.k_hi:
-        raise DomainTooNarrow("finite-difference stencil leaves the smile domain")
-    sig = smile.vol_fn(lnk)
-    up = smile.vol_fn(lnk + h)
-    dn = smile.vol_fn(lnk - h)
-    return sig, (up - dn) / (2.0 * h), (up - 2.0 * sig + dn) / (h * h)
-
-
-def _bracket_terms(smile: SmileCurve, strikes: np.ndarray, mode: str):
-    """sigma, d1, d2 and the non-negativity bracket of the density formula."""
-    ms = smile.market
-    sqrt_t = math.sqrt(ms.tenor)
-    sig, sig_dot, sig_ddot = _derivs_on_grid(smile, strikes, mode)
     if np.any(sig <= 0.0):
         k_bad = strikes[int(np.argmax(sig <= 0.0))]
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
-    d1, total = d1_total(ms, strikes, sig)
-    d2 = d1 - total
+    d1, total = d1_total(smile.market, strikes, sig)
+    return strikes, sig, sig_dot, sig_ddot, d1, d1 - total
+
+
+def _bracket(ms: MarketState, strikes, sig, sig_dot, sig_ddot, d1, d2) -> np.ndarray:
+    """The non-negativity bracket of the log-strike density formula."""
     t = ms.tenor
-    bracket = (
+    return (
         1.0
-        + sqrt_t * (d1 + d2) * sig_dot
+        + math.sqrt(t) * (d1 + d2) * sig_dot
         + t * d1 * d2 * sig_dot * sig_dot
         + t * sig * sig_ddot
     )
-    return sig, sig_dot, sig_ddot, d1, d2, bracket
 
 
 def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
@@ -410,17 +425,19 @@ def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> De
     with primes denoting strike derivatives.  Negative values are reported
     as-is; use ``nonnegativity_margin`` to detect them.
     """
-    return density_with_margin(smile, strikes, mode)[0]
+    return _strike_density(smile.market, *_terms(smile, strikes, mode))
 
 
 def density_with_margin(
     smile: SmileCurve, strikes, mode: str = "analytic"
 ) -> tuple[DensityCurve, float]:
-    """``density_from_smile`` and ``nonnegativity_margin`` from one bracket evaluation."""
-    strikes = _check_grid(smile, strikes)
-    ms = smile.market
+    """``density_from_smile`` and ``nonnegativity_margin`` from one evaluation of the terms."""
+    terms = _terms(smile, strikes, mode)
+    return _strike_density(smile.market, *terms), float(np.min(_bracket(smile.market, *terms)))
+
+
+def _strike_density(ms: MarketState, strikes, sig, sig_dot, sig_ddot, d1, d2) -> DensityCurve:
     sqrt_t = math.sqrt(ms.tenor)
-    sig, sig_dot, sig_ddot, d1, d2, bracket = _bracket_terms(smile, strikes, mode)
     # Strike-space derivatives from the log-strike ones.  Overflow on a huge
     # domain is reported by DensityCurve (NonFiniteDensity), not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -432,7 +449,7 @@ def density_with_margin(
             + strikes * strikes * ms.tenor * (d1 * d2 * sig_p * sig_p + sig * sig_pp)
         )
         values = bracket_k * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
-    return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
+    return DensityCurve(strikes=strikes, values=values)
 
 
 def log_strike_density(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
@@ -444,10 +461,9 @@ def log_strike_density(smile: SmileCurve, strikes, mode: str = "analytic") -> De
     with dots denoting ln-K derivatives; serves as an internal cross-check
     of ``density_from_smile``.
     """
-    strikes = _check_grid(smile, strikes)
-    sqrt_t = math.sqrt(smile.market.tenor)
-    sig, _, _, _, d2, bracket = _bracket_terms(smile, strikes, mode)
-    values = bracket * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
+    terms = strikes, sig, _, _, _, d2 = _terms(smile, strikes, mode)
+    values = _bracket(smile.market, *terms) * np.exp(-0.5 * d2 * d2)
+    values /= strikes * sig * SQRT_2PI * math.sqrt(smile.market.tenor)
     return DensityCurve(strikes=strikes, values=values)
 
 
@@ -457,6 +473,4 @@ def nonnegativity_margin(smile: SmileCurve, strikes, mode: str = "analytic") -> 
     A negative return value is equivalent to the implied density taking
     negative values somewhere on the grid.
     """
-    strikes = _check_grid(smile, strikes)
-    _, _, _, _, _, bracket = _bracket_terms(smile, strikes, mode)
-    return float(np.min(bracket))
+    return float(np.min(_bracket(smile.market, *_terms(smile, strikes, mode))))

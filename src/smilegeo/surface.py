@@ -5,7 +5,9 @@ delta labels.  Completion rebuilds each expiry's full smile from the three
 anchor quotes (25P / ATM / 25C) by the circle method or vanna-volga, or from
 five quotes (plus 10P / 10C) by the ellipse method; the discrepancy table
 compares completed vols against the quoted ones label by label, with L2
-norms per row, per column, and overall.
+norms per row, per column, and overall.  Every quoted label is read in one
+``smile.vol`` array call, whose vols keep the bits of one numpy read per
+label; ``math.*`` calls would not (see ``smile``).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bsm import DeltaConvention, MarketState, strike_for_target_nd1
 from .distributions import Gamma
-from .errors import MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
+from .errors import InvalidInput, MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
 from .fitting import fit_shape
 from .georep import ReprContext, flat_context, smile_from_shape
 from .shapes import CircleShape, ConicShape
@@ -77,9 +79,11 @@ class SurfaceQuoteRow:
                 f"expiry {self.expiry_label!r} lacks anchor quote(s) {missing}"
             )
         if any(v <= 0.0 for v in self.vols.values()):
-            raise ValueError(f"expiry {self.expiry_label!r} has non-positive vols")
+            raise InvalidInput(f"expiry {self.expiry_label!r} has non-positive vols")
+        if not all(math.isfinite(v) for v in self.vols.values()):
+            raise InvalidInput(f"expiry {self.expiry_label!r} has non-finite vols")
         if self.tenor_years <= 0.0:
-            raise ValueError("tenor_years must be positive")
+            raise InvalidInput("tenor_years must be positive")
         self.market()  # rejects a bad spot or rate
         object.__setattr__(self, "_strikes", self._check_strike_range())
 
@@ -107,20 +111,20 @@ class SurfaceQuoteRow:
                 k_lo, k_hi = _completion_domain(strikes.values())
                 if 0.0 < k_lo and k_hi < math.inf:
                     if len(set(strikes.values())) < len(strikes):
-                        raise ValueError(
+                        raise InvalidInput(
                             f"expiry {self.expiry_label!r}: {conv.value} label strikes "
                             "collapse onto one another (tenor or vols too small)"
                         )
                     solved[conv] = strikes
                     continue
-            raise ValueError(
+            raise InvalidInput(
                 f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
                 "range (rates, tenor or vols too large)"
             )
         try:
             flat_context(self.market(), self.vols["ATM"])
         except (ValueError, OverflowError):
-            raise ValueError(
+            raise InvalidInput(
                 f"expiry {self.expiry_label!r}: radial scale R leaves the floating-point "
                 "range (tenor or ATM vol out of range)"
             ) from None
@@ -274,8 +278,9 @@ class CompletedExpiry:
 
     def label_vols(self) -> dict[str, float]:
         """The completed smile's vol at every quoted label's strike, in ``LABELS`` order."""
-        ks = self.label_strikes
-        return {lab: float(self.smile.vol(ks[lab])) for lab in LABELS if lab in ks}
+        labs = [lab for lab in LABELS if lab in self.label_strikes]
+        vols = self.smile.vol(np.array([self.label_strikes[lab] for lab in labs]))
+        return dict(zip(labs, vols.tolist()))
 
 
 def _completion_domain(strikes) -> tuple[float, float]:

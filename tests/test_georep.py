@@ -1,28 +1,33 @@
 """Tests for the polar-plane representation and shape inversion."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from smilegeo.bsm import MarketState
+from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.distributions import Gamma, Uniform
 from smilegeo.errors import NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
     ReprContext,
+    angle_for_strike,
     context_for_smile,
     continuous_angle,
     flat_context,
     polar_angle,
     represent,
+    represent_anchors,
     smile_from_shape,
     stereographic_point,
     strike_to_x,
 )
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle
 from smilegeo.smile import flat_smile, smile_from_distribution
-from smilegeo.workflows import market_state_for
+from smilegeo.surface import LABELS, parse_surface, row_anchors
+from smilegeo.workflows import distribution_report, market_state_for
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 class TestStrikeToX:
@@ -117,6 +122,40 @@ class TestRepresent:
         ctx = ReprContext(market=FLAT_MS, atm_rn=102.0, radius_scale=0.8)
         curve = represent(smile, ctx)
         assert np.max(np.abs(curve.vols - 0.35)) <= 1e-14
+
+
+class TestRepresentAnchorsExact:
+    """``represent_anchors`` maps all anchor strikes to angles in one array
+    call; each point must equal the anchor's own 0-d angle read mapped by
+    ``math.cos`` and ``math.sin``."""
+
+    @staticmethod
+    def _one_by_one(anchors, ctx):
+        out = []
+        for anchor in anchors:
+            phi = angle_for_strike(anchor.strike, ctx)
+            rho = ctx.radius_scale + anchor.vol
+            out.append((rho * math.cos(phi), rho * math.sin(phi)))
+        return out
+
+    @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
+    def test_every_label_of_shipped_rows(self, name, conv):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            anchors = row_anchors(row, LABELS, conv, row.strikes(conv))
+            for ctx in (flat_context(row.market(), row.vols["ATM"]),
+                        flat_context(row.market(), row.vols["ATM"], 0.5)):
+                got = represent_anchors(anchors, ctx)
+                assert got.shape == (len(LABELS), 2)
+                assert [tuple(p) for p in got.tolist()] == self._one_by_one(anchors, ctx)
+
+    @pytest.mark.parametrize(
+        "dist", [Gamma(kappa=5.12, theta=0.64), Uniform(a=2.0109, b=5.4750)], ids=repr
+    )
+    def test_report_anchors(self, dist):
+        rep = distribution_report(dist)
+        got = represent_anchors(rep.anchors, rep.ctx)
+        assert [tuple(p) for p in got.tolist()] == self._one_by_one(rep.anchors, rep.ctx)
 
 
 class TestAutoRadiusScale:

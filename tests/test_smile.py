@@ -24,6 +24,7 @@ from smilegeo.smile import (
     GridSpec,
     SmileCurve,
     density_from_smile,
+    density_with_margin,
     flat_smile,
     log_strike_density,
     nonnegativity_margin,
@@ -374,6 +375,35 @@ def market_vv_branches(market, lnk):
             s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd),
         )
     return arg <= 0.0, main, clamped
+
+
+class TestDensityWithoutBracket:
+    """``density_from_smile`` skips the log-strike bracket that only the margin
+    reads; its values and the margin must keep the bits of the joint call."""
+
+    @staticmethod
+    def _check(smile, grid):
+        joint, margin = density_with_margin(smile, grid)
+        alone = density_from_smile(smile, grid)
+        assert np.array_equal(alone.values, joint.values)
+        assert np.array_equal(alone.strikes, joint.strikes)
+        assert nonnegativity_margin(smile, grid) == margin
+
+    @pytest.mark.parametrize(
+        "method, variant",
+        [("circle", "market"), ("ellipse", "market"), ("vanna-volga", "market"),
+         ("vanna-volga", "first")],
+        ids=["circle", "ellipse", "vv-market", "vv-first"],
+    )
+    def test_completed_shipped_rows(self, method, variant):
+        for done in completed_shipped_rows(method, variant):
+            ks = sorted(done.label_strikes.values())
+            self._check(done.smile, np.exp(np.linspace(math.log(ks[0]), math.log(ks[-1]), 2001)))
+
+    @pytest.mark.parametrize("backend", list(JET_BACKENDS))
+    def test_default_grid(self, backend):
+        smile = JET_BACKENDS[backend]()
+        self._check(smile, smile.default_grid())
 
 
 class TestVolStrikeCheck:

@@ -112,6 +112,13 @@ def _three_quotes(strikes):
     return ThreeQuoteSmile(anchors=anchors, market=flat_row().market())
 
 
+def _three_anchor_row(atm):
+    return SurfaceQuoteRow(
+        expiry_label="1Y", tenor_years=1.0, spot=1.1, dom_rate=0.02, for_rate=0.01,
+        vols={"25P": 0.11, "ATM": atm, "25C": 0.12},
+    )
+
+
 class TestConstructorErrors:
     """Bad input to a library constructor raises InvalidInput, which is both a
     SmileGeoError and a ValueError."""
@@ -152,6 +159,13 @@ class TestConstructorErrors:
             lambda: Gamma(kappa=1.0, theta=0.0),
             lambda: Uniform(a=1.0, b=math.inf),
             lambda: Uniform(a=2.0, b=1.0),
+            lambda: flat_row(vol=0.0),
+            lambda: flat_row(vol=math.nan),
+            lambda: flat_row(vol=math.inf),
+            lambda: flat_row(tenor=0.0),
+            lambda: flat_row(tenor=1e-30),
+            lambda: flat_row(vol=900.0),
+            lambda: _three_anchor_row(atm=1e-300),
         ],
         ids=[
             "spot", "tenor", "rate", "three-anchors", "anchor-order", "radius", "conic-zero",
@@ -160,6 +174,8 @@ class TestConstructorErrors:
             "student-inf-nu", "student-nan-nu", "student-nan-mu", "student-nu", "student-quantile",
             "normal-inf-s", "normal-inf-mu", "normal-s", "lognormal-nan-mu", "lognormal-s",
             "gamma-inf-kappa", "gamma-theta", "uniform-inf-b", "uniform-order",
+            "row-vol", "row-nan-vol", "row-inf-vol", "row-tenor", "row-strikes-collapse",
+            "row-strikes-overflow", "row-radius-scale",
         ],
     )
     def test_caught_as_both_types(self, build):
@@ -168,6 +184,21 @@ class TestConstructorErrors:
         assert isinstance(err.value, SmileGeoError)
         assert isinstance(err.value, ValueError)
         assert smilegeo.InvalidInput is InvalidInput
+
+    @pytest.mark.parametrize(
+        "vol, reason",
+        [
+            (0.0, "non-positive vols"),
+            (-math.inf, "non-positive vols"),
+            (math.nan, "non-finite vols"),
+            (math.inf, "non-finite vols"),
+        ],
+    )
+    def test_row_vol_reason(self, vol, reason):
+        # parse_surface passes the non-positive wording on in its ParseError,
+        # so it stays; a non-finite vol has its own reason, not a strike range.
+        with pytest.raises(InvalidInput, match=f"expiry '1Y' has {reason}$"):
+            flat_row(vol=vol)
 
     def test_parse_surface_still_names_the_line(self):
         text = CSV_HEADER + "\n1Y,1.0,-1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n"
@@ -280,6 +311,29 @@ class TestCompleteExpiry:
         )
         with pytest.raises(MissingAnchor):
             complete_expiry(row, "ellipse", CONV)
+
+
+class TestLabelVolsExact:
+    """``label_vols`` reads every quoted label in one array call.  Each vol must
+    have the bits of a read at its strike alone: the discrepancy cells and the
+    ``complete-surface`` vols are compared with such reads under ``==``."""
+
+    @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "method, variant",
+        [("circle", "market"), ("ellipse", "market"), ("vanna-volga", "market"),
+         ("vanna-volga", "first")],
+        ids=["circle", "ellipse", "vv-market", "vv-first"],
+    )
+    @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
+    def test_equals_one_read_per_label(self, name, method, variant, conv):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            done = complete_expiry(row, method, conv, vv_variant=variant)
+            want = {lab: done.smile.vol(done.label_strikes[lab]) for lab in LABELS}
+            got = done.label_vols()
+            assert list(got) == list(LABELS)
+            assert all(type(v) is float for v in got.values())
+            assert got == want, row.expiry_label
 
 
 class TestDiscrepancyTable:

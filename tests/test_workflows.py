@@ -16,7 +16,7 @@ import smilegeo.smile as smile_module
 import smilegeo.workflows as workflows_module
 from smilegeo.bsm import d1_total
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
-from smilegeo.errors import DegenerateMass, InconsistentForward, SmileGeoError
+from smilegeo.errors import DegenerateMass, InconsistentForward, PriceOutOfBand, SmileGeoError
 from smilegeo.fitting import fit_circle_to_smile
 from smilegeo.georep import context_for_smile, represent, smile_from_shape
 from smilegeo.smile import (
@@ -376,3 +376,21 @@ class TestQuickStartProperty:
     def test_both_paths_complete(self, dist):
         _quick_start(dist)
         _report(dist)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [StudentT(0.26060533807545944, 4.587396374623719), StudentT(0.353, 7.15)],
+        ids=repr,
+    )
+    def test_mass_below_zero_named(self, dist):
+        # The call at the forward is worth more than the discounted forward,
+        # so no proxy vol exists; the message names the mass that causes it.
+        assert dist.mass_below_zero() > 0.36
+        match = (
+            rf"mass {dist.mass_below_zero():.3g} below zero makes its call at the forward "
+            r"\S+ worth \S+, more than the discounted forward"
+        )
+        with pytest.raises(PriceOutOfBand, match=match):
+            _report(dist)
+        with pytest.raises(PriceOutOfBand, match=match):
+            _quick_start(dist)

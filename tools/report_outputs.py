@@ -10,17 +10,21 @@ five families, with market-like widths (annual vol about 8-45 %).
 
 OUT is a JSON file with one record per case: the ends of the smile's
 strike grid (``k_lo``, ``k_hi``), the KL window, the anchors (target,
-strike, vol), the fitted circle, the three KL values and the
-non-negativity margin, or the error a case raised.  Floats are written with
-``repr``, so files from two checkouts compare exactly.  ``--compare`` prints,
-for each field, how many cases differ, the largest absolute change, the
-largest change relative to the field's largest magnitude in its case, and
-the largest distance in units in the last place between values of one sign
-(a value near zero, such as a centred circle's centre or the KL of a perfect
-fit, can change sign).
+strike, vol), the fitted circle, the three KL values, the non-negativity
+margin and a sha256 of the bytes of each of the densities ``p_true``,
+``p_circle`` and ``p_vanna_volga`` on the KL window, or the error a case
+raised.  Floats are written with ``repr``, so files from two checkouts
+compare exactly; a density that moves by one bit changes its hash, where
+the KL values may not show it.  ``--compare`` prints, for each numeric
+field, how many cases differ, the largest absolute change, the largest
+change relative to the field's largest magnitude in its case, and the
+largest distance in units in the last place between values of one sign (a
+value near zero, such as a centred circle's centre or the KL of a perfect
+fit, can change sign); for each density hash, how many cases differ.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -68,7 +72,15 @@ def record(sg, dist) -> dict:
         "circle": [*rep.circle.center, rep.circle.radius],
         "kl": [rep.kl_circle.kl_nats, rep.kl_vanna_volga.kl_nats, rep.kl_best_lognormal.kl_nats],
         "margin": rep.margin,
+        "density_sha256": {
+            name: _sha256(getattr(rep, name).values) for name in ("p_true", "p_circle", "p_vanna_volga")
+        },
     }
+
+
+def _sha256(values) -> str:
+    """Hex sha256 of the values as little-endian doubles."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
 def dump(src_root: Path, out: Path) -> None:
@@ -95,6 +107,7 @@ def compare(path_a: Path, path_b: Path) -> None:
         print("case lists differ")
         return
     fields: dict[str, list[tuple[float, float, int]]] = {}
+    hashes: dict[str, list[bool]] = {}
     for name in doc_a:
         rec_a, rec_b = doc_a[name], doc_b[name]
         if "error" in rec_a or "error" in rec_b:
@@ -102,6 +115,10 @@ def compare(path_a: Path, path_b: Path) -> None:
                 print(f"{name}: {rec_a.get('error', 'ok')} -> {rec_b.get('error', 'ok')}")
             continue
         for key in rec_a:
+            if key == "density_sha256":
+                for name, digest in rec_a[key].items():
+                    hashes.setdefault(name, []).append(digest != rec_b[key][name])
+                continue
             a, b = np.ravel(rec_a[key]), np.ravel(rec_b[key])
             change = float(np.max(np.abs(a - b)))
             rel = change / max(float(np.max(np.abs(a))), 1e-300)
@@ -113,6 +130,8 @@ def compare(path_a: Path, path_b: Path) -> None:
             f"{key:13s} {moved:3d} of {len(per_case)} cases differ; at most {change:.2g} "
             f"absolute, {rel:.2g} relative, {ulps} ulp"
         )
+    for name, moved in hashes.items():
+        print(f"{name:13s} {sum(moved):3d} of {len(moved)} cases differ in their sha256")
 
 
 def main(argv) -> int:
