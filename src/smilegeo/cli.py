@@ -3,8 +3,9 @@
 Subcommands: represent, fit-circle, fit-ellipse, density, curvature,
 complete-surface, compare.  Exit codes: 0 on success, 2 on input/parse
 errors, 3 on numeric failures (inadmissible shapes, out-of-band prices,
-grids too narrow for distinct strikes).
-``compare`` blanks a failed row, names it on stderr, and still exits 0.
+grids too narrow for distinct strikes).  Every row error names its
+expiry: ``expiry '2W' failed: <reason>``.  ``compare`` and
+``complete-surface`` blank a failed row, name it on stderr, and still exit 0.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
 from .georep import (
     DEFAULT_CURVE_POINTS,
     continuous_angle,
-    flat_context,
     represent,
     represent_anchors,
     strike_to_x,
@@ -37,6 +37,8 @@ from .surface import (
 )
 
 GRID_POINTS_ENV = "SMILEGEO_GRID_POINTS"
+# Subcommands that complete by one method whatever --method says.
+_FIXED_METHOD = {"fit-circle": "circle", "fit-ellipse": "ellipse", "curvature": "circle"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,17 +150,9 @@ def _write(artifact, args) -> None:
             fh.write(payload)
 
 
-def _complete(row, args, method=None):
-    """``complete_expiry`` of one row under the command line's options."""
-    return complete_expiry(
-        row, method or args.method, _convention(args), args.radius_scale, args.vv_variant
-    )
-
-
-def _representation_points_table(rows, args) -> TableArtifact:
-    row = _pick_row(rows, args)
+def _representation_points_table(row, args) -> TableArtifact:
     conv = _convention(args)
-    ctx = flat_context(row.market(), row.vols["ATM"], args.radius_scale)
+    ctx = row.frame(args.radius_scale)
     labels = [lab for lab in LABELS if lab in row.vols]
     anchors = row_anchors(row, labels, conv, row.strikes(conv))
     out = []
@@ -168,8 +162,7 @@ def _representation_points_table(rows, args) -> TableArtifact:
         out.append((lab, a.strike, a.vol, x_coord, phi, ctx.radius_scale + a.vol, x, y))
     if not np.all(np.isfinite([r[1:] for r in out])):
         raise SmileGeoError(
-            f"expiry {row.expiry_label!r}: representation points are not finite "
-            f"under radius scale {ctx.radius_scale!r}"
+            f"representation points are not finite under radius scale {ctx.radius_scale!r}"
         )
     return TableArtifact(
         kind="representation-points",
@@ -178,7 +171,7 @@ def _representation_points_table(rows, args) -> TableArtifact:
     )
 
 
-def _increasing(grid: np.ndarray, completed) -> np.ndarray:
+def _increasing(grid: np.ndarray) -> np.ndarray:
     """``grid`` if it strictly increases, else DomainTooNarrow.
 
     Label strikes a few ulp apart (tenors near 1e-28) leave too few floats
@@ -187,28 +180,45 @@ def _increasing(grid: np.ndarray, completed) -> np.ndarray:
     if np.all(np.diff(grid) > 0.0):
         return grid
     raise DomainTooNarrow(
-        f"expiry {completed.row.expiry_label!r}: strike domain "
-        f"[{float(grid[0])!r}, {float(grid[-1])!r}] is too narrow for {grid.size} distinct "
-        "grid strikes"
+        f"strike domain [{float(grid[0])!r}, {float(grid[-1])!r}] is too narrow for "
+        f"{grid.size} distinct grid strikes"
     )
 
 
 def _density_grid(completed, n: int) -> np.ndarray:
     ks = sorted(completed.label_strikes.values())
-    return _increasing(np.exp(np.linspace(math.log(ks[0]), math.log(ks[-1]), n)), completed)
-
-
-def _curve_grid(completed, n: int) -> np.ndarray:
-    return _increasing(completed.smile.default_grid(n), completed)
+    return _increasing(np.exp(np.linspace(math.log(ks[0]), math.log(ks[-1]), n)))
 
 
 def _scene(completed) -> RepresentationScene:
-    curve = represent(
-        completed.smile, completed.ctx, _curve_grid(completed, DEFAULT_CURVE_POINTS)
-    )
+    grid = _increasing(completed.smile.default_grid(DEFAULT_CURVE_POINTS))
+    curve = represent(completed.smile, completed.ctx, grid)
     pts = represent_anchors(completed.anchors, completed.ctx)
     circle = completed.shape if completed.method == "circle" else None
     return RepresentationScene(curve=curve, circle=circle, anchor_points=pts)
+
+
+def _row_artifact(row, args, grid_points: int):
+    """What a single-row subcommand writes for ``row``."""
+    if args.command == "represent":
+        return _representation_points_table(row, args)
+    method = _FIXED_METHOD.get(args.command, args.method)
+    completed = complete_expiry(row, method, _convention(args), args.radius_scale, args.vv_variant)
+    if args.command == "density":
+        return density_from_smile(completed.smile, _density_grid(completed, grid_points))
+    if args.command == "curvature":
+        grid = _increasing(completed.smile.default_grid(grid_points))
+        curve = represent(completed.smile, completed.ctx, grid)
+        return curvature_profile(curve, circle=completed.shape)
+    if args.output_format == "svg":
+        return _scene(completed)
+    shape, ctx = completed.shape, completed.ctx
+    if method == "circle":
+        columns, values = ("cx", "cy", "radius"), (*shape.center, shape.radius)
+    else:
+        columns, values = ("A", "B", "C", "D", "E", "F"), shape.coefficients
+    columns += ("atm_rn", "radius_scale")
+    return TableArtifact(f"fitted-{method}", columns, ((*values, ctx.atm_rn, ctx.radius_scale),))
 
 
 def run(argv=None) -> int:
@@ -222,56 +232,24 @@ def run(argv=None) -> int:
     if not rows:
         raise ParseError("surface file has no data rows")
 
-    if args.command == "represent":
-        _write(_representation_points_table(rows, args), args)
-    elif args.command in ("fit-circle", "fit-ellipse"):
-        method = "circle" if args.command == "fit-circle" else "ellipse"
-        completed = _complete(_pick_row(rows, args), args, method)
-        if args.output_format == "svg":
-            _write(_scene(completed), args)
-        else:
-            shape, ctx = completed.shape, completed.ctx
-            if method == "circle":
-                columns, values = ("cx", "cy", "radius"), (*shape.center, shape.radius)
-            else:
-                columns, values = ("A", "B", "C", "D", "E", "F"), shape.coefficients
-            _write(
-                TableArtifact(
-                    kind=f"fitted-{method}",
-                    columns=columns + ("atm_rn", "radius_scale"),
-                    rows=((*values, ctx.atm_rn, ctx.radius_scale),),
-                ),
-                args,
-            )
-    elif args.command == "density":
-        completed = _complete(_pick_row(rows, args), args)
-        grid = _density_grid(completed, grid_points)
-        _write(density_from_smile(completed.smile, grid), args)
-    elif args.command == "curvature":
-        completed = _complete(_pick_row(rows, args), args, "circle")
-        curve = represent(completed.smile, completed.ctx, _curve_grid(completed, grid_points))
-        profile = curvature_profile(curve, circle=completed.shape)
-        _write(profile, args)
-    elif args.command == "complete-surface":
-        out_rows = []
-        for row in rows:
-            vols = _complete(row, args).label_vols()
-            out_rows.append((row.expiry_label, *(vols.get(lab) for lab in LABELS)))
-        _write(
-            TableArtifact(
-                kind=f"completed-{args.method}",
-                columns=("expiry",) + LABELS,
-                rows=tuple(out_rows),
-            ),
-            args,
-        )
-    elif args.command == "compare":
+    if args.command in ("complete-surface", "compare"):
         table = discrepancy_table(
             rows, args.method, _convention(args), args.radius_scale, vv_variant=args.vv_variant
         )
-        _write(table, args)
-        for expiry, reason in table.errors.items():
-            print(f"smilegeo: expiry {expiry!r} failed: {reason}", file=sys.stderr)
+        artifact = table
+        if args.command == "complete-surface":
+            vols = tuple((e, *v.values()) for e, v in zip(table.expiries, table.vols))
+            artifact = TableArtifact(f"completed-{args.method}", ("expiry",) + LABELS, vols)
+        _write(artifact, args)
+        for reason in table.errors.values():
+            print(f"smilegeo: {reason}", file=sys.stderr)
+        return 0
+    row = _pick_row(rows, args)
+    try:
+        artifact = _row_artifact(row, args, grid_points)
+    except SmileGeoError as exc:
+        raise exc.named_for(row.expiry_label)
+    _write(artifact, args)
     return 0
 
 

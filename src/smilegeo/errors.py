@@ -2,7 +2,15 @@
 
 
 class SmileGeoError(Exception):
-    """Base class for all smilegeo errors."""
+    """Base class for all smilegeo errors; ``expiry`` names a failed surface row."""
+
+    expiry: str | None = None
+
+    def named_for(self, expiry: str) -> "SmileGeoError":
+        """This error, its message led once by ``expiry '2W' failed: ``."""
+        if self.expiry is None:
+            self.expiry, self.args = expiry, (f"expiry {expiry!r} failed: {self}",)
+        return self
 
 
 class InvalidInput(SmileGeoError, ValueError):

@@ -8,13 +8,17 @@ compares completed vols against the quoted ones label by label, with L2
 norms per row, per column, and overall.  Every quoted label is read in one
 ``smile.vol`` array call, whose vols keep the bits of one numpy read per
 label; ``math.*`` calls would not (see ``smile``).
+
+A row owns its market state, label strikes and flat-ATM frame (centre strike
+and radial scale R), built once.  ``discrepancy_table`` is the one loop over
+a surface's rows, and every row error names its expiry.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +64,10 @@ METHODS = tuple(METHOD_ANCHORS)
 class SurfaceQuoteRow:
     """One expiry of a delta-quoted surface.
 
-    Every quoted label's strike is solved once per delta convention at
-    construction; ``strikes`` hands them out.
+    The row owns its geometry.  Construction builds its ``MarketState`` once,
+    solves every quoted label's strike with it under each delta convention,
+    and keeps the automatic-R flat-ATM frame; ``market``, ``strikes`` and
+    ``frame`` hand them out.
     """
 
     expiry_label: str
@@ -71,6 +77,7 @@ class SurfaceQuoteRow:
     for_rate: float
     vols: dict[str, float]
     _strikes: dict = field(init=False, repr=False, compare=False)
+    _frame: ReprContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [lab for lab in ANCHOR_LABELS if lab not in self.vols]
@@ -84,24 +91,34 @@ class SurfaceQuoteRow:
             raise InvalidInput(f"expiry {self.expiry_label!r} has non-finite vols")
         if self.tenor_years <= 0.0:
             raise InvalidInput("tenor_years must be positive")
-        self.market()  # rejects a bad spot or rate
-        object.__setattr__(self, "_strikes", self._check_strike_range())
+        ms = MarketState(self.spot, self.dom_rate, self.for_rate, self.tenor_years)
+        object.__setattr__(self, "_strikes", self._check_strike_range(ms))
+        try:  # the frame carries ms
+            object.__setattr__(self, "_frame", flat_context(ms, self.vols["ATM"]))
+        except (ValueError, OverflowError):
+            raise InvalidInput(
+                f"expiry {self.expiry_label!r}: radial scale R leaves the floating-point "
+                "range (tenor or ATM vol out of range)"
+            ) from None
 
-    def _check_strike_range(self) -> dict:
+    def _check_strike_range(self, ms: MarketState) -> dict:
         """Solves the label strikes under each convention; rejects numbers out of range.
 
-        The label strikes are closed forms in exp(rates, tenor and vol^2); a
-        finite but huge input overflows them (or underflows them to zero).
+        Each label's strike is solved with its own vol.  The label strikes
+        are closed forms in exp(rates, tenor and vol^2); a finite but huge
+        input overflows them (or underflows them to zero).
         A tiny tenor collapses them onto one another, so no two may
-        coincide.  A tiny tenor or ATM vol underflows the automatic radial
-        scale R to 0.  Returns the strikes by convention, or the
+        coincide.  Returns the strikes by convention, or the
         TargetOutsideDomain of a convention that puts a delta target outside
         (0, 1).
         """
         solved = {}
         for conv in DeltaConvention:
             try:
-                strikes = {lab: label_strike(self, lab, conv) for lab in self.vols}
+                strikes = {
+                    lab: strike_for_target_nd1(ms, vol, effective_nd1_target(lab, ms, conv))
+                    for lab, vol in self.vols.items()
+                }
             except OverflowError:
                 strikes = None
             except TargetOutsideDomain as exc:
@@ -121,13 +138,6 @@ class SurfaceQuoteRow:
                 f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
                 "range (rates, tenor or vols too large)"
             )
-        try:
-            flat_context(self.market(), self.vols["ATM"])
-        except (ValueError, OverflowError):
-            raise InvalidInput(
-                f"expiry {self.expiry_label!r}: radial scale R leaves the floating-point "
-                "range (tenor or ATM vol out of range)"
-            ) from None
         return solved
 
     def strikes(self, conv: DeltaConvention) -> dict[str, float]:
@@ -141,16 +151,17 @@ class SurfaceQuoteRow:
         return dict(solved)
 
     def market(self) -> MarketState:
-        return MarketState(
-            spot=self.spot,
-            dom_rate=self.dom_rate,
-            for_rate=self.for_rate,
-            tenor=self.tenor_years,
-        )
+        return self._frame.market
+
+    def frame(self, radius_scale: float | None = None) -> ReprContext:
+        """The flat-ATM frame: automatic R for ``None``, else the same centre strike with R fixed."""
+        if radius_scale is None:
+            return self._frame
+        return replace(self._frame, radius_scale=radius_scale)
 
 
 def parse_surface(data) -> list[SurfaceQuoteRow]:
-    """Parse surface CSV bytes (or text) into quote rows, in file order."""
+    """Parse surface CSV bytes (or text) into quote rows, in file order; expiries are unique."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -169,6 +180,7 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
             f"bad header; expected {CSV_HEADER!r}", line=1
         )
     rows: list[SurfaceQuoteRow] = []
+    first_line: dict[str, int] = {}  # by expiry
     for lineno, rec in enumerate(reader, start=2):
         if not rec or all(not cell.strip() for cell in rec):
             continue
@@ -177,6 +189,10 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
                 f"expected {len(expected)} fields, found {len(rec)}", line=lineno
             )
         named = dict(zip(expected, (cell.strip() for cell in rec)))
+        expiry = named["expiry"]
+        if expiry in first_line:
+            raise ParseError(f"expiry {expiry!r} is already on line {first_line[expiry]}", line=lineno)
+        first_line[expiry] = lineno
 
         def number(fld: str) -> float:
             raw = named[fld]
@@ -197,12 +213,12 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
         missing = [lab for lab in ANCHOR_LABELS if lab not in vols]
         if missing:
             raise MissingAnchor(
-                f"line {lineno} (expiry {named['expiry']!r}) lacks anchor quote(s) {missing}"
+                f"line {lineno} (expiry {expiry!r}) lacks anchor quote(s) {missing}"
             )
         try:
             rows.append(
                 SurfaceQuoteRow(
-                    expiry_label=named["expiry"],
+                    expiry_label=expiry,
                     tenor_years=number("tenor_years"),
                     spot=number("spot"),
                     dom_rate=number("dom_rate"),
@@ -227,14 +243,6 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
             f"label {label} target {target / ms.df_for():.6g} outside (0, 1)"
         ) from None
     return eff if side == "put" else 1.0 - eff
-
-
-def label_strike(row: SurfaceQuoteRow, label: str, conv: DeltaConvention) -> float:
-    """Strike of a quoted label, solved with that label's own vol."""
-    if label not in row.vols:
-        raise MissingAnchor(f"no quote at {label} for expiry {row.expiry_label!r}")
-    ms = row.market()
-    return strike_for_target_nd1(ms, row.vols[label], effective_nd1_target(label, ms, conv))
 
 
 def row_anchors(
@@ -300,28 +308,29 @@ def complete_expiry(
 
     The completed smile reproduces the anchor vols exactly and is evaluable
     at every quoted label strike.  Geometry failures (origin outside the
-    fitted shape, non-positive vols) surface as their specific errors.
+    fitted shape, non-positive vols) surface as their specific errors, with
+    messages that name the expiry.
     """
     labels = anchor_labels(method)
-    ms = row.market()
-    strikes = row.strikes(conv)
-    k_lo, k_hi = _completion_domain(strikes.values())
-    missing = [lab for lab in labels if lab not in row.vols]
-    if missing:
-        raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
-    anchors = tuple(sorted(row_anchors(row, labels, conv, strikes), key=lambda a: a.strike))
-
-    if method == "vanna-volga":
-        ctx = shape = None
-        smile = vv_smile(
-            ThreeQuoteSmile(anchors=anchors, market=ms), k_lo=k_lo, k_hi=k_hi, variant=vv_variant
-        )
-    else:
-        ctx = flat_context(ms, row.vols["ATM"], radius_scale)
-        shape, pts = fit_shape(anchors, ctx)
-        if np.max(shape.residuals(pts)) > 1e-9 * max(1.0, ctx.radius_scale):
-            raise SmileGeoError("fitted shape fails to interpolate its anchors")
-        smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
+    try:
+        strikes = row.strikes(conv)
+        k_lo, k_hi = _completion_domain(strikes.values())
+        missing = [lab for lab in labels if lab not in row.vols]
+        if missing:
+            raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
+        anchors = tuple(sorted(row_anchors(row, labels, conv, strikes), key=lambda a: a.strike))
+        if method == "vanna-volga":
+            ctx = shape = None
+            quotes = ThreeQuoteSmile(anchors=anchors, market=row.market())
+            smile = vv_smile(quotes, k_lo=k_lo, k_hi=k_hi, variant=vv_variant)
+        else:
+            ctx = row.frame(radius_scale)
+            shape, pts = fit_shape(anchors, ctx)
+            if np.max(shape.residuals(pts)) > 1e-9 * max(1.0, ctx.radius_scale):
+                raise SmileGeoError("fitted shape fails to interpolate its anchors")
+            smile = smile_from_shape(shape, ctx, k_lo=k_lo, k_hi=k_hi)
+    except SmileGeoError as exc:
+        raise exc.named_for(row.expiry_label)
     return CompletedExpiry(
         row=row, method=method, smile=smile, anchors=anchors,
         ctx=ctx, shape=shape, label_strikes=strikes,
@@ -333,8 +342,9 @@ class DiscrepancyTable:
     """Model-minus-market vols per expiry and delta label, with L2 norms.
 
     Anchor cells are exactly zero by construction (the completion reproduces
-    them; this is verified to tolerance before being pinned).  Cells for
-    absent quotes or failed rows are None.
+    them; this is verified to tolerance before being pinned).  ``vols`` holds
+    the completed vols behind the cells.  Cells and vols for absent quotes or
+    failed rows are None; ``errors`` holds each failed expiry's message.
     """
 
     method: str
@@ -342,6 +352,7 @@ class DiscrepancyTable:
     labels: tuple[str, ...]
     expiries: tuple[str, ...]
     cells: tuple[dict[str, float | None], ...]
+    vols: tuple[dict[str, float | None], ...]
     row_l2: tuple[float | None, ...]
     col_l2: dict[str, float]
     grand_l2: float
@@ -355,16 +366,20 @@ def discrepancy_table(
     radius_scale: float | None = None,
     vv_variant: str = "market",
 ) -> DiscrepancyTable:
-    """Completion-versus-market discrepancies with per-expiry, per-label, and grand L2 norms."""
+    """Completion-versus-market discrepancies with per-expiry, per-label, and grand L2 norms.
+
+    A row that fails is left blank and its message kept; the other rows carry on.
+    """
     anchor_set = anchor_labels(method)
     cells: list[dict[str, float | None]] = []
+    vols: list[dict[str, float | None]] = []
     row_l2: list[float | None] = []
     errors: dict[str, str] = {}
     for row in rows:
-        entry: dict[str, float | None] = {lab: None for lab in LABELS}
+        entry = dict.fromkeys(LABELS)
         try:
-            completed = complete_expiry(row, method, conv, radius_scale, vv_variant)
-            for lab, vol in completed.label_vols().items():
+            got = complete_expiry(row, method, conv, radius_scale, vv_variant).label_vols()
+            for lab, vol in got.items():
                 diff = vol - row.vols[lab]
                 if lab in anchor_set:
                     if abs(diff) > ANCHOR_EXACTNESS_TOL:
@@ -376,15 +391,13 @@ def discrepancy_table(
             present = [v for v in entry.values() if v is not None]
             row_l2.append(math.sqrt(sum(v * v for v in present)))
         except SmileGeoError as exc:
-            errors[row.expiry_label] = str(exc)
-            entry = {lab: None for lab in LABELS}
+            errors[row.expiry_label] = str(exc.named_for(row.expiry_label))
+            entry, got = dict.fromkeys(LABELS), {}
             row_l2.append(None)
         cells.append(entry)
+        vols.append(dict.fromkeys(LABELS) | got)
     col_l2 = {
-        lab: math.sqrt(
-            sum((e[lab] or 0.0) ** 2 for e in cells if e[lab] is not None)
-        )
-        for lab in LABELS
+        lab: math.sqrt(sum(e[lab] ** 2 for e in cells if e[lab] is not None)) for lab in LABELS
     }
     grand = math.sqrt(sum(v * v for v in row_l2 if v is not None))
     return DiscrepancyTable(
@@ -393,6 +406,7 @@ def discrepancy_table(
         labels=LABELS,
         expiries=tuple(r.expiry_label for r in rows),
         cells=tuple(cells),
+        vols=tuple(vols),
         row_l2=tuple(row_l2),
         col_l2=col_l2,
         grand_l2=grand,

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smilegeo.bsm import DeltaConvention
@@ -350,7 +350,7 @@ class TestCli:
             assert "Traceback" not in err
             assert "line 3" in err
 
-    @pytest.mark.parametrize("command", ["density", "fit-circle", "represent", "complete-surface"])
+    @pytest.mark.parametrize("command", ["density", "fit-circle", "represent"])
     def test_delta_target_outside_domain_exit_3(self, tmp_path, capsys, command):
         # e^{-qT} = e^{-30} lifts the 10P spot-pips target to about 1e12;
         # read as plain N(-d1) values the same labels are fine.
@@ -361,14 +361,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err
-        assert "10P" in err
+        assert err.startswith("smilegeo: expiry '2W' failed: ") and "10P" in err
         assert cli.main([command, str(bad), "--delta-convention", "forward-n"]) == 0
 
-    def test_delta_target_outside_domain_blanks_compare_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["compare", "complete-surface"])
+    def test_delta_target_outside_domain_blanks_row(self, tmp_path, capsys, command):
         from smilegeo import cli
 
         bad = one_row_csv(tmp_path, 1, (("for_rate", "30"), ("tenor_years", "1")))
-        assert cli.main(["compare", str(bad)]) == 0
+        assert cli.main([command, str(bad)]) == 0
         captured = capsys.readouterr()
         row = captured.out.splitlines()[1].split(",")
         assert row[0] == "2W" and set(row[1:]) == {""}
@@ -406,11 +407,12 @@ class TestCli:
 
     @pytest.mark.parametrize("variant", ["market", "first"])
     @pytest.mark.parametrize("command", ["density", "complete-surface"])
-    def test_vanishing_vv_quote_exit_3(self, tmp_path, capsys, command, variant):
+    def test_vanishing_vv_quote_fails_the_row(self, tmp_path, capsys, command, variant):
         # A tiny 25C vol is the row's middle anchor.  The market variant
         # rejects it before dividing by its vol times sqrt(T) (at 5e-324 that
         # product is 0); the first-order smile comes out NaN or <= 0 on its
-        # domain and the admissibility sweep rejects it.
+        # domain and the admissibility sweep rejects it.  density exits 3;
+        # complete-surface blanks the row and exits 0.
         from smilegeo import cli
 
         for value in ("1e-300", "5e-324"):
@@ -418,10 +420,13 @@ class TestCli:
             argv = [command, str(bad), "--method", "vanna-volga", "--vv-variant", variant]
             code = cli.main(argv)
             captured = capsys.readouterr()
-            assert code == 3, value
+            assert code == (3 if command == "density" else 0), value
             assert "Traceback" not in captured.err
+            assert captured.err.startswith("smilegeo: expiry '3W' failed: ")
             assert f"vanna-volga-{variant} smile implies vol <= 0 at strike" in captured.err
             assert "nan" not in captured.out
+            if command == "complete-surface":
+                assert captured.out.splitlines()[1] == "3W" + "," * 9
 
     @pytest.mark.parametrize(
         "argv",
@@ -447,7 +452,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err
-        assert "expiry '2W': strike domain [3.39999999999999" in err
+        assert "smilegeo: expiry '2W' failed: strike domain [3.39999999999999" in err
         assert "too narrow" in err
 
     @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
@@ -456,17 +461,23 @@ class TestCli:
         # represent_anchors of the same label anchors, bit for bit.
         from smilegeo import cli
         from smilegeo.georep import continuous_angle, flat_context, represent_anchors, strike_to_x
+        from smilegeo.bsm import strike_for_target_nd1
         from smilegeo.smile import DeltaAnchor
-        from smilegeo.surface import label_strike
+        from smilegeo.surface import effective_nd1_target
 
         conv = DeltaConvention.SPOT_PIPS
         for row in parse_surface(pathlib.Path(csv_path).read_bytes()):
             argv = ["represent", csv_path, "--expiry", row.expiry_label, "--output-format", "json"]
             assert cli.main(argv) == 0
             doc = json.loads(capsys.readouterr().out)
-            ctx = flat_context(row.market(), row.vols["ATM"])
+            ms = row.market()
+            ctx = flat_context(ms, row.vols["ATM"])
             anchors = [
-                DeltaAnchor(target=0.5, strike=label_strike(row, lab, conv), vol=row.vols[lab])
+                DeltaAnchor(
+                    target=0.5,
+                    strike=strike_for_target_nd1(ms, row.vols[lab], effective_nd1_target(lab, ms, conv)),
+                    vol=row.vols[lab],
+                )
                 for lab, *_ in doc["rows"]
             ]
             pts = represent_anchors(anchors, ctx)
@@ -477,6 +488,27 @@ class TestCli:
                 assert cells["X"] == x_coord
                 assert cells["angle"] == continuous_angle(x_coord)
                 assert (cells["x"], cells["y"]) == (x, y)
+
+    def test_repeated_expiry_exit_2(self, tmp_path, capsys):
+        from smilegeo import cli
+
+        header, first, second = pathlib.Path(GAMMA_CSV).read_text().splitlines()[:3]
+        twice = tmp_path / "twice.csv"
+        twice.write_text("\n".join([header, first, second, first]) + "\n")
+        for command in ("compare", "complete-surface", "density"):
+            assert cli.main([command, str(twice)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "smilegeo: expiry '2W' is already on line 2 (line 4)\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fit-ellipse", "density"])
+    def test_single_row_failure_names_expiry(self, capsys, command):
+        # At R = 0.5 the circle surface's 2W anchors admit no ellipse.
+        from smilegeo import cli
+
+        argv = [command, CIRCLE_CSV, "--expiry", "2W", "--radius-scale", "0.5", "--method", "ellipse"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "smilegeo: expiry '2W' failed: discriminant 0.230626 >= 0\n"
 
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("compare", "/nonexistent/surface.csv")
@@ -503,9 +535,9 @@ class TestCli:
     def test_subnormal_radius_scale_exit_3(self, command):
         # R = 1e-320 is finite and positive, but ln(K / K_atm) / R overflows.
         # Every subcommand gives its one-line reason and no warning; compare
-        # blanks the failed rows and exits 0.
+        # and complete-surface blank the failed rows and exit 0.
         code, out, err = run_cli(command, GAMMA_CSV, "--radius-scale", "1e-320")
-        assert code == (0 if command == "compare" else 3), err
+        assert code == (0 if command in ("compare", "complete-surface") else 3), err
         assert err.startswith(b"smilegeo: "), err
         assert b"RuntimeWarning" not in err and b"Traceback" not in err
         assert b"inf" not in out.lower() and b"nan" not in out.lower()
@@ -613,6 +645,22 @@ FUZZ_RADIUS = st.one_of(
 )
 
 
+MULTI_ROW_COMMANDS = [
+    ["complete-surface", "--method", "circle"],
+    ["complete-surface", "--method", "ellipse"],
+    ["complete-surface", "--method", "vanna-volga", "--vv-variant", "first"],
+    ["compare", "--method", "ellipse"],
+    ["compare", "--method", "vanna-volga", "--vv-variant", "market"],
+]
+# Edits that make any shipped row fail: a vanishing 25C vol fails every
+# method; a middle quote far above its wings fails all but first-order
+# vanna-volga.
+FAILING_EDITS = [
+    (("d25c", "1e-300"),),
+    (("d25p", "0.09"), ("atm", "0.6"), ("d25c", "0.09")),
+]
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -652,6 +700,44 @@ class TestCliFuzz:
             if code == 0:
                 text = out.read_text().lower()
                 assert "nan" not in text and "inf" not in text, argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        good=st.lists(
+            st.integers(min_value=0, max_value=len(SHIPPED_ROWS) - 1),
+            min_size=1, max_size=2, unique=True,
+        ),
+        bad=st.integers(min_value=0, max_value=len(SHIPPED_ROWS) - 1),
+        edits=st.sampled_from(FAILING_EDITS),
+        position=st.integers(min_value=0, max_value=2),
+        command=st.sampled_from(MULTI_ROW_COMMANDS),
+        convention=st.sampled_from(["spot-pips", "forward-n"]),
+    )
+    def test_failed_row_among_good_rows(self, good, bad, edits, position, command, convention):
+        # Two- and three-row surfaces of shipped rows, one edited to fail: the
+        # run exits 0, the failed row is blank, the good rows keep the output
+        # they give alone, and stderr is one line naming the failed expiry.
+        assume("first" not in command or edits == FAILING_EDITS[0])
+        from smilegeo import cli
+        from smilegeo.surface import CSV_HEADER
+
+        def run(lines):
+            with tempfile.TemporaryDirectory() as tmp:
+                surface, out = pathlib.Path(tmp, "s.csv"), pathlib.Path(tmp, "out.csv")
+                surface.write_text(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+                argv = [*command, str(surface), "--delta-convention", convention, "--out", str(out)]
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main(argv)
+                return code, out.read_text().splitlines(), err.getvalue()
+
+        lines = [",".join([f"R{i}", *SHIPPED_ROWS[i][1:]]) for i in good]
+        failing = edit_row(",".join(["BAD", *SHIPPED_ROWS[bad][1:]]), edits)
+        code, out, err = run(lines[:position] + [failing] + lines[position:])
+        assert code == 0
+        assert err.startswith("smilegeo: expiry 'BAD' failed: ") and err.count("\n") == 1, err
+        blank = out.pop(1 + min(position, len(lines))).split(",")
+        assert blank[0] == "BAD" and set(blank[1:]) == {""}
+        assert run(lines) == (0, out, "")
 
 
 class TestDocsFidelity:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import smilegeo
-from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal
+from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
 from smilegeo.errors import (
     InvalidInput,
     MissingAnchor,
@@ -27,7 +27,6 @@ from smilegeo.surface import (
     complete_expiry,
     discrepancy_table,
     effective_nd1_target,
-    label_strike,
     parse_surface,
     synthetic_circle_surface,
     synthetic_gamma_surface,
@@ -37,6 +36,12 @@ from smilegeo.vanna_volga import ThreeQuoteSmile
 CONV = DeltaConvention.SPOT_PIPS
 MS = MarketState(spot=1.1, dom_rate=0.02, for_rate=0.01, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+
+
+def closed_form_strike(row, label, conv):
+    """A label's strike, solved with its own vol: the rule the row applies."""
+    ms = row.market()
+    return strike_for_target_nd1(ms, row.vols[label], effective_nd1_target(label, ms, conv))
 
 
 def flat_row(vol=0.10, expiry="1Y", tenor=1.0):
@@ -105,6 +110,13 @@ class TestParse:
     def test_blank_lines_skipped(self):
         text = CSV_HEADER + "\n\n1Y,1.0,1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n\n"
         assert len(parse_surface(text)) == 1
+
+    def test_repeated_expiry_rejected_with_line(self):
+        header, first, second = synthetic_circle_surface().splitlines()[:3]
+        text = "\n".join([header, first, second, first]) + "\n"
+        with pytest.raises(ParseError, match="expiry '2W' is already on line 2") as err:
+            parse_surface(text)
+        assert err.value.line == 4
 
 
 def _three_quotes(strikes):
@@ -211,13 +223,13 @@ class TestLabelStrikes:
     def test_atm_label_uses_delta_neutral_rule(self):
         row = flat_row()
         ms = row.market()
-        assert label_strike(row, "ATM", CONV) == pytest.approx(
+        assert row.strikes(CONV)["ATM"] == pytest.approx(
             atm_rn_lognormal(ms, 0.10), rel=1e-14
         )
 
     def test_put_call_strikes_bracket_atm(self):
         row = flat_row()
-        ks = {lab: label_strike(row, lab, CONV) for lab in LABELS}
+        ks = row.strikes(CONV)
         assert ks["10P"] < ks["25P"] < ks["ATM"] < ks["25C"] < ks["10C"]
 
     def test_effective_target_conventions(self):
@@ -243,7 +255,7 @@ class TestLabelStrikes:
                 stored = row.strikes(conv)
                 assert list(stored) == list(row.vols)
                 for lab in row.vols:
-                    assert stored[lab] == label_strike(row, lab, conv)
+                    assert stored[lab] == closed_form_strike(row, lab, conv)
                 stored.clear()  # a copy: the row keeps its strikes
                 assert row.strikes(conv)
 
@@ -257,8 +269,85 @@ class TestLabelStrikes:
         with pytest.raises(TargetOutsideDomain, match="10P"):
             complete_expiry(row, "vanna-volga", CONV)
         assert complete_expiry(row, "vanna-volga", DeltaConvention.FORWARD_N).label_strikes == {
-            lab: label_strike(row, lab, DeltaConvention.FORWARD_N) for lab in LABELS
+            lab: closed_form_strike(row, lab, DeltaConvention.FORWARD_N) for lab in LABELS
         }
+
+
+SURFACES = ["synthetic_circle_surface", "synthetic_gamma_surface"]
+VARIANTS = [("circle", "market"), ("ellipse", "market"), ("vanna-volga", "market"),
+            ("vanna-volga", "first")]
+
+
+class TestRowGeometry:
+    """The row builds its market state and flat-ATM frame once; completion reads them."""
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_frame_is_the_flat_context(self, name):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            ms, atm = row.market(), row.vols["ATM"]
+            assert row.frame() == flat_context(ms, atm)
+            assert row.frame(0.5) == flat_context(ms, atm, 0.5)
+            assert row.frame(0.5).market is ms
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_completion_reads_the_row_frame(self, name):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            for method in ("circle", "ellipse"):
+                for radius_scale in (None, 0.5):
+                    try:
+                        done = complete_expiry(row, method, CONV, radius_scale)
+                    except SmileGeoError:
+                        continue  # the circle surface's short expiries at R = 0.5
+                    assert done.ctx == row.frame(radius_scale)
+
+    def test_market_and_frame_built_once_per_row(self, monkeypatch):
+        # Parsing plus a discrepancy table and a completion of every row under
+        # each method: one MarketState and one flat_context per row.
+        import smilegeo.surface as surface_module
+
+        counts = {"market": 0, "frame": 0}
+        post_init = MarketState.__post_init__
+
+        def counted_post_init(ms):
+            counts["market"] += 1
+            post_init(ms)
+
+        def counted_flat_context(*args, **kwargs):
+            counts["frame"] += 1
+            return flat_context(*args, **kwargs)
+
+        monkeypatch.setattr(MarketState, "__post_init__", counted_post_init)
+        monkeypatch.setattr(surface_module, "flat_context", counted_flat_context)
+        rows = parse_surface((DATA / "synthetic_gamma_surface.csv").read_bytes())
+        for method, variant in VARIANTS:
+            assert not discrepancy_table(rows, method, CONV, vv_variant=variant).errors
+            for row in rows:
+                complete_expiry(row, method, CONV, vv_variant=variant)
+        assert counts == {"market": 14, "frame": 14}
+
+
+class TestRowErrorsNameExpiry:
+    def test_completion_error_names_expiry_once(self):
+        # A wildly inconsistent middle quote makes the circle inadmissible.
+        row = SurfaceQuoteRow(
+            expiry_label="BAD", tenor_years=1.0, spot=3.4, dom_rate=0.015, for_rate=0.005,
+            vols={"25P": 0.09, "ATM": 0.6, "25C": 0.09},
+        )
+        with pytest.raises(SmileGeoError, match=r"^expiry 'BAD' failed: ") as err:
+            complete_expiry(row, "circle", CONV)
+        assert err.value.expiry == "BAD"
+        assert str(err.value).count("BAD") == 1
+        assert err.value.named_for("BAD") is err.value
+        assert str(err.value).count("BAD") == 1
+        assert discrepancy_table([row], "circle", CONV).errors == {"BAD": str(err.value)}
+
+    def test_missing_anchor_keeps_its_type(self):
+        vols = {lab: 0.1 for lab in ANCHOR_LABELS}
+        row = SurfaceQuoteRow(
+            expiry_label="1Y", tenor_years=1.0, spot=1.1, dom_rate=0.0, for_rate=0.0, vols=vols
+        )
+        with pytest.raises(MissingAnchor, match=r"^expiry '1Y' failed: ellipse completion"):
+            complete_expiry(row, "ellipse", CONV)
 
 
 class TestCompleteExpiry:
@@ -393,6 +482,21 @@ class TestDiscrepancyTable:
         assert table.row_l2[3] is None
         assert all(v is None for v in table.cells[3].values())
         assert table.row_l2[0] is not None
+        assert all(v is None for v in table.vols[3].values())
+        assert table.vols[0] == complete_expiry(rows[0], "circle", CONV).label_vols()
+
+    @pytest.mark.parametrize("method, variant", VARIANTS)
+    def test_vols_are_the_completed_label_vols(self, method, variant):
+        # complete-surface writes these vols; each equals the completion's own read.
+        rows = parse_surface(synthetic_circle_surface())
+        table = discrepancy_table(rows, method, CONV, radius_scale=0.5, vv_variant=variant)
+        for row, vols in zip(rows, table.vols):
+            assert list(vols) == list(LABELS)
+            if row.expiry_label in table.errors:
+                assert set(vols.values()) == {None}
+                continue
+            done = complete_expiry(row, method, CONV, 0.5, variant)
+            assert vols == {lab: None for lab in LABELS} | done.label_vols()
 
 
 class TestSynthetics:

@@ -17,8 +17,8 @@ the default spot-pips, and forward-n (files tagged ``-forward-n``).  The
 runs above use the automatic radial scale R.  A fixed ``--radius-scale 0.5``
 (files tagged ``-r0.5``) runs in csv only: per expiry, represent,
 fit-circle, fit-ellipse, and density with circle and with ellipse; per
-surface, compare with circle and with ellipse.  On the two 14-expiry
-surfaces that makes 1248 runs.
+surface, complete-surface and compare with circle and with ellipse.  On
+the two 14-expiry surfaces that makes 1252 runs.
 
 Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
 lists every run with its exit code (and its stderr when non-empty), in
@@ -86,7 +86,8 @@ def runs():
             for tag, flags in METHODS[:2]:
                 yield f"{name}/{expiry}/density-{tag}{r_tag}.csv", ["density", *row, *flags]
         for tag, flags in METHODS[:2]:
-            yield f"{name}/compare-{tag}{r_tag}.csv", ["compare", *fixed, *flags]
+            for cmd in ("complete-surface", "compare"):
+                yield f"{name}/{cmd}-{tag}{r_tag}.csv", [cmd, *fixed, *flags]
 
 
 def _columns(data: bytes) -> dict[str, list[float]]:
