@@ -1,4 +1,4 @@
-"""Ports of the scipy interpolants and normal CDF behind ``curvature_profile``.
+"""Ports of the scipy spline and normal CDF behind ``analysis``'s curvatures.
 
 Each function returns the same doubles, bit for bit, as the scipy 1.17.1
 routine it ports, and none imports scipy, so ``curvature`` runs in a cold
@@ -7,21 +7,21 @@ CLI process without loading it:
 - ``curve_spline(t, pts)`` is ``CubicSpline(t, pts[:, i])`` (not-a-knot) for
   both coordinates of a planar curve.  The two share one tridiagonal
   matrix, so one sweep of LAPACK ``dgtsv`` in its reference operation order
-  (partial pivoting included) solves for both, on Python floats.
-- ``pchip(x, y)`` is ``PchipInterpolator(x, y)``: the weighted harmonic
-  mean of the neighbouring slopes, with the three-point rule at the ends.
+  (partial pivoting included) solves for both, on Python floats.  Only
+  raw point arrays are resampled through it; a RepresentationCurve's
+  curvatures come from its smile's jet.
 - ``ndtr(a)`` is ``scipy.special.ndtr``, Cephes ``ndtr``/``erf``/``erfc``
   (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
   1989).  The polynomials run on arrays, but ``exp`` runs per element
   through ``math.exp``: numpy's array ``exp`` differs from libm's in the
   last bit on some inputs.
 
-Both interpolants are evaluated as scipy's ``PPoly`` does: on the cell
+The spline is evaluated as scipy's ``PPoly`` does: on the cell
 ``searchsorted(side="right") - 1`` clipped to the first and last cells, as
-a power sum in ``s = x - x[i]`` built with ``z *= s``.  They raise
+a power sum in ``s = x - x[i]`` built with ``z *= s``.  It raises
 ``ValueError`` where scipy does (non-finite nodes or values, nodes that do
-not strictly increase).  ``curve_spline`` needs at least 4 nodes; scipy
-solves 2 and 3 another way.
+not strictly increase), and needs at least 4 nodes; scipy solves 2 and 3
+another way.
 """
 from __future__ import annotations
 
@@ -32,8 +32,9 @@ from numpy.linalg import LinAlgError
 
 
 class _Cubic:
-    """Piecewise cubic with breakpoints ``x`` and coefficients ``c[k, i]``
-    of ``(x - x[i])**(3 - k)`` on cell i, evaluated as scipy's ``PPoly``."""
+    """Piecewise planar cubic with breakpoints ``x`` and coefficients
+    ``c[k, i]`` (one per coordinate) of ``(x - x[i])**(3 - k)`` on cell i,
+    evaluated as scipy's ``PPoly``."""
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x = x
@@ -43,9 +44,7 @@ class _Cubic:
         xs = np.asarray(xs, dtype=float)
         i = np.searchsorted(self.x, xs, side="right") - 1
         np.clip(i, 0, len(self.x) - 2, out=i)
-        s = xs - self.x[i]
-        if self.c.ndim > 2:
-            s = s.reshape(s.shape + (1,) * (self.c.ndim - 2))
+        s = (xs - self.x[i])[..., None]
         c0, c1, c2, c3 = np.take(self.c, i, axis=1)
         out = 0.0 + c3
         out += c2 * s
@@ -77,9 +76,8 @@ def _check_nodes(x, y):
 
 
 def _hermite(x, dx, y, dydx) -> _Cubic:
-    """``CubicHermiteSpline``'s coefficients from values and slopes."""
-    if y.ndim > 1:
-        dx = dx.reshape((dx.shape[0],) + (1,) * (y.ndim - 1))
+    """``CubicHermiteSpline``'s coefficients from (n, 2) values and slopes."""
+    dx = dx[:, None]
     slope = np.diff(y, axis=0) / dx
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     return _Cubic(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
@@ -164,41 +162,6 @@ def curve_spline(t, pts) -> _Cubic:
     d[-1], dl[-1] = dt[-2], w1
     b[-1] = (dt[-1] ** 2 * slope[-2] + (2 * w1 + dt[-1]) * dt[-2] * slope[-1]) / w1
     return _hermite(t, dt, pts, _gtsv(dl, d, du, b))
-
-
-def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
-    """The one-sided three-point slope at an end, kept shape-preserving."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pchip(x, y) -> _Cubic:
-    """The monotone piecewise-cubic (PCHIP) interpolant of 1-D ``y`` over ``x``."""
-    x, hk, y = _check_nodes(x, y)
-    if y.ndim != 1:
-        raise ValueError("`y` must be 1-dimensional")
-    mk = (y[1:] - y[:-1]) / hk
-    if x.shape[0] == 2:
-        return _hermite(x, hk, y, np.array([mk[0], mk[0]]))
-    smk = np.sign(mk)
-    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    dk = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Flat or sign-changing neighbours keep slope 0; the others take the
-        # weighted harmonic mean of their two slopes.
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-        dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-    h = hk[[0, 1, -1, -2]].tolist()
-    m = mk[[0, 1, -1, -2]].tolist()
-    dk[0] = _pchip_end(h[0], h[1], m[0], m[1])
-    dk[-1] = _pchip_end(h[2], h[3], m[2], m[3])
-    return _hermite(x, hk, y, dk)
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =

@@ -1,20 +1,27 @@
 """Curve diagnostics: curvature profiles and density divergences.
 
-Curvatures are computed after resampling the curve to CURVATURE_RESAMPLE_N
-points of uniform arc length (cubic interpolation on the chord-length
-parameter) with 5-point central difference stencils:
+A RepresentationCurve's curvatures come in closed form from its smile's
+jet, at the curve's own strikes.  With u = ln K the curve is
+rho (cos phi, sin phi), where rho = R + sigma(u) and phi(u) comes from
+``georep.angle_jet``; its u-derivatives are exact, and
 
     kappa_E = (x' y'' - y' x'') / (x'^2 + y'^2)^{3/2}
-    kappa_s = 3 (x' x'' + y' y'') / (x' y'' - y' x'')
-              - (x' y''' - y' x''') (x'^2 + y'^2) / (x' y'' - y' x'')^2
+    kappa_s = -(d kappa_E / du) / (kappa_E^2 (x'^2 + y'^2)^{1/2})
+
+with d kappa_E / du a 5-point stencil on log-uniform strikes.  A raw (n, 2)
+point array has no jet: it is resampled to CURVATURE_RESAMPLE_N points of
+uniform arc length s (a cubic spline on the chord length), and 5-point
+stencils of x and y in s feed the same kappa_E and the general-parameter
+kappa_s = 3 (x' x'' + y' y'') / C - (x' y''' - y' x''') (x'^2 + y'^2) / C^2,
+where C = x' y'' - y' x''.
 
 kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
 
-The resampling spline, the PCHIP strike map and the N(-d1) column come
-from ``_interp``: numpy ports that match the reference routines bit for
-bit, so a cold ``curvature`` run loads numpy only.
+The point-array spline and the N(-d1) column come from ``_interp``: numpy
+ports that match the reference routines bit for bit, so a cold
+``curvature`` run loads numpy only.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from . import _interp
 from .bsm import d1_total
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport
-from .georep import RepresentationCurve
+from .georep import RepresentationCurve, angle_jet
 from .shapes import CircleShape
 
 CURVATURE_RESAMPLE_N = 2001
@@ -42,12 +49,12 @@ BEST_LOGNORMAL_MIN_MASS = 0.99
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Curvatures along a resampled curve, with two reporting abscissas.
+    """Curvatures along a curve, with two reporting abscissas.
 
-    Entries where the curvature denominator falls below tolerance are NaN.
+    Entries where the curvature falls below tolerance are NaN.
     ``angle_about_center`` is the polar angle about a fitted circle's centre
-    (about the origin when no circle is given); ``n_minus_d1`` is available
-    when the curve carries market context.
+    (about the origin when no circle is given); ``n_minus_d1`` and
+    ``strikes`` are available when the curve carries market context.
     """
 
     arc: np.ndarray
@@ -60,34 +67,18 @@ class CurvatureProfile:
     strikes: np.ndarray | None = None
 
 
-def _curve_points(curve, least: int):
-    """The curve's (n, 2) points without repeats of the point before.
-
-    Returns the points kept and the mask that keeps them; CurveTooShort
-    when fewer than ``least`` remain.
-    """
-    if isinstance(curve, RepresentationCurve):
-        pts = curve.points
-    else:
-        pts = np.asarray(curve, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
+def _curve_points(curve, least: int) -> np.ndarray:
+    """A point array without repeats of the point before; at least ``least`` points."""
+    pts = np.asarray(curve, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
     kept = np.ones(len(pts), dtype=bool)
     kept[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     if not kept.all():
         pts = pts[kept]
     if len(pts) < least:
         raise CurveTooShort(f"need at least {least} points")
-    return pts, kept
-
-
-def _resample_uniform_arclength(pts: np.ndarray, n: int):
-    """Uniform-arc-length resampling via chord-length cubic interpolation."""
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    s_uniform = np.linspace(0.0, float(s[-1]), n)
-    xy = _interp.curve_spline(s, pts)(s_uniform)
-    return s, s_uniform, xy[:, 0], xy[:, 1]
+    return pts
 
 
 def _stencil(f: np.ndarray, h: float):
@@ -98,8 +89,12 @@ def _stencil(f: np.ndarray, h: float):
     return d1, d2, d3
 
 
-def _curvatures(pts: np.ndarray):
-    s_nodes, s_uniform, x, y = _resample_uniform_arclength(pts, CURVATURE_RESAMPLE_N)
+def _spline_curvatures(pts: np.ndarray):
+    """(arc, x, y, kappa_E, kappa_s) of a point array, resampled to uniform arc length."""
+    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s_uniform = np.linspace(0.0, float(s[-1]), CURVATURE_RESAMPLE_N)
+    x, y = _interp.curve_spline(s, pts)(s_uniform).T
     h = float(s_uniform[1] - s_uniform[0])
     x1, x2, x3 = _stencil(x, h)
     y1, y2, y3 = _stencil(y, h)
@@ -117,17 +112,49 @@ def _curvatures(pts: np.ndarray):
     # last cells feed the outermost stencils with lower-order accuracy.
     t = CURVATURE_EDGE_TRIM
     sl = slice(2 + t, -(2 + t))
-    return s_nodes, s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
+    return s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
+
+
+def _jet_curvatures(curve: RepresentationCurve):
+    """(arc, x, y, kappa_E, kappa_s, strikes, sigma) from the smile's jet,
+    at every strike of the curve but the two at each end."""
+    lnk = np.log(curve.strikes)
+    sig, dsig, d2sig = curve.smile.jet_fn(lnk)
+    _, dphi, d2phi = angle_jet(lnk, curve.context)
+    rho = curve.radii
+    cos, sin = np.cos(curve.angles), np.sin(curve.angles)
+    x1 = dsig * cos - rho * dphi * sin
+    y1 = dsig * sin + rho * dphi * cos
+    x2 = d2sig * cos - 2.0 * dsig * dphi * sin - rho * (d2phi * sin + dphi * dphi * cos)
+    y2 = d2sig * sin + 2.0 * dsig * dphi * cos + rho * (d2phi * cos - dphi * dphi * sin)
+    speed = np.hypot(x1, y1)
+    kappa_e = (x1 * y2 - y1 * x2) / speed**3
+    kappa_e[np.abs(kappa_e) <= CURVATURE_DENOM_TOL] = np.nan
+    dkappa = _stencil(kappa_e, float(lnk[-1] - lnk[0]) / (lnk.size - 1))[0]
+    inner = slice(2, -2)
+    kappa_s = -dkappa / (kappa_e[inner] ** 2 * speed[inner])
+    arc = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(lnk))])
+    x, y = curve.points[inner].T
+    return arc[inner], x, y, kappa_e[inner], kappa_s, curve.strikes[inner], sig[inner]
+
+
+def _curvatures(curve, least: int):
+    """A RepresentationCurve through its jet, a point array through the spline."""
+    if not isinstance(curve, RepresentationCurve):
+        return (*_spline_curvatures(_curve_points(curve, least)), None, None)
+    if curve.strikes.size < least:
+        raise CurveTooShort(f"need at least {least} points")
+    return _jet_curvatures(curve)
 
 
 def euclidean_curvature(curve) -> np.ndarray:
-    """kappa_E at the interior resampled points (NaN where masked)."""
-    return _curvatures(_curve_points(curve, MIN_POINTS_EUCLIDEAN)[0])[4]
+    """kappa_E at the curve's interior points (NaN where masked)."""
+    return _curvatures(curve, MIN_POINTS_EUCLIDEAN)[3]
 
 
 def similarity_curvature(curve) -> np.ndarray:
-    """kappa_s at the interior resampled points (NaN where masked)."""
-    return _curvatures(_curve_points(curve, MIN_POINTS_SIMILARITY)[0])[5]
+    """kappa_s at the curve's interior points (NaN where masked)."""
+    return _curvatures(curve, MIN_POINTS_SIMILARITY)[4]
 
 
 def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProfile:
@@ -135,23 +162,18 @@ def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProf
 
     The profile carries the polar angle about the fitted circle's centre
     (unwrapped, so it plots continuously) and, when the input is a
-    RepresentationCurve, N(-d1) of the underlying smile.  Strikes along the
-    resampled curve come from a PCHIP map on the spline's own nodes, so
-    repeated points drop out of both.
+    RepresentationCurve, its strikes and N(-d1) of the underlying smile.  A
+    RepresentationCurve of n strikes gives n - 4 rows, from its third
+    strike to its third-to-last: the kappa_s stencil takes two strikes on
+    each side and assumes them log-uniform.  Its ``arc`` is the trapezoid
+    arc length from the curve's first point.
     """
-    pts, kept = _curve_points(curve, MIN_POINTS_SIMILARITY)
-    s_nodes, arc, x, y, kappa_e, kappa_s = _curvatures(pts)
+    arc, x, y, kappa_e, kappa_s, strikes, sigma = _curvatures(curve, MIN_POINTS_SIMILARITY)
     cx, cy = circle.center if circle is not None else (0.0, 0.0)
     angle = np.unwrap(np.arctan2(y - cy, x - cx))
-
     n_minus_d1 = None
-    strikes = None
-    if isinstance(curve, RepresentationCurve):
-        strikes = np.exp(_interp.pchip(s_nodes, np.log(curve.strikes[kept]))(arc))
-        ctx = curve.context
-        # sigma along the resampled curve from the radial coordinate
-        sigma = np.hypot(x, y) - ctx.radius_scale
-        n_minus_d1 = _interp.ndtr(-d1_total(ctx.market, strikes, sigma)[0])
+    if strikes is not None:
+        n_minus_d1 = _interp.ndtr(-d1_total(curve.context.market, strikes, sigma)[0])
     return CurvatureProfile(
         arc=arc,
         x=x,

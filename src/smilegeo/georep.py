@@ -7,7 +7,9 @@ coordinate is R + sigma(K), so a flat smile draws an origin-centred circle of
 radius R + sigma.  Inverting a fitted shape intersects each strike's ray with
 the shape and reads sigma back off the radial excess over R.  The ray
 geometry itself (origin check, intersection, derivatives) belongs to the
-shape classes in ``shapes``; this module maps strikes to angles and back.
+shape classes in ``shapes``; this module maps strikes to angles and back,
+and ``angle_jet`` holds the one chain rule of phi in ln K that shape smiles
+and curvatures share.
 Anchor strikes map to angles in one array call, which gives each the bits
 of its 0-d read (numpy; see ``smile``), then ``math.cos``/``math.sin``.
 """
@@ -45,13 +47,15 @@ class ReprContext:
 
 @dataclass(frozen=True)
 class RepresentationCurve:
-    """Sampled polar curve {rho cos(phi), rho sin(phi)} for one smile."""
+    """Sampled polar curve {rho cos(phi), rho sin(phi)} of ``smile``, whose jet
+    gives the curve's exact derivatives (``analysis`` reads its curvatures there)."""
 
     strikes: np.ndarray
     angles: np.ndarray
     radii: np.ndarray
     points: np.ndarray
     context: ReprContext
+    smile: SmileCurve
 
     def __post_init__(self):
         strikes = np.asarray(self.strikes, dtype=float)
@@ -130,6 +134,21 @@ def angle_for_strike(strike, ctx: ReprContext):
     return continuous_angle(strike_to_x(strike, ctx.atm_rn, ctx.radius_scale))
 
 
+def _lnk_angle(lnk, ctx: ReprContext):
+    """X = (ln K - ln atm_rn) / R and phi = 2 arctan(X) - pi/2 of log strikes."""
+    x = (np.asarray(lnk, dtype=float) - math.log(ctx.atm_rn)) / ctx.radius_scale
+    return x, 2.0 * np.arctan(x) - 0.5 * math.pi
+
+
+def angle_jet(lnk, ctx: ReprContext):
+    """phi of log strikes with dphi/d lnK and d^2phi/d lnK^2: the polar map's chain rule."""
+    x, phi = _lnk_angle(lnk, ctx)
+    r_scale = ctx.radius_scale
+    dphi = 2.0 / ((1.0 + x * x) * r_scale)
+    d2phi = -4.0 * x / ((1.0 + x * x) ** 2 * r_scale * r_scale)
+    return phi, dphi, d2phi
+
+
 def _context(ms: MarketState, atm_rn: float, radius_scale: float | None, window_strike):
     """ReprContext at the centre strike, with R fixed or, for ``None``, automatic.
 
@@ -185,7 +204,7 @@ def represent(
     radii = ctx.radius_scale + np.asarray(smile.vol(strikes), dtype=float)
     points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     return RepresentationCurve(
-        strikes=strikes, angles=angles, radii=radii, points=points, context=ctx
+        strikes=strikes, angles=angles, radii=radii, points=points, context=ctx, smile=smile
     )
 
 
@@ -208,19 +227,12 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
     """
     shape.require_origin_inside()
     r_scale = ctx.radius_scale
-    ln_atm = math.log(ctx.atm_rn)
-
-    def x_phi(lnk):
-        x = (np.asarray(lnk, dtype=float) - ln_atm) / r_scale
-        return x, 2.0 * np.arctan(x) - 0.5 * math.pi
 
     def vol_fn(lnk):
-        return shape.ray_radius(x_phi(lnk)[1]) - r_scale
+        return shape.ray_radius(_lnk_angle(lnk, ctx)[1]) - r_scale
 
     def jet_fn(lnk):
-        x, phi = x_phi(lnk)
-        dphi = 2.0 / ((1.0 + x * x) * r_scale)
-        d2phi = -4.0 * x / ((1.0 + x * x) ** 2 * r_scale * r_scale)
+        phi, dphi, d2phi = angle_jet(lnk, ctx)
         # rho here is the same expression shape.ray_radius evaluates.
         rho, drho, d2rho = shape.ray_jet(phi)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi

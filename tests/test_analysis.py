@@ -1,21 +1,31 @@
 """Tests for curvature profiles, KL divergence, and the log-normal fit."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.special import digamma, polygamma
 
 from smilegeo.analysis import (
+    _trapezoid_weights,
     best_lognormal,
     curvature_profile,
     euclidean_curvature,
     kl_divergence,
     similarity_curvature,
 )
-from smilegeo.distributions import DensityCurve, Gamma, LogNormal, density_curve
+from smilegeo.distributions import (
+    DensityCurve, Gamma, LogNormal, Normal, StudentT, Uniform, density_curve,
+)
 from smilegeo.errors import CurveTooShort, DegenerateMass, DisjointSupport
+from smilegeo.georep import context_for_smile, represent
 from smilegeo.shapes import CircleShape
-from smilegeo.workflows import market_state_for
+from smilegeo.smile import smile_from_distribution
+from smilegeo.surface import complete_expiry, parse_surface
+from smilegeo.workflows import distribution_report, market_state_for
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
 
 
 def circle_arc_points(center, radius, n=4001, span=2.2):
@@ -87,10 +97,6 @@ class TestCurvatureOnRepresentations:
     def test_uniform_wings_have_large_excursions(self):
         # Non-bell-shaped input: the similarity curvature blows up at the
         # wings of the representation, unlike the near-circular gamma case.
-        from smilegeo.georep import represent
-        from smilegeo.smile import smile_from_distribution
-        from smilegeo.distributions import Uniform
-
         uniform = Uniform(a=2.0109, b=5.4750)
         u_smile = smile_from_distribution(uniform, market_state_for(uniform))
         u_ks = similarity_curvature(represent(u_smile))
@@ -103,8 +109,6 @@ class TestCurvatureOnRepresentations:
 
 class TestCurvatureProfile:
     def test_dual_abscissas_present(self):
-        from smilegeo.georep import represent
-        from smilegeo.smile import smile_from_distribution
         from smilegeo.fitting import fit_circle_to_smile
 
         dist = Gamma(kappa=5.12, theta=0.64)
@@ -123,26 +127,108 @@ class TestCurvatureProfile:
         ke = profile.kappa_e[np.isfinite(profile.kappa_e)]
         assert (ke.max() - ke.min()) / np.median(ke) < 0.25
 
-    def test_repeated_point_drops_out(self):
-        # Two strikes an ulp apart can land on one point of the curve; the
-        # profile is then that of the curve without the repeat.
-        from smilegeo.georep import RepresentationCurve, represent
-        from smilegeo.smile import smile_from_distribution
-
+    def test_kappa_e_independent_of_strike_set(self):
+        # kappa_E is read pointwise from the jet, so any strictly increasing
+        # strike set gives the log-uniform grid's values where the two share
+        # a strike (kappa_s, whose stencil needs the log-uniform grid, is not
+        # compared).
         dist = Gamma(kappa=5.12, theta=0.64)
-        curve = represent(smile_from_distribution(dist, market_state_for(dist)))
-        i = 700
-        doubled = RepresentationCurve(
-            strikes=np.insert(curve.strikes, i + 1, np.nextafter(curve.strikes[i], np.inf)),
-            angles=np.insert(curve.angles, i + 1, np.nextafter(curve.angles[i], np.inf)),
-            radii=np.insert(curve.radii, i + 1, curve.radii[i]),
-            points=np.insert(curve.points, i + 1, curve.points[i], axis=0),
-            context=curve.context,
-        )
-        got, want = curvature_profile(doubled), curvature_profile(curve)
-        for name in ("arc", "x", "y", "kappa_e", "kappa_s", "angle_about_center",
-                     "n_minus_d1", "strikes"):
+        smile = smile_from_distribution(dist, market_state_for(dist))
+        grid = smile.default_grid(2001)
+        rng = np.random.default_rng(3)
+        extra = np.exp(rng.uniform(math.log(grid[0]), math.log(grid[-1]), 300))
+        uneven = np.union1d(grid[::3], extra)
+        ctx = context_for_smile(smile)
+        on_grid = dict(zip(grid[2:-2], euclidean_curvature(represent(smile, ctx, grid))))
+        shared = [(k, ke) for k, ke in zip(
+            uneven[2:-2], euclidean_curvature(represent(smile, ctx, uneven))
+        ) if k in on_grid]
+        assert len(shared) > 600
+        assert all(ke == on_grid[k] for k, ke in shared)
+
+    def test_repeated_point_drops_out(self):
+        # A point array resamples through the spline, which needs distinct
+        # chord nodes: a point equal to the one before it drops out, and the
+        # profile is that of the array without the repeat.
+        dist = Gamma(kappa=5.12, theta=0.64)
+        pts = represent(smile_from_distribution(dist, market_state_for(dist))).points
+        doubled = np.insert(pts, 701, pts[700], axis=0)
+        got, want = curvature_profile(doubled), curvature_profile(pts)
+        for name in ("arc", "x", "y", "kappa_e", "kappa_s", "angle_about_center"):
             assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert got.strikes is None and got.n_minus_d1 is None
+
+    def test_rows_follow_grid_points(self):
+        dist = Gamma(kappa=5.12, theta=0.64)
+        smile = smile_from_distribution(dist, market_state_for(dist))
+        ctx = context_for_smile(smile)
+        for n in (9, 50, 2001):
+            curve = represent(smile, ctx, smile.default_grid(n))
+            profile = curvature_profile(curve)
+            assert profile.arc.size == n - 4
+            assert np.array_equal(profile.strikes, curve.strikes[2:-2])
+            assert np.array_equal(profile.x, curve.points[2:-2, 0])
+        with pytest.raises(CurveTooShort):
+            curvature_profile(represent(smile, ctx, smile.default_grid(8)))
+
+
+def surface_completions(method):
+    for name in SURFACES:
+        for row in parse_surface((DATA / name).read_bytes()):
+            completed = complete_expiry(row, method)
+            curve = represent(completed.smile, completed.ctx, completed.smile.default_grid(2001))
+            circle = completed.shape if method == "circle" else None
+            yield completed, curvature_profile(curve, circle=circle)
+
+
+def conic_curvature(coefficients, x, y):
+    """Signed implicit-form curvature of the conic F = 0 through (x, y), with F's gradient."""
+    a, b, c, d, e, _ = coefficients
+    fx, fy = 2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e
+    kappa = (fy * fy * 2.0 * a - 2.0 * fx * fy * b + fx * fx * 2.0 * c) / (fx * fx + fy * fy) ** 1.5
+    return kappa, fx, fy
+
+
+class TestJetCurvatureClosedForms:
+    def test_circle_completions(self):
+        # kappa_E = 1/r and kappa_s = 0 on every row of both shipped surfaces.
+        for completed, profile in surface_completions("circle"):
+            assert np.max(np.abs(profile.kappa_e * completed.shape.radius - 1.0)) <= 1e-13
+            assert np.max(np.abs(profile.kappa_s)) <= 1e-10
+
+    def test_ellipse_completions(self):
+        # kappa_E against the conic's implicit form at the same points, and
+        # kappa_s against -(grad kappa . T) / kappa^2 of that form, with T the
+        # counter-clockwise tangent (the origin is inside, where F < 0).
+        h = 1e-5
+        for completed, profile in surface_completions("ellipse"):
+            coefs, x, y = completed.shape.coefficients, profile.x, profile.y
+            kappa, fx, fy = conic_curvature(coefs, x, y)
+            assert np.max(np.abs(profile.kappa_e / kappa - 1.0)) <= 1e-13
+            dk_dx = (conic_curvature(coefs, x + h, y)[0] - conic_curvature(coefs, x - h, y)[0]) / (2 * h)
+            dk_dy = (conic_curvature(coefs, x, y + h)[0] - conic_curvature(coefs, x, y - h)[0]) / (2 * h)
+            kappa_s = (dk_dx * fy - dk_dy * fx) / (np.hypot(fx, fy) * kappa * kappa)
+            assert np.max(np.abs(profile.kappa_s - kappa_s)) <= 1e-8
+
+
+    @pytest.mark.parametrize("dist", [
+        Gamma(kappa=5.12, theta=0.64), Uniform(a=2.0109, b=5.4750), StudentT(mu=3.7322, nu=3.9565),
+        Normal(mu=11.3328, s=3.0), LogNormal(mu=1.0, s=0.25),
+    ], ids=lambda d: type(d).__name__)
+    def test_distribution_smiles_polar_form(self, dist):
+        # kappa_E against the polar-curve form (rho^2 + 2 rho_phi^2 - rho rho_phiphi)
+        # / (rho^2 + rho_phi^2)^{3/2}, with phi's ln-K derivatives written out here.
+        curve = distribution_report(dist).curve
+        ctx = curve.context
+        u = np.log(curve.strikes[2:-2])
+        x = (u - math.log(ctx.atm_rn)) / ctx.radius_scale
+        dphi = 2.0 / (ctx.radius_scale * (1.0 + x * x))
+        d2phi = -4.0 * x / (ctx.radius_scale * (1.0 + x * x)) ** 2
+        sig, dsig, d2sig = curve.smile.jet_fn(u)
+        rho, rho_phi = ctx.radius_scale + sig, dsig / dphi
+        rho_phiphi = (d2sig - rho_phi * d2phi) / (dphi * dphi)
+        kappa = (rho * rho + 2.0 * rho_phi**2 - rho * rho_phiphi) / (rho * rho + rho_phi**2) ** 1.5
+        assert np.max(np.abs(curvature_profile(curve).kappa_e / kappa - 1.0)) <= 1e-13
 
 
 class TestKlDivergence:
@@ -236,6 +322,19 @@ class TestKlDivergence:
         q = DensityCurve(strikes=np.linspace(3.0, 4.0, 50), values=np.ones(50))
         with pytest.raises(DisjointSupport):
             kl_divergence(p, q)
+
+
+class TestTrapezoidWeights:
+    def test_span_and_linear_exact_on_uneven_grid(self):
+        # The end weights carry half a cell each: the weights sum to the
+        # span and integrate a linear function exactly.
+        x = 1.5 + np.cumsum(np.random.default_rng(9).uniform(0.01, 1.0, 40) ** 2)
+        w = _trapezoid_weights(x)
+        span = x[-1] - x[0]
+        assert np.sum(w) == pytest.approx(span, rel=1e-14)
+        assert np.sum(w * (2.0 - 3.0 * x)) == pytest.approx(
+            2.0 * span - 1.5 * (x[-1] ** 2 - x[0] ** 2), rel=1e-13
+        )
 
 
 class TestBestLognormal:

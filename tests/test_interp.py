@@ -8,7 +8,8 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 from scipy.special import ndtr as scipy_ndtr
 
 from smilegeo import _interp
@@ -42,10 +43,6 @@ def assert_spline_matches(t, pts, xs):
     got = _interp.curve_spline(t, pts)(xs)
     for j in range(2):
         assert same_bits(got[:, j], CubicSpline(t, pts[:, j])(xs)), j
-
-
-def assert_pchip_matches(x, y, xs):
-    assert same_bits(_interp.pchip(x, y)(xs), PchipInterpolator(x, y)(xs))
 
 
 def chord_nodes(pts):
@@ -98,7 +95,6 @@ class TestSpline:
         s = chord_nodes(curve.points)
         su = np.linspace(0.0, float(s[-1]), 2001)
         assert_spline_matches(s, curve.points, su)
-        assert_pchip_matches(s, np.log(curve.strikes), su[6:-6])
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_cli_curves(self, surface):
@@ -108,36 +104,6 @@ class TestSpline:
             s = chord_nodes(curve.points)
             su = np.linspace(0.0, float(s[-1]), 2001)
             assert_spline_matches(s, curve.points, su)
-            assert_pchip_matches(s, np.log(curve.strikes), su[6:-6])
-
-
-class TestPchip:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_data(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(9, 2501))
-        x = random_nodes(rng, n, seed % 3)
-        y = np.cumsum(rng.normal(size=n))
-        if seed % 2:
-            y = np.round(y)  # flat runs and sign changes of the slope
-        assert_pchip_matches(x, y, np.linspace(x[0] - 1.0, x[-1] + 1.0, 3001))
-
-    @pytest.mark.parametrize(
-        "y, end_slope",
-        [
-            ([0.0, 1.0, 11.0, 12.0, 12.5], 0.0),  # three-point slope against m0: flattened
-            ([0.0, 1.0, -9.0, -8.0, -8.5], 3.0),  # sign change, |d| > 3|m0|: capped
-            ([0.0, 1.0, 1.5, 1.0, 2.0], 1.25),  # the three-point slope stands
-        ],
-    )
-    def test_end_rules(self, y, end_slope):
-        x = np.arange(5.0)
-        fit = _interp.pchip(x, y)
-        assert fit.c[2, 0] == end_slope
-        assert_pchip_matches(x, np.asarray(y), np.linspace(-1.0, 5.0, 601))
-
-    def test_two_nodes(self):
-        assert_pchip_matches(np.array([0.0, 2.0]), np.array([1.0, -3.0]), np.linspace(-1, 3, 9))
 
 
 Y5 = np.sin(np.arange(5.0))
@@ -154,11 +120,8 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("x, y", BAD_INPUTS)
 def test_value_errors_where_scipy_raises(x, y):
     x = np.asarray(x)
-    for ref in (PchipInterpolator, CubicSpline):
-        with pytest.raises(ValueError):
-            ref(x, y)
     with pytest.raises(ValueError):
-        _interp.pchip(x, y)
+        CubicSpline(x, y)
     with pytest.raises(ValueError):
         _interp.curve_spline(x, np.column_stack([Y5, y]))
 
@@ -199,21 +162,27 @@ class TestNdtr:
 
 
 def scipy_profile(curve):
-    """curvature_profile's resampled points, strikes and N(-d1) through scipy."""
-    s = chord_nodes(curve.points)
-    su = np.linspace(0.0, float(s[-1]), 2001)
-    x = CubicSpline(s, curve.points[:, 0])(su)[6:-6]
-    y = CubicSpline(s, curve.points[:, 1])(su)[6:-6]
-    strikes = np.exp(PchipInterpolator(s, np.log(curve.strikes))(su[6:-6]))
-    total = (np.hypot(x, y) - curve.context.radius_scale) * math.sqrt(curve.context.market.tenor)
+    """curvature_profile's points, strikes and N(-d1), read off the curve and
+    its smile through scipy, and its arc length by scipy's trapezoid rule on
+    the polar speed (rho'^2 + rho^2 phi'^2)^(1/2)."""
+    inner = slice(2, -2)
+    strikes = curve.strikes[inner]
+    total = curve.smile.vol(strikes) * math.sqrt(curve.context.market.tenor)
     d1 = forward_log_moneyness(curve.context.market, strikes) / total + 0.5 * total
-    return x, y, strikes, scipy_ndtr(-d1)
+    lnk = np.log(curve.strikes)
+    x = np.log(curve.strikes / curve.context.atm_rn) / curve.context.radius_scale
+    dphi = 2.0 / ((1.0 + x * x) * curve.context.radius_scale)
+    speed = np.hypot(curve.smile.jet_fn(lnk)[1], curve.radii * dphi)
+    arc = cumulative_trapezoid(speed, lnk, initial=0.0)[inner]
+    return curve.points[inner, 0], curve.points[inner, 1], strikes, scipy_ndtr(-d1), arc
 
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
 def test_profile_matches_scipy_pipeline(dist):
     report = distribution_report(dist)
     profile = curvature_profile(report.curve, circle=report.circle)
+    *want, arc = scipy_profile(report.curve)
     got = (profile.x, profile.y, profile.strikes, profile.n_minus_d1)
-    for name, a, b in zip(("x", "y", "strikes", "n_minus_d1"), got, scipy_profile(report.curve)):
+    for name, a, b in zip(("x", "y", "strikes", "n_minus_d1"), got, want):
         assert same_bits(a, b), name
+    assert np.allclose(profile.arc, arc, rtol=1e-13, atol=0.0)

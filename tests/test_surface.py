@@ -155,6 +155,7 @@ class TestConstructorErrors:
                 strikes=np.array([1.0, 2.0]), angles=np.array([0.1, 0.2]),
                 radii=np.array([1.0, -1.0]), points=np.zeros((2, 2)),
                 context=ReprContext(market=MS, atm_rn=1.1, radius_scale=0.5),
+                smile=flat_smile(MS, 0.1),
             ),
             lambda: flat_smile(MS, 0.0),
             lambda: StudentT(mu=10.0, nu=math.inf),

@@ -29,12 +29,15 @@ differently give different trees.
 ``--compare`` lists what moved between two such trees: every output whose
 bytes differ (and any that only one tree has), and for each numeric column
 of a differing CSV the largest absolute move and the largest move relative
-to the column's peak |value| in DIR_A.  JSON and SVG outputs are listed by
-path only; their numbers are those of the CSV of the same run.  The last
-line counts the differing files and says whether ``exit_codes.txt`` differs.
+to the column's peak |value| in DIR_A.  A CSV whose row count changed
+prints both counts instead.  JSON and SVG outputs are listed by path only;
+their numbers are those of the CSV of the same run.  The last two lines
+count the differing files per subcommand, then in all, and say whether
+``exit_codes.txt`` differs.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import io
@@ -53,6 +56,9 @@ METHODS = (
 )
 CONVENTIONS = (("", []), ("-forward-n", ["--delta-convention", "forward-n"]))
 FIXED_R = ("-r0.5", ["--radius-scale", "0.5"])
+COMMANDS = (
+    "represent", "fit-circle", "fit-ellipse", "curvature", "density", "complete-surface", "compare",
+)
 
 
 def runs():
@@ -90,8 +96,8 @@ def runs():
                 yield f"{name}/{cmd}-{tag}{r_tag}.csv", [cmd, *fixed, *flags]
 
 
-def _columns(data: bytes) -> dict[str, list[float]]:
-    """The numeric columns of a CSV output, by header name."""
+def _columns(data: bytes) -> tuple[int, dict[str, list[float]]]:
+    """The row count and the numeric columns, by header name, of a CSV output."""
     header, *rows = list(csv.reader(io.StringIO(data.decode())))
     out = {}
     for i, name in enumerate(header):
@@ -99,7 +105,12 @@ def _columns(data: bytes) -> dict[str, list[float]]:
             out[name] = [float(row[i]) for row in rows]
         except (ValueError, IndexError):
             continue
-    return out
+    return len(rows), out
+
+
+def _subcommand(rel: Path) -> str:
+    """The subcommand whose run wrote ``rel`` (the file's own name for exit_codes.txt)."""
+    return next((cmd for cmd in COMMANDS if rel.name.startswith(cmd)), rel.name)
 
 
 def compare(dir_a: Path, dir_b: Path) -> None:
@@ -112,17 +123,24 @@ def compare(dir_a: Path, dir_b: Path) -> None:
         print(rel)
         if rel.suffix != ".csv":
             continue
-        cols_a, cols_b = (_columns((d / rel).read_bytes()) for d in (dir_a, dir_b))
+        (rows_a, cols_a), (rows_b, cols_b) = (_columns((d / rel).read_bytes()) for d in (dir_a, dir_b))
+        if rows_a != rows_b:
+            print(f"  rows: {rows_a} in {dir_a}, {rows_b} in {dir_b}")
+            continue
         for name, col_a in cols_a.items():
             col_b = cols_b.get(name)
-            if col_b is None or len(col_b) != len(col_a):
-                print(f"  {name}: column missing or of another length")
+            if col_b is None:
+                print(f"  {name}: missing or not numeric in {dir_b}")
                 continue
             move = max((abs(a - b) for a, b in zip(col_a, col_b)), default=0.0)
             if move > 0.0:
                 peak = max(abs(a) for a in col_a)
                 rel_move = move / peak if peak > 0.0 else float("inf")
                 print(f"  {name}: at most {move:.2g} absolute, {rel_move:.2g} of the column's peak")
+    by_command = collections.Counter(_subcommand(rel) for rel in moved)
+    print("differing files by subcommand: " + (
+        ", ".join(f"{cmd} {n}" for cmd, n in sorted(by_command.items())) or "none"
+    ))
     exit_codes = Path("exit_codes.txt")
     print(
         f"{len(moved)} of {len(common)} files differ; exit_codes.txt "
