@@ -120,9 +120,8 @@ def _jet_curvatures(curve: RepresentationCurve):
     at every strike of the curve but the two at each end."""
     lnk = np.log(curve.strikes)
     sig, dsig, d2sig = curve.smile.jet_fn(lnk)
-    _, dphi, d2phi = angle_jet(lnk, curve.context)
+    cos, sin, dphi, d2phi = angle_jet(lnk, curve.context)
     rho = curve.radii
-    cos, sin = np.cos(curve.angles), np.sin(curve.angles)
     x1 = dsig * cos - rho * dphi * sin
     y1 = dsig * sin + rho * dphi * cos
     x2 = d2sig * cos - 2.0 * dsig * dphi * sin - rho * (d2phi * sin + dphi * dphi * cos)

@@ -42,9 +42,9 @@ class DensityCurve:
         values = np.asarray(self.values, dtype=float)
         if strikes.ndim != 1 or strikes.shape != values.shape:
             raise InvalidInput("strikes and values must be 1-d arrays of equal length")
-        if strikes.size < 2 or np.any(np.diff(strikes) <= 0.0):
+        if strikes.size < 2 or (np.diff(strikes) <= 0.0).any():
             raise InvalidInput("strikes must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             bad = ~np.isfinite(values)
             raise NonFiniteDensity(
                 f"density is not finite at {int(bad.sum())} of {values.size} grid "

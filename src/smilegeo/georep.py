@@ -2,16 +2,19 @@
 
 A strike maps to an angle through a stereographic slice of the unit circle:
 X(K) = ln(K / K_atm) / R lands on the circle at (2X/(1+X^2), (X^2-1)/(1+X^2)),
-whose polar angle runs monotonically from -pi/2 at X = 0.  The radial
-coordinate is R + sigma(K), so a flat smile draws an origin-centred circle of
-radius R + sigma.  Inverting a fitted shape intersects each strike's ray with
-the shape and reads sigma back off the radial excess over R.  The ray
-geometry itself (origin check, intersection, derivatives) belongs to the
-shape classes in ``shapes``; this module maps strikes to angles and back,
-and ``angle_jet`` holds the one chain rule of phi in ln K that shape smiles
-and curvatures share.
-Anchor strikes map to angles in one array call, which gives each the bits
-of its 0-d read (numpy; see ``smile``), then ``math.cos``/``math.sin``.
+whose polar angle phi = 2 arctan(X) - pi/2 runs monotonically from -pi/2 at
+X = 0.  The radial coordinate is R + sigma(K), so a flat smile draws an
+origin-centred circle of radius R + sigma.  Inverting a fitted shape
+intersects each strike's ray with the shape and reads sigma back off the
+radial excess over R.  The ray geometry itself (origin check, intersection,
+derivatives) belongs to the shape classes in ``shapes``.
+
+A strike's ray direction (cos phi, sin phi) is its stereographic point
+itself, with no arctan, cos or sin: ``angle_jet`` returns it with the chain
+rule of phi in ln K, and shape smiles and curvatures read it there.  phi is
+formed only where it is reported: the angle column of ``represent`` and the
+anchors, whose angles come from one array call (the bits of a one-strike
+numpy read; see ``smile``), then ``math.cos``/``math.sin``.
 """
 from __future__ import annotations
 
@@ -84,7 +87,7 @@ def strike_to_x(strike, atm_rn: float, radius_scale: float):
     if not (0.0 < atm_rn < math.inf and 0.0 < radius_scale < math.inf):
         raise ValueError("atm_rn and radius_scale must be finite and positive")
     strike = np.asarray(strike, dtype=float)
-    if np.any(strike <= 0.0):
+    if (strike <= 0.0).any():
         raise ValueError("strike must be positive")
     with np.errstate(over="ignore"):  # a subnormal R overflows X to +-inf
         out = np.log(strike / atm_rn) / radius_scale
@@ -92,17 +95,32 @@ def strike_to_x(strike, atm_rn: float, radius_scale: float):
 
 
 def stereographic_point(x_coord):
-    """Point of the unit circle projecting to X: (2X, X^2 - 1) / (1 + X^2).
+    """Point (2X, X^2 - 1) / (1 + X^2) of the unit circle that projects to X.
 
-    The paper's reference map, kept for tests that check ``continuous_angle``.
+    The paper's reference map, and the direction (cos phi, sin phi) of X's
+    angle phi = 2 arctan(X) - pi/2 that shape smiles read: (0, -1) at X = 0,
+    and within 2^-51 relative elsewhere.  Beyond |X| = ``FAR_X`` it is
+    (2/X, 1), so no X overflows it.
     """
     x_coord = np.asarray(x_coord, dtype=float)
-    denom = 1.0 + x_coord * x_coord
-    px = 2.0 * x_coord / denom
-    pz = (x_coord * x_coord - 1.0) / denom
-    if px.ndim == 0:
-        return float(px), float(pz)
-    return px, pz
+    return _unit_point(x_coord if x_coord.ndim else float(x_coord))[:2]
+
+
+FAR_X = 1e150  # X^2 stays finite up to here; past it (2/X, 1) is the point to the last bit
+
+
+def _unit_point(x):
+    """``stereographic_point`` of a float, numpy scalar or array, with 1 + X^2."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        far = np.abs(x) > FAR_X
+        if far.any():
+            px, pz, den = _unit_point(np.where(far, 0.0, x))
+            px[far], pz[far], den[far] = 2.0 / x[far], 1.0, math.inf
+            return px, pz, den
+    elif abs(x) > FAR_X:
+        return 2.0 / x, 1.0, math.inf
+    den = 1.0 + x * x
+    return 2.0 * x / den, (x - 1.0) * (x + 1.0) / den, den
 
 
 def polar_angle(x, z):
@@ -134,19 +152,20 @@ def angle_for_strike(strike, ctx: ReprContext):
     return continuous_angle(strike_to_x(strike, ctx.atm_rn, ctx.radius_scale))
 
 
-def _lnk_angle(lnk, ctx: ReprContext):
-    """X = (ln K - ln atm_rn) / R and phi = 2 arctan(X) - pi/2 of log strikes."""
-    x = (np.asarray(lnk, dtype=float) - math.log(ctx.atm_rn)) / ctx.radius_scale
-    return x, 2.0 * np.arctan(x) - 0.5 * math.pi
+def _lnk_x(lnk, ctx: ReprContext):
+    """X = (ln K - ln atm_rn) / R of log strikes."""
+    return (lnk - math.log(ctx.atm_rn)) / ctx.radius_scale
 
 
 def angle_jet(lnk, ctx: ReprContext):
-    """phi of log strikes with dphi/d lnK and d^2phi/d lnK^2: the polar map's chain rule."""
-    x, phi = _lnk_angle(lnk, ctx)
+    """(cos phi, sin phi, dphi/d lnK, d^2phi/d lnK^2) of log strikes.
+
+    The direction is X's stereographic point; the derivatives, the chain rule.
+    """
+    x = _lnk_x(lnk, ctx)
+    cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
-    dphi = 2.0 / ((1.0 + x * x) * r_scale)
-    d2phi = -4.0 * x / ((1.0 + x * x) ** 2 * r_scale * r_scale)
-    return phi, dphi, d2phi
+    return cos, sin, 2.0 / (den * r_scale), -4.0 * x / (den**2 * r_scale * r_scale)
 
 
 def _context(ms: MarketState, atm_rn: float, radius_scale: float | None, window_strike):
@@ -221,20 +240,22 @@ def represent_anchors(anchors, ctx: ReprContext) -> np.ndarray:
 def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> SmileCurve:
     """Invert a fitted circle or ellipse back into a smile on [k_lo, k_hi].
 
-    sigma(K) is the radial excess over R of the ray-shape intersection at the
-    strike's angle.  The origin must sit strictly inside the shape, checked
-    once here, and the whole domain is swept for a positive implied vol.
+    sigma(K) is the radial excess over R of the ray-shape intersection along
+    the strike's stereographic point.  The origin must sit strictly inside
+    the shape, checked once here, and the whole domain is swept for a
+    positive implied vol.
     """
     shape.require_origin_inside()
     r_scale = ctx.radius_scale
 
     def vol_fn(lnk):
-        return shape.ray_radius(_lnk_angle(lnk, ctx)[1]) - r_scale
+        cos, sin, _ = _unit_point(_lnk_x(lnk, ctx))
+        return shape.ray_radius(cos, sin) - r_scale
 
     def jet_fn(lnk):
-        phi, dphi, d2phi = angle_jet(lnk, ctx)
+        cos, sin, dphi, d2phi = angle_jet(lnk, ctx)
         # rho here is the same expression shape.ray_radius evaluates.
-        rho, drho, d2rho = shape.ray_jet(phi)
+        rho, drho, d2rho = shape.ray_jet(cos, sin)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
     require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")

@@ -5,8 +5,10 @@ two translations) is the three-number group action connecting shapes.
 Each shape owns its ray geometry: the origin-inside check
 (``require_origin_inside``), the ray-shape intersection distance rho(phi)
 (``ray_radius``), its first two angle derivatives (``ray_jet``), and the
-interpolation residuals at given points (``residuals``).  The ray methods
-assume the origin check has passed.
+interpolation residuals at given points (``residuals``).  A ray is given by
+its direction (cos phi, sin phi), which smiles take from the strike's
+stereographic point, not by phi.  The ray methods assume the origin check
+has passed.
 """
 from __future__ import annotations
 
@@ -46,24 +48,25 @@ class CircleShape:
             )
 
     def _ray(self, cos, sin):
-        """(g, s) with rho = g + s along the ray (cos, sin); g projects the centre on the ray."""
+        """(g, g^2, s) with rho = g + s along the ray (cos, sin); g projects the
+        centre on the ray."""
         cx, cy = self.center
         g = cx * cos + cy * sin
-        return g, np.sqrt(g * g - (cx * cx + cy * cy) + self.radius * self.radius)
+        gg = g * g
+        return g, gg, np.sqrt(gg - (cx * cx + cy * cy) + self.radius * self.radius)
 
-    def ray_radius(self, phi):
-        """rho(phi): distance from the origin to the circle along the ray at angle phi."""
-        g, s = self._ray(np.cos(phi), np.sin(phi))
+    def ray_radius(self, cos, sin):
+        """rho: distance from the origin to the circle along the ray (cos phi, sin phi)."""
+        g, _, s = self._ray(cos, sin)
         return g + s
 
-    def ray_jet(self, phi):
-        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray at angle phi."""
+    def ray_jet(self, cos, sin):
+        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray (cos phi, sin phi)."""
         cx, cy = self.center
-        cos, sin = np.cos(phi), np.sin(phi)
-        g, s = self._ray(cos, sin)
+        g, gg, s = self._ray(cos, sin)
         g_hat = -cx * sin + cy * cos
         d1 = g_hat * (1.0 + g / s)
-        d2 = -g + (g_hat * g_hat - g * g) / s - g * g * g_hat * g_hat / s**3
+        d2 = -g + (g_hat * g_hat - gg) / s - gg * g_hat * g_hat / s**3
         return g + s, d1, d2
 
     def residuals(self, points) -> np.ndarray:
@@ -86,7 +89,7 @@ class ConicShape:
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
         norm = float(np.linalg.norm(coefs))
-        if norm == 0.0 or not np.all(np.isfinite(coefs)):
+        if norm == 0.0 or not np.isfinite(coefs).all():
             raise InvalidInput("conic coefficients must be finite and not all zero")
         coefs = coefs / norm
         lead = coefs[np.nonzero(np.abs(coefs) > 1e-14)[0][0]]
@@ -116,17 +119,17 @@ class ConicShape:
         disc = lin * lin - 4.0 * quad * f
         return quad, lin, (-lin + np.sqrt(disc)) / (2.0 * quad)
 
-    def ray_radius(self, phi):
-        """rho(phi): distance from the origin to the ellipse along the ray at angle phi."""
-        return self._ray(np.cos(phi), np.sin(phi))[2]
+    def ray_radius(self, cos, sin):
+        """rho: distance from the origin to the ellipse along the ray (cos phi, sin phi)."""
+        return self._ray(cos, sin)[2]
 
-    def ray_jet(self, phi):
-        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray at angle phi."""
+    def ray_jet(self, cos, sin):
+        """(rho, d rho/d phi, d^2 rho/d phi^2) along the ray (cos phi, sin phi)."""
         a, b, c, d, e, _f = self.coefficients
-        cos, sin = np.cos(phi), np.sin(phi)
         quad, lin, rho = self._ray(cos, sin)
-        quad_p = (c - a) * 2.0 * sin * cos + b * (cos * cos - sin * sin)
-        quad_pp = 2.0 * (c - a) * (cos * cos - sin * sin) - 4.0 * b * sin * cos
+        cos2 = cos * cos - sin * sin
+        quad_p = (c - a) * 2.0 * sin * cos + b * cos2
+        quad_pp = 2.0 * (c - a) * cos2 - 4.0 * b * sin * cos
         lin_p = -d * sin + e * cos
         slope = 2.0 * quad * rho + lin
         d1 = -(quad_p * rho * rho + lin_p * rho) / slope
@@ -189,7 +192,7 @@ def _any_triple_collinear(pts: np.ndarray) -> bool:
     cross = (pj[:, 0] - pi[:, 0]) * (pk[:, 1] - pi[:, 1]) - (pj[:, 1] - pi[:, 1]) * (
         pk[:, 0] - pi[:, 0]
     )
-    return bool(np.any(np.abs(cross) <= 2.0 * COLLINEARITY_TOL * scale2))
+    return bool((np.abs(cross) <= 2.0 * COLLINEARITY_TOL * scale2).any())
 
 
 def conic_through_5(points) -> ConicShape:

@@ -8,11 +8,14 @@ of delta solves).  Densities follow from the jet through the closed-form
 second strike derivative of the call price; the log-strike bracket that
 decides non-negativity is formed only where the margin is read.
 
-Many strikes are read in one array call: array and 0-d numpy calls of
+Many strikes are read in one array call: array and numpy-scalar calls of
 ``log``, ``exp``, ``arctan``, ``cos``, ``sin`` and ``sqrt`` agree bit for bit
 (numpy 2.4, x86-64), so a vol has the same bits read alone or in any array.
-``math.log``, ``math.atan`` and ``math.exp`` differ from numpy in the last
-bit on some inputs, so none of them stands in for a numpy call.
+``SmileCurve.vol`` reads one strike as the numpy scalar ``np.log(k)``, which
+the closed-form smiles carry through their arithmetic unwrapped, and hands
+back a float.  ``math.log``, ``math.atan`` and ``math.exp`` differ from
+numpy in the last bit on some inputs, so none of them stands in for a numpy
+call.
 
 Without a grid, ``smile_from_distribution`` widens the default one until its
 end strikes bracket the ``ND1_WINDOW`` N(-d1) window, which also sets auto R
@@ -63,6 +66,7 @@ DELTA_XTOL = 1e-15  # ln-K step that ends a delta solve, plus 4 eps |ln K|
 DELTA_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 _BRACKET_VOLS = np.array([IV_BRACKET_LO, IV_BRACKET_HI])
+_SWEEP_RAMP = np.arange(ADMISSIBILITY_POINTS, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -115,14 +119,20 @@ class SmileCurve:
             raise InvalidInput("need 0 < k_lo < k_hi")
 
     def vol(self, strike):
-        """Implied volatility at the given strike(s); InvalidInput unless each is > 0."""
+        """Implied volatility at the given strike(s); InvalidInput unless each
+        is positive and finite.  One strike gives a float, an array an array."""
         strike = np.asarray(strike, dtype=float)
-        # False for NaN too.  One strike takes a float compare: a numpy
-        # reduction costs more than the read, and a surface reads ~1,000 scalars.
-        if not (float(strike) > 0.0 if strike.ndim == 0 else (strike > 0.0).all()):
-            raise InvalidInput(f"strike {float(strike[~(strike > 0.0)][0]):g} is not positive")
-        out = self.vol_fn(np.log(strike))
-        return float(out) if np.ndim(out) == 0 else out
+        if strike.ndim == 0:
+            # A float compare (False for NaN too), then a numpy-scalar read:
+            # a surface reads ~1,000 single strikes.
+            k = float(strike)
+            if not 0.0 < k < math.inf:
+                raise InvalidInput(f"strike {k:g} is not positive and finite")
+            return float(self.vol_fn(np.log(k)))
+        bad = ~((strike > 0.0) & (strike < math.inf))
+        if bad.any():
+            raise InvalidInput(f"strike {float(strike[bad][0]):g} is not positive and finite")
+        return self.vol_fn(np.log(strike))
 
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
         """n log-uniform strikes spanning the domain, ends kept inside it."""
@@ -136,23 +146,35 @@ def log_uniform_grid(k_lo: float, k_hi: float, n: int) -> np.ndarray:
     return np.clip(grid, k_lo, k_hi)
 
 
+def _admissibility_sweep(a: float, b: float) -> np.ndarray:
+    """``np.linspace(a, b, ADMISSIBILITY_POINTS)``, bit for bit, from a precomputed ramp."""
+    step = (b - a) / (ADMISSIBILITY_POINTS - 1)
+    if step == 0.0:  # linspace's order for a subnormal step
+        sweep = _SWEEP_RAMP / (ADMISSIBILITY_POINTS - 1) * (b - a)
+    else:
+        sweep = _SWEEP_RAMP * step
+    sweep += a
+    sweep[-1] = b
+    return sweep
+
+
 def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
     """Sweep ``ADMISSIBILITY_POINTS`` log-uniform strikes of [k_lo, k_hi];
     NonpositiveVol unless every vol > 0.
 
     The test is ``not (vol > 0)``, so a NaN vol fails it too.
     """
-    sweep = np.linspace(math.log(k_lo), math.log(k_hi), ADMISSIBILITY_POINTS)
+    sweep = _admissibility_sweep(math.log(k_lo), math.log(k_hi))
     vols = vol_fn(sweep)
-    if not np.all(vols > 0.0):
+    if not (vols > 0.0).all():
         k_bad = math.exp(float(sweep[int(np.argmin(vols))]))  # argmin: first NaN, else lowest
         raise NonpositiveVol(f"{what} implies vol <= 0 at strike {k_bad:.6g}")
 
 
 def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: float | None = None) -> SmileCurve:
     """A constant-vol smile (the log-normal case)."""
-    if vol <= 0.0:
-        raise InvalidInput("vol must be positive")
+    if not 0.0 < vol < math.inf:
+        raise InvalidInput(f"vol {vol!r} is not positive and finite")
     if k_lo is None or k_hi is None:
         width = 6.0 * vol * math.sqrt(max(ms.tenor, 1e-12)) + 0.5
         fwd = ms.forward()
@@ -386,7 +408,7 @@ def _terms(smile: SmileCurve, strikes, mode: str):
         sig_dot, sig_ddot = (up - dn) / (2.0 * h), (up - 2.0 * sig + dn) / (h * h)
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
-    if np.any(sig <= 0.0):
+    if (sig <= 0.0).any():
         k_bad = strikes[int(np.argmax(sig <= 0.0))]
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
     d1, total = d1_total(smile.market, strikes, sig)

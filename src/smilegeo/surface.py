@@ -66,7 +66,8 @@ class SurfaceQuoteRow:
 
     The row owns its geometry.  Construction builds its ``MarketState`` once,
     solves every quoted label's strike with it under each delta convention,
-    and keeps the automatic-R flat-ATM frame; ``market``, ``strikes`` and
+    with the completion domain those strikes span, and keeps the
+    automatic-R flat-ATM frame; ``market``, ``strikes``, ``domain`` and
     ``frame`` hand them out.
     """
 
@@ -108,9 +109,9 @@ class SurfaceQuoteRow:
         are closed forms in exp(rates, tenor and vol^2); a finite but huge
         input overflows them (or underflows them to zero).
         A tiny tenor collapses them onto one another, so no two may
-        coincide.  Returns the strikes by convention, or the
-        TargetOutsideDomain of a convention that puts a delta target outside
-        (0, 1).
+        coincide.  Returns, by convention, the strikes with their completion
+        domain, or the TargetOutsideDomain of a convention that puts a delta
+        target outside (0, 1).
         """
         solved = {}
         for conv in DeltaConvention:
@@ -125,14 +126,14 @@ class SurfaceQuoteRow:
                 solved[conv] = exc
                 continue
             if strikes is not None and all(0.0 < k < math.inf for k in strikes.values()):
-                k_lo, k_hi = _completion_domain(strikes.values())
-                if 0.0 < k_lo and k_hi < math.inf:
+                domain = _completion_domain(strikes.values())
+                if 0.0 < domain[0] and domain[1] < math.inf:
                     if len(set(strikes.values())) < len(strikes):
                         raise InvalidInput(
                             f"expiry {self.expiry_label!r}: {conv.value} label strikes "
                             "collapse onto one another (tenor or vols too small)"
                         )
-                    solved[conv] = strikes
+                    solved[conv] = strikes, domain
                     continue
             raise InvalidInput(
                 f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
@@ -140,15 +141,23 @@ class SurfaceQuoteRow:
             )
         return solved
 
+    def _solved(self, conv: DeltaConvention) -> tuple[dict[str, float], tuple[float, float]]:
+        solved = self._strikes[conv]
+        if isinstance(solved, TargetOutsideDomain):
+            raise TargetOutsideDomain(*solved.args)
+        return solved
+
     def strikes(self, conv: DeltaConvention) -> dict[str, float]:
         """Every quoted label's strike under ``conv``, in quote order.
 
         Raises TargetOutsideDomain where ``conv`` puts a target outside (0, 1).
         """
-        solved = self._strikes[conv]
-        if isinstance(solved, TargetOutsideDomain):
-            raise TargetOutsideDomain(*solved.args)
-        return dict(solved)
+        return dict(self._solved(conv)[0])
+
+    def domain(self, conv: DeltaConvention) -> tuple[float, float]:
+        """(k_lo, k_hi) a completion under ``conv`` spans: the label strikes
+        widened by a tenth of their log-span at each end."""
+        return self._solved(conv)[1]
 
     def market(self) -> MarketState:
         return self._frame.market
@@ -314,7 +323,7 @@ def complete_expiry(
     labels = anchor_labels(method)
     try:
         strikes = row.strikes(conv)
-        k_lo, k_hi = _completion_domain(strikes.values())
+        k_lo, k_hi = row.domain(conv)
         missing = [lab for lab in labels if lab not in row.vols]
         if missing:
             raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")

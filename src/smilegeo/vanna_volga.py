@@ -18,7 +18,7 @@ argument turns negative (far wings) it is clamped at zero.
 The quotient is evaluated rationalised, sigma2 + B / (sqrt(sigma2^2 + D B)
 + sigma2) with B = 2 sigma2 P + Q and D = d1 d2: it never divides by D, so
 it is smooth where d1 d2 crosses zero near the money and needs no series
-there.  A single strike's vol takes a 0-d path: float arithmetic with the
+there.  A single strike's vol takes a scalar path: float arithmetic with the
 branch picked by ``if``, no masks or error-state switching.  B and its
 slopes are formed as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the
 three weights.  A dot product would round each strike's sum by its position
@@ -108,7 +108,7 @@ class _FirstOrder:
         self.curv = 2.0 * ((s1 - s2) / den[0] + (s3 - s2) / den[2])
 
     def vol(self, lnk):
-        return _sum3(self.sig, self.w(np.asarray(lnk, dtype=float)))
+        return _sum3(self.sig, self.w(lnk))
 
     def jet(self, lnk):
         lnk = np.asarray(lnk, dtype=float)
@@ -170,7 +170,8 @@ class _MarketOrder:
         self.b2 = _sum3(self.b_coef, self.w.wpp)
 
     def _d1_d2(self, lnk):
-        return self.a1 - lnk / self.c, self.a2 - lnk / self.c
+        scaled = lnk / self.c
+        return self.a1 - scaled, self.a2 - scaled
 
     def _pieces(self, lnk):
         """B and D = d1 d2 with their first and second ln-K derivatives."""
@@ -199,7 +200,7 @@ class _MarketOrder:
                 + 2.0 * b * w1_ * w1_ / (u * u * u)
             )
             clamped = arg <= 0.0
-            if np.any(clamped):  # sqrt argument pinned at zero
+            if clamped.any():  # sqrt argument pinned at zero
                 sig = np.where(clamped, s2 - s2 / dd, sig)
                 dsig = np.where(clamped, s2 * dd1 / (dd * dd), dsig)
                 d2sig = np.where(
@@ -219,7 +220,7 @@ class _MarketOrder:
         with np.errstate(divide="ignore", invalid="ignore"):
             sig = s2 + b / (np.sqrt(arg) + s2)
             clamped = arg <= 0.0
-            if np.any(clamped):
+            if clamped.any():
                 sig = np.where(clamped, s2 - s2 / dd, sig)
         return sig
 

@@ -1,7 +1,9 @@
 """Tests for the polar-plane representation and shape inversion."""
 import math
 import pathlib
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.distributions import Gamma, Uniform
 from smilegeo.errors import NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
+    FAR_X,
     ReprContext,
     angle_for_strike,
+    angle_jet,
     context_for_smile,
     continuous_angle,
     flat_context,
@@ -68,6 +72,89 @@ class TestStereographicPoint:
         px, pz = stereographic_point(xs)
         angles = np.unwrap(np.arctan2(pz, px))
         assert np.all(np.diff(angles) > 0.0) or np.all(np.diff(angles) < 0.0)
+
+
+# X where the direction is a limit, (cos phi, sin phi) exactly.
+EXACT_DIRECTIONS = {
+    0.0: (0.0, -1.0), 1.0: (1.0, 0.0), -1.0: (-1.0, 0.0),
+    math.inf: (0.0, 1.0), -math.inf: (0.0, 1.0),
+}
+EDGE_X = [
+    0.0, 1e-300, 1e-13, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0, 3.0, 1e8, 1e154, 1e300, math.inf
+]
+
+
+def mp_direction(x: float):
+    """cos and sin of phi = 2 atan(X) - pi/2 to 50 significant digits: the
+    working precision grows with |log10 X|, the digits the subtraction of
+    pi/2 (small X) or the rounding of 2 atan X near pi (large X) cancels."""
+    if x in EXACT_DIRECTIONS:
+        return EXACT_DIRECTIONS[x]
+    with mpmath.workdps(60 + int(abs(math.log10(abs(x))))):
+        phi = 2 * mpmath.atan(mpmath.mpf(x)) - mpmath.pi / 2
+        return +mpmath.cos(phi), +mpmath.sin(phi)
+
+
+class TestDirectionMap:
+    """``stereographic_point`` is the direction (cos phi, sin phi) that shape
+    smiles and curvatures read from ``angle_jet``."""
+
+    @staticmethod
+    def seeded_x(n=10_000):
+        rng = np.random.default_rng(20261019)
+        sign = rng.choice([-1.0, 1.0], n)
+        near = rng.uniform(-3.0, 3.0, n // 2)
+        spread = sign[n // 2:] * 10.0 ** rng.uniform(-300.0, 300.0, n - n // 2)
+        return np.concatenate([near, spread])
+
+    def test_within_2_ulp_of_mpmath(self):
+        xs = np.concatenate([EDGE_X, [-x for x in EDGE_X], self.seeded_x()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            px, pz = stereographic_point(xs)
+        eps = 2.0**-52
+        for x, got in zip(xs.tolist(), zip(px.tolist(), pz.tolist())):
+            for component, want in zip(got, mp_direction(x)):
+                if want in (0.0, 1.0, -1.0):
+                    assert component == want, x
+                else:
+                    assert abs(mpmath.mpf(component) - want) <= 2 * eps * abs(want), x
+
+    def test_scalar_reads_equal_array_read(self):
+        xs = [*EDGE_X, *(-x for x in EDGE_X), *self.seeded_x(200).tolist(), math.nan]
+        px, pz = stereographic_point(np.array(xs))
+        for x, want in zip(xs, zip(px.tolist(), pz.tolist())):
+            got = stereographic_point(x)
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(got, want, equal_nan=True), x
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf], ids=["0", "-0", "inf", "-inf"])
+    def test_limits_exact_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stereographic_point(x)
+            got_array = stereographic_point(np.array([x, 2.0]))
+        want = EXACT_DIRECTIONS[abs(x)]
+        assert got == want and (got_array[0][0], got_array[1][0]) == want
+
+    def test_far_x_is_the_limit_form(self):
+        xs = np.array([FAR_X, np.nextafter(FAR_X, math.inf), 1e200, -1e300])
+        px, pz = stereographic_point(xs)
+        assert px[0] == 2.0 * FAR_X / (1.0 + FAR_X * FAR_X)
+        assert np.array_equal(px[1:], 2.0 / xs[1:]) and np.all(pz[1:] == 1.0)
+
+    def test_angle_jet_direction_is_the_stereographic_point(self):
+        ctx = ReprContext(market=FLAT_MS, atm_rn=102.0, radius_scale=0.8)
+        lnk = np.log(np.geomspace(20.0, 500.0, 301))
+        cos, sin, dphi, d2phi = angle_jet(lnk, ctx)
+        x = (lnk - math.log(ctx.atm_rn)) / ctx.radius_scale
+        assert np.array_equal(np.array([cos, sin]), np.array(stereographic_point(x)))
+        # The chain rule of phi = 2 atan(X) - pi/2 in ln K.
+        assert np.array_equal(dphi, 2.0 / ((1.0 + x * x) * ctx.radius_scale))
+        assert np.array_equal(d2phi, -4.0 * x / ((1.0 + x * x) ** 2 * 0.8 * 0.8))
+        phi = continuous_angle(x)
+        assert np.max(np.abs(cos - np.cos(phi))) <= 4e-16
+        assert np.max(np.abs(sin - np.sin(phi))) <= 4e-16
 
 
 class TestPolarAngle:

@@ -20,6 +20,7 @@ from smilegeo.errors import (
 )
 from smilegeo.shapes import CircleShape
 from smilegeo.smile import (
+    ADMISSIBILITY_POINTS,
     DELTA_SAMPLES,
     GridSpec,
     SmileCurve,
@@ -31,6 +32,7 @@ from smilegeo.smile import (
     smile_from_distribution,
     strike_for_delta,
     strikes_for_deltas,
+    _admissibility_sweep,
 )
 from smilegeo.surface import complete_expiry, parse_surface
 from smilegeo.workflows import market_state_for
@@ -415,6 +417,70 @@ class TestVolStrikeCheck:
             smile.vol(strike)
         with pytest.raises(InvalidInput, match=f"strike {strike:g} is not positive"):
             smile.vol(np.array([smile.k_lo, strike, smile.k_hi]))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("backend", list(JET_BACKENDS))
+    @pytest.mark.parametrize("strike", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_strike_is_invalid_input(self, backend, strike):
+        smile = JET_BACKENDS[backend]()
+        with pytest.raises(InvalidInput, match=f"strike {strike:g} is not positive and finite"):
+            smile.vol(strike)
+        with pytest.raises(InvalidInput, match=f"strike {strike:g} is not positive and finite"):
+            smile.vol(np.array([smile.k_lo, strike]))
+
+    @pytest.mark.parametrize("vol", [math.nan, math.inf, 0.0, -0.1])
+    def test_flat_smile_vol_must_be_finite_positive(self, vol):
+        with pytest.raises(InvalidInput, match="vol .* is not positive and finite"):
+            flat_smile(FLAT_MS, vol, 0.5, 2.0)
+        with pytest.raises(InvalidInput, match="vol .* is not positive and finite"):
+            flat_smile(FLAT_MS, vol)
+
+
+SCALAR_READ_BACKENDS = {
+    "circle": ("circle", "market"),
+    "ellipse": ("ellipse", "market"),
+    "vv-market": ("vanna-volga", "market"),
+    "vv-first": ("vanna-volga", "first"),
+}
+
+
+class TestScalarReads:
+    """One strike read through ``SmileCurve.vol`` is a float equal, bit for
+    bit, to its entry in one array read."""
+
+    @staticmethod
+    def _check(smile, strikes, rng):
+        inside = np.exp(rng.uniform(math.log(smile.k_lo), math.log(smile.k_hi), 50))
+        strikes = np.concatenate([strikes, inside])
+        whole = smile.vol(strikes)
+        for k, want in zip(strikes.tolist(), whole.tolist()):
+            got = smile.vol(k)
+            assert type(got) is float and got == want, k
+            assert smile.vol(np.float64(k)) == want
+
+    @pytest.mark.parametrize("backend", list(SCALAR_READ_BACKENDS))
+    def test_completed_shipped_rows(self, backend):
+        rng = np.random.default_rng(7)
+        for done in completed_shipped_rows(*SCALAR_READ_BACKENDS[backend]):
+            self._check(done.smile, np.array(list(done.label_strikes.values())), rng)
+
+    @pytest.mark.parametrize("backend", ["spline", "flat"])
+    def test_spline_and_flat(self, backend):
+        smile = JET_BACKENDS[backend]()
+        self._check(smile, smile.default_grid(9), np.random.default_rng(8))
+
+
+def test_admissibility_sweep_is_linspace():
+    rng = np.random.default_rng(11)
+    n = 10_000
+    a = rng.uniform(-700.0, 700.0, n) * 10.0 ** rng.uniform(-16.0, 0.0, n)
+    b = a + np.abs(a) * 10.0 ** rng.uniform(-16.0, 1.0, n) + 10.0 ** rng.uniform(-300.0, 2.0, n)
+    # Equal ends, and steps that are subnormal or round to 0 (linspace's other order).
+    tiny = [(1.5, 1.5), (0.0, 5e-324), (0.0, 1e-321), (-1e-310, -1e-310 + 1e-318), (0.0, 1e-305)]
+    for lo, hi in [*tiny, *zip(a.tolist(), b.tolist())]:
+        want = np.linspace(lo, hi, ADMISSIBILITY_POINTS)
+        assert np.array_equal(_admissibility_sweep(lo, hi), want), (lo, hi)
 
 
 class TestJet:

@@ -1,0 +1,106 @@
+"""The paper's symmetries as checked properties.
+
+The representation is built from moneyness, ln(K / K_atm) / R, so the units
+of the underlying do not matter: scaling a surface's spot by c scales every
+label strike by c and leaves every completed smile where it was.  Each
+completed label vol must hold to ``SPOT_SCALE_TOL`` relative under circle,
+ellipse and both vanna-volga completions, on the shipped surfaces and on
+seeded generated ones.
+
+First-order vanna-volga gets twice that bound.  Its Lagrange weights divide
+differences of ln K, and ln K's rounding grows with |ln K|: a spot of about
+140 scaled by 1e5 moves one 10P vol by 1.06e-13 (generated seed 2150190934;
+the worst of 5,000 draws).  The other methods stayed below 6e-14 there.
+"""
+import functools
+import math
+import pathlib
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from smilegeo.surface import CSV_HEADER, STANDARD_EXPIRIES, discrepancy_table, parse_surface
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SHIPPED = tuple(
+    (DATA / f"{name}.csv").read_text()
+    for name in ("synthetic_circle_surface", "synthetic_gamma_surface")
+)
+METHODS = (
+    ("circle", "market"), ("ellipse", "market"), ("vanna-volga", "market"), ("vanna-volga", "first")
+)
+SPOT_SCALE_TOL = 1e-13
+SCALE_TOLS = (SPOT_SCALE_TOL, SPOT_SCALE_TOL, SPOT_SCALE_TOL, 2.0 * SPOT_SCALE_TOL)
+
+
+def generated_surface(seed: int) -> str:
+    """A 14-expiry surface from seeded ATM, 25- and 10-delta risk-reversal and
+    butterfly quotes; the 15- and 35-delta labels are linear in delta."""
+    rng = np.random.default_rng(seed)
+    spot = math.exp(rng.uniform(math.log(0.5), math.log(150.0)))
+    dom, forr = rng.uniform(-0.01, 0.06), rng.uniform(-0.01, 0.05)
+    atm_base, rr_base = rng.uniform(0.07, 0.20), rng.uniform(-0.02, 0.02)
+    bf_base = rng.uniform(0.002, 0.006)
+    lines = [CSV_HEADER]
+    for label, tenor in STANDARD_EXPIRIES:
+        atm = atm_base + 0.005 * math.log(tenor) + rng.uniform(-0.003, 0.003)
+        rr25, bf25 = rr_base * atm / 0.12, bf_base * atm / 0.12
+        rr10, bf10 = rr25 * rng.uniform(1.7, 2.0), bf25 * rng.uniform(2.8, 3.6)
+        v25p, v25c = atm + bf25 - 0.5 * rr25, atm + bf25 + 0.5 * rr25
+        v10p, v10c = atm + bf10 - 0.5 * rr10, atm + bf10 + 0.5 * rr10
+        vols = (
+            v10p, v10p + (v25p - v10p) / 3.0, v25p, v25p + 0.4 * (atm - v25p), atm,
+            v25c + 0.4 * (atm - v25c), v25c, v10c + (v25c - v10c) / 3.0, v10c,
+        )
+        cells = ",".join(f"{v:.12f}" for v in vols)
+        lines.append(f"{label},{tenor:.10f},{spot!r},{dom!r},{forr!r},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def with_spot_scaled(text: str, c: float) -> str:
+    header, *rows = text.strip().splitlines()
+    out = [header]
+    for line in rows:
+        cells = line.split(",")
+        cells[2] = repr(float(cells[2]) * c)
+        out.append(",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def completed_vols(text: str):
+    """Per method, the failed expiries and every completed label vol."""
+    rows = parse_surface(text)
+    out = []
+    for method, variant in METHODS:
+        table = discrepancy_table(rows, method, vv_variant=variant)
+        out.append((set(table.errors), table.vols))
+    return out
+
+
+surfaces = st.one_of(st.sampled_from(SHIPPED), st.integers(0, 2**32 - 1).map(generated_surface))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=surfaces, log_c=st.floats(-3.0, 5.0))
+@example(text=generated_surface(2150190934), log_c=5.0)
+def test_spot_scale_leaves_completed_vols(text, log_c):
+    scaled = with_spot_scaled(text, 10.0**log_c)
+    pairs = zip(completed_vols(text), completed_vols(scaled), SCALE_TOLS)
+    for (errors, vols), (errors_c, vols_c), tol in pairs:
+        assert errors_c == errors
+        for row, row_c in zip(vols, vols_c):
+            for lab, vol in row.items():
+                if vol is None:
+                    assert row_c[lab] is None
+                    continue
+                assert abs(row_c[lab] - vol) <= tol * vol, (lab, vol, row_c[lab])
+
+
+def test_generated_surfaces_complete():
+    # The property above only means something where the rows complete.
+    for seed in range(5):
+        for errors, vols in completed_vols(generated_surface(seed)):
+            assert not errors
+            assert all(v is not None for row in vols for v in row.values())

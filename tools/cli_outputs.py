@@ -30,10 +30,15 @@ differently give different trees.
 bytes differ (and any that only one tree has), and for each numeric column
 of a differing CSV the largest absolute move and the largest move relative
 to the column's peak |value| in DIR_A.  A CSV whose row count changed
-prints both counts instead.  JSON and SVG outputs are listed by path only;
-their numbers are those of the CSV of the same run.  The last two lines
-count the differing files per subcommand, then in all, and say whether
-``exit_codes.txt`` differs.
+prints both counts instead.  The CSVs round to 10 significant digits,
+while a JSON output carries every bit of its numbers: for each column of a
+differing JSON file it prints the largest move in ulps of DIR_A's value and
+how many values changed sign or finiteness (a null counts as not finite),
+or that something other than the numbers differs.  SVG outputs are listed
+by path only.  The last three lines give, per subcommand, the largest JSON
+move with the count of sign changes and of finiteness or structure
+changes, then count the differing files per subcommand, then in all, and
+say whether ``exit_codes.txt`` differs.
 """
 from __future__ import annotations
 
@@ -41,6 +46,8 @@ import collections
 import contextlib
 import csv
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -108,6 +115,39 @@ def _columns(data: bytes) -> tuple[int, dict[str, list[float]]]:
     return len(rows), out
 
 
+def _number(value) -> float | None:
+    """A JSON number as a float; None for strings, booleans and null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _json_moves(data_a: bytes, data_b: bytes) -> dict[str, list] | None:
+    """Per column of two JSON tables: [largest move in ulps of the first
+    table's value, values that changed sign, values that changed finiteness],
+    for the columns that moved; None if anything but the numbers differs."""
+    doc_a, doc_b = json.loads(data_a), json.loads(data_b)
+    rows_a, rows_b = doc_a.pop("rows"), doc_b.pop("rows")
+    if doc_a != doc_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    moves: dict[str, list] = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, raw_a, raw_b in zip(doc_a["columns"], row_a, row_b):
+            if raw_a == raw_b:
+                continue
+            a, b = _number(raw_a), _number(raw_b)
+            if a is None and b is None:
+                return None
+            move = moves.setdefault(name, [0.0, 0, 0])
+            finite_a, finite_b = (v is not None and math.isfinite(v) for v in (a, b))
+            if finite_a != finite_b:
+                move[2] += 1
+            elif finite_a:
+                move[0] = max(move[0], abs(b - a) / math.ulp(a))
+                move[1] += (a > 0.0) - (a < 0.0) != (b > 0.0) - (b < 0.0)
+    return moves
+
+
 def _subcommand(rel: Path) -> str:
     """The subcommand whose run wrote ``rel`` (the file's own name for exit_codes.txt)."""
     return next((cmd for cmd in COMMANDS if rel.name.startswith(cmd)), rel.name)
@@ -119,8 +159,24 @@ def compare(dir_a: Path, dir_b: Path) -> None:
         print(f"{rel}: only in {dir_a if rel in files[0] else dir_b}")
     common = sorted(files[0] & files[1])
     moved = [rel for rel in common if (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes()]
+    json_worst: dict[str, list] = {}
     for rel in moved:
         print(rel)
+        if rel.suffix == ".json":
+            moves = _json_moves(*((d / rel).read_bytes() for d in (dir_a, dir_b)))
+            worst = json_worst.setdefault(_subcommand(rel), [0.0, 0, 0])
+            if moves is None:
+                print("  something other than the numbers differs")
+                worst[2] += 1
+                continue
+            for name, (ulps, signs, finiteness) in moves.items():
+                flips = f", {signs} changed sign" if signs else ""
+                flips += f", {finiteness} changed finiteness" if finiteness else ""
+                print(f"  {name}: at most {ulps:.3g} ulp of the value in {dir_a}{flips}")
+                worst[0] = max(worst[0], ulps)
+                worst[1] += signs
+                worst[2] += finiteness
+            continue
         if rel.suffix != ".csv":
             continue
         (rows_a, cols_a), (rows_b, cols_b) = (_columns((d / rel).read_bytes()) for d in (dir_a, dir_b))
@@ -137,6 +193,12 @@ def compare(dir_a: Path, dir_b: Path) -> None:
                 peak = max(abs(a) for a in col_a)
                 rel_move = move / peak if peak > 0.0 else float("inf")
                 print(f"  {name}: at most {move:.2g} absolute, {rel_move:.2g} of the column's peak")
+    print("largest JSON move by subcommand: " + (
+        ", ".join(
+            f"{cmd} {ulps:.3g} ulp ({signs} sign, {other} finiteness or structure changes)"
+            for cmd, (ulps, signs, other) in sorted(json_worst.items())
+        ) or "none"
+    ))
     by_command = collections.Counter(_subcommand(rel) for rel in moved)
     print("differing files by subcommand: " + (
         ", ".join(f"{cmd} {n}" for cmd, n in sorted(by_command.items())) or "none"
