@@ -1,27 +1,29 @@
-"""Ports of the scipy spline and normal CDF behind ``analysis``'s curvatures.
+"""The cubic splines behind smiles and curvatures, and a scipy-free normal CDF.
 
 Each function returns the same doubles, bit for bit, as the scipy 1.17.1
-routine it ports, and none imports scipy, so ``curvature`` runs in a cold
-CLI process without loading it:
+routine it reproduces:
 
+- ``natural_spline(x, y)`` is ``CubicSpline(x, y, bc_type="natural")``, the
+  smile of ``smile_from_distribution`` in (ln K, sigma).
 - ``curve_spline(t, pts)`` is ``CubicSpline(t, pts[:, i])`` (not-a-knot) for
-  both coordinates of a planar curve.  The two share one tridiagonal
-  matrix, so one sweep of LAPACK ``dgtsv`` in its reference operation order
-  (partial pivoting included) solves for both, on Python floats.  Only
-  raw point arrays are resampled through it; a RepresentationCurve's
-  curvatures come from its smile's jet.
+  both coordinates of a planar curve, solved as two right-hand sides of
+  one tridiagonal system.  Only raw point arrays are resampled through it.
 - ``ndtr(a)`` is ``scipy.special.ndtr``, Cephes ``ndtr``/``erf``/``erfc``
   (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
-  1989).  The polynomials run on arrays, but ``exp`` runs per element
-  through ``math.exp``: numpy's array ``exp`` differs from libm's in the
-  last bit on some inputs.
+  1989), with no scipy import, so ``curvature`` runs in a cold CLI process
+  without loading scipy.  The polynomials run on arrays, but ``exp`` runs
+  per element through ``math.exp``: numpy's array ``exp`` differs from
+  libm's in the last bit on some inputs.
 
-The spline is evaluated as scipy's ``PPoly`` does: on the cell
-``searchsorted(side="right") - 1`` clipped to the first and last cells, as
-a power sum in ``s = x - x[i]`` built with ``z *= s``.  It raises
-``ValueError`` where scipy does (non-finite nodes or values, nodes that do
-not strictly increase), and needs at least 4 nodes; scipy solves 2 and 3
-another way.
+The splines form scipy's band, right-hand side and Hermite coefficients and
+solve with LAPACK ``dgtsv`` as ``solve_banded`` calls it, importing
+``scipy.linalg.lapack`` on the first solve (no CLI subcommand makes one).
+They evaluate as ``PPoly`` does: on the cell
+``searchsorted(side="right") - 1`` clipped to the end cells, as a power sum
+in ``s = x - x[i]`` over ``s``, ``s * s`` and ``(s * s) * s``; ``jet`` adds
+the derivatives from the coefficients ``PPoly.derivative`` forms.  The builders raise ``InvalidInput``, a
+``ValueError``, where scipy raises ``ValueError``; ``curve_spline`` needs
+at least 4 nodes, where scipy solves 2 and 3 another way.
 """
 from __future__ import annotations
 
@@ -30,129 +32,123 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .errors import InvalidInput
+
 
 class _Cubic:
-    """Piecewise planar cubic with breakpoints ``x`` and coefficients
-    ``c[k, i]`` (one per coordinate) of ``(x - x[i])**(3 - k)`` on cell i,
-    evaluated as scipy's ``PPoly``."""
+    """Piecewise cubic with breakpoints ``x`` and coefficients ``c[k, i]`` of
+    ``(x - x[i])**(3 - k)`` on cell i (with a trailing axis of coordinates
+    for a curve), evaluated as scipy's ``PPoly``."""
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x = x
         self.c = c
+        self._inner = x[1:-1]
+
+    def _cells(self, xs):
+        """Each point's cell coefficients (c0, c1, c2, c3) and its offset s into the cell."""
+        xs = np.asarray(xs, dtype=float)
+        # The count of inner breakpoints at or below xs is PPoly's cell,
+        # clipped to the end cells (NaN sorts last, into the last cell).
+        i = np.searchsorted(self._inner, xs, side="right")
+        s = xs - self.x[i]
+        return np.take(self.c, i, axis=1), s if self.c.ndim == 2 else s[..., None]
 
     def __call__(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        i = np.searchsorted(self.x, xs, side="right") - 1
-        np.clip(i, 0, len(self.x) - 2, out=i)
-        s = (xs - self.x[i])[..., None]
-        c0, c1, c2, c3 = np.take(self.c, i, axis=1)
+        (c0, c1, c2, c3), s = self._cells(xs)
+        z = s * s
         out = 0.0 + c3
         out += c2 * s
-        z = s * s
         out += c1 * z
-        z *= s
-        out += c0 * z
+        out += c0 * (z * s)
         return out
 
+    def jet(self, xs):
+        """Value, first and second derivative from one cell search; the derivatives
+        sum ``PPoly.derivative``'s coefficients (3 c0, 2 c1, c2) and (6 c0, 2 c1)."""
+        (c0, c1, c2, c3), s = self._cells(xs)
+        z = s * s
+        two_c1 = 2.0 * c1
+        val = 0.0 + c3
+        val += c2 * s
+        val += c1 * z
+        val += c0 * (z * s)
+        d1 = 0.0 + c2
+        d1 += two_c1 * s
+        d1 += (3.0 * c0) * z
+        d2 = 0.0 + two_c1
+        d2 += (6.0 * c0) * s
+        return val, d1, d2
 
-def _check_nodes(x, y):
+
+def _check_nodes(x, y, y_ndim: int):
     """scipy's ``prepare_input`` checks; returns float x, diff(x), float y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("`x` must be 1-dimensional.")
-    if x.shape[0] < 2:
-        raise ValueError("`x` must contain at least 2 elements.")
-    if y.ndim == 0 or y.shape[0] != x.shape[0]:
-        raise ValueError("The length of `y` doesn't match the length of `x`")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("`x` must contain only finite values.")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("`y` must contain only finite values.")
+    if x.ndim != 1 or x.shape[0] < 2 or y.ndim != y_ndim or y.shape[0] != x.shape[0]:
+        raise InvalidInput(f"need at least 2 nodes in 1-d x and as many values in {y_ndim}-d y")
+    if not np.isfinite(x).all():
+        raise InvalidInput("`x` must contain only finite values.")
+    if not np.isfinite(y).all():
+        raise InvalidInput("`y` must contain only finite values.")
     dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("`x` must be strictly increasing sequence.")
+    if (dx <= 0).any():
+        raise InvalidInput("`x` must be strictly increasing sequence.")
     return x, dx, y
 
 
-def _hermite(x, dx, y, dydx) -> _Cubic:
-    """``CubicHermiteSpline``'s coefficients from (n, 2) values and slopes."""
-    dx = dx[:, None]
-    slope = np.diff(y, axis=0) / dx
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK ``dgtsv`` on the sub-, main and super-diagonal, as ``solve_banded`` calls it."""
+    from scipy.linalg.lapack import dgtsv  # off every CLI path
+
+    *_, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def _hermite(x, dx, y, slope, dydx) -> _Cubic:
+    """``CubicHermiteSpline``'s coefficients from values, secant slopes and node slopes."""
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     return _Cubic(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
 
 
-def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LAPACK ``dgtsv``: solve a tridiagonal system for the two columns of b.
+def _band(dx, dxr, slope):
+    """``CubicSpline``'s tridiagonal band (dl, d, du) and right-hand side b,
+    with the interior rows filled; the boundary condition fills the end rows."""
+    n = dx.shape[0] + 1
+    b = np.empty((n, *slope.shape[1:]))
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.empty(n - 1)
+    du[1:] = dx[:-1]
+    dl = np.empty(n - 1)
+    dl[:-1] = dx[1:]
+    return dl, d, du, b
 
-    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonal.  The
-    elimination runs in the reference operation order, row interchanges
-    included, on Python floats, and carries both columns in one sweep.
-    """
-    n = d.shape[0]
-    # Step i eliminates below row i and reads these entries of row i + 1; the
-    # last row has no second super-diagonal, so its 0.0 is never used.
-    ahead = zip(
-        dl.tolist(), d[1:].tolist(), [*du[1:].tolist(), 0.0], b[1:, 0].tolist(), b[1:, 1].tolist()
-    )
-    # U, row by row: diagonal, super-diagonal, the fill-in that a row
-    # interchange leaves, and the eliminated right-hand sides.
-    rows = []
-    di, ui, xi, yi = float(d[0]), float(du[0]), float(b[0, 0]), float(b[0, 1])
-    try:
-        for li, dn, un, xn, yn in ahead:
-            if abs(di) >= abs(li):
-                fact = li / di
-                rows.append((di, ui, 0.0, xi, yi))
-                di = dn - fact * ui
-                xi = xn - fact * xi
-                yi = yn - fact * yi
-            else:
-                fact = di / li
-                rows.append((li, dn, un, xn, yn))
-                di = ui - fact * dn
-                un = -fact * un
-                xi = xi - fact * xn
-                yi = yi - fact * yn
-            ui = un
-        x1 = xi / di
-        y1 = yi / di
-        dg, u1, _, xb, yb = rows.pop()
-        x0 = (xb - u1 * x1) / dg
-        y0 = (yb - u1 * y1) / dg
-        xs, ys = [x1, x0], [y1, y0]
-        for dg, u1, u2, xb, yb in reversed(rows):
-            x0, x1 = (xb - u1 * x0 - u2 * x1) / dg, x0
-            y0, y1 = (yb - u1 * y0 - u2 * y1) / dg, y0
-            xs.append(x0)
-            ys.append(y0)
-    except ZeroDivisionError:  # a zero pivot: dgtsv's INFO > 0
-        raise LinAlgError("singular matrix") from None
-    out = np.empty((n, 2))
-    out[::-1, 0] = xs
-    out[::-1, 1] = ys
-    return out
+
+def natural_spline(x, y) -> _Cubic:
+    """Natural cubic spline (zero second derivative at both ends) through y over x."""
+    x, dx, y = _check_nodes(x, y, 1)
+    slope = np.diff(y) / dx
+    dl, d, du, b = _band(dx, dx, slope)
+    # The end rows, with the zero second derivative entered as scipy enters it.
+    d[0], du[0] = 2 * dx[0], dx[0]
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+    d[-1], dl[-1] = 2 * dx[-1], dx[-1]
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+    return _hermite(x, dx, y, slope, _gtsv(dl, d, du, b))
 
 
 def curve_spline(t, pts) -> _Cubic:
     """Not-a-knot cubic spline through the (n, 2) points ``pts`` over ``t``."""
-    t, dt, pts = _check_nodes(t, pts)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("`pts` must be an (n, 2) array")
-    n = t.shape[0]
-    if n < 4:
-        raise ValueError("need at least 4 nodes")
+    t, dt, pts = _check_nodes(t, pts, 2)
+    if pts.shape[1] != 2 or t.shape[0] < 4:
+        raise InvalidInput("need at least 4 nodes and an (n, 2) point array")
     dxr = dt[:, None]
     slope = np.diff(pts, axis=0) / dxr
-    b = np.empty_like(pts)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    d = np.empty(n)
-    d[1:-1] = 2 * (dt[:-1] + dt[1:])
-    du = np.empty(n - 1)
-    du[1:] = dt[:-1]
-    dl = np.empty(n - 1)
-    dl[:-1] = dt[1:]
+    dl, d, du, b = _band(dt, dxr, slope)
     # The not-a-knot rows: the third derivative is continuous at the second
     # and the second-to-last node.
     w0 = t[2] - t[0]
@@ -161,7 +157,7 @@ def curve_spline(t, pts) -> _Cubic:
     w1 = t[-1] - t[-3]
     d[-1], dl[-1] = dt[-2], w1
     b[-1] = (dt[-1] ** 2 * slope[-2] + (2 * w1 + dt[-1]) * dt[-2] * slope[-1]) / w1
-    return _hermite(t, dt, pts, _gtsv(dl, d, du, b))
+    return _hermite(t, dxr, pts, slope, _gtsv(dl, d, du, b))
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =

@@ -19,9 +19,9 @@ kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
 
-The point-array spline and the N(-d1) column come from ``_interp``: numpy
-ports that match the reference routines bit for bit, so a cold
-``curvature`` run loads numpy only.
+The point-array spline and the N(-d1) column come from ``_interp``, bit
+for bit scipy's; the column is a numpy port, so a cold ``curvature`` run
+loads numpy only.  Several q against one p share p's side of the KL.
 """
 from __future__ import annotations
 
@@ -208,12 +208,14 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def kl_divergence(
-    p: DensityCurve,
-    q: DensityCurve,
-    n: int = KL_GRID_N,
-    clamp_floor: float = KL_CLAMP_FLOOR,
-) -> DivergenceReport:
+def _unit_mass(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """values rescaled to unit trapezoid mass.  Scaling by the maximum first
+    keeps the mass of an all-subnormal curve from rounding to 0."""
+    values = values / float(np.max(values))
+    return values / float(np.sum(w * values))
+
+
+def kl_divergence(p: DensityCurve, q, n: int = KL_GRID_N, clamp_floor: float = KL_CLAMP_FLOOR):
     """KL(p || q) over the overlap of the two strike windows.
 
     Both curves are re-sampled to a log-uniform grid and rescaled to unit
@@ -221,38 +223,38 @@ def kl_divergence(
     and zero exactly for identical curves.  q values at or below the clamp
     floor are raised to it (the pseudo-divergence of ill-posed inversions)
     and flagged through ``clamped_fraction``.
+
+    ``q`` may also be a sequence of curves: the result is then a tuple of
+    reports, each equal to its own call's, and p's side (grid, weights, p at
+    unit mass and its log) is formed once per overlap window.
     """
     if np.any(p.values < 0.0):
         raise ValueError("p must be a non-negative density")
-    lo = max(float(p.strikes[0]), float(q.strikes[0]))
-    hi = min(float(p.strikes[-1]), float(q.strikes[-1]))
-    if not lo < hi:
-        raise DisjointSupport(f"no strike overlap: [{lo:.6g}, {hi:.6g}]")
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
-    p_vals = np.interp(grid, p.strikes, p.values)
-    q_vals = np.interp(grid, q.strikes, q.values)
-    clamped = q_vals <= clamp_floor
-    q_vals = np.where(clamped, clamp_floor, q_vals)
-
-    # Discrete renormalisation keeps Gibbs' inequality exact.  Scaling by the
-    # maximum first keeps the mass of an all-subnormal curve from rounding to 0.
-    w = _trapezoid_weights(grid)
-    p_vals = p_vals / float(np.max(p_vals))
-    q_vals = q_vals / float(np.max(q_vals))
-    p_norm = p_vals / float(np.sum(w * p_vals))
-    q_norm = q_vals / float(np.sum(w * q_vals))
-    # A difference of logs, not the log of a ratio: p/q of subnormal values
-    # underflows to 0 and would make the sum -inf.
-    support = p_norm > 0.0
-    log_ratio = np.zeros_like(p_norm)
-    np.log(p_norm, out=log_ratio, where=support)
-    log_ratio -= np.log(q_norm, out=np.zeros_like(q_norm), where=support)
-    kl = float(np.sum(w * np.where(support, p_norm * log_ratio, 0.0)))
-    return DivergenceReport(
-        kl_nats=kl,
-        clamped_fraction=float(np.mean(clamped)),
-        grid=grid,
-    )
+    p_sides: dict = {}
+    reports = []
+    for q_one in (q,) if isinstance(q, DensityCurve) else q:
+        lo = max(float(p.strikes[0]), float(q_one.strikes[0]))
+        hi = min(float(p.strikes[-1]), float(q_one.strikes[-1]))
+        if not lo < hi:
+            raise DisjointSupport(f"no strike overlap: [{lo:.6g}, {hi:.6g}]")
+        if (lo, hi) not in p_sides:
+            grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
+            w = _trapezoid_weights(grid)
+            # Discrete renormalisation keeps Gibbs' inequality exact.
+            p_norm = _unit_mass(np.interp(grid, p.strikes, p.values), w)
+            support = p_norm > 0.0
+            log_p = np.log(p_norm, out=np.zeros_like(p_norm), where=support)
+            p_sides[lo, hi] = grid, w, p_norm, support, log_p
+        grid, w, p_norm, support, log_p = p_sides[lo, hi]
+        q_vals = np.interp(grid, q_one.strikes, q_one.values)
+        clamped = q_vals <= clamp_floor
+        q_norm = _unit_mass(np.where(clamped, clamp_floor, q_vals), w)
+        # A difference of logs, not the log of a ratio: p/q of subnormal values
+        # underflows to 0 and would make the sum -inf.
+        log_ratio = log_p - np.log(q_norm, out=np.zeros_like(q_norm), where=support)
+        kl = float(np.sum(w * np.where(support, p_norm * log_ratio, 0.0)))
+        reports.append(DivergenceReport(kl, float(np.mean(clamped)), grid))
+    return reports[0] if isinstance(q, DensityCurve) else tuple(reports)
 
 
 def best_lognormal(p: DensityCurve):

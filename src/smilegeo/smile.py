@@ -19,7 +19,9 @@ call.
 
 Without a grid, ``smile_from_distribution`` widens the default one until its
 end strikes bracket the ``ND1_WINDOW`` N(-d1) window, which also sets auto R
-and the report's KL window, and builds the spline once.
+and the report's KL window, and builds the spline once: ``_interp``'s natural
+spline, scipy's bit for bit, whose ``jet`` reads sigma and both ln-K
+derivatives from one cell search.
 
 Delta strikes come from ``strikes_for_deltas``: one safeguarded Newton
 solve in ln K over every target of a smile at once, each target bracketed
@@ -35,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._interp import natural_spline
 from .bsm import (
     IV_BRACKET_HI,
     IV_BRACKET_LO,
@@ -294,21 +297,15 @@ def smile_from_distribution(
     GridSpec is built as it stands.  A forward other than the distribution
     mean raises InconsistentForward from ``call_price``.
     """
-    from scipy.interpolate import CubicSpline  # kept off the CLI import path
-
     strikes = strike_grid(dist, ms, grid)
     prices = np.asarray(dist.call_price(ms, strikes), dtype=float)
-    vols = implied_vol_grid(ms, strikes, prices)
-    lnk = np.log(strikes)
-    spline = CubicSpline(lnk, vols, bc_type="natural")
-    # Precomputed derivative splines: spline(x, nu) rounds differently.
-    dspline, d2spline = spline.derivative(1), spline.derivative(2)
+    spline = natural_spline(np.log(strikes), implied_vol_grid(ms, strikes, prices))
     return SmileCurve(
         market=ms,
         k_lo=float(strikes[0]),
         k_hi=float(strikes[-1]),
         vol_fn=spline,
-        jet_fn=lambda x: (spline(x), dspline(x), d2spline(x)),
+        jet_fn=spline.jet,
         label=f"{type(dist).__name__.lower()}-smile",
     )
 

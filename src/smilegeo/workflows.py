@@ -4,7 +4,8 @@
 smile, polar representation, circle fit, inverted smile, reconstructed
 densities (circle and vanna-volga), the best log-normal fit, and the KL
 divergences on the ``smile.ND1_WINDOW`` N(-d1) window, the window whose
-strikes also set auto R and which the report's smile covers.
+strikes also set auto R and which the report's smile covers; one
+``kl_divergence`` call forms ``p_true``'s side once for all three.
 """
 from __future__ import annotations
 
@@ -138,6 +139,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     # then judge it on the same window as the other candidates.
     best_ln = best_lognormal(density_curve(dist, fit_grid, rescale=True))
     p_ln = density_curve(best_ln, window_grid, rescale=False)
+    kl_circle, kl_vv, kl_ln = kl_divergence(p_true, (p_circle, p_vv, p_ln))
 
     return DistributionReport(
         dist=dist,
@@ -156,8 +158,8 @@ def distribution_report(dist: Distribution) -> DistributionReport:
         p_vanna_volga=p_vv,
         best_lognormal_fit=best_ln,
         p_best_lognormal=p_ln,
-        kl_circle=kl_divergence(p_true, p_circle),
-        kl_vanna_volga=kl_divergence(p_true, p_vv),
-        kl_best_lognormal=kl_divergence(p_true, p_ln),
+        kl_circle=kl_circle,
+        kl_vanna_volga=kl_vv,
+        kl_best_lognormal=kl_ln,
         margin=margin,
     )

@@ -26,6 +26,14 @@ from smilegeo.workflows import distribution_report, market_state_for
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
+REFERENCE = (
+    Gamma(kappa=5.12, theta=0.64),
+    Uniform(a=2.0109, b=5.4750),
+    StudentT(mu=3.7322, nu=3.9565),
+    StudentT(mu=3.7201, nu=7.3824),
+    Normal(mu=11.3328, s=3.0),
+    LogNormal(mu=1.0, s=0.25),
+)
 
 
 def circle_arc_points(center, radius, n=4001, span=2.2):
@@ -322,6 +330,40 @@ class TestKlDivergence:
         q = DensityCurve(strikes=np.linspace(3.0, 4.0, 50), values=np.ones(50))
         with pytest.raises(DisjointSupport):
             kl_divergence(p, q)
+
+    @pytest.mark.parametrize("dist", REFERENCE, ids=lambda d: repr(d))
+    def test_several_q_equal_separate_calls(self, dist):
+        # One p side per window serves every q: each report is the one its
+        # own call gives, for q on p's window, clamped at the floor, on a
+        # narrower window and on a wider one (whose overlap is p's window).
+        report = distribution_report(dist)
+        p, strikes = report.p_true, report.window_grid
+        n = strikes.size
+        vv = report.p_vanna_volga.values
+        wide = np.exp(np.linspace(math.log(strikes[0]) - 0.2, math.log(strikes[-1]) + 0.2, 3001))
+        qs = (
+            report.p_circle,
+            report.p_vanna_volga,
+            report.p_best_lognormal,
+            DensityCurve(strikes=strikes, values=np.where(np.arange(n) < n // 10, 0.0, vv)),
+            DensityCurve(strikes=strikes[300:-700], values=vv[300:-700]),
+            density_curve(report.best_lognormal_fit, wide, rescale=False),
+        )
+        shared = kl_divergence(p, qs)
+        assert len(shared) == len(qs)
+        for got, q in zip(shared, qs):
+            want = kl_divergence(p, q)
+            assert got.kl_nats == want.kl_nats
+            assert got.clamped_fraction == want.clamped_fraction
+            assert np.array_equal(got.grid, want.grid)
+        assert shared[3].clamped_fraction > 0.09
+        assert shared[4].grid[0] > p.strikes[0] and shared[4].grid[-1] < p.strikes[-1]
+        assert np.array_equal(shared[5].grid, shared[0].grid)
+        in_report = (report.kl_circle, report.kl_vanna_volga, report.kl_best_lognormal)
+        for got, want in zip(in_report, shared):
+            assert got.kl_nats == want.kl_nats
+            assert got.clamped_fraction == want.clamped_fraction
+            assert np.array_equal(got.grid, want.grid)
 
 
 class TestTrapezoidWeights:

@@ -138,11 +138,10 @@ def run_cli(*args):
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
-# Run in a fresh interpreter: the CLI's import must leave the spline and
-# root-finding subpackages unloaded, and the spline functions must then load
-# scipy.interpolate on first use.  (scipy.interpolate itself loads part of
-# scipy.optimize, so whether the library needs the latter is checked apart,
-# on the source.)
+# Run in a fresh interpreter: neither the CLI's import nor a distribution
+# smile, a delta solve and a curvature profile load the spline or the
+# root-finding subpackage.  The package builds its splines itself; the
+# source scan below keeps either import out of it.
 IMPORT_PATH_PROBE = """
 import sys
 
@@ -168,7 +167,7 @@ anchor = strike_for_delta(smile, 0.25)
 assert abs(d1_d2(smile.market, anchor.strike, anchor.vol)[0] - 0.6744897501960817) < 1e-9
 profile = curvature_profile(represent(smile))
 assert profile.n_minus_d1 is not None
-assert "scipy.interpolate" in heavy()
+assert not heavy(), heavy()
 """
 
 
@@ -245,6 +244,7 @@ def test_cli_runs_without_scipy():
 
 
 def test_library_never_imports_scipy_optimize():
+    """Nor scipy.interpolate: the package's splines are its own."""
     src = pathlib.Path(SRC) / "smilegeo"
     found = []
     for path in sorted(src.glob("*.py")):
@@ -255,7 +255,9 @@ def test_library_never_imports_scipy_optimize():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found += [f"{path.name}: {n}" for n in names if n.startswith("scipy.optimize")]
+            found += [
+                f"{path.name}: {n}" for n in names if n.startswith(("scipy.interpolate", "scipy.optimize"))
+            ]
     assert found == []
 
 

@@ -1,4 +1,5 @@
-"""The numpy ports in smilegeo._interp against the scipy routines they port.
+"""The splines and the normal CDF in smilegeo._interp against the scipy
+routines they reproduce.
 
 Every comparison is bit for bit: equal NaN positions and equal bits
 everywhere else (so -0.0 and 0.0 differ).
@@ -14,11 +15,13 @@ from scipy.special import ndtr as scipy_ndtr
 
 from smilegeo import _interp
 from smilegeo.analysis import curvature_profile
-from smilegeo.bsm import forward_log_moneyness, ndtr
+from smilegeo.bsm import forward_log_moneyness, implied_vol_grid, ndtr
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.errors import InvalidInput
 from smilegeo.georep import represent
+from smilegeo.smile import smile_from_distribution, strike_grid
 from smilegeo.surface import complete_expiry, parse_surface
-from smilegeo.workflows import distribution_report
+from smilegeo.workflows import distribution_report, market_state_for
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
@@ -106,6 +109,68 @@ class TestSpline:
             assert_spline_matches(s, curve.points, su)
 
 
+def read_points(x):
+    """The knots, the midpoints, both ends, just and well beyond both ends, and NaN."""
+    span = x[-1] - x[0]
+    edges = [x[0], x[-1], np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+             x[0] - 0.3 * span, x[-1] + 0.3 * span, np.nan]
+    return np.concatenate([x, 0.5 * (x[:-1] + x[1:]), edges])
+
+
+def assert_natural_matches(x, y):
+    """The natural spline's value read and jet against CubicSpline and its
+    derivative splines, on array, numpy-scalar and 0-d reads."""
+    ours = _interp.natural_spline(x, y)
+    ref = CubicSpline(x, y, bc_type="natural")
+    refs = (ref, ref.derivative(1), ref.derivative(2))
+    xs = read_points(x)
+    assert same_bits(ours(xs), ref(xs))
+    for j, (got, want) in enumerate(zip(ours.jet(xs), refs)):
+        assert same_bits(got, want(xs)), j
+    for v in xs[np.r_[0, len(x) // 2, len(x), -8:0]]:
+        for read in (np.float64(v), np.asarray(v)):
+            assert same_bits(ours(read), ref(read)), v
+            for j, (got, want) in enumerate(zip(ours.jet(read), refs)):
+                assert same_bits(got, want(read)), (v, j)
+
+
+def report_nodes(dist):
+    """The (ln K, vol) nodes of the smile ``distribution_report`` builds."""
+    ms = market_state_for(dist)
+    strikes = strike_grid(dist, ms)
+    return np.log(strikes), implied_vol_grid(ms, strikes, dist.call_price(ms, strikes))
+
+
+class TestNaturalSpline:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_nodes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(5, 2501))
+        x = random_nodes(rng, n, seed % 3)
+        y = np.cumsum(rng.normal(size=n)) if seed % 2 else 0.2 + 0.05 * np.sin(x)
+        assert_natural_matches(x, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_few_nodes(self, n):
+        x = np.array([0.0, 1.0, 2.5, 2.75][:n])
+        assert_natural_matches(x, np.cos(x))
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
+    def test_report_grids(self, dist):
+        lnk, vols = report_nodes(dist)
+        assert_natural_matches(lnk, vols)
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
+    def test_smile_reads_are_scipys(self, dist):
+        lnk, vols = report_nodes(dist)
+        smile = smile_from_distribution(dist, market_state_for(dist))
+        ref = CubicSpline(lnk, vols, bc_type="natural")
+        xs = read_points(lnk)
+        assert same_bits(smile.vol_fn(xs), ref(xs))
+        for nu, got in enumerate(smile.jet_fn(xs)):
+            assert same_bits(got, ref.derivative(nu)(xs) if nu else ref(xs)), nu
+
+
 Y5 = np.sin(np.arange(5.0))
 BAD_INPUTS = [
     ([0.0, 1.0, np.nan, 3.0, 4.0], Y5),
@@ -119,11 +184,16 @@ BAD_INPUTS = [
 
 @pytest.mark.parametrize("x, y", BAD_INPUTS)
 def test_value_errors_where_scipy_raises(x, y):
+    # The package raises its own InvalidInput, which is a ValueError too.
     x = np.asarray(x)
     with pytest.raises(ValueError):
         CubicSpline(x, y)
     with pytest.raises(ValueError):
+        CubicSpline(x, y, bc_type="natural")
+    with pytest.raises(InvalidInput):
         _interp.curve_spline(x, np.column_stack([Y5, y]))
+    with pytest.raises(InvalidInput):
+        _interp.natural_spline(x, y)
 
 
 def neighbours(v, k=40):

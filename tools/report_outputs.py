@@ -11,16 +11,23 @@ five families, with market-like widths (annual vol about 8-45 %).
 OUT is a JSON file with one record per case: the ends of the smile's
 strike grid (``k_lo``, ``k_hi``), the KL window, the anchors (target,
 strike, vol), the fitted circle, the three KL values, the non-negativity
-margin and a sha256 of the bytes of each of the densities ``p_true``,
-``p_circle`` and ``p_vanna_volga`` on the KL window, or the error a case
-raised.  Floats are written with ``repr``, so files from two checkouts
-compare exactly; a density that moves by one bit changes its hash, where
-the KL values may not show it.  ``--compare`` prints, for each numeric
-field, how many cases differ, the largest absolute change, the largest
-change relative to the field's largest magnitude in its case, and the
-largest distance in units in the last place between values of one sign (a
-value near zero, such as a centred circle's centre or the KL of a perfect
-fit, can change sign); for each density hash, how many cases differ.
+margin, or the error a case raised, and sha256 hashes of the bytes of:
+
+- each of the densities ``p_true``, ``p_circle`` and ``p_vanna_volga`` on
+  the KL window;
+- the smile's jet (sigma and its first and second ln-K derivatives) at the
+  nodes of its strike grid and at the midpoints between them;
+- ``curvature_profile(report.curve, circle=report.circle)``'s ``kappa_e``,
+  ``kappa_s``, ``arc`` and ``n_minus_d1``.
+
+Floats are written with ``repr``, so files from two checkouts compare
+exactly; an array that moves by one bit changes its hash, where the KL
+values may not show it.  ``--compare`` prints, for each numeric field, how
+many cases differ, the largest absolute change, the largest change
+relative to the field's largest magnitude in its case, and the largest
+distance in units in the last place between values of one sign (a value
+near zero, such as a centred circle's centre or the KL of a perfect fit,
+can change sign); for each hash, how many cases differ.
 """
 from __future__ import annotations
 
@@ -63,6 +70,7 @@ def record(sg, dist) -> dict:
         rep = sg.distribution_report(dist)
     except sg.SmileGeoError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
+    profile = sg.curvature_profile(rep.curve, circle=rep.circle)
     return {
         "grid": [rep.smile.k_lo, rep.smile.k_hi],
         "window": list(rep.window),
@@ -75,7 +83,22 @@ def record(sg, dist) -> dict:
         "density_sha256": {
             name: _sha256(getattr(rep, name).values) for name in ("p_true", "p_circle", "p_vanna_volga")
         },
+        "jet_sha256": _jet_hashes(sg, dist, rep),
+        "curvature_sha256": {
+            name: _sha256(getattr(profile, name)) for name in ("kappa_e", "kappa_s", "arc", "n_minus_d1")
+        },
     }
+
+
+def _jet_hashes(sg, dist, rep) -> dict:
+    """Hashes of the smile's sigma and its two ln-K derivatives at the nodes
+    of its strike grid and at the midpoints between them."""
+    nodes = np.log(sg.smile.strike_grid(dist, rep.market))
+    out = {}
+    for where, lnk in (("nodes", nodes), ("midpoints", 0.5 * (nodes[:-1] + nodes[1:]))):
+        for name, values in zip(("sigma", "dsigma", "d2sigma"), rep.smile.jet_fn(lnk)):
+            out[f"{name}_{where}"] = _sha256(values)
+    return out
 
 
 def _sha256(values) -> str:
@@ -115,7 +138,7 @@ def compare(path_a: Path, path_b: Path) -> None:
                 print(f"{name}: {rec_a.get('error', 'ok')} -> {rec_b.get('error', 'ok')}")
             continue
         for key in rec_a:
-            if key == "density_sha256":
+            if key.endswith("_sha256"):
                 for name, digest in rec_a[key].items():
                     hashes.setdefault(name, []).append(digest != rec_b[key][name])
                 continue
@@ -131,7 +154,7 @@ def compare(path_a: Path, path_b: Path) -> None:
             f"absolute, {rel:.2g} relative, {ulps} ulp"
         )
     for name, moved in hashes.items():
-        print(f"{name:13s} {sum(moved):3d} of {len(moved)} cases differ in their sha256")
+        print(f"{name:17s} {sum(moved):3d} of {len(moved)} cases differ in their sha256")
 
 
 def main(argv) -> int:
