@@ -56,12 +56,7 @@ class _Cubic:
 
     def __call__(self, xs) -> np.ndarray:
         (c0, c1, c2, c3), s = self._cells(xs)
-        z = s * s
-        out = 0.0 + c3
-        out += c2 * s
-        out += c1 * z
-        out += c0 * (z * s)
-        return out
+        return _power_sum(c0, c1, c2, c3, s, s * s)
 
     def jet(self, xs):
         """Value, first and second derivative from one cell search; the derivatives
@@ -69,16 +64,22 @@ class _Cubic:
         (c0, c1, c2, c3), s = self._cells(xs)
         z = s * s
         two_c1 = 2.0 * c1
-        val = 0.0 + c3
-        val += c2 * s
-        val += c1 * z
-        val += c0 * (z * s)
+        val = _power_sum(c0, c1, c2, c3, s, z)
         d1 = 0.0 + c2
         d1 += two_c1 * s
         d1 += (3.0 * c0) * z
         d2 = 0.0 + two_c1
         d2 += (6.0 * c0) * s
         return val, d1, d2
+
+
+def _power_sum(c0, c1, c2, c3, s, z):
+    """``PPoly``'s value on a cell, c3 + c2 s + c1 z + c0 (z s) with z = s * s, in that order."""
+    out = 0.0 + c3
+    out += c2 * s
+    out += c1 * z
+    out += c0 * (z * s)
+    return out
 
 
 def _check_nodes(x, y, y_ndim: int):

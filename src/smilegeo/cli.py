@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,7 +35,6 @@ from .surface import (
     row_anchors,
 )
 
-GRID_POINTS_ENV = "SMILEGEO_GRID_POINTS"
 # Subcommands that complete by one method whatever --method says.
 _FIXED_METHOD = {"fit-circle": "circle", "fit-ellipse": "ellipse", "curvature": "circle"}
 
@@ -56,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="radial scale R (finite, positive), or 'auto' (default) for the delta-window rule",
     )
     common.add_argument(
-        "--grid-points",
-        default=os.environ.get(GRID_POINTS_ENV, "2001"),
-        help=f"points per evaluation grid (default 2001, env {GRID_POINTS_ENV})",
+        "--grid-points", default="2001", help="points per evaluation grid (default 2001)"
     )
     common.add_argument(
         "--delta-convention",
@@ -115,16 +111,13 @@ def _radius_scale(text: str) -> float | None:
 
 
 def _grid_points(args, least: int) -> int:
-    """--grid-points (or its environment default) as an integer of at least ``least``."""
+    """--grid-points as an integer of at least ``least``."""
     try:
         n = int(args.grid_points)
     except ValueError:
         n = least - 1
     if n < least:
-        raise ParseError(
-            f"--grid-points (default from {GRID_POINTS_ENV}) must be an integer "
-            f">= {least}, got {args.grid_points!r}"
-        )
+        raise ParseError(f"--grid-points must be an integer >= {least}, got {args.grid_points!r}")
     return n
 
 
@@ -154,7 +147,7 @@ def _representation_points_table(row, args) -> TableArtifact:
     conv = _convention(args)
     ctx = row.frame(args.radius_scale)
     labels = [lab for lab in LABELS if lab in row.vols]
-    anchors = row_anchors(row, labels, conv, row.strikes(conv))
+    anchors = row_anchors(row, labels, row.strikes(conv))
     out = []
     for lab, a, (x, y) in zip(labels, anchors, represent_anchors(anchors, ctx)):
         x_coord = strike_to_x(a.strike, ctx.atm_rn, ctx.radius_scale)

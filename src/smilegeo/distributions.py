@@ -339,14 +339,15 @@ class Uniform(Distribution):
         return out
 
 
-def density_curve(dist: Distribution, strikes, rescale: bool = True) -> DensityCurve:
+def density_curve(dist: Distribution, strikes) -> DensityCurve:
     """Sample the density on a strike grid.
 
-    With ``rescale`` the values are divided by 1 - P(0) so the positive-axis
-    restriction integrates to one (a no-op for positively supported families).
+    The values are divided by 1 - P(0) so the positive-axis restriction
+    integrates to one; for positively supported families P(0) is 0.0 and
+    the division is exact.
     """
     strikes = np.asarray(strikes, dtype=float)
-    p0 = dist.mass_below_zero() if rescale else 0.0
+    p0 = dist.mass_below_zero()
     values = np.asarray(dist.pdf(strikes), dtype=float) / (1.0 - p0)
     return DensityCurve(strikes=strikes, values=values, mass_below_zero=p0)
 

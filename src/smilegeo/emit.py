@@ -3,7 +3,9 @@
 CSV output is RFC-4180 with '.' decimals, LF line endings, and 10
 significant digits.  JSON documents carry the versioned schema tag
 "smilegeo/1".  SVG output is SVG 1.1 with labelled axes and one polyline
-per series; identical inputs produce identical bytes.
+per series; identical inputs produce identical bytes.  Tables, density
+curves, curvature profiles and discrepancy tables render in all three
+formats; a ``RepresentationScene`` renders as SVG only.
 """
 from __future__ import annotations
 
@@ -59,18 +61,6 @@ def table_from_density(curve: DensityCurve) -> TableArtifact:
     return TableArtifact(kind="density", columns=("strike", "density"), rows=rows)
 
 
-def table_from_representation(curve: RepresentationCurve) -> TableArtifact:
-    rows = tuple(
-        (float(k), float(a), float(r), float(p[0]), float(p[1]))
-        for k, a, r, p in zip(curve.strikes, curve.angles, curve.radii, curve.points)
-    )
-    return TableArtifact(
-        kind="representation",
-        columns=("strike", "angle", "radius", "x", "y"),
-        rows=rows,
-    )
-
-
 def table_from_curvature(profile: CurvatureProfile) -> TableArtifact:
     cols = ["arc", "angle_about_center", "kappa_e", "kappa_s"]
     data = [profile.arc, profile.angle_about_center, profile.kappa_e, profile.kappa_s]
@@ -99,14 +89,10 @@ def _as_table(artifact) -> TableArtifact:
         return artifact
     if isinstance(artifact, DensityCurve):
         return table_from_density(artifact)
-    if isinstance(artifact, RepresentationCurve):
-        return table_from_representation(artifact)
     if isinstance(artifact, CurvatureProfile):
         return table_from_curvature(artifact)
     if isinstance(artifact, DiscrepancyTable):
         return table_from_discrepancy(artifact)
-    if isinstance(artifact, RepresentationScene):
-        return table_from_representation(artifact.curve)
     raise TypeError(f"cannot emit {type(artifact).__name__}")
 
 

@@ -37,30 +37,22 @@ def smile_anchors(
     conv: DeltaConvention = DeltaConvention.FORWARD_N,
 ) -> list[DeltaAnchor]:
     """Wing anchors at the given targets plus the centre-strike anchor, by strike."""
-    return anchors_at_strikes(
-        smile, ctx, wing_targets, strikes_for_deltas(smile, wing_targets, conv), conv
-    )
+    wing_strikes = strikes_for_deltas(smile, wing_targets, conv)
+    return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
 
 
 def anchors_at_strikes(
-    smile: SmileCurve, ctx: ReprContext, wing_targets, wing_strikes, conv: DeltaConvention
+    smile: SmileCurve, ctx: ReprContext, wing_targets, wing_strikes
 ) -> list[DeltaAnchor]:
     """``smile_anchors`` from wing strikes already solved for ``wing_targets``.
 
     Each anchor's vol is a scalar read of the smile at its strike.
     """
     anchors = [
-        DeltaAnchor(target=t, strike=k, vol=float(smile.vol(k)), convention=conv)
+        DeltaAnchor(target=t, strike=k, vol=float(smile.vol(k)))
         for t, k in zip(wing_targets, map(float, wing_strikes))
     ]
-    anchors.append(
-        DeltaAnchor(
-            target=0.5,
-            strike=ctx.atm_rn,
-            vol=float(smile.vol(ctx.atm_rn)),
-            convention=DeltaConvention.FORWARD_N,
-        )
-    )
+    anchors.append(DeltaAnchor(target=0.5, strike=ctx.atm_rn, vol=float(smile.vol(ctx.atm_rn))))
     anchors.sort(key=lambda a: a.strike)
     return anchors
 

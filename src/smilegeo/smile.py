@@ -97,7 +97,6 @@ class DeltaAnchor:
     target: float
     strike: float
     vol: float
-    convention: DeltaConvention = DeltaConvention.FORWARD_N
 
 
 @dataclass(frozen=True)
@@ -388,7 +387,7 @@ def strike_for_delta(
 ) -> DeltaAnchor:
     """Strike where the smile's N(-d1) (or raw |put delta|) hits ``target``."""
     strike = float(strikes_for_deltas(smile, [target], conv)[0])
-    return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)), convention=conv)
+    return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)))
 
 
 def _terms(smile: SmileCurve, strikes, mode: str):

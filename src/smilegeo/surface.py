@@ -11,7 +11,8 @@ label; ``math.*`` calls would not (see ``smile``).
 
 A row owns its market state, label strikes and flat-ATM frame (centre strike
 and radial scale R), built once.  ``discrepancy_table`` is the one loop over
-a surface's rows, and every row error names its expiry.
+a surface's rows, and every row error names its expiry.  Both synthetic
+surfaces are written by one CSV writer; each generator gives its smiles.
 """
 from __future__ import annotations
 
@@ -254,16 +255,13 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
     return eff if side == "put" else 1.0 - eff
 
 
-def row_anchors(
-    row: SurfaceQuoteRow, labels, conv: DeltaConvention, strikes: dict[str, float]
-) -> list[DeltaAnchor]:
+def row_anchors(row: SurfaceQuoteRow, labels, strikes: dict[str, float]) -> list[DeltaAnchor]:
     """Anchors at the given labels, in label order, from already solved label strikes."""
     return [
         DeltaAnchor(
             target=0.5 if _LABEL_DELTA[lab][1] == "atm" else _LABEL_DELTA[lab][0],
             strike=strikes[lab],
             vol=row.vols[lab],
-            convention=conv,
         )
         for lab in labels
     ]
@@ -327,7 +325,7 @@ def complete_expiry(
         missing = [lab for lab in labels if lab not in row.vols]
         if missing:
             raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
-        anchors = tuple(sorted(row_anchors(row, labels, conv, strikes), key=lambda a: a.strike))
+        anchors = tuple(sorted(row_anchors(row, labels, strikes), key=lambda a: a.strike))
         if method == "vanna-volga":
             ctx = shape = None
             quotes = ThreeQuoteSmile(anchors=anchors, market=row.market())
@@ -434,11 +432,21 @@ STANDARD_EXPIRIES = (
 )
 
 
-def _self_consistent_label_quotes(smile: SmileCurve, conv: DeltaConvention) -> dict[str, float]:
-    """Solve the nine label strikes on a full smile in one solve and read the vols there."""
-    levels = [effective_nd1_target(lab, smile.market, conv) for lab in LABELS]
-    strikes = strikes_for_deltas(smile, levels).tolist()
-    return {lab: float(smile.vol(k)) for lab, k in zip(LABELS, strikes)}
+def _surface_csv(spot: float, dom: float, forr: float, conv: DeltaConvention, smile_of) -> str:
+    """The 14-expiry surface CSV of ``smile_of(i, ms)``, the smile of expiry i.
+
+    Each row solves its nine label strikes on the smile in one solve and
+    quotes the vols there.
+    """
+    lines = [CSV_HEADER]
+    for i, (label, tenor) in enumerate(STANDARD_EXPIRIES):
+        ms = MarketState(spot=spot, dom_rate=dom, for_rate=forr, tenor=tenor)
+        smile = smile_of(i, ms)
+        levels = [effective_nd1_target(lab, ms, conv) for lab in LABELS]
+        strikes = strikes_for_deltas(smile, levels).tolist()
+        cells = ",".join(f"{float(smile.vol(k)):.12f}" for k in strikes)
+        lines.append(f"{label},{tenor:.10f},{spot},{dom},{forr},{cells}")
+    return "\n".join(lines) + "\n"
 
 
 def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
@@ -447,10 +455,8 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
     The circle method reconstructs it to rounding; the anchor columns of any
     method's discrepancy table are zero on it.
     """
-    lines = [CSV_HEADER]
-    spot, dom, forr = 1.1000, 0.020, 0.012
-    for i, (label, tenor) in enumerate(STANDARD_EXPIRIES):
-        ms = MarketState(spot=spot, dom_rate=dom, for_rate=forr, tenor=tenor)
+
+    def smile_of(i: int, ms: MarketState) -> SmileCurve:
         atm_vol = 0.095 + 0.020 * math.sin(0.55 * i) + 0.004 * i
         ctx = flat_context(ms, atm_vol)
         r_plus_sig = ctx.radius_scale + atm_vol
@@ -460,31 +466,25 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
         cy = -0.020 * math.sin(0.3 + 0.25 * i) * ctx.radius_scale
         radius = math.hypot(0.0 - cx, -r_plus_sig - cy)
         shape = CircleShape(center=(cx, cy), radius=radius)
-        k_band = 3.5 * atm_vol * math.sqrt(tenor)
-        smile = smile_from_shape(
+        k_band = 3.5 * atm_vol * math.sqrt(ms.tenor)
+        return smile_from_shape(
             shape, ctx,
             k_lo=ctx.atm_rn * math.exp(-k_band),
             k_hi=ctx.atm_rn * math.exp(k_band),
         )
-        quotes = _self_consistent_label_quotes(smile, conv)
-        cells = ",".join(f"{quotes[lab]:.12f}" for lab in LABELS)
-        lines.append(f"{label},{tenor:.10f},{spot},{dom},{forr},{cells}")
-    return "\n".join(lines) + "\n"
+
+    return _surface_csv(1.1000, 0.020, 0.012, conv, smile_of)
 
 
 def synthetic_gamma_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
     """A 14-expiry surface generated from gamma-distribution smiles."""
-    lines = [CSV_HEADER]
-    spot, dom, forr = 3.40, 0.015, 0.005
-    for i, (label, tenor) in enumerate(STANDARD_EXPIRIES):
-        ms = MarketState(spot=spot, dom_rate=dom, for_rate=forr, tenor=tenor)
+
+    def smile_of(i: int, ms: MarketState) -> SmileCurve:
         # Relative width grows like vol * sqrt(T), so annualised vols stay
         # market-sized and the skew deepens with tenor.
         vol_scale = 0.10 + 0.008 * math.sin(0.9 * i) + 0.004 * i
-        kappa = 1.0 / (vol_scale * vol_scale * tenor)
+        kappa = 1.0 / (vol_scale * vol_scale * ms.tenor)
         dist = Gamma(kappa=kappa, theta=ms.forward() / kappa)
-        smile = smile_from_distribution(dist, ms, GridSpec(n=1201))
-        quotes = _self_consistent_label_quotes(smile, conv)
-        cells = ",".join(f"{quotes[lab]:.12f}" for lab in LABELS)
-        lines.append(f"{label},{tenor:.10f},{spot},{dom},{forr},{cells}")
-    return "\n".join(lines) + "\n"
+        return smile_from_distribution(dist, ms, GridSpec(n=1201))
+
+    return _surface_csv(3.40, 0.015, 0.005, conv, smile_of)

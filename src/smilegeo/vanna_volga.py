@@ -18,13 +18,13 @@ argument turns negative (far wings) it is clamped at zero.
 The quotient is evaluated rationalised, sigma2 + B / (sqrt(sigma2^2 + D B)
 + sigma2) with B = 2 sigma2 P + Q and D = d1 d2: it never divides by D, so
 it is smooth where d1 d2 crosses zero near the money and needs no series
-there.  A single strike's vol takes a scalar path: float arithmetic with the
-branch picked by ``if``, no masks or error-state switching.  B and its
-slopes are formed as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the
-three weights.  A dot product would round each strike's sum by its position
-in the array, so a vol could change with the grid it is read on; the
-elementwise sum gives a strike the same bits alone, inside any grid, and on
-the float path.
+there.  Array vols and the jet share one sigma expression; a single strike's
+vol takes a scalar path: float arithmetic with the branch picked by ``if``.
+B and its slopes are formed as the elementwise sum ``c1*w1 + c2*w2 +
+c3*w3`` over the three weights.  A dot product would round each strike's
+sum by its position in the array, so a vol could change with the grid it is
+read on; the elementwise sum gives a strike the same bits alone, inside any
+grid, and on the float path.
 """
 from __future__ import annotations
 
@@ -183,25 +183,33 @@ class _MarketOrder:
         dd2 = 2.0 / (self.c * self.c)
         return b, b1, self.b2, d1 * d2_, dd1, dd2
 
+    def _sigma(self, b, dd):
+        """sigma from B and D on arrays, with w, u and the clamped mask the jet reuses;
+        callers silence the warnings of clamped points and non-finite B or D."""
+        s2 = self.s2
+        arg = s2 * s2 + dd * b
+        w_ = np.sqrt(arg)
+        u = w_ + s2
+        sig = s2 + b / u
+        clamped = arg <= 0.0
+        if clamped.any():  # sqrt argument pinned at zero
+            sig = np.where(clamped, s2 - s2 / dd, sig)
+        return sig, w_, u, clamped
+
     def jet(self, lnk):
         s2 = self.s2
         b, b1, b2, dd, dd1, dd2 = self._pieces(lnk)
-        arg = s2 * s2 + dd * b
-        with np.errstate(divide="ignore", invalid="ignore"):  # clamped points, non-finite B or D
-            w_ = np.sqrt(arg)
-            u = w_ + s2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sig, w_, u, clamped = self._sigma(b, dd)
             w1_ = (dd1 * b + dd * b1) / (2.0 * w_)
             w2_ = (dd2 * b + 2.0 * dd1 * b1 + dd * b2) / (2.0 * w_) - w1_ * w1_ / w_
-            sig = s2 + b / u
             dsig = b1 / u - b * w1_ / (u * u)
             d2sig = (
                 b2 / u
                 - (2.0 * b1 * w1_ + b * w2_) / (u * u)
                 + 2.0 * b * w1_ * w1_ / (u * u * u)
             )
-            clamped = arg <= 0.0
-            if clamped.any():  # sqrt argument pinned at zero
-                sig = np.where(clamped, s2 - s2 / dd, sig)
+            if clamped.any():
                 dsig = np.where(clamped, s2 * dd1 / (dd * dd), dsig)
                 d2sig = np.where(
                     clamped, s2 * (dd2 * dd - 2.0 * dd1 * dd1) / (dd * dd * dd), d2sig
@@ -209,20 +217,13 @@ class _MarketOrder:
         return sig, dsig, d2sig
 
     def vol(self, lnk):
-        """sigma alone: the jet's sigma expressions without the derivative terms."""
+        """sigma alone: the jet's sigma without the derivative terms."""
         if np.ndim(lnk) == 0:
             return self._vol_at(float(lnk))
         lnk = np.asarray(lnk, dtype=float)
-        s2 = self.s2
         d1, d2_ = self._d1_d2(lnk)
-        b, dd = _sum3(self.b_coef, self.w(lnk)), d1 * d2_
-        arg = s2 * s2 + dd * b
         with np.errstate(divide="ignore", invalid="ignore"):
-            sig = s2 + b / (np.sqrt(arg) + s2)
-            clamped = arg <= 0.0
-            if clamped.any():
-                sig = np.where(clamped, s2 - s2 / dd, sig)
-        return sig
+            return self._sigma(_sum3(self.b_coef, self.w(lnk)), d1 * d2_)[0]
 
     def _vol_at(self, x: float) -> float:
         """sigma at one ln K in float arithmetic, branch picked by ``if``."""

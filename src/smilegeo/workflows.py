@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import BEST_LOGNORMAL_MIN_MASS, DivergenceReport, best_lognormal, kl_divergence
-from .bsm import DeltaConvention, MarketState
+from .bsm import MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import DegenerateMass, InconsistentForward
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
@@ -118,9 +118,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     strike = dict(zip(plain, solved))
     ctx = _context(ms, strike[0.5], None, strike.__getitem__)
     curve = represent(smile, ctx)
-    anchors = anchors_at_strikes(
-        smile, ctx, CIRCLE_TARGETS, solved[len(plain):], DeltaConvention.FORWARD_N
-    )
+    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, solved[len(plain):])
     circle, _ = fit_shape(anchors, ctx)
 
     k_lo, k_hi = strike[ND1_WINDOW[0]], strike[ND1_WINDOW[1]]
@@ -130,15 +128,15 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     circle_smile = smile_from_shape(circle, ctx, k_lo=k_lo, k_hi=k_hi)
     vv = vv_smile(ThreeQuoteSmile(anchors=tuple(anchors), market=ms), k_lo=k_lo, k_hi=k_hi)
 
-    p_true = density_curve(dist, window_grid, rescale=True)
+    p_true = density_curve(dist, window_grid)
     # The circle's density and its non-negativity margin share one bracket.
     p_circle, margin = density_with_margin(circle_smile, window_grid)
     p_vv = density_from_smile(vv, window_grid)
 
     # Fit the log-normal on the wide quantile grid of the analysed density,
     # then judge it on the same window as the other candidates.
-    best_ln = best_lognormal(density_curve(dist, fit_grid, rescale=True))
-    p_ln = density_curve(best_ln, window_grid, rescale=False)
+    best_ln = best_lognormal(density_curve(dist, fit_grid))
+    p_ln = density_curve(best_ln, window_grid)
     kl_circle, kl_vv, kl_ln = kl_divergence(p_true, (p_circle, p_vv, p_ln))
 
     return DistributionReport(

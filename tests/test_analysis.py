@@ -101,6 +101,29 @@ class TestCurvatureOnCircles:
             similarity_curvature(circle_arc_points((0.0, 0.0), 1.0, n=8))
 
 
+class TestCurvatureOnEllipses:
+    # On a circle kappa_s is 0 and the x' y''' - y' x''' term of the point-array
+    # kappa_s vanishes, so only a non-circular closed form checks its sign and
+    # weight.  x = a cos t, y = b sin t with D = a^2 sin^2 t + b^2 cos^2 t has
+    # kappa_E = a b / D^{3/2} and kappa_s = 3 (a^2 - b^2) sin t cos t / (a b).
+    # Measured on a = 1.8, b = 0.9, t in [0.4, 2.8]: 4001 points reach
+    # 2.6e-9 relative on kappa_E and 2.4e-5 on kappa_s (whose peak is 2.25),
+    # 401 points 1.3e-5 and 9.2e-3.  Each bound is 4x its figure.
+    @pytest.mark.parametrize(
+        "n, ke_tol, ks_tol", [(4001, 4 * 2.6e-9, 4 * 2.4e-5), (401, 4 * 1.3e-5, 4 * 9.2e-3)]
+    )
+    def test_point_array_closed_forms(self, n, ke_tol, ks_tol):
+        a, b = 1.8, 0.9
+        t = np.linspace(0.4, 2.8, n)
+        profile = curvature_profile(np.column_stack([a * np.cos(t), b * np.sin(t)]))
+        t = np.arctan2(profile.y / b, profile.x / a)  # each row's parameter
+        d = a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2
+        kappa_e = a * b / d**1.5
+        kappa_s = 3.0 * (a * a - b * b) * np.sin(t) * np.cos(t) / (a * b)
+        assert np.max(np.abs(profile.kappa_e / kappa_e - 1.0)) <= ke_tol
+        assert np.max(np.abs(profile.kappa_s - kappa_s)) <= ks_tol
+
+
 class TestCurvatureOnRepresentations:
     def test_uniform_wings_have_large_excursions(self):
         # Non-bell-shaped input: the similarity curvature blows up at the
@@ -347,7 +370,7 @@ class TestKlDivergence:
             report.p_best_lognormal,
             DensityCurve(strikes=strikes, values=np.where(np.arange(n) < n // 10, 0.0, vv)),
             DensityCurve(strikes=strikes[300:-700], values=vv[300:-700]),
-            density_curve(report.best_lognormal_fit, wide, rescale=False),
+            density_curve(report.best_lognormal_fit, wide),
         )
         shared = kl_divergence(p, qs)
         assert len(shared) == len(qs)
@@ -401,13 +424,13 @@ class TestBestLognormal:
         )
         p = density_curve(dist, grid)
         fit = best_lognormal(p)
-        base = kl_divergence(p, density_curve(fit, grid, rescale=False)).kl_nats
+        base = kl_divergence(p, density_curve(fit, grid)).kl_nats
         for dmu in (-0.01, 0.0, 0.01):
             for ds in (-0.01, 0.0, 0.01):
                 if dmu == ds == 0.0:
                     continue
                 other = LogNormal(mu=fit.mu * (1 + dmu), s=fit.s * (1 + ds))
-                kl = kl_divergence(p, density_curve(other, grid, rescale=False)).kl_nats
+                kl = kl_divergence(p, density_curve(other, grid)).kl_nats
                 assert kl >= base - 1e-9
 
     def test_degenerate_mass_raises(self):

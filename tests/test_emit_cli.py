@@ -573,35 +573,17 @@ class TestCli:
         two = run_cli("compare", GAMMA_CSV, "--method", "vanna-volga")
         assert one == two
 
-    def test_env_grid_points_override(self, tmp_path):
-        out_path = tmp_path / "d.csv"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "smilegeo.cli",
-                "density", GAMMA_CSV, "--out", str(out_path),
-            ],
-            capture_output=True,
-            env={**os.environ, "SMILEGEO_GRID_POINTS": "51"},
-        )
-        assert proc.returncode == 0
-        assert len(out_path.read_text().strip().splitlines()) == 52
-
     @pytest.mark.parametrize(
-        "points, env",
-        [("1", None), ("0", None), ("-5", None), ("abc", None), (None, "abc"), (None, "1")],
-        ids=["flag-1", "flag-0", "flag-neg5", "flag-abc", "env-abc", "env-1"],
+        "points", ["1", "0", "-5", "abc"], ids=["flag-1", "flag-0", "flag-neg5", "flag-abc"]
     )
-    def test_bad_density_grid_points_exit_2(self, capsys, monkeypatch, points, env):
+    def test_bad_density_grid_points_exit_2(self, capsys, points):
         from smilegeo import cli
 
-        if env is not None:
-            monkeypatch.setenv("SMILEGEO_GRID_POINTS", env)
-        flag = [] if points is None else ["--grid-points", points]
-        code = cli.main(["density", GAMMA_CSV, *flag])
+        code = cli.main(["density", GAMMA_CSV, "--grid-points", points])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
-        assert "--grid-points" in err and "SMILEGEO_GRID_POINTS" in err
+        assert "--grid-points" in err
 
     def test_curvature_grid_points_negative_exit_2_short_exit_3(self, capsys):
         from smilegeo import cli

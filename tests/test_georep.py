@@ -229,7 +229,7 @@ class TestRepresentAnchorsExact:
     @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
     def test_every_label_of_shipped_rows(self, name, conv):
         for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
-            anchors = row_anchors(row, LABELS, conv, row.strikes(conv))
+            anchors = row_anchors(row, LABELS, row.strikes(conv))
             for ctx in (flat_context(row.market(), row.vols["ATM"]),
                         flat_context(row.market(), row.vols["ATM"], 0.5)):
                 got = represent_anchors(anchors, ctx)

@@ -48,7 +48,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -218,8 +217,6 @@ def main(argv) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     src_root, out_dir = Path(argv[0]).resolve(), Path(argv[1])
-    # The grid-size default is read from the environment; pin it.
-    os.environ.pop("SMILEGEO_GRID_POINTS", None)
     sys.path.insert(0, str(src_root))
     from smilegeo import cli
 
