@@ -1,4 +1,4 @@
-"""The cubic splines behind smiles and curvatures, and a scipy-free normal CDF.
+"""The cubic splines behind smiles and curvatures.
 
 Each function returns the same doubles, bit for bit, as the scipy 1.17.1
 routine it reproduces:
@@ -8,12 +8,6 @@ routine it reproduces:
 - ``curve_spline(t, pts)`` is ``CubicSpline(t, pts[:, i])`` (not-a-knot) for
   both coordinates of a planar curve, solved as two right-hand sides of
   one tridiagonal system.  Only raw point arrays are resampled through it.
-- ``ndtr(a)`` is ``scipy.special.ndtr``, Cephes ``ndtr``/``erf``/``erfc``
-  (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
-  1989), with no scipy import, so ``curvature`` runs in a cold CLI process
-  without loading scipy.  The polynomials run on arrays, but ``exp`` runs
-  per element through ``math.exp``: numpy's array ``exp`` differs from
-  libm's in the last bit on some inputs.
 
 The splines form scipy's band, right-hand side and Hermite coefficients and
 solve with LAPACK ``dgtsv`` as ``solve_banded`` calls it, importing
@@ -26,8 +20,6 @@ the derivatives from the coefficients ``PPoly.derivative`` forms.  The builders 
 at least 4 nodes, where scipy solves 2 and 3 another way.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -159,75 +151,3 @@ def curve_spline(t, pts) -> _Cubic:
     d[-1], dl[-1] = dt[-2], w1
     b[-1] = (dt[-1] ** 2 * slope[-2] + (2 * w1 + dt[-1]) * dt[-2] * slope[-1]) / w1
     return _hermite(t, dxr, pts, slope, _gtsv(dl, d, du, b))
-
-
-# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =
-# exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x) beyond.
-# Each denominator leads with the 1 that Cephes' p1evl leaves implicit.
-_SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-
-
-def _polevl(x: np.ndarray, coef) -> np.ndarray:
-    """Horner's rule in Cephes' order."""
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def ndtr(a) -> np.ndarray:
-    """Standard normal CDF, bit for bit ``scipy.special.ndtr``."""
-    a = np.asarray(a, dtype=float)
-    x = a * _SQRT1_2
-    z = np.abs(x)
-    # N = 1/2 + erf(x)/2 for |x| < 1/sqrt(2), else erfc(|x|)/2 (reflected for
-    # x > 0).  erf's polynomial also serves erfc(z) = 1 - erf(z) for z < 1.
-    mid = z < _SQRT1_2
-    small = z < 1.0
-    w = np.where(mid, x, np.where(small, z, 0.0))
-    w2 = w * w
-    erf_w = w * _polevl(w2, _ERF_T) / _polevl(w2, _ERF_U)
-    y = np.where(mid, 0.5 + 0.5 * erf_w, 0.5 * (1.0 - erf_w))
-    tail = ~small  # NaN takes this branch and stays NaN
-    if tail.any():
-        zt = z[tail]
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = -zt * zt  # -inf past sqrt(max double)
-            e = np.fromiter(map(math.exp, u.tolist()), float, u.size)
-            near = zt < 8.0
-            zn = np.where(near, zt, 1.0)
-            p, q = _polevl(zn, _ERFC_P), _polevl(zn, _ERFC_Q)
-            if not near.all():
-                far = zt[~near]
-                p[~near], q[~near] = _polevl(far, _ERFC_R), _polevl(far, _ERFC_S)
-            y[tail] = 0.5 * np.where(u < -_MAXLOG, 0.0, (e * p) / q)
-    up = ~mid & (x > 0.0)
-    y[up] = 1.0 - y[up]
-    return y

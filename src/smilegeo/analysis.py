@@ -19,9 +19,9 @@ kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
 
-The point-array spline and the N(-d1) column come from ``_interp``, bit
-for bit scipy's; the column is a numpy port, so a cold ``curvature`` run
-loads numpy only.  Several q against one p share p's side of the KL.
+The point-array spline comes from ``_interp`` and the N(-d1) column from
+``bsm.cephes_ndtr``, both bit for bit scipy's with no scipy import.
+Several q against one p share p's side of the KL.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .bsm import d1_total
+from .bsm import cephes_ndtr, d1_total
 from .distributions import DensityCurve, LogNormal
-from .errors import CurveTooShort, DegenerateMass, DisjointSupport
+from .errors import CurveTooShort, DegenerateMass, DisjointSupport, InvalidInput
 from .georep import RepresentationCurve, angle_jet
 from .shapes import CircleShape
 
@@ -71,7 +71,7 @@ def _curve_points(curve, least: int) -> np.ndarray:
     """A point array without repeats of the point before; at least ``least`` points."""
     pts = np.asarray(curve, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("curve must be an (n, 2) point array or a RepresentationCurve")
+        raise InvalidInput("curve must be an (n, 2) point array or a RepresentationCurve")
     kept = np.ones(len(pts), dtype=bool)
     kept[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     if not kept.all():
@@ -172,7 +172,7 @@ def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProf
     angle = np.unwrap(np.arctan2(y - cy, x - cx))
     n_minus_d1 = None
     if strikes is not None:
-        n_minus_d1 = _interp.ndtr(-d1_total(curve.context.market, strikes, sigma)[0])
+        n_minus_d1 = cephes_ndtr(-d1_total(curve.context.market, strikes, sigma)[0])
     return CurvatureProfile(
         arc=arc,
         x=x,
@@ -229,7 +229,7 @@ def kl_divergence(p: DensityCurve, q, n: int = KL_GRID_N, clamp_floor: float = K
     unit mass and its log) is formed once per overlap window.
     """
     if np.any(p.values < 0.0):
-        raise ValueError("p must be a non-negative density")
+        raise InvalidInput("p must be a non-negative density")
     p_sides: dict = {}
     reports = []
     for q_one in (q,) if isinstance(q, DensityCurve) else q:
@@ -264,9 +264,9 @@ def best_lognormal(p: DensityCurve):
     ln X under p.
     """
     if float(p.strikes[0]) <= 0.0:
-        raise ValueError("density must be supported on positive strikes")
+        raise InvalidInput("density must be supported on positive strikes")
     if np.any(p.values < 0.0):
-        raise ValueError("p must be a non-negative density")
+        raise InvalidInput("p must be a non-negative density")
     w = _trapezoid_weights(p.strikes)
     mass = float(np.sum(w * p.values))
     if mass < BEST_LOGNORMAL_MIN_MASS:

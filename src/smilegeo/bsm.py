@@ -3,21 +3,20 @@
 Everything here is a pure function of its arguments; prices and d's accept
 numpy arrays for the strike/vol slots and broadcast in the usual way.
 
-This module holds the package's standard normal quantile and its main
-normal CDF.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first
-call; the inversion and density arrays run through it.  The CDF has one
-other home: ``_interp.ndtr``, a numpy port of the same Cephes routine that
-returns the same doubles, gives ``curvature_profile`` its N(-d1) without
-loading scipy (it costs about ten times as much per element, so the arrays
-here keep scipy's).  ``ndtri`` is a scalar pure-Python port of the Cephes
-``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
-Functions*, 1989), the algorithm ``scipy.special.ndtri`` runs: the same
-three rational approximations, coefficients and Horner order, so it
-returns the same double bit for bit.  Importing ``scipy.special`` costs a
-cold process more than the CLI's own work (its array-API layer loads
-``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``), and no subcommand
-needs it; ``math``'s ``erf``/``erfc`` and ``statistics.NormalDist`` differ
-from scipy in the last bits.
+This module is the package's one home of the standard normal CDF and
+quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call;
+the inversion and density arrays run through it.  ``cephes_ndtr`` (numpy,
+for curvature's N(-d1)) and ``ndtri`` (scalar, pure Python) port the Cephes
+``ndtr`` and ``ndtri`` (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989) that scipy runs: the same rational
+approximations, coefficients and Horner order (``_polevl``), so each
+returns scipy's doubles bit for bit.  The ports exist because importing
+``scipy.special`` costs a cold process more than the CLI's own work (its
+array-API layer loads ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``),
+and no subcommand needs it; ``math``'s ``erf``/``erfc`` and
+``statistics.NormalDist`` differ from scipy in the last bits.  The CDF port
+costs about ten times as much per element as scipy's, so the arrays here
+keep scipy's.
 """
 from __future__ import annotations
 
@@ -109,10 +108,88 @@ def ndtr(x):
     return _scipy_ndtr(x)
 
 
+def _polevl(x, coef):
+    """Horner's rule in Cephes' order: polevl, and p1evl for coefficients led by a 1.
+
+    Every denominator table below leads with the 1 that p1evl leaves implicit:
+    1 * x + c1 is x + c1.
+    """
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =
+# exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x) beyond.
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def cephes_ndtr(a) -> np.ndarray:
+    """Standard normal CDF, bit for bit ``scipy.special.ndtr``, with no scipy import.
+
+    The polynomials run on arrays, but ``exp`` per element through
+    ``math.exp``: numpy's array ``exp`` differs from libm's in the last bit
+    on some inputs.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    # N = 1/2 + erf(x)/2 for |x| < 1/sqrt(2), else erfc(|x|)/2 (reflected for
+    # x > 0).  erf's polynomial also serves erfc(z) = 1 - erf(z) for z < 1.
+    mid = z < _SQRT1_2
+    small = z < 1.0
+    w = np.where(mid, x, np.where(small, z, 0.0))
+    w2 = w * w
+    erf_w = w * _polevl(w2, _ERF_T) / _polevl(w2, _ERF_U)
+    y = np.where(mid, 0.5 + 0.5 * erf_w, 0.5 * (1.0 - erf_w))
+    tail = ~small  # NaN takes this branch and stays NaN
+    if tail.any():
+        zt = z[tail]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = -zt * zt  # -inf past sqrt(max double)
+            e = np.fromiter(map(math.exp, u.tolist()), float, u.size)
+            near = zt < 8.0
+            zn = np.where(near, zt, 1.0)
+            p, q = _polevl(zn, _ERFC_P), _polevl(zn, _ERFC_Q)
+            if not near.all():
+                far = zt[~near]
+                p[~near], q[~near] = _polevl(far, _ERFC_R), _polevl(far, _ERFC_S)
+            y[tail] = 0.5 * np.where(u < -_MAXLOG, 0.0, (e * p) / q)
+    up = ~mid & (x > 0.0)
+    y[up] = 1.0 - y[up]
+    return y
+
+
 # Cephes ndtri.  Central branch: |y - 1/2| <= 1/2 - e^-2, in y - 1/2.  Tail
-# branches in z = 1/sqrt(-2 ln y): P1/Q1 for y > e^-32, P2/Q2 below.  Each Q
-# leads with the 1 that Cephes' p1evl leaves implicit.  Horner from 0.0 then
-# repeats polevl and p1evl exactly: 0 * x + c0 is c0, and 1 * x + c1 is x + c1.
+# branches in z = 1/sqrt(-2 ln y): P1/Q1 for y > e^-32, P2/Q2 below.
 _NDTRI_S2PI = 2.50662827463100050242e0
 _NDTRI_EXP_M2 = 0.13533528323661269189
 _NDTRI_P0 = (
@@ -146,16 +223,9 @@ _NDTRI_Q2 = (
 )
 
 
-def _horner(x: float, coef) -> float:
-    acc = 0.0
-    for c in coef:
-        acc = acc * x + c
-    return acc
-
-
 def _ndtri_term(x: float, p, q) -> float:
     """x P(x) / Q(x) in Cephes' order: (x * P(x)) / Q(x)."""
-    return x * _horner(x, p) / _horner(x, q)
+    return x * _polevl(x, p) / _polevl(x, q)
 
 
 def ndtri(y: float) -> float:
@@ -217,7 +287,7 @@ def d1_d2(ms: MarketState, strike, vol):
     if np.any(vol <= 0.0):
         raise DegenerateTenor("d1/d2 undefined at zero volatility")
     if np.any(strike <= 0.0):
-        raise ValueError("strike must be positive")
+        raise InvalidInput("strike must be positive")
     d1, total = d1_total(ms, strike, vol)
     d2 = d1 - total
     if d1.ndim == 0:
@@ -230,9 +300,9 @@ def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
     strike = np.asarray(strike, dtype=float)
     vol = np.asarray(vol, dtype=float)
     if np.any(strike <= 0.0):
-        raise ValueError("strike must be positive")
+        raise InvalidInput("strike must be positive")
     if np.any(vol < 0.0):
-        raise ValueError("vol must be >= 0")
+        raise InvalidInput("vol must be >= 0")
     dff, dfd = ms.df_for(), ms.df_dom()
     if ms.tenor <= 0.0 or np.all(vol == 0.0):
         call = np.maximum(dff * ms.spot - dfd * strike, 0.0)
@@ -260,7 +330,7 @@ def d1_d2_identity_residual(ms: MarketState, strike, vol) -> float:
 def atm_rn_lognormal(ms: MarketState, vol: float) -> float:
     """Strike zeroing the call+put delta under a flat vol: S0 e^{(r-q+vol^2/2)T}."""
     if vol < 0.0:
-        raise ValueError("vol must be >= 0")
+        raise InvalidInput("vol must be >= 0")
     return strike_for_target_nd1(ms, vol, 0.5)
 
 
@@ -303,7 +373,7 @@ def implied_vol_grid(ms: MarketState, strikes, prices):
     if ms.tenor <= 0.0:
         raise PriceOutOfBand("implied vol undefined at zero tenor")
     if np.any(strikes <= 0.0):
-        raise ValueError("strike must be positive")
+        raise InvalidInput("strike must be positive")
     sqrt_t = math.sqrt(ms.tenor)
     fwd_df = ms.df_for() * ms.spot
     vega_df = fwd_df * sqrt_t / SQRT_2PI

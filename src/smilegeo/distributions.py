@@ -103,7 +103,7 @@ class Distribution(ABC):
             )
         strike = np.asarray(strike, dtype=float)
         if np.any(strike <= 0.0):
-            raise ValueError("strike must be positive")
+            raise InvalidInput("strike must be positive")
         out = ms.df_dom() * self.expected_call_payoff(strike)
         return float(out) if np.ndim(out) == 0 else out
 

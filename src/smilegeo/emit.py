@@ -194,9 +194,9 @@ def render_svg(artifact) -> bytes:
         )
         xs = data[:, 0]
         series = data[:, 1:]
-    if series.size == 0 or not np.any(np.isfinite(series)):
-        raise ValueError("nothing numeric to plot")
     finite = np.isfinite(series)
+    if not finite.any():  # e.g. every row of a surface failed: axes, no series
+        return _svg_doc([], table.columns[0], table.kind)
     y_min = float(np.nanmin(np.where(finite, series, np.nan)))
     y_max = float(np.nanmax(np.where(finite, series, np.nan)))
     x_range = (float(np.min(xs)), float(np.max(xs)))

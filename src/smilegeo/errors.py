@@ -14,7 +14,7 @@ class SmileGeoError(Exception):
 
 
 class InvalidInput(SmileGeoError, ValueError):
-    """A constructor argument outside its domain; a ValueError too, for ``except ValueError``."""
+    """A library argument outside its domain; a ValueError too, for ``except ValueError``."""
 
 
 class DegenerateTenor(SmileGeoError):

@@ -85,10 +85,10 @@ class RepresentationCurve:
 def strike_to_x(strike, atm_rn: float, radius_scale: float):
     """X(K) = ln(K / atm_rn) / R, the stereographic abscissa of a strike."""
     if not (0.0 < atm_rn < math.inf and 0.0 < radius_scale < math.inf):
-        raise ValueError("atm_rn and radius_scale must be finite and positive")
+        raise InvalidInput("atm_rn and radius_scale must be finite and positive")
     strike = np.asarray(strike, dtype=float)
     if (strike <= 0.0).any():
-        raise ValueError("strike must be positive")
+        raise InvalidInput("strike must be positive")
     with np.errstate(over="ignore"):  # a subnormal R overflows X to +-inf
         out = np.log(strike / atm_rn) / radius_scale
     return float(out) if np.ndim(out) == 0 else out
@@ -131,7 +131,7 @@ def polar_angle(x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any((x == 0.0) & (z == 0.0)):
-        raise ValueError("polar angle undefined at the origin")
+        raise InvalidInput("polar angle undefined at the origin")
     out = np.arctan2(z, x)
     out = np.where((out == -math.pi), math.pi, out)
     return float(out) if np.ndim(out) == 0 else out
@@ -168,17 +168,14 @@ def angle_jet(lnk, ctx: ReprContext):
     return cos, sin, 2.0 / (den * r_scale), -4.0 * x / (den**2 * r_scale * r_scale)
 
 
-def _context(ms: MarketState, atm_rn: float, radius_scale: float | None, window_strike):
-    """ReprContext at the centre strike, with R fixed or, for ``None``, automatic.
+def auto_context(ms: MarketState, atm_rn: float, window) -> ReprContext:
+    """ReprContext at the centre strike with auto R.
 
-    Auto R reads ``window_strike(target)`` and places the strikes at the
-    ``smile.ND1_WINDOW`` N(-d1) window just inside the unit circle, symmetrised by
-    the larger log-distance.
+    ``window`` holds the ``smile.ND1_WINDOW`` strikes; R places the farther
+    one, by log-distance, at |X| = ``R_UNIT_FRACTION``.
     """
-    if radius_scale is None:
-        half_width = max(abs(math.log(window_strike(t) / atm_rn)) for t in ND1_WINDOW)
-        radius_scale = half_width / R_UNIT_FRACTION
-    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=radius_scale)
+    half_width = max(abs(math.log(k / atm_rn)) for k in window)
+    return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / R_UNIT_FRACTION)
 
 
 def context_for_smile(smile: SmileCurve, radius_scale: float | None = None) -> ReprContext:
@@ -188,23 +185,21 @@ def context_for_smile(smile: SmileCurve, radius_scale: float | None = None) -> R
     window strikes off the smile's own N(-d1).  All of them come from one
     ``strikes_for_deltas`` solve.
     """
-    targets = (0.5,) if radius_scale is not None else (0.5, *ND1_WINDOW)
-    strikes = dict(zip(targets, strikes_for_deltas(smile, targets).tolist()))
-    return _context(smile.market, strikes[0.5], radius_scale, strikes.__getitem__)
+    if radius_scale is not None:
+        (atm_rn,) = strikes_for_deltas(smile, (0.5,)).tolist()
+        return ReprContext(market=smile.market, atm_rn=atm_rn, radius_scale=radius_scale)
+    atm_rn, *window = strikes_for_deltas(smile, (0.5, *ND1_WINDOW)).tolist()
+    return auto_context(smile.market, atm_rn, window)
 
 
-def flat_context(ms: MarketState, atm_vol: float, radius_scale: float | None = None) -> ReprContext:
-    """Context from a single at-the-money vol (three-quote market rows).
+def flat_context(ms: MarketState, atm_vol: float) -> ReprContext:
+    """Auto-R context from a single at-the-money vol (three-quote market rows).
 
     Uses the flat-vol proxy: the delta window of a constant-vol smile is
     symmetric about its delta-neutral strike in log-strike.
     """
-    return _context(
-        ms,
-        atm_rn_lognormal(ms, atm_vol),
-        radius_scale,
-        lambda t: strike_for_target_nd1(ms, atm_vol, t),
-    )
+    window = [strike_for_target_nd1(ms, atm_vol, t) for t in ND1_WINDOW]
+    return auto_context(ms, atm_rn_lognormal(ms, atm_vol), window)
 
 
 def represent(

@@ -151,7 +151,7 @@ class ConicShape:
 def _as_point(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
-        raise ValueError("points must be (x, y) pairs")
+        raise InvalidInput("points must be (x, y) pairs")
     return arr
 
 
@@ -204,7 +204,7 @@ def conic_through_5(points) -> ConicShape:
     """
     pts = np.asarray([_as_point(p) for p in points], dtype=float)
     if pts.shape != (5, 2):
-        raise ValueError("exactly five points are required")
+        raise InvalidInput("exactly five points are required")
     if _any_triple_collinear(pts):
         raise DegenerateConfiguration("three of the five points are collinear")
     x, y = pts[:, 0], pts[:, 1]
@@ -218,7 +218,7 @@ def conic_through_5(points) -> ConicShape:
 def transform_circle(c: CircleShape, scale: float, dx: float, dy: float) -> CircleShape:
     """Scale about the origin then translate: the three-number map between circles."""
     if scale <= 0.0:
-        raise ValueError("scale must be positive")
+        raise InvalidInput("scale must be positive")
     return CircleShape(
         center=(scale * c.center[0] + dx, scale * c.center[1] + dy),
         radius=scale * c.radius,

@@ -200,16 +200,17 @@ def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
 
     Both band ends come from one solver sweep, whose prices are ``bsm_price``'s.
     """
-    k = math.exp(ln_k)
+    k, df = math.exp(ln_k), ms.df_dom()
     price = float(dist.call_price(ms, k))
     lo, hi = _sweep_price(
         forward_log_moneyness(ms, k),
-        ms.df_dom() * k,
+        df * k,
         _BRACKET_VOLS * math.sqrt(ms.tenor),
         ms.df_for() * ms.spot,
     )[0]
-    # The payoff's cancellation noise grows with the strike, about eps K.
-    slack = 1e-13 * max(1.0, abs(price), k)
+    # The payoff's cancellation noise grows with the strike, about eps K;
+    # the slack is discounted like the price it is compared with.
+    slack = 1e-13 * max(df, abs(price), df * k)
     return price - lo > slack and hi - price > slack
 
 
@@ -313,7 +314,7 @@ def nd1_level(ms: MarketState, target: float, conv: DeltaConvention) -> float:
     """The N(-d1) level a delta target pins: the target itself under FORWARD_N,
     the raw |put delta| divided by e^{-qT} under SPOT_PIPS."""
     if not 0.0 < target < 1.0:
-        raise ValueError("target must lie in (0, 1)")
+        raise InvalidInput("target must lie in (0, 1)")
     eff = target / ms.df_for() if conv is DeltaConvention.SPOT_PIPS else target
     if not 0.0 < eff < 1.0:
         raise TargetOutsideDomain(f"effective N(-d1) target {eff:.6g} outside (0, 1)")
@@ -403,7 +404,7 @@ def _terms(smile: SmileCurve, strikes, mode: str):
         sig, up, dn = smile.vol_fn(lnk), smile.vol_fn(lnk + h), smile.vol_fn(lnk - h)
         sig_dot, sig_ddot = (up - dn) / (2.0 * h), (up - 2.0 * sig + dn) / (h * h)
     else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+        raise InvalidInput(f"unknown derivative mode {mode!r}")
     if (sig <= 0.0).any():
         k_bad = strikes[int(np.argmax(sig <= 0.0))]
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
@@ -425,7 +426,7 @@ def _bracket(ms: MarketState, strikes, sig, sig_dot, sig_ddot, d1, d2) -> np.nda
 def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size < 2:
-        raise ValueError("grid must be a 1-d array with at least 2 strikes")
+        raise InvalidInput("grid must be a 1-d array with at least 2 strikes")
     if not (strikes.min() >= smile.k_lo and strikes.max() <= smile.k_hi):
         raise DomainTooNarrow(
             f"grid [{strikes.min():.6g}, {strikes.max():.6g}] exceeds smile domain "

@@ -270,7 +270,7 @@ def row_anchors(row: SurfaceQuoteRow, labels, strikes: dict[str, float]) -> list
 def anchor_labels(method: str) -> tuple[str, ...]:
     """The quoted labels a completion method fits through."""
     if method not in METHOD_ANCHORS:
-        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+        raise InvalidInput(f"unknown method {method!r}; pick one of {METHODS}")
     return METHOD_ANCHORS[method]
 
 

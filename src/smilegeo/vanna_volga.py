@@ -255,7 +255,7 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
     elif variant == "market":
         backend = _MarketOrder(q, q.market)
     else:
-        raise ValueError(f"unknown vanna-volga variant {variant!r}")
+        raise InvalidInput(f"unknown vanna-volga variant {variant!r}")
     require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
     return SmileCurve(
         market=q.market,

@@ -19,7 +19,7 @@ from .bsm import MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import DegenerateMass, InconsistentForward
 from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
-from .georep import RepresentationCurve, ReprContext, _context, represent, smile_from_shape
+from .georep import RepresentationCurve, ReprContext, auto_context, represent, smile_from_shape
 from .shapes import CircleShape
 from .smile import (
     ND1_WINDOW,
@@ -113,15 +113,13 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     q_hi = dist.restricted_quantile(1.0 - 1e-5)
     fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
     smile = smile_with_coverage(dist, ms)
-    plain = (0.5, *ND1_WINDOW)
-    solved = strikes_for_deltas(smile, plain + CIRCLE_TARGETS).tolist()
-    strike = dict(zip(plain, solved))
-    ctx = _context(ms, strike[0.5], None, strike.__getitem__)
+    targets = (0.5, *ND1_WINDOW, *CIRCLE_TARGETS)
+    atm_rn, k_lo, k_hi, *wings = strikes_for_deltas(smile, targets).tolist()
+    ctx = auto_context(ms, atm_rn, (k_lo, k_hi))
     curve = represent(smile, ctx)
-    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, solved[len(plain):])
+    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, wings)
     circle, _ = fit_shape(anchors, ctx)
 
-    k_lo, k_hi = strike[ND1_WINDOW[0]], strike[ND1_WINDOW[1]]
     # Clipped to the window, and so to the smiles' domain.
     window_grid = log_uniform_grid(k_lo, k_hi, WINDOW_GRID_POINTS)
 

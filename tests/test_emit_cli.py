@@ -180,8 +180,8 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-# The curvature profile of a surface row's completed smile, N(-d1) included,
-# runs on the package's own spline, PCHIP and normal CDF: no scipy module.
+# The curvature profile of a surface row's completed smile reads the smile's
+# jet, and its N(-d1) comes from bsm's own normal CDF port: no scipy module.
 CURVATURE_PROBE = """
 import sys
 
@@ -207,9 +207,10 @@ def test_curvature_profile_loads_no_scipy():
 
 
 # A cold CLI process runs every subcommand without loading any scipy module:
-# the normal quantile is bsm's own, curvature resamples with the package's
-# own spline, and the normal CDF and the gamma and beta functions, which
-# import scipy.special on their first call, are off every subcommand's path.
+# the normal quantile and curvature's normal CDF are bsm's own ports,
+# curvature reads the completed smile's jet, and scipy's normal CDF and the
+# gamma and beta functions, which import scipy.special on their first call,
+# are off every subcommand's path.
 SCIPY_FREE_PROBE = """
 import os
 import sys
@@ -258,6 +259,19 @@ def test_library_never_imports_scipy_optimize():
             found += [
                 f"{path.name}: {n}" for n in names if n.startswith(("scipy.interpolate", "scipy.optimize"))
             ]
+    assert found == []
+
+
+def test_library_raises_no_bare_value_error():
+    """Argument errors are InvalidInput, so ``except SmileGeoError`` sees them."""
+    src = pathlib.Path(SRC) / "smilegeo"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
@@ -545,6 +559,24 @@ class TestCli:
         assert b"inf" not in out.lower() and b"nan" not in out.lower()
         if command == "represent":
             assert b"expiry '2W'" in err
+
+    @pytest.mark.parametrize("radius", ["1e-320", "1e300"])
+    @pytest.mark.parametrize("method", ["circle", "ellipse"])
+    @pytest.mark.parametrize("surface", [GAMMA_CSV, CIRCLE_CSV], ids=["gamma", "circle"])
+    def test_all_rows_failed_svg(self, surface, method, radius):
+        # At these R every row fails: the SVG keeps its axes and draws no
+        # series, and each row is named once, as in the CSV and JSON runs.
+        code, out, err = run_cli(
+            "complete-surface", surface, "--method", method, "--radius-scale", radius,
+            "--output-format", "svg",
+        )
+        assert code == 0, err
+        assert b"Traceback" not in err
+        assert out.startswith(b"<?xml") and out.endswith(b"</svg>\n")
+        assert b"<line " in out and b"<polyline" not in out
+        expiries = [row.expiry_label for row in parse_surface(pathlib.Path(surface).read_bytes())]
+        named = [line.split("'")[1] for line in err.decode().splitlines()]
+        assert named == expiries
 
     def test_usage_error_and_help_return_codes(self):
         # In process, argparse's exits come back as main's return value.

@@ -231,7 +231,7 @@ class TestRepresentAnchorsExact:
         for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
             anchors = row_anchors(row, LABELS, row.strikes(conv))
             for ctx in (flat_context(row.market(), row.vols["ATM"]),
-                        flat_context(row.market(), row.vols["ATM"], 0.5)):
+                        row.frame(0.5)):
                 got = represent_anchors(anchors, ctx)
                 assert got.shape == (len(LABELS), 2)
                 assert [tuple(p) for p in got.tolist()] == self._one_by_one(anchors, ctx)

@@ -1,6 +1,7 @@
 """Tests for surface parsing, completion, and discrepancy tables."""
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ class TestRowGeometry:
         for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
             ms, atm = row.market(), row.vols["ATM"]
             assert row.frame() == flat_context(ms, atm)
-            assert row.frame(0.5) == flat_context(ms, atm, 0.5)
+            assert row.frame(0.5) == replace(flat_context(ms, atm), radius_scale=0.5)
             assert row.frame(0.5).market is ms
 
     @pytest.mark.parametrize("name", SURFACES)
