@@ -11,16 +11,17 @@ rho (cos phi, sin phi), where rho = R + sigma(u) and phi(u) comes from
 with d kappa_E / du a 5-point stencil on log-uniform strikes.  A raw (n, 2)
 point array has no jet: it is resampled to CURVATURE_RESAMPLE_N points of
 uniform arc length s (a cubic spline on the chord length), and 5-point
-stencils of x and y in s feed the same kappa_E and the general-parameter
-kappa_s = 3 (x' x'' + y' y'') / C - (x' y''' - y' x''') (x'^2 + y'^2) / C^2,
-where C = x' y'' - y' x''.
+stencils of x and y in s feed the same kappa_E and
+kappa_s = -(x' y''' - y' x''') (x'^2 + y'^2) / C^2, where C = x' y'' - y' x''.
+The general-parameter form adds 3 (x' x'' + y' y'') / C, which is 0 at
+uniform arc length.
 
 kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
 
 The point-array spline comes from ``_interp`` and the N(-d1) column from
-``bsm.cephes_ndtr``, both bit for bit scipy's with no scipy import.
+``bsm.erfc_ndtr``, the standard library's ``erfc``: neither imports scipy.
 Several q against one p share p's side of the KL.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _interp
-from .bsm import cephes_ndtr, d1_total
+from .bsm import d1_total, erfc_ndtr
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport, InvalidInput
 from .georep import RepresentationCurve, angle_jet
@@ -103,9 +104,7 @@ def _spline_curvatures(pts: np.ndarray):
     bad = np.abs(cross) <= CURVATURE_DENOM_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa_e = cross / speed2**1.5
-        kappa_s = 3.0 * (x1 * x2 + y1 * y2) / cross - (x1 * y3 - y1 * x3) * speed2 / (
-            cross * cross
-        )
+        kappa_s = -(x1 * y3 - y1 * x3) * speed2 / (cross * cross)
     kappa_e = np.where(bad, np.nan, kappa_e)
     kappa_s = np.where(bad, np.nan, kappa_s)
     # Drop a few more points at each end: the resampling spline's first and
@@ -172,7 +171,7 @@ def curvature_profile(curve, circle: CircleShape | None = None) -> CurvatureProf
     angle = np.unwrap(np.arctan2(y - cy, x - cx))
     n_minus_d1 = None
     if strikes is not None:
-        n_minus_d1 = cephes_ndtr(-d1_total(curve.context.market, strikes, sigma)[0])
+        n_minus_d1 = erfc_ndtr(-d1_total(curve.context.market, strikes, sigma)[0])
     return CurvatureProfile(
         arc=arc,
         x=x,

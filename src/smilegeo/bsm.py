@@ -5,30 +5,26 @@ numpy arrays for the strike/vol slots and broadcast in the usual way.
 
 This module is the package's one home of the standard normal CDF and
 quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call;
-the inversion and density arrays run through it.  ``cephes_ndtr`` (numpy,
-for curvature's N(-d1)) and ``ndtri`` (scalar, pure Python) port the Cephes
-``ndtr`` and ``ndtri`` (S. L. Moshier, *Methods and Programs for
-Mathematical Functions*, 1989) that scipy runs: the same rational
-approximations, coefficients and Horner order (``_polevl``), so each
-returns scipy's doubles bit for bit.  The ports exist because importing
-``scipy.special`` costs a cold process more than the CLI's own work (its
-array-API layer loads ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``),
-and no subcommand needs it; ``math``'s ``erf``/``erfc`` and
-``statistics.NormalDist`` differ from scipy in the last bits.  The CDF port
-costs about ten times as much per element as scipy's, so the arrays here
-keep scipy's.
+the inversion, density and delta-solve arrays run through it.  The paths
+that never call it take the standard library's instead: ``ndtri`` is
+``statistics.NormalDist().inv_cdf`` (Wichura's AS241) and ``erfc_ndtr``,
+curvature's N(-d1), is ``math.erfc`` per element.  A cold CLI process thus
+loads no scipy module: importing ``scipy.special`` costs more than the
+CLI's own work.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DegenerateTenor, InvalidInput, NoConvergence, PriceOutOfBand, TargetOutsideDomain
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 
 # Implied-vol solver: safeguarded Newton on a per-strike bracket, swept only
 # over the strikes still iterating.  A strike stops once its price residual
@@ -108,151 +104,28 @@ def ndtr(x):
     return _scipy_ndtr(x)
 
 
-def _polevl(x, coef):
-    """Horner's rule in Cephes' order: polevl, and p1evl for coefficients led by a 1.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
-    Every denominator table below leads with the 1 that p1evl leaves implicit:
-    1 * x + c1 is x + c1.
+
+def erfc_ndtr(x) -> np.ndarray:
+    """Standard normal CDF per element as 0.5 erfc(-x / sqrt 2), with no scipy import.
+
+    NaN, inf and -inf give NaN, 1 and 0, with no warning.
     """
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; erfc(x) =
-# exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and exp(-x^2) R(x) / S(x) beyond.
-_SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-
-
-def cephes_ndtr(a) -> np.ndarray:
-    """Standard normal CDF, bit for bit ``scipy.special.ndtr``, with no scipy import.
-
-    The polynomials run on arrays, but ``exp`` per element through
-    ``math.exp``: numpy's array ``exp`` differs from libm's in the last bit
-    on some inputs.
-    """
-    a = np.asarray(a, dtype=float)
-    x = a * _SQRT1_2
-    z = np.abs(x)
-    # N = 1/2 + erf(x)/2 for |x| < 1/sqrt(2), else erfc(|x|)/2 (reflected for
-    # x > 0).  erf's polynomial also serves erfc(z) = 1 - erf(z) for z < 1.
-    mid = z < _SQRT1_2
-    small = z < 1.0
-    w = np.where(mid, x, np.where(small, z, 0.0))
-    w2 = w * w
-    erf_w = w * _polevl(w2, _ERF_T) / _polevl(w2, _ERF_U)
-    y = np.where(mid, 0.5 + 0.5 * erf_w, 0.5 * (1.0 - erf_w))
-    tail = ~small  # NaN takes this branch and stays NaN
-    if tail.any():
-        zt = z[tail]
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = -zt * zt  # -inf past sqrt(max double)
-            e = np.fromiter(map(math.exp, u.tolist()), float, u.size)
-            near = zt < 8.0
-            zn = np.where(near, zt, 1.0)
-            p, q = _polevl(zn, _ERFC_P), _polevl(zn, _ERFC_Q)
-            if not near.all():
-                far = zt[~near]
-                p[~near], q[~near] = _polevl(far, _ERFC_R), _polevl(far, _ERFC_S)
-            y[tail] = 0.5 * np.where(u < -_MAXLOG, 0.0, (e * p) / q)
-    up = ~mid & (x > 0.0)
-    y[up] = 1.0 - y[up]
-    return y
-
-
-# Cephes ndtri.  Central branch: |y - 1/2| <= 1/2 - e^-2, in y - 1/2.  Tail
-# branches in z = 1/sqrt(-2 ln y): P1/Q1 for y > e^-32, P2/Q2 below.
-_NDTRI_S2PI = 2.50662827463100050242e0
-_NDTRI_EXP_M2 = 0.13533528323661269189
-_NDTRI_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_NDTRI_Q0 = (
-    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-_NDTRI_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_NDTRI_Q1 = (
-    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-_NDTRI_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_NDTRI_Q2 = (
-    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-
-
-def _ndtri_term(x: float, p, q) -> float:
-    """x P(x) / Q(x) in Cephes' order: (x * P(x)) / Q(x)."""
-    return x * _polevl(x, p) / _polevl(x, q)
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 def ndtri(y: float) -> float:
-    """Standard normal quantile, bit for bit ``scipy.special.ndtri`` on a scalar.
+    """Standard normal quantile of a scalar: ``NormalDist().inv_cdf`` inside (0, 1).
 
     -inf at 0, inf at 1, NaN outside [0, 1] or for NaN.
     """
     y = float(y)
+    if 0.0 < y < 1.0:
+        return _STD_NORMAL.inv_cdf(y)
     if y == 0.0:
         return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _NDTRI_EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _NDTRI_EXP_M2:
-        y = y - 0.5
-        return (y + y * _ndtri_term(y * y, _NDTRI_P0, _NDTRI_Q0)) * _NDTRI_S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    if x < 8.0:
-        tail = _ndtri_term(1.0 / x, _NDTRI_P1, _NDTRI_Q1)
-    else:
-        tail = _ndtri_term(1.0 / x, _NDTRI_P2, _NDTRI_Q2)
-    x = (x - math.log(x) / x) - tail
-    return x if upper else -x
+    return math.inf if y == 1.0 else math.nan
 
 
 def std_normal_pdf(x):

@@ -4,9 +4,9 @@ A SmileCurve is an evaluable sigma(K) on a stated strike domain with two
 read paths in ln K: ``vol_fn`` gives sigma alone (label-strike reads, the
 sample that brackets delta solves) and ``jet_fn`` gives sigma with its exact
 first and second ln-K derivatives in one evaluation (densities, Newton steps
-of delta solves).  Densities follow from the jet through the closed-form
-second strike derivative of the call price; the log-strike bracket that
-decides non-negativity is formed only where the margin is read.
+of delta solves).  Densities follow from the jet through the log-strike
+form of the call price's second strike derivative, whose bracket also
+decides non-negativity.
 
 Many strikes are read in one array call: array and numpy-scalar calls of
 ``log``, ``exp``, ``arctan``, ``cos``, ``sin`` and ``sqrt`` agree bit for bit
@@ -436,54 +436,33 @@ def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
 
 
 def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
-    """Implied density via the strike-space second derivative of the call.
+    """Implied density via the log-strike form of the call's second strike derivative.
 
-    p(K) = [1 + 2K sqrt(T) d1 sigma' + K^2 T (d1 d2 sigma'^2 + sigma sigma'')]
-           * e^{-d2^2/2} / (K sigma sqrt(2 pi T))
+    p(K) = [1 + sqrt(T)(d1 + d2) sigma_dot + T d1 d2 sigma_dot^2
+            + T sigma sigma_ddot] * e^{-d2^2/2} / (K sigma sqrt(2 pi T))
 
-    with primes denoting strike derivatives.  Negative values are reported
-    as-is; use ``nonnegativity_margin`` to detect them.
+    with dots denoting ln-K derivatives.  Negative values are reported
+    as-is; the bracket is ``nonnegativity_margin``'s.
     """
-    return _strike_density(smile.market, *_terms(smile, strikes, mode))
+    return density_with_margin(smile, strikes, mode)[0]
+
+
+# The public name of the formula's log-strike form, which is the only form.
+log_strike_density = density_from_smile
 
 
 def density_with_margin(
     smile: SmileCurve, strikes, mode: str = "analytic"
 ) -> tuple[DensityCurve, float]:
-    """``density_from_smile`` and ``nonnegativity_margin`` from one evaluation of the terms."""
-    terms = _terms(smile, strikes, mode)
-    return _strike_density(smile.market, *terms), float(np.min(_bracket(smile.market, *terms)))
-
-
-def _strike_density(ms: MarketState, strikes, sig, sig_dot, sig_ddot, d1, d2) -> DensityCurve:
-    sqrt_t = math.sqrt(ms.tenor)
-    # Strike-space derivatives from the log-strike ones.  Overflow on a huge
-    # domain is reported by DensityCurve (NonFiniteDensity), not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sig_p = sig_dot / strikes
-        sig_pp = (sig_ddot - sig_dot) / (strikes * strikes)
-        bracket_k = (
-            1.0
-            + 2.0 * strikes * sqrt_t * d1 * sig_p
-            + strikes * strikes * ms.tenor * (d1 * d2 * sig_p * sig_p + sig * sig_pp)
-        )
-        values = bracket_k * np.exp(-0.5 * d2 * d2) / (strikes * sig * SQRT_2PI * sqrt_t)
-    return DensityCurve(strikes=strikes, values=values)
-
-
-def log_strike_density(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
-    """Same density through the log-strike form of the formula.
-
-    p(K) = [1 + sqrt(T)(d1 + d2) sigma_dot + T d1 d2 sigma_dot^2
-            + T sigma sigma_ddot] * e^{-d2^2/2} / (K sigma sqrt(2 pi T))
-
-    with dots denoting ln-K derivatives; serves as an internal cross-check
-    of ``density_from_smile``.
-    """
+    """``density_from_smile`` and ``nonnegativity_margin`` from one bracket."""
     terms = strikes, sig, _, _, _, d2 = _terms(smile, strikes, mode)
-    values = _bracket(smile.market, *terms) * np.exp(-0.5 * d2 * d2)
-    values /= strikes * sig * SQRT_2PI * math.sqrt(smile.market.tenor)
-    return DensityCurve(strikes=strikes, values=values)
+    # Overflow on a huge domain is reported by DensityCurve (NonFiniteDensity),
+    # not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = _bracket(smile.market, *terms)
+        values = bracket * np.exp(-0.5 * d2 * d2)
+        values /= strikes * sig * SQRT_2PI * math.sqrt(smile.market.tenor)
+    return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
 
 
 def nonnegativity_margin(smile: SmileCurve, strikes, mode: str = "analytic") -> float:

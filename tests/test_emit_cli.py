@@ -181,7 +181,8 @@ def test_cli_import_leaves_interpolate_and_optimize_unloaded():
 
 
 # The curvature profile of a surface row's completed smile reads the smile's
-# jet, and its N(-d1) comes from bsm's own normal CDF port: no scipy module.
+# jet, and its N(-d1) comes from the standard library's math.erfc: no scipy
+# module.
 CURVATURE_PROBE = """
 import sys
 
@@ -207,7 +208,7 @@ def test_curvature_profile_loads_no_scipy():
 
 
 # A cold CLI process runs every subcommand without loading any scipy module:
-# the normal quantile and curvature's normal CDF are bsm's own ports,
+# the normal quantile and curvature's normal CDF come from the standard library,
 # curvature reads the completed smile's jet, and scipy's normal CDF and the
 # gamma and beta functions, which import scipy.special on their first call,
 # are off every subcommand's path.
@@ -394,17 +395,43 @@ class TestCli:
         assert len(failed) == 1 and "10P" in failed[0]
 
     @pytest.mark.parametrize("method", ["circle", "vanna-volga"])
-    def test_non_finite_density_exit_3(self, tmp_path, capsys, method):
-        # A 10C vol of 113.6 widens the completion domain to ~1e154, where
-        # the density formula overflows.
+    def test_huge_domain_density_is_finite(self, tmp_path, capsys, method):
+        # A 10C vol of 113.6 widens the density grid to ~1e177, where the
+        # strike-space form's K^2 terms overflow from 1.5e154 up; the
+        # log-strike form stays finite.  Where the density is positive (the six
+        # lowest strikes, down to 2e-300) it matches the strike-space form
+        # evaluated in mpmath on the smile's jet; measured at 1.3e-13 relative.
+        import mpmath
+
         from smilegeo import cli
+        from smilegeo.surface import complete_expiry
 
         bad = one_row_csv(tmp_path, 2, (("d10c", "113.6"),))
-        code = cli.main(["density", str(bad), "--method", method])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "Traceback" not in err
-        assert "not finite" in err
+        out = tmp_path / "density.json"
+        argv = ["density", str(bad), "--method", method, "--output-format", "json"]
+        code = cli.main([*argv, "--out", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        strikes, density = np.array(json.loads(out.read_text())["rows"]).T
+        assert strikes.size == 2001 and np.all(np.isfinite(density))
+        smile = complete_expiry(parse_surface(bad.read_bytes())[0], method).smile
+        ms = smile.market
+        positive = np.flatnonzero(density > 0.0)
+        assert positive.size >= 6
+        for k, p in zip(strikes[positive].tolist(), density[positive].tolist()):
+            sig, sig_dot, sig_ddot = (float(v[0]) for v in smile.jet_fn(np.log([k])))
+            with mpmath.workdps(50):
+                k_mp, t = mpmath.mpf(k), mpmath.mpf(ms.tenor)
+                total = sig * mpmath.sqrt(t)
+                d1 = (mpmath.log(ms.spot / k_mp) + (mpmath.mpf(ms.dom_rate) - ms.for_rate) * t) / total
+                d1 += total / 2
+                d2 = d1 - total
+                s1, s2 = sig_dot / k_mp, (sig_ddot - sig_dot) / k_mp**2
+                bracket = 1 + 2 * k_mp * mpmath.sqrt(t) * d1 * s1 + k_mp**2 * t * (
+                    d1 * d2 * s1**2 + sig * s2
+                )
+                want = bracket * mpmath.exp(-d2 * d2 / 2) / (k_mp * sig * mpmath.sqrt(2 * mpmath.pi * t))
+                assert abs(p - want) <= 1e-12 * want, k
 
     @pytest.mark.parametrize("field", ["d25p", "d25c"])
     @pytest.mark.parametrize("variant", ["market", "first"])

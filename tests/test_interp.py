@@ -1,7 +1,6 @@
-"""The splines in smilegeo._interp and the normal CDF port in smilegeo.bsm
-against the scipy routines they reproduce.
+"""The splines in smilegeo._interp against the scipy routines they reproduce.
 
-Every comparison is bit for bit: equal NaN positions and equal bits
+Every spline comparison is bit for bit: equal NaN positions and equal bits
 everywhere else (so -0.0 and 0.0 differ).
 """
 import math
@@ -15,7 +14,7 @@ from scipy.special import ndtr as scipy_ndtr
 
 from smilegeo import _interp
 from smilegeo.analysis import curvature_profile
-from smilegeo.bsm import cephes_ndtr, forward_log_moneyness, implied_vol_grid, ndtr
+from smilegeo.bsm import forward_log_moneyness, implied_vol_grid
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.errors import InvalidInput
 from smilegeo.georep import represent
@@ -196,41 +195,6 @@ def test_value_errors_where_scipy_raises(x, y):
         _interp.natural_spline(x, y)
 
 
-def neighbours(v, k=40):
-    """v and the k floats on either side of it."""
-    out = [v]
-    lo = hi = v
-    for _ in range(k):
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-        out += [lo, hi]
-    return out
-
-
-class TestNdtr:
-    def test_branch_edges(self):
-        # x = a / sqrt(2) switches formula at 1/sqrt(2) (ndtr), 1 and 8
-        # (erfc), and erfc underflows once x^2 > MAXLOG.
-        edges = [1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0),
-                 math.sqrt(2.0 * 7.09782712893383996843e2), 38.0, 40.0]
-        a = []
-        for e in edges:
-            a += neighbours(e) + neighbours(-e)
-        a = np.array(a + [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
-        assert same_bits(cephes_ndtr(a), scipy_ndtr(a))
-
-    def test_random_inputs(self):
-        rng = np.random.default_rng(2024)
-        a = np.concatenate([
-            rng.normal(0.0, 3.0, 400_000), rng.uniform(-40.0, 40.0, 400_000),
-            rng.uniform(-2.0, 2.0, 400_000), np.exp(rng.uniform(-700.0, 5.0, 20_000)),
-        ])
-        assert same_bits(cephes_ndtr(a), scipy_ndtr(a))
-
-    def test_pinned_to_bsm(self):
-        a = np.linspace(-12.0, 12.0, 20_001)
-        assert same_bits(cephes_ndtr(a), ndtr(a))
-
-
 def scipy_profile(curve):
     """curvature_profile's points, strikes and N(-d1), read off the curve and
     its smile through scipy, and its arc length by scipy's trapezoid rule on
@@ -247,12 +211,17 @@ def scipy_profile(curve):
     return curve.points[inner, 0], curve.points[inner, 1], strikes, scipy_ndtr(-d1), arc
 
 
+# The profile's N(-d1) is math.erfc's, not scipy's: measured within 3.6e-15
+# relative of scipy's ndtr on these five families (the Uniform).
+N_MINUS_D1_RTOL = 1.5e-14
+
+
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
 def test_profile_matches_scipy_pipeline(dist):
     report = distribution_report(dist)
     profile = curvature_profile(report.curve, circle=report.circle)
-    *want, arc = scipy_profile(report.curve)
-    got = (profile.x, profile.y, profile.strikes, profile.n_minus_d1)
-    for name, a, b in zip(("x", "y", "strikes", "n_minus_d1"), got, want):
+    *want, n_minus_d1, arc = scipy_profile(report.curve)
+    for name, a, b in zip(("x", "y", "strikes"), (profile.x, profile.y, profile.strikes), want):
         assert same_bits(a, b), name
+    assert np.allclose(profile.n_minus_d1, n_minus_d1, rtol=N_MINUS_D1_RTOL, atol=0.0)
     assert np.allclose(profile.arc, arc, rtol=1e-13, atol=0.0)

@@ -27,7 +27,6 @@ from smilegeo.smile import (
     density_from_smile,
     density_with_margin,
     flat_smile,
-    log_strike_density,
     nonnegativity_margin,
     smile_from_distribution,
     strike_for_delta,
@@ -236,6 +235,20 @@ class TestStrikesForDeltas:
             strikes_for_deltas(_reference_smile("gamma"), DELTA_TARGETS)
 
 
+def strike_form_density(smile, grid, mode="analytic"):
+    """The density formula's strike-space form, the reference for the library's
+    log-strike form: sigma' = sigma_dot / K and sigma'' = (sigma_ddot - sigma_dot) / K^2.
+
+    p(K) = [1 + 2K sqrt(T) d1 sigma' + K^2 T (d1 d2 sigma'^2 + sigma sigma'')]
+           * e^{-d2^2/2} / (K sigma sqrt(2 pi T))
+    """
+    k, sig, sig_dot, sig_ddot, d1, d2 = smile_module._terms(smile, grid, mode)
+    t = smile.market.tenor
+    s1, s2 = sig_dot / k, (sig_ddot - sig_dot) / (k * k)
+    bracket = 1.0 + 2.0 * k * math.sqrt(t) * d1 * s1 + k * k * t * (d1 * d2 * s1 * s1 + sig * s2)
+    return bracket * np.exp(-0.5 * d2 * d2) / (k * sig * math.sqrt(2.0 * math.pi * t))
+
+
 class TestDensityFromSmile:
     def test_flat_smile_recovers_lognormal(self):
         smile = flat_smile(FLAT_MS, 0.2)
@@ -254,8 +267,7 @@ class TestDensityFromSmile:
         smile = synthetic_sine_smile(FLAT_MS)
         grid = smile.default_grid(501)
         a = density_from_smile(smile, grid).values
-        b = log_strike_density(smile, grid).values
-        assert np.max(np.abs(a - b)) <= 1e-8
+        assert np.max(np.abs(a - strike_form_density(smile, grid))) <= 1e-8
 
     def test_dual_formulas_agree_fd(self):
         ms = market_state_for(GAMMA)
@@ -264,8 +276,7 @@ class TestDensityFromSmile:
             np.linspace(math.log(smile.k_lo) + 0.01, math.log(smile.k_hi) - 0.01, 501)
         )
         a = density_from_smile(smile, grid, mode="fd").values
-        b = log_strike_density(smile, grid, mode="fd").values
-        assert np.max(np.abs(a - b)) <= 1e-8
+        assert np.max(np.abs(a - strike_form_density(smile, grid, mode="fd"))) <= 1e-8
 
     def test_fd_close_to_analytic(self):
         smile = synthetic_sine_smile(FLAT_MS)
@@ -380,8 +391,9 @@ def market_vv_branches(market, lnk):
 
 
 class TestDensityWithoutBracket:
-    """``density_from_smile`` skips the log-strike bracket that only the margin
-    reads; its values and the margin must keep the bits of the joint call."""
+    """``density_from_smile``, ``density_with_margin`` and
+    ``nonnegativity_margin`` read one bracket: values and margin agree bit
+    for bit."""
 
     @staticmethod
     def _check(smile, grid):

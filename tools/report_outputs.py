@@ -10,8 +10,9 @@ five families, with market-like widths (annual vol about 8-45 %).
 
 OUT is a JSON file with one record per case: the ends of the smile's
 strike grid (``k_lo``, ``k_hi``), the KL window, the anchors (target,
-strike, vol), the fitted circle, the three KL values, the non-negativity
-margin, or the error a case raised, and sha256 hashes of the bytes of:
+strike, vol), the fitted circle, the three KL values with their
+``clamped_fraction``, the non-negativity margin, two accuracy figures, or
+the error a case raised, and sha256 hashes of the bytes of:
 
 - each of the densities ``p_true``, ``p_circle`` and ``p_vanna_volga`` on
   the KL window;
@@ -20,6 +21,16 @@ margin, or the error a case raised, and sha256 hashes of the bytes of:
 - ``curvature_profile(report.curve, circle=report.circle)``'s ``kappa_e``,
   ``kappa_s``, ``arc`` and ``n_minus_d1``.
 
+The accuracy figures are measured against independent references:
+
+- ``delta_residual``: the worst |N(-d1) - target| at the five strikes the
+  report solves (the centre, both ends of the KL window and both circle
+  wings), with d1 from the smile's vol at each strike and N from
+  ``mpmath.ncdf`` at 50 digits;
+- ``round_trip``: the largest |p - pdf| of
+  ``density_from_smile(report.smile, window_grid)`` against the
+  distribution's own ``pdf`` on the KL window, over the pdf's peak there.
+
 Floats are written with ``repr``, so files from two checkouts compare
 exactly; an array that moves by one bit changes its hash, where the KL
 values may not show it.  ``--compare`` prints, for each numeric field, how
@@ -27,7 +38,8 @@ many cases differ, the largest absolute change, the largest change
 relative to the field's largest magnitude in its case, and the largest
 distance in units in the last place between values of one sign (a value
 near zero, such as a centred circle's centre or the KL of a perfect fit,
-can change sign); for each hash, how many cases differ.
+can change sign); for each hash, how many cases differ; and for each
+accuracy figure, its median and worst case in each file.
 """
 from __future__ import annotations
 
@@ -40,6 +52,7 @@ import numpy as np
 
 DRAWS = 12
 SEED = 20240611
+ACCURACY = ("delta_residual", "round_trip")
 
 
 def cases(sg):
@@ -71,6 +84,7 @@ def record(sg, dist) -> dict:
     except sg.SmileGeoError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     profile = sg.curvature_profile(rep.curve, circle=rep.circle)
+    kls = (rep.kl_circle, rep.kl_vanna_volga, rep.kl_best_lognormal)
     return {
         "grid": [rep.smile.k_lo, rep.smile.k_hi],
         "window": list(rep.window),
@@ -78,8 +92,11 @@ def record(sg, dist) -> dict:
         "radius_scale": rep.ctx.radius_scale,
         "anchors": [[a.target, a.strike, a.vol] for a in rep.anchors],
         "circle": [*rep.circle.center, rep.circle.radius],
-        "kl": [rep.kl_circle.kl_nats, rep.kl_vanna_volga.kl_nats, rep.kl_best_lognormal.kl_nats],
+        "kl": [k.kl_nats for k in kls],
+        "clamped": [k.clamped_fraction for k in kls],
         "margin": rep.margin,
+        "delta_residual": _delta_residual(sg, rep),
+        "round_trip": _round_trip(sg, dist, rep),
         "density_sha256": {
             name: _sha256(getattr(rep, name).values) for name in ("p_true", "p_circle", "p_vanna_volga")
         },
@@ -88,6 +105,32 @@ def record(sg, dist) -> dict:
             name: _sha256(getattr(profile, name)) for name in ("kappa_e", "kappa_s", "arc", "n_minus_d1")
         },
     }
+
+
+def _delta_residual(sg, rep) -> float:
+    """Worst |N(-d1) - target| at the report's five solved strikes, in mpmath."""
+    import mpmath
+
+    ms = rep.market
+    solved = [(0.5, rep.ctx.atm_rn), *zip(sg.smile.ND1_WINDOW, rep.window)]
+    solved += [(a.target, a.strike) for a in rep.anchors if a.target != 0.5]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for target, strike in solved:
+            total = mpmath.mpf(rep.smile.vol(strike)) * mpmath.sqrt(ms.tenor)
+            ln_m = mpmath.log(mpmath.mpf(ms.spot) / strike) + (
+                mpmath.mpf(ms.dom_rate) - ms.for_rate
+            ) * ms.tenor
+            nd1 = mpmath.ncdf(-(ln_m / total + total / 2))
+            worst = max(worst, float(abs(nd1 - target)))
+    return worst
+
+
+def _round_trip(sg, dist, rep) -> float:
+    """Largest |density_from_smile - pdf| on the KL window, over the pdf's peak."""
+    pdf = np.asarray(dist.pdf(rep.window_grid), dtype=float)
+    got = sg.density_from_smile(rep.smile, rep.window_grid).values
+    return float(np.max(np.abs(got - pdf)) / np.max(pdf))
 
 
 def _jet_hashes(sg, dist, rep) -> dict:
@@ -150,11 +193,18 @@ def compare(path_a: Path, path_b: Path) -> None:
         change, rel, ulps = (max(col) for col in zip(*per_case))
         moved = sum(c > 0.0 for c, _, _ in per_case)
         print(
-            f"{key:13s} {moved:3d} of {len(per_case)} cases differ; at most {change:.2g} "
+            f"{key:14s} {moved:3d} of {len(per_case)} cases differ; at most {change:.2g} "
             f"absolute, {rel:.2g} relative, {ulps} ulp"
         )
     for name, moved in hashes.items():
         print(f"{name:17s} {sum(moved):3d} of {len(moved)} cases differ in their sha256")
+    for key in ACCURACY:
+        sides = [
+            [rec[key] for rec in doc.values() if key in rec] for doc in (doc_a, doc_b)
+        ]
+        print(f"{key:14s} " + " -> ".join(
+            f"median {np.median(v):.2g}, worst {max(v):.2g}" if v else "absent" for v in sides
+        ))
 
 
 def main(argv) -> int:
