@@ -19,13 +19,7 @@ from .analysis import curvature_profile
 from .bsm import DeltaConvention
 from .emit import RENDERERS, RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
-from .georep import (
-    DEFAULT_CURVE_POINTS,
-    continuous_angle,
-    represent,
-    represent_anchors,
-    strike_to_x,
-)
+from .georep import DEFAULT_CURVE_POINTS, polar_map, represent, represent_anchors
 from .smile import density_from_smile
 from .surface import (
     LABELS,
@@ -148,19 +142,17 @@ def _representation_points_table(row, args) -> TableArtifact:
     ctx = row.frame(args.radius_scale)
     labels = [lab for lab in LABELS if lab in row.vols]
     anchors = row_anchors(row, labels, row.strikes(conv))
-    out = []
-    for lab, a, (x, y) in zip(labels, anchors, represent_anchors(anchors, ctx)):
-        x_coord = strike_to_x(a.strike, ctx.atm_rn, ctx.radius_scale)
-        phi = continuous_angle(x_coord)
-        out.append((lab, a.strike, a.vol, x_coord, phi, ctx.radius_scale + a.vol, x, y))
-    if not np.all(np.isfinite([r[1:] for r in out])):
+    strikes, vols = [a.strike for a in anchors], [a.vol for a in anchors]
+    x_coords, angles, radii, points = polar_map(strikes, vols, ctx)
+    table = np.column_stack([strikes, vols, x_coords, angles, radii, points])
+    if not np.all(np.isfinite(table)):
         raise SmileGeoError(
             f"representation points are not finite under radius scale {ctx.radius_scale!r}"
         )
     return TableArtifact(
         kind="representation-points",
         columns=("label", "strike", "vol", "X", "angle", "radius", "x", "y"),
-        rows=tuple(out),
+        rows=tuple((lab, *cells) for lab, cells in zip(labels, table.tolist())),
     )
 
 

@@ -1,7 +1,7 @@
 """Polar-plane representation of smiles and its inversion.
 
 A strike maps to an angle through a stereographic slice of the unit circle:
-X(K) = ln(K / K_atm) / R lands on the circle at (2X/(1+X^2), (X^2-1)/(1+X^2)),
+X(K) = (ln K - ln K_atm) / R lands on the circle at (2X/(1+X^2), (X^2-1)/(1+X^2)),
 whose polar angle phi = 2 arctan(X) - pi/2 runs monotonically from -pi/2 at
 X = 0.  The radial coordinate is R + sigma(K), so a flat smile draws an
 origin-centred circle of radius R + sigma.  Inverting a fitted shape
@@ -9,12 +9,14 @@ intersects each strike's ray with the shape and reads sigma back off the
 radial excess over R.  The ray geometry itself (origin check, intersection,
 derivatives) belongs to the shape classes in ``shapes``.
 
-A strike's ray direction (cos phi, sin phi) is its stereographic point
-itself, with no arctan, cos or sin: ``angle_jet`` returns it with the chain
-rule of phi in ln K, and shape smiles and curvatures read it there.  phi is
-formed only where it is reported: the angle column of ``represent`` and the
-anchors, whose angles come from one array call (the bits of a one-strike
-numpy read; see ``smile``), then ``math.cos``/``math.sin``.
+X is formed in one place, ``_x``, from numpy logs, so an anchor's plane
+point and a shape smile's read at its strike see the same X to the last
+bit, and auto R reads its window by it.  Two direction rules follow X, kept
+apart because anchors fitted through stereographic points come back exact
+less often: ``polar_map`` gives phi and the points rho (cos phi, sin phi)
+that ``represent``, the anchors and the CLI's table report; shape smiles
+and curvatures take (cos phi, sin phi) as X's stereographic point itself,
+with no arctan, cos or sin (``angle_jet``, with phi's chain rule in ln K).
 """
 from __future__ import annotations
 
@@ -82,15 +84,20 @@ class RepresentationCurve:
         return self.radii - self.context.radius_scale
 
 
+@np.errstate(over="ignore")  # a subnormal R overflows X to +-inf
+def _x(lnk, atm_rn: float, radius_scale: float):
+    """X = (ln K - ln atm_rn) / R of log strikes: the one polar abscissa."""
+    return (lnk - np.log(atm_rn)) / radius_scale
+
+
 def strike_to_x(strike, atm_rn: float, radius_scale: float):
-    """X(K) = ln(K / atm_rn) / R, the stereographic abscissa of a strike."""
+    """X(K) = (ln K - ln atm_rn) / R, the stereographic abscissa of a strike."""
     if not (0.0 < atm_rn < math.inf and 0.0 < radius_scale < math.inf):
         raise InvalidInput("atm_rn and radius_scale must be finite and positive")
     strike = np.asarray(strike, dtype=float)
     if (strike <= 0.0).any():
         raise InvalidInput("strike must be positive")
-    with np.errstate(over="ignore"):  # a subnormal R overflows X to +-inf
-        out = np.log(strike / atm_rn) / radius_scale
+    out = _x(np.log(strike), atm_rn, radius_scale)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -148,21 +155,12 @@ def continuous_angle(x_coord):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def angle_for_strike(strike, ctx: ReprContext):
-    return continuous_angle(strike_to_x(strike, ctx.atm_rn, ctx.radius_scale))
-
-
-def _lnk_x(lnk, ctx: ReprContext):
-    """X = (ln K - ln atm_rn) / R of log strikes."""
-    return (lnk - math.log(ctx.atm_rn)) / ctx.radius_scale
-
-
 def angle_jet(lnk, ctx: ReprContext):
     """(cos phi, sin phi, dphi/d lnK, d^2phi/d lnK^2) of log strikes.
 
     The direction is X's stereographic point; the derivatives, the chain rule.
     """
-    x = _lnk_x(lnk, ctx)
+    x = _x(lnk, ctx.atm_rn, ctx.radius_scale)
     cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
     return cos, sin, 2.0 / (den * r_scale), -4.0 * x / (den**2 * r_scale * r_scale)
@@ -174,7 +172,9 @@ def auto_context(ms: MarketState, atm_rn: float, window) -> ReprContext:
     ``window`` holds the ``smile.ND1_WINDOW`` strikes; R places the farther
     one, by log-distance, at |X| = ``R_UNIT_FRACTION``.
     """
-    half_width = max(abs(math.log(k / atm_rn)) for k in window)
+    # Under R = 1, X is the log-distance; a 0 or inf strike gives an R ReprContext rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_width = float(np.max(np.abs(_x(np.log(window), atm_rn, 1.0))))
     return ReprContext(market=ms, atm_rn=atm_rn, radius_scale=half_width / R_UNIT_FRACTION)
 
 
@@ -202,6 +202,14 @@ def flat_context(ms: MarketState, atm_vol: float) -> ReprContext:
     return auto_context(ms, atm_rn_lognormal(ms, atm_vol), window)
 
 
+def polar_map(strikes, vols, ctx: ReprContext):
+    """X, phi = 2 arctan(X) - pi/2, rho = R + sigma and points rho (cos phi, sin phi)."""
+    x = _x(np.log(np.asarray(strikes, dtype=float)), ctx.atm_rn, ctx.radius_scale)
+    angles = continuous_angle(x)
+    radii = ctx.radius_scale + np.asarray(vols, dtype=float)
+    return x, angles, radii, np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
 def represent(
     smile: SmileCurve, ctx: ReprContext | None = None, strikes=None
 ) -> RepresentationCurve:
@@ -214,9 +222,7 @@ def represent(
     if strikes is None:
         strikes = smile.default_grid(DEFAULT_CURVE_POINTS)
     strikes = np.asarray(strikes, dtype=float)
-    angles = angle_for_strike(strikes, ctx)
-    radii = ctx.radius_scale + np.asarray(smile.vol(strikes), dtype=float)
-    points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    _, angles, radii, points = polar_map(strikes, smile.vol(strikes), ctx)
     return RepresentationCurve(
         strikes=strikes, angles=angles, radii=radii, points=points, context=ctx, smile=smile
     )
@@ -224,12 +230,7 @@ def represent(
 
 def represent_anchors(anchors, ctx: ReprContext) -> np.ndarray:
     """Representation points of delta anchors: rows of (x, y)."""
-    phis = angle_for_strike(np.array([a.strike for a in anchors], dtype=float), ctx).tolist()
-    out = np.empty((len(anchors), 2), dtype=float)
-    for i, (anchor, phi) in enumerate(zip(anchors, phis)):
-        rho = ctx.radius_scale + anchor.vol
-        out[i] = (rho * math.cos(phi), rho * math.sin(phi))
-    return out
+    return polar_map([a.strike for a in anchors], [a.vol for a in anchors], ctx)[3]
 
 
 def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> SmileCurve:
@@ -244,7 +245,7 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
     r_scale = ctx.radius_scale
 
     def vol_fn(lnk):
-        cos, sin, _ = _unit_point(_lnk_x(lnk, ctx))
+        cos, sin, _ = _unit_point(_x(lnk, ctx.atm_rn, ctx.radius_scale))
         return shape.ray_radius(cos, sin) - r_scale
 
     def jet_fn(lnk):

@@ -67,8 +67,9 @@ class _LnKWeights:
     """The quadratic Lagrange weights in ln K through the log-strikes m.
 
     The denominators and the constant second derivatives ``wpp`` are fixed
-    at construction.  Callers pass m: the two backends take it from
-    different logarithms, which can differ in the last bit.
+    at construction.  Both backends pass m = ``np.log`` of the anchor
+    strikes, the log a smile reads a strike by, so at each anchor the
+    weights are exactly 1, 0 and 0.
     """
 
     def __init__(self, m):
@@ -101,7 +102,7 @@ class _FirstOrder:
 
     def __init__(self, q: ThreeQuoteSmile):
         self.sig = q.vols
-        self.w = _LnKWeights(math.log(k) for k in q.strikes)
+        self.w = _LnKWeights(np.log(q.strikes))
         s1, s2, s3 = q.vols
         den = self.w.den
         # sum(1 / den) = 0, so the gaps to s2 give the same sum without cancelling.

@@ -500,12 +500,11 @@ class TestCli:
 
     @pytest.mark.parametrize("csv_path", [CIRCLE_CSV, GAMMA_CSV], ids=["circle", "gamma"])
     def test_represent_is_the_library_polar_map(self, csv_path, capsys):
-        # Each row's X, angle and (x, y) are strike_to_x, continuous_angle and
-        # represent_anchors of the same label anchors, bit for bit.
+        # Each row's strike, vol, X, angle, radius and (x, y) are polar_map's
+        # of the same label anchors, bit for bit.
         from smilegeo import cli
-        from smilegeo.georep import continuous_angle, flat_context, represent_anchors, strike_to_x
+        from smilegeo.georep import flat_context, polar_map
         from smilegeo.bsm import strike_for_target_nd1
-        from smilegeo.smile import DeltaAnchor
         from smilegeo.surface import effective_nd1_target
 
         conv = DeltaConvention.SPOT_PIPS
@@ -514,23 +513,17 @@ class TestCli:
             assert cli.main(argv) == 0
             doc = json.loads(capsys.readouterr().out)
             ms = row.market()
-            ctx = flat_context(ms, row.vols["ATM"])
-            anchors = [
-                DeltaAnchor(
-                    target=0.5,
-                    strike=strike_for_target_nd1(ms, row.vols[lab], effective_nd1_target(lab, ms, conv)),
-                    vol=row.vols[lab],
-                )
-                for lab, *_ in doc["rows"]
+            labels = [lab for lab, *_ in doc["rows"]]
+            strikes = [
+                strike_for_target_nd1(ms, row.vols[lab], effective_nd1_target(lab, ms, conv))
+                for lab in labels
             ]
-            pts = represent_anchors(anchors, ctx)
+            vols = [row.vols[lab] for lab in labels]
+            x, phi, rho, pts = polar_map(strikes, vols, flat_context(ms, row.vols["ATM"]))
+            want = np.column_stack([strikes, vols, x, phi, rho, pts]).tolist()
             assert len(doc["rows"]) == len(row.vols)
-            for got, anchor, (x, y) in zip(doc["rows"], anchors, pts):
-                cells = dict(zip(doc["columns"], got))
-                x_coord = strike_to_x(anchor.strike, ctx.atm_rn, ctx.radius_scale)
-                assert cells["X"] == x_coord
-                assert cells["angle"] == continuous_angle(x_coord)
-                assert (cells["x"], cells["y"]) == (x, y)
+            assert doc["columns"] == ["label", "strike", "vol", "X", "angle", "radius", "x", "y"]
+            assert [cells[1:] for cells in doc["rows"]] == want
 
     def test_repeated_expiry_exit_2(self, tmp_path, capsys):
         from smilegeo import cli
@@ -576,7 +569,7 @@ class TestCli:
         ],
     )
     def test_subnormal_radius_scale_exit_3(self, command):
-        # R = 1e-320 is finite and positive, but ln(K / K_atm) / R overflows.
+        # R = 1e-320 is finite and positive, but (ln K - ln K_atm) / R overflows.
         # Every subcommand gives its one-line reason and no warning; compare
         # and complete-surface blank the failed rows and exit 0.
         code, out, err = run_cli(command, GAMMA_CSV, "--radius-scale", "1e-320")

@@ -13,12 +13,12 @@ from smilegeo.errors import NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
     FAR_X,
     ReprContext,
-    angle_for_strike,
     angle_jet,
     context_for_smile,
     continuous_angle,
     flat_context,
     polar_angle,
+    polar_map,
     represent,
     represent_anchors,
     smile_from_shape,
@@ -27,7 +27,7 @@ from smilegeo.georep import (
 )
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle
 from smilegeo.smile import flat_smile, smile_from_distribution
-from smilegeo.surface import LABELS, parse_surface, row_anchors
+from smilegeo.surface import LABELS, complete_expiry, parse_surface, row_anchors
 from smilegeo.workflows import distribution_report, market_state_for
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
@@ -147,7 +147,7 @@ class TestDirectionMap:
         ctx = ReprContext(market=FLAT_MS, atm_rn=102.0, radius_scale=0.8)
         lnk = np.log(np.geomspace(20.0, 500.0, 301))
         cos, sin, dphi, d2phi = angle_jet(lnk, ctx)
-        x = (lnk - math.log(ctx.atm_rn)) / ctx.radius_scale
+        x = (lnk - np.log(ctx.atm_rn)) / ctx.radius_scale
         assert np.array_equal(np.array([cos, sin]), np.array(stereographic_point(x)))
         # The chain rule of phi = 2 atan(X) - pi/2 in ln K.
         assert np.array_equal(dphi, 2.0 / ((1.0 + x * x) * ctx.radius_scale))
@@ -203,6 +203,11 @@ class TestRepresent:
             [curve.radii * np.cos(curve.angles), curve.radii * np.sin(curve.angles)]
         )
         assert np.array_equal(rebuilt, curve.points)
+        ctx = curve.context
+        x, phi, rho, points = polar_map(curve.strikes, smile.vol(curve.strikes), ctx)
+        assert np.array_equal(x, strike_to_x(curve.strikes, ctx.atm_rn, ctx.radius_scale))
+        assert np.array_equal(phi, curve.angles) and np.array_equal(rho, curve.radii)
+        assert np.array_equal(points, curve.points)
 
     def test_vols_read_back(self):
         smile = flat_smile(FLAT_MS, 0.35)
@@ -212,18 +217,26 @@ class TestRepresent:
 
 
 class TestRepresentAnchorsExact:
-    """``represent_anchors`` maps all anchor strikes to angles in one array
-    call; each point must equal the anchor's own 0-d angle read mapped by
-    ``math.cos`` and ``math.sin``."""
+    """``polar_map`` maps all anchor strikes in one array call; each anchor's
+    X, angle, radius and point must equal its own one-strike read, and
+    ``represent_anchors`` must give those points."""
 
     @staticmethod
     def _one_by_one(anchors, ctx):
         out = []
         for anchor in anchors:
-            phi = angle_for_strike(anchor.strike, ctx)
-            rho = ctx.radius_scale + anchor.vol
-            out.append((rho * math.cos(phi), rho * math.sin(phi)))
+            x, phi, rho, point = polar_map([anchor.strike], [anchor.vol], ctx)
+            out.append((*x.tolist(), *phi.tolist(), *rho.tolist(), *point[0].tolist()))
         return out
+
+    @classmethod
+    def _check(cls, anchors, ctx):
+        strikes, vols = [a.strike for a in anchors], [a.vol for a in anchors]
+        x, phi, rho, points = polar_map(strikes, vols, ctx)
+        together = np.column_stack([x, phi, rho, points])
+        assert [tuple(r) for r in together.tolist()] == cls._one_by_one(anchors, ctx)
+        assert np.array_equal(represent_anchors(anchors, ctx), points)
+        return points
 
     @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
     @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
@@ -232,17 +245,40 @@ class TestRepresentAnchorsExact:
             anchors = row_anchors(row, LABELS, row.strikes(conv))
             for ctx in (flat_context(row.market(), row.vols["ATM"]),
                         row.frame(0.5)):
-                got = represent_anchors(anchors, ctx)
-                assert got.shape == (len(LABELS), 2)
-                assert [tuple(p) for p in got.tolist()] == self._one_by_one(anchors, ctx)
+                assert self._check(anchors, ctx).shape == (len(LABELS), 2)
 
     @pytest.mark.parametrize(
         "dist", [Gamma(kappa=5.12, theta=0.64), Uniform(a=2.0109, b=5.4750)], ids=repr
     )
     def test_report_anchors(self, dist):
         rep = distribution_report(dist)
-        got = represent_anchors(rep.anchors, rep.ctx)
-        assert [tuple(p) for p in got.tolist()] == self._one_by_one(rep.anchors, rep.ctx)
+        self._check(rep.anchors, rep.ctx)
+
+
+class TestOneX:
+    """An anchor's plane point is placed at the X that the completed shape
+    smile reads at the anchor's strike, bit for bit."""
+
+    @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("method", ["circle", "ellipse"])
+    @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
+    def test_anchor_x_is_the_smile_x(self, name, method, conv):
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            done = complete_expiry(row, method, conv)
+            ctx = done.ctx
+            strikes = np.array([a.strike for a in done.anchors])
+            vols = [a.vol for a in done.anchors]
+            # The X the smile reads: its vol is the shape's ray radius along
+            # that X's stereographic point, less R.
+            x_read = (np.log(strikes) - np.log(ctx.atm_rn)) / ctx.radius_scale
+            ray = done.shape.ray_radius(*stereographic_point(x_read)) - ctx.radius_scale
+            assert np.array_equal(done.smile.vol(strikes), ray), row.expiry_label
+            # The X the anchor's point was placed at.
+            x_placed, phi, rho, points = polar_map(strikes, vols, ctx)
+            assert np.array_equal(phi, continuous_angle(x_placed))
+            assert np.array_equal(points, np.column_stack([rho * np.cos(phi), rho * np.sin(phi)]))
+            assert np.array_equal(x_placed, strike_to_x(strikes, ctx.atm_rn, ctx.radius_scale))
+            assert np.array_equal(x_placed, x_read), row.expiry_label
 
 
 class TestAutoRadiusScale:

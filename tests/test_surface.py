@@ -427,6 +427,45 @@ class TestLabelVolsExact:
             assert got == want, row.expiry_label
 
 
+class TestAnchorLedger:
+    """Anchor reproduction on both shipped surfaces under both conventions:
+    |sigma(anchor strike) - quote| / quote at every anchor of every row.
+
+    Circle and ellipse anchors come back through a fitted shape, whose
+    circumcircle or conic and ray intersection both round.  40 of their 448
+    anchors are exact; at least 37 must be, the count when the anchors and
+    the smiles formed X by different expressions.  The worst is 1.51e-14,
+    and the bound is twice that.
+    The vanna-volga smiles are Lagrange forms in the anchors' own log
+    strikes, and all 168 anchors of each variant are exact.
+    """
+
+    SHAPE_BOUND = 3.0e-14
+    SHAPE_EXACT_AT_LEAST = 37
+
+    @staticmethod
+    def _errors(method, variant="market"):
+        errs = []
+        for name in ("synthetic_circle_surface", "synthetic_gamma_surface"):
+            for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+                for conv in DeltaConvention:
+                    done = complete_expiry(row, method, conv, vv_variant=variant)
+                    errs += [abs(done.smile.vol(a.strike) - a.vol) / a.vol for a in done.anchors]
+        return np.array(errs)
+
+    def test_shape_anchors(self):
+        errs = np.concatenate([self._errors("circle"), self._errors("ellipse")])
+        assert errs.size == 448
+        assert errs.max() <= self.SHAPE_BOUND
+        assert np.count_nonzero(errs == 0.0) >= self.SHAPE_EXACT_AT_LEAST
+
+    @pytest.mark.parametrize("variant", ["market", "first"])
+    def test_vanna_volga_anchors_exact(self, variant):
+        errs = self._errors("vanna-volga", variant)
+        assert errs.size == 168
+        assert np.all(errs == 0.0)
+
+
 class TestDiscrepancyTable:
     def test_circle_surface_recovered_exactly(self):
         rows = parse_surface(synthetic_circle_surface())

@@ -1,16 +1,19 @@
 """Tests for the three-quote vanna-volga interpolation."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smilegeo.bsm import MarketState
+from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.smile import DeltaAnchor
-from smilegeo.vanna_volga import ThreeQuoteSmile, _LnKWeights, vv_smile
+from smilegeo.surface import complete_expiry, parse_surface
+from smilegeo.vanna_volga import ThreeQuoteSmile, _FirstOrder, _LnKWeights, vv_smile
 
 MS = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=1.0)
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def quotes(k1=85.0, k2=101.0, k3=118.0, s1=0.24, s2=0.20, s3=0.22, ms=MS):
@@ -80,6 +83,17 @@ class TestFirstOrder:
     def test_weights_sum_to_one(self, k):
         w1, w2, w3 = _LnKWeights(np.log(quotes().strikes))(math.log(k))
         assert abs(w1 + w2 + w3 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
+    def test_weights_are_unit_at_shipped_anchors(self, name):
+        # The weights and a smile's read take ln K from the same log.
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            for conv in DeltaConvention:
+                anchors = complete_expiry(row, "vanna-volga", conv, vv_variant="first").anchors
+                q = ThreeQuoteSmile(anchors=anchors, market=row.market())
+                weights = _FirstOrder(q).w
+                for i, k in enumerate(q.strikes):
+                    assert weights(np.log(k)) == tuple(float(j == i) for j in range(3))
 
     def test_smooth_between_anchors(self):
         q = quotes()

@@ -11,7 +11,7 @@ five families, with market-like widths (annual vol about 8-45 %).
 OUT is a JSON file with one record per case: the ends of the smile's
 strike grid (``k_lo``, ``k_hi``), the KL window, the anchors (target,
 strike, vol), the fitted circle, the three KL values with their
-``clamped_fraction``, the non-negativity margin, two accuracy figures, or
+``clamped_fraction``, the non-negativity margin, three accuracy figures, or
 the error a case raised, and sha256 hashes of the bytes of:
 
 - each of the densities ``p_true``, ``p_circle`` and ``p_vanna_volga`` on
@@ -29,7 +29,9 @@ The accuracy figures are measured against independent references:
   ``mpmath.ncdf`` at 50 digits;
 - ``round_trip``: the largest |p - pdf| of
   ``density_from_smile(report.smile, window_grid)`` against the
-  distribution's own ``pdf`` on the KL window, over the pdf's peak there.
+  distribution's own ``pdf`` on the KL window, over the pdf's peak there;
+- ``anchor_residual``: the worst |sigma - vol| / vol of the circle's smile
+  at its three anchors' strikes, against the anchors' own vols.
 
 Floats are written with ``repr``, so files from two checkouts compare
 exactly; an array that moves by one bit changes its hash, where the KL
@@ -52,7 +54,7 @@ import numpy as np
 
 DRAWS = 12
 SEED = 20240611
-ACCURACY = ("delta_residual", "round_trip")
+ACCURACY = ("delta_residual", "round_trip", "anchor_residual")
 
 
 def cases(sg):
@@ -97,6 +99,7 @@ def record(sg, dist) -> dict:
         "margin": rep.margin,
         "delta_residual": _delta_residual(sg, rep),
         "round_trip": _round_trip(sg, dist, rep),
+        "anchor_residual": _anchor_residual(rep),
         "density_sha256": {
             name: _sha256(getattr(rep, name).values) for name in ("p_true", "p_circle", "p_vanna_volga")
         },
@@ -131,6 +134,11 @@ def _round_trip(sg, dist, rep) -> float:
     pdf = np.asarray(dist.pdf(rep.window_grid), dtype=float)
     got = sg.density_from_smile(rep.smile, rep.window_grid).values
     return float(np.max(np.abs(got - pdf)) / np.max(pdf))
+
+
+def _anchor_residual(rep) -> float:
+    """Worst |sigma - vol| / vol of the circle's smile at its three anchors."""
+    return max(abs(rep.circle_smile.vol(a.strike) - a.vol) / a.vol for a in rep.anchors)
 
 
 def _jet_hashes(sg, dist, rep) -> dict:
