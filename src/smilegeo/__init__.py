@@ -64,7 +64,6 @@ from .georep import (
     ReprContext,
     context_for_smile,
     flat_context,
-    polar_angle,
     represent,
     smile_from_shape,
     stereographic_point,

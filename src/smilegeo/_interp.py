@@ -1,23 +1,16 @@
-"""The cubic splines behind smiles and curvatures.
+"""The natural cubic spline behind ``smile_from_distribution``'s smiles.
 
-Each function returns the same doubles, bit for bit, as the scipy 1.17.1
-routine it reproduces:
-
-- ``natural_spline(x, y)`` is ``CubicSpline(x, y, bc_type="natural")``, the
-  smile of ``smile_from_distribution`` in (ln K, sigma).
-- ``curve_spline(t, pts)`` is ``CubicSpline(t, pts[:, i])`` (not-a-knot) for
-  both coordinates of a planar curve, solved as two right-hand sides of
-  one tridiagonal system.  Only raw point arrays are resampled through it.
-
-The splines form scipy's band, right-hand side and Hermite coefficients and
-solve with LAPACK ``dgtsv`` as ``solve_banded`` calls it, importing
-``scipy.linalg.lapack`` on the first solve (no CLI subcommand makes one).
-They evaluate as ``PPoly`` does: on the cell
+``natural_spline(x, y)`` returns the same doubles, bit for bit, as scipy
+1.17.1's ``CubicSpline(x, y, bc_type="natural")``, the smile in
+(ln K, sigma).  It forms scipy's band, right-hand side and Hermite
+coefficients and solves with LAPACK ``dgtsv`` as ``solve_banded`` calls it,
+importing ``scipy.linalg.lapack`` on the first solve (no CLI subcommand
+makes one).  It evaluates as ``PPoly`` does: on the cell
 ``searchsorted(side="right") - 1`` clipped to the end cells, as a power sum
 in ``s = x - x[i]`` over ``s``, ``s * s`` and ``(s * s) * s``; ``jet`` adds
-the derivatives from the coefficients ``PPoly.derivative`` forms.  The builders raise ``InvalidInput``, a
-``ValueError``, where scipy raises ``ValueError``; ``curve_spline`` needs
-at least 4 nodes, where scipy solves 2 and 3 another way.
+the derivatives from the coefficients ``PPoly.derivative`` forms.  The
+builder raises ``InvalidInput``, a ``ValueError``, where scipy raises
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -29,8 +22,7 @@ from .errors import InvalidInput
 
 class _Cubic:
     """Piecewise cubic with breakpoints ``x`` and coefficients ``c[k, i]`` of
-    ``(x - x[i])**(3 - k)`` on cell i (with a trailing axis of coordinates
-    for a curve), evaluated as scipy's ``PPoly``."""
+    ``(x - x[i])**(3 - k)`` on cell i, evaluated as scipy's ``PPoly``."""
 
     def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x = x
@@ -43,8 +35,7 @@ class _Cubic:
         # The count of inner breakpoints at or below xs is PPoly's cell,
         # clipped to the end cells (NaN sorts last, into the last cell).
         i = np.searchsorted(self._inner, xs, side="right")
-        s = xs - self.x[i]
-        return np.take(self.c, i, axis=1), s if self.c.ndim == 2 else s[..., None]
+        return np.take(self.c, i, axis=1), xs - self.x[i]
 
     def __call__(self, xs) -> np.ndarray:
         (c0, c1, c2, c3), s = self._cells(xs)
@@ -74,12 +65,12 @@ def _power_sum(c0, c1, c2, c3, s, z):
     return out
 
 
-def _check_nodes(x, y, y_ndim: int):
+def _check_nodes(x, y):
     """scipy's ``prepare_input`` checks; returns float x, diff(x), float y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2 or y.ndim != y_ndim or y.shape[0] != x.shape[0]:
-        raise InvalidInput(f"need at least 2 nodes in 1-d x and as many values in {y_ndim}-d y")
+    if x.ndim != 1 or x.shape[0] < 2 or y.shape != x.shape:
+        raise InvalidInput("need at least 2 nodes in 1-d x and as many values in 1-d y")
     if not np.isfinite(x).all():
         raise InvalidInput("`x` must contain only finite values.")
     if not np.isfinite(y).all():
@@ -106,12 +97,12 @@ def _hermite(x, dx, y, slope, dydx) -> _Cubic:
     return _Cubic(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
 
 
-def _band(dx, dxr, slope):
+def _band(dx, slope):
     """``CubicSpline``'s tridiagonal band (dl, d, du) and right-hand side b,
     with the interior rows filled; the boundary condition fills the end rows."""
     n = dx.shape[0] + 1
-    b = np.empty((n, *slope.shape[1:]))
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     d = np.empty(n)
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
     du = np.empty(n - 1)
@@ -123,9 +114,9 @@ def _band(dx, dxr, slope):
 
 def natural_spline(x, y) -> _Cubic:
     """Natural cubic spline (zero second derivative at both ends) through y over x."""
-    x, dx, y = _check_nodes(x, y, 1)
+    x, dx, y = _check_nodes(x, y)
     slope = np.diff(y) / dx
-    dl, d, du, b = _band(dx, dx, slope)
+    dl, d, du, b = _band(dx, slope)
     # The end rows, with the zero second derivative entered as scipy enters it.
     d[0], du[0] = 2 * dx[0], dx[0]
     b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
@@ -133,21 +124,3 @@ def natural_spline(x, y) -> _Cubic:
     b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
     return _hermite(x, dx, y, slope, _gtsv(dl, d, du, b))
 
-
-def curve_spline(t, pts) -> _Cubic:
-    """Not-a-knot cubic spline through the (n, 2) points ``pts`` over ``t``."""
-    t, dt, pts = _check_nodes(t, pts, 2)
-    if pts.shape[1] != 2 or t.shape[0] < 4:
-        raise InvalidInput("need at least 4 nodes and an (n, 2) point array")
-    dxr = dt[:, None]
-    slope = np.diff(pts, axis=0) / dxr
-    dl, d, du, b = _band(dt, dxr, slope)
-    # The not-a-knot rows: the third derivative is continuous at the second
-    # and the second-to-last node.
-    w0 = t[2] - t[0]
-    d[0], du[0] = dt[1], w0
-    b[0] = ((dt[0] + 2 * w0) * dt[1] * slope[0] + dt[0] ** 2 * slope[1]) / w0
-    w1 = t[-1] - t[-3]
-    d[-1], dl[-1] = dt[-2], w1
-    b[-1] = (dt[-1] ** 2 * slope[-2] + (2 * w1 + dt[-1]) * dt[-2] * slope[-1]) / w1
-    return _hermite(t, dxr, pts, slope, _gtsv(dl, d, du, b))

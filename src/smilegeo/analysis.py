@@ -10,7 +10,8 @@ rho (cos phi, sin phi), where rho = R + sigma(u) and phi(u) comes from
 
 with d kappa_E / du a 5-point stencil on log-uniform strikes.  A raw (n, 2)
 point array has no jet: it is resampled to CURVATURE_RESAMPLE_N points of
-uniform arc length s (a cubic spline on the chord length), and 5-point
+uniform arc length s (scipy's not-a-knot ``CubicSpline`` on the chord
+length, imported on the first point array), and 5-point
 stencils of x and y in s feed the same kappa_E and
 kappa_s = -(x' y''' - y' x''') (x'^2 + y'^2) / C^2, where C = x' y'' - y' x''.
 The general-parameter form adds 3 (x' x'' + y' y'') / C, which is 0 at
@@ -20,8 +21,8 @@ kappa_E is invariant under rotations and translations and equals 1/rho on a
 circle of radius rho; kappa_s is additionally invariant under uniform
 scaling and vanishes identically on circles.
 
-The point-array spline comes from ``_interp`` and the N(-d1) column from
-``bsm.erfc_ndtr``, the standard library's ``erfc``: neither imports scipy.
+The N(-d1) column comes from ``bsm.erfc_ndtr``, the standard library's
+``erfc``, so a RepresentationCurve's profile loads no scipy module.
 Several q against one p share p's side of the KL.
 """
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _interp
 from .bsm import d1_total, erfc_ndtr
 from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport, InvalidInput
@@ -92,10 +92,16 @@ def _stencil(f: np.ndarray, h: float):
 
 def _spline_curvatures(pts: np.ndarray):
     """(arc, x, y, kappa_E, kappa_s) of a point array, resampled to uniform arc length."""
+    from scipy.interpolate import CubicSpline  # point arrays only, off every CLI path
+
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     s = np.concatenate([[0.0], np.cumsum(seg)])
+    try:
+        spline = CubicSpline(s, pts)
+    except ValueError as exc:  # non-finite points, or chord steps lost to rounding
+        raise InvalidInput(str(exc)) from exc
     s_uniform = np.linspace(0.0, float(s[-1]), CURVATURE_RESAMPLE_N)
-    x, y = _interp.curve_spline(s, pts)(s_uniform).T
+    x, y = spline(s_uniform).T
     h = float(s_uniform[1] - s_uniform[0])
     x1, x2, x3 = _stencil(x, h)
     y1, y2, y3 = _stencil(y, h)

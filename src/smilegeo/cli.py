@@ -2,8 +2,9 @@
 
 Subcommands: represent, fit-circle, fit-ellipse, density, curvature,
 complete-surface, compare.  Exit codes: 0 on success, 2 on input/parse
-errors, 3 on numeric failures (inadmissible shapes, out-of-band prices,
-grids too narrow for distinct strikes).  Every row error names its
+errors and on a surface or ``--out`` path that cannot be opened, 3 on
+numeric failures (inadmissible shapes, out-of-band prices, grids too
+narrow for distinct strikes).  Every row error names its
 expiry: ``expiry '2W' failed: <reason>``.  ``compare`` and
 ``complete-surface`` blank a failed row, name it on stderr, and still exit 0.
 """
@@ -213,7 +214,8 @@ def run(argv=None) -> int:
         return exc.code
     # A density grid needs both ends; a short curvature grid is CurveTooShort.
     grid_points = _grid_points(args, 2 if args.command == "density" else 0)
-    rows = parse_surface(open(args.surface, "rb").read())
+    with open(args.surface, "rb") as fh:
+        rows = parse_surface(fh.read())
     if not rows:
         raise ParseError("surface file has no data rows")
 
@@ -241,14 +243,14 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except (ParseError, MissingAnchor, FileNotFoundError) as exc:
+    except BrokenPipeError:  # an OSError too: a closed reader is no input error
+        return 0
+    except (ParseError, MissingAnchor, OSError) as exc:
         print(f"smilegeo: {exc}", file=sys.stderr)
         return 2
     except SmileGeoError as exc:
         print(f"smilegeo: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

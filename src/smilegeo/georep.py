@@ -2,12 +2,13 @@
 
 A strike maps to an angle through a stereographic slice of the unit circle:
 X(K) = (ln K - ln K_atm) / R lands on the circle at (2X/(1+X^2), (X^2-1)/(1+X^2)),
-whose polar angle phi = 2 arctan(X) - pi/2 runs monotonically from -pi/2 at
-X = 0.  The radial coordinate is R + sigma(K), so a flat smile draws an
-origin-centred circle of radius R + sigma.  Inverting a fitted shape
-intersects each strike's ray with the shape and reads sigma back off the
-radial excess over R.  The ray geometry itself (origin check, intersection,
-derivatives) belongs to the shape classes in ``shapes``.
+whose polar angle phi = 2 arctan(X) - pi/2 (``continuous_angle``, the
+principal angle modulo 2 pi) runs monotonically from -pi/2 at X = 0.  The
+radial coordinate is R + sigma(K), so a flat smile draws an origin-centred
+circle of radius R + sigma.  Inverting a fitted shape intersects each
+strike's ray with the shape and reads sigma back off the radial excess over
+R.  The ray geometry itself (origin check, intersection, derivatives)
+belongs to the shape classes in ``shapes``.
 
 X is formed in one place, ``_x``, from numpy logs, so an anchor's plane
 point and a shape smile's read at its strike see the same X to the last
@@ -130,25 +131,12 @@ def _unit_point(x):
     return 2.0 * x / den, (x - 1.0) * (x + 1.0) / den, den
 
 
-def polar_angle(x, z):
-    """Principal polar angle of (x, z) in (-pi, pi].
-
-    Kept with ``stereographic_point`` for tests of ``continuous_angle``.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.any((x == 0.0) & (z == 0.0)):
-        raise InvalidInput("polar angle undefined at the origin")
-    out = np.arctan2(z, x)
-    out = np.where((out == -math.pi), math.pi, out)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def continuous_angle(x_coord):
     """Monotone angle branch along the projected line: 2 arctan(X) - pi/2.
 
-    Equals the principal polar angle modulo 2 pi, starts at -pi/2 for X = 0,
-    and avoids the arctan2 branch cut that the image crosses at X = -1.
+    Equals the principal angle ``np.arctan2(z, x)`` of X's stereographic
+    point modulo 2 pi, starts at -pi/2 for X = 0, and avoids the arctan2
+    branch cut that the image crosses at X = -1.
     """
     x_coord = np.asarray(x_coord, dtype=float)
     out = 2.0 * np.arctan(x_coord) - 0.5 * math.pi

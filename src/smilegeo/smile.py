@@ -69,7 +69,6 @@ DELTA_XTOL = 1e-15  # ln-K step that ends a delta solve, plus 4 eps |ln K|
 DELTA_MAX_ITER = 100
 _EPS = float(np.finfo(float).eps)
 _BRACKET_VOLS = np.array([IV_BRACKET_LO, IV_BRACKET_HI])
-_SWEEP_RAMP = np.arange(ADMISSIBILITY_POINTS, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -148,25 +147,13 @@ def log_uniform_grid(k_lo: float, k_hi: float, n: int) -> np.ndarray:
     return np.clip(grid, k_lo, k_hi)
 
 
-def _admissibility_sweep(a: float, b: float) -> np.ndarray:
-    """``np.linspace(a, b, ADMISSIBILITY_POINTS)``, bit for bit, from a precomputed ramp."""
-    step = (b - a) / (ADMISSIBILITY_POINTS - 1)
-    if step == 0.0:  # linspace's order for a subnormal step
-        sweep = _SWEEP_RAMP / (ADMISSIBILITY_POINTS - 1) * (b - a)
-    else:
-        sweep = _SWEEP_RAMP * step
-    sweep += a
-    sweep[-1] = b
-    return sweep
-
-
 def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
     """Sweep ``ADMISSIBILITY_POINTS`` log-uniform strikes of [k_lo, k_hi];
     NonpositiveVol unless every vol > 0.
 
     The test is ``not (vol > 0)``, so a NaN vol fails it too.
     """
-    sweep = _admissibility_sweep(math.log(k_lo), math.log(k_hi))
+    sweep = np.linspace(math.log(k_lo), math.log(k_hi), ADMISSIBILITY_POINTS)
     vols = vol_fn(sweep)
     if not (vols > 0.0).all():
         k_bad = math.exp(float(sweep[int(np.argmin(vols))]))  # argmin: first NaN, else lowest

@@ -17,7 +17,7 @@ from smilegeo.analysis import (
 from smilegeo.distributions import (
     DensityCurve, Gamma, LogNormal, Normal, StudentT, Uniform, density_curve,
 )
-from smilegeo.errors import CurveTooShort, DegenerateMass, DisjointSupport
+from smilegeo.errors import CurveTooShort, DegenerateMass, DisjointSupport, InvalidInput
 from smilegeo.georep import context_for_smile, represent
 from smilegeo.shapes import CircleShape
 from smilegeo.smile import smile_from_distribution
@@ -99,6 +99,19 @@ class TestCurvatureOnCircles:
             euclidean_curvature(pts)
         with pytest.raises(CurveTooShort):
             similarity_curvature(circle_arc_points((0.0, 0.0), 1.0, n=8))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "lost_step"])
+    def test_unusable_point_array_is_invalid_input(self, bad):
+        # The resampling spline needs finite, strictly increasing chord
+        # lengths; anything else is the package's InvalidInput, not scipy's
+        # bare ValueError.
+        pts = circle_arc_points((0.0, 0.0), 1.0, n=9)
+        if bad == "lost_step":  # distinct points, but 1e17 + 1 rounds to 1e17
+            pts = np.column_stack([[0.0] + [1e17] * 8, np.arange(9.0)])
+        else:
+            pts[4, 0] = float(bad)
+        with pytest.raises(InvalidInput):
+            curvature_profile(pts)
 
 
 class TestCurvatureOnEllipses:

@@ -140,8 +140,9 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 # Run in a fresh interpreter: neither the CLI's import nor a distribution
 # smile, a delta solve and a curvature profile load the spline or the
-# root-finding subpackage.  The package builds its splines itself; the
-# source scan below keeps either import out of it.
+# root-finding subpackage.  The package builds its smile spline itself; the
+# source scan below keeps scipy.optimize out of it, and scipy.interpolate
+# inside the one function that resamples raw point arrays.
 IMPORT_PATH_PROBE = """
 import sys
 
@@ -246,19 +247,31 @@ def test_cli_runs_without_scipy():
 
 
 def test_library_never_imports_scipy_optimize():
-    """Nor scipy.interpolate: the package's splines are its own."""
+    """Nor scipy.interpolate, but inside ``analysis._spline_curvatures``: only
+    a raw point array's curvature resamples through scipy's CubicSpline, and
+    no module imports it at load time."""
     src = pathlib.Path(SRC) / "smilegeo"
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # The innermost function around each node: ast.walk visits outer first.
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
+            where = f"{path.stem}.{owner.get(node, '<module>')}"
             found += [
-                f"{path.name}: {n}" for n in names if n.startswith(("scipy.interpolate", "scipy.optimize"))
+                f"{where}: {n}"
+                for n in names
+                if n.startswith("scipy.optimize")
+                or (n.startswith("scipy.interpolate") and where != "analysis._spline_curvatures")
             ]
     assert found == []
 
@@ -549,6 +562,22 @@ class TestCli:
     def test_missing_file_exit_2(self):
         code, _, _ = run_cli("compare", "/nonexistent/surface.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["surface", "--out"])
+    def test_directory_path_exit_2(self, tmp_path, where):
+        argv = [str(tmp_path)] if where == "surface" else [GAMMA_CSV, "--out", str(tmp_path)]
+        code, out, err = run_cli("represent", *argv)
+        assert code == 2
+        assert out == b""
+        assert err.startswith(b"smilegeo: ") and err.count(b"\n") == 1, err
+
+    def test_surface_file_is_closed(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "smilegeo.cli", "represent", GAMMA_CSV],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_unknown_expiry_exit_2(self):
         code, _, err = run_cli("density", GAMMA_CSV, "--expiry", "7Y")

@@ -17,7 +17,6 @@ from smilegeo.georep import (
     context_for_smile,
     continuous_angle,
     flat_context,
-    polar_angle,
     polar_map,
     represent,
     represent_anchors,
@@ -158,23 +157,10 @@ class TestDirectionMap:
 
 
 class TestPolarAngle:
-    def test_south_pole(self):
-        assert polar_angle(0.0, -1.0) == pytest.approx(-math.pi / 2, abs=1e-15)
-
-    def test_east(self):
-        assert polar_angle(1.0, 0.0) == 0.0
-
-    def test_west_gets_pi(self):
-        assert polar_angle(-1.0, 0.0) == pytest.approx(math.pi, abs=0.0)
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            polar_angle(0.0, 0.0)
-
     def test_continuous_branch_matches_modulo_2pi(self):
         xs = np.linspace(-30.0, 30.0, 1001)
         px, pz = stereographic_point(xs)
-        diff = np.asarray(continuous_angle(xs)) - np.asarray(polar_angle(px, pz))
+        diff = np.asarray(continuous_angle(xs)) - np.arctan2(pz, px)
         wrapped = np.abs(np.remainder(diff + math.pi, 2.0 * math.pi) - math.pi)
         assert np.max(wrapped) <= 1e-12
 

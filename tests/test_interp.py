@@ -1,10 +1,9 @@
-"""The splines in smilegeo._interp against the scipy routines they reproduce.
+"""The natural spline in smilegeo._interp against the scipy routine it reproduces.
 
 Every spline comparison is bit for bit: equal NaN positions and equal bits
 everywhere else (so -0.0 and 0.0 differ).
 """
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -17,13 +16,9 @@ from smilegeo.analysis import curvature_profile
 from smilegeo.bsm import forward_log_moneyness, implied_vol_grid
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.errors import InvalidInput
-from smilegeo.georep import represent
 from smilegeo.smile import smile_from_distribution, strike_grid
-from smilegeo.surface import complete_expiry, parse_surface
 from smilegeo.workflows import distribution_report, market_state_for
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
-SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
 FAMILIES = (
     Gamma(kappa=5.12, theta=0.64),
     Uniform(a=2.0109, b=5.4750),
@@ -41,17 +36,6 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
 
 
-def assert_spline_matches(t, pts, xs):
-    got = _interp.curve_spline(t, pts)(xs)
-    for j in range(2):
-        assert same_bits(got[:, j], CubicSpline(t, pts[:, j])(xs)), j
-
-
-def chord_nodes(pts):
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
 def random_nodes(rng, n, kind):
     """Strictly increasing nodes: smooth, cubed-uniform or with rare long gaps."""
     if kind == 0:
@@ -62,50 +46,6 @@ def random_nodes(rng, n, kind):
         steps = np.where(rng.random(n - 1) < 0.1, 50.0, 0.01) * rng.uniform(0.5, 1.0, n - 1)
     start = rng.normal()
     return np.concatenate([[start], start + np.cumsum(steps)])
-
-
-class TestSpline:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_curves(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(9, 2501)) if seed else 9
-        t = random_nodes(rng, n, seed % 3)
-        pts = np.column_stack([np.cumsum(rng.normal(size=n)), np.sin(t) + 0.1 * rng.normal(size=n)])
-        xs = np.concatenate([
-            np.linspace(t[0], t[-1], 2001), rng.uniform(t[0] - 1.0, t[-1] + 1.0, 500), t,
-        ])
-        assert_spline_matches(t, pts, xs)
-
-    @pytest.mark.parametrize(
-        "t",
-        [
-            # Row interchanges inside the sweep and in its last row.
-            [0.0, 1.0, 2.0, 100.0, 101.0, 102.0, 300.0, 301.0, 5000.0],
-            [0.0, 100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 10000.0],
-            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.001, 100.0],
-            [0.0, 1.0, 2.0, 3.0],
-        ],
-    )
-    def test_pivoting_spacings(self, t):
-        t = np.asarray(t)
-        pts = np.column_stack([np.sin(t), np.cos(t / 7.0)])
-        assert_spline_matches(t, pts, np.linspace(t[0] - 1.0, t[-1] + 1.0, 3001))
-
-    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
-    def test_report_curves(self, dist):
-        curve = distribution_report(dist).curve
-        s = chord_nodes(curve.points)
-        su = np.linspace(0.0, float(s[-1]), 2001)
-        assert_spline_matches(s, curve.points, su)
-
-    @pytest.mark.parametrize("surface", SURFACES)
-    def test_cli_curves(self, surface):
-        for row in parse_surface((DATA / surface).read_bytes()):
-            completed = complete_expiry(row, "circle")
-            curve = represent(completed.smile, completed.ctx, completed.smile.default_grid(2001))
-            s = chord_nodes(curve.points)
-            su = np.linspace(0.0, float(s[-1]), 2001)
-            assert_spline_matches(s, curve.points, su)
 
 
 def read_points(x):
@@ -189,8 +129,6 @@ def test_value_errors_where_scipy_raises(x, y):
         CubicSpline(x, y)
     with pytest.raises(ValueError):
         CubicSpline(x, y, bc_type="natural")
-    with pytest.raises(InvalidInput):
-        _interp.curve_spline(x, np.column_stack([Y5, y]))
     with pytest.raises(InvalidInput):
         _interp.natural_spline(x, y)
 

@@ -20,7 +20,6 @@ from smilegeo.errors import (
 )
 from smilegeo.shapes import CircleShape
 from smilegeo.smile import (
-    ADMISSIBILITY_POINTS,
     DELTA_SAMPLES,
     GridSpec,
     SmileCurve,
@@ -31,7 +30,6 @@ from smilegeo.smile import (
     smile_from_distribution,
     strike_for_delta,
     strikes_for_deltas,
-    _admissibility_sweep,
 )
 from smilegeo.surface import complete_expiry, parse_surface
 from smilegeo.workflows import market_state_for
@@ -481,18 +479,6 @@ class TestScalarReads:
     def test_spline_and_flat(self, backend):
         smile = JET_BACKENDS[backend]()
         self._check(smile, smile.default_grid(9), np.random.default_rng(8))
-
-
-def test_admissibility_sweep_is_linspace():
-    rng = np.random.default_rng(11)
-    n = 10_000
-    a = rng.uniform(-700.0, 700.0, n) * 10.0 ** rng.uniform(-16.0, 0.0, n)
-    b = a + np.abs(a) * 10.0 ** rng.uniform(-16.0, 1.0, n) + 10.0 ** rng.uniform(-300.0, 2.0, n)
-    # Equal ends, and steps that are subnormal or round to 0 (linspace's other order).
-    tiny = [(1.5, 1.5), (0.0, 5e-324), (0.0, 1e-321), (-1e-310, -1e-310 + 1e-318), (0.0, 1e-305)]
-    for lo, hi in [*tiny, *zip(a.tolist(), b.tolist())]:
-        want = np.linspace(lo, hi, ADMISSIBILITY_POINTS)
-        assert np.array_equal(_admissibility_sweep(lo, hi), want), (lo, hi)
 
 
 class TestJet:
