@@ -1,9 +1,12 @@
-"""The natural spline in smilegeo._interp against the scipy routine it reproduces.
+"""The natural spline in smilegeo._interp against the scipy routine it
+reproduces, and the point-array resampling in smilegeo.analysis against
+scipy's not-a-knot CubicSpline, one coordinate at a time.
 
 Every spline comparison is bit for bit: equal NaN positions and equal bits
 everywhere else (so -0.0 and 0.0 differ).
 """
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,13 +15,19 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ndtr as scipy_ndtr
 
 from smilegeo import _interp
-from smilegeo.analysis import curvature_profile
+from smilegeo.analysis import (
+    CURVATURE_EDGE_TRIM, CURVATURE_RESAMPLE_N, _spline_curvatures, curvature_profile,
+)
 from smilegeo.bsm import forward_log_moneyness, implied_vol_grid
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
 from smilegeo.errors import InvalidInput
+from smilegeo.georep import represent
 from smilegeo.smile import smile_from_distribution, strike_grid
+from smilegeo.surface import complete_expiry, parse_surface
 from smilegeo.workflows import distribution_report, market_state_for
 
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SURFACES = ("synthetic_circle_surface.csv", "synthetic_gamma_surface.csv")
 FAMILIES = (
     Gamma(kappa=5.12, theta=0.64),
     Uniform(a=2.0109, b=5.4750),
@@ -36,6 +45,25 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
 
 
+def assert_resample_matches(pts):
+    """The point array's resampled arc, x and y against a chord-length
+    CubicSpline of each coordinate on its own, read at the same uniform arc."""
+    arc, x, y, _, _ = _spline_curvatures(pts)
+    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    su = np.linspace(0.0, float(s[-1]), CURVATURE_RESAMPLE_N)
+    kept = slice(2 + CURVATURE_EDGE_TRIM, -(2 + CURVATURE_EDGE_TRIM))
+    assert same_bits(arc, su[kept])
+    for j, got in enumerate((x, y)):
+        assert same_bits(got, CubicSpline(s, pts[:, j])(su)[kept]), j
+
+
+def walk(t, heading):
+    """Points whose chord steps are the steps of ``t``, step i heading ``heading[i]``."""
+    steps = np.diff(t)[:, None] * np.column_stack([np.cos(heading), np.sin(heading)])
+    return np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+
+
 def random_nodes(rng, n, kind):
     """Strictly increasing nodes: smooth, cubed-uniform or with rare long gaps."""
     if kind == 0:
@@ -46,6 +74,40 @@ def random_nodes(rng, n, kind):
         steps = np.where(rng.random(n - 1) < 0.1, 50.0, 0.01) * rng.uniform(0.5, 1.0, n - 1)
     start = rng.normal()
     return np.concatenate([[start], start + np.cumsum(steps)])
+
+
+class TestSpline:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_curves(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, 2501)) if seed else 9
+        t = random_nodes(rng, n, seed % 3)
+        assert_resample_matches(walk(t, np.cumsum(rng.normal(scale=0.3, size=n - 1))))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            # Chord steps that make CubicSpline's banded solve interchange rows.
+            [0.0, 1.0, 2.0, 100.0, 101.0, 102.0, 300.0, 301.0, 5000.0],
+            [0.0, 100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 10000.0],
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.001, 100.0],
+            [0.0, 1.0, 2.0, 3.0],
+        ],
+    )
+    def test_pivoting_spacings(self, t):
+        t = np.asarray(t)
+        assert_resample_matches(walk(t, np.sin(t[1:])))
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: type(d).__name__)
+    def test_report_curves(self, dist):
+        assert_resample_matches(distribution_report(dist).curve.points)
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_cli_curves(self, surface):
+        for row in parse_surface((DATA / surface).read_bytes()):
+            completed = complete_expiry(row, "circle")
+            curve = represent(completed.smile, completed.ctx, completed.smile.default_grid(2001))
+            assert_resample_matches(curve.points)
 
 
 def read_points(x):
