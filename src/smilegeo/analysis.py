@@ -94,8 +94,11 @@ def _spline_curvatures(pts: np.ndarray):
     """(arc, x, y, kappa_E, kappa_s) of a point array, resampled to uniform arc length."""
     from scipy.interpolate import CubicSpline  # point arrays only, off every CLI path
 
-    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    # A non-finite point or an overflowing chord length leaves s non-finite,
+    # which CubicSpline rejects: no numpy warning comes first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        s = np.concatenate([[0.0], np.cumsum(seg)])
     try:
         spline = CubicSpline(s, pts)
     except ValueError as exc:  # non-finite points, or chord steps lost to rounding

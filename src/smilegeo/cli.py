@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .analysis import curvature_profile
 from .bsm import DeltaConvention
 from .emit import RENDERERS, RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
@@ -193,6 +192,8 @@ def _row_artifact(row, args, grid_points: int):
     if args.command == "density":
         return density_from_smile(completed.smile, _density_grid(completed, grid_points))
     if args.command == "curvature":
+        from .analysis import curvature_profile  # the one subcommand that loads analysis
+
         grid = _increasing(completed.smile.default_grid(grid_points))
         curve = represent(completed.smile, completed.ctx, grid)
         return curvature_profile(curve, circle=completed.shape)

@@ -12,14 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import CurvatureProfile
-from .distributions import DensityCurve
-from .georep import RepresentationCurve
-from .shapes import CircleShape
 from .surface import DiscrepancyTable
+
+if TYPE_CHECKING:
+    from .analysis import CurvatureProfile
+    from .distributions import DensityCurve
+    from .georep import RepresentationCurve
+    from .shapes import CircleShape
 
 JSON_SCHEMA = "smilegeo/1"
 _SVG_W, _SVG_H = 800, 560
@@ -87,12 +90,18 @@ def table_from_discrepancy(table: DiscrepancyTable) -> TableArtifact:
 def _as_table(artifact) -> TableArtifact:
     if isinstance(artifact, TableArtifact):
         return artifact
-    if isinstance(artifact, DensityCurve):
-        return table_from_density(artifact)
-    if isinstance(artifact, CurvatureProfile):
-        return table_from_curvature(artifact)
     if isinstance(artifact, DiscrepancyTable):
         return table_from_discrepancy(artifact)
+    # A density or a profile was made by its module, so these imports load
+    # nothing new: the density path never loads analysis.
+    from .distributions import DensityCurve
+
+    if isinstance(artifact, DensityCurve):
+        return table_from_density(artifact)
+    from .analysis import CurvatureProfile
+
+    if isinstance(artifact, CurvatureProfile):
+        return table_from_curvature(artifact)
     raise TypeError(f"cannot emit {type(artifact).__name__}")
 
 

@@ -223,13 +223,3 @@ def transform_circle(c: CircleShape, scale: float, dx: float, dy: float) -> Circ
         center=(scale * c.center[0] + dx, scale * c.center[1] + dy),
         radius=scale * c.radius,
     )
-
-
-def circle_between(src: CircleShape, dst: CircleShape) -> tuple[float, float, float]:
-    """The unique (scale, dx, dy) with transform_circle(src, *result) == dst."""
-    scale = dst.radius / src.radius
-    return (
-        scale,
-        dst.center[0] - scale * src.center[0],
-        dst.center[1] - scale * src.center[1],
-    )

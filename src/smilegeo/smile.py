@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ._interp import natural_spline
 from .bsm import (
     IV_BRACKET_HI,
     IV_BRACKET_LO,
@@ -52,10 +51,12 @@ from .bsm import (
     ndtr,
     ndtri,
 )
-from .distributions import DensityCurve, Distribution
 from .errors import (
     DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol, PriceOutOfBand, TargetOutsideDomain
 )
+
+if TYPE_CHECKING:
+    from .distributions import DensityCurve, Distribution
 
 DEFAULT_GRID_POINTS = 2001
 GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
@@ -284,6 +285,8 @@ def smile_from_distribution(
     GridSpec is built as it stands.  A forward other than the distribution
     mean raises InconsistentForward from ``call_price``.
     """
+    from ._interp import natural_spline  # no CLI subcommand builds a spline
+
     strikes = strike_grid(dist, ms, grid)
     prices = np.asarray(dist.call_price(ms, strikes), dtype=float)
     spline = natural_spline(np.log(strikes), implied_vol_grid(ms, strikes, prices))
@@ -442,6 +445,8 @@ def density_with_margin(
     smile: SmileCurve, strikes, mode: str = "analytic"
 ) -> tuple[DensityCurve, float]:
     """``density_from_smile`` and ``nonnegativity_margin`` from one bracket."""
+    from .distributions import DensityCurve  # loaded by the density paths alone
+
     terms = strikes, sig, _, _, _, d2 = _terms(smile, strikes, mode)
     # Overflow on a huge domain is reported by DensityCurve (NonFiniteDensity),
     # not as a warning.

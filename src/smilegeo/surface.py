@@ -20,19 +20,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bsm import DeltaConvention, MarketState, strike_for_target_nd1
-from .distributions import Gamma
 from .errors import InvalidInput, MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
-from .fitting import fit_shape
 from .georep import ReprContext, flat_context, smile_from_shape
-from .shapes import CircleShape, ConicShape
 from .smile import (
     DeltaAnchor, GridSpec, SmileCurve, nd1_level, smile_from_distribution, strikes_for_deltas
 )
-from .vanna_volga import ThreeQuoteSmile, vv_smile
+
+if TYPE_CHECKING:
+    from .shapes import CircleShape, ConicShape
 
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
 ANCHOR_LABELS = ("25P", "ATM", "25C")
@@ -326,11 +326,16 @@ def complete_expiry(
         if missing:
             raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
         anchors = tuple(sorted(row_anchors(row, labels, strikes), key=lambda a: a.strike))
+        # Each method imports its own module: a process loads only those it runs.
         if method == "vanna-volga":
+            from .vanna_volga import ThreeQuoteSmile, vv_smile
+
             ctx = shape = None
             quotes = ThreeQuoteSmile(anchors=anchors, market=row.market())
             smile = vv_smile(quotes, k_lo=k_lo, k_hi=k_hi, variant=vv_variant)
         else:
+            from .fitting import fit_shape
+
             ctx = row.frame(radius_scale)
             shape, pts = fit_shape(anchors, ctx)
             if np.max(shape.residuals(pts)) > 1e-9 * max(1.0, ctx.radius_scale):
@@ -455,6 +460,7 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
     The circle method reconstructs it to rounding; the anchor columns of any
     method's discrepancy table are zero on it.
     """
+    from .shapes import CircleShape
 
     def smile_of(i: int, ms: MarketState) -> SmileCurve:
         atm_vol = 0.095 + 0.020 * math.sin(0.55 * i) + 0.004 * i
@@ -478,6 +484,7 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
 
 def synthetic_gamma_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
     """A 14-expiry surface generated from gamma-distribution smiles."""
+    from .distributions import Gamma
 
     def smile_of(i: int, ms: MarketState) -> SmileCurve:
         # Relative width grows like vol * sqrt(T), so annualised vols stay

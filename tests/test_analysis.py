@@ -100,14 +100,19 @@ class TestCurvatureOnCircles:
         with pytest.raises(CurveTooShort):
             similarity_curvature(circle_arc_points((0.0, 0.0), 1.0, n=8))
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "lost_step"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "adjacent_inf", "overflow", "lost_step"])
     def test_unusable_point_array_is_invalid_input(self, bad):
         # The resampling spline needs finite, strictly increasing chord
         # lengths; anything else is the package's InvalidInput, not scipy's
-        # bare ValueError.
+        # bare ValueError, nor a numpy RuntimeWarning (inf - inf, or a chord
+        # length whose running sum overflows) ahead of it.
         pts = circle_arc_points((0.0, 0.0), 1.0, n=9)
         if bad == "lost_step":  # distinct points, but 1e17 + 1 rounds to 1e17
             pts = np.column_stack([[0.0] + [1e17] * 8, np.arange(9.0)])
+        elif bad == "overflow":
+            pts = np.column_stack([[0.0, 1e308] * 4 + [0.0], np.arange(9.0)])
+        elif bad == "adjacent_inf":
+            pts[4:6, 0] = math.inf
         else:
             pts[4, 0] = float(bad)
         with pytest.raises(InvalidInput):

@@ -29,6 +29,25 @@ def test_tracing_installs_and_uninstalls(monkeypatch):
         assert vars(owner)[key] is orig, (owner, key)
 
 
+def test_package_names_follow_tracing_and_its_undo(monkeypatch):
+    # The package namespace reads each name from its home module, so a traced
+    # round sees the wrapper through it too, and no wrapper outlives uninstall.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import smilegeo
+    from smilegeo import georep
+
+    original = smilegeo.represent
+    undo = tracing.install(tracing.Recorder())
+    try:
+        assert smilegeo.represent is georep.represent is not original
+    finally:
+        tracing.uninstall(undo)
+    assert smilegeo.represent is original
+    assert not set(smilegeo.__all__) & set(vars(smilegeo))  # nothing cached
+
+
 # Module aliases the benchmark and the byte-gate tools bind to smilegeo.
 BENCH_ALIASES = {"sg", "wf", "an", "sm", "sf", "em", "cli"}
 

@@ -246,6 +246,55 @@ def test_cli_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+# A cold CLI process loads only the smilegeo modules its subcommand runs: the
+# package namespace is lazy, and a module that one path alone needs is
+# imported inside the function on that path.  No subcommand loads workflows
+# or _interp.  With no subcommand the probe only imports the CLI.
+MODULE_SET_PROBE = """
+import os
+import sys
+
+from smilegeo import cli
+
+if sys.argv[1:]:
+    assert cli.main([*sys.argv[1:], "--out", os.devnull]) == 0
+print(" ".join(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("smilegeo."))))
+"""
+CLI_MODULES = {"bsm", "cli", "emit", "errors", "georep", "smile", "surface"}
+FIT_MODULES = CLI_MODULES | {"fitting", "shapes"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        ((), CLI_MODULES),
+        (("represent", GAMMA_CSV), CLI_MODULES),
+        (("fit-circle", CIRCLE_CSV), FIT_MODULES),
+        (("fit-ellipse", CIRCLE_CSV, "--output-format", "svg"), FIT_MODULES),
+        (("complete-surface", GAMMA_CSV, "--method", "ellipse"), FIT_MODULES),
+        (("compare", GAMMA_CSV, "--method", "vanna-volga"), CLI_MODULES | {"vanna_volga"}),
+        (("density", GAMMA_CSV), FIT_MODULES | {"distributions"}),
+        (
+            ("density", GAMMA_CSV, "--method", "vanna-volga"),
+            CLI_MODULES | {"vanna_volga", "distributions"},
+        ),
+        (("curvature", GAMMA_CSV), FIT_MODULES | {"distributions", "analysis"}),
+    ],
+    ids=[
+        "import", "represent", "fit-circle", "fit-ellipse-svg", "complete-surface-ellipse",
+        "compare-vanna-volga", "density-circle", "density-vanna-volga", "curvature",
+    ],
+)
+def test_cold_cli_loads_only_the_modules_it_runs(argv, modules):
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_SET_PROBE, *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert set(proc.stdout.decode().split()) == modules
+
+
 def test_library_never_imports_scipy_optimize():
     """Nor scipy.interpolate, but inside ``analysis._spline_curvatures``: only
     a raw point array's curvature resamples through scipy's CubicSpline, and

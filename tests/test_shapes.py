@@ -9,7 +9,6 @@ from smilegeo.shapes import (
     COLLINEARITY_TOL,
     CircleShape,
     ConicShape,
-    circle_between,
     circumcircle,
     _any_triple_collinear,
     conic_through_5,
@@ -159,8 +158,9 @@ class TestTransformCircle:
         for _ in range(100):
             src = CircleShape(center=tuple(rng.uniform(-3, 3, 2)), radius=rng.uniform(0.1, 5))
             dst = CircleShape(center=tuple(rng.uniform(-3, 3, 2)), radius=rng.uniform(0.1, 5))
-            scale, dx, dy = circle_between(src, dst)
-            assert scale == pytest.approx(dst.radius / src.radius, rel=1e-14)
+            scale = dst.radius / src.radius
+            dx = dst.center[0] - scale * src.center[0]
+            dy = dst.center[1] - scale * src.center[1]
             moved = transform_circle(src, scale, dx, dy)
             assert moved.center == pytest.approx(dst.center, abs=1e-12)
             assert moved.radius == pytest.approx(dst.radius, rel=1e-12)

@@ -15,9 +15,9 @@ the worst of 5,000 draws).  The other methods stayed below 6e-14 there.
 Discounting does not enter the smile either: changing the rates (r, q) with
 the forward held fixed must leave a distribution's smile within
 ``RATE_TOL`` relative.  And a LogNormal's smile is flat, so its report's
-circle is centred at the origin: ``circle_between`` relates the circles of
-any two LogNormal reports by scale alone, with dx and dy within
-``LOGNORMAL_SHIFT_TOL`` of the target radius.
+circle is centred at the origin: the scale-and-translate map that carries
+one LogNormal report's circle onto another's is a scale alone, its
+translation (dx, dy) within ``LOGNORMAL_SHIFT_TOL`` of the target radius.
 
 Scaling the underlying of a distribution by c leaves its report's circle, R,
 centre strike over c, margin and unclamped KLs where they were, each within
@@ -33,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
-from smilegeo.shapes import circle_between, transform_circle
+from smilegeo.shapes import transform_circle
 from smilegeo.smile import smile_from_distribution
 from smilegeo.surface import CSV_HEADER, STANDARD_EXPIRIES, discrepancy_table, parse_surface
 from smilegeo.workflows import distribution_report, market_state_for
@@ -170,7 +170,9 @@ def test_lognormal_circles_related_by_scale_alone():
     circles = [distribution_report(dist).circle for dist in dists]
     for src in circles:
         for dst in circles:
-            scale, dx, dy = circle_between(src, dst)
+            scale = dst.radius / src.radius
+            dx = dst.center[0] - scale * src.center[0]
+            dy = dst.center[1] - scale * src.center[1]
             assert max(abs(dx), abs(dy)) <= LOGNORMAL_SHIFT_TOL * dst.radius
             # The scale alone carries src onto dst.
             moved = transform_circle(src, scale, 0.0, 0.0)
