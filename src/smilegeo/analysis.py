@@ -99,17 +99,23 @@ def _spline_curvatures(pts: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         s = np.concatenate([[0.0], np.cumsum(seg)])
+    # Work at a total chord length in [0.5, 1): scaling by a power of two is
+    # exact and every step below is homogeneous in the scale, so ordinary
+    # arrays keep their bits and extreme ones neither overflow nor underflow.
+    e = int(np.frexp(s[-1])[1])
     try:
-        spline = CubicSpline(s, pts)
+        spline = CubicSpline(np.ldexp(s, -e), np.ldexp(pts, -e))
     except ValueError as exc:  # non-finite points, or chord steps lost to rounding
         raise InvalidInput(str(exc)) from exc
-    s_uniform = np.linspace(0.0, float(s[-1]), CURVATURE_RESAMPLE_N)
+    s_uniform = np.linspace(0.0, np.ldexp(s[-1], -e), CURVATURE_RESAMPLE_N)
     x, y = spline(s_uniform).T
     h = float(s_uniform[1] - s_uniform[0])
     x1, x2, x3 = _stencil(x, h)
     y1, y2, y3 = _stencil(y, h)
     cross = x1 * y2 - y1 * x2
     speed2 = x1 * x1 + y1 * y1
+    # cross is the scaled curve's kappa_E, within a factor 2 of kappa_E times
+    # the chord length: the mask is scale-free.
     bad = np.abs(cross) <= CURVATURE_DENOM_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa_e = cross / speed2**1.5
@@ -120,7 +126,8 @@ def _spline_curvatures(pts: np.ndarray):
     # last cells feed the outermost stencils with lower-order accuracy.
     t = CURVATURE_EDGE_TRIM
     sl = slice(2 + t, -(2 + t))
-    return s_uniform[sl], x[sl], y[sl], kappa_e[t:-t], kappa_s[t:-t]
+    arc, x, y = (np.ldexp(v[sl], e) for v in (s_uniform, x, y))
+    return arc, x, y, np.ldexp(kappa_e[t:-t], -e), kappa_s[t:-t]
 
 
 def _jet_curvatures(curve: RepresentationCurve):

@@ -17,17 +17,12 @@ import sys
 import numpy as np
 
 from .bsm import DeltaConvention
-from .emit import RENDERERS, RepresentationScene, TableArtifact
+from . import emit
+from .emit import RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
 from .georep import DEFAULT_CURVE_POINTS, polar_map, represent, represent_anchors
 from .smile import density_from_smile
-from .surface import (
-    LABELS,
-    complete_expiry,
-    discrepancy_table,
-    parse_surface,
-    row_anchors,
-)
+from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_surface
 
 # Subcommands that complete by one method whatever --method says.
 _FIXED_METHOD = {"fit-circle": "circle", "fit-ellipse": "ellipse", "curvature": "circle"}
@@ -58,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--method",
-        choices=["circle", "ellipse", "vanna-volga"],
+        choices=METHODS,
         default="circle",
         help="completion method (default circle)",
     )
@@ -129,7 +124,8 @@ def _pick_row(rows, args):
 
 
 def _write(artifact, args) -> None:
-    payload = RENDERERS[args.output_format](artifact)
+    # Looked up on each call, so a function swapped into emit is the one called.
+    payload = getattr(emit, f"render_{args.output_format}")(artifact)
     if args.out is None:
         sys.stdout.buffer.write(payload)
     else:
@@ -138,11 +134,10 @@ def _write(artifact, args) -> None:
 
 
 def _representation_points_table(row, args) -> TableArtifact:
-    conv = _convention(args)
     ctx = row.frame(args.radius_scale)
     labels = [lab for lab in LABELS if lab in row.vols]
-    anchors = row_anchors(row, labels, row.strikes(conv))
-    strikes, vols = [a.strike for a in anchors], [a.vol for a in anchors]
+    by_label = row.strikes(_convention(args))
+    strikes, vols = [by_label[lab] for lab in labels], [row.vols[lab] for lab in labels]
     x_coords, angles, radii, points = polar_map(strikes, vols, ctx)
     table = np.column_stack([strikes, vols, x_coords, angles, radii, points])
     if not np.all(np.isfinite(table)):

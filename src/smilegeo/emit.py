@@ -253,5 +253,3 @@ def _render_scene_svg(scene: RepresentationScene) -> bytes:
             body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
     return _svg_doc(body, "x", "y")
 
-
-RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}

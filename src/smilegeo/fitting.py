@@ -5,13 +5,13 @@ to their polar points and puts the circle through three of them or the conic
 through five.  On a smile, the circle's anchors are the 25-delta put side,
 the centre strike and the 25-delta call side (N(-d1) targets 0.25 / 0.5 /
 0.75); the ellipse's are targets 0.10, 0.25, 0.5, 0.75, 0.90.  The middle
-anchor is always the context's centre strike.
+anchor is always the context's centre strike; ``anchors_at_strikes`` builds
+the anchors once the wing strikes are solved.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .bsm import DeltaConvention
 from .georep import ReprContext, context_for_smile, represent_anchors
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from .smile import DeltaAnchor, SmileCurve, strikes_for_deltas
@@ -30,21 +30,11 @@ def fit_shape(anchors, ctx: ReprContext) -> tuple[CircleShape | ConicShape, np.n
     return shape, pts
 
 
-def smile_anchors(
-    smile: SmileCurve,
-    ctx: ReprContext,
-    wing_targets,
-    conv: DeltaConvention = DeltaConvention.FORWARD_N,
-) -> list[DeltaAnchor]:
-    """Wing anchors at the given targets plus the centre-strike anchor, by strike."""
-    wing_strikes = strikes_for_deltas(smile, wing_targets, conv)
-    return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
-
-
 def anchors_at_strikes(
     smile: SmileCurve, ctx: ReprContext, wing_targets, wing_strikes
 ) -> list[DeltaAnchor]:
-    """``smile_anchors`` from wing strikes already solved for ``wing_targets``.
+    """Wing anchors at strikes already solved for ``wing_targets``, plus the
+    centre-strike anchor, by strike.
 
     Each anchor's vol is a scalar read of the smile at its strike.
     """
@@ -57,13 +47,17 @@ def anchors_at_strikes(
     return anchors
 
 
+def _fit_to_smile(smile: SmileCurve, ctx: ReprContext | None, wing_targets):
+    ctx = ctx or context_for_smile(smile)
+    wing_strikes = strikes_for_deltas(smile, wing_targets)
+    return fit_shape(anchors_at_strikes(smile, ctx, wing_targets, wing_strikes), ctx)[0]
+
+
 def fit_circle_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> CircleShape:
     """Circle through the represented N(-d1) 0.25 / centre / 0.75 anchors."""
-    ctx = ctx or context_for_smile(smile)
-    return fit_shape(smile_anchors(smile, ctx, CIRCLE_TARGETS), ctx)[0]
+    return _fit_to_smile(smile, ctx, CIRCLE_TARGETS)
 
 
 def fit_ellipse_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> ConicShape:
     """Conic through the represented N(-d1) 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
-    ctx = ctx or context_for_smile(smile)
-    return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)[0]
+    return _fit_to_smile(smile, ctx, ELLIPSE_TARGETS)

@@ -37,17 +37,15 @@ if TYPE_CHECKING:
 LABELS = ("10P", "15P", "25P", "35P", "ATM", "35C", "25C", "15C", "10C")
 ANCHOR_LABELS = ("25P", "ATM", "25C")
 ELLIPSE_LABELS = ("10P", "25P", "ATM", "25C", "10C")
-CSV_HEADER = (
-    "expiry,tenor_years,spot,dom_rate,for_rate,"
-    "d10p,d15p,d25p,d35p,atm,d35c,d25c,d15c,d10c"
-)
 _VOL_FIELDS = ("d10p", "d15p", "d25p", "d35p", "atm", "d35c", "d25c", "d15c", "d10c")
+CSV_HEADER = "expiry,tenor_years,spot,dom_rate,for_rate," + ",".join(_VOL_FIELDS)
+# Each label's delta and side; the ATM entry's 0.5 is its N(-d1) target.
 _LABEL_DELTA = {
     "10P": (0.10, "put"),
     "15P": (0.15, "put"),
     "25P": (0.25, "put"),
     "35P": (0.35, "put"),
-    "ATM": (None, "atm"),
+    "ATM": (0.5, "atm"),
     "35C": (0.35, "call"),
     "25C": (0.25, "call"),
     "15C": (0.15, "call"),
@@ -245,7 +243,7 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
     """The N(-d1) level a delta label pins, under the given convention."""
     target, side = _LABEL_DELTA[label]
     if side == "atm":
-        return 0.5
+        return target
     try:
         eff = nd1_level(ms, target, conv)
     except TargetOutsideDomain:
@@ -253,18 +251,6 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
             f"label {label} target {target / ms.df_for():.6g} outside (0, 1)"
         ) from None
     return eff if side == "put" else 1.0 - eff
-
-
-def row_anchors(row: SurfaceQuoteRow, labels, strikes: dict[str, float]) -> list[DeltaAnchor]:
-    """Anchors at the given labels, in label order, from already solved label strikes."""
-    return [
-        DeltaAnchor(
-            target=0.5 if _LABEL_DELTA[lab][1] == "atm" else _LABEL_DELTA[lab][0],
-            strike=strikes[lab],
-            vol=row.vols[lab],
-        )
-        for lab in labels
-    ]
 
 
 def anchor_labels(method: str) -> tuple[str, ...]:
@@ -325,7 +311,10 @@ def complete_expiry(
         missing = [lab for lab in labels if lab not in row.vols]
         if missing:
             raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
-        anchors = tuple(sorted(row_anchors(row, labels, strikes), key=lambda a: a.strike))
+        anchors = tuple(sorted(
+            (DeltaAnchor(_LABEL_DELTA[lab][0], strikes[lab], row.vols[lab]) for lab in labels),
+            key=lambda a: a.strike,
+        ))
         # Each method imports its own module: a process loads only those it runs.
         if method == "vanna-volga":
             from .vanna_volga import ThreeQuoteSmile, vv_smile

@@ -118,6 +118,20 @@ class TestCurvatureOnCircles:
         with pytest.raises(InvalidInput):
             curvature_profile(pts)
 
+    @pytest.mark.parametrize("scale", [1e-120, 1e150, 1e-200, 1e300])
+    def test_arc_of_extreme_scale(self, scale):
+        # kappa_E scales as 1/scale and kappa_s not at all, so the profile
+        # of a scaled arc is the unit arc's, with no RuntimeWarning on the way.
+        t = np.linspace(0.3, 2.5, 200)
+        pts = np.column_stack([np.cos(t), np.sin(t)])
+        unit = curvature_profile(pts)
+        scaled = curvature_profile(pts * scale)
+        assert np.max(np.abs(scaled.kappa_e * scale - 1.0)) <= 2e-5
+        assert np.max(np.abs(scaled.kappa_s)) <= 1e-2
+        assert np.allclose(scaled.kappa_e * scale, unit.kappa_e, rtol=1e-8, atol=0.0)
+        assert np.allclose(scaled.kappa_s, unit.kappa_s, rtol=0.0, atol=1e-6)
+        assert np.allclose(scaled.arc / scale, unit.arc, rtol=1e-12, atol=0.0)
+
 
 class TestCurvatureOnEllipses:
     # On a circle kappa_s is 0 and the x' y''' - y' x''' term of the point-array

@@ -48,6 +48,31 @@ def test_package_names_follow_tracing_and_its_undo(monkeypatch):
     assert not set(smilegeo.__all__) & set(vars(smilegeo))  # nothing cached
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_traced_cli_op_spans_its_renderer(monkeypatch, tmp_path, fmt):
+    # The CLI must reach each renderer by its name in emit, where the traced
+    # run swaps it; a renderer held elsewhere would time as cli.main's own.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from smilegeo import cli
+
+    rec = tracing.Recorder()
+    undo = tracing.install(rec)
+    try:
+        rec.start_op()
+        code = cli.main([
+            "fit-circle", str(DATA / "synthetic_gamma_surface.csv"),
+            "--output-format", fmt, "--out", str(tmp_path / f"out.{fmt}"),
+        ])
+        rec.finish_op(code == 0)
+    finally:
+        tracing.uninstall(undo)
+    assert code == 0
+    names = {span[0] for span in rec.ops[0]}
+    assert {"cli.main", f"emit.render_{fmt}"} <= names, names
+
+
 # Module aliases the benchmark and the byte-gate tools bind to smilegeo.
 BENCH_ALIASES = {"sg", "wf", "an", "sm", "sf", "em", "cli"}
 

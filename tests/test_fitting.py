@@ -9,9 +9,9 @@ from smilegeo.distributions import Gamma
 from smilegeo.fitting import (
     CIRCLE_TARGETS,
     ELLIPSE_TARGETS,
+    anchors_at_strikes,
     fit_circle_to_smile,
     fit_ellipse_to_smile,
-    smile_anchors,
 )
 from smilegeo.georep import (
     ReprContext,
@@ -20,11 +20,17 @@ from smilegeo.georep import (
     represent_anchors,
     smile_from_shape,
 )
-from smilegeo.smile import flat_smile, smile_from_distribution
+from smilegeo.smile import flat_smile, smile_from_distribution, strikes_for_deltas
 from smilegeo.workflows import market_state_for
 
 MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
+
+
+def smile_anchors(smile, ctx, wing_targets, conv=DeltaConvention.FORWARD_N):
+    """The anchors a fit to ``smile`` goes through, wings solved under ``conv``."""
+    wing_strikes = strikes_for_deltas(smile, wing_targets, conv)
+    return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
 
 
 class TestCircleFit:

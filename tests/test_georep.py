@@ -25,8 +25,8 @@ from smilegeo.georep import (
     strike_to_x,
 )
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle
-from smilegeo.smile import flat_smile, smile_from_distribution
-from smilegeo.surface import LABELS, complete_expiry, parse_surface, row_anchors
+from smilegeo.smile import DeltaAnchor, flat_smile, smile_from_distribution
+from smilegeo.surface import LABELS, complete_expiry, parse_surface
 from smilegeo.workflows import distribution_report, market_state_for
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
@@ -228,7 +228,9 @@ class TestRepresentAnchorsExact:
     @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
     def test_every_label_of_shipped_rows(self, name, conv):
         for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
-            anchors = row_anchors(row, LABELS, row.strikes(conv))
+            # The map reads an anchor's strike and vol, not its target.
+            strikes = row.strikes(conv)
+            anchors = [DeltaAnchor(math.nan, strikes[lab], row.vols[lab]) for lab in LABELS]
             for ctx in (flat_context(row.market(), row.vols["ATM"]),
                         row.frame(0.5)):
                 assert self._check(anchors, ctx).shape == (len(LABELS), 2)
