@@ -127,7 +127,11 @@ def _spline_curvatures(pts: np.ndarray):
     t = CURVATURE_EDGE_TRIM
     sl = slice(2 + t, -(2 + t))
     arc, x, y = (np.ldexp(v[sl], e) for v in (s_uniform, x, y))
-    return arc, x, y, np.ldexp(kappa_e[t:-t], -e), kappa_s[t:-t]
+    with np.errstate(over="ignore"):  # a subnormal curve's kappa_E leaves the float range
+        kappa_e = np.ldexp(kappa_e[t:-t], -e)
+    if np.isinf(kappa_e).any():
+        raise InvalidInput("curvature of the point array overflows")
+    return arc, x, y, kappa_e, kappa_s[t:-t]
 
 
 def _jet_curvatures(curve: RepresentationCurve):

@@ -226,8 +226,8 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
 
     sigma(K) is the radial excess over R of the ray-shape intersection along
     the strike's stereographic point.  The origin must sit strictly inside
-    the shape, checked once here, and the whole domain is swept for a
-    positive implied vol.
+    the shape, checked once here.  A shape that encloses the disk of radius R
+    has every vol positive; the domain of any other is swept for one.
     """
     shape.require_origin_inside()
     r_scale = ctx.radius_scale
@@ -242,7 +242,8 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
         rho, drho, d2rho = shape.ray_jet(cos, sin)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
-    require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
+    if not shape.encloses_disk(r_scale):
+        require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
     return SmileCurve(
         market=ctx.market,
         k_lo=k_lo,

@@ -8,10 +8,11 @@ Each shape owns its ray geometry: the origin-inside check
 interpolation residuals at given points (``residuals``).  A ray is given by
 its direction (cos phi, sin phi), which smiles take from the strike's
 stereographic point, not by phi.  The ray methods assume the origin check
-has passed.
+has passed; ``encloses_disk(R)`` proves that every ray cuts the shape beyond R.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from .errors import (
 
 COLLINEARITY_TOL = 1e-12
 CONIC_RANK_TOL = 1e-10
+DISK_PROOF_MARGIN = 1e-12  # of r, or of Q over lam_min: a ray's rho rounds by ~eps / lam_min
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,10 @@ class CircleShape:
             raise OriginOutsideShape(
                 "circle does not enclose the origin; rays miss it or cut it twice"
             )
+
+    def encloses_disk(self, radius: float) -> bool:
+        """Whether the origin's disk of ``radius`` lies inside: rho >= r - |c| on every ray."""
+        return math.hypot(*self.center) + radius < (1.0 - DISK_PROOF_MARGIN) * self.radius
 
     def _ray(self, cos, sin):
         """(g, g^2, s) with rho = g + s along the ray (cos, sin); g projects the
@@ -109,6 +115,14 @@ class ConicShape:
         # The ellipse's value at the origin, F, shares the sign of the outside region.
         if self.coefficients[5] >= 0.0:
             raise OriginOutsideShape("origin not strictly inside the ellipse")
+
+    def encloses_disk(self, radius: float) -> bool:
+        """Whether the origin's disk of ``radius`` lies inside: on its edge Q <= radius^2
+        lam_max + radius |(D, E)| + F, lam the eigenvalues of [[A, B/2], [B/2, C]]."""
+        a, b, c, d, e, f = self.coefficients
+        lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), 0.5 * b)
+        bound = radius * radius * lam_max + radius * math.hypot(d, e) + f
+        return bound < -DISK_PROOF_MARGIN * 4.0 * lam_max / (4.0 * a * c - b * b)
 
     def _ray(self, cos, sin):
         """(quad, lin, rho): the conic along the ray (cos, sin) is quad rho^2 + lin rho + F,

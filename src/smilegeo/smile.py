@@ -152,7 +152,8 @@ def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
     """Sweep ``ADMISSIBILITY_POINTS`` log-uniform strikes of [k_lo, k_hi];
     NonpositiveVol unless every vol > 0.
 
-    The test is ``not (vol > 0)``, so a NaN vol fails it too.
+    The test is ``not (vol > 0)``, so a NaN vol fails it too.  Closed-form
+    smiles run it only where their positivity proof fails; it alone rejects.
     """
     sweep = np.linspace(math.log(k_lo), math.log(k_hi), ADMISSIBILITY_POINTS)
     vols = vol_fn(sweep)

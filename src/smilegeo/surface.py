@@ -177,11 +177,13 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
             raise ParseError(f"not valid UTF-8: {exc}") from None
     else:
         text = str(data)
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines: CR-only files too
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *records = reader
+    except ValueError:
         raise ParseError("empty file", line=1) from None
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
     expected = CSV_HEADER.split(",")
     if [h.strip() for h in header] != expected:
         raise ParseError(
@@ -189,7 +191,7 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
         )
     rows: list[SurfaceQuoteRow] = []
     first_line: dict[str, int] = {}  # by expiry
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in enumerate(records, start=2):
         if not rec or all(not cell.strip() for cell in rec):
             continue
         if len(rec) != len(expected):
@@ -285,9 +287,9 @@ class CompletedExpiry:
 
 
 def _completion_domain(strikes) -> tuple[float, float]:
-    ks = np.array(sorted(strikes))
+    ks = sorted(strikes)  # Python floats: an overflow gives inf, with no numpy warning
     pad = 0.10 * (math.log(ks[-1]) - math.log(ks[0]))
-    return float(ks[0] * math.exp(-pad)), float(ks[-1] * math.exp(pad))
+    return ks[0] * math.exp(-pad), ks[-1] * math.exp(pad)
 
 
 def complete_expiry(

@@ -24,7 +24,7 @@ B and its slopes are formed as the elementwise sum ``c1*w1 + c2*w2 +
 c3*w3`` over the three weights.  A dot product would round each strike's
 sum by its position in the array, so a vol could change with the grid it is
 read on; the elementwise sum gives a strike the same bits alone, inside any
-grid, and on the float path.
+grid, and on the float path.  ``positive_on`` proves a smile's vols positive.
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ import numpy as np
 from .bsm import MarketState
 from .errors import InvalidInput, NonpositiveVol
 from .smile import DeltaAnchor, SmileCurve, require_positive_vol
+
+PROOF_MARGIN = 1e-9  # of the rounding scale ``_clears`` stays above
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,10 @@ class _FirstOrder:
             + s3 * (2.0 * lnk - m1 - m2) / den[2]
         )
         return self.vol(lnk), dsig, np.full_like(lnk, self.curv)
+
+    def positive_on(self, m_lo: float, m_hi: float) -> bool:
+        """Whether sigma > 0 on [m_lo, m_hi] (``_clears``)."""
+        return _clears(self.sig, self.w, self.curv, m_lo, m_hi, 0.0, 0.0)
 
 
 class _MarketOrder:
@@ -237,19 +243,40 @@ class _MarketOrder:
             return s2 - s2 / dd
         return s2 + b / (math.sqrt(arg) + s2)
 
+    def positive_on(self, m_lo: float, m_hi: float) -> bool:
+        """Whether sigma > 0 on [m_lo, m_hi]: D, convex, is finite at both ends, and
+        B > -sigma2^2 (``_clears``).  Unclamped, sigma = sigma2 + B / u with u >= sigma2;
+        clamped, sigma = sigma2 (1 - 1/D) where B > 0 > D or D >= sigma2^2 / -B > 1."""
+        s2 = self.s2
+        finite = all(math.isfinite(math.prod(self._d1_d2(m))) for m in (m_lo, m_hi))
+        b_clears = _clears(self.b_coef, self.w, self.b2, m_lo, m_hi, -s2 * s2, s2 * s2)
+        return s2 * s2 > 0.0 and finite and b_clears
+
 
 def _sum3(coef, w):
     """coef[0] w[0] + coef[1] w[1] + coef[2] w[2], element by element."""
     return coef[0] * w[0] + coef[1] * w[1] + coef[2] * w[2]
 
 
+def _clears(coef, w: _LnKWeights, curv, m_lo, m_hi, floor, scale) -> bool:
+    """Whether p = sum coef_i w_i, with p'' = ``curv``, read in floats at the ends and
+    vertex of [m_lo, m_hi], tops ``floor`` by PROOF_MARGIN of ``scale`` plus ``terms``,
+    which bounds sum |coef_i w_i| there and so p's rounding.  A NaN gives False."""
+    span = max(m_hi, w.m[2]) - min(m_lo, w.m[0])  # no |w_i| there exceeds span^2 |w_i''|
+    terms = span * span * sum(abs(c * p) for c, p in zip(coef, w.wpp))
+    vertex = m_lo - _sum3(coef, w.slopes(m_lo)) / curv if curv > 0.0 else m_lo
+    bar = floor + PROOF_MARGIN * (scale + terms)
+    at = (m_lo, m_hi, min(max(vertex, m_lo), m_hi))
+    return m_lo <= m_hi and all(_sum3(coef, w(m)) > bar for m in at)
+
+
 def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "market") -> SmileCurve:
     """Wrap a three-quote interpolation as a SmileCurve on [k_lo, k_hi].
 
     ``variant`` selects "first" (first-order approximation) or "market".
-    Extrapolation beyond the anchors is permitted.  A vol <= 0 or NaN
-    anywhere on the domain's ``require_positive_vol`` sweep, the check the
-    inverted shapes use too, raises NonpositiveVol.
+    Extrapolation beyond the anchors is permitted.  Unless ``positive_on``
+    proves every vol positive, a vol <= 0 or NaN on the domain's
+    ``require_positive_vol`` sweep raises NonpositiveVol.
     """
     if variant == "first":
         backend = _FirstOrder(q)
@@ -257,7 +284,8 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
         backend = _MarketOrder(q, q.market)
     else:
         raise InvalidInput(f"unknown vanna-volga variant {variant!r}")
-    require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
+    if not backend.positive_on(math.log(k_lo), math.log(k_hi)):
+        require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
     return SmileCurve(
         market=q.market,
         k_lo=k_lo,

@@ -132,6 +132,13 @@ class TestCurvatureOnCircles:
         assert np.allclose(scaled.kappa_s, unit.kappa_s, rtol=0.0, atol=1e-6)
         assert np.allclose(scaled.arc / scale, unit.arc, rtol=1e-12, atol=0.0)
 
+    def test_arc_of_subnormal_scale_is_invalid_input(self):
+        # At 1e-310 the arc's kappa_E, about 1e310, leaves the float range:
+        # InvalidInput, with no overflow warning from scaling it back.
+        t = np.linspace(0.3, 2.5, 200)
+        with pytest.raises(InvalidInput, match="overflows"):
+            curvature_profile(np.column_stack([np.cos(t), np.sin(t)]) * 1e-310)
+
 
 class TestCurvatureOnEllipses:
     # On a circle kappa_s is 0 and the x' y''' - y' x''' term of the point-array

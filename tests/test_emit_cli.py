@@ -392,6 +392,39 @@ class TestCli:
         assert code == 2
         assert b"smilegeo:" in err
 
+    def test_cr_only_file_exit_0(self, tmp_path):
+        # Line endings of a lone CR, as some spreadsheet exports write them.
+        cr_only = tmp_path / "cr.csv"
+        cr_only.write_bytes(pathlib.Path(GAMMA_CSV).read_bytes().replace(b"\n", b"\r"))
+        code, out, err = run_cli("complete-surface", str(cr_only))
+        assert (code, err) == (0, b"")
+        assert out == run_cli("complete-surface", GAMMA_CSV)[1]
+
+    def test_bare_cr_in_a_row_exit_2(self, tmp_path, capsys):
+        from smilegeo import cli
+
+        lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("\n".join(lines[:2] + [lines[2].replace(",", ",\r", 1)]) + "\n").encode())
+        code = cli.main(["complete-surface", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "smilegeo: expected 14 fields, found 2 (line 3)\n"
+
+    def test_overflowing_completion_domain_exit_2(self, tmp_path, capsys):
+        # The 1M row's label strikes are finite, but its completion domain's
+        # padded end overflows: exit 2 with no numpy warning first.
+        from smilegeo import cli
+
+        bad = one_row_csv(tmp_path, 3, (("d15p", "131.7934453064312"),))
+        code = cli.main(["complete-surface", str(bad), "--method", "ellipse"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "smilegeo: expiry '1M': label strikes leave the floating-point range "
+            "(rates, tenor or vols too large) (line 2)\n"
+        )
+
     @pytest.mark.parametrize(
         "edits",
         [

@@ -112,6 +112,35 @@ class TestParse:
         text = CSV_HEADER + "\n\n1Y,1.0,1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n\n"
         assert len(parse_surface(text)) == 1
 
+    def test_cr_only_file_reads_as_lf(self):
+        text = (DATA / "synthetic_gamma_surface.csv").read_text()
+        assert parse_surface(text.replace("\n", "\r").encode()) == parse_surface(text)
+
+    def test_bare_cr_in_a_row_rejected_with_line(self):
+        lines = synthetic_gamma_surface().splitlines()
+        lines[2] = lines[2].replace(",", ",\r", 1)
+        with pytest.raises(ParseError, match="expected 14 fields, found 2") as err:
+            parse_surface("\n".join(lines) + "\n")
+        assert err.value.line == 3
+
+    def test_csv_error_rejected_with_line(self):
+        lines = synthetic_gamma_surface().splitlines()
+        lines[3] = "x" * 200_000 + lines[3]
+        with pytest.raises(ParseError, match="unreadable CSV: field larger") as err:
+            parse_surface("\n".join(lines) + "\n")
+        assert err.value.line == 4
+
+    def test_overflowing_completion_domain_rejected(self):
+        # A 15P quote so large that the domain's padded end overflows: a
+        # ParseError, with no numpy overflow warning first.
+        lines = (DATA / "synthetic_gamma_surface.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        assert cells[0] == "1M"
+        cells[CSV_HEADER.split(",").index("d15p")] = "131.7934453064312"
+        with pytest.raises(ParseError, match="leave the floating-point range") as err:
+            parse_surface("\n".join([lines[0], ",".join(cells)]) + "\n")
+        assert err.value.line == 2
+
     def test_repeated_expiry_rejected_with_line(self):
         header, first, second = synthetic_circle_surface().splitlines()[:3]
         text = "\n".join([header, first, second, first]) + "\n"
