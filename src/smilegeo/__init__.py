@@ -25,7 +25,7 @@ _NAMES = {
     ),
     "distributions": (
         "DensityCurve", "Distribution", "Gamma", "LogNormal", "Normal", "StudentT", "Uniform",
-        "density_curve", "support_transform_exp",
+        "density_curve",
     ),
     "emit": ("RepresentationScene", "TableArtifact"),
     "errors": (
@@ -35,16 +35,15 @@ _NAMES = {
         "NotAnEllipse", "OriginOutsideShape", "ParseError", "PriceOutOfBand", "SmileGeoError",
         "TargetOutsideDomain",
     ),
-    "fitting": ("fit_circle_to_smile", "fit_ellipse_to_smile"),
+    "fitting": ("fit_circle_to_smile",),
     "georep": (
         "RepresentationCurve", "ReprContext", "context_for_smile", "flat_context", "represent",
-        "smile_from_shape", "stereographic_point", "strike_to_x",
+        "smile_from_shape",
     ),
     "shapes": ("CircleShape", "ConicShape", "circumcircle", "conic_through_5", "transform_circle"),
     "smile": (
         "DeltaAnchor", "GridSpec", "SmileCurve", "density_from_smile", "flat_smile",
-        "log_strike_density", "nonnegativity_margin", "smile_from_distribution",
-        "strike_for_delta",
+        "nonnegativity_margin", "smile_from_distribution", "strike_for_delta",
     ),
     "surface": (
         "DiscrepancyTable", "SurfaceQuoteRow", "complete_expiry", "discrepancy_table",

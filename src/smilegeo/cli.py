@@ -19,7 +19,7 @@ import numpy as np
 from .bsm import DeltaConvention
 from . import emit
 from .emit import RepresentationScene, TableArtifact
-from .errors import DomainTooNarrow, MissingAnchor, ParseError, SmileGeoError
+from .errors import DomainTooNarrow, ParseError, SmileGeoError
 from .georep import DEFAULT_CURVE_POINTS, polar_map, represent, represent_anchors
 from .smile import density_from_smile
 from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_surface
@@ -28,13 +28,20 @@ from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_
 _FIXED_METHOD = {"fit-circle": "circle", "fit-ellipse": "ellipse", "curvature": "circle"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ParseErrors: one ``smilegeo:`` line, exit 2."""
+
+    def error(self, message):
+        raise ParseError(f"{message} (see {self.prog} --help)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smilegeo",
         description="Geometric smile completion, densities, and diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("surface", help="surface CSV file")
     common.add_argument(
         "--radius-scale",
@@ -206,7 +213,7 @@ def _row_artifact(row, args, grid_points: int):
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+    except SystemExit as exc:  # argparse's --help
         return exc.code
     # A density grid needs both ends; a short curvature grid is CurveTooShort.
     grid_points = _grid_points(args, 2 if args.command == "density" else 0)
@@ -241,7 +248,7 @@ def main(argv=None) -> int:
         return run(argv)
     except BrokenPipeError:  # an OSError too: a closed reader is no input error
         return 0
-    except (ParseError, MissingAnchor, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"smilegeo: {exc}", file=sys.stderr)
         return 2
     except SmileGeoError as exc:

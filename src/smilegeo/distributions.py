@@ -351,16 +351,3 @@ def density_curve(dist: Distribution, strikes) -> DensityCurve:
     values = np.asarray(dist.pdf(strikes), dtype=float) / (1.0 - p0)
     return DensityCurve(strikes=strikes, values=values, mass_below_zero=p0)
 
-
-def support_transform_exp(curve: DensityCurve) -> DensityCurve:
-    """Map a density on the real line to one on the positive axis via x -> e^x.
-
-    The transformed density is p_hat(e^x) = p(x) e^{-x}; total mass is
-    preserved and grid order is maintained.
-    """
-    new_x = np.exp(curve.strikes)
-    return DensityCurve(
-        strikes=new_x,
-        values=curve.values / new_x,
-        mass_below_zero=curve.mass_below_zero,
-    )

@@ -77,10 +77,6 @@ class DegenerateMass(SmileGeoError):
     """Density grid carries too little probability mass for a stable fit."""
 
 
-class MissingAnchor(SmileGeoError):
-    """A required anchor quote (25P / ATM / 25C) is absent."""
-
-
 class ParseError(SmileGeoError):
     """Malformed surface CSV input."""
 
@@ -91,3 +87,8 @@ class ParseError(SmileGeoError):
         if line is not None:
             loc = f" (line {line}" + (f", field {field!r})" if field else ")")
         super().__init__(message + loc)
+
+
+class MissingAnchor(ParseError):
+    """A quote that the row (25P / ATM / 25C) or its method (10P / 10C for
+    the ellipse) needs is absent: an input error, like any other ParseError."""

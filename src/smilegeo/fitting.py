@@ -4,9 +4,9 @@
 to their polar points and puts the circle through three of them or the conic
 through five.  On a smile, the circle's anchors are the 25-delta put side,
 the centre strike and the 25-delta call side (N(-d1) targets 0.25 / 0.5 /
-0.75); the ellipse's are targets 0.10, 0.25, 0.5, 0.75, 0.90.  The middle
-anchor is always the context's centre strike; ``anchors_at_strikes`` builds
-the anchors once the wing strikes are solved.
+0.75); a surface row's ellipse goes through its 10P / 25P / ATM / 25C / 10C
+quotes.  The middle anchor is always the context's centre strike;
+``anchors_at_strikes`` builds the anchors once the wing strikes are solved.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from .smile import DeltaAnchor, SmileCurve, strikes_for_deltas
 
 CIRCLE_TARGETS = (0.25, 0.75)
-ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
 
 
 def fit_shape(anchors, ctx: ReprContext) -> tuple[CircleShape | ConicShape, np.ndarray]:
@@ -47,17 +46,8 @@ def anchors_at_strikes(
     return anchors
 
 
-def _fit_to_smile(smile: SmileCurve, ctx: ReprContext | None, wing_targets):
-    ctx = ctx or context_for_smile(smile)
-    wing_strikes = strikes_for_deltas(smile, wing_targets)
-    return fit_shape(anchors_at_strikes(smile, ctx, wing_targets, wing_strikes), ctx)[0]
-
-
 def fit_circle_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> CircleShape:
     """Circle through the represented N(-d1) 0.25 / centre / 0.75 anchors."""
-    return _fit_to_smile(smile, ctx, CIRCLE_TARGETS)
-
-
-def fit_ellipse_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> ConicShape:
-    """Conic through the represented N(-d1) 0.10 / 0.25 / centre / 0.75 / 0.90 anchors."""
-    return _fit_to_smile(smile, ctx, ELLIPSE_TARGETS)
+    ctx = ctx or context_for_smile(smile)
+    wing_strikes = strikes_for_deltas(smile, CIRCLE_TARGETS)
+    return fit_shape(anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, wing_strikes), ctx)[0]

@@ -79,11 +79,6 @@ class RepresentationCurve:
         for name, arr in (("strikes", strikes), ("angles", angles), ("radii", radii), ("points", points)):
             object.__setattr__(self, name, arr)
 
-    @property
-    def vols(self) -> np.ndarray:
-        """sigma(K) read back from the radial coordinate."""
-        return self.radii - self.context.radius_scale
-
 
 @np.errstate(over="ignore")  # a subnormal R overflows X to +-inf
 def _x(lnk, atm_rn: float, radius_scale: float):
@@ -91,34 +86,13 @@ def _x(lnk, atm_rn: float, radius_scale: float):
     return (lnk - np.log(atm_rn)) / radius_scale
 
 
-def strike_to_x(strike, atm_rn: float, radius_scale: float):
-    """X(K) = (ln K - ln atm_rn) / R, the stereographic abscissa of a strike."""
-    if not (0.0 < atm_rn < math.inf and 0.0 < radius_scale < math.inf):
-        raise InvalidInput("atm_rn and radius_scale must be finite and positive")
-    strike = np.asarray(strike, dtype=float)
-    if (strike <= 0.0).any():
-        raise InvalidInput("strike must be positive")
-    out = _x(np.log(strike), atm_rn, radius_scale)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def stereographic_point(x_coord):
-    """Point (2X, X^2 - 1) / (1 + X^2) of the unit circle that projects to X.
-
-    The paper's reference map, and the direction (cos phi, sin phi) of X's
-    angle phi = 2 arctan(X) - pi/2 that shape smiles read: (0, -1) at X = 0,
-    and within 2^-51 relative elsewhere.  Beyond |X| = ``FAR_X`` it is
-    (2/X, 1), so no X overflows it.
-    """
-    x_coord = np.asarray(x_coord, dtype=float)
-    return _unit_point(x_coord if x_coord.ndim else float(x_coord))[:2]
-
-
 FAR_X = 1e150  # X^2 stays finite up to here; past it (2/X, 1) is the point to the last bit
 
 
 def _unit_point(x):
-    """``stereographic_point`` of a float, numpy scalar or array, with 1 + X^2."""
+    """X's stereographic point (2X, X^2 - 1) / (1 + X^2), (cos phi, sin phi) to
+    2^-51 relative, and 1 + X^2, of a float, numpy scalar or array.  Past
+    |X| = ``FAR_X`` the point is (2/X, 1), so no X overflows it."""
     if isinstance(x, np.ndarray) and x.ndim:
         far = np.abs(x) > FAR_X
         if far.any():
@@ -226,7 +200,8 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
 
     sigma(K) is the radial excess over R of the ray-shape intersection along
     the strike's stereographic point.  The origin must sit strictly inside
-    the shape, checked once here.  A shape that encloses the disk of radius R
+    the shape, checked once here, and the domain is ``SmileCurve``'s to check,
+    before any proof or sweep.  A shape that encloses the disk of radius R
     has every vol positive; the domain of any other is swept for one.
     """
     shape.require_origin_inside()
@@ -242,9 +217,7 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
         rho, drho, d2rho = shape.ray_jet(cos, sin)
         return rho - r_scale, drho * dphi, d2rho * dphi * dphi + drho * d2phi
 
-    if not shape.encloses_disk(r_scale):
-        require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
-    return SmileCurve(
+    smile = SmileCurve(
         market=ctx.market,
         k_lo=k_lo,
         k_hi=k_hi,
@@ -252,3 +225,6 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
         jet_fn=jet_fn,
         label=f"{type(shape).__name__.lower()}-smile",
     )
+    if not shape.encloses_disk(r_scale):
+        require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
+    return smile

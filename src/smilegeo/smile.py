@@ -117,8 +117,8 @@ class SmileCurve:
     label: str = "smile"
 
     def __post_init__(self):
-        if not 0.0 < self.k_lo < self.k_hi:
-            raise InvalidInput("need 0 < k_lo < k_hi")
+        if not 0.0 < self.k_lo < self.k_hi < math.inf:
+            raise InvalidInput("need 0 < k_lo < k_hi < inf")
 
     def vol(self, strike):
         """Implied volatility at the given strike(s); InvalidInput unless each
@@ -306,7 +306,8 @@ def nd1_level(ms: MarketState, target: float, conv: DeltaConvention) -> float:
     the raw |put delta| divided by e^{-qT} under SPOT_PIPS."""
     if not 0.0 < target < 1.0:
         raise InvalidInput("target must lie in (0, 1)")
-    eff = target / ms.df_for() if conv is DeltaConvention.SPOT_PIPS else target
+    df = ms.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
+    eff = target / df if df > 0.0 else math.inf  # e^{-qT} underflows to 0 for a huge qT
     if not 0.0 < eff < 1.0:
         raise TargetOutsideDomain(f"effective N(-d1) target {eff:.6g} outside (0, 1)")
     return eff
@@ -436,10 +437,6 @@ def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> De
     as-is; the bracket is ``nonnegativity_margin``'s.
     """
     return density_with_margin(smile, strikes, mode)[0]
-
-
-# The public name of the formula's log-strike form, which is the only form.
-log_strike_density = density_from_smile
 
 
 def density_with_margin(

@@ -248,10 +248,8 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
         return target
     try:
         eff = nd1_level(ms, target, conv)
-    except TargetOutsideDomain:
-        raise TargetOutsideDomain(
-            f"label {label} target {target / ms.df_for():.6g} outside (0, 1)"
-        ) from None
+    except TargetOutsideDomain as exc:
+        raise TargetOutsideDomain(f"label {label}: {exc}") from None
     return eff if side == "put" else 1.0 - eff
 
 

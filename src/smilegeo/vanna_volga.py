@@ -274,9 +274,10 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
     """Wrap a three-quote interpolation as a SmileCurve on [k_lo, k_hi].
 
     ``variant`` selects "first" (first-order approximation) or "market".
-    Extrapolation beyond the anchors is permitted.  Unless ``positive_on``
-    proves every vol positive, a vol <= 0 or NaN on the domain's
-    ``require_positive_vol`` sweep raises NonpositiveVol.
+    Extrapolation beyond the anchors is permitted.  ``SmileCurve`` checks
+    the domain first.  Unless ``positive_on`` then proves every vol
+    positive, a vol <= 0 or NaN on the domain's ``require_positive_vol``
+    sweep raises NonpositiveVol.
     """
     if variant == "first":
         backend = _FirstOrder(q)
@@ -284,9 +285,7 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
         backend = _MarketOrder(q, q.market)
     else:
         raise InvalidInput(f"unknown vanna-volga variant {variant!r}")
-    if not backend.positive_on(math.log(k_lo), math.log(k_hi)):
-        require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
-    return SmileCurve(
+    smile = SmileCurve(
         market=q.market,
         k_lo=k_lo,
         k_hi=k_hi,
@@ -294,3 +293,6 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
         jet_fn=backend.jet,
         label=f"vanna-volga-{variant}",
     )
+    if not backend.positive_on(math.log(k_lo), math.log(k_hi)):
+        require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
+    return smile

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from smilegeo import georep, smile as smile_module, vanna_volga
 from smilegeo.bsm import DeltaConvention, MarketState
-from smilegeo.errors import NonpositiveVol
+from smilegeo.errors import InvalidInput, NonpositiveVol
 from smilegeo.georep import ReprContext, smile_from_shape
 from smilegeo.shapes import CircleShape, ConicShape
 from smilegeo.smile import DeltaAnchor
@@ -140,6 +140,32 @@ def test_sweep_rejects_a_narrow_dip_the_proof_leaves_to_it():
     assert not shape.encloses_disk(1.0)
     with pytest.raises(NonpositiveVol, match="inverted shape implies vol <= 0 at strike"):
         smile_from_shape(shape, ctx, k_lo, k_hi)
+
+
+@pytest.mark.parametrize(
+    "k_lo,k_hi", [(0.0, 150.0), (-1.0, 150.0), (math.nan, 150.0), (50.0, math.inf)],
+    ids=["zero", "negative", "nan", "inf"],
+)
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "first", "market"])
+def test_domain_checked_before_any_proof_or_sweep(kind, k_lo, k_hi):
+    # A bad domain must be InvalidInput before any proof or sweep reads
+    # ln k_lo (a bare ValueError at 0), a NaN strike or an infinite end.  The
+    # shapes fail their proofs, so they would be swept.
+    ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=0.6)
+    quotes = ThreeQuoteSmile(
+        anchors=tuple(DeltaAnchor(0.5, k, v) for k, v in ((80.0, 0.3), (100.0, 0.2), (125.0, 0.3))),
+        market=MS,
+    )
+    circle = CircleShape(center=(0.0, 0.5), radius=1.0)
+    build = {
+        "circle": lambda: smile_from_shape(circle, ctx, k_lo, k_hi),
+        "ellipse": lambda: smile_from_shape(ellipse(0.0, 0.5, 2.0, 1.0, 0.0), ctx, k_lo, k_hi),
+        "first": lambda: vv_smile(quotes, k_lo, k_hi, "first"),
+        "market": lambda: vv_smile(quotes, k_lo, k_hi, "market"),
+    }[kind]
+    with sweeps() as calls, pytest.raises(InvalidInput, match="need 0 < k_lo < k_hi < inf"):
+        build()
+    assert calls == []
 
 
 @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)

@@ -19,7 +19,6 @@ from smilegeo.distributions import (
     StudentT,
     Uniform,
     density_curve,
-    support_transform_exp,
 )
 from smilegeo.errors import InconsistentForward, NonFiniteDensity
 from smilegeo.smile import smile_from_distribution, strikes_for_deltas
@@ -215,15 +214,3 @@ class TestDensityCurve:
     def test_non_finite_values_rejected(self):
         with pytest.raises(NonFiniteDensity, match="2 of 3 grid strikes, first at 2"):
             DensityCurve(strikes=np.array([1.0, 2.0, 3.0]), values=np.array([0.1, np.inf, np.nan]))
-
-    def test_support_transform_exp(self):
-        xs = np.linspace(-8.0, 8.0, 200001)
-        std_normal = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
-        curve = DensityCurve(strikes=xs, values=std_normal)
-        out = support_transform_exp(curve)
-        # Standard normal maps to log-normal(0, 1).
-        ref = LogNormal(mu=0.0, s=1.0).pdf(out.strikes)
-        assert np.max(np.abs(out.values - ref)) <= 1e-12
-        mass = np.trapezoid(curve.values, curve.strikes)
-        assert np.trapezoid(out.values, out.strikes) == pytest.approx(mass, abs=1e-8)
-        assert np.all(np.diff(out.strikes) > 0.0)

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smilegeo.bsm import DeltaConvention
@@ -714,6 +714,10 @@ class TestCli:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert cli.main(["represent", GAMMA_CSV, "--radius-scale", "-inf"]) == 2
         assert "expected one argument" in err.getvalue()
+        assert err.getvalue() == (
+            "smilegeo: argument --radius-scale: expected one argument"
+            " (see smilegeo represent --help)\n"
+        )
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["--help"]) == 0
         assert out.getvalue().startswith("usage: smilegeo")
@@ -781,6 +785,8 @@ FUZZ_COMMANDS = [
     ["compare", "--method", "circle"],
     ["compare", "--method", "vanna-volga", "--vv-variant", "first"],
 ]
+# Whole field values at the ends of the float range, zero of either sign.
+FUZZ_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308]
 FUZZ_RADIUS = st.one_of(
     st.just("auto"),
     st.floats(min_value=1e-4, max_value=1e4).map(repr),
@@ -815,22 +821,34 @@ class TestCliFuzz:
             st.one_of(st.just(-1.0), st.floats(min_value=0.2, max_value=10.0)),
             max_size=3,
         ),
+        values=st.dictionaries(
+            st.integers(min_value=1, max_value=13), st.sampled_from(FUZZ_VALUES), max_size=2
+        ),
         command=st.sampled_from(FUZZ_COMMANDS),
         convention=st.sampled_from(["spot-pips", "forward-n"]),
         radius=FUZZ_RADIUS,
         one_token=st.booleans(),
     )
+    @example(  # e^{-qT} underflowed to 0, and spot-pips divided by it
+        row=SHIPPED_ROWS[0], factors={}, values={3: 1e300, 4: 1e300}, command=["represent"],
+        convention="spot-pips", radius="auto", one_token=False,
+    )
     def test_exit_code_documented_and_output_finite(
-        self, row, factors, command, convention, radius, one_token
+        self, row, factors, values, command, convention, radius, one_token
     ):
         # One-row surfaces from shipped rows, up to three fields scaled by 0.2
-        # to 10 or sign-flipped: every run exits 0, 2 or 3, and exit-0 output
-        # is finite.  The radius goes as "--radius-scale=VALUE" or as two
-        # tokens, where argparse reads a value such as "-inf" as an option.
+        # to 10 or sign-flipped and up to two set to a value of FUZZ_VALUES:
+        # every run exits 0, 2 or 3, exit-0 output is finite, and any other
+        # exit writes one "smilegeo: " line to stderr.  The radius goes as
+        # "--radius-scale=VALUE" or as two tokens, where argparse reads a
+        # value such as "-inf" as an option.
         from smilegeo import cli
         from smilegeo.surface import CSV_HEADER
 
-        fields = [row[0], *(repr(float(v) * factors.get(i, 1.0)) for i, v in enumerate(row) if i)]
+        fields = [
+            row[0],
+            *(repr(values.get(i, float(v) * factors.get(i, 1.0))) for i, v in enumerate(row) if i),
+        ]
         with tempfile.TemporaryDirectory() as tmp:
             surface, out = pathlib.Path(tmp, "s.csv"), pathlib.Path(tmp, "out.csv")
             surface.write_text(CSV_HEADER + "\n" + ",".join(fields) + "\n")
@@ -839,12 +857,16 @@ class TestCliFuzz:
                 *command, str(surface), "--delta-convention", convention,
                 *radius_args, "--grid-points", "201", "--out", str(out),
             ]
-            with contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = cli.main(argv)
             assert code in (0, 2, 3), argv
             if code == 0:
                 text = out.read_text().lower()
                 assert "nan" not in text and "inf" not in text, argv
+            else:
+                lines = err.getvalue().splitlines(keepends=True)
+                assert len(lines) == 1 and lines[0].startswith("smilegeo: "), (argv, lines)
+                assert lines[0].endswith("\n"), (argv, lines)
 
     @settings(max_examples=60, deadline=None)
     @given(

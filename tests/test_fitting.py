@@ -6,13 +6,7 @@ import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState, d1_d2
 from smilegeo.distributions import Gamma
-from smilegeo.fitting import (
-    CIRCLE_TARGETS,
-    ELLIPSE_TARGETS,
-    anchors_at_strikes,
-    fit_circle_to_smile,
-    fit_ellipse_to_smile,
-)
+from smilegeo.fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_circle_to_smile, fit_shape
 from smilegeo.georep import (
     ReprContext,
     context_for_smile,
@@ -25,12 +19,20 @@ from smilegeo.workflows import market_state_for
 
 MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 GAMMA = Gamma(kappa=5.12, theta=0.64)
+# The ellipse's wing targets on a smile: N(-d1) 0.10, 0.25, 0.75, 0.90, with
+# the centre strike as the fifth anchor.
+ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
 
 
 def smile_anchors(smile, ctx, wing_targets, conv=DeltaConvention.FORWARD_N):
     """The anchors a fit to ``smile`` goes through, wings solved under ``conv``."""
     wing_strikes = strikes_for_deltas(smile, wing_targets, conv)
     return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
+
+
+def fit_ellipse_to_smile(smile, ctx):
+    """The conic through the represented ``ELLIPSE_TARGETS`` and centre anchors."""
+    return fit_shape(smile_anchors(smile, ctx, ELLIPSE_TARGETS), ctx)[0]
 
 
 class TestCircleFit:

@@ -13,6 +13,7 @@ from smilegeo.errors import NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
     FAR_X,
     ReprContext,
+    _unit_point,
     angle_jet,
     context_for_smile,
     continuous_angle,
@@ -21,8 +22,6 @@ from smilegeo.georep import (
     represent,
     represent_anchors,
     smile_from_shape,
-    stereographic_point,
-    strike_to_x,
 )
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle
 from smilegeo.smile import DeltaAnchor, flat_smile, smile_from_distribution
@@ -33,19 +32,32 @@ FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
-class TestStrikeToX:
+def x_column(strikes, atm_rn, radius_scale):
+    """X = (ln K - ln atm_rn) / R of each strike: the first column of ``polar_map``."""
+    ctx = ReprContext(market=FLAT_MS, atm_rn=atm_rn, radius_scale=radius_scale)
+    return polar_map(strikes, np.zeros(np.shape(strikes)), ctx)[0]
+
+
+def stereographic_point(x_coord):
+    """X's stereographic point (2X, X^2 - 1) / (1 + X^2): the direction that
+    shape smiles read, ``vol_fn`` alone and ``angle_jet`` with phi's
+    derivatives (whose phi'' overflows for |X| above about 1e77)."""
+    return _unit_point(x_coord)[:2]
+
+
+class TestPolarMapX:
     def test_center_maps_to_zero(self):
-        assert strike_to_x(3.5, 3.5, 1.3) == 0.0
+        assert x_column(3.5, 3.5, 1.3) == 0.0
 
     def test_one_log_unit(self):
-        assert strike_to_x(3.5 * math.e, 3.5, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert x_column(3.5 * math.e, 3.5, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_minus_two(self):
-        assert strike_to_x(2.0 * math.exp(-2.4), 2.0, 1.2) == pytest.approx(-2.0, rel=1e-14)
+        assert x_column(2.0 * math.exp(-2.4), 2.0, 1.2) == pytest.approx(-2.0, rel=1e-14)
 
     def test_strictly_increasing(self):
         ks = np.linspace(0.5, 8.0, 100)
-        xs = strike_to_x(ks, 3.0, 0.9)
+        xs = x_column(ks, 3.0, 0.9)
         assert np.all(np.diff(xs) > 0.0)
 
 
@@ -191,7 +203,7 @@ class TestRepresent:
         assert np.array_equal(rebuilt, curve.points)
         ctx = curve.context
         x, phi, rho, points = polar_map(curve.strikes, smile.vol(curve.strikes), ctx)
-        assert np.array_equal(x, strike_to_x(curve.strikes, ctx.atm_rn, ctx.radius_scale))
+        assert np.array_equal(x, (np.log(curve.strikes) - np.log(ctx.atm_rn)) / ctx.radius_scale)
         assert np.array_equal(phi, curve.angles) and np.array_equal(rho, curve.radii)
         assert np.array_equal(points, curve.points)
 
@@ -199,7 +211,8 @@ class TestRepresent:
         smile = flat_smile(FLAT_MS, 0.35)
         ctx = ReprContext(market=FLAT_MS, atm_rn=102.0, radius_scale=0.8)
         curve = represent(smile, ctx)
-        assert np.max(np.abs(curve.vols - 0.35)) <= 1e-14
+        vols = curve.radii - curve.context.radius_scale
+        assert np.max(np.abs(vols - 0.35)) <= 1e-14
 
 
 class TestRepresentAnchorsExact:
@@ -265,7 +278,6 @@ class TestOneX:
             x_placed, phi, rho, points = polar_map(strikes, vols, ctx)
             assert np.array_equal(phi, continuous_angle(x_placed))
             assert np.array_equal(points, np.column_stack([rho * np.cos(phi), rho * np.sin(phi)]))
-            assert np.array_equal(x_placed, strike_to_x(strikes, ctx.atm_rn, ctx.radius_scale))
             assert np.array_equal(x_placed, x_read), row.expiry_label
 
 
@@ -300,8 +312,6 @@ class TestAutoRadiusScale:
         for atm_rn, r_scale in ((bad, 1.0), (100.0, bad)):
             with pytest.raises(ValueError):
                 ReprContext(market=FLAT_MS, atm_rn=atm_rn, radius_scale=r_scale)
-            with pytest.raises(ValueError):
-                strike_to_x(100.0, atm_rn, r_scale)
         with pytest.raises(ValueError):
             context_for_smile(flat_smile(FLAT_MS, 0.2), radius_scale=bad)
 

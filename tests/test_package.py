@@ -1,7 +1,11 @@
-"""The package namespace: lazy, with the same public names in the same homes."""
+"""The package namespace: lazy, with the same public names in the same homes,
+each read by the pipeline outside the tests."""
+import ast
 import importlib
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,28 +13,29 @@ import pytest
 
 import smilegeo
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
-# Every public name of the package, by the module that defines it.  The same
-# 81 names the package has exported since its import statements were eager.
+# Every public name of the package, by the module that defines it: 76 names,
+# each with a reader in READERS below.
 HOMES = {
     "analysis": """CurvatureProfile DivergenceReport best_lognormal curvature_profile
         euclidean_curvature kl_divergence similarity_curvature""",
     "bsm": """DeltaConvention MarketState OptionSide atm_rn_lognormal bsm_price d1_d2
         d1_d2_identity_residual strike_for_target_nd1""",
     "distributions": """DensityCurve Distribution Gamma LogNormal Normal StudentT Uniform
-        density_curve support_transform_exp""",
+        density_curve""",
     "emit": "RepresentationScene TableArtifact",
     "errors": """CollinearPoints CurveTooShort DegenerateConfiguration DegenerateMass
         DegenerateTenor DisjointSupport DomainTooNarrow InconsistentForward InvalidInput
         MissingAnchor NoConvergence NonFiniteDensity NonpositiveVol NotAnEllipse
         OriginOutsideShape ParseError PriceOutOfBand SmileGeoError TargetOutsideDomain""",
-    "fitting": "fit_circle_to_smile fit_ellipse_to_smile",
+    "fitting": "fit_circle_to_smile",
     "georep": """RepresentationCurve ReprContext context_for_smile flat_context represent
-        smile_from_shape stereographic_point strike_to_x""",
+        smile_from_shape""",
     "shapes": "CircleShape ConicShape circumcircle conic_through_5 transform_circle",
     "smile": """DeltaAnchor GridSpec SmileCurve density_from_smile flat_smile
-        log_strike_density nonnegativity_margin smile_from_distribution strike_for_delta""",
+        nonnegativity_margin smile_from_distribution strike_for_delta""",
     "surface": """DiscrepancyTable SurfaceQuoteRow complete_expiry discrepancy_table
         parse_surface synthetic_circle_surface synthetic_gamma_surface""",
     "vanna_volga": "ThreeQuoteSmile vv_smile",
@@ -38,9 +43,74 @@ HOMES = {
 }
 HOME = {name: module for module, names in HOMES.items() for name in names.split()}
 
+# Where the pipeline reads each public name outside the tests, by reader: the
+# README's quick start, the acceptance suite (claims c01-c10), the CLI, the
+# benchmark (``perfbench/tracing.py`` reads the names in its ``WRAPPED``),
+# another module of the package, or, for a result type, the public function
+# that returns it.  A name whose reader stops naming it fails here: give it
+# another reader, or delete it.
+QUICK_START = "README.md"
+TRACING = "perfbench/tracing.py"
+READERS = {
+    QUICK_START: """CircleShape Gamma GridSpec MarketState RepresentationCurve
+        context_for_smile density_from_smile distribution_report fit_circle_to_smile
+        market_state_for represent smile_from_distribution smile_from_shape""",
+    "tests/test_acceptance.py": """CollinearPoints DegenerateConfiguration DeltaConvention
+        LogNormal Normal OptionSide ReprContext StudentT Uniform bsm_price circumcircle
+        conic_through_5 d1_d2 d1_d2_identity_residual density_curve discrepancy_table
+        euclidean_curvature flat_smile kl_divergence parse_surface similarity_curvature
+        synthetic_circle_surface synthetic_gamma_surface transform_circle""",
+    "src/smilegeo/cli.py": """DomainTooNarrow ParseError RepresentationScene SmileGeoError
+        TableArtifact complete_expiry curvature_profile""",
+    "perfbench/families.py": "Distribution best_lognormal",
+    TRACING: "nonnegativity_margin strike_for_delta",
+    "src/smilegeo/analysis.py": "CurveTooShort DegenerateMass DensityCurve DisjointSupport",
+    "src/smilegeo/bsm.py": "DegenerateTenor NoConvergence PriceOutOfBand TargetOutsideDomain",
+    "src/smilegeo/distributions.py": "InconsistentForward NonFiniteDensity",
+    "src/smilegeo/emit.py": "CurvatureProfile DiscrepancyTable",
+    "src/smilegeo/fitting.py": "ConicShape DeltaAnchor",
+    "src/smilegeo/georep.py": "SmileCurve atm_rn_lognormal strike_for_target_nd1",
+    "src/smilegeo/shapes.py": "NotAnEllipse OriginOutsideShape",
+    "src/smilegeo/smile.py": "InvalidInput NonpositiveVol",
+    "src/smilegeo/surface.py": "MissingAnchor ThreeQuoteSmile flat_context vv_smile",
+    "src/smilegeo/workflows.py": "DivergenceReport",
+    "distribution_report": "DistributionReport",
+    "parse_surface": "SurfaceQuoteRow",
+}
+READER = {name: reader for reader, names in READERS.items() for name in names.split()}
+
+
+def reader_text(reader: str) -> str:
+    """The text in which ``reader`` names what it reads."""
+    if reader in HOME:
+        return inspect.getsource(getattr(smilegeo, reader))
+    text = (ROOT / reader).read_text()
+    if reader == QUICK_START:
+        return text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    if reader == TRACING:
+        (wrapped,) = (
+            node for node in ast.parse(text).body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "WRAPPED"
+        )
+        return ast.get_source_segment(text, wrapped)
+    return text
+
+
+def test_every_name_has_one_reader():
+    names = [name for names in READERS.values() for name in names.split()]
+    assert len(names) == len(READER)
+    assert sorted(READER) == sorted(smilegeo.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(HOME))
+def test_reader_names_its_name(name):
+    reader = READER[name]
+    assert reader not in (name, f"src/smilegeo/{HOME[name]}.py", "src/smilegeo/__init__.py")
+    assert re.search(rf"\b{name}\b", reader_text(reader)), (name, reader)
+
 
 def test_exports_are_the_same_names():
-    assert len(HOME) == 81
+    assert len(HOME) == 76
     assert sorted(smilegeo.__all__) == sorted(HOME)
     assert smilegeo.__version__ == "0.1.0"
 

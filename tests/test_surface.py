@@ -1,10 +1,13 @@
 """Tests for surface parsing, completion, and discrepancy tables."""
 import math
 import pathlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import smilegeo
 from smilegeo.bsm import DeltaConvention, MarketState, atm_rn_lognormal, strike_for_target_nd1
@@ -37,6 +40,49 @@ from smilegeo.vanna_volga import ThreeQuoteSmile
 CONV = DeltaConvention.SPOT_PIPS
 MS = MarketState(spot=1.1, dom_rate=0.02, for_rate=0.01, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SHIPPED = [
+    (DATA / f"{name}.csv").read_bytes()
+    for name in ("synthetic_circle_surface", "synthetic_gamma_surface")
+]
+# Bytes that the decoder, csv or float() treat specially.
+MUTATION_BYTES = b"\r\n\0\xff\"',;. -+e0"
+
+
+def _gamma_with(index, edit):
+    """The shipped gamma surface with ``edit`` applied to its line ``index``
+    (0 is the header)."""
+    lines = SHIPPED[1].decode().splitlines()
+    lines[index] = edit(lines[index])
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _cell(field, value):
+    """An edit of a data line that sets ``field`` to ``value``."""
+    at = CSV_HEADER.split(",").index(field)
+    return lambda line: ",".join(value if i == at else c for i, c in enumerate(line.split(",")))
+
+
+# Inputs that once ended in a traceback or a numpy warning: a CR-only file,
+# a bare CR in a data row, and a 1M row whose padded domain overflows.  And a
+# row whose 25P bytes are deleted: MissingAnchor, a ParseError too.
+CR_ONLY = SHIPPED[1].replace(b"\n", b"\r")
+BARE_CR_IN_A_ROW = _gamma_with(2, lambda line: line.replace(",", ",\r", 1))
+OVERFLOWING_1M_ROW = _gamma_with(3, _cell("d15p", "131.7934453064312"))
+EMPTY_ANCHOR = _gamma_with(2, _cell("d25p", ""))
+
+
+@st.composite
+def mutated_surfaces(draw):
+    """A shipped surface with 1 to 8 bytes replaced, inserted or deleted."""
+    raw = bytearray(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        at = draw(st.integers(0, len(raw) - 1))
+        if op == "delete":
+            del raw[at]
+        else:
+            raw[at:at + (op == "replace")] = bytes([draw(st.sampled_from(MUTATION_BYTES))])
+    return bytes(raw)
 
 
 def closed_form_strike(row, label, conv):
@@ -140,6 +186,21 @@ class TestParse:
         with pytest.raises(ParseError, match="leave the floating-point range") as err:
             parse_surface("\n".join([lines[0], ",".join(cells)]) + "\n")
         assert err.value.line == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=mutated_surfaces())
+    @example(raw=CR_ONLY)
+    @example(raw=BARE_CR_IN_A_ROW)
+    @example(raw=OVERFLOWING_1M_ROW)
+    @example(raw=EMPTY_ANCHOR)
+    def test_mutated_bytes_give_rows_or_parse_error(self, raw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = parse_surface(raw)
+            except ParseError:
+                return
+        assert rows and all(type(row) is SurfaceQuoteRow for row in rows)
 
     def test_repeated_expiry_rejected_with_line(self):
         header, first, second = synthetic_circle_surface().splitlines()[:3]
@@ -278,6 +339,17 @@ class TestLabelStrikes:
             effective_nd1_target("25P", ms, DeltaConvention.SPOT_PIPS)
         assert effective_nd1_target("25P", ms, DeltaConvention.FORWARD_N) == 0.25
 
+    def test_spot_pips_target_with_a_vanishing_discount_factor(self):
+        # e^{-qT} underflows to 0 at q = 1e300: the target is inf, not a
+        # ZeroDivisionError; spot-pips fails the row, forward-n completes it.
+        row = SurfaceQuoteRow(
+            expiry_label="2W", tenor_years=0.0383561644, spot=3.4, dom_rate=1e300,
+            for_rate=1e300, vols={lab: 0.1 for lab in LABELS},
+        )
+        assert row.market().df_for() == 0.0
+        with pytest.raises(TargetOutsideDomain, match=r"10P: effective N\(-d1\) target inf"):
+            row.strikes(CONV)
+        assert complete_expiry(row, "circle", DeltaConvention.FORWARD_N).label_strikes
 
     @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
     def test_stored_strikes_are_label_strikes(self, name):
