@@ -234,14 +234,14 @@ def _unit_mass(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return values / float(np.sum(w * values))
 
 
-def kl_divergence(p: DensityCurve, q, n: int = KL_GRID_N, clamp_floor: float = KL_CLAMP_FLOOR):
+def kl_divergence(p: DensityCurve, q, clamp_floor: float = KL_CLAMP_FLOOR):
     """KL(p || q) over the overlap of the two strike windows.
 
-    Both curves are re-sampled to a log-uniform grid and rescaled to unit
-    trapezoid mass there, which keeps the discrete divergence non-negative
-    and zero exactly for identical curves.  q values at or below the clamp
-    floor are raised to it (the pseudo-divergence of ill-posed inversions)
-    and flagged through ``clamped_fraction``.
+    Both curves are re-sampled to a ``KL_GRID_N``-point log-uniform grid and
+    rescaled to unit trapezoid mass there, which keeps the discrete
+    divergence non-negative and zero exactly for identical curves.  q values
+    at or below the clamp floor are raised to it (the pseudo-divergence of
+    ill-posed inversions) and flagged through ``clamped_fraction``.
 
     ``q`` may also be a sequence of curves: the result is then a tuple of
     reports, each equal to its own call's, and p's side (grid, weights, p at
@@ -257,7 +257,7 @@ def kl_divergence(p: DensityCurve, q, n: int = KL_GRID_N, clamp_floor: float = K
         if not lo < hi:
             raise DisjointSupport(f"no strike overlap: [{lo:.6g}, {hi:.6g}]")
         if (lo, hi) not in p_sides:
-            grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
+            grid = np.exp(np.linspace(math.log(lo), math.log(hi), KL_GRID_N))
             w = _trapezoid_weights(grid)
             # Discrete renormalisation keeps Gibbs' inequality exact.
             p_norm = _unit_mass(np.interp(grid, p.strikes, p.values), w)

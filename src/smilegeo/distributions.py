@@ -28,14 +28,13 @@ UNIFORM_EDGE_MARGIN = 1e-6  # fraction of (b - a) kept away from the kinks
 class DensityCurve:
     """A sampled density: ascending strike grid, values per unit price.
 
-    ``mass_below_zero`` records P(0) for families supported partly on the
-    negative axis; curves restricted to positive strikes are rescaled by
-    1/(1 - P(0)) so the restriction integrates to one.
+    ``density_curve`` rescales a family supported partly on the negative
+    axis by 1/(1 - P(0)), so its restriction to positive strikes integrates
+    to one.
     """
 
     strikes: np.ndarray
     values: np.ndarray
-    mass_below_zero: float = 0.0
 
     def __post_init__(self):
         strikes = np.asarray(self.strikes, dtype=float)
@@ -347,7 +346,6 @@ def density_curve(dist: Distribution, strikes) -> DensityCurve:
     the division is exact.
     """
     strikes = np.asarray(strikes, dtype=float)
-    p0 = dist.mass_below_zero()
-    values = np.asarray(dist.pdf(strikes), dtype=float) / (1.0 - p0)
-    return DensityCurve(strikes=strikes, values=values, mass_below_zero=p0)
+    values = np.asarray(dist.pdf(strikes), dtype=float) / (1.0 - dist.mass_below_zero())
+    return DensityCurve(strikes=strikes, values=values)
 

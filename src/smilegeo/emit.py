@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .surface import DiscrepancyTable
+from .surface import LABELS, DiscrepancyTable
 
 if TYPE_CHECKING:
     from .analysis import CurvatureProfile
@@ -75,13 +75,13 @@ def table_from_curvature(profile: CurvatureProfile) -> TableArtifact:
 
 
 def table_from_discrepancy(table: DiscrepancyTable) -> TableArtifact:
-    cols = ("expiry",) + tuple(table.labels) + ("row_l2",)
+    cols = ("expiry",) + LABELS + ("row_l2",)
     rows = []
     for label, cell, l2 in zip(table.expiries, table.cells, table.row_l2):
-        rows.append((label,) + tuple(cell[lab] for lab in table.labels) + (l2,))
+        rows.append((label,) + tuple(cell[lab] for lab in LABELS) + (l2,))
     rows.append(
         ("L2 norm",)
-        + tuple(table.col_l2[lab] for lab in table.labels)
+        + tuple(table.col_l2[lab] for lab in LABELS)
         + (table.grand_l2,)
     )
     return TableArtifact(kind=f"discrepancy-{table.method}", columns=cols, rows=tuple(rows))

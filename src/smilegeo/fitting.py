@@ -46,8 +46,9 @@ def anchors_at_strikes(
     return anchors
 
 
-def fit_circle_to_smile(smile: SmileCurve, ctx: ReprContext | None = None) -> CircleShape:
-    """Circle through the represented N(-d1) 0.25 / centre / 0.75 anchors."""
-    ctx = ctx or context_for_smile(smile)
+def fit_circle_to_smile(smile: SmileCurve) -> CircleShape:
+    """Circle through the N(-d1) 0.25 / centre / 0.75 anchors, represented in
+    ``context_for_smile(smile)``."""
+    ctx = context_for_smile(smile)
     wing_strikes = strikes_for_deltas(smile, CIRCLE_TARGETS)
     return fit_shape(anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, wing_strikes), ctx)[0]

@@ -125,7 +125,9 @@ def angle_jet(lnk, ctx: ReprContext):
     x = _x(lnk, ctx.atm_rn, ctx.radius_scale)
     cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
-    return cos, sin, 2.0 / (den * r_scale), -4.0 * x / (den**2 * r_scale * r_scale)
+    with np.errstate(over="ignore"):  # den^2 is inf past |X| ~ 1e77, and phi'' is -0
+        d2phi = -4.0 * x / (den**2 * r_scale * r_scale)
+    return cos, sin, 2.0 / (den * r_scale), d2phi
 
 
 def auto_context(ms: MarketState, atm_rn: float, window) -> ReprContext:

@@ -24,10 +24,11 @@ spline, scipy's bit for bit, whose ``jet`` reads sigma and both ln-K
 derivatives from one cell search.
 
 Delta strikes come from ``strikes_for_deltas``: one safeguarded Newton
-solve in ln K over every target of a smile at once, each target bracketed
-from one sampled ``vol_fn`` read over the domain.  A distribution report
-solves all of its targets (its centre, the ``ND1_WINDOW`` strikes and two
-wing anchors) together; ``strike_for_delta`` is the one-target case.
+solve in ln K over every N(-d1) level of a smile at once, each level
+bracketed from one sampled ``vol_fn`` read over the domain.  A distribution
+report solves all of its levels (its centre, the ``ND1_WINDOW`` strikes and
+two wing anchors) together; ``strike_for_delta`` is the one-level case.  A
+quoted delta's level under the spot-pips rule is ``surface``'s to form.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .bsm import (
     IV_BRACKET_HI,
     IV_BRACKET_LO,
     SQRT_2PI,
-    DeltaConvention,
     MarketState,
     _sweep_price,
     atm_rn_lognormal,
@@ -162,15 +162,14 @@ def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
         raise NonpositiveVol(f"{what} implies vol <= 0 at strike {k_bad:.6g}")
 
 
-def flat_smile(ms: MarketState, vol: float, k_lo: float | None = None, k_hi: float | None = None) -> SmileCurve:
-    """A constant-vol smile (the log-normal case)."""
+def flat_smile(ms: MarketState, vol: float) -> SmileCurve:
+    """A constant-vol smile (the log-normal case) on the forward times
+    e^{+-(6 vol sqrt(T) + 0.5)}."""
     if not 0.0 < vol < math.inf:
         raise InvalidInput(f"vol {vol!r} is not positive and finite")
-    if k_lo is None or k_hi is None:
-        width = 6.0 * vol * math.sqrt(max(ms.tenor, 1e-12)) + 0.5
-        fwd = ms.forward()
-        k_lo = fwd * math.exp(-width) if k_lo is None else k_lo
-        k_hi = fwd * math.exp(width) if k_hi is None else k_hi
+    width = 6.0 * vol * math.sqrt(max(ms.tenor, 1e-12)) + 0.5
+    fwd = ms.forward()
+    k_lo, k_hi = fwd * math.exp(-width), fwd * math.exp(width)
 
     def vol_fn(lnk):
         return np.full_like(np.asarray(lnk, dtype=float), vol)
@@ -301,22 +300,8 @@ def smile_from_distribution(
     )
 
 
-def nd1_level(ms: MarketState, target: float, conv: DeltaConvention) -> float:
-    """The N(-d1) level a delta target pins: the target itself under FORWARD_N,
-    the raw |put delta| divided by e^{-qT} under SPOT_PIPS."""
-    if not 0.0 < target < 1.0:
-        raise InvalidInput("target must lie in (0, 1)")
-    df = ms.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
-    eff = target / df if df > 0.0 else math.inf  # e^{-qT} underflows to 0 for a huge qT
-    if not 0.0 < eff < 1.0:
-        raise TargetOutsideDomain(f"effective N(-d1) target {eff:.6g} outside (0, 1)")
-    return eff
-
-
-def strikes_for_deltas(
-    smile: SmileCurve, targets, conv: DeltaConvention = DeltaConvention.FORWARD_N
-) -> np.ndarray:
-    """Strikes where the smile's N(-d1) (or raw |put delta|) hits each target.
+def strikes_for_deltas(smile: SmileCurve, targets) -> np.ndarray:
+    """Strikes where the smile's N(-d1) hits each target level in (0, 1).
 
     One solve for all targets: ``DELTA_SAMPLES`` vol reads over the domain
     give each target the first closed interval of ln K where N(-d1) crosses
@@ -326,8 +311,10 @@ def strikes_for_deltas(
     a target is solved alone or with others.
     """
     targets = [float(t) for t in targets]
+    if not all(0.0 < t < 1.0 for t in targets):
+        raise InvalidInput("target must lie in (0, 1)")
     ms = smile.market
-    eff = np.array([nd1_level(ms, t, conv) for t in targets], dtype=float)
+    eff = np.array(targets, dtype=float)
     sqrt_t = math.sqrt(ms.tenor)
     xs = np.linspace(math.log(smile.k_lo), math.log(smile.k_hi), DELTA_SAMPLES)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,11 +362,9 @@ def strikes_for_deltas(
     return np.exp(x)
 
 
-def strike_for_delta(
-    smile: SmileCurve, target: float, conv: DeltaConvention = DeltaConvention.FORWARD_N
-) -> DeltaAnchor:
-    """Strike where the smile's N(-d1) (or raw |put delta|) hits ``target``."""
-    strike = float(strikes_for_deltas(smile, [target], conv)[0])
+def strike_for_delta(smile: SmileCurve, target: float) -> DeltaAnchor:
+    """Strike where the smile's N(-d1) hits the level ``target``, with the vol there."""
+    strike = float(strikes_for_deltas(smile, [target])[0])
     return DeltaAnchor(target=target, strike=strike, vol=float(smile.vol(strike)))
 
 
@@ -436,16 +421,19 @@ def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> De
     with dots denoting ln-K derivatives.  Negative values are reported
     as-is; the bracket is ``nonnegativity_margin``'s.
     """
-    return density_with_margin(smile, strikes, mode)[0]
+    return _density(smile, _terms(smile, strikes, mode))[0]
 
 
-def density_with_margin(
-    smile: SmileCurve, strikes, mode: str = "analytic"
-) -> tuple[DensityCurve, float]:
+def density_with_margin(smile: SmileCurve, strikes) -> tuple[DensityCurve, float]:
     """``density_from_smile`` and ``nonnegativity_margin`` from one bracket."""
+    return _density(smile, _terms(smile, strikes, "analytic"))
+
+
+def _density(smile: SmileCurve, terms) -> tuple[DensityCurve, float]:
+    """The density of ``_terms``' output, with the minimum of its bracket."""
     from .distributions import DensityCurve  # loaded by the density paths alone
 
-    terms = strikes, sig, _, _, _, d2 = _terms(smile, strikes, mode)
+    strikes, sig, _, _, _, d2 = terms
     # Overflow on a huge domain is reported by DensityCurve (NonFiniteDensity),
     # not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -455,10 +443,10 @@ def density_with_margin(
     return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
 
 
-def nonnegativity_margin(smile: SmileCurve, strikes, mode: str = "analytic") -> float:
+def nonnegativity_margin(smile: SmileCurve, strikes) -> float:
     """Minimum over the grid of the density-sign bracket.
 
     A negative return value is equivalent to the implied density taking
     negative values somewhere on the grid.
     """
-    return float(np.min(_bracket(smile.market, *_terms(smile, strikes, mode))))
+    return float(np.min(_bracket(smile.market, *_terms(smile, strikes, "analytic"))))

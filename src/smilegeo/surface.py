@@ -5,7 +5,9 @@ delta labels.  Completion rebuilds each expiry's full smile from the three
 anchor quotes (25P / ATM / 25C) by the circle method or vanna-volga, or from
 five quotes (plus 10P / 10C) by the ellipse method; the discrepancy table
 compares completed vols against the quoted ones label by label, with L2
-norms per row, per column, and overall.  Every quoted label is read in one
+norms per row, per column, and overall.  A quoted delta becomes an N(-d1)
+level here alone (``effective_nd1_target``): under spot-pips the raw
+|put delta| is divided by e^{-qT}.  Every quoted label is read in one
 ``smile.vol`` array call, whose vols keep the bits of one numpy read per
 label; ``math.*`` calls would not (see ``smile``).
 
@@ -27,9 +29,7 @@ import numpy as np
 from .bsm import DeltaConvention, MarketState, strike_for_target_nd1
 from .errors import InvalidInput, MissingAnchor, ParseError, SmileGeoError, TargetOutsideDomain
 from .georep import ReprContext, flat_context, smile_from_shape
-from .smile import (
-    DeltaAnchor, GridSpec, SmileCurve, nd1_level, smile_from_distribution, strikes_for_deltas
-)
+from .smile import DeltaAnchor, GridSpec, SmileCurve, smile_from_distribution, strikes_for_deltas
 
 if TYPE_CHECKING:
     from .shapes import CircleShape, ConicShape
@@ -242,14 +242,15 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
 
 
 def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> float:
-    """The N(-d1) level a delta label pins, under the given convention."""
+    """The N(-d1) level a delta label pins: its delta under FORWARD_N, the raw
+    |put delta| divided by e^{-qT} under SPOT_PIPS, and one minus that for a call."""
     target, side = _LABEL_DELTA[label]
     if side == "atm":
         return target
-    try:
-        eff = nd1_level(ms, target, conv)
-    except TargetOutsideDomain as exc:
-        raise TargetOutsideDomain(f"label {label}: {exc}") from None
+    df = ms.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
+    eff = target / df if df > 0.0 else math.inf  # e^{-qT} underflows to 0 for a huge qT
+    if not 0.0 < eff < 1.0:
+        raise TargetOutsideDomain(f"label {label}: effective N(-d1) target {eff:.6g} outside (0, 1)")
     return eff if side == "put" else 1.0 - eff
 
 
@@ -269,7 +270,6 @@ class CompletedExpiry:
     ``label_strikes`` holds every quoted label's strike.
     """
 
-    row: SurfaceQuoteRow
     method: str
     smile: SmileCurve
     anchors: tuple[DeltaAnchor, ...]
@@ -333,8 +333,7 @@ def complete_expiry(
     except SmileGeoError as exc:
         raise exc.named_for(row.expiry_label)
     return CompletedExpiry(
-        row=row, method=method, smile=smile, anchors=anchors,
-        ctx=ctx, shape=shape, label_strikes=strikes,
+        method=method, smile=smile, anchors=anchors, ctx=ctx, shape=shape, label_strikes=strikes
     )
 
 
@@ -342,15 +341,14 @@ def complete_expiry(
 class DiscrepancyTable:
     """Model-minus-market vols per expiry and delta label, with L2 norms.
 
-    Anchor cells are exactly zero by construction (the completion reproduces
-    them; this is verified to tolerance before being pinned).  ``vols`` holds
-    the completed vols behind the cells.  Cells and vols for absent quotes or
+    Cells, vols and column norms are keyed by ``LABELS``.  Anchor cells are
+    exactly zero by construction (the completion reproduces them; this is
+    verified to tolerance before being pinned).  ``vols`` holds the
+    completed vols behind the cells.  Cells and vols for absent quotes or
     failed rows are None; ``errors`` holds each failed expiry's message.
     """
 
     method: str
-    convention: DeltaConvention
-    labels: tuple[str, ...]
     expiries: tuple[str, ...]
     cells: tuple[dict[str, float | None], ...]
     vols: tuple[dict[str, float | None], ...]
@@ -403,8 +401,6 @@ def discrepancy_table(
     grand = math.sqrt(sum(v * v for v in row_l2 if v is not None))
     return DiscrepancyTable(
         method=method,
-        convention=conv,
-        labels=LABELS,
         expiries=tuple(r.expiry_label for r in rows),
         cells=tuple(cells),
         vols=tuple(vols),
@@ -426,24 +422,24 @@ STANDARD_EXPIRIES = (
 )
 
 
-def _surface_csv(spot: float, dom: float, forr: float, conv: DeltaConvention, smile_of) -> str:
+def _surface_csv(spot: float, dom: float, forr: float, smile_of) -> str:
     """The 14-expiry surface CSV of ``smile_of(i, ms)``, the smile of expiry i.
 
-    Each row solves its nine label strikes on the smile in one solve and
-    quotes the vols there.
+    Each row solves its nine spot-pips label strikes on the smile in one
+    solve and quotes the vols there.
     """
     lines = [CSV_HEADER]
     for i, (label, tenor) in enumerate(STANDARD_EXPIRIES):
         ms = MarketState(spot=spot, dom_rate=dom, for_rate=forr, tenor=tenor)
         smile = smile_of(i, ms)
-        levels = [effective_nd1_target(lab, ms, conv) for lab in LABELS]
+        levels = [effective_nd1_target(lab, ms, DeltaConvention.SPOT_PIPS) for lab in LABELS]
         strikes = strikes_for_deltas(smile, levels).tolist()
         cells = ",".join(f"{float(smile.vol(k)):.12f}" for k in strikes)
         lines.append(f"{label},{tenor:.10f},{spot},{dom},{forr},{cells}")
     return "\n".join(lines) + "\n"
 
 
-def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
+def synthetic_circle_surface() -> str:
     """A 14-expiry surface whose every smile is exactly circle-generated.
 
     The circle method reconstructs it to rounding; the anchor columns of any
@@ -468,10 +464,10 @@ def synthetic_circle_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) 
             k_hi=ctx.atm_rn * math.exp(k_band),
         )
 
-    return _surface_csv(1.1000, 0.020, 0.012, conv, smile_of)
+    return _surface_csv(1.1000, 0.020, 0.012, smile_of)
 
 
-def synthetic_gamma_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -> str:
+def synthetic_gamma_surface() -> str:
     """A 14-expiry surface generated from gamma-distribution smiles."""
     from .distributions import Gamma
 
@@ -483,4 +479,4 @@ def synthetic_gamma_surface(conv: DeltaConvention = DeltaConvention.SPOT_PIPS) -
         dist = Gamma(kappa=kappa, theta=ms.forward() / kappa)
         return smile_from_distribution(dist, ms, GridSpec(n=1201))
 
-    return _surface_csv(3.40, 0.015, 0.005, conv, smile_of)
+    return _surface_csv(3.40, 0.015, 0.005, smile_of)

@@ -36,9 +36,10 @@ WINDOW_GRID_POINTS = 4001
 TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
-def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float = 0.0,
-                     tenor: float = 1.0) -> MarketState:
-    """The market state whose forward equals the distribution mean.
+def market_state_for(
+    dist: Distribution, dom_rate: float = 0.0, for_rate: float = 0.0
+) -> MarketState:
+    """The one-year market state whose forward equals the distribution mean.
 
     Raises InconsistentForward when the mean is not a positive finite
     number: no market forward can equal it.
@@ -48,8 +49,8 @@ def market_state_for(dist: Distribution, dom_rate: float = 0.0, for_rate: float 
         raise InconsistentForward(
             f"distribution mean {float(mean)!r} is not a positive finite forward"
         )
-    spot = mean * math.exp(-(dom_rate - for_rate) * tenor)
-    return MarketState(spot=spot, dom_rate=dom_rate, for_rate=for_rate, tenor=tenor)
+    spot = mean * math.exp(-(dom_rate - for_rate))
+    return MarketState(spot=spot, dom_rate=dom_rate, for_rate=for_rate, tenor=1.0)
 
 
 def smile_with_coverage(dist: Distribution, ms: MarketState) -> SmileCurve:

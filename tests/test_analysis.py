@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, polygamma
 
+import smilegeo.analysis as analysis_module
 from smilegeo.analysis import (
     _trapezoid_weights,
     best_lognormal,
@@ -333,9 +334,10 @@ class TestKlDivergence:
             q = lognormal_curve(rng.uniform(-0.2, 0.2), rng.uniform(0.1, 0.5))
             assert kl_divergence(p, q).kl_nats >= -1e-10
 
-    def test_nonnegative_for_arbitrary_shapes(self):
+    def test_nonnegative_for_arbitrary_shapes(self, monkeypatch):
         # Gibbs' inequality holds exactly for the discretely renormalised
-        # sums, whatever the curve shapes.
+        # sums, whatever the curve shapes, on a coarse grid too.
+        monkeypatch.setattr(analysis_module, "KL_GRID_N", 257)
         from hypothesis import given, settings
         from hypothesis import strategies as st
         from hypothesis.extra import numpy as hnp
@@ -352,20 +354,21 @@ class TestKlDivergence:
                 return
             p = DensityCurve(strikes=grid, values=pv)
             q = DensityCurve(strikes=grid, values=qv)
-            assert kl_divergence(p, q, n=257).kl_nats >= -1e-10
+            assert kl_divergence(p, q).kl_nats >= -1e-10
 
         check()
 
-    def test_subnormal_values_stay_finite(self):
+    def test_subnormal_values_stay_finite(self, monkeypatch):
         # p/q of subnormal values underflows to 0, and the trapezoid mass of
         # an all-subnormal curve to 0; neither may turn the divergence into
         # -inf or nan.
+        monkeypatch.setattr(analysis_module, "KL_GRID_N", 257)
         grid = np.exp(np.linspace(0.0, 1.0, 64))
         tiny = 5e-324
         q = DensityCurve(strikes=grid, values=np.r_[7.0, np.full(63, 0.0625)])
         for pv in (np.r_[tiny, 3.0, np.full(62, tiny)], np.full(64, tiny)):
             p = DensityCurve(strikes=grid, values=pv)
-            kl = kl_divergence(p, q, n=257).kl_nats
+            kl = kl_divergence(p, q).kl_nats
             assert math.isfinite(kl)
             assert kl >= -1e-10
 

@@ -203,8 +203,10 @@ class TestDensityCurve:
         grid = np.linspace(STUDENT_WIDE.quantile(0.0005), STUDENT_WIDE.quantile(0.9995), 4001)
         grid = grid[grid > 0]
         curve = density_curve(STUDENT_WIDE, grid)
-        assert curve.mass_below_zero == pytest.approx(STUDENT_WIDE.cdf(0.0), abs=1e-14)
-        assert curve.mass_below_zero > 0.01
+        p0 = STUDENT_WIDE.mass_below_zero()
+        assert p0 == pytest.approx(STUDENT_WIDE.cdf(0.0), abs=1e-14)
+        assert p0 > 0.01
+        assert np.array_equal(curve.values, STUDENT_WIDE.pdf(grid) / (1.0 - p0))
         assert 0.99 <= np.trapezoid(curve.values, curve.strikes) <= 1.01
 
     def test_strictly_increasing_required(self):

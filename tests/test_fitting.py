@@ -25,8 +25,10 @@ ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
 
 
 def smile_anchors(smile, ctx, wing_targets, conv=DeltaConvention.FORWARD_N):
-    """The anchors a fit to ``smile`` goes through, wings solved under ``conv``."""
-    wing_strikes = strikes_for_deltas(smile, wing_targets, conv)
+    """The anchors a fit to ``smile`` goes through, wings solved under ``conv``:
+    under spot-pips a target t is the N(-d1) level t / e^{-qT}."""
+    df = smile.market.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
+    wing_strikes = strikes_for_deltas(smile, [t / df for t in wing_targets])
     return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
 
 
@@ -39,14 +41,14 @@ class TestCircleFit:
     def test_flat_smile_gives_origin_circle(self):
         smile = flat_smile(MS, 0.2)
         ctx = context_for_smile(smile)
-        circle = fit_circle_to_smile(smile, ctx)
+        circle = fit_circle_to_smile(smile)
         assert math.hypot(*circle.center) <= 1e-12
         assert circle.radius == pytest.approx(ctx.radius_scale + 0.2, abs=1e-12)
 
     def test_gamma_circle_interpolates_anchors(self):
         smile = smile_from_distribution(GAMMA, market_state_for(GAMMA))
         ctx = context_for_smile(smile)
-        circle = fit_circle_to_smile(smile, ctx)
+        circle = fit_circle_to_smile(smile)
         pts = represent_anchors(smile_anchors(smile, ctx, CIRCLE_TARGETS), ctx)
         assert np.max(circle.residuals(pts)) <= 1e-10 * circle.radius
 
@@ -66,7 +68,7 @@ class TestCircleFit:
     def test_inverted_circle_smile_hits_anchor_vols(self):
         smile = smile_from_distribution(GAMMA, market_state_for(GAMMA))
         ctx = context_for_smile(smile)
-        circle = fit_circle_to_smile(smile, ctx)
+        circle = fit_circle_to_smile(smile)
         anchors = smile_anchors(smile, ctx, CIRCLE_TARGETS)
         inv = smile_from_shape(
             circle, ctx, k_lo=anchors[0].strike * 0.8, k_hi=anchors[-1].strike * 1.2
@@ -132,7 +134,10 @@ class TestRandomizedMarkets:
             kappa = rng.uniform(4.0, 40.0)
             mean = rng.uniform(0.5, 200.0)
             dist = Gamma(kappa=kappa, theta=mean / kappa)
-            ms = market_state_for(dist, dom_rate=r, for_rate=q, tenor=tenor)
+            # The forward at the mean: spot = mean e^{-(r - q) T}.
+            ms = MarketState(
+                spot=dist.mean() * math.exp(-(r - q) * tenor), dom_rate=r, for_rate=q, tenor=tenor
+            )
             conv = (
                 DeltaConvention.SPOT_PIPS if trial % 2 else DeltaConvention.FORWARD_N
             )

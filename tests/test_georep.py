@@ -24,7 +24,7 @@ from smilegeo.georep import (
     smile_from_shape,
 )
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle
-from smilegeo.smile import DeltaAnchor, flat_smile, smile_from_distribution
+from smilegeo.smile import DeltaAnchor, density_from_smile, flat_smile, smile_from_distribution
 from smilegeo.surface import LABELS, complete_expiry, parse_surface
 from smilegeo.workflows import distribution_report, market_state_for
 
@@ -41,7 +41,7 @@ def x_column(strikes, atm_rn, radius_scale):
 def stereographic_point(x_coord):
     """X's stereographic point (2X, X^2 - 1) / (1 + X^2): the direction that
     shape smiles read, ``vol_fn`` alone and ``angle_jet`` with phi's
-    derivatives (whose phi'' overflows for |X| above about 1e77)."""
+    derivatives (whose phi'' is -0 for |X| above about 1e77)."""
     return _unit_point(x_coord)[:2]
 
 
@@ -323,6 +323,16 @@ class TestSmileFromShape:
         smile = smile_from_shape(shape, ctx, k_lo=60.0, k_hi=170.0)
         vols = np.asarray(smile.vol(smile.default_grid(101)))
         assert np.max(np.abs(vols - 0.2)) <= 1e-14
+
+    def test_tiny_radius_scale_density_is_flat_without_warning(self):
+        # Under R = 1e-80 the grid's |X| reaches about 1e79, where (1 + X^2)^2
+        # overflows: phi'' is -0 there, and the density is the flat smile's.
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1e-80)
+        smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
+        assert smile.vol(120.0) == 0.2
+        grid = np.linspace(60.0, 150.0, 181)
+        got = density_from_smile(smile, grid).values
+        assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
 
     def test_round_trip_circle_to_smile_to_circle(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)

@@ -1,6 +1,7 @@
 """The package namespace: lazy, with the same public names in the same homes,
-each read by the pipeline outside the tests."""
+each read by the pipeline outside the tests, and each option set there."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -107,6 +108,81 @@ def test_reader_names_its_name(name):
     reader = READER[name]
     assert reader not in (name, f"src/smilegeo/{HOME[name]}.py", "src/smilegeo/__init__.py")
     assert re.search(rf"\b{name}\b", reader_text(reader)), (name, reader)
+
+
+# Where the pipeline sets each defaulted parameter of an exported function and
+# each defaulted field of an exported dataclass, by setter: a file outside the
+# tests, one of the two claim suites (the paper's claims and its symmetries),
+# or, for a result type's field, the public function that builds it.  The
+# setter must pass the option to a call of its owner, by keyword or by
+# position.  A new option fails here until it is listed with a setter; an
+# option whose setter stops setting it fails too: give it another, or delete it.
+CLAIM_SUITES = ("tests/test_acceptance.py", "tests/test_symmetries.py")
+OPTIONS = {
+    "src/smilegeo/cli.py": """complete_expiry.method complete_expiry.conv
+        complete_expiry.radius_scale complete_expiry.vv_variant discrepancy_table.method
+        discrepancy_table.conv discrepancy_table.radius_scale discrepancy_table.vv_variant
+        curvature_profile.circle represent.strikes RepresentationScene.circle
+        RepresentationScene.anchor_points""",
+    QUICK_START: "context_for_smile.radius_scale represent.ctx",
+    "tests/test_acceptance.py": """bsm_price.side density_from_smile.mode
+        kl_divergence.clamp_floor GridSpec.width_mult""",
+    "tests/test_symmetries.py": "market_state_for.dom_rate market_state_for.for_rate",
+    "src/smilegeo/surface.py": "GridSpec.n smile_from_distribution.grid vv_smile.variant",
+    "src/smilegeo/georep.py": "SmileCurve.label",
+    "curvature_profile": "CurvatureProfile.n_minus_d1 CurvatureProfile.strikes",
+    "discrepancy_table": "DiscrepancyTable.errors",
+}
+SETTER = {option: setter for setter, options in OPTIONS.items() for option in options.split()}
+
+
+def defaulted_options() -> set[str]:
+    """``name.option`` of every defaulted parameter or dataclass field of an export."""
+    found = set()
+    for name in smilegeo.__all__:
+        obj = getattr(smilegeo, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            found |= {f"{name}.{p.name}" for p in params if p.default is not p.empty}
+        elif dataclasses.is_dataclass(obj):
+            unset = (dataclasses.MISSING, dataclasses.MISSING)
+            found |= {
+                f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                if f.init and (f.default, f.default_factory) != unset
+            }
+    return found
+
+
+def sets_option(setter: str, owner: str, option: str) -> bool:
+    """Whether the setter's code calls ``owner`` with ``option``, by keyword or position."""
+    text = reader_text(setter)
+    if setter == QUICK_START:
+        text = text.split("```python", 1)[1].split("```", 1)[0]
+    position = list(inspect.signature(getattr(smilegeo, owner)).parameters).index(option)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == owner and (
+                len(node.args) > position or any(kw.arg == option for kw in node.keywords)
+            ):
+                return True
+    return False
+
+
+def test_every_option_has_one_setter():
+    options = [option for options in OPTIONS.values() for option in options.split()]
+    assert len(options) == len(SETTER)
+    assert sorted(SETTER) == sorted(defaulted_options())
+
+
+@pytest.mark.parametrize("option", sorted(SETTER))
+def test_setter_sets_its_option(option):
+    owner, name = option.split(".")
+    setter = SETTER[option]
+    assert setter not in (owner, f"src/smilegeo/{HOME[owner]}.py", "src/smilegeo/__init__.py")
+    assert not setter.startswith("tests/") or setter in CLAIM_SUITES
+    assert sets_option(setter, owner, name), (option, setter)
 
 
 def test_exports_are_the_same_names():

@@ -403,6 +403,19 @@ class TestRowGeometry:
                         continue  # the circle surface's short expiries at R = 0.5
                     assert done.ctx == row.frame(radius_scale)
 
+    @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_domain_pads_label_strikes_by_a_tenth(self, name, conv):
+        # The completion domain is the label strikes widened by a tenth of
+        # their log-span at each end.
+        for row in parse_surface((DATA / f"{name}.csv").read_bytes()):
+            strikes = row.strikes(conv).values()
+            lo, hi = min(strikes), max(strikes)
+            k_lo, k_hi = row.domain(conv)
+            tenth = 0.1 * math.log(hi / lo)
+            assert math.log(lo / k_lo) == pytest.approx(tenth, rel=1e-9), row.expiry_label
+            assert math.log(k_hi / hi) == pytest.approx(tenth, rel=1e-9), row.expiry_label
+
     def test_market_and_frame_built_once_per_row(self, monkeypatch):
         # Parsing plus a discrepancy table and a completion of every row under
         # each method: one MarketState and one flat_context per row.
@@ -495,6 +508,29 @@ class TestCompleteExpiry:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             complete_expiry(flat_row(), "spline", CONV)
+
+    def test_shape_off_its_anchors_fails_the_row(self, monkeypatch):
+        # A fitted circle 1e-6 off its anchors' points is caught before its
+        # smile is built: complete_expiry names the expiry, and the table
+        # blanks that row and keeps the message.
+        import smilegeo.fitting as fitting_module
+
+        fit_shape = fitting_module.fit_shape
+
+        def fit_shape_off(anchors, ctx):
+            shape, pts = fit_shape(anchors, ctx)
+            return replace(shape, radius=shape.radius + 1e-6), pts
+
+        monkeypatch.setattr(fitting_module, "fit_shape", fit_shape_off)
+        rows = parse_surface(SHIPPED[1])
+        message = "expiry '1Y' failed: fitted shape fails to interpolate its anchors"
+        with pytest.raises(SmileGeoError) as info:
+            complete_expiry(rows[8], "circle", CONV)
+        assert type(info.value) is SmileGeoError and str(info.value) == message
+        table = discrepancy_table(rows, "circle", CONV)
+        assert table.errors["1Y"] == message
+        assert table.row_l2[8] is None
+        assert set(table.cells[8].values()) == set(table.vols[8].values()) == {None}
 
     def test_ellipse_requires_ten_delta_quotes(self):
         vols = {lab: 0.1 for lab in ("25P", "ATM", "25C")}

@@ -45,7 +45,8 @@ def within(smile, strikes) -> bool:
 
 class TestMarketStateFor:
     def test_forward_matches_mean(self):
-        ms = market_state_for(GAMMA, dom_rate=0.03, for_rate=0.01, tenor=2.0)
+        ms = market_state_for(GAMMA, dom_rate=0.03, for_rate=0.01)
+        assert ms.tenor == 1.0
         assert ms.forward() == pytest.approx(GAMMA.mean(), rel=1e-14)
 
     @pytest.mark.parametrize("dist", [Normal(mu=-1.0, s=1.0), StudentT(mu=-0.1, nu=13.0)])
@@ -201,7 +202,8 @@ class TestWindow:
     def test_circle_is_the_fitted_circle(self):
         # The report fits its circle through its own anchors, solved once.
         report = distribution_report(GAMMA)
-        assert report.circle == fit_circle_to_smile(report.smile, report.ctx)
+        assert report.ctx == context_for_smile(report.smile)
+        assert report.circle == fit_circle_to_smile(report.smile)
 
     def test_delta_solve_ending_in_an_ulp_cycle(self):
         # The 0.99 target's Newton iterate alternated between two strikes
@@ -213,7 +215,7 @@ class TestWindow:
     def test_true_density_rescaled_for_negative_mass(self):
         dist = StudentT(mu=3.7322, nu=3.9565)
         report = distribution_report(dist)
-        assert report.p_true.mass_below_zero == pytest.approx(dist.cdf(0.0), abs=1e-14)
+        assert dist.mass_below_zero() == pytest.approx(dist.cdf(0.0), abs=1e-14)
         ratio = report.p_true.values / np.asarray(dist.pdf(report.window_grid))
         assert np.allclose(ratio, 1.0 / (1.0 - dist.cdf(0.0)), rtol=1e-12)
 
