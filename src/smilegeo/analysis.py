@@ -259,8 +259,11 @@ def kl_divergence(p: DensityCurve, q, clamp_floor: float = KL_CLAMP_FLOOR):
         if (lo, hi) not in p_sides:
             grid = np.exp(np.linspace(math.log(lo), math.log(hi), KL_GRID_N))
             w = _trapezoid_weights(grid)
+            p_vals = np.interp(grid, p.strikes, p.values)
+            if not np.any(p_vals > 0.0):
+                raise DisjointSupport(f"p has no mass on the overlap [{lo:.6g}, {hi:.6g}]")
             # Discrete renormalisation keeps Gibbs' inequality exact.
-            p_norm = _unit_mass(np.interp(grid, p.strikes, p.values), w)
+            p_norm = _unit_mass(p_vals, w)
             support = p_norm > 0.0
             log_p = np.log(p_norm, out=np.zeros_like(p_norm), where=support)
             p_sides[lo, hi] = grid, w, p_norm, support, log_p

@@ -20,8 +20,8 @@ from .bsm import DeltaConvention
 from . import emit
 from .emit import RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, ParseError, SmileGeoError
-from .georep import DEFAULT_CURVE_POINTS, polar_map, represent, represent_anchors
-from .smile import density_from_smile
+from .georep import polar_map, represent, represent_anchors
+from .smile import DEFAULT_GRID_POINTS, density_from_smile
 from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_surface
 
 # Subcommands that complete by one method whatever --method says.
@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="radial scale R (finite, positive), or 'auto' (default) for the delta-window rule",
     )
     common.add_argument(
-        "--grid-points", default="2001", help="points per evaluation grid (default 2001)"
+        "--grid-points", default=str(DEFAULT_GRID_POINTS),
+        help="points per evaluation grid (default %(default)s)",
     )
     common.add_argument(
         "--delta-convention",
@@ -178,7 +179,7 @@ def _density_grid(completed, n: int) -> np.ndarray:
 
 
 def _scene(completed) -> RepresentationScene:
-    grid = _increasing(completed.smile.default_grid(DEFAULT_CURVE_POINTS))
+    grid = _increasing(completed.smile.default_grid())
     curve = represent(completed.smile, completed.ctx, grid)
     pts = represent_anchors(completed.anchors, completed.ctx)
     circle = completed.shape if completed.method == "circle" else None

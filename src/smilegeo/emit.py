@@ -3,7 +3,9 @@
 CSV output is RFC-4180 with '.' decimals, LF line endings, and 10
 significant digits.  JSON documents carry the versioned schema tag
 "smilegeo/1".  SVG output is SVG 1.1 with labelled axes and one polyline
-per series; identical inputs produce identical bytes.  Tables, density
+per series; identical inputs produce identical bytes.  A table plots as one
+float array, None and strings as NaN, against its first column, or against
+the row index where that column holds row labels.  Tables, density
 curves, curvature profiles and discrepancy tables render in all three
 formats; a ``RepresentationScene`` renders as SVG only.
 """
@@ -186,23 +188,13 @@ def render_svg(artifact) -> bytes:
     if isinstance(artifact, RepresentationScene):
         return _render_scene_svg(artifact)
     table = _as_table(artifact)
-    label_axis = any(isinstance(r[0], str) for r in table.rows)
-    if label_axis:
+    data = np.array(
+        [[math.nan if v is None or isinstance(v, str) else float(v) for v in r] for r in table.rows]
+    )
+    xs, series = data[:, 0], data[:, 1:]
+    if any(isinstance(r[0], str) for r in table.rows):
         # Row labels (e.g. expiries) plot against the row index.
-        data = np.array(
-            [
-                [math.nan if (v is None or isinstance(v, str)) else float(v) for v in row[1:]]
-                for row in table.rows
-            ]
-        )
         xs = np.arange(len(table.rows), dtype=float)
-        series = data
-    else:
-        data = np.array(
-            [[math.nan if v is None else float(v) for v in row] for row in table.rows]
-        )
-        xs = data[:, 0]
-        series = data[:, 1:]
     finite = np.isfinite(series)
     if not finite.any():  # e.g. every row of a surface failed: axes, no series
         return _svg_doc([], table.columns[0], table.kind)

@@ -5,16 +5,17 @@ to their polar points and puts the circle through three of them or the conic
 through five.  On a smile, the circle's anchors are the 25-delta put side,
 the centre strike and the 25-delta call side (N(-d1) targets 0.25 / 0.5 /
 0.75); a surface row's ellipse goes through its 10P / 25P / ATM / 25C / 10C
-quotes.  The middle anchor is always the context's centre strike;
-``anchors_at_strikes`` builds the anchors once the wing strikes are solved.
+quotes.  ``circle_frame`` is the one path from a smile to its circle: one
+``strikes_for_deltas`` solve gives the centre strike, the ``ND1_WINDOW``
+strikes that set auto R and the wing anchors' strikes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .georep import ReprContext, context_for_smile, represent_anchors
+from .georep import ReprContext, auto_context, represent_anchors
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
-from .smile import DeltaAnchor, SmileCurve, strikes_for_deltas
+from .smile import ND1_WINDOW, DeltaAnchor, SmileCurve, strikes_for_deltas
 
 CIRCLE_TARGETS = (0.25, 0.75)
 
@@ -29,26 +30,27 @@ def fit_shape(anchors, ctx: ReprContext) -> tuple[CircleShape | ConicShape, np.n
     return shape, pts
 
 
-def anchors_at_strikes(
-    smile: SmileCurve, ctx: ReprContext, wing_targets, wing_strikes
-) -> list[DeltaAnchor]:
-    """Wing anchors at strikes already solved for ``wing_targets``, plus the
-    centre-strike anchor, by strike.
+def circle_frame(smile: SmileCurve):
+    """(ctx, (k_lo, k_hi), anchors, circle) of a smile, from one delta solve.
 
-    Each anchor's vol is a scalar read of the smile at its strike.
+    ctx is ``context_for_smile(smile)``: the centre strike with auto R from
+    the ``ND1_WINDOW`` strikes (k_lo, k_hi).  The anchors, a tuple by strike,
+    are the centre and the ``CIRCLE_TARGETS`` wings, each with a scalar read
+    of the smile's vol; the circle goes through them.  Each level's Newton
+    arithmetic is its own, so every strike has the bits of its solve alone.
     """
+    targets = (0.5, *ND1_WINDOW, *CIRCLE_TARGETS)
+    atm_rn, k_lo, k_hi, *wings = strikes_for_deltas(smile, targets).tolist()
+    ctx = auto_context(smile.market, atm_rn, (k_lo, k_hi))
     anchors = [
-        DeltaAnchor(target=t, strike=k, vol=float(smile.vol(k)))
-        for t, k in zip(wing_targets, map(float, wing_strikes))
+        DeltaAnchor(target=t, strike=k, vol=smile.vol(k))
+        for t, k in zip((0.5, *CIRCLE_TARGETS), (atm_rn, *wings))
     ]
-    anchors.append(DeltaAnchor(target=0.5, strike=ctx.atm_rn, vol=float(smile.vol(ctx.atm_rn))))
-    anchors.sort(key=lambda a: a.strike)
-    return anchors
+    anchors = tuple(sorted(anchors, key=lambda a: a.strike))
+    return ctx, (k_lo, k_hi), anchors, fit_shape(anchors, ctx)[0]
 
 
 def fit_circle_to_smile(smile: SmileCurve) -> CircleShape:
     """Circle through the N(-d1) 0.25 / centre / 0.75 anchors, represented in
     ``context_for_smile(smile)``."""
-    ctx = context_for_smile(smile)
-    wing_strikes = strikes_for_deltas(smile, CIRCLE_TARGETS)
-    return fit_shape(anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, wing_strikes), ctx)[0]
+    return circle_frame(smile)[3]

@@ -17,7 +17,9 @@ apart because anchors fitted through stereographic points come back exact
 less often: ``polar_map`` gives phi and the points rho (cos phi, sin phi)
 that ``represent``, the anchors and the CLI's table report; shape smiles
 and curvatures take (cos phi, sin phi) as X's stereographic point itself,
-with no arctan, cos or sin (``angle_jet``, with phi's chain rule in ln K).
+with no arctan, cos or sin (``angle_jet``, with phi's chain rule in ln K,
+whose phi'' reads X clipped to +-``FAR_X``, so X = +-inf gives its limit 0).
+A curve's default grid is the smile's own, ``SmileCurve.default_grid()``.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
 from .errors import InvalidInput
 from .smile import ND1_WINDOW, SmileCurve, require_positive_vol, strikes_for_deltas
 
-DEFAULT_CURVE_POINTS = 2001
 R_UNIT_FRACTION = 0.95  # |X| the farther window strike maps to under auto R
 
 
@@ -125,8 +126,9 @@ def angle_jet(lnk, ctx: ReprContext):
     x = _x(lnk, ctx.atm_rn, ctx.radius_scale)
     cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
-    with np.errstate(over="ignore"):  # den^2 is inf past |X| ~ 1e77, and phi'' is -0
-        d2phi = -4.0 * x / (den**2 * r_scale * r_scale)
+    # den^2 is inf past |X| ~ 1e77, where phi'' is -0; X = +-inf reads +-FAR_X, not inf / inf.
+    with np.errstate(over="ignore"):
+        d2phi = -4.0 * np.clip(x, -FAR_X, FAR_X) / (den**2 * r_scale * r_scale)
     return cos, sin, 2.0 / (den * r_scale), d2phi
 
 
@@ -184,7 +186,7 @@ def represent(
     """
     ctx = ctx or context_for_smile(smile)
     if strikes is None:
-        strikes = smile.default_grid(DEFAULT_CURVE_POINTS)
+        strikes = smile.default_grid()
     strikes = np.asarray(strikes, dtype=float)
     _, angles, radii, points = polar_map(strikes, smile.vol(strikes), ctx)
     return RepresentationCurve(

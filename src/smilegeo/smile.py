@@ -6,7 +6,8 @@ sample that brackets delta solves) and ``jet_fn`` gives sigma with its exact
 first and second ln-K derivatives in one evaluation (densities, Newton steps
 of delta solves).  Densities follow from the jet through the log-strike
 form of the call price's second strike derivative, whose bracket also
-decides non-negativity.
+decides non-negativity: one kernel checks the grid, reads the jet and forms
+both, and ``nonnegativity_margin`` is its margin.
 
 Many strikes are read in one array call: array and numpy-scalar calls of
 ``log``, ``exp``, ``arctan``, ``cos``, ``sin`` and ``sqrt`` agree bit for bit
@@ -370,7 +371,14 @@ def strike_for_delta(smile: SmileCurve, target: float) -> DeltaAnchor:
 
 def _terms(smile: SmileCurve, strikes, mode: str):
     """The checked grid, sigma with its two ln-K derivatives, d1 and d2."""
-    strikes = _check_grid(smile, strikes)
+    strikes = np.asarray(strikes, dtype=float)
+    if strikes.ndim != 1 or strikes.size < 2:
+        raise InvalidInput("grid must be a 1-d array with at least 2 strikes")
+    if not (strikes.min() >= smile.k_lo and strikes.max() <= smile.k_hi):
+        raise DomainTooNarrow(
+            f"grid [{strikes.min():.6g}, {strikes.max():.6g}] exceeds smile domain "
+            f"[{smile.k_lo:.6g}, {smile.k_hi:.6g}]"
+        )
     lnk = np.log(strikes)
     if mode == "analytic":
         sig, sig_dot, sig_ddot = smile.jet_fn(lnk)
@@ -387,29 +395,6 @@ def _terms(smile: SmileCurve, strikes, mode: str):
         raise NonpositiveVol(f"smile implies vol <= 0 at strike {k_bad:.6g}")
     d1, total = d1_total(smile.market, strikes, sig)
     return strikes, sig, sig_dot, sig_ddot, d1, d1 - total
-
-
-def _bracket(ms: MarketState, strikes, sig, sig_dot, sig_ddot, d1, d2) -> np.ndarray:
-    """The non-negativity bracket of the log-strike density formula."""
-    t = ms.tenor
-    return (
-        1.0
-        + math.sqrt(t) * (d1 + d2) * sig_dot
-        + t * d1 * d2 * sig_dot * sig_dot
-        + t * sig * sig_ddot
-    )
-
-
-def _check_grid(smile: SmileCurve, strikes) -> np.ndarray:
-    strikes = np.asarray(strikes, dtype=float)
-    if strikes.ndim != 1 or strikes.size < 2:
-        raise InvalidInput("grid must be a 1-d array with at least 2 strikes")
-    if not (strikes.min() >= smile.k_lo and strikes.max() <= smile.k_hi):
-        raise DomainTooNarrow(
-            f"grid [{strikes.min():.6g}, {strikes.max():.6g}] exceeds smile domain "
-            f"[{smile.k_lo:.6g}, {smile.k_hi:.6g}]"
-        )
-    return strikes
 
 
 def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
@@ -433,13 +418,16 @@ def _density(smile: SmileCurve, terms) -> tuple[DensityCurve, float]:
     """The density of ``_terms``' output, with the minimum of its bracket."""
     from .distributions import DensityCurve  # loaded by the density paths alone
 
-    strikes, sig, _, _, _, d2 = terms
+    strikes, sig, sig_dot, sig_ddot, d1, d2 = terms
+    t = smile.market.tenor
     # Overflow on a huge domain is reported by DensityCurve (NonFiniteDensity),
     # not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = _bracket(smile.market, *terms)
+        # The bracket decides the density's sign.
+        bracket = 1.0 + math.sqrt(t) * (d1 + d2) * sig_dot + t * d1 * d2 * sig_dot * sig_dot
+        bracket += t * sig * sig_ddot
         values = bracket * np.exp(-0.5 * d2 * d2)
-        values /= strikes * sig * SQRT_2PI * math.sqrt(smile.market.tenor)
+        values /= strikes * sig * SQRT_2PI * math.sqrt(t)
     return DensityCurve(strikes=strikes, values=values), float(np.min(bracket))
 
 
@@ -447,6 +435,7 @@ def nonnegativity_margin(smile: SmileCurve, strikes) -> float:
     """Minimum over the grid of the density-sign bracket.
 
     A negative return value is equivalent to the implied density taking
-    negative values somewhere on the grid.
+    negative values somewhere on the grid; the grid and the density are
+    checked as in ``density_from_smile``.
     """
-    return float(np.min(_bracket(smile.market, *_terms(smile, strikes, "analytic"))))
+    return density_with_margin(smile, strikes)[1]

@@ -18,17 +18,15 @@ from .analysis import BEST_LOGNORMAL_MIN_MASS, DivergenceReport, best_lognormal,
 from .bsm import MarketState
 from .distributions import DensityCurve, Distribution, density_curve
 from .errors import DegenerateMass, InconsistentForward
-from .fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_shape
-from .georep import RepresentationCurve, ReprContext, auto_context, represent, smile_from_shape
+from .fitting import circle_frame
+from .georep import RepresentationCurve, ReprContext, represent, smile_from_shape
 from .shapes import CircleShape
 from .smile import (
-    ND1_WINDOW,
     SmileCurve,
     density_from_smile,
     density_with_margin,
     log_uniform_grid,
     smile_from_distribution,
-    strikes_for_deltas,
 )
 from .vanna_volga import ThreeQuoteSmile, vv_smile
 
@@ -92,10 +90,9 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     """Run the full circle-versus-baselines study for one distribution.
 
     The market is ``market_state_for(dist)``, R is automatic, the anchors
-    are plain N(-d1) targets and the baseline is market vanna-volga.  Every
-    delta strike the report needs (the context's centre and R window, the
-    circle's wing anchors and the KL window) comes from one
-    ``strikes_for_deltas`` solve.
+    are plain N(-d1) targets and the baseline is market vanna-volga.  The
+    context, the circle, its anchors and the KL window (the R window) are
+    ``fitting.circle_frame``'s, from one delta solve.
     """
     ms = market_state_for(dist)
     # The best-lognormal fit grid spans the restricted 1e-5 to 1 - 1e-5 quantiles,
@@ -114,18 +111,14 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     q_hi = dist.restricted_quantile(1.0 - 1e-5)
     fit_grid = np.exp(np.linspace(math.log(q_lo), math.log(q_hi), 8001))
     smile = smile_with_coverage(dist, ms)
-    targets = (0.5, *ND1_WINDOW, *CIRCLE_TARGETS)
-    atm_rn, k_lo, k_hi, *wings = strikes_for_deltas(smile, targets).tolist()
-    ctx = auto_context(ms, atm_rn, (k_lo, k_hi))
+    ctx, (k_lo, k_hi), anchors, circle = circle_frame(smile)
     curve = represent(smile, ctx)
-    anchors = anchors_at_strikes(smile, ctx, CIRCLE_TARGETS, wings)
-    circle, _ = fit_shape(anchors, ctx)
 
     # Clipped to the window, and so to the smiles' domain.
     window_grid = log_uniform_grid(k_lo, k_hi, WINDOW_GRID_POINTS)
 
     circle_smile = smile_from_shape(circle, ctx, k_lo=k_lo, k_hi=k_hi)
-    vv = vv_smile(ThreeQuoteSmile(anchors=tuple(anchors), market=ms), k_lo=k_lo, k_hi=k_hi)
+    vv = vv_smile(ThreeQuoteSmile(anchors=anchors, market=ms), k_lo=k_lo, k_hi=k_hi)
 
     p_true = density_curve(dist, window_grid)
     # The circle's density and its non-negativity margin share one bracket.
@@ -145,7 +138,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
         ctx=ctx,
         curve=curve,
         circle=circle,
-        anchors=tuple(anchors),
+        anchors=anchors,
         circle_smile=circle_smile,
         vanna_volga_smile=vv,
         window=(k_lo, k_hi),

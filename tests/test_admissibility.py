@@ -63,9 +63,10 @@ def closed_form_smiles(draw, kind):
         k_lo, k_hi = 100.0 * math.exp(-r_scale * x_lo), 100.0 * math.exp(r_scale * x_hi)
         if kind == "circle":
             cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
-            # From just inside the disk to well outside it; 0 touches.
+            # The nearest point R (1 + gap) from the origin: from just inside the
+            # disk to well outside it; 0 touches.  The origin is always inside.
             gap = draw(st.one_of(st.floats(-0.5, 2.0), st.floats(-1e-9, 1e-9)))
-            radius = math.hypot(cx, cy) + r_scale * (2.0 + gap)
+            radius = r_scale * (math.hypot(cx, cy) + 1.0 + gap)
             shape = CircleShape(center=(cx * r_scale, cy * r_scale), radius=radius)
         else:
             a = r_scale * draw(st.floats(1.0, 4.0))

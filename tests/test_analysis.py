@@ -396,6 +396,16 @@ class TestKlDivergence:
         with pytest.raises(DisjointSupport):
             kl_divergence(p, q)
 
+    def test_p_without_mass_on_the_overlap(self):
+        # p is 0 on [2, 3], so the overlap [2.5, 3] holds none of its mass:
+        # no KL is defined there, where 0/0 once gave 0.0 nats.
+        p = density_curve(Uniform(a=1.0, b=2.0), np.linspace(1.0, 3.0, 201))
+        q = DensityCurve(strikes=np.linspace(2.5, 4.0, 201), values=np.ones(201))
+        with pytest.raises(DisjointSupport, match=r"p has no mass on the overlap \[2.5, 3\]"):
+            kl_divergence(p, q)
+        with pytest.raises(DisjointSupport):
+            kl_divergence(p, (p, q))
+
     @pytest.mark.parametrize("dist", REFERENCE, ids=lambda d: repr(d))
     def test_several_q_equal_separate_calls(self, dist):
         # One p side per window serves every q: each report is the one its

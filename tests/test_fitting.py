@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState, d1_d2
-from smilegeo.distributions import Gamma
-from smilegeo.fitting import CIRCLE_TARGETS, anchors_at_strikes, fit_circle_to_smile, fit_shape
+from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.fitting import CIRCLE_TARGETS, circle_frame, fit_circle_to_smile, fit_shape
 from smilegeo.georep import (
     ReprContext,
     context_for_smile,
@@ -14,7 +14,14 @@ from smilegeo.georep import (
     represent_anchors,
     smile_from_shape,
 )
-from smilegeo.smile import flat_smile, smile_from_distribution, strikes_for_deltas
+from smilegeo.smile import (
+    ND1_WINDOW,
+    DeltaAnchor,
+    flat_smile,
+    smile_from_distribution,
+    strike_for_delta,
+    strikes_for_deltas,
+)
 from smilegeo.workflows import market_state_for
 
 MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
@@ -25,11 +32,16 @@ ELLIPSE_TARGETS = (0.10, 0.25, 0.75, 0.90)
 
 
 def smile_anchors(smile, ctx, wing_targets, conv=DeltaConvention.FORWARD_N):
-    """The anchors a fit to ``smile`` goes through, wings solved under ``conv``:
-    under spot-pips a target t is the N(-d1) level t / e^{-qT}."""
+    """The anchors a fit to ``smile`` goes through, by strike: the wings solved
+    under ``conv`` (under spot-pips a target t is the N(-d1) level t / e^{-qT})
+    and the context's centre strike, each with the smile's vol there."""
     df = smile.market.df_for() if conv is DeltaConvention.SPOT_PIPS else 1.0
-    wing_strikes = strikes_for_deltas(smile, [t / df for t in wing_targets])
-    return anchors_at_strikes(smile, ctx, wing_targets, wing_strikes)
+    wing_strikes = strikes_for_deltas(smile, [t / df for t in wing_targets]).tolist()
+    anchors = [
+        DeltaAnchor(target=t, strike=k, vol=smile.vol(k))
+        for t, k in zip((*wing_targets, 0.5), (*wing_strikes, ctx.atm_rn))
+    ]
+    return sorted(anchors, key=lambda a: a.strike)
 
 
 def fit_ellipse_to_smile(smile, ctx):
@@ -85,6 +97,31 @@ class TestCircleFit:
         sp = smile_anchors(smile, ctx, CIRCLE_TARGETS, DeltaConvention.SPOT_PIPS)
         assert fw[0].strike != sp[0].strike  # q != 0 separates the conventions
         assert fw[1].strike == sp[1].strike  # the centre anchor never moves
+
+
+class TestCircleFrame:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            GAMMA,
+            Uniform(a=2.0109, b=5.4750),
+            StudentT(mu=3.7322, nu=3.9565),
+            StudentT(mu=3.7201, nu=7.3824),
+            Normal(mu=11.3328, s=3.0),
+            LogNormal(mu=1.0, s=0.25),
+        ],
+        ids=repr,
+    )
+    def test_one_solve_gives_what_the_public_paths_give(self, dist):
+        # circle_frame solves every level at once; context_for_smile, the wing
+        # and window solves and fit_circle_to_smile each solve their own.
+        smile = smile_from_distribution(dist, market_state_for(dist))
+        ctx, window, anchors, circle = circle_frame(smile)
+        assert ctx == context_for_smile(smile)
+        assert window == tuple(strike_for_delta(smile, t).strike for t in ND1_WINDOW)
+        assert anchors == tuple(smile_anchors(smile, ctx, CIRCLE_TARGETS))
+        assert circle == fit_shape(anchors, ctx)[0]
+        assert circle == fit_circle_to_smile(smile)
 
 
 class TestEllipseFit:

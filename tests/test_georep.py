@@ -334,6 +334,18 @@ class TestSmileFromShape:
         got = density_from_smile(smile, grid).values
         assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
 
+    def test_subnormal_radius_scale_density_is_flat_without_warning(self):
+        # Under R = 5e-324 every strike but the centre has X = +-inf, where
+        # phi'' = -4X / ((1 + X^2)^2 R^2) is inf / inf; its limit is -0.  The
+        # grid leaves out the centre itself, where phi' = 2/R overflows.
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=5e-324)
+        smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
+        assert smile.vol(120.0) == 0.2
+        grid = np.linspace(60.0, 150.0, 180)
+        assert 100.0 not in grid
+        got = density_from_smile(smile, grid).values
+        assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
+
     def test_round_trip_circle_to_smile_to_circle(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
         shape = CircleShape(center=(0.03, -0.05), radius=1.25)
