@@ -5,17 +5,17 @@ to their polar points and puts the circle through three of them or the conic
 through five.  On a smile, the circle's anchors are the 25-delta put side,
 the centre strike and the 25-delta call side (N(-d1) targets 0.25 / 0.5 /
 0.75); a surface row's ellipse goes through its 10P / 25P / ATM / 25C / 10C
-quotes.  ``circle_frame`` is the one path from a smile to its circle: one
-``strikes_for_deltas`` solve gives the centre strike, the ``ND1_WINDOW``
-strikes that set auto R and the wing anchors' strikes.
+quotes.  ``circle_frame`` is the one path from a smile to its circle: the one
+``strikes_for_deltas`` solve behind ``context_for_smile``'s auto R also
+gives the wing anchors' strikes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .georep import ReprContext, auto_context, represent_anchors
+from .georep import ReprContext, _auto_frame, represent_anchors
 from .shapes import CircleShape, ConicShape, circumcircle, conic_through_5
-from .smile import ND1_WINDOW, DeltaAnchor, SmileCurve, strikes_for_deltas
+from .smile import DeltaAnchor, SmileCurve
 
 CIRCLE_TARGETS = (0.25, 0.75)
 
@@ -36,18 +36,12 @@ def circle_frame(smile: SmileCurve):
     ctx is ``context_for_smile(smile)``: the centre strike with auto R from
     the ``ND1_WINDOW`` strikes (k_lo, k_hi).  The anchors, a tuple by strike,
     are the centre and the ``CIRCLE_TARGETS`` wings, each with a scalar read
-    of the smile's vol; the circle goes through them.  Each level's Newton
-    arithmetic is its own, so every strike has the bits of its solve alone.
+    of the smile's vol; the circle goes through them.
     """
-    targets = (0.5, *ND1_WINDOW, *CIRCLE_TARGETS)
-    atm_rn, k_lo, k_hi, *wings = strikes_for_deltas(smile, targets).tolist()
-    ctx = auto_context(smile.market, atm_rn, (k_lo, k_hi))
-    anchors = [
-        DeltaAnchor(target=t, strike=k, vol=smile.vol(k))
-        for t, k in zip((0.5, *CIRCLE_TARGETS), (atm_rn, *wings))
-    ]
-    anchors = tuple(sorted(anchors, key=lambda a: a.strike))
-    return ctx, (k_lo, k_hi), anchors, fit_shape(anchors, ctx)[0]
+    ctx, window, wings = _auto_frame(smile, CIRCLE_TARGETS)
+    by_strike = sorted(zip((ctx.atm_rn, *wings), (0.5, *CIRCLE_TARGETS)))
+    anchors = tuple(DeltaAnchor(target=t, strike=k, vol=smile.vol(k)) for k, t in by_strike)
+    return ctx, window, anchors, fit_shape(anchors, ctx)[0]
 
 
 def fit_circle_to_smile(smile: SmileCurve) -> CircleShape:

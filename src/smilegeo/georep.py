@@ -127,8 +127,10 @@ def angle_jet(lnk, ctx: ReprContext):
     cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
     # den^2 is inf past |X| ~ 1e77, where phi'' is -0; X = +-inf reads +-FAR_X, not inf / inf.
+    # Where R^2 underflows every phi'' is +-0: one R leaves the divisor, so X = 0 is not 0 / 0.
+    r_last = r_scale if r_scale * r_scale else 1.0
     with np.errstate(over="ignore"):
-        d2phi = -4.0 * np.clip(x, -FAR_X, FAR_X) / (den**2 * r_scale * r_scale)
+        d2phi = -4.0 * np.clip(x, -FAR_X, FAR_X) / (den**2 * r_scale * r_last)
     return cos, sin, 2.0 / (den * r_scale), d2phi
 
 
@@ -148,14 +150,19 @@ def context_for_smile(smile: SmileCurve, radius_scale: float | None = None) -> R
     """Resolve (atm_rn, R) for a smile; ``radius_scale=None`` is auto R.
 
     The centre strike is the smile's delta-neutral strike; auto R reads the
-    window strikes off the smile's own N(-d1).  All of them come from one
-    ``strikes_for_deltas`` solve.
+    window strikes off the smile's own N(-d1), all from one delta solve.
     """
     if radius_scale is not None:
         (atm_rn,) = strikes_for_deltas(smile, (0.5,)).tolist()
         return ReprContext(market=smile.market, atm_rn=atm_rn, radius_scale=radius_scale)
-    atm_rn, *window = strikes_for_deltas(smile, (0.5, *ND1_WINDOW)).tolist()
-    return auto_context(smile.market, atm_rn, window)
+    return _auto_frame(smile)[0]
+
+
+def _auto_frame(smile: SmileCurve, levels=()):
+    """(auto-R ctx, (k_lo, k_hi), strikes of ``levels``), one solve; each level's
+    Newton arithmetic is its own, so extra levels move no bit of the ctx."""
+    atm_rn, *ks = strikes_for_deltas(smile, (0.5, *ND1_WINDOW, *levels)).tolist()
+    return auto_context(smile.market, atm_rn, ks[:2]), tuple(ks[:2]), ks[2:]
 
 
 def flat_context(ms: MarketState, atm_vol: float) -> ReprContext:

@@ -113,15 +113,16 @@ class TestCircleFrame:
         ids=repr,
     )
     def test_one_solve_gives_what_the_public_paths_give(self, dist):
-        # circle_frame solves every level at once; context_for_smile, the wing
-        # and window solves and fit_circle_to_smile each solve their own.
+        # circle_frame solves every level at once; context_for_smile and the
+        # wing and window solves each solve their own levels.
         smile = smile_from_distribution(dist, market_state_for(dist))
         ctx, window, anchors, circle = circle_frame(smile)
-        assert ctx == context_for_smile(smile)
+        ctx_alone = context_for_smile(smile)
+        anchors_alone = smile_anchors(smile, ctx_alone, CIRCLE_TARGETS)
+        assert ctx == ctx_alone
         assert window == tuple(strike_for_delta(smile, t).strike for t in ND1_WINDOW)
-        assert anchors == tuple(smile_anchors(smile, ctx, CIRCLE_TARGETS))
-        assert circle == fit_shape(anchors, ctx)[0]
-        assert circle == fit_circle_to_smile(smile)
+        assert anchors == tuple(anchors_alone)
+        assert circle == fit_shape(anchors_alone, ctx_alone)[0]
 
 
 class TestEllipseFit:

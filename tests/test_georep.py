@@ -346,6 +346,25 @@ class TestSmileFromShape:
         got = density_from_smile(smile, grid).values
         assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
 
+    @pytest.mark.parametrize(
+        "radius_scale",
+        [
+            1e-300,
+            pytest.param(5e-324, marks=pytest.mark.xfail(
+                strict=True, reason="phi' = 2/R overflows at the centre, where rho' phi' is 0 * inf",
+            )),
+        ],
+    )
+    def test_underflowing_radius_scale_density_is_flat_at_the_centre(self, radius_scale):
+        # R^2 underflows to 0, so at the centre strike (X = 0) phi'' would be
+        # 0 / 0; its limit is 0.
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=radius_scale)
+        smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
+        grid = np.linspace(60.0, 150.0, 181)
+        assert 100.0 in grid
+        got = density_from_smile(smile, grid).values
+        assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
+
     def test_round_trip_circle_to_smile_to_circle(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
         shape = CircleShape(center=(0.03, -0.05), radius=1.25)

@@ -1,7 +1,6 @@
 """Pin the bytes of both byte gates in a checked-in manifest.
 
-Usage: python3 tools/manifest.py            write tools/gates_manifest.json
-       python3 tools/manifest.py --check    compare with it; exit 1 on a difference
+Usage: python3 tools/manifest.py    write tools/gates_manifest.json
 
 Both gates run on this checkout's ``src/``, as subprocesses of the running
 interpreter, side by side: ``tools/cli_outputs.py`` (every CLI subcommand
@@ -12,7 +11,8 @@ and of each report case's record, by case name, as compact JSON with sorted
 keys.  It also records the Python, numpy and scipy versions it was made
 with: a JSON output carries every bit of its numbers, so an upgrade of any
 of them may move outputs, and a check under other versions fails naming
-both sets.  ``tests/test_gates_manifest.py`` runs the check in tier-1.
+both sets.  ``tests/test_gates_manifest.py`` is the check: it regenerates
+both gates and compares them with the manifest.
 
 A change that moves outputs on purpose regenerates the manifest in the same
 commit, so that the manifest's diff lists the outputs it moved.
@@ -97,19 +97,15 @@ def differences(expected: dict, actual: dict) -> list[str]:
 
 
 def main(argv) -> int:
-    if argv not in ([], ["--check"]):
+    if argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="smilegeo-manifest-") as tmp:
         actual = generate(ROOT / "src", Path(tmp))
-    if not argv:
-        MANIFEST.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-        print(f"{len(actual['cli'])} CLI files and {len(actual['report'])} report cases "
-              f"written to {MANIFEST.relative_to(ROOT)}")
-        return 0
-    lines = differences(json.loads(MANIFEST.read_text()), actual)
-    print("\n".join(lines) if lines else "manifest: equal")
-    return 1 if lines else 0
+    MANIFEST.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+    print(f"{len(actual['cli'])} CLI files and {len(actual['report'])} report cases "
+          f"written to {MANIFEST.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
