@@ -24,8 +24,7 @@ _NAMES = {
         "d1_d2", "d1_d2_identity_residual", "strike_for_target_nd1",
     ),
     "distributions": (
-        "DensityCurve", "Distribution", "Gamma", "LogNormal", "Normal", "StudentT", "Uniform",
-        "density_curve",
+        "Distribution", "Gamma", "LogNormal", "Normal", "StudentT", "Uniform", "density_curve",
     ),
     "emit": ("RepresentationScene", "TableArtifact"),
     "errors": (
@@ -42,8 +41,8 @@ _NAMES = {
     ),
     "shapes": ("CircleShape", "ConicShape", "circumcircle", "conic_through_5", "transform_circle"),
     "smile": (
-        "DeltaAnchor", "GridSpec", "SmileCurve", "density_from_smile", "flat_smile",
-        "nonnegativity_margin", "smile_from_distribution", "strike_for_delta",
+        "DeltaAnchor", "DensityCurve", "GridSpec", "SmileCurve", "density_from_smile",
+        "flat_smile", "nonnegativity_margin", "smile_from_distribution", "strike_for_delta",
     ),
     "surface": (
         "DiscrepancyTable", "SurfaceQuoteRow", "complete_expiry", "discrepancy_table",

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import d1_total, erfc_ndtr
-from .distributions import DensityCurve, LogNormal
 from .errors import CurveTooShort, DegenerateMass, DisjointSupport, InvalidInput
 from .georep import RepresentationCurve, angle_jet
 from .shapes import CircleShape
+from .smile import DensityCurve
 
 CURVATURE_RESAMPLE_N = 2001
 CURVATURE_DENOM_TOL = 1e-12
@@ -295,6 +295,8 @@ def best_lognormal(p: DensityCurve):
         raise DegenerateMass(
             f"grid carries mass {mass:.4f} < {BEST_LOGNORMAL_MIN_MASS}; widen the grid"
         )
+    from .distributions import LogNormal  # the CLI's curvature never fits one
+
     lnx = np.log(p.strikes)
     mu = float(np.sum(w * p.values * lnx)) / mass
     var = float(np.sum(w * p.values * lnx * lnx)) / mass - mu * mu

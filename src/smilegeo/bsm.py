@@ -6,25 +6,30 @@ numpy arrays for the strike/vol slots and broadcast in the usual way.
 This module is the package's one home of the standard normal CDF and
 quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call;
 the inversion, density and delta-solve arrays run through it.  The paths
-that never call it take the standard library's instead: ``ndtri`` is
-``statistics.NormalDist().inv_cdf`` (Wichura's AS241) and ``erfc_ndtr``,
-curvature's N(-d1), is ``math.erfc`` per element.  A cold CLI process thus
-loads no scipy module: importing ``scipy.special`` costs more than the
-CLI's own work.
+that never call it take the standard library's instead: ``ndtri`` is the
+AS241 routine (Wichura) behind ``statistics.NormalDist().inv_cdf``, bit for
+bit, read from the C accelerator ``_statistics`` without importing
+``statistics`` (which loads ``fractions``, ``decimal`` and ``random``), and
+``erfc_ndtr``, curvature's N(-d1), is ``math.erfc`` per element.  A cold CLI
+process thus loads no scipy module and no ``statistics``: importing
+``scipy.special`` costs more than the CLI's own work.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the accelerator
+    from statistics import _normal_dist_inv_cdf
 
 import numpy as np
 
 from .errors import DegenerateTenor, InvalidInput, NoConvergence, PriceOutOfBand, TargetOutsideDomain
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-_STD_NORMAL = NormalDist()
 
 # Implied-vol solver: safeguarded Newton on a per-strike bracket, swept only
 # over the strikes still iterating.  A strike stops once its price residual
@@ -116,13 +121,13 @@ def erfc_ndtr(x) -> np.ndarray:
 
 
 def ndtri(y: float) -> float:
-    """Standard normal quantile of a scalar: ``NormalDist().inv_cdf`` inside (0, 1).
+    """Standard normal quantile of a scalar: ``NormalDist().inv_cdf``'s bits inside (0, 1).
 
     -inf at 0, inf at 1, NaN outside [0, 1] or for NaN.
     """
     y = float(y)
     if 0.0 < y < 1.0:
-        return _STD_NORMAL.inv_cdf(y)
+        return _normal_dist_inv_cdf(y, 0.0, 1.0)
     if y == 0.0:
         return -math.inf
     return math.inf if y == 1.0 else math.nan

@@ -18,39 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import SQRT_2PI, MarketState, ndtr, ndtri
-from .errors import InconsistentForward, InvalidInput, NonFiniteDensity
+from .errors import InconsistentForward, InvalidInput
+from .smile import DensityCurve  # defined beside the kernel that makes it on the CLI path
 
 FORWARD_CONSISTENCY_TOL = 1e-9
 UNIFORM_EDGE_MARGIN = 1e-6  # fraction of (b - a) kept away from the kinks
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """A sampled density: ascending strike grid, values per unit price.
-
-    ``density_curve`` rescales a family supported partly on the negative
-    axis by 1/(1 - P(0)), so its restriction to positive strikes integrates
-    to one.
-    """
-
-    strikes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        strikes = np.asarray(self.strikes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if strikes.ndim != 1 or strikes.shape != values.shape:
-            raise InvalidInput("strikes and values must be 1-d arrays of equal length")
-        if strikes.size < 2 or (np.diff(strikes) <= 0.0).any():
-            raise InvalidInput("strikes must be strictly increasing")
-        if not np.isfinite(values).all():
-            bad = ~np.isfinite(values)
-            raise NonFiniteDensity(
-                f"density is not finite at {int(bad.sum())} of {values.size} grid "
-                f"strikes, first at {strikes[np.argmax(bad)]:.6g}"
-            )
-        object.__setattr__(self, "strikes", strikes)
-        object.__setattr__(self, "values", values)
 
 
 def _require_finite(**params) -> None:

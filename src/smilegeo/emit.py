@@ -11,18 +11,17 @@ formats; a ``RepresentationScene`` renders as SVG only.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .smile import DensityCurve
 from .surface import LABELS, DiscrepancyTable
 
 if TYPE_CHECKING:
     from .analysis import CurvatureProfile
-    from .distributions import DensityCurve
     from .georep import RepresentationCurve
     from .shapes import CircleShape
 
@@ -36,6 +35,8 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, str):
+        if any(c in v for c in ',"\r\n'):  # RFC 4180: quoted, its quotes doubled
+            return '"' + v.replace('"', '""') + '"'
         return v
     f = float(v)
     if f == 0.0:
@@ -62,7 +63,7 @@ class RepresentationScene:
 
 
 def table_from_density(curve: DensityCurve) -> TableArtifact:
-    rows = tuple((float(k), float(v)) for k, v in zip(curve.strikes, curve.values))
+    rows = tuple(map(tuple, np.column_stack((curve.strikes, curve.values)).tolist()))
     return TableArtifact(kind="density", columns=("strike", "density"), rows=rows)
 
 
@@ -72,7 +73,7 @@ def table_from_curvature(profile: CurvatureProfile) -> TableArtifact:
     if profile.n_minus_d1 is not None:
         cols.append("n_minus_d1")
         data.append(profile.n_minus_d1)
-    rows = tuple(tuple(float(c[i]) for c in data) for i in range(len(profile.arc)))
+    rows = tuple(map(tuple, np.column_stack(data).tolist()))
     return TableArtifact(kind="curvature", columns=tuple(cols), rows=rows)
 
 
@@ -94,12 +95,10 @@ def _as_table(artifact) -> TableArtifact:
         return artifact
     if isinstance(artifact, DiscrepancyTable):
         return table_from_discrepancy(artifact)
-    # A density or a profile was made by its module, so these imports load
-    # nothing new: the density path never loads analysis.
-    from .distributions import DensityCurve
-
     if isinstance(artifact, DensityCurve):
         return table_from_density(artifact)
+    # A profile was made by analysis, so this import loads nothing new: the
+    # density path never loads analysis.
     from .analysis import CurvatureProfile
 
     if isinstance(artifact, CurvatureProfile):
@@ -116,6 +115,8 @@ def render_csv(artifact) -> bytes:
 
 
 def render_json(artifact) -> bytes:
+    import json  # CSV and SVG runs never load it
+
     table = _as_table(artifact)
     doc = {
         "schema": JSON_SCHEMA,

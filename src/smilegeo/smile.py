@@ -53,11 +53,12 @@ from .bsm import (
     ndtri,
 )
 from .errors import (
-    DomainTooNarrow, InvalidInput, NoConvergence, NonpositiveVol, PriceOutOfBand, TargetOutsideDomain
+    DomainTooNarrow, InvalidInput, NoConvergence, NonFiniteDensity, NonpositiveVol, PriceOutOfBand,
+    TargetOutsideDomain,
 )
 
 if TYPE_CHECKING:
-    from .distributions import DensityCurve, Distribution
+    from .distributions import Distribution
 
 DEFAULT_GRID_POINTS = 2001
 GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spans
@@ -397,6 +398,35 @@ def _terms(smile: SmileCurve, strikes, mode: str):
     return strikes, sig, sig_dot, sig_ddot, d1, d1 - total
 
 
+@dataclass(frozen=True)
+class DensityCurve:
+    """A sampled density: ascending strike grid, values per unit price.
+
+    ``distributions.density_curve`` rescales a family supported partly on
+    the negative axis by 1/(1 - P(0)), so its restriction to positive
+    strikes integrates to one.
+    """
+
+    strikes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        strikes = np.asarray(self.strikes, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if strikes.ndim != 1 or strikes.shape != values.shape:
+            raise InvalidInput("strikes and values must be 1-d arrays of equal length")
+        if strikes.size < 2 or (np.diff(strikes) <= 0.0).any():
+            raise InvalidInput("strikes must be strictly increasing")
+        if not np.isfinite(values).all():
+            bad = ~np.isfinite(values)
+            raise NonFiniteDensity(
+                f"density is not finite at {int(bad.sum())} of {values.size} grid "
+                f"strikes, first at {strikes[np.argmax(bad)]:.6g}"
+            )
+        object.__setattr__(self, "strikes", strikes)
+        object.__setattr__(self, "values", values)
+
+
 def density_from_smile(smile: SmileCurve, strikes, mode: str = "analytic") -> DensityCurve:
     """Implied density via the log-strike form of the call's second strike derivative.
 
@@ -416,8 +446,6 @@ def density_with_margin(smile: SmileCurve, strikes) -> tuple[DensityCurve, float
 
 def _density(smile: SmileCurve, terms) -> tuple[DensityCurve, float]:
     """The density of ``_terms``' output, with the minimum of its bracket."""
-    from .distributions import DensityCurve  # loaded by the density paths alone
-
     strikes, sig, sig_dot, sig_ddot, d1, d2 = terms
     t = smile.market.tenor
     # Overflow on a huge domain is reported by DensityCurve (NonFiniteDensity),

@@ -6,6 +6,10 @@ arithmetic for d1/d2, and direct quadrature of the payoff against the
 log-normal density for prices.
 """
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -34,6 +38,7 @@ from smilegeo.errors import DegenerateTenor, PriceOutOfBand, TargetOutsideDomain
 from smilegeo.smile import GridSpec, strike_grid
 from smilegeo.workflows import market_state_for
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 FLAT = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 
 
@@ -127,10 +132,45 @@ QUANTILE_RANGES = {
 }
 
 
+# ndtri on an interpreter without the _statistics accelerator, which falls
+# back to statistics' pure-Python AS241: hex floats in on stdin, out on stdout.
+FALLBACK_QUANTILE_PROBE = """
+import sys
+
+sys.modules["_statistics"] = None
+import smilegeo.bsm as bsm
+
+assert "statistics" in sys.modules and not hasattr(bsm._normal_dist_inv_cdf, "__self__")
+print(" ".join(bsm.ndtri(float.fromhex(y)).hex() for y in sys.stdin.read().split()))
+"""
+
+
 class TestNormalQuantile:
-    # ndtri is statistics.NormalDist().inv_cdf inside (0, 1).  Worst ulp over
-    # 1000 seeded p per range: centre 5, lower 4, far-lower 5, upper 4,
-    # near-one 3.
+    # ndtri is AS241, statistics.NormalDist().inv_cdf's bits inside (0, 1),
+    # from the C accelerator _statistics or, without it, from statistics'
+    # pure-Python routine.  Worst ulp over 1000 seeded p per range: centre 5,
+    # lower 4, far-lower 5, upper 4, near-one 3.
+    @pytest.mark.parametrize("name", QUANTILE_RANGES)
+    def test_bits_are_normal_dist_inv_cdf(self, name):
+        from statistics import NormalDist
+
+        ys = QUANTILE_RANGES[name](np.random.default_rng(20261018)).tolist()
+        assert [bsm_module.ndtri(y).hex() for y in ys] == [NormalDist().inv_cdf(y).hex() for y in ys]
+
+    def test_fallback_without_accelerator_has_the_same_bits(self):
+        from statistics import NormalDist
+
+        rng = np.random.default_rng(20261018)
+        ys = [y for draw in QUANTILE_RANGES.values() for y in draw(rng).tolist()]
+        proc = subprocess.run(
+            [sys.executable, "-c", FALLBACK_QUANTILE_PROBE],
+            input=" ".join(y.hex() for y in ys).encode(),
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == [NormalDist().inv_cdf(y).hex() for y in ys]
+
     @pytest.mark.parametrize("name", QUANTILE_RANGES)
     def test_within_8_ulp_of_mpmath(self, name):
         ys = QUANTILE_RANGES[name](np.random.default_rng(20261018)).tolist()

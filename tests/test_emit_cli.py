@@ -247,7 +247,9 @@ def test_cli_runs_without_scipy():
 # A cold CLI process loads only the smilegeo modules its subcommand runs: the
 # package namespace is lazy, and a module that one path alone needs is
 # imported inside the function on that path.  No subcommand loads workflows
-# or _interp.  With no subcommand the probe only imports the CLI.
+# or _interp, nor the standard library's statistics (bsm.ndtri reads the C
+# accelerator), and only JSON output loads json.  With no subcommand the
+# probe only imports the CLI.
 MODULE_SET_PROBE = """
 import os
 import sys
@@ -257,6 +259,7 @@ from smilegeo import cli
 if sys.argv[1:]:
     assert cli.main([*sys.argv[1:], "--out", os.devnull]) == 0
 print(" ".join(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("smilegeo."))))
+print(" ".join(sorted({"json", "statistics"} & set(sys.modules))))
 """
 CLI_MODULES = {"bsm", "cli", "emit", "errors", "georep", "smile", "surface"}
 FIT_MODULES = CLI_MODULES | {"fitting", "shapes"}
@@ -271,16 +274,16 @@ FIT_MODULES = CLI_MODULES | {"fitting", "shapes"}
         (("fit-ellipse", CIRCLE_CSV, "--output-format", "svg"), FIT_MODULES),
         (("complete-surface", GAMMA_CSV, "--method", "ellipse"), FIT_MODULES),
         (("compare", GAMMA_CSV, "--method", "vanna-volga"), CLI_MODULES | {"vanna_volga"}),
-        (("density", GAMMA_CSV), FIT_MODULES | {"distributions"}),
-        (
-            ("density", GAMMA_CSV, "--method", "vanna-volga"),
-            CLI_MODULES | {"vanna_volga", "distributions"},
-        ),
-        (("curvature", GAMMA_CSV), FIT_MODULES | {"distributions", "analysis"}),
+        (("density", GAMMA_CSV), FIT_MODULES),
+        (("density", GAMMA_CSV, "--method", "vanna-volga"), CLI_MODULES | {"vanna_volga"}),
+        (("curvature", GAMMA_CSV), FIT_MODULES | {"analysis"}),
+        (("curvature", GAMMA_CSV, "--output-format", "json"), FIT_MODULES | {"analysis"}),
+        (("density", GAMMA_CSV, "--output-format", "svg"), FIT_MODULES),
     ],
     ids=[
         "import", "represent", "fit-circle", "fit-ellipse-svg", "complete-surface-ellipse",
         "compare-vanna-volga", "density-circle", "density-vanna-volga", "curvature",
+        "curvature-json", "density-svg",
     ],
 )
 def test_cold_cli_loads_only_the_modules_it_runs(argv, modules):
@@ -290,7 +293,10 @@ def test_cold_cli_loads_only_the_modules_it_runs(argv, modules):
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert set(proc.stdout.decode().split()) == modules
+    smilegeo_modules, stdlib_modules = proc.stdout.decode().split("\n")[:2]
+    assert set(smilegeo_modules.split()) == modules
+    # No subcommand loads statistics; only a JSON run loads json.
+    assert stdlib_modules.split() == (["json"] if "json" in argv else [])
 
 
 def test_library_never_imports_scipy_optimize():
@@ -384,6 +390,25 @@ class TestCli:
         code, out, _ = run_cli("curvature", GAMMA_CSV, "--grid-points", "801")
         assert code == 0
         assert "kappa_e" in out.decode().splitlines()[0]
+
+    @pytest.mark.parametrize("label", ['1,M "x"', "1M\nx"], ids=["comma-quote", "line-break"])
+    @pytest.mark.parametrize("command", ["compare", "complete-surface"])
+    def test_quoted_label_reads_back(self, tmp_path, capsys, command, label):
+        # parse_surface reads its input as CSV, so a quoted expiry label may
+        # hold a comma, quotes or a line break; the output quotes it back
+        # (RFC 4180).
+        import csv
+
+        from smilegeo import cli
+
+        lines = pathlib.Path(GAMMA_CSV).read_text().splitlines()
+        quoted = '"' + label.replace('"', '""') + '"' + lines[1][lines[1].index(","):]
+        path = tmp_path / "quoted.csv"
+        path.write_text("\n".join([lines[0], quoted, *lines[2:]]) + "\n")
+        assert cli.main([command, str(path)]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert rows[0][0] == label
+        assert {len(row) for row in rows} == {len(header)}
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

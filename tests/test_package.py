@@ -24,8 +24,7 @@ HOMES = {
         euclidean_curvature kl_divergence similarity_curvature""",
     "bsm": """DeltaConvention MarketState OptionSide atm_rn_lognormal bsm_price d1_d2
         d1_d2_identity_residual strike_for_target_nd1""",
-    "distributions": """DensityCurve Distribution Gamma LogNormal Normal StudentT Uniform
-        density_curve""",
+    "distributions": "Distribution Gamma LogNormal Normal StudentT Uniform density_curve",
     "emit": "RepresentationScene TableArtifact",
     "errors": """CollinearPoints CurveTooShort DegenerateConfiguration DegenerateMass
         DegenerateTenor DisjointSupport DomainTooNarrow InconsistentForward InvalidInput
@@ -35,7 +34,7 @@ HOMES = {
     "georep": """RepresentationCurve ReprContext context_for_smile flat_context represent
         smile_from_shape""",
     "shapes": "CircleShape ConicShape circumcircle conic_through_5 transform_circle",
-    "smile": """DeltaAnchor GridSpec SmileCurve density_from_smile flat_smile
+    "smile": """DeltaAnchor DensityCurve GridSpec SmileCurve density_from_smile flat_smile
         nonnegativity_margin smile_from_distribution strike_for_delta""",
     "surface": """DiscrepancyTable SurfaceQuoteRow complete_expiry discrepancy_table
         parse_surface synthetic_circle_surface synthetic_gamma_surface""",
@@ -67,12 +66,12 @@ READERS = {
     TRACING: "nonnegativity_margin strike_for_delta",
     "src/smilegeo/analysis.py": "CurveTooShort DegenerateMass DensityCurve DisjointSupport",
     "src/smilegeo/bsm.py": "DegenerateTenor NoConvergence PriceOutOfBand TargetOutsideDomain",
-    "src/smilegeo/distributions.py": "InconsistentForward NonFiniteDensity",
+    "src/smilegeo/distributions.py": "InconsistentForward",
     "src/smilegeo/emit.py": "CurvatureProfile DiscrepancyTable",
     "src/smilegeo/fitting.py": "ConicShape DeltaAnchor",
     "src/smilegeo/georep.py": "SmileCurve atm_rn_lognormal strike_for_target_nd1",
     "src/smilegeo/shapes.py": "NotAnEllipse OriginOutsideShape",
-    "src/smilegeo/smile.py": "InvalidInput NonpositiveVol",
+    "src/smilegeo/smile.py": "InvalidInput NonFiniteDensity NonpositiveVol",
     "src/smilegeo/surface.py": "MissingAnchor ThreeQuoteSmile flat_context vv_smile",
     "src/smilegeo/workflows.py": "DivergenceReport",
     "distribution_report": "DistributionReport",
@@ -195,6 +194,15 @@ def test_exports_are_the_same_names():
 def test_name_resolves_to_its_home_object(name):
     home = importlib.import_module(f"smilegeo.{HOME[name]}")
     assert getattr(smilegeo, name) is getattr(home, name)
+
+
+def test_density_curve_is_one_class_in_both_modules():
+    # Defined beside smile's density kernel, so the CLI's density and
+    # curvature never load distributions, which re-exports it.
+    import smilegeo.distributions
+    import smilegeo.smile
+
+    assert smilegeo.DensityCurve is smilegeo.distributions.DensityCurve is smilegeo.smile.DensityCurve
 
 
 def test_dir_and_star_import_list_every_name():
