@@ -20,7 +20,7 @@ from .bsm import DeltaConvention
 from . import emit
 from .emit import RepresentationScene, TableArtifact
 from .errors import DomainTooNarrow, ParseError, SmileGeoError
-from .georep import polar_map, represent, represent_anchors
+from .georep import RADIUS_FLOOR, polar_map, represent, represent_anchors
 from .smile import DEFAULT_GRID_POINTS, density_from_smile
 from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_surface
 
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--radius-scale",
         type=_radius_scale,
         default="auto",
-        help="radial scale R (finite, positive), or 'auto' (default) for the delta-window rule",
+        help=f"radial scale R (finite, >= {RADIUS_FLOOR:g}) or 'auto' (default, delta-window rule)",
     )
     common.add_argument(
         "--grid-points", default=str(DEFAULT_GRID_POINTS),
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _radius_scale(text: str) -> float | None:
-    """--radius-scale as a finite positive float, or None for 'auto'.
+    """--radius-scale as a finite float of at least ``RADIUS_FLOOR``, or None for 'auto'.
 
     Raises ParseError, which argparse lets through, so ``main`` exits 2.
     """
@@ -100,9 +100,9 @@ def _radius_scale(text: str) -> float | None:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0.0 < value < math.inf:
+    if not RADIUS_FLOOR <= value < math.inf:
         raise ParseError(
-            f"--radius-scale must be a finite positive number or 'auto', got {text!r}"
+            f"--radius-scale must be a finite number >= {RADIUS_FLOOR:g} or 'auto', got {text!r}"
         )
     return value
 
@@ -148,10 +148,6 @@ def _representation_points_table(row, args) -> TableArtifact:
     strikes, vols = [by_label[lab] for lab in labels], [row.vols[lab] for lab in labels]
     x_coords, angles, radii, points = polar_map(strikes, vols, ctx)
     table = np.column_stack([strikes, vols, x_coords, angles, radii, points])
-    if not np.all(np.isfinite(table)):
-        raise SmileGeoError(
-            f"representation points are not finite under radius scale {ctx.radius_scale!r}"
-        )
     return TableArtifact(
         kind="representation-points",
         columns=("label", "strike", "vol", "X", "angle", "radius", "x", "y"),

@@ -17,9 +17,8 @@ apart because anchors fitted through stereographic points come back exact
 less often: ``polar_map`` gives phi and the points rho (cos phi, sin phi)
 that ``represent``, the anchors and the CLI's table report; shape smiles
 and curvatures take (cos phi, sin phi) as X's stereographic point itself,
-with no arctan, cos or sin (``angle_jet``, with phi's chain rule in ln K,
-whose phi'' reads X clipped to +-``FAR_X``, so X = +-inf gives its limit 0).
-A curve's default grid is the smile's own, ``SmileCurve.default_grid()``.
+with no arctan, cos or sin (``angle_jet``, with phi's chain rule in ln K), all
+finite for R >= ``RADIUS_FLOOR``.  A curve's default grid is the smile's own.
 """
 from __future__ import annotations
 
@@ -29,18 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
-from .errors import InvalidInput
-from .smile import ND1_WINDOW, SmileCurve, require_positive_vol, strikes_for_deltas
+from .errors import InvalidInput, NonpositiveVol
+from .smile import ND1_WINDOW, SmileCurve, lowest_clearance, strikes_for_deltas
 
 R_UNIT_FRACTION = 0.95  # |X| the farther window strike maps to under auto R
+# |ln K - ln K_atm| < 1455 for finite K > 0: |X| < 1.5e63, (1 + X^2)^2 < 5e252, phi' <= 2e60.
+RADIUS_FLOOR = 1e-60
 
 
 @dataclass(frozen=True)
 class ReprContext:
     """Resolved representation context: market, centre strike, and R.
 
-    The one check on a resolved frame: ``atm_rn`` and ``radius_scale`` must
-    be finite and positive.
+    The one check on a resolved frame: finite ``atm_rn`` > 0, ``radius_scale`` >= ``RADIUS_FLOOR``.
     """
 
     market: MarketState
@@ -48,8 +48,8 @@ class ReprContext:
     radius_scale: float
 
     def __post_init__(self):
-        if not (0.0 < self.atm_rn < math.inf and 0.0 < self.radius_scale < math.inf):
-            raise InvalidInput("atm_rn and radius_scale must be finite and positive")
+        if not (0.0 < self.atm_rn < math.inf and RADIUS_FLOOR <= self.radius_scale < math.inf):
+            raise InvalidInput(f"need finite atm_rn > 0 and finite radius_scale >= {RADIUS_FLOOR:g}")
 
 
 @dataclass(frozen=True)
@@ -81,27 +81,14 @@ class RepresentationCurve:
             object.__setattr__(self, name, arr)
 
 
-@np.errstate(over="ignore")  # a subnormal R overflows X to +-inf
 def _x(lnk, atm_rn: float, radius_scale: float):
     """X = (ln K - ln atm_rn) / R of log strikes: the one polar abscissa."""
     return (lnk - np.log(atm_rn)) / radius_scale
 
 
-FAR_X = 1e150  # X^2 stays finite up to here; past it (2/X, 1) is the point to the last bit
-
-
 def _unit_point(x):
     """X's stereographic point (2X, X^2 - 1) / (1 + X^2), (cos phi, sin phi) to
-    2^-51 relative, and 1 + X^2, of a float, numpy scalar or array.  Past
-    |X| = ``FAR_X`` the point is (2/X, 1), so no X overflows it."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        far = np.abs(x) > FAR_X
-        if far.any():
-            px, pz, den = _unit_point(np.where(far, 0.0, x))
-            px[far], pz[far], den[far] = 2.0 / x[far], 1.0, math.inf
-            return px, pz, den
-    elif abs(x) > FAR_X:
-        return 2.0 / x, 1.0, math.inf
+    2^-51 relative, and 1 + X^2, of a float, numpy scalar or array."""
     den = 1.0 + x * x
     return 2.0 * x / den, (x - 1.0) * (x + 1.0) / den, den
 
@@ -126,12 +113,7 @@ def angle_jet(lnk, ctx: ReprContext):
     x = _x(lnk, ctx.atm_rn, ctx.radius_scale)
     cos, sin, den = _unit_point(x)
     r_scale = ctx.radius_scale
-    # den^2 is inf past |X| ~ 1e77, where phi'' is -0; X = +-inf reads +-FAR_X, not inf / inf.
-    # Where R^2 underflows every phi'' is +-0: one R leaves the divisor, so X = 0 is not 0 / 0.
-    r_last = r_scale if r_scale * r_scale else 1.0
-    with np.errstate(over="ignore"):
-        d2phi = -4.0 * np.clip(x, -FAR_X, FAR_X) / (den**2 * r_scale * r_last)
-    return cos, sin, 2.0 / (den * r_scale), d2phi
+    return cos, sin, 2.0 / (den * r_scale), -4.0 * x / (den**2 * r_scale * r_scale)
 
 
 def auto_context(ms: MarketState, atm_rn: float, window) -> ReprContext:
@@ -212,8 +194,7 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
     sigma(K) is the radial excess over R of the ray-shape intersection along
     the strike's stereographic point.  The origin must sit strictly inside
     the shape, checked once here, and the domain is ``SmileCurve``'s to check,
-    before any proof or sweep.  A shape that encloses the disk of radius R
-    has every vol positive; the domain of any other is swept for one.
+    before the shape's ``clearance`` decides that every vol is positive.
     """
     shape.require_origin_inside()
     r_scale = ctx.radius_scale
@@ -236,6 +217,10 @@ def smile_from_shape(shape, ctx: ReprContext, k_lo: float, k_hi: float) -> Smile
         jet_fn=jet_fn,
         label=f"{type(shape).__name__.lower()}-smile",
     )
-    if not shape.encloses_disk(r_scale):
-        require_positive_vol(vol_fn, k_lo, k_hi, "inverted shape")
+    ln_atm = math.log(ctx.atm_rn)
+    x_lo, x_hi = (math.log(k_lo) - ln_atm) / r_scale, (math.log(k_hi) - ln_atm) / r_scale
+    low, x = lowest_clearance(*shape.clearance(r_scale), x_lo, x_hi)
+    if not low > 0.0:
+        k_bad = math.exp(ln_atm + r_scale * x)
+        raise NonpositiveVol(f"inverted shape implies vol <= 0 at strike {k_bad:.6g}")
     return smile

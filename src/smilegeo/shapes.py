@@ -7,8 +7,8 @@ Each shape owns its ray geometry: the origin-inside check
 (``ray_radius``), its first two angle derivatives (``ray_jet``), and the
 interpolation residuals at given points (``residuals``).  A ray is given by
 its direction (cos phi, sin phi), which smiles take from the strike's
-stereographic point, not by phi.  The ray methods assume the origin check
-has passed; ``encloses_disk(R)`` proves that every ray cuts the shape beyond R.
+stereographic point u, not by phi.  The ray methods assume the origin check
+has passed; ``clearance(R)`` is a polynomial in X, > 0 exactly where R u is inside.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .errors import (
 
 COLLINEARITY_TOL = 1e-12
 CONIC_RANK_TOL = 1e-10
-DISK_PROOF_MARGIN = 1e-12  # of r, or of Q over lam_min: a ray's rho rounds by ~eps / lam_min
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,12 @@ class CircleShape:
                 "circle does not enclose the origin; rays miss it or cut it twice"
             )
 
-    def encloses_disk(self, radius: float) -> bool:
-        """Whether the origin's disk of ``radius`` lies inside: rho >= r - |c| on every ray."""
-        return math.hypot(*self.center) + radius < (1.0 - DISK_PROOF_MARGIN) * self.radius
+    def clearance(self, radius: float):
+        """(coef, terms) in X: (r^2 - R^2 - |c|^2 + 2 R c.u)(1 + X^2), (r^2 + (R + |c|)^2)(1 + X^2)."""
+        cx, cy = self.center
+        c2, r2, near = cx * cx + cy * cy, self.radius * self.radius, radius + math.hypot(cx, cy)
+        lead, tilt, terms = r2 - radius * radius - c2, 2.0 * radius * cy, r2 + near * near
+        return (lead - tilt, 4.0 * radius * cx, lead + tilt), (terms, 0.0, terms)
 
     def _ray(self, cos, sin):
         """(g, g^2, s) with rho = g + s along the ray (cos, sin); g projects the
@@ -116,13 +118,14 @@ class ConicShape:
         if self.coefficients[5] >= 0.0:
             raise OriginOutsideShape("origin not strictly inside the ellipse")
 
-    def encloses_disk(self, radius: float) -> bool:
-        """Whether the origin's disk of ``radius`` lies inside: on its edge Q <= radius^2
-        lam_max + radius |(D, E)| + F, lam the eigenvalues of [[A, B/2], [B/2, C]]."""
+    def clearance(self, radius: float):
+        """(coef, terms) in X: -Q(r u)(1 + X^2)^2, (r^2 (|A|+|B|+|C|) + r (|D|+|E|) + |F|)(1 + X^2)^2."""
         a, b, c, d, e, f = self.coefficients
-        lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), 0.5 * b)
-        bound = radius * radius * lam_max + radius * math.hypot(d, e) + f
-        return bound < -DISK_PROOF_MARGIN * 4.0 * lam_max / (4.0 * a * c - b * b)
+        r, r2 = radius, radius * radius
+        s = r2 * (abs(a) + abs(b) + abs(c)) + r * (abs(d) + abs(e)) + abs(f)
+        coef = (-(r2 * c - r * e + f), 2.0 * r * (r * b - d), 2.0 * (r2 * c - 2.0 * r2 * a - f),
+                -2.0 * r * (r * b + d), -(r2 * c + r * e + f))
+        return coef, (s, 0.0, 2.0 * s, 0.0, s)
 
     def _ray(self, cos, sin):
         """(quad, lin, rho): the conic along the ray (cos, sin) is quad rho^2 + lin rho + F,

@@ -7,7 +7,8 @@ first and second ln-K derivatives in one evaluation (densities, Newton steps
 of delta solves).  Densities follow from the jet through the log-strike
 form of the call price's second strike derivative, whose bracket also
 decides non-negativity: one kernel checks the grid, reads the jet and forms
-both, and ``nonnegativity_margin`` is its margin.
+both, and ``nonnegativity_margin`` is its margin.  A closed-form smile's vols
+are all positive when ``lowest_clearance`` finds its polynomial clear of zero.
 
 Many strikes are read in one array call: array and numpy-scalar calls of
 ``log``, ``exp``, ``arctan``, ``cos``, ``sin`` and ``sqrt`` agree bit for bit
@@ -65,7 +66,7 @@ GRID_DELTA_WINDOW = (0.005, 0.995)  # flat-proxy N(-d1) window a strike grid spa
 GRID_EXTEND = 0.10  # share of the window's log-width added at each end
 ND1_WINDOW = (0.01, 0.99)  # N(-d1) window a default smile covers: auto R and the KL window
 MAX_GRID_WIDENINGS = 8
-ADMISSIBILITY_POINTS = 513  # sweep of a closed-form smile's domain at construction
+POSITIVITY_MARGIN = 1e-12  # of the terms a closed form sums before they cancel
 FD_STEP = 1e-3  # central-difference step in ln K of mode="fd"
 DELTA_SAMPLES = 65  # vol reads over the domain that bracket the delta solves
 DELTA_XTOL = 1e-15  # ln-K step that ends a delta solve, plus 4 eps |ln K|
@@ -150,18 +151,33 @@ def log_uniform_grid(k_lo: float, k_hi: float, n: int) -> np.ndarray:
     return np.clip(grid, k_lo, k_hi)
 
 
-def require_positive_vol(vol_fn, k_lo: float, k_hi: float, what: str) -> None:
-    """Sweep ``ADMISSIBILITY_POINTS`` log-uniform strikes of [k_lo, k_hi];
-    NonpositiveVol unless every vol > 0.
+def real_roots(coef, lo: float, hi: float) -> list[float]:
+    """Real roots inside (lo, hi) of sum coef[i] x^i, of degree <= 3, in closed form: a
+    cubic's by Vieta's trigonometric form or Cardano's, else the stable quadratic formula."""
+    if len(coef) == 4 and coef[3]:
+        d, c, b = (v / coef[3] for v in coef[:3])
+        q, r = (b * b - 3.0 * c) / 9.0, (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
+        if r * r < q * q * q:
+            theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))
+            ts = [-2.0 * q**0.5 * math.cos((theta + k * math.pi) / 3) - b / 3 for k in (0, 2, -2)]
+        else:
+            a = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q * q * q)), r)
+            ts = [a + (q / a if a else 0.0) - b / 3.0]
+    else:
+        c, b, a = (*coef, 0.0, 0.0)[:3]
+        disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
+        ts = [c / q, *([q / a] if a else [])] if q else [0.0] if a and disc == 0.0 else []
+    return [t for t in ts if lo < t < hi]
 
-    The test is ``not (vol > 0)``, so a NaN vol fails it too.  Closed-form
-    smiles run it only where their positivity proof fails; it alone rejects.
-    """
-    sweep = np.linspace(math.log(k_lo), math.log(k_hi), ADMISSIBILITY_POINTS)
-    vols = vol_fn(sweep)
-    if not (vols > 0.0).all():
-        k_bad = math.exp(float(sweep[int(np.argmin(vols))]))  # argmin: first NaN, else lowest
-        raise NonpositiveVol(f"{what} implies vol <= 0 at strike {k_bad:.6g}")
+
+def lowest_clearance(coef, terms, lo: float, hi: float) -> tuple[float, float]:
+    """(value, x): the least on [lo, hi] (an end or a critical point; a NaN reads -inf) of
+    sum coef[i] x^i, degree <= 4, less ``POSITIVITY_MARGIN`` times its terms' bound ``terms``."""
+    p0, p1, p2, p3, p4 = (*[c - POSITIVITY_MARGIN * t for c, t in zip(coef, terms)], 0.0, 0.0)[:5]
+    at = [lo, hi, *real_roots((p1, 2.0 * p2, 3.0 * p3, 4.0 * p4), lo, hi)]
+    values = [(((p4 * x + p3) * x + p2) * x + p1) * x + p0 for x in at]
+    return min((v if v == v else -math.inf, x) for v, x in zip(values, at))
 
 
 def flat_smile(ms: MarketState, vol: float) -> SmileCurve:

@@ -178,8 +178,8 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
     else:
         text = str(data)
     reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines: CR-only files too
-    try:
-        header, *records = reader
+    try:  # each record with its last physical line (a quoted line break spans two)
+        (header, _), *records = ends = [(rec, reader.line_num) for rec in reader]
     except ValueError:
         raise ParseError("empty file", line=1) from None
     except csv.Error as exc:
@@ -191,7 +191,7 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
         )
     rows: list[SurfaceQuoteRow] = []
     first_line: dict[str, int] = {}  # by expiry
-    for lineno, rec in enumerate(records, start=2):
+    for lineno, rec in ((end + 1, rec) for (rec, _), (_, end) in zip(records, ends)):
         if not rec or all(not cell.strip() for cell in rec):
             continue
         if len(rec) != len(expected):

@@ -15,16 +15,14 @@ Q the anchor convexity term.  Its wings bend away from the quadratic, which
 is what makes it the interesting comparison baseline; where the square-root
 argument turns negative (far wings) it is clamped at zero.
 
-The quotient is evaluated rationalised, sigma2 + B / (sqrt(sigma2^2 + D B)
-+ sigma2) with B = 2 sigma2 P + Q and D = d1 d2: it never divides by D, so
-it is smooth where d1 d2 crosses zero near the money and needs no series
-there.  Array vols and the jet share one sigma expression; a single strike's
-vol takes a scalar path: float arithmetic with the branch picked by ``if``.
-B and its slopes are formed as the elementwise sum ``c1*w1 + c2*w2 +
-c3*w3`` over the three weights.  A dot product would round each strike's
-sum by its position in the array, so a vol could change with the grid it is
-read on; the elementwise sum gives a strike the same bits alone, inside any
-grid, and on the float path.  ``positive_on`` proves a smile's vols positive.
+The quotient is evaluated rationalised (``_MarketOrder``).  Array vols and
+the jet share one sigma expression; a single strike's vol takes a scalar
+path: float arithmetic with the branch picked by ``if``.  B and its slopes
+are formed as the elementwise sum ``c1*w1 + c2*w2 + c3*w3`` over the three
+weights.  A dot product would round each strike's sum by its position in the
+array, so a vol could change with the grid it is read on; the elementwise
+sum gives a strike the same bits alone, inside any grid, and on the float
+path.  ``lowest`` decides exactly if a vol is <= 0.
 """
 from __future__ import annotations
 
@@ -35,9 +33,7 @@ import numpy as np
 
 from .bsm import MarketState
 from .errors import InvalidInput, NonpositiveVol
-from .smile import DeltaAnchor, SmileCurve, require_positive_vol
-
-PROOF_MARGIN = 1e-9  # of the rounding scale ``_clears`` stays above
+from .smile import POSITIVITY_MARGIN, DeltaAnchor, SmileCurve, lowest_clearance, real_roots
 
 
 @dataclass(frozen=True)
@@ -98,6 +94,14 @@ class _LnKWeights:
             (2.0 * lnk - m1 - m2) / den3,
         )
 
+    def parabola(self, coef, m_lo: float, m_hi: float):
+        """(p(m2), p'(m2), p''/2) of p = sum coef_i w_i, its coefficients in y = ln K - m2;
+        span^2 sum |coef_i / den_i|, which bounds sum |coef_i w_i| there; [m_lo, m_hi] in y."""
+        span, m2 = max(m_hi, self.m[2]) - min(m_lo, self.m[0]), self.m[1]
+        terms = span * span * sum(abs(c / d) for c, d in zip(coef, self.den))
+        p = (coef[1], _sum3(coef, self.slopes(m2)), 0.5 * _sum3(coef, self.wpp))
+        return p, (terms, 0.0, 0.0), m_lo - m2, m_hi - m2
+
 
 class _FirstOrder:
     """sigma(lnK) in Lagrange form: exact at the anchors by construction."""
@@ -126,9 +130,9 @@ class _FirstOrder:
         )
         return self.vol(lnk), dsig, np.full_like(lnk, self.curv)
 
-    def positive_on(self, m_lo: float, m_hi: float) -> bool:
-        """Whether sigma > 0 on [m_lo, m_hi] (``_clears``)."""
-        return _clears(self.sig, self.w, self.curv, m_lo, m_hi, 0.0, 0.0)
+    def lowest(self, m_lo: float, m_hi: float):
+        low, y = lowest_clearance(*self.w.parabola(self.sig, m_lo, m_hi))  # sigma is a parabola
+        return low, self.w.m[1] + y
 
 
 class _MarketOrder:
@@ -243,14 +247,21 @@ class _MarketOrder:
             return s2 - s2 / dd
         return s2 + b / (math.sqrt(arg) + s2)
 
-    def positive_on(self, m_lo: float, m_hi: float) -> bool:
-        """Whether sigma > 0 on [m_lo, m_hi]: D, convex, is finite at both ends, and
-        B > -sigma2^2 (``_clears``).  Unclamped, sigma = sigma2 + B / u with u >= sigma2;
-        clamped, sigma = sigma2 (1 - 1/D) where B > 0 > D or D >= sigma2^2 / -B > 1."""
-        s2 = self.s2
-        finite = all(math.isfinite(math.prod(self._d1_d2(m))) for m in (m_lo, m_hi))
-        b_clears = _clears(self.b_coef, self.w, self.b2, m_lo, m_hi, -s2 * s2, s2 * s2)
-        return s2 * s2 > 0.0 and finite and b_clears
+    def lowest(self, m_lo: float, m_hi: float):
+        """(value, ln K), the value <= 0 if a vol <= 0 may lie on [m_lo, m_hi].  sigma <= 0
+        needs B <= -sigma2^2 (u >= sigma2; clamped, 0 < D <= 1 and D B <= -sigma2^2), so
+        B + sigma2^2 decides, D finite at both ends, unless it dips that low.  Then sigma is
+        read at the ends and its zeros: B + sigma2^2 (2 - D) = 0 unclamped, D = 1 clamped."""
+        s2, m2, ss = self.s2, self.w.m[1], self.s2 * self.s2
+        (_, b1, b2), (terms, _, _), y_lo, y_hi = self.w.parabola(self.b_coef, m_lo, m_hi)
+        low, y = lowest_clearance((ss, b1, b2), (ss + terms, 0.0, 0.0), y_lo, y_hi)
+        if low > 0.0 and all(math.isfinite(math.prod(self._d1_d2(m))) for m in (m_lo, m_hi)):
+            return low, m2 + y
+        d0, d1, d2 = (float(v) for v in self._pieces(m2)[3:])  # D, D', D'' at m2
+        zeros = real_roots((ss * (2.0 - d0), b1 - ss * d1, b2 - 0.5 * ss * d2), y_lo, y_hi)
+        at = [m2 + y for y in (y_lo, y_hi, *zeros, *real_roots((d0 - 1.0, d1, 0.5 * d2), y_lo, y_hi))]
+        bar = POSITIVITY_MARGIN * (ss + terms) / s2
+        return min((v - bar if v == v else -math.inf, m) for v, m in zip(map(self._vol_at, at), at))
 
 
 def _sum3(coef, w):
@@ -258,26 +269,13 @@ def _sum3(coef, w):
     return coef[0] * w[0] + coef[1] * w[1] + coef[2] * w[2]
 
 
-def _clears(coef, w: _LnKWeights, curv, m_lo, m_hi, floor, scale) -> bool:
-    """Whether p = sum coef_i w_i, with p'' = ``curv``, read in floats at the ends and
-    vertex of [m_lo, m_hi], tops ``floor`` by PROOF_MARGIN of ``scale`` plus ``terms``,
-    which bounds sum |coef_i w_i| there and so p's rounding.  A NaN gives False."""
-    span = max(m_hi, w.m[2]) - min(m_lo, w.m[0])  # no |w_i| there exceeds span^2 |w_i''|
-    terms = span * span * sum(abs(c * p) for c, p in zip(coef, w.wpp))
-    vertex = m_lo - _sum3(coef, w.slopes(m_lo)) / curv if curv > 0.0 else m_lo
-    bar = floor + PROOF_MARGIN * (scale + terms)
-    at = (m_lo, m_hi, min(max(vertex, m_lo), m_hi))
-    return m_lo <= m_hi and all(_sum3(coef, w(m)) > bar for m in at)
-
-
 def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "market") -> SmileCurve:
     """Wrap a three-quote interpolation as a SmileCurve on [k_lo, k_hi].
 
     ``variant`` selects "first" (first-order approximation) or "market".
     Extrapolation beyond the anchors is permitted.  ``SmileCurve`` checks
-    the domain first.  Unless ``positive_on`` then proves every vol
-    positive, a vol <= 0 or NaN on the domain's ``require_positive_vol``
-    sweep raises NonpositiveVol.
+    the domain first; then, unless the backend's ``lowest`` shows every vol
+    positive, NonpositiveVol names the strike where it is least.
     """
     if variant == "first":
         backend = _FirstOrder(q)
@@ -293,6 +291,7 @@ def vv_smile(q: ThreeQuoteSmile, k_lo: float, k_hi: float, variant: str = "marke
         jet_fn=backend.jet,
         label=f"vanna-volga-{variant}",
     )
-    if not backend.positive_on(math.log(k_lo), math.log(k_hi)):
-        require_positive_vol(backend.vol, k_lo, k_hi, f"vanna-volga-{variant} smile")
+    low, m = backend.lowest(math.log(k_lo), math.log(k_hi))
+    if not low > 0.0:
+        raise NonpositiveVol(f"{smile.label} smile implies vol <= 0 at strike {math.exp(m):.6g}")
     return smile

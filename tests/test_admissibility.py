@@ -1,46 +1,32 @@
-"""Tests for the positivity proofs of closed-form smiles and their sweep fallback.
+"""Tests for the exact positivity decision of closed-form smiles.
 
-A circle or ellipse that encloses the disk of radius R, and a vanna-volga
-smile whose parabola clears its bound, is proved positive at construction;
-only the others run the ``require_positive_vol`` sweep, which alone rejects.
+A circle, ellipse or vanna-volga smile is admitted only when the least value
+on its domain of a polynomial that is positive exactly where its vol is
+clears a rounding margin; ``NonpositiveVol`` names the strike where it is
+least.  Nothing is sampled, so a dip between any two sample strikes is seen.
 """
-import contextlib
 import math
 import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smilegeo import georep, smile as smile_module, vanna_volga
 from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.errors import InvalidInput, NonpositiveVol
-from smilegeo.georep import ReprContext, smile_from_shape
+from smilegeo.georep import ReprContext, _unit_point, smile_from_shape
 from smilegeo.shapes import CircleShape, ConicShape
 from smilegeo.smile import DeltaAnchor
 from smilegeo.surface import METHODS, complete_expiry, parse_surface
 from smilegeo.vanna_volga import ThreeQuoteSmile, vv_smile
 
 MS = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=1.0)
+FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SWEEP_POINTS = 4097
-
-
-@contextlib.contextmanager
-def sweeps():
-    """The ``what`` of each admissibility sweep a closed-form smile runs."""
-    calls = []
-
-    def record(vol_fn, k_lo, k_hi, what):
-        calls.append(what)
-        smile_module.require_positive_vol(vol_fn, k_lo, k_hi, what)
-
-    with mock.patch.object(georep, "require_positive_vol", record), mock.patch.object(
-        vanna_volga, "require_positive_vol", record
-    ):
-        yield calls
 
 
 def ellipse(h, k, a, b, theta):
@@ -53,15 +39,46 @@ def ellipse(h, k, a, b, theta):
     return ConicShape((qa, qb, qc, -2.0 * qa * h - qb * k, -qb * h - 2.0 * qc * k, f))
 
 
+def dipping_shape(kind, r_scale, x0, depth, reach, aspect=1.0):
+    """A circle or ellipse that meets X0's ray R (1 - depth) from the origin, as its
+    farthest point along that ray: the centre sits ``reach`` R behind the origin."""
+    px, pz, _ = _unit_point(x0)
+    semi = r_scale * (reach + 1.0 - depth)
+    if kind == "circle":
+        return CircleShape(center=(-reach * r_scale * px, -reach * r_scale * pz), radius=semi)
+    return ellipse(
+        -reach * r_scale * px, -reach * r_scale * pz, semi, semi * aspect, math.atan2(pz, px)
+    )
+
+
+def dipping_first_order(m0, depth, curv, logs, pad):
+    """First-order quotes at the log-strikes ``logs`` of the parabola
+    curv (ln K - m0)^2 - depth, and a domain ``pad`` wider at each end."""
+    vols = [curv * (m - m0) ** 2 - depth for m in logs]
+    q = ThreeQuoteSmile(
+        anchors=tuple(DeltaAnchor(0.5, math.exp(m), v) for m, v in zip(logs, vols)), market=MS
+    )
+    return q, math.exp(min(logs[0], m0) - pad), math.exp(max(logs[2], m0) + pad)
+
+
 @st.composite
 def closed_form_smiles(draw, kind):
-    """(build, k_lo, k_hi): a smile of ``kind`` on its domain, built by ``build()``."""
+    """(build, k_lo, k_hi, probe): a smile of ``kind`` on its domain, built by
+    ``build()``, and a log-strike where it may dip below zero between any two
+    sample strikes (the domain's middle where it has no dip)."""
+    dip = kind != "market" and draw(st.booleans())
+    # Just below zero to just above it: the decision must see a dip of 1e-9.
+    depth = draw(st.floats(-1e-9, 1e-9))
     if kind in ("circle", "ellipse"):
         r_scale = draw(st.floats(0.05, 2.0))
         ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=r_scale)
         x_lo, x_hi = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
         k_lo, k_hi = 100.0 * math.exp(-r_scale * x_lo), 100.0 * math.exp(r_scale * x_hi)
-        if kind == "circle":
+        x0 = draw(st.floats(-x_lo, x_hi))
+        if dip:
+            reach, aspect = draw(st.floats(0.0, 3.0)), draw(st.floats(0.3, 3.0))
+            shape = dipping_shape(kind, r_scale, x0, depth, reach, aspect)
+        elif kind == "circle":
             cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
             # The nearest point R (1 + gap) from the origin: from just inside the
             # disk to well outside it; 0 touches.  The origin is always inside.
@@ -75,7 +92,16 @@ def closed_form_smiles(draw, kind):
             off, turn = b * draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 2.0 * math.pi))
             theta = draw(st.floats(0.0, math.pi))
             shape = ellipse(off * math.cos(turn), off * math.sin(turn), a, b, theta)
-        return (lambda: smile_from_shape(shape, ctx, k_lo, k_hi)), k_lo, k_hi
+        probe = math.log(100.0) + r_scale * x0
+        return (lambda: smile_from_shape(shape, ctx, k_lo, k_hi)), k_lo, k_hi, probe
+    if dip:
+        logs = sorted(math.log(100.0) + draw(st.floats(-0.6, 0.6)) for _ in range(3))
+        m0 = draw(st.floats(logs[0] - 0.3, logs[2] + 0.3))
+        curv = draw(st.floats(0.5, 20.0))
+        vols_ok = logs[0] < logs[1] < logs[2] and min(abs(m - m0) for m in logs) > 1e-3
+        if vols_ok:
+            q, k_lo, k_hi = dipping_first_order(m0, depth, curv, logs, draw(st.floats(0.0, 1.0)))
+            return (lambda: vv_smile(q, k_lo, k_hi, kind)), k_lo, k_hi, m0
     k1 = 100.0 * math.exp(-draw(st.floats(0.02, 0.6)))
     k3 = 100.0 * math.exp(draw(st.floats(0.02, 0.6)))
     k2 = k1 * (k3 / k1) ** draw(st.floats(0.1, 0.9))
@@ -87,43 +113,150 @@ def closed_form_smiles(draw, kind):
     )
     pad = math.log(k3 / k1) * draw(st.floats(0.0, 3.0))
     k_lo, k_hi = k1 * math.exp(-pad), k3 * math.exp(pad)
-    return (lambda: vv_smile(q, k_lo, k_hi, kind)), k_lo, k_hi
+    return (lambda: vv_smile(q, k_lo, k_hi, kind)), k_lo, k_hi, math.log(k2)
+
+
+class _Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: every draw gives ``case``."""
+
+    def __init__(self, case):
+        self.case = case
+
+    def draw(self, strategy):
+        return self.case
+
+
+# A radius-R circle about (0, 1e-290): sigma is 1e-290 sin(phi) > 0 for |X| > 1,
+# but r^2 - R^2 - |c|^2 cancels to 0 and every float vol reads 0.0.  Only a
+# margin scaled by R^2, |c|^2 and r^2, not by the coefficients formed, rejects it.
+_HAIRLINE = CircleShape(center=(0.0, 1e-290), radius=1.0)
+_HAIRLINE_CASE = (
+    lambda: smile_from_shape(
+        _HAIRLINE, ReprContext(market=MS, atm_rn=100.0, radius_scale=1.0),
+        100.0 * math.exp(1.5), 100.0 * math.exp(3.0),
+    ),
+    100.0 * math.exp(1.5), 100.0 * math.exp(3.0), math.log(100.0) + 2.0,
+)
 
 
 class TestProofIsSound:
     @pytest.mark.parametrize("kind", ["circle", "ellipse", "first", "market"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
+    @example(data=_Drawn(_HAIRLINE_CASE))
     def test_proven_smile_is_positive_on_a_dense_sweep(self, kind, data):
-        build, k_lo, k_hi = data.draw(closed_form_smiles(kind))
-        with sweeps() as calls:
-            try:
-                smile = build()
-            except NonpositiveVol:
-                assert calls  # only the sweep rejects
-                return
-        if not calls:
-            lnk = np.linspace(math.log(k_lo), math.log(k_hi), SWEEP_POINTS)
-            assert (smile.vol_fn(lnk) > 0.0).all()
+        # Every admitted smile reads vol > 0 on a dense sweep and at its probe.
+        build, k_lo, k_hi, probe = data.draw(closed_form_smiles(kind))
+        try:
+            smile = build()
+        except NonpositiveVol:
+            return
+        lnk = np.append(np.linspace(math.log(k_lo), math.log(k_hi), SWEEP_POINTS), probe)
+        assert (smile.vol_fn(lnk) > 0.0).all()
+
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "first"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dip_between_sweep_samples_is_rejected(self, kind, data):
+        # A dip of 1e-9 to 1e-4 below zero, narrower than a sweep's spacing.
+        depth = data.draw(st.floats(1e-9, 1e-4))
+        if kind == "first":
+            # The vertex 0.05 or more from every anchor keeps each quote positive.
+            gaps = [(3.9, 4.15), (4.25, 4.55), (4.65, 4.85), (4.95, 5.2)]
+            m0 = data.draw(st.sampled_from(gaps).flatmap(lambda ab: st.floats(*ab)))
+            curv = data.draw(st.floats(0.5, 20.0))
+            q, k_lo, k_hi = dipping_first_order(m0, depth, curv, (4.2, 4.6, 4.9), 0.5)
+            build = lambda: vv_smile(q, k_lo, k_hi, kind)  # noqa: E731
+        else:
+            r_scale, x0 = data.draw(st.floats(0.05, 2.0)), data.draw(st.floats(-5.0, 5.0))
+            reach, aspect = data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.3, 3.0))
+            shape = dipping_shape(kind, r_scale, x0, depth, reach, aspect)
+            ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=r_scale)
+            k_lo, k_hi = 100.0 * math.exp(-6.0 * r_scale), 100.0 * math.exp(6.0 * r_scale)
+            build = lambda: smile_from_shape(shape, ctx, k_lo, k_hi)  # noqa: E731
+        with pytest.raises(NonpositiveVol, match="implies vol <= 0 at strike"):
+            build()
 
     def test_circle_proof_at_the_disk_edge(self):
-        # Centre (0, 0.5), radius 1: the nearest point is 0.5 from the origin.
+        # Centre (0, 0.5), radius 1: the nearest point, on X = 0's ray, is 0.5
+        # from the origin, so the least vol is 0.5 - R.
         shape = CircleShape(center=(0.0, 0.5), radius=1.0)
-        assert shape.encloses_disk(0.5 - 1e-9)
-        assert not shape.encloses_disk(0.5 - 1e-13)  # inside the rounding margin
-        assert not shape.encloses_disk(0.5)
+
+        def build(r_scale):
+            ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=r_scale)
+            return smile_from_shape(shape, ctx, 80.0, 125.0)
+
+        assert build(0.5 - 1e-9).vol(100.0) == pytest.approx(1e-9, rel=1e-6)
+        for r_scale in (0.5 - 1e-13, 0.5):  # inside the rounding margin, and touching
+            with pytest.raises(NonpositiveVol, match="at strike 100$"):
+                build(r_scale)
 
     def test_ellipse_proof(self):
         # x^2 / 4 + y^2 = 1 holds the unit disk, touching it at (0, +-1).
-        assert ellipse(0.0, 0.0, 2.0, 1.0, 0.0).encloses_disk(0.999)
-        assert not ellipse(0.0, 0.0, 2.0, 1.0, 0.0).encloses_disk(1.0)
-        assert not ellipse(0.0, 0.5, 2.0, 1.0, 0.0).encloses_disk(0.6)
+        def ctx(r_scale):
+            return ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=r_scale)
+
+        smile_from_shape(ellipse(0.0, 0.0, 2.0, 1.0, 0.0), ctx(0.999), 80.0, 125.0)
+        with pytest.raises(NonpositiveVol, match="at strike 100$"):
+            smile_from_shape(ellipse(0.0, 0.0, 2.0, 1.0, 0.0), ctx(1.0), 80.0, 125.0)
+        with pytest.raises(NonpositiveVol, match="at strike 100$"):
+            smile_from_shape(ellipse(0.0, 0.5, 2.0, 1.0, 0.0), ctx(0.6), 80.0, 125.0)
 
 
-def test_sweep_rejects_a_narrow_dip_the_proof_leaves_to_it():
+@pytest.mark.parametrize(
+    "shape, r_scale, x_lo, x_hi",
+    [
+        (dipping_shape("ellipse", 1.3, -2.43, 1e-9, 2.24, 2.33), 1.3, -2.9, 5.6),
+        (dipping_shape("ellipse", 0.57, 2.81, 1e-9, 2.89, 1.98), 0.57, -2.7, 5.8),
+        (ellipse(0.3, 0.05, 0.84, 1.46, 1.31), 1.0, -3.1, 1.3),
+        (dipping_shape("ellipse", 0.9, 0.13, 1e-9, 1.76, 2.29), 0.9, -0.7, 2.1),
+    ],
+    ids=["least-root", "greatest-root", "middle-root", "one-real-root"],
+)
+def test_ellipse_is_least_at_each_kind_of_critical_point(shape, r_scale, x_lo, x_hi):
+    # The quartic's derivative has three real roots or one.  In each case
+    # only the root named by the id finds where the clearance dips below 0:
+    # the ends and the other roots read it positive.
+    ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=r_scale)
+    k_lo, k_hi = 100.0 * math.exp(r_scale * x_lo), 100.0 * math.exp(r_scale * x_hi)
+    with pytest.raises(NonpositiveVol):
+        smile_from_shape(shape, ctx, k_lo, k_hi)
+
+
+@pytest.mark.parametrize(
+    "quotes, tenor, k_lo, k_hi",
+    [
+        (((95.736, 1.1949), (97.291, 0.54059), (105.41, 0.96067)), 0.02, 76.03, 132.73),
+        (((94.436, 0.4087), (137.42, 0.15184), (151.27, 0.39829)), 0.1, 92.0, 155.29),
+    ],
+    ids=["unclamped", "clamped"],
+)
+def test_market_stretch_below_zero_is_rejected(quotes, tenor, k_lo, k_hi):
+    # sigma <= 0 on a stretch inside the domain whose two ends are both zeros
+    # of the unclamped quotient (roots of B + sigma2^2 (2 - D)), or both on the
+    # clamped branch (roots of D - 1): only reads there see it.
+    ms = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=tenor)
+    q = ThreeQuoteSmile(anchors=tuple(DeltaAnchor(0.5, k, v) for k, v in quotes), market=ms)
+    with pytest.raises(NonpositiveVol, match="market smile implies vol <= 0 at strike"):
+        vv_smile(q, k_lo, k_hi, "market")
+
+
+def test_market_smile_positive_where_b_dips_is_admitted():
+    # B falls below -sigma2^2 on the domain, so the parabola B + sigma2^2 does
+    # not decide; the reads at the ends and the zeros admit the smile, whose
+    # vols stay above 0.14.
+    ms = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=0.1)
+    quotes = ((94.96, 0.347), (101.95, 0.361), (104.05, 0.356))
+    q = ThreeQuoteSmile(anchors=tuple(DeltaAnchor(0.5, k, v) for k, v in quotes), market=ms)
+    smile = vv_smile(q, 70.3481, 140.4528, "market")
+    lnk = np.linspace(math.log(70.3481), math.log(140.4528), SWEEP_POINTS)
+    assert np.min(smile.vol_fn.__self__._pieces(lnk)[0]) < -0.361 * 0.361
+    assert np.min(smile.vol_fn(lnk)) > 0.14
+
+
+def test_narrow_dip_is_rejected_at_its_strike():
     # R = 1 and the domain X in [-1, 1]: the circle dips inside the R-circle
-    # around X0 = 1/16, between two points of a 17-point sweep of the domain,
-    # so it takes the 513-point sweep to see sigma <= 0 there.
+    # around X0 = 1/16, between two points of a 17-point sweep of the domain.
     ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=1.0)
     x0 = 1.0 / 16.0
     phi0 = 2.0 * math.atan(x0) - 0.5 * math.pi
@@ -138,9 +271,48 @@ def test_sweep_rejects_a_narrow_dip_the_proof_leaves_to_it():
     dip = x[shape.ray_radius(cos, sin) - 1.0 <= 0.0]
     width = (dip[-1] - dip[0]) / 2.0
     assert 1.0 / 512.0 < width < 1.0 / 16.0
-    assert not shape.encloses_disk(1.0)
-    with pytest.raises(NonpositiveVol, match="inverted shape implies vol <= 0 at strike"):
+    with pytest.raises(NonpositiveVol, match="inverted shape implies vol <= 0 at strike") as err:
         smile_from_shape(shape, ctx, k_lo, k_hi)
+    named = math.log(float(str(err.value).rsplit(" ", 1)[1]) / 100.0)
+    assert dip[0] <= named <= dip[-1]
+
+
+class TestSampledDipsOfTheSweep:
+    """Three smiles that a 513-point sweep of the domain admitted though a vol
+    on it is <= 0; each is now rejected at the strike of its least vol."""
+
+    def test_circle_between_sweep_samples(self):
+        # The stereographic point u of the ln K halfway between samples 300 and
+        # 301 of a 513-point sweep of [50, 200]; the centre at -0.9 u and the
+        # radius 0.9 + (1 - 1e-9) read vol -1e-9 there, +1.7e-6 at each sample.
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
+        sweep = np.linspace(math.log(50.0), math.log(200.0), 513)
+        m0 = 0.5 * (sweep[300] + sweep[301])
+        px, pz, _ = _unit_point(m0 - math.log(100.0))
+        shape = CircleShape(center=(-0.9 * px, -0.9 * pz), radius=0.9 + (1.0 - 1e-9))
+        with pytest.raises(NonpositiveVol, match="shape implies vol <= 0 at strike 112.805$"):
+            smile_from_shape(shape, ctx, 50.0, 200.0)
+
+    def test_first_order_parabola(self):
+        # Quotes on the parabola 2 (ln K - ln 112.805)^2 - 1e-9 at 80, 100 and 125.
+        logs = [math.log(k) for k in (80.0, 100.0, 125.0)]
+        q, _, _ = dipping_first_order(math.log(112.805), 1e-9, 2.0, logs, 0.0)
+        with pytest.raises(NonpositiveVol, match="first smile implies vol <= 0 at strike 112.805$"):
+            vv_smile(q, 50.0, 200.0, "first")
+
+    def test_market_quotes(self):
+        # At T = 0.02 the market smile through these quotes reads -0.0131 at
+        # K = 100.2, well inside its domain.
+        ms = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=0.02)
+        q = ThreeQuoteSmile(
+            anchors=tuple(
+                DeltaAnchor(0.5, k, v)
+                for k, v in ((98.0199, 0.054885), (127.1249, 0.02), (164.8721, 0.026705))
+            ),
+            market=ms,
+        )
+        with pytest.raises(NonpositiveVol, match="market smile implies vol <= 0 at strike"):
+            vv_smile(q, 31.196, 518.036, "market")
 
 
 @pytest.mark.parametrize(
@@ -149,9 +321,8 @@ def test_sweep_rejects_a_narrow_dip_the_proof_leaves_to_it():
 )
 @pytest.mark.parametrize("kind", ["circle", "ellipse", "first", "market"])
 def test_domain_checked_before_any_proof_or_sweep(kind, k_lo, k_hi):
-    # A bad domain must be InvalidInput before any proof or sweep reads
-    # ln k_lo (a bare ValueError at 0), a NaN strike or an infinite end.  The
-    # shapes fail their proofs, so they would be swept.
+    # A bad domain must be InvalidInput before the positivity decision reads
+    # ln k_lo (a bare ValueError at 0), a NaN strike or an infinite end.
     ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=0.6)
     quotes = ThreeQuoteSmile(
         anchors=tuple(DeltaAnchor(0.5, k, v) for k, v in ((80.0, 0.3), (100.0, 0.2), (125.0, 0.3))),
@@ -164,23 +335,29 @@ def test_domain_checked_before_any_proof_or_sweep(kind, k_lo, k_hi):
         "first": lambda: vv_smile(quotes, k_lo, k_hi, "first"),
         "market": lambda: vv_smile(quotes, k_lo, k_hi, "market"),
     }[kind]
-    with sweeps() as calls, pytest.raises(InvalidInput, match="need 0 < k_lo < k_hi < inf"):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return smile_module.lowest_clearance(*args)
+
+    with mock.patch.object(georep, "lowest_clearance", record), mock.patch.object(
+        vanna_volga, "lowest_clearance", record
+    ), pytest.raises(InvalidInput, match="need 0 < k_lo < k_hi < inf"):
         build()
     assert calls == []
 
 
 @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
 @pytest.mark.parametrize("name", ["synthetic_circle_surface", "synthetic_gamma_surface"])
-def test_every_shipped_row_is_proved_without_a_sweep(name, conv):
-    # The proofs carry the whole gain: each row of the shipped surfaces that
-    # completes, under every method, builds its smile with no sweep.
+def test_every_shipped_row_completes_under_every_method(name, conv):
+    # Each row of the shipped surfaces completes under every method: the
+    # exact decision admits every smile they hold.
     rows = parse_surface((DATA / f"{name}.csv").read_bytes())
     completed = 0
-    with sweeps() as calls:
-        for method in METHODS:
-            for variant in (("market", "first") if method == "vanna-volga" else ("market",)):
-                for row in rows:
-                    complete_expiry(row, method, conv, vv_variant=variant)
-                    completed += 1
-    assert calls == []
+    for method in METHODS:
+        for variant in (("market", "first") if method == "vanna-volga" else ("market",)):
+            for row in rows:
+                complete_expiry(row, method, conv, vv_variant=variant)
+                completed += 1
     assert completed == 4 * len(rows) == 56

@@ -572,7 +572,7 @@ class TestCli:
         # A tiny 25C vol is the row's middle anchor.  The market variant
         # rejects it before dividing by its vol times sqrt(T) (at 5e-324 that
         # product is 0); the first-order smile comes out NaN or <= 0 on its
-        # domain and the admissibility sweep rejects it.  density exits 3;
+        # domain and the positivity decision rejects it.  density exits 3;
         # complete-surface blanks the row and exits 0.
         from smilegeo import cli
 
@@ -702,19 +702,17 @@ class TestCli:
             "curvature", "complete-surface", "compare",
         ],
     )
-    def test_subnormal_radius_scale_exit_3(self, command):
-        # R = 1e-320 is finite and positive, but (ln K - ln K_atm) / R overflows.
-        # Every subcommand gives its one-line reason and no warning; compare
-        # and complete-surface blank the failed rows and exit 0.
+    def test_subnormal_radius_scale_exit_2(self, command):
+        # R = 1e-320 is finite and positive, but below the floor of 1e-60, under
+        # which (ln K - ln K_atm) / R or 2/R could overflow: every subcommand
+        # rejects it as an input error, in one line, before reading the surface.
         code, out, err = run_cli(command, GAMMA_CSV, "--radius-scale", "1e-320")
-        assert code == (0 if command in ("compare", "complete-surface") else 3), err
-        assert err.startswith(b"smilegeo: "), err
-        assert b"RuntimeWarning" not in err and b"Traceback" not in err
-        assert b"inf" not in out.lower() and b"nan" not in out.lower()
-        if command == "represent":
-            assert b"expiry '2W'" in err
+        assert code == 2 and out == b"", err
+        assert err == (
+            b"smilegeo: --radius-scale must be a finite number >= 1e-60 or 'auto', got '1e-320'\n"
+        )
 
-    @pytest.mark.parametrize("radius", ["1e-320", "1e300"])
+    @pytest.mark.parametrize("radius", ["1e-60", "1e300"])
     @pytest.mark.parametrize("method", ["circle", "ellipse"])
     @pytest.mark.parametrize("surface", [GAMMA_CSV, CIRCLE_CSV], ids=["gamma", "circle"])
     def test_all_rows_failed_svg(self, surface, method, radius):

@@ -9,9 +9,9 @@ import pytest
 
 from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.distributions import Gamma, Uniform
-from smilegeo.errors import NonpositiveVol, OriginOutsideShape
+from smilegeo.errors import InvalidInput, NonpositiveVol, OriginOutsideShape
 from smilegeo.georep import (
-    FAR_X,
+    RADIUS_FLOOR,
     ReprContext,
     _unit_point,
     angle_jet,
@@ -41,7 +41,7 @@ def x_column(strikes, atm_rn, radius_scale):
 def stereographic_point(x_coord):
     """X's stereographic point (2X, X^2 - 1) / (1 + X^2): the direction that
     shape smiles read, ``vol_fn`` alone and ``angle_jet`` with phi's
-    derivatives (whose phi'' is -0 for |X| above about 1e77)."""
+    derivatives."""
     return _unit_point(x_coord)[:2]
 
 
@@ -85,13 +85,13 @@ class TestStereographicPoint:
         assert np.all(np.diff(angles) > 0.0) or np.all(np.diff(angles) < 0.0)
 
 
-# X where the direction is a limit, (cos phi, sin phi) exactly.
-EXACT_DIRECTIONS = {
-    0.0: (0.0, -1.0), 1.0: (1.0, 0.0), -1.0: (-1.0, 0.0),
-    math.inf: (0.0, 1.0), -math.inf: (0.0, 1.0),
-}
+# X where the direction is exact: (cos phi, sin phi).
+EXACT_DIRECTIONS = {0.0: (0.0, -1.0), 1.0: (1.0, 0.0), -1.0: (-1.0, 0.0)}
+# The largest |X| a finite positive strike reaches: ln K spans less than 1455,
+# and R >= RADIUS_FLOOR.
+FARTHEST_X = (math.log(np.finfo(float).max) - math.log(5e-324)) / RADIUS_FLOOR
 EDGE_X = [
-    0.0, 1e-300, 1e-13, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0, 3.0, 1e8, 1e154, 1e300, math.inf
+    0.0, 1e-300, 1e-13, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0, 3.0, 1e8, 1e40, FARTHEST_X
 ]
 
 
@@ -115,7 +115,7 @@ class TestDirectionMap:
         rng = np.random.default_rng(20261019)
         sign = rng.choice([-1.0, 1.0], n)
         near = rng.uniform(-3.0, 3.0, n // 2)
-        spread = sign[n // 2:] * 10.0 ** rng.uniform(-300.0, 300.0, n - n // 2)
+        spread = sign[n // 2:] * 10.0 ** rng.uniform(-300.0, 63.0, n - n // 2)
         return np.concatenate([near, spread])
 
     def test_within_2_ulp_of_mpmath(self):
@@ -139,7 +139,7 @@ class TestDirectionMap:
             assert all(type(v) is float for v in got)
             assert np.array_equal(got, want, equal_nan=True), x
 
-    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf], ids=["0", "-0", "inf", "-inf"])
+    @pytest.mark.parametrize("x", [0.0, -0.0], ids=["0", "-0"])
     def test_limits_exact_without_warning(self, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -149,10 +149,13 @@ class TestDirectionMap:
         assert got == want and (got_array[0][0], got_array[1][0]) == want
 
     def test_far_x_is_the_limit_form(self):
-        xs = np.array([FAR_X, np.nextafter(FAR_X, math.inf), 1e200, -1e300])
-        px, pz = stereographic_point(xs)
-        assert px[0] == 2.0 * FAR_X / (1.0 + FAR_X * FAR_X)
-        assert np.array_equal(px[1:], 2.0 / xs[1:]) and np.all(pz[1:] == 1.0)
+        # At the farthest X under the R floor, X^2 stays finite and the point
+        # is (2/X, 1) to rounding, with no warning.
+        xs = np.array([FARTHEST_X, -FARTHEST_X, 1e60])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            px, pz = stereographic_point(xs)
+        assert np.allclose(px, 2.0 / xs, rtol=4e-16, atol=0.0) and np.all(pz == 1.0)
 
     def test_angle_jet_direction_is_the_stereographic_point(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=102.0, radius_scale=0.8)
@@ -325,45 +328,22 @@ class TestSmileFromShape:
         assert np.max(np.abs(vols - 0.2)) <= 1e-14
 
     def test_tiny_radius_scale_density_is_flat_without_warning(self):
-        # Under R = 1e-80 the grid's |X| reaches about 1e79, where (1 + X^2)^2
-        # overflows: phi'' is -0 there, and the density is the flat smile's.
-        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1e-80)
+        # At the R floor the grid's |X| reaches about 4e59 and (1 + X^2)^2 about
+        # 3e238; at the centre strike, which the grid holds, phi' = 2/R = 2e60.
+        # Every jet term is finite, and the density is the flat smile's.
+        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=RADIUS_FLOOR)
         smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
         assert smile.vol(120.0) == 0.2
-        grid = np.linspace(60.0, 150.0, 181)
-        got = density_from_smile(smile, grid).values
-        assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
-
-    def test_subnormal_radius_scale_density_is_flat_without_warning(self):
-        # Under R = 5e-324 every strike but the centre has X = +-inf, where
-        # phi'' = -4X / ((1 + X^2)^2 R^2) is inf / inf; its limit is -0.  The
-        # grid leaves out the centre itself, where phi' = 2/R overflows.
-        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=5e-324)
-        smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
-        assert smile.vol(120.0) == 0.2
-        grid = np.linspace(60.0, 150.0, 180)
-        assert 100.0 not in grid
-        got = density_from_smile(smile, grid).values
-        assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
-
-    @pytest.mark.parametrize(
-        "radius_scale",
-        [
-            1e-300,
-            pytest.param(5e-324, marks=pytest.mark.xfail(
-                strict=True, reason="phi' = 2/R overflows at the centre, where rho' phi' is 0 * inf",
-            )),
-        ],
-    )
-    def test_underflowing_radius_scale_density_is_flat_at_the_centre(self, radius_scale):
-        # R^2 underflows to 0, so at the centre strike (X = 0) phi'' would be
-        # 0 / 0; its limit is 0.
-        ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=radius_scale)
-        smile = smile_from_shape(CircleShape(center=(0.0, 0.0), radius=0.2), ctx, 50.0, 200.0)
         grid = np.linspace(60.0, 150.0, 181)
         assert 100.0 in grid
         got = density_from_smile(smile, grid).values
         assert np.array_equal(got, density_from_smile(flat_smile(FLAT_MS, 0.2), grid).values)
+
+    @pytest.mark.parametrize("radius_scale", [np.nextafter(RADIUS_FLOOR, 0.0), 1e-80, 5e-324])
+    def test_radius_scale_below_the_floor_is_invalid(self, radius_scale):
+        # Below the floor, 2/R or X^2 could leave the floats on a finite strike.
+        with pytest.raises(InvalidInput, match="finite radius_scale >= 1e-60"):
+            ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=radius_scale)
 
     def test_round_trip_circle_to_smile_to_circle(self):
         ctx = ReprContext(market=FLAT_MS, atm_rn=100.0, radius_scale=1.0)
@@ -404,7 +384,7 @@ class TestSmileFromShape:
         ids=["circle", "conic"],
     )
     def test_origin_checked_once_per_inversion(self, shape, monkeypatch):
-        # The check runs before the admissibility sweep, not on every vol or jet read.
+        # The check runs before the positivity decision, not on every vol or jet read.
         calls = []
         check = type(shape).require_origin_inside
         monkeypatch.setattr(

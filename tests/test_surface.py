@@ -169,6 +169,18 @@ class TestParse:
             parse_surface("\n".join(lines) + "\n")
         assert err.value.line == 3
 
+    def test_errors_name_the_first_physical_line_of_their_record(self):
+        # Row 1's quoted label holds a line break, so it spans lines 2-3 and
+        # the third record starts on physical line 5, not 4.
+        lines = synthetic_gamma_surface().splitlines()
+        lines[1] = '"1M\nx"' + lines[1][lines[1].index(","):]
+        cells = lines[3].split(",")
+        cells[1] = "zz0821917808"
+        lines[3] = ",".join(cells)
+        with pytest.raises(ParseError, match="non-numeric value 'zz0821917808'") as err:
+            parse_surface("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.field) == (5, "tenor_years")
+
     def test_csv_error_rejected_with_line(self):
         lines = synthetic_gamma_surface().splitlines()
         lines[3] = "x" * 200_000 + lines[3]

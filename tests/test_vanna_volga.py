@@ -33,7 +33,7 @@ def smile_vol(q, strike, variant="first"):
 
 
 def backend_vol(q, strike, variant):
-    """The backend's vol at strikes the domain sweep of ``vv_smile`` may reject.
+    """The backend's vol at strikes the positivity decision of ``vv_smile`` may reject.
 
     The smile's domain hugs the middle anchor, where the vol is its quote.
     """
