@@ -152,30 +152,33 @@ def log_uniform_grid(k_lo: float, k_hi: float, n: int) -> np.ndarray:
 
 
 def real_roots(coef, lo: float, hi: float) -> list[float]:
-    """Real roots inside (lo, hi) of sum coef[i] x^i, of degree <= 3, in closed form: a
-    cubic's by Vieta's trigonometric form or Cardano's, else the stable quadratic formula."""
-    if len(coef) == 4 and coef[3]:
-        d, c, b = (v / coef[3] for v in coef[:3])
-        q, r = (b * b - 3.0 * c) / 9.0, (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
-        if r * r < q * q * q:
-            theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))
-            ts = [-2.0 * q**0.5 * math.cos((theta + k * math.pi) / 3) - b / 3 for k in (0, 2, -2)]
-        else:
-            a = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q * q * q)), r)
-            ts = [a + (q / a if a else 0.0) - b / 3.0]
-    else:
-        c, b, a = (*coef, 0.0, 0.0)[:3]
-        disc = b * b - 4.0 * a * c
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
-        ts = [c / q, *([q / a] if a else [])] if q else [0.0] if a and disc == 0.0 else []
+    """Real roots inside (lo, hi) of sum coef[i] x^i, degree <= 2, stable for a negligible coef[2]."""
+    c, b, a = (*coef, 0.0)[:3]
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else 0.0
+    ts = [c / q, *([q / a] if a else [])] if q else [0.0] if a and disc == 0.0 else []
     return [t for t in ts if lo < t < hi]
 
 
 def lowest_clearance(coef, terms, lo: float, hi: float) -> tuple[float, float]:
     """(value, x): the least on [lo, hi] (an end or a critical point; a NaN reads -inf) of
-    sum coef[i] x^i, degree <= 4, less ``POSITIVITY_MARGIN`` times its terms' bound ``terms``."""
+    sum coef[i] x^i, degree 2 or 4, less ``POSITIVITY_MARGIN`` times its terms' bound ``terms``."""
     p0, p1, p2, p3, p4 = (*[c - POSITIVITY_MARGIN * t for c, t in zip(coef, terms)], 0.0, 0.0)[:5]
-    at = [lo, hi, *real_roots((p1, 2.0 * p2, 3.0 * p3, 4.0 * p4), lo, hi)]
+    at = real_roots((p1, 2.0 * p2, 3.0 * p3), -math.inf, math.inf)  # P' less its cubic term
+    if p4:  # P' / (4 p4) = x^3 + b x^2 + c x + d: Vieta's trigonometric form or Cardano's
+        b, c, d = 0.75 * p3 / p4, 0.5 * p2 / p4, 0.25 * p1 / p4
+        q, r = (b * b - 3.0 * c) / 9.0, (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
+        if r * r < q * q * q:
+            theta = math.acos(max(-1.0, min(1.0, r / math.sqrt(q * q * q))))
+            at += [-2.0 * q**0.5 * math.cos((theta + k * math.pi) / 3) - b / 3 for k in (0, 2, -2)]
+        else:
+            s = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q * q * q)), r)
+            at += [s + (q / s if s else 0.0) - b / 3.0]
+        # Divided by a negligible p4, the smaller roots are noise, and those of P' less
+        # its cubic term stand in.  One Newton step on P' polishes each candidate.
+        at += [x - (((4.0 * p4 * x + 3.0 * p3) * x + 2.0 * p2) * x + p1)
+               / ((12.0 * p4 * x + 6.0 * p3) * x + 2.0 * p2 or math.inf) for x in at]
+    at = [lo, hi, *(x for x in at if lo < x < hi)]
     values = [(((p4 * x + p3) * x + p2) * x + p1) * x + p0 for x in at]
     return min((v if v == v else -math.inf, x) for v, x in zip(values, at))
 

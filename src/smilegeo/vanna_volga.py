@@ -248,18 +248,15 @@ class _MarketOrder:
         return s2 + b / (math.sqrt(arg) + s2)
 
     def lowest(self, m_lo: float, m_hi: float):
-        """(value, ln K), the value <= 0 if a vol <= 0 may lie on [m_lo, m_hi].  sigma <= 0
-        needs B <= -sigma2^2 (u >= sigma2; clamped, 0 < D <= 1 and D B <= -sigma2^2), so
-        B + sigma2^2 decides, D finite at both ends, unless it dips that low.  Then sigma is
-        read at the ends and its zeros: B + sigma2^2 (2 - D) = 0 unclamped, D = 1 clamped."""
+        """(value, ln K): sigma less its rounding margin, least of its reads (a NaN reads -inf)
+        at the ends and its zeros, the roots of the quadratics B + sigma2^2 (2 - D) (unclamped)
+        and D - 1 (clamped) in ln K: a stretch of sigma <= 0 holds a zero or an end."""
         s2, m2, ss = self.s2, self.w.m[1], self.s2 * self.s2
         (_, b1, b2), (terms, _, _), y_lo, y_hi = self.w.parabola(self.b_coef, m_lo, m_hi)
-        low, y = lowest_clearance((ss, b1, b2), (ss + terms, 0.0, 0.0), y_lo, y_hi)
-        if low > 0.0 and all(math.isfinite(math.prod(self._d1_d2(m))) for m in (m_lo, m_hi)):
-            return low, m2 + y
-        d0, d1, d2 = (float(v) for v in self._pieces(m2)[3:])  # D, D', D'' at m2
-        zeros = real_roots((ss * (2.0 - d0), b1 - ss * d1, b2 - 0.5 * ss * d2), y_lo, y_hi)
-        at = [m2 + y for y in (y_lo, y_hi, *zeros, *real_roots((d0 - 1.0, d1, 0.5 * d2), y_lo, y_hi))]
+        d1, d2 = self._d1_d2(m2)
+        dd, dd1, dd2 = d1 * d2, -(d1 + d2) / self.c, 2.0 / (self.c * self.c)  # D, D', D'' at m2
+        zeros = real_roots((ss * (2.0 - dd), b1 - ss * dd1, b2 - 0.5 * ss * dd2), y_lo, y_hi)
+        at = [m2 + y for y in (y_lo, y_hi, *zeros, *real_roots((dd - 1.0, dd1, 0.5 * dd2), y_lo, y_hi))]
         bar = POSITIVITY_MARGIN * (ss + terms) / s2
         return min((v - bar if v == v else -math.inf, m) for v, m in zip(map(self._vol_at, at), at))
 

@@ -5,8 +5,10 @@ on its domain of a polynomial that is positive exactly where its vol is
 clears a rounding margin; ``NonpositiveVol`` names the strike where it is
 least.  Nothing is sampled, so a dip between any two sample strikes is seen.
 """
+import contextlib
 import math
 import pathlib
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smilegeo import georep, smile as smile_module, vanna_volga
+from smilegeo import georep, vanna_volga
 from smilegeo.bsm import DeltaConvention, MarketState
 from smilegeo.errors import InvalidInput, NonpositiveVol
 from smilegeo.georep import ReprContext, _unit_point, smile_from_shape
 from smilegeo.shapes import CircleShape, ConicShape
-from smilegeo.smile import DeltaAnchor
+from smilegeo.smile import DeltaAnchor, lowest_clearance
 from smilegeo.surface import METHODS, complete_expiry, parse_surface
 from smilegeo.vanna_volga import ThreeQuoteSmile, vv_smile
 
@@ -27,6 +29,7 @@ MS = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=1.0)
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SWEEP_POINTS = 4097
+MARGIN = 1e-12  # smile.POSITIVITY_MARGIN: of the terms a closed form sums before they cancel
 
 
 def ellipse(h, k, a, b, theta):
@@ -61,17 +64,88 @@ def dipping_first_order(m0, depth, curv, logs, pad):
     return q, math.exp(min(logs[0], m0) - pad), math.exp(max(logs[2], m0) + pad)
 
 
+class Case(NamedTuple):
+    """A drawn smile.  ``build()`` makes it or raises NonpositiveVol; ``probe`` is a
+    log-strike where it may dip below zero between any two sample strikes (the
+    domain's middle where it has no dip).  ``vol_at`` reads sigma, without the
+    decision, at the abscissa the decision names (X for a shape, ln K for
+    vanna-volga), and a rejection is genuine where sigma is at most ``slack``,
+    the reach of the decision's rounding margin."""
+
+    build: Callable
+    k_lo: float
+    k_hi: float
+    probe: float
+    vol_at: Callable
+    slack: float
+
+
+def shape_case(shape, r_scale, k_lo, k_hi, probe):
+    """The Case of a shape smile about strike 100.  Along a ray the clearance is
+    quad (rho - R)(R - rho'), whose other root rho' is <= 0, so a margin of
+    MARGIN times the terms' bound reaches sigma <= margin / (quad R)."""
+    ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=r_scale)
+    if isinstance(shape, CircleShape):
+        terms, quad = shape.radius**2 + (r_scale + math.hypot(*shape.center)) ** 2, 1.0
+    else:
+        a, b, c, d, e, f = shape.coefficients
+        terms = r_scale**2 * (abs(a) + abs(b) + abs(c)) + r_scale * (abs(d) + abs(e)) + abs(f)
+        quad = 0.5 * (a + c - math.hypot(a - c, b))  # least of a cos^2 + b cos sin + c sin^2
+    return Case(
+        lambda: smile_from_shape(shape, ctx, k_lo, k_hi), k_lo, k_hi, probe,
+        lambda x: shape.ray_radius(*_unit_point(x)[:2]) - r_scale,
+        2.0 * MARGIN * terms / (quad * r_scale),
+    )
+
+
+def vv_case(q, k_lo, k_hi, kind, probe):
+    """The Case of a vanna-volga smile.  The margin scales sigma's Lagrange terms
+    (first-order), or sigma2^2 and B's terms over sigma2 (market), each within
+    span^2 sum |coef_i / den_i| on the domain and the anchors."""
+    m = np.log(q.strikes)
+    span = max(math.log(k_hi), m[2]) - min(math.log(k_lo), m[0])
+    if kind == "first":
+        backend = vanna_volga._FirstOrder(q)
+        vol_at, coef, base, s2 = backend.vol, q.vols, 0.0, 1.0
+    else:
+        backend = vanna_volga._MarketOrder(q, q.market)
+        vol_at, coef, s2 = backend._vol_at, backend.b_coef, q.vols[1]
+        base = s2 * s2
+    terms = span * span * sum(abs(c / d) for c, d in zip(coef, backend.w.den))
+    return Case(
+        lambda: vv_smile(q, k_lo, k_hi, kind), k_lo, k_hi, probe, vol_at,
+        2.0 * MARGIN * (base + terms) / s2,
+    )
+
+
+@contextlib.contextmanager
+def decisions():
+    """Record where each positivity decision finds its least value: X for a
+    shape smile, ln K for a vanna-volga one."""
+    named = []
+
+    def wrap(decide):
+        def record(*args):
+            low, at = decide(*args)
+            named.append(at)
+            return low, at
+        return record
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(georep, "lowest_clearance", wrap(lowest_clearance)))
+        for backend in (vanna_volga._FirstOrder, vanna_volga._MarketOrder):
+            stack.enter_context(mock.patch.object(backend, "lowest", wrap(backend.lowest)))
+        yield named
+
+
 @st.composite
 def closed_form_smiles(draw, kind):
-    """(build, k_lo, k_hi, probe): a smile of ``kind`` on its domain, built by
-    ``build()``, and a log-strike where it may dip below zero between any two
-    sample strikes (the domain's middle where it has no dip)."""
+    """The Case of a smile of ``kind`` on its domain."""
     dip = kind != "market" and draw(st.booleans())
     # Just below zero to just above it: the decision must see a dip of 1e-9.
     depth = draw(st.floats(-1e-9, 1e-9))
     if kind in ("circle", "ellipse"):
         r_scale = draw(st.floats(0.05, 2.0))
-        ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=r_scale)
         x_lo, x_hi = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
         k_lo, k_hi = 100.0 * math.exp(-r_scale * x_lo), 100.0 * math.exp(r_scale * x_hi)
         x0 = draw(st.floats(-x_lo, x_hi))
@@ -93,7 +167,7 @@ def closed_form_smiles(draw, kind):
             theta = draw(st.floats(0.0, math.pi))
             shape = ellipse(off * math.cos(turn), off * math.sin(turn), a, b, theta)
         probe = math.log(100.0) + r_scale * x0
-        return (lambda: smile_from_shape(shape, ctx, k_lo, k_hi)), k_lo, k_hi, probe
+        return shape_case(shape, r_scale, k_lo, k_hi, probe)
     if dip:
         logs = sorted(math.log(100.0) + draw(st.floats(-0.6, 0.6)) for _ in range(3))
         m0 = draw(st.floats(logs[0] - 0.3, logs[2] + 0.3))
@@ -101,7 +175,7 @@ def closed_form_smiles(draw, kind):
         vols_ok = logs[0] < logs[1] < logs[2] and min(abs(m - m0) for m in logs) > 1e-3
         if vols_ok:
             q, k_lo, k_hi = dipping_first_order(m0, depth, curv, logs, draw(st.floats(0.0, 1.0)))
-            return (lambda: vv_smile(q, k_lo, k_hi, kind)), k_lo, k_hi, m0
+            return vv_case(q, k_lo, k_hi, kind, m0)
     k1 = 100.0 * math.exp(-draw(st.floats(0.02, 0.6)))
     k3 = 100.0 * math.exp(draw(st.floats(0.02, 0.6)))
     k2 = k1 * (k3 / k1) ** draw(st.floats(0.1, 0.9))
@@ -113,7 +187,7 @@ def closed_form_smiles(draw, kind):
     )
     pad = math.log(k3 / k1) * draw(st.floats(0.0, 3.0))
     k_lo, k_hi = k1 * math.exp(-pad), k3 * math.exp(pad)
-    return (lambda: vv_smile(q, k_lo, k_hi, kind)), k_lo, k_hi, math.log(k2)
+    return vv_case(q, k_lo, k_hi, kind, math.log(k2))
 
 
 class _Drawn:
@@ -130,12 +204,8 @@ class _Drawn:
 # but r^2 - R^2 - |c|^2 cancels to 0 and every float vol reads 0.0.  Only a
 # margin scaled by R^2, |c|^2 and r^2, not by the coefficients formed, rejects it.
 _HAIRLINE = CircleShape(center=(0.0, 1e-290), radius=1.0)
-_HAIRLINE_CASE = (
-    lambda: smile_from_shape(
-        _HAIRLINE, ReprContext(market=MS, atm_rn=100.0, radius_scale=1.0),
-        100.0 * math.exp(1.5), 100.0 * math.exp(3.0),
-    ),
-    100.0 * math.exp(1.5), 100.0 * math.exp(3.0), math.log(100.0) + 2.0,
+_HAIRLINE_CASE = shape_case(
+    _HAIRLINE, 1.0, 100.0 * math.exp(1.5), 100.0 * math.exp(3.0), math.log(100.0) + 2.0
 )
 
 
@@ -145,14 +215,18 @@ class TestProofIsSound:
     @given(data=st.data())
     @example(data=_Drawn(_HAIRLINE_CASE))
     def test_proven_smile_is_positive_on_a_dense_sweep(self, kind, data):
-        # Every admitted smile reads vol > 0 on a dense sweep and at its probe.
-        build, k_lo, k_hi, probe = data.draw(closed_form_smiles(kind))
-        try:
-            smile = build()
-        except NonpositiveVol:
-            return
-        lnk = np.append(np.linspace(math.log(k_lo), math.log(k_hi), SWEEP_POINTS), probe)
-        assert (smile.vol_fn(lnk) > 0.0).all()
+        # Every admitted smile reads vol > 0 on a dense sweep and at its probe,
+        # and every rejected one reads a vol within the margin's reach of 0
+        # where the decision finds its least value.
+        case = data.draw(closed_form_smiles(kind))
+        with decisions() as named:
+            try:
+                smile = case.build()
+            except NonpositiveVol:
+                assert case.vol_at(named[-1]) <= case.slack
+                return
+        lnk = np.linspace(math.log(case.k_lo), math.log(case.k_hi), SWEEP_POINTS)
+        assert (smile.vol_fn(np.append(lnk, case.probe)) > 0.0).all()
 
     @pytest.mark.parametrize("kind", ["circle", "ellipse", "first"])
     @settings(max_examples=100, deadline=None)
@@ -223,6 +297,45 @@ def test_ellipse_is_least_at_each_kind_of_critical_point(shape, r_scale, x_lo, x
         smile_from_shape(shape, ctx, k_lo, k_hi)
 
 
+@pytest.mark.parametrize("depth", [0.01, 1e-9])
+@pytest.mark.parametrize("h", [0.1, -0.1])
+def test_ellipse_through_the_far_pole_with_a_dip_is_rejected(h, depth):
+    # R = 1.  The ellipse with centre (h, depth / 2) and semi-axes 1.5 and b
+    # passes through (0, 1), where X = +-inf points, so the quartic's leading
+    # term is negligible, and X = 0's ray meets it 1 - depth from the origin.
+    # Divided by that term, the cubic of critical points rounds to noise.
+    k = 0.5 * depth
+    shape = ellipse(h, k, 1.5, (1.0 - k) / math.sqrt(1.0 - (h / 1.5) ** 2), 0.0)
+    ctx = ReprContext(market=MS, atm_rn=100.0, radius_scale=1.0)
+    assert shape.ray_radius(*_unit_point(0.0)[:2]) - 1.0 == pytest.approx(-depth, rel=1e-6)
+    with pytest.raises(NonpositiveVol, match="inverted shape implies vol <= 0 at strike"):
+        smile_from_shape(shape, ctx, 100.0 * math.exp(-3.0), 100.0 * math.exp(3.0))
+
+
+@pytest.mark.parametrize(
+    "coef, lo, hi, least, root",
+    [
+        ((2.25 - 1e-9, 3.0, -0.5, -1.0, 0.25), -2.0, 2.0, -1e-9, -1.0),
+        ((1.75 - 1e-9, -3.0, 0.5, 1.0, -0.25), -0.5, 2.5, -1e-9, 1.0),
+        ((2.25 - 1e-9, 3.0, -0.5, -1.0, 0.25), 0.0, 4.0, -1e-9, 3.0),
+        ((10.0 / 3.0 - 1e-9, -2.0, 0.5, -2.0 / 3.0, 0.25), 0.0, 4.0, -1e-9, 2.0),
+        ((0.0, -3.0, 0.0, 1.0, 2e-6), 0.0, 2.0, -1.9999980000053332, 0.99999866667111),
+    ],
+    ids=["least-root", "middle-root", "greatest-root", "one-real-root", "small-leading-term"],
+)
+def test_least_value_of_a_quartic_is_read(coef, lo, hi, least, root):
+    # The first three have P' = +-(x + 1)(x - 1)(x - 3), and P' less its cubic
+    # term has its roots at 0.85 and -1.18: P is -1e-9 at the root named, its
+    # least on [lo, hi], and only that root's closed form reads it.  In the
+    # fourth P' = (x - 2)(x^2 + 1) has only Cardano's root, and P' less its
+    # cubic term none.  The fifth's cubic of critical points is divided by
+    # 8e-6, so each root needs its Newton step: unpolished, the least value
+    # read is 1.3e-12 too high.  Its least value is from 60-digit arithmetic.
+    low, x = lowest_clearance(coef, (0.0,) * 5, lo, hi)
+    assert low == pytest.approx(least, rel=0.0, abs=1e-15)
+    assert x == pytest.approx(root, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "quotes, tenor, k_lo, k_hi",
     [
@@ -242,9 +355,8 @@ def test_market_stretch_below_zero_is_rejected(quotes, tenor, k_lo, k_hi):
 
 
 def test_market_smile_positive_where_b_dips_is_admitted():
-    # B falls below -sigma2^2 on the domain, so the parabola B + sigma2^2 does
-    # not decide; the reads at the ends and the zeros admit the smile, whose
-    # vols stay above 0.14.
+    # B falls below -sigma2^2 on the domain, which sigma <= 0 needs, yet the
+    # reads at the ends and the zeros admit the smile, whose vols stay above 0.14.
     ms = MarketState(spot=100.0, dom_rate=0.01, for_rate=0.02, tenor=0.1)
     quotes = ((94.96, 0.347), (101.95, 0.361), (104.05, 0.356))
     q = ThreeQuoteSmile(anchors=tuple(DeltaAnchor(0.5, k, v) for k, v in quotes), market=ms)
@@ -335,17 +447,9 @@ def test_domain_checked_before_any_proof_or_sweep(kind, k_lo, k_hi):
         "first": lambda: vv_smile(quotes, k_lo, k_hi, "first"),
         "market": lambda: vv_smile(quotes, k_lo, k_hi, "market"),
     }[kind]
-    calls = []
-
-    def record(*args):
-        calls.append(args)
-        return smile_module.lowest_clearance(*args)
-
-    with mock.patch.object(georep, "lowest_clearance", record), mock.patch.object(
-        vanna_volga, "lowest_clearance", record
-    ), pytest.raises(InvalidInput, match="need 0 < k_lo < k_hi < inf"):
+    with decisions() as named, pytest.raises(InvalidInput, match="need 0 < k_lo < k_hi < inf"):
         build()
-    assert calls == []
+    assert named == []
 
 
 @pytest.mark.parametrize("conv", list(DeltaConvention), ids=lambda c: c.value)
