@@ -109,15 +109,13 @@ def ndtr(x):
     return _scipy_ndtr(x)
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def erfc_ndtr(x) -> np.ndarray:
     """Standard normal CDF per element as 0.5 erfc(-x / sqrt 2), with no scipy import.
 
     NaN, inf and -inf give NaN, 1 and 0, with no warning.
     """
-    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def ndtri(y: float) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -242,7 +243,9 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # inside the try: a failed flush exits as a failed write does
+        return code
     except BrokenPipeError:  # an OSError too: a closed reader is no input error
         return 0
     except (ParseError, OSError) as exc:
@@ -253,5 +256,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def console_entry() -> None:
+    """``main`` as a process: its code through ``os._exit``, skipping interpreter teardown.
+
+    ``main`` has flushed stdout.  An exception that escapes it takes the normal exit.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -177,7 +177,7 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
             raise ParseError(f"not valid UTF-8: {exc}") from None
     else:
         text = str(data)
-    reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines: CR-only files too
+    reader = csv.reader(io.StringIO(text, newline=""))  # csv splits CR, LF and CR LF lines
     try:  # each record with its last physical line (a quoted line break spans two)
         (header, _), *records = ends = [(rec, reader.line_num) for rec in reader]
     except ValueError:

@@ -104,6 +104,16 @@ class TestErfcNdtr:
         assert np.array_equal(got, [np.nan, 1.0, 0.0, 0.5, 0.5], equal_nan=True)
         assert bsm_module.erfc_ndtr(np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(), (1997,), (3, 7)])
+    def test_is_math_erfc_per_element(self, shape):
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0]
+        x = np.random.default_rng(20261021).normal(0.0, 5.0, shape)
+        x.ravel()[: len(special)] = special[: x.size]
+        want = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.ravel().tolist()]
+        got = bsm_module.erfc_ndtr(x)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+
 
 def mp_quantile(p: float):
     """The normal quantile of p to about 30 digits: two Newton steps in

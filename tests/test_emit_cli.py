@@ -1,6 +1,8 @@
 """Tests for artifact emission and the command-line interface."""
 import ast
 import contextlib
+import gc
+import importlib
 import io
 import json
 import os
@@ -8,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,11 +129,17 @@ def one_row_csv(tmp_path, row: int, edits) -> pathlib.Path:
     return out
 
 
-def run_cli(*args):
+# The process entry ends in os._exit, so only what main flushed reaches the
+# reader.  Children get a buffered stdout (no PYTHONUNBUFFERED): output short
+# of its 8 KiB buffer waits for the flush, and a lost flush loses it.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_cli(*args, stdout=subprocess.PIPE):
+    """``python -m smilegeo.cli args``: (exit code, stdout bytes, stderr bytes)."""
     proc = subprocess.run(
         [sys.executable, "-m", "smilegeo.cli", *args],
-        capture_output=True,
-        env={**os.environ},
+        stdout=stdout, stderr=subprocess.PIPE, env=BUFFERED_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -684,6 +694,17 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == b""
 
+    def test_surface_file_is_closed_in_process(self, capsysbinary):
+        # The process leaves through os._exit, which finalises nothing still
+        # alive; here gc.collect frees what a reference cycle holds, too.
+        from smilegeo import cli
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["represent", GAMMA_CSV]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_unknown_expiry_exit_2(self):
         code, _, err = run_cli("density", GAMMA_CSV, "--expiry", "7Y")
         assert code == 2
@@ -787,6 +808,108 @@ class TestCli:
         assert code == 0
         row = out.decode().strip().splitlines()[1].split(",")
         assert float(row[4]) == 1.5
+
+
+ENTRY_COMMANDS = (
+    "represent", "fit-circle", "fit-ellipse", "density", "curvature", "complete-surface", "compare",
+)
+ENTRY_ARGV = [
+    [command, GAMMA_CSV, "--expiry", "1Y", "--output-format", fmt]
+    for command in ENTRY_COMMANDS
+    for fmt in ("csv", "json", "svg")
+]
+
+
+def cold_runs(argvs):
+    """``run_cli`` of each argv, two processes at a time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(lambda argv: run_cli(*argv), argvs))
+
+
+def main_in_process(argv):
+    """``cli.main(argv)`` here: (exit code, stdout bytes, stderr bytes)."""
+    from smilegeo import cli
+
+    out, err = io.BytesIO(), io.StringIO()
+    text = io.TextIOWrapper(out, encoding="utf-8")
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text.flush()
+    return code, out.getvalue(), err.getvalue().encode()
+
+
+class TestProcessEntry:
+    def test_stdout_matches_main(self):
+        got = cold_runs(ENTRY_ARGV)
+        for argv, cold in zip(ENTRY_ARGV, got):
+            assert cold == main_in_process(argv), argv
+            assert cold[0] == 0 and cold[1], argv
+        assert ENTRY_ARGV[9][0] == "density" and len(got[9][1]) > 8192  # past stdout's buffer
+
+    def test_out_file_matches_main(self, tmp_path):
+        # Each subcommand once, the formats in turn: a file is closed before
+        # main returns, so only stdout hangs on the exit's flush.
+        argvs = [ENTRY_ARGV[3 * i + i % 3] for i in range(len(ENTRY_COMMANDS))]
+        paths = [tmp_path / f"cold-{i}" for i in range(len(argvs))]
+        got = cold_runs([[*argv, "--out", str(path)] for argv, path in zip(argvs, paths)])
+        for argv, path, (code, out, err) in zip(argvs, paths, got):
+            warm = tmp_path / "warm"
+            assert (code, out, err) == main_in_process([*argv, "--out", str(warm)]), argv
+            assert code == 0 and path.read_bytes() == warm.read_bytes(), argv
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["represent", GAMMA_CSV, "--expiry", "7Y"], 2),
+            (["curvature", GAMMA_CSV, "--expiry", "1Y", "--grid-points", "8"], 3),
+        ],
+    )
+    def test_error_exit_matches_main(self, argv, code):
+        cold = run_cli(*argv)
+        assert cold == main_in_process(argv)
+        assert cold[0] == code and cold[1] == b""
+        assert cold[2].startswith(b"smilegeo: ") and cold[2].count(b"\n") == 1, cold[2]
+
+    @pytest.mark.parametrize("command", ["represent", "density"])  # within and past the buffer
+    def test_closed_reader_exits_0_quietly(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            assert run_cli(command, GAMMA_CSV, stdout=write_end) == (0, None, b"")
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_full_device_exit_2(self):
+        # represent's output waits in stdout's buffer until main's flush.
+        with open("/dev/full", "wb") as full:
+            code, _, err = run_cli("represent", GAMMA_CSV, stdout=full)
+        assert code == 2
+        assert err == b"smilegeo: [Errno 28] No space left on device\n"
+
+    def test_escaping_exception_takes_the_normal_exit(self):
+        probe = "from smilegeo import cli\ncli.run = lambda argv: 1 // 0\ncli.console_entry()\n"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=BUFFERED_ENV)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"Traceback") and b"ZeroDivisionError" in proc.stderr
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        from smilegeo import cli
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["smilegeo"]
+        module, _, name = target.partition(":")
+        script = getattr(importlib.import_module(module), name)
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        (call,) = [node.value for node in block.body]
+        assert isinstance(call, ast.Call) and not call.args
+        assert getattr(cli, call.func.id) is script is cli.console_entry
 
 
 SHIPPED_ROWS = [

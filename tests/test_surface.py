@@ -19,6 +19,7 @@ from smilegeo.errors import (
     TargetOutsideDomain,
 )
 from smilegeo.distributions import DensityCurve, Gamma, LogNormal, Normal, StudentT, Uniform
+from smilegeo.emit import TableArtifact, render_csv
 from smilegeo.georep import ReprContext, RepresentationCurve, flat_context, represent_anchors
 from smilegeo.shapes import CircleShape, ConicShape, circumcircle, conic_through_5
 from smilegeo.smile import DeltaAnchor, GridSpec, SmileCurve, density_from_smile, flat_smile
@@ -169,17 +170,42 @@ class TestParse:
             parse_surface("\n".join(lines) + "\n")
         assert err.value.line == 3
 
-    def test_errors_name_the_first_physical_line_of_their_record(self):
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_quoted_line_break_in_a_label_is_kept(self, eol):
+        lines = synthetic_gamma_surface().splitlines()
+        lines[1] = f'"1M{eol}x"' + lines[1][lines[1].index(","):]
+        rows = parse_surface((eol.join(lines) + eol).encode())
+        assert len(rows) == 14
+        assert rows[0].expiry_label == f"1M{eol}x"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_errors_name_the_first_physical_line_of_their_record(self, eol):
         # Row 1's quoted label holds a line break, so it spans lines 2-3 and
         # the third record starts on physical line 5, not 4.
         lines = synthetic_gamma_surface().splitlines()
-        lines[1] = '"1M\nx"' + lines[1][lines[1].index(","):]
+        lines[1] = f'"1M{eol}x"' + lines[1][lines[1].index(","):]
         cells = lines[3].split(",")
         cells[1] = "zz0821917808"
         lines[3] = ",".join(cells)
         with pytest.raises(ParseError, match="non-numeric value 'zz0821917808'") as err:
-            parse_surface("\n".join(lines) + "\n")
+            parse_surface(eol.join(lines) + eol)
         assert (err.value.line, err.value.field) == (5, "tenor_years")
+
+    def test_crlf_label_survives_render_csv(self):
+        def table(rows):
+            cells = (
+                (r.expiry_label, r.tenor_years, r.spot, r.dom_rate, r.for_rate,
+                 *(r.vols.get(lab) for lab in LABELS))
+                for r in rows
+            )
+            return TableArtifact("surface", tuple(CSV_HEADER.split(",")), tuple(cells))
+
+        rows = parse_surface(synthetic_gamma_surface())
+        rows[0] = replace(rows[0], expiry_label="1M\r\nx")
+        written = render_csv(table(rows))
+        read = parse_surface(written)
+        assert [r.expiry_label for r in read] == [r.expiry_label for r in rows]
+        assert render_csv(table(read)) == written
 
     def test_csv_error_rejected_with_line(self):
         lines = synthetic_gamma_surface().splitlines()
