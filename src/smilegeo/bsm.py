@@ -1,7 +1,10 @@
 """Black-Scholes-Merton pricing, d1/d2, and implied-volatility inversion.
 
 Everything here is a pure function of its arguments; prices and d's accept
-numpy arrays for the strike/vol slots and broadcast in the usual way.
+numpy arrays for the strike/vol slots and broadcast in the usual way.  Every
+strike argument of the pricing layer passes ``positive_strikes`` and every
+one-point result ``as_scalar``: one point in gives a float out.  Only
+``SmileCurve.vol``'s one-strike fast path spells the check inline.
 
 This module is the package's one home of the standard normal CDF and
 quantile.  ``ndtr`` is ``scipy.special.ndtr``, imported on its first call;
@@ -150,35 +153,43 @@ def d1_total(ms: MarketState, strike, vol):
     return forward_log_moneyness(ms, strike) / total + 0.5 * total, total
 
 
+def positive_strikes(strike) -> np.ndarray:
+    """The strike(s) as a float array; InvalidInput names the first one not positive and finite."""
+    strike = np.asarray(strike, dtype=float)
+    bad = ~((strike > 0.0) & (strike < math.inf))
+    if bad.any():
+        raise InvalidInput(f"strike {float(strike[bad][0]):g} is not positive and finite")
+    return strike
+
+
+def as_scalar(out):
+    """A 0-d result as a float, any other result as it is: one point in, one float out."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def d1_d2(ms: MarketState, strike, vol):
     """The BSM d1 and d2 for the given strike(s) and vol(s).
 
-    Raises DegenerateTenor when T = 0 or vol = 0; pricing is continuous
-    there but the d's are not, so callers must branch to intrinsic value.
+    Raises DegenerateTenor when T = 0 or vol = 0, where pricing is continuous but the d's are
+    not (callers branch to intrinsic), and InvalidInput for a vol < 0 or not finite.
     """
-    strike = np.asarray(strike, dtype=float)
     vol = np.asarray(vol, dtype=float)
     if ms.tenor <= 0.0:
         raise DegenerateTenor("d1/d2 undefined at zero tenor")
-    if np.any(vol <= 0.0):
+    if not np.all((vol >= 0.0) & (vol < math.inf)):
+        raise InvalidInput("vol must be >= 0 and finite")
+    if np.any(vol == 0.0):
         raise DegenerateTenor("d1/d2 undefined at zero volatility")
-    if np.any(strike <= 0.0):
-        raise InvalidInput("strike must be positive")
-    d1, total = d1_total(ms, strike, vol)
-    d2 = d1 - total
-    if d1.ndim == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    d1, total = d1_total(ms, positive_strikes(strike), vol)
+    return as_scalar(d1), as_scalar(d1 - total)
 
 
 def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
     """European vanilla price; T = 0 and vol = 0 return discounted intrinsic."""
-    strike = np.asarray(strike, dtype=float)
+    strike = positive_strikes(strike)
     vol = np.asarray(vol, dtype=float)
-    if np.any(strike <= 0.0):
-        raise InvalidInput("strike must be positive")
-    if np.any(vol < 0.0):
-        raise InvalidInput("vol must be >= 0")
+    if not np.all((vol >= 0.0) & (vol < math.inf)):
+        raise InvalidInput("vol must be >= 0 and finite")
     dff, dfd = ms.df_for(), ms.df_dom()
     if ms.tenor <= 0.0 or np.all(vol == 0.0):
         call = np.maximum(dff * ms.spot - dfd * strike, 0.0)
@@ -191,7 +202,7 @@ def bsm_price(ms: MarketState, strike, vol, side: OptionSide = OptionSide.CALL):
             )
         call = np.where(total > 0.0, live, np.maximum(dff * ms.spot - dfd * strike, 0.0))
     out = call if side is OptionSide.CALL else call - dff * ms.spot + dfd * strike
-    return float(out) if np.ndim(out) == 0 else out
+    return as_scalar(out)
 
 
 def d1_d2_identity_residual(ms: MarketState, strike, vol) -> float:
@@ -199,14 +210,11 @@ def d1_d2_identity_residual(ms: MarketState, strike, vol) -> float:
     d1, d2 = d1_d2(ms, strike, vol)
     lhs = ms.spot * ms.df_for() * std_normal_pdf(d1)
     rhs = np.asarray(strike, dtype=float) * ms.df_dom() * std_normal_pdf(d2)
-    res = np.abs(lhs - rhs)
-    return float(res) if np.ndim(res) == 0 else res
+    return as_scalar(np.abs(lhs - rhs))
 
 
 def atm_rn_lognormal(ms: MarketState, vol: float) -> float:
     """Strike zeroing the call+put delta under a flat vol: S0 e^{(r-q+vol^2/2)T}."""
-    if vol < 0.0:
-        raise InvalidInput("vol must be >= 0")
     return strike_for_target_nd1(ms, vol, 0.5)
 
 
@@ -216,6 +224,8 @@ def strike_for_target_nd1(ms: MarketState, vol: float, target: float) -> float:
     Closed form: K = S0 exp(z vol sqrt(T) + (r - q + vol^2/2) T) with
     z the normal quantile of the target (exactly 0 at 0.5).
     """
+    if not 0.0 <= vol < math.inf:
+        raise InvalidInput("vol must be >= 0 and finite")
     if not 0.0 < target < 1.0:
         raise TargetOutsideDomain(f"N(-d1) target {target:.6g} outside (0, 1)")
     z = ndtri(target)
@@ -238,18 +248,16 @@ def _sweep_price(ln_m, dfd_k, total, fwd_df: float):
 def implied_vol_grid(ms: MarketState, strikes, prices):
     """Vectorised implied vol for arrays of in-band call prices.
 
-    Safeguarded Newton on a per-element bracket; every in-band price inside
-    the [IV_BRACKET_LO, IV_BRACKET_HI] vol range converges; a price outside
-    that range's band raises PriceOutOfBand.  Each sweep prices only the
-    strikes not yet converged and takes the vega from the same d1.  A put
-    quote inverts as its parity call.
+    Safeguarded Newton on a per-element bracket; every price strictly
+    inside the band of the [IV_BRACKET_LO, IV_BRACKET_HI] vol range
+    converges, and any other price, NaN included, raises PriceOutOfBand.
+    Each sweep prices only the strikes not yet converged and takes the vega
+    from the same d1.
     """
-    strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    prices = np.atleast_1d(np.asarray(prices, dtype=float))
     if ms.tenor <= 0.0:
         raise PriceOutOfBand("implied vol undefined at zero tenor")
-    if np.any(strikes <= 0.0):
-        raise InvalidInput("strike must be positive")
+    strikes = np.atleast_1d(positive_strikes(strikes))
+    prices = np.atleast_1d(np.asarray(prices, dtype=float))
     sqrt_t = math.sqrt(ms.tenor)
     fwd_df = ms.df_for() * ms.spot
     vega_df = fwd_df * sqrt_t / SQRT_2PI
@@ -257,8 +265,9 @@ def implied_vol_grid(ms: MarketState, strikes, prices):
     dfd_k = ms.df_dom() * strikes
     lo_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_LO * sqrt_t, fwd_df)
     hi_p, _ = _sweep_price(ln_m, dfd_k, IV_BRACKET_HI * sqrt_t, fwd_df)
-    if np.any(prices <= lo_p) or np.any(prices >= hi_p):
-        bad = int(np.argmax((prices <= lo_p) | (prices >= hi_p)))
+    inside = (prices > lo_p) & (prices < hi_p)
+    if not inside.all():
+        bad = int(np.argmin(inside))
         raise PriceOutOfBand(
             f"price {prices[bad]:.6g} at strike {strikes[bad]:.6g} outside the "
             f"attainable band ({lo_p[bad]:.6g}, {hi_p[bad]:.6g})"

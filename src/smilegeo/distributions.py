@@ -4,6 +4,8 @@ Each family knows its density, CDF, mean, quantile, and the closed form of
 the undiscounted call payoff expectation; ``call_price`` wraps that with the
 discount factor after checking that the distribution mean matches the market
 forward (the consistency constraint every implied density must satisfy).
+A family implements ``_pdf``, ``_cdf`` and ``expected_call_payoff`` on float
+arrays; ``pdf``, ``cdf`` and ``call_price`` convert and check the argument.
 
 The normal CDF and quantile come from ``bsm``; the gamma and beta functions
 of ``scipy.special`` are imported where they are used, which keeps
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import SQRT_2PI, MarketState, ndtr, ndtri
+from .bsm import SQRT_2PI, MarketState, as_scalar, ndtr, ndtri, positive_strikes
 from .errors import InconsistentForward, InvalidInput
 from .smile import DensityCurve  # defined beside the kernel that makes it on the CLI path
 
@@ -32,14 +34,23 @@ def _require_finite(**params) -> None:
 
 
 class Distribution(ABC):
-    """Common surface of the Table-of-families distributions."""
+    """Common surface of the families: a subclass implements ``_pdf``, ``_cdf`` and
+    ``expected_call_payoff`` on a float array, each giving back an array of its shape."""
+
+    def pdf(self, x):
+        """Density at x: a float for one point, an array of x's shape for an array."""
+        return as_scalar(self._pdf(np.asarray(x, dtype=float)))
+
+    def cdf(self, x):
+        """P(X <= x), read like ``pdf``."""
+        return as_scalar(self._cdf(np.asarray(x, dtype=float)))
 
     @abstractmethod
-    def pdf(self, x):
+    def _pdf(self, x: np.ndarray) -> np.ndarray:
         ...
 
     @abstractmethod
-    def cdf(self, x):
+    def _cdf(self, x: np.ndarray) -> np.ndarray:
         ...
 
     @abstractmethod
@@ -51,8 +62,8 @@ class Distribution(ABC):
         ...
 
     @abstractmethod
-    def expected_call_payoff(self, strike):
-        """Undiscounted E[(X - K)^+]."""
+    def expected_call_payoff(self, strike: np.ndarray) -> np.ndarray:
+        """Undiscounted E[(X - K)^+] at a float array of positive, finite strikes."""
 
     def mass_below_zero(self) -> float:
         return 0.0
@@ -65,18 +76,15 @@ class Distribution(ABC):
         """Discounted call price e^{-rT} E[(X - K)^+].
 
         Raises InconsistentForward unless mean() equals the market forward,
-        the constraint linking the density to (S0, r, q, T).
+        the constraint linking the density to (S0, r, q, T), and InvalidInput
+        naming the first strike that is not positive and finite.
         """
         fwd = ms.forward()
         if abs(self.mean() - fwd) > FORWARD_CONSISTENCY_TOL * max(1.0, abs(fwd)):
             raise InconsistentForward(
                 f"distribution mean {self.mean():.12g} != forward {fwd:.12g}"
             )
-        strike = np.asarray(strike, dtype=float)
-        if np.any(strike <= 0.0):
-            raise InvalidInput("strike must be positive")
-        out = ms.df_dom() * self.expected_call_payoff(strike)
-        return float(out) if np.ndim(out) == 0 else out
+        return as_scalar(ms.df_dom() * self.expected_call_payoff(positive_strikes(strike)))
 
     def restricted_quantile(self, p: float) -> float:
         """Quantile of the distribution restricted to positive values."""
@@ -96,18 +104,14 @@ class LogNormal(Distribution):
         if self.s <= 0.0:
             raise InvalidInput("s must be positive")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (np.log(np.where(x > 0, x, 1.0)) - self.mu) / self.s
             vals = np.exp(-0.5 * z * z) / (x * self.s * SQRT_2PI)
-        out = np.where(x > 0, vals, 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x > 0, vals, 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, ndtr((np.log(np.where(x > 0, x, 1.0)) - self.mu) / self.s), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.where(x > 0, ndtr((np.log(np.where(x > 0, x, 1.0)) - self.mu) / self.s), 0.0)
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.s * self.s)
@@ -116,7 +120,6 @@ class LogNormal(Distribution):
         return math.exp(self.mu + self.s * ndtri(p))
 
     def expected_call_payoff(self, strike):
-        strike = np.asarray(strike, dtype=float)
         d1 = (self.mu + self.s * self.s - np.log(strike)) / self.s
         d2 = (self.mu - np.log(strike)) / self.s
         return self.mean() * ndtr(d1) - strike * ndtr(d2)
@@ -132,10 +135,9 @@ class Gamma(Distribution):
         if self.kappa <= 0.0 or self.theta <= 0.0:
             raise InvalidInput("kappa and theta must be positive")
 
-    def pdf(self, x):
+    def _pdf(self, x):
         from scipy.special import gammaln
 
-        x = np.asarray(x, dtype=float)
         safe = np.where(x > 0, x, 1.0)
         logp = (
             (self.kappa - 1.0) * np.log(safe)
@@ -143,15 +145,12 @@ class Gamma(Distribution):
             - self.kappa * math.log(self.theta)
             - gammaln(self.kappa)
         )
-        out = np.where(x > 0, np.exp(logp), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x > 0, np.exp(logp), 0.0)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import gammainc
 
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, gammainc(self.kappa, np.maximum(x, 0.0) / self.theta), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x > 0, gammainc(self.kappa, np.maximum(x, 0.0) / self.theta), 0.0)
 
     def mean(self) -> float:
         return self.kappa * self.theta
@@ -164,7 +163,6 @@ class Gamma(Distribution):
     def expected_call_payoff(self, strike):
         from scipy.special import gammainc
 
-        strike = np.asarray(strike, dtype=float)
         k, th = self.kappa, self.theta
         out = th * k * (1.0 - gammainc(k + 1.0, strike / th)) - strike * (
             1.0 - gammainc(k, strike / th)
@@ -182,14 +180,12 @@ class Normal(Distribution):
         if self.s <= 0.0:
             raise InvalidInput("s must be positive")
 
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.s
-        out = np.exp(-0.5 * z * z) / (self.s * SQRT_2PI)
-        return float(out) if np.ndim(out) == 0 else out
+    def _pdf(self, x):
+        z = (x - self.mu) / self.s
+        return np.exp(-0.5 * z * z) / (self.s * SQRT_2PI)
 
-    def cdf(self, x):
-        out = ndtr((np.asarray(x, dtype=float) - self.mu) / self.s)
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return ndtr((x - self.mu) / self.s)
 
     def mean(self) -> float:
         return self.mu
@@ -201,7 +197,7 @@ class Normal(Distribution):
         return float(ndtr(-self.mu / self.s))
 
     def expected_call_payoff(self, strike):
-        z = (self.mu - np.asarray(strike, dtype=float)) / self.s
+        z = (self.mu - strike) / self.s
         return (self.mu - strike) * ndtr(z) + self.s * np.exp(-0.5 * z * z) / SQRT_2PI
 
 
@@ -225,19 +221,17 @@ class StudentT(Distribution):
             self.nu * math.pi
         )
 
-    def pdf(self, x):
-        t = np.asarray(x, dtype=float) - self.mu
-        out = self._norm_const * (1.0 + t * t / self.nu) ** (-0.5 * (self.nu + 1.0))
-        return float(out) if np.ndim(out) == 0 else out
+    def _pdf(self, x):
+        t = x - self.mu
+        return self._norm_const * (1.0 + t * t / self.nu) ** (-0.5 * (self.nu + 1.0))
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import betainc
 
-        t = np.asarray(x, dtype=float) - self.mu
+        t = x - self.mu
         y = self.nu / (self.nu + t * t)
         upper_tail = 0.5 * betainc(0.5 * self.nu, 0.5, y)
-        out = np.where(t >= 0.0, 1.0 - upper_tail, upper_tail)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(t >= 0.0, 1.0 - upper_tail, upper_tail)
 
     def mean(self) -> float:
         return self.mu
@@ -253,12 +247,11 @@ class StudentT(Distribution):
         return self.mu + math.copysign(t, p - 0.5)
 
     def mass_below_zero(self) -> float:
-        return float(self.cdf(0.0))
+        return self.cdf(0.0)
 
     def expected_call_payoff(self, strike):
         from scipy.special import betainc
 
-        strike = np.asarray(strike, dtype=float)
         mu, nu = self.mu, self.nu
         tail_term = (
             nu
@@ -281,15 +274,11 @@ class Uniform(Distribution):
         if self.a < 0.0 or self.b <= self.a:
             raise InvalidInput("need 0 <= a < b")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def _pdf(self, x):
+        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
@@ -303,11 +292,9 @@ class Uniform(Distribution):
         return self.a + margin, self.b - margin
 
     def expected_call_payoff(self, strike):
-        strike = np.asarray(strike, dtype=float)
         a, b = self.a, self.b
         mid = (b - strike) ** 2 / (2.0 * (b - a))
-        out = np.where(strike <= a, 0.5 * (a + b) - strike, np.where(strike < b, mid, 0.0))
-        return out
+        return np.where(strike <= a, 0.5 * (a + b) - strike, np.where(strike < b, mid, 0.0))
 
 
 def density_curve(dist: Distribution, strikes) -> DensityCurve:
@@ -318,6 +305,6 @@ def density_curve(dist: Distribution, strikes) -> DensityCurve:
     the division is exact.
     """
     strikes = np.asarray(strikes, dtype=float)
-    values = np.asarray(dist.pdf(strikes), dtype=float) / (1.0 - dist.mass_below_zero())
+    values = dist.pdf(strikes) / (1.0 - dist.mass_below_zero())
     return DensityCurve(strikes=strikes, values=values)
 

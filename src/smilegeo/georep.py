@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import MarketState, atm_rn_lognormal, strike_for_target_nd1
+from .bsm import MarketState, as_scalar, atm_rn_lognormal, strike_for_target_nd1
 from .errors import InvalidInput, NonpositiveVol
 from .smile import ND1_WINDOW, SmileCurve, lowest_clearance, strikes_for_deltas
 
@@ -100,9 +100,7 @@ def continuous_angle(x_coord):
     point modulo 2 pi, starts at -pi/2 for X = 0, and avoids the arctan2
     branch cut that the image crosses at X = -1.
     """
-    x_coord = np.asarray(x_coord, dtype=float)
-    out = 2.0 * np.arctan(x_coord) - 0.5 * math.pi
-    return float(out) if np.ndim(out) == 0 else out
+    return as_scalar(2.0 * np.arctan(np.asarray(x_coord, dtype=float)) - 0.5 * math.pi)
 
 
 def angle_jet(lnk, ctx: ReprContext):

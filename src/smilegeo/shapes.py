@@ -34,7 +34,10 @@ class CircleShape:
     def __post_init__(self):
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise InvalidInput("radius must be positive and finite")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = (float(self.center[0]), float(self.center[1]))
+        if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+            raise InvalidInput(f"center {center} must be finite")
+        object.__setattr__(self, "center", center)
 
     @property
     def contains_origin(self) -> bool:
@@ -234,8 +237,8 @@ def conic_through_5(points) -> ConicShape:
 
 def transform_circle(c: CircleShape, scale: float, dx: float, dy: float) -> CircleShape:
     """Scale about the origin then translate: the three-number map between circles."""
-    if scale <= 0.0:
-        raise InvalidInput("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise InvalidInput(f"scale {scale!r} must be positive and finite")
     return CircleShape(
         center=(scale * c.center[0] + dx, scale * c.center[1] + dy),
         radius=scale * c.radius,

@@ -52,10 +52,11 @@ from .bsm import (
     implied_vol_grid,
     ndtr,
     ndtri,
+    positive_strikes,
 )
 from .errors import (
-    DomainTooNarrow, InvalidInput, NoConvergence, NonFiniteDensity, NonpositiveVol, PriceOutOfBand,
-    TargetOutsideDomain,
+    DegenerateTenor, DomainTooNarrow, InvalidInput, NoConvergence, NonFiniteDensity, NonpositiveVol,
+    PriceOutOfBand, TargetOutsideDomain,
 )
 
 if TYPE_CHECKING:
@@ -128,16 +129,14 @@ class SmileCurve:
         is positive and finite.  One strike gives a float, an array an array."""
         strike = np.asarray(strike, dtype=float)
         if strike.ndim == 0:
-            # A float compare (False for NaN too), then a numpy-scalar read:
-            # a surface reads ~1,000 single strikes.
+            # A float compare (False for NaN too), then a numpy-scalar read: a ``surfaces``
+            # benchmark op reads 504 single strikes, and ``positive_strikes`` with ``as_scalar``
+            # here raised its op_ms_p50 by 10 %.
             k = float(strike)
             if not 0.0 < k < math.inf:
                 raise InvalidInput(f"strike {k:g} is not positive and finite")
             return float(self.vol_fn(np.log(k)))
-        bad = ~((strike > 0.0) & (strike < math.inf))
-        if bad.any():
-            raise InvalidInput(f"strike {float(strike[bad][0]):g} is not positive and finite")
-        return self.vol_fn(np.log(strike))
+        return self.vol_fn(np.log(positive_strikes(strike)))
 
     def default_grid(self, n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
         """n log-uniform strikes spanning the domain, ends kept inside it."""
@@ -210,7 +209,7 @@ def _priceable(dist: Distribution, ms: MarketState, ln_k: float) -> bool:
     Both band ends come from one solver sweep, whose prices are ``bsm_price``'s.
     """
     k, df = math.exp(ln_k), ms.df_dom()
-    price = float(dist.call_price(ms, k))
+    price = dist.call_price(ms, k)
     lo, hi = _sweep_price(
         forward_log_moneyness(ms, k),
         df * k,
@@ -253,7 +252,7 @@ def strike_grid(dist: Distribution, ms: MarketState, grid: GridSpec | None = Non
     given = grid is not None
     grid = grid or GridSpec()
     fwd, sqrt_t = ms.forward(), math.sqrt(ms.tenor)
-    price = float(dist.call_price(ms, fwd))
+    price = dist.call_price(ms, fwd)
     try:
         proxy = float(implied_vol_grid(ms, [fwd], [price])[0])
     except PriceOutOfBand:
@@ -309,8 +308,8 @@ def smile_from_distribution(
     from ._interp import natural_spline  # no CLI subcommand builds a spline
 
     strikes = strike_grid(dist, ms, grid)
-    prices = np.asarray(dist.call_price(ms, strikes), dtype=float)
-    spline = natural_spline(np.log(strikes), implied_vol_grid(ms, strikes, prices))
+    vols = implied_vol_grid(ms, strikes, dist.call_price(ms, strikes))
+    spline = natural_spline(np.log(strikes), vols)
     return SmileCurve(
         market=ms,
         k_lo=float(strikes[0]),
@@ -391,6 +390,8 @@ def strike_for_delta(smile: SmileCurve, target: float) -> DeltaAnchor:
 
 def _terms(smile: SmileCurve, strikes, mode: str):
     """The checked grid, sigma with its two ln-K derivatives, d1 and d2."""
+    if smile.market.tenor <= 0.0:
+        raise DegenerateTenor("density undefined at zero tenor")
     strikes = np.asarray(strikes, dtype=float)
     if strikes.ndim != 1 or strikes.size < 2:
         raise InvalidInput("grid must be a 1-d array with at least 2 strikes")

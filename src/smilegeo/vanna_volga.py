@@ -229,9 +229,9 @@ class _MarketOrder:
 
     def vol(self, lnk):
         """sigma alone: the jet's sigma without the derivative terms."""
-        if np.ndim(lnk) == 0:
-            return self._vol_at(float(lnk))
         lnk = np.asarray(lnk, dtype=float)
+        if lnk.ndim == 0:
+            return self._vol_at(float(lnk))
         d1, d2_ = self._d1_d2(lnk)
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._sigma(_sum3(self.b_coef, self.w(lnk)), d1 * d2_)[0]

@@ -101,7 +101,7 @@ def distribution_report(dist: Distribution) -> DistributionReport:
     q_lo = dist.restricted_quantile(1e-5)
     if q_lo < TINY:
         p0 = dist.mass_below_zero()
-        below = (float(dist.cdf(TINY)) - p0) / (1.0 - p0)
+        below = (dist.cdf(TINY) - p0) / (1.0 - p0)
         if below > 1.0 - BEST_LOGNORMAL_MIN_MASS:
             raise DegenerateMass(
                 f"mass {below:.4g} lies below the smallest normal double {TINY:.4g}, "

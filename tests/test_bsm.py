@@ -8,6 +8,7 @@ log-normal density for prices.
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from decimal import Decimal, getcontext
@@ -34,8 +35,8 @@ from smilegeo.bsm import (
     strike_for_target_nd1,
 )
 from smilegeo.distributions import Gamma, LogNormal, Normal, StudentT, Uniform
-from smilegeo.errors import DegenerateTenor, PriceOutOfBand, TargetOutsideDomain
-from smilegeo.smile import GridSpec, strike_grid
+from smilegeo.errors import DegenerateTenor, InvalidInput, PriceOutOfBand, TargetOutsideDomain
+from smilegeo.smile import GridSpec, flat_smile, strike_grid
 from smilegeo.workflows import market_state_for
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -229,8 +230,22 @@ class TestD1D2:
         with pytest.raises(DegenerateTenor):
             d1_d2(FLAT, 100.0, 0.0)
 
+    @pytest.mark.parametrize("vol", [math.nan, math.inf, -0.1])
+    def test_vol_not_nonnegative_and_finite_is_invalid(self, vol):
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            d1_d2(FLAT, 100.0, vol)
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            d1_d2(FLAT, 100.0, np.array([0.2, vol]))
+
 
 class TestPrice:
+    @pytest.mark.parametrize("vol", [math.nan, math.inf, -0.1])
+    def test_vol_not_nonnegative_and_finite_is_invalid(self, vol):
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            bsm_price(FLAT, 100.0, vol)
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            bsm_price(FLAT, [90.0, 100.0], [0.2, vol], OptionSide.PUT)
+
     def test_zero_vol_is_intrinsic(self):
         assert bsm_price(FLAT, 80.0, 0.0) == pytest.approx(20.0, abs=1e-14)
         assert bsm_price(FLAT, 120.0, 0.0) == 0.0
@@ -334,6 +349,14 @@ class TestImpliedVol:
     def test_above_forward_bound_rejected(self):
         with pytest.raises(PriceOutOfBand):
             implied_vol_grid(FLAT, [100.0], [100.0])
+
+    def test_nan_price_rejected(self):
+        # NaN compares False both ways: only a strictly-inside test rejects it.
+        with pytest.raises(PriceOutOfBand, match="price nan at strike 100 "):
+            implied_vol_grid(FLAT, [100.0], [math.nan])
+        good = bsm_price(FLAT, 90.0, 0.2)
+        with pytest.raises(PriceOutOfBand, match="price nan at strike 110 "):
+            implied_vol_grid(FLAT, [90.0, 110.0], [good, math.nan])
 
     def test_gamma_call_cross_check(self):
         # The smile value implied from the gamma call at the forward strike
@@ -493,6 +516,13 @@ class TestAtmRn:
     def test_flat_reference(self):
         assert atm_rn_lognormal(FLAT, 0.2) == pytest.approx(100.0 * math.exp(0.02), rel=1e-15)
 
+    @pytest.mark.parametrize("vol", [math.nan, math.inf, -0.1])
+    def test_vol_not_nonnegative_and_finite_is_invalid(self, vol):
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            atm_rn_lognormal(FLAT, vol)
+        with pytest.raises(InvalidInput, match="vol must be >= 0 and finite"):
+            strike_for_target_nd1(FLAT, vol, 0.3)
+
     def test_strike_for_target_at_half_is_atm_rn(self):
         ms = MarketState(spot=120.0, dom_rate=0.02, for_rate=0.05, tenor=1.3)
         assert strike_for_target_nd1(ms, 0.27, 0.5) == pytest.approx(
@@ -510,3 +540,65 @@ class TestAtmRn:
     def test_strike_for_target_outside_unit_interval(self, target):
         with pytest.raises(TargetOutsideDomain):
             strike_for_target_nd1(FLAT, 0.2, target)
+
+
+FLAT_SMILE = flat_smile(FLAT, 0.2)
+
+
+def _family_call(dist):
+    ms = market_state_for(dist)
+    return lambda k: dist.call_price(ms, k)
+
+
+# Every public entry point that takes strikes (and the solver under the
+# smiles), as a function of the strike(s) alone.
+STRIKE_READERS = {
+    "bsm_price": lambda k: bsm_price(FLAT, k, 0.2),
+    "d1_d2": lambda k: d1_d2(FLAT, k, 0.2),
+    "d1_d2_identity_residual": lambda k: d1_d2_identity_residual(FLAT, k, 0.2),
+    "implied_vol_grid": lambda k: implied_vol_grid(FLAT, k, np.full(np.shape(k), 10.0)),
+    "SmileCurve.vol": FLAT_SMILE.vol,
+    **{f"{name}.call_price": _family_call(dist) for name, dist in REFERENCE_FAMILIES.items()},
+}
+
+# The one-point readers: a float for one point, an ndarray of its shape for an array.
+POINT_READERS = {
+    "bsm_price": (STRIKE_READERS["bsm_price"], 100.0),
+    "d1_d2_identity_residual": (STRIKE_READERS["d1_d2_identity_residual"], 100.0),
+    "SmileCurve.vol": (FLAT_SMILE.vol, 100.0),
+    **{
+        f"{name}.{read}": (reader, dist.mean())
+        for name, dist in REFERENCE_FAMILIES.items()
+        for read, reader in (
+            ("pdf", dist.pdf), ("cdf", dist.cdf), ("call_price", _family_call(dist))
+        )
+    },
+}
+
+
+class TestArgumentContract:
+    """One strike check and one point-in, float-out rule for the pricing layer."""
+
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("reader", list(STRIKE_READERS))
+    def test_bad_strike_is_named(self, reader, strike):
+        named = re.escape(f"strike {strike:g} is not positive and finite")
+        with pytest.raises(InvalidInput, match=named):
+            STRIKE_READERS[reader](strike)
+        with pytest.raises(InvalidInput, match=named):
+            STRIKE_READERS[reader](np.array([90.0, strike]))
+
+    @pytest.mark.parametrize("reader", list(POINT_READERS))
+    def test_one_point_is_a_float_and_an_array_keeps_its_shape(self, reader):
+        read, at = POINT_READERS[reader]
+        for point in (at, np.float64(at), np.array(at)):
+            assert type(read(point)) is float
+        grid = at * np.array([[0.9, 1.0, 1.1], [0.95, 1.05, 1.2]])
+        out = read(grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        assert [read(k) for k in grid.ravel()] == out.ravel().tolist()
+
+    def test_d1_d2_gives_floats_for_one_point(self):
+        assert all(type(d) is float for d in d1_d2(FLAT, np.array(110.0), 0.2))
+        d1, d2 = d1_d2(FLAT, np.array([[90.0], [110.0]]), 0.2)
+        assert d1.shape == d2.shape == (2, 1)

@@ -243,3 +243,30 @@ def test_cold_package_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
+
+
+# The pricing layer's argument contract has one home: ``bsm.positive_strikes``
+# checks strikes and ``bsm.as_scalar`` hands one point back as a float.  No
+# other code under src/smilegeo spells a one-point unwrap or a strike test.
+CONTRACT_HELPERS = ("positive_strikes", "as_scalar")
+CONTRACT_COPY = re.compile(r"np\.ndim\(.*\)\s*==\s*0|\bstrikes?\s*<=\s*0\.0")
+
+
+def test_strike_check_and_unwrap_live_only_in_bsm_helpers():
+    copies, in_helpers = [], []
+    for path in sorted((ROOT / "src" / "smilegeo").glob("*.py")):
+        text = path.read_text()
+        helper_lines = {
+            n
+            for node in ast.parse(text).body
+            if path.name == "bsm.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name in CONTRACT_HELPERS
+            for n in range(node.lineno, node.end_lineno + 1)
+        }
+        for n, line in enumerate(text.splitlines(), 1):
+            if CONTRACT_COPY.search(line):
+                found = in_helpers if n in helper_lines else copies
+                found.append(f"{path.name}:{n}: {line.strip()}")
+    assert copies == []
+    assert len(in_helpers) == 1  # ``as_scalar``'s own unwrap: the pattern reads it

@@ -1,10 +1,11 @@
 """Tests for circle/conic interpolation and the circle transform."""
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from smilegeo.errors import CollinearPoints, DegenerateConfiguration, NotAnEllipse
+from smilegeo.errors import CollinearPoints, DegenerateConfiguration, InvalidInput, NotAnEllipse
 from smilegeo.shapes import (
     COLLINEARITY_TOL,
     CircleShape,
@@ -169,11 +170,24 @@ class TestTransformCircle:
         with pytest.raises(ValueError):
             transform_circle(CircleShape(center=(0, 0), radius=1.0), -1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_not_positive_and_finite_is_named(self, scale):
+        # The message names the scale, not the radius it would make.
+        with pytest.raises(InvalidInput, match=f"scale {scale!r} must be positive and finite"):
+            transform_circle(CircleShape(center=(0.1, 0.0), radius=1.0), scale, 0.0, 0.0)
+
 
 class TestShapeValidation:
     def test_circle_needs_positive_radius(self):
         with pytest.raises(ValueError):
             CircleShape(center=(0.0, 0.0), radius=0.0)
+
+    @pytest.mark.parametrize(
+        "center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)]
+    )
+    def test_circle_needs_finite_center(self, center):
+        with pytest.raises(InvalidInput, match="center .* must be finite"):
+            CircleShape(center=center, radius=1.0)
 
     def test_conic_rejects_hyperbola(self):
         with pytest.raises(NotAnEllipse):

@@ -13,6 +13,7 @@ from scipy.special import ndtr
 
 import smilegeo.smile as smile_module
 from smilegeo.errors import (
+    DegenerateTenor,
     DomainTooNarrow,
     InconsistentForward,
     InvalidInput,
@@ -22,6 +23,7 @@ from smilegeo.errors import (
 from smilegeo.shapes import CircleShape
 from smilegeo.smile import (
     DELTA_SAMPLES,
+    DeltaAnchor,
     GridSpec,
     SmileCurve,
     density_from_smile,
@@ -33,6 +35,7 @@ from smilegeo.smile import (
     strikes_for_deltas,
 )
 from smilegeo.surface import complete_expiry, parse_surface
+from smilegeo.vanna_volga import ThreeQuoteSmile, vv_smile
 from smilegeo.workflows import market_state_for
 
 FLAT_MS = MarketState(spot=100.0, dom_rate=0.0, for_rate=0.0, tenor=1.0)
@@ -257,6 +260,21 @@ class TestDensityFromSmile:
         got = density_from_smile(smile, grid)
         ref = ln.pdf(grid)
         assert np.max(np.abs(got.values - ref) / ref) <= 1e-6
+
+    @pytest.mark.parametrize("backend", ["flat", "vv-first"])
+    def test_zero_tenor_is_degenerate(self, backend):
+        # d1 divides by sigma sqrt(T), zero here.
+        ms = replace(FLAT_MS, tenor=0.0)
+        if backend == "flat":
+            smile = flat_smile(ms, 0.2)
+        else:
+            quotes = ((90.0, 0.25), (100.0, 0.2), (110.0, 0.22))
+            anchors = tuple(DeltaAnchor(0.5, k, v) for k, v in quotes)
+            smile = vv_smile(ThreeQuoteSmile(anchors=anchors, market=ms), 80.0, 120.0, "first")
+        grid = np.linspace(85.0, 115.0, 7)
+        for read in (density_from_smile, density_with_margin, nonnegativity_margin):
+            with pytest.raises(DegenerateTenor, match="density undefined at zero tenor"):
+                read(smile, grid)
 
     def test_margin_one_for_flat(self):
         smile = flat_smile(FLAT_MS, 0.2)
