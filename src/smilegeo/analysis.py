@@ -300,4 +300,6 @@ def best_lognormal(p: DensityCurve):
     lnx = np.log(p.strikes)
     mu = float(np.sum(w * p.values * lnx)) / mass
     var = float(np.sum(w * p.values * lnx * lnx)) / mass - mu * mu
+    if not var > 0.0:  # cancels to <= 0 when the ln-variance is below mu^2's rounding
+        raise DegenerateMass(f"ln-variance {var:.3g} under p is not positive: p is too narrow")
     return LogNormal(mu=mu, s=math.sqrt(var))

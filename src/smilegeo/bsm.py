@@ -258,6 +258,8 @@ def implied_vol_grid(ms: MarketState, strikes, prices):
         raise PriceOutOfBand("implied vol undefined at zero tenor")
     strikes = np.atleast_1d(positive_strikes(strikes))
     prices = np.atleast_1d(np.asarray(prices, dtype=float))
+    if strikes.shape != prices.shape:
+        raise InvalidInput(f"strikes and prices differ in length: {strikes.size} and {prices.size}")
     sqrt_t = math.sqrt(ms.tenor)
     fwd_df = ms.df_for() * ms.spot
     vega_df = fwd_df * sqrt_t / SQRT_2PI

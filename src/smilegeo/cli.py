@@ -1,10 +1,12 @@
 """Command-line interface over surface CSV files.
 
 Subcommands: represent, fit-circle, fit-ellipse, density, curvature,
-complete-surface, compare.  Exit codes: 0 on success, 2 on input/parse
-errors and on a surface or ``--out`` path that cannot be opened, 3 on
-numeric failures (inadmissible shapes, out-of-band prices, grids too
-narrow for distinct strikes).  Every row error names its
+complete-surface, compare.  One parser reads the subcommand, the surface
+file and eight flags; every subcommand accepts every flag.  Exit codes: 0
+on success, 2 on input/parse errors (a usage error is one line ending
+``(see smilegeo --help)``) and on a surface or ``--out`` path that cannot
+be opened, 3 on numeric failures (inadmissible shapes, out-of-band prices,
+grids too narrow for distinct strikes).  Every row error names its
 expiry: ``expiry '2W' failed: <reason>``.  ``compare`` and
 ``complete-surface`` blank a failed row, name it on stderr, and still exit 0.
 """
@@ -25,6 +27,9 @@ from .georep import RADIUS_FLOOR, polar_map, represent, represent_anchors
 from .smile import DEFAULT_GRID_POINTS, density_from_smile
 from .surface import LABELS, METHODS, complete_expiry, discrepancy_table, parse_surface
 
+COMMANDS = (
+    "represent", "fit-circle", "fit-ellipse", "density", "curvature", "complete-surface", "compare",
+)
 # Subcommands that complete by one method whatever --method says.
 _FIXED_METHOD = {"fit-circle": "circle", "fit-ellipse": "ellipse", "curvature": "circle"}
 
@@ -41,52 +46,39 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="smilegeo",
         description="Geometric smile completion, densities, and diagnostics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = _Parser(add_help=False)
-    common.add_argument("surface", help="surface CSV file")
-    common.add_argument(
+    parser.add_argument("command", choices=COMMANDS, help="subcommand")
+    parser.add_argument("surface", help="surface CSV file")
+    parser.add_argument(
         "--radius-scale",
         type=_radius_scale,
         default="auto",
         help=f"radial scale R (finite, >= {RADIUS_FLOOR:g}) or 'auto' (default, delta-window rule)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--grid-points", default=str(DEFAULT_GRID_POINTS),
         help="points per evaluation grid (default %(default)s)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--delta-convention",
-        choices=["spot-pips", "forward-n"],
-        default="spot-pips",
-        help="how delta labels are read (default spot-pips)",
+        choices=[conv.value for conv in DeltaConvention],
+        default=DeltaConvention.SPOT_PIPS.value,
+        help="how delta labels are read (default %(default)s)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--method",
         choices=METHODS,
         default="circle",
         help="completion method (default circle)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--vv-variant",
         choices=["market", "first"],
         default="market",
         help="vanna-volga flavour (default market)",
     )
-    common.add_argument(
-        "--output-format", choices=["csv", "json", "svg"], default="csv"
-    )
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--expiry", default=None, help="expiry label (default first row)")
-    for name in (
-        "represent",
-        "fit-circle",
-        "fit-ellipse",
-        "density",
-        "curvature",
-        "complete-surface",
-        "compare",
-    ):
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("--output-format", choices=["csv", "json", "svg"], default="csv")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--expiry", default=None, help="expiry label (default first row)")
     return parser
 
 

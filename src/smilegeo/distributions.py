@@ -38,12 +38,14 @@ class Distribution(ABC):
     ``expected_call_payoff`` on a float array, each giving back an array of its shape."""
 
     def pdf(self, x):
-        """Density at x: a float for one point, an array of x's shape for an array."""
-        return as_scalar(self._pdf(np.asarray(x, dtype=float)))
+        """Density at x: a float for one point, an array of x's shape for an array; NaN at NaN."""
+        x = np.asarray(x, dtype=float)
+        return as_scalar(np.where(np.isnan(x), x, self._pdf(x)))
 
     def cdf(self, x):
         """P(X <= x), read like ``pdf``."""
-        return as_scalar(self._cdf(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        return as_scalar(np.where(np.isnan(x), x, self._cdf(x)))
 
     @abstractmethod
     def _pdf(self, x: np.ndarray) -> np.ndarray:

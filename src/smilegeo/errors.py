@@ -91,4 +91,5 @@ class ParseError(SmileGeoError):
 
 class MissingAnchor(ParseError):
     """A quote that the row (25P / ATM / 25C) or its method (10P / 10C for
-    the ellipse) needs is absent: an input error, like any other ParseError."""
+    the ellipse) needs is absent: an input error, like any other ParseError.
+    One check in ``surface`` raises it for both; ``parse_surface`` adds the line."""

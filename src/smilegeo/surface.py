@@ -12,8 +12,9 @@ level here alone (``effective_nd1_target``): under spot-pips the raw
 label; ``math.*`` calls would not (see ``smile``).
 
 A row owns its market state, label strikes and flat-ATM frame (centre strike
-and radial scale R), built once.  ``discrepancy_table`` is the one loop over
-a surface's rows, and every row error names its expiry.  Both synthetic
+and radial scale R), built once; its constructor checks its quotes and
+numbers and names each error through ``SmileGeoError.named_for``.
+``discrepancy_table`` is the one loop over a surface's rows.  Both synthetic
 surfaces are written by one CSV writer; each generator gives its smiles.
 """
 from __future__ import annotations
@@ -80,26 +81,24 @@ class SurfaceQuoteRow:
     _frame: ReprContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        missing = [lab for lab in ANCHOR_LABELS if lab not in self.vols]
-        if missing:
-            raise MissingAnchor(
-                f"expiry {self.expiry_label!r} lacks anchor quote(s) {missing}"
-            )
-        if any(v <= 0.0 for v in self.vols.values()):
-            raise InvalidInput(f"expiry {self.expiry_label!r} has non-positive vols")
-        if not all(math.isfinite(v) for v in self.vols.values()):
-            raise InvalidInput(f"expiry {self.expiry_label!r} has non-finite vols")
-        if self.tenor_years <= 0.0:
-            raise InvalidInput("tenor_years must be positive")
-        ms = MarketState(self.spot, self.dom_rate, self.for_rate, self.tenor_years)
-        object.__setattr__(self, "_strikes", self._check_strike_range(ms))
-        try:  # the frame carries ms
-            object.__setattr__(self, "_frame", flat_context(ms, self.vols["ATM"]))
-        except (ValueError, OverflowError):
-            raise InvalidInput(
-                f"expiry {self.expiry_label!r}: radial scale R leaves the floating-point "
-                "range (tenor or ATM vol out of range)"
-            ) from None
+        try:  # every error of the row names its expiry, here alone
+            _require_quotes(self.vols, ANCHOR_LABELS, "a surface row")
+            if any(v <= 0.0 for v in self.vols.values()):
+                raise InvalidInput("non-positive vols")
+            if not all(math.isfinite(v) for v in self.vols.values()):
+                raise InvalidInput("non-finite vols")
+            if self.tenor_years <= 0.0:
+                raise InvalidInput("tenor_years must be positive")
+            ms = MarketState(self.spot, self.dom_rate, self.for_rate, self.tenor_years)
+            object.__setattr__(self, "_strikes", self._check_strike_range(ms))
+            try:  # the frame carries ms
+                object.__setattr__(self, "_frame", flat_context(ms, self.vols["ATM"]))
+            except (ValueError, OverflowError):
+                raise InvalidInput(
+                    "radial scale R leaves the floating-point range (tenor or ATM vol out of range)"
+                ) from None
+        except SmileGeoError as exc:
+            raise exc.named_for(self.expiry_label)
 
     def _check_strike_range(self, ms: MarketState) -> dict:
         """Solves the label strikes under each convention; rejects numbers out of range.
@@ -119,25 +118,22 @@ class SurfaceQuoteRow:
                     lab: strike_for_target_nd1(ms, vol, effective_nd1_target(lab, ms, conv))
                     for lab, vol in self.vols.items()
                 }
-            except OverflowError:
-                strikes = None
             except TargetOutsideDomain as exc:
                 solved[conv] = exc
                 continue
-            if strikes is not None and all(0.0 < k < math.inf for k in strikes.values()):
+            except OverflowError:  # math.exp past the largest float
+                domain = None
+            else:
                 domain = _completion_domain(strikes.values())
-                if 0.0 < domain[0] and domain[1] < math.inf:
-                    if len(set(strikes.values())) < len(strikes):
-                        raise InvalidInput(
-                            f"expiry {self.expiry_label!r}: {conv.value} label strikes "
-                            "collapse onto one another (tenor or vols too small)"
-                        )
-                    solved[conv] = strikes, domain
-                    continue
-            raise InvalidInput(
-                f"expiry {self.expiry_label!r}: label strikes leave the floating-point "
-                "range (rates, tenor or vols too large)"
-            )
+            if domain is None:
+                raise InvalidInput(
+                    "label strikes leave the floating-point range (rates, tenor or vols too large)"
+                )
+            if len(set(strikes.values())) < len(strikes):
+                raise InvalidInput(
+                    f"{conv.value} label strikes collapse onto one another (tenor or vols too small)"
+                )
+            solved[conv] = strikes, domain
         return solved
 
     def _solved(self, conv: DeltaConvention) -> tuple[dict[str, float], tuple[float, float]]:
@@ -169,7 +165,8 @@ class SurfaceQuoteRow:
 
 
 def parse_surface(data) -> list[SurfaceQuoteRow]:
-    """Parse surface CSV bytes (or text) into quote rows, in file order; expiries are unique."""
+    """Parse surface CSV bytes (or text) into quote rows, in file order; expiries are unique.
+    A row's error gains its line: a MissingAnchor stays one, any other is a ParseError."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -214,17 +211,7 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
                 raise ParseError(f"non-finite value {raw!r}", line=lineno, field=fld)
             return value
 
-        vols: dict[str, float] = {}
-        for lab, fld in zip(LABELS, _VOL_FIELDS):
-            raw = named[fld]
-            if raw == "":
-                continue
-            vols[lab] = number(fld)
-        missing = [lab for lab in ANCHOR_LABELS if lab not in vols]
-        if missing:
-            raise MissingAnchor(
-                f"line {lineno} (expiry {expiry!r}) lacks anchor quote(s) {missing}"
-            )
+        vols = {lab: number(fld) for lab, fld in zip(LABELS, _VOL_FIELDS) if named[fld] != ""}
         try:
             rows.append(
                 SurfaceQuoteRow(
@@ -236,7 +223,9 @@ def parse_surface(data) -> list[SurfaceQuoteRow]:
                     vols=vols,
                 )
             )
-        except ValueError as exc:
+        except MissingAnchor as exc:
+            raise MissingAnchor(str(exc), line=lineno) from None
+        except ValueError as exc:  # every other row error is an InvalidInput
             raise ParseError(str(exc), line=lineno) from None
     return rows
 
@@ -252,6 +241,13 @@ def effective_nd1_target(label: str, ms: MarketState, conv: DeltaConvention) -> 
     if not 0.0 < eff < 1.0:
         raise TargetOutsideDomain(f"label {label}: effective N(-d1) target {eff:.6g} outside (0, 1)")
     return eff if side == "put" else 1.0 - eff
+
+
+def _require_quotes(vols: dict[str, float], labels: tuple[str, ...], needed_by: str) -> None:
+    """MissingAnchor unless ``vols`` quotes every one of ``labels``."""
+    missing = [lab for lab in labels if lab not in vols]
+    if missing:
+        raise MissingAnchor(f"{needed_by} needs quotes {labels}; missing {missing}")
 
 
 def anchor_labels(method: str) -> tuple[str, ...]:
@@ -284,10 +280,14 @@ class CompletedExpiry:
         return dict(zip(labs, vols.tolist()))
 
 
-def _completion_domain(strikes) -> tuple[float, float]:
+def _completion_domain(strikes) -> tuple[float, float] | None:
+    """The strikes padded by a tenth of their log-span at each end; None outside (0, inf)."""
     ks = sorted(strikes)  # Python floats: an overflow gives inf, with no numpy warning
+    if not (0.0 < ks[0] and ks[-1] < math.inf):
+        return None
     pad = 0.10 * (math.log(ks[-1]) - math.log(ks[0]))
-    return ks[0] * math.exp(-pad), ks[-1] * math.exp(pad)
+    lo, hi = ks[0] * math.exp(-pad), ks[-1] * math.exp(pad)
+    return (lo, hi) if 0.0 < lo and hi < math.inf else None
 
 
 def complete_expiry(
@@ -308,9 +308,7 @@ def complete_expiry(
     try:
         strikes = row.strikes(conv)
         k_lo, k_hi = row.domain(conv)
-        missing = [lab for lab in labels if lab not in row.vols]
-        if missing:
-            raise MissingAnchor(f"{method} completion needs {labels}; missing {missing}")
+        _require_quotes(row.vols, labels, f"{method} completion")
         anchors = tuple(sorted(
             (DeltaAnchor(_LABEL_DELTA[lab][0], strikes[lab], row.vols[lab]) for lab in labels),
             key=lambda a: a.strike,

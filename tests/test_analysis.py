@@ -485,6 +485,17 @@ class TestBestLognormal:
                 kl = kl_divergence(p, density_curve(other, grid)).kl_nats
                 assert kl >= base - 1e-9
 
+    @pytest.mark.parametrize("s", [3e-9, 5e-9])
+    def test_too_narrow_for_its_ln_variance(self, s):
+        # E[ln^2 X] - E[ln X]^2 cancels to a variance <= 0 (a math domain
+        # error at 3e-9, s = 0 at 5e-9): DegenerateMass, naming it.
+        dist = LogNormal(mu=3.0, s=s)
+        grid = np.exp(
+            np.linspace(math.log(dist.quantile(1e-5)), math.log(dist.quantile(1 - 1e-5)), 8001)
+        )
+        with pytest.raises(DegenerateMass, match=r"^ln-variance \S+ under p is not positive"):
+            best_lognormal(density_curve(dist, grid))
+
     def test_degenerate_mass_raises(self):
         dist = Gamma(kappa=5.12, theta=0.64)
         narrow = np.linspace(2.5, 4.0, 501)

@@ -358,6 +358,17 @@ class TestImpliedVol:
         with pytest.raises(PriceOutOfBand, match="price nan at strike 110 "):
             implied_vol_grid(FLAT, [90.0, 110.0], [good, math.nan])
 
+    @pytest.mark.parametrize(
+        "strikes, prices", [([100.0], [8.0, 9.0]), ([100.0, 101.0], [8.0])], ids=["1-2", "2-1"]
+    )
+    def test_strikes_and_prices_differ_in_length(self, strikes, prices):
+        # One strike with two prices once dropped a price; two with one, an IndexError.
+        with pytest.raises(
+            InvalidInput,
+            match=f"^strikes and prices differ in length: {len(strikes)} and {len(prices)}$",
+        ):
+            implied_vol_grid(FLAT, strikes, prices)
+
     def test_gamma_call_cross_check(self):
         # The smile value implied from the gamma call at the forward strike
         # must agree with the distribution-smile bridge at that strike.

@@ -63,6 +63,19 @@ class TestPdfCdf:
             assert err < 1e-8
             assert GAMMA.cdf(x) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("fn", ["pdf", "cdf"])
+    @pytest.mark.parametrize(
+        "dist", (GAMMA, UNIFORM, STUDENT, NORMAL, LOGNORM), ids=lambda d: type(d).__name__
+    )
+    def test_nan_in_nan_out(self, dist, fn):
+        # One rule for every family; the finite points keep the family's own bits.
+        read = getattr(dist, fn)
+        assert math.isnan(read(math.nan))
+        finite = np.array([-1.0, 0.0, 1.0, 3.0, 40.0])
+        out = read(np.insert(finite, 2, math.nan))
+        assert np.isnan(out[2])
+        np.testing.assert_array_equal(np.delete(out, 2), getattr(dist, f"_{fn}")(finite))
+
     @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
     def test_density_integrates_to_one(self, dist):
         lo = dist.quantile(1e-12) if not isinstance(dist, Uniform) else dist.a

@@ -456,7 +456,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (
-            "smilegeo: expiry '1M': label strikes leave the floating-point range "
+            "smilegeo: expiry '1M' failed: label strikes leave the floating-point range "
             "(rates, tenor or vols too large) (line 2)\n"
         )
 
@@ -760,11 +760,30 @@ class TestCli:
         assert "expected one argument" in err.getvalue()
         assert err.getvalue() == (
             "smilegeo: argument --radius-scale: expected one argument"
-            " (see smilegeo represent --help)\n"
+            " (see smilegeo --help)\n"
         )
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["--help"]) == 0
         assert out.getvalue().startswith("usage: smilegeo")
+
+    def test_one_parser_for_every_subcommand(self):
+        # One parser: the subcommand is its first positional, and each flag's
+        # choices come from the names the library defines.
+        from smilegeo import cli
+        from smilegeo.surface import METHODS
+
+        parser = cli._build_parser()
+        assert parser._subparsers is None
+        by_dest = {action.dest: action for action in parser._actions}
+        assert by_dest["command"].choices == cli.COMMANDS
+        assert by_dest["delta_convention"].choices == [c.value for c in DeltaConvention]
+        assert by_dest["method"].choices == METHODS
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["nope", GAMMA_CSV]) == 2
+        assert err.getvalue() == (
+            "smilegeo: argument command: invalid choice: 'nope' (choose from "
+            + ", ".join(repr(c) for c in cli.COMMANDS) + ") (see smilegeo --help)\n"
+        )
 
     def test_numeric_failure_exit_3(self, tmp_path):
         # An inconsistent middle quote makes the circle inadmissible.

@@ -270,3 +270,17 @@ def test_strike_check_and_unwrap_live_only_in_bsm_helpers():
                 found.append(f"{path.name}:{n}: {line.strip()}")
     assert copies == []
     assert len(in_helpers) == 1  # ``as_scalar``'s own unwrap: the pattern reads it
+
+
+def test_surface_row_has_one_naming_path_and_one_quote_check():
+    # A row names its errors only through ``SmileGeoError.named_for``, and one
+    # helper decides which quotes are missing, for the row and for a method.
+    text = (ROOT / "src" / "smilegeo" / "surface.py").read_text()
+    (row,) = (
+        node for node in ast.parse(text).body
+        if isinstance(node, ast.ClassDef) and node.name == "SurfaceQuoteRow"
+    )
+    source = ast.get_source_segment(text, row)
+    assert "expiry_label!r" not in source
+    assert source.count(".named_for(self.expiry_label)") == 1
+    assert len(re.findall(r"\bnot in (?:self\.|row\.)?vols\b", text)) == 1

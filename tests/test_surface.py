@@ -119,7 +119,9 @@ class TestParse:
         with pytest.raises(MissingAnchor) as err:
             parse_surface(text)
         assert "25P" in str(err.value)
-        assert "1Y" in str(err.value)
+        assert str(err.value).startswith("expiry '1Y' failed: ")
+        assert str(err.value).endswith(" (line 2)")
+        assert err.value.line == 2
 
     def test_optional_quotes_may_be_empty(self):
         text = CSV_HEADER + "\n6M,0.5,1.1,0.02,0.01,,,0.105,,0.1,,0.099,,\n"
@@ -339,8 +341,26 @@ class TestConstructorErrors:
     def test_row_vol_reason(self, vol, reason):
         # parse_surface passes the non-positive wording on in its ParseError,
         # so it stays; a non-finite vol has its own reason, not a strike range.
-        with pytest.raises(InvalidInput, match=f"expiry '1Y' has {reason}$"):
+        with pytest.raises(InvalidInput, match=f"^expiry '1Y' failed: {reason}$"):
             flat_row(vol=vol)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            ({"tenor_years": 0.0}, "tenor_years must be positive"),
+            ({"spot": -1.0}, "spot must be positive and finite, got -1.0"),
+            ({"dom_rate": math.inf}, "rates must be finite"),
+        ],
+        ids=["tenor-0", "spot-neg", "rate-inf"],
+    )
+    def test_row_number_error_names_the_expiry(self, edit, reason):
+        fields = dict(
+            expiry_label="2W", tenor_years=1.0, spot=1.1, dom_rate=0.02, for_rate=0.01,
+            vols={lab: 0.1 for lab in LABELS},
+        )
+        with pytest.raises(InvalidInput, match=f"^expiry '2W' failed: {reason}$") as err:
+            SurfaceQuoteRow(**(fields | edit))
+        assert err.value.expiry == "2W"
 
     def test_parse_surface_still_names_the_line(self):
         text = CSV_HEADER + "\n1Y,1.0,-1.1,0.02,0.01,,,0.102,,0.1,,0.099,,\n"

@@ -18,13 +18,15 @@ runs above use the automatic radial scale R.  A fixed ``--radius-scale 0.5``
 (files tagged ``-r0.5``) runs in csv only: per expiry, represent,
 fit-circle, fit-ellipse, and density with circle and with ellipse; per
 surface, complete-surface and compare with circle and with ellipse.  On
-the two 14-expiry surfaces that makes 1252 runs.
+the two 14-expiry surfaces that makes 1252 runs.  Four more runs are usage
+errors that exit 2 before any output is written (``USAGE_ERRORS``).
 
 Each output goes to its own file under OUT_DIR, and ``OUT_DIR/exit_codes.txt``
 lists every run with its exit code (and its stderr when non-empty), in
-run order.  Trees written from two checkouts by the same version of this
-tool compare with ``diff -r``; versions that order or name the runs
-differently give different trees.
+run order; ``OUT_DIR/usage-errors/exit_codes.txt`` does the same for the
+usage errors, so it pins their one-line messages.  Trees written from two
+checkouts by the same version of this tool compare with ``diff -r``;
+versions that order or name the runs differently give different trees.
 
 ``--compare`` lists what moved between two such trees: every output whose
 bytes differ (and any that only one tree has), and for each numeric column
@@ -64,6 +66,14 @@ CONVENTIONS = (("", []), ("-forward-n", ["--delta-convention", "forward-n"]))
 FIXED_R = ("-r0.5", ["--radius-scale", "0.5"])
 COMMANDS = (
     "represent", "fit-circle", "fit-ellipse", "curvature", "density", "complete-surface", "compare",
+)
+# Usage errors from argv alone, on the shipped gamma surface.
+_GAMMA = str(DATA / "synthetic_gamma_surface.csv")
+USAGE_ERRORS = (
+    ("usage-errors/radius-scale-nan", ["represent", _GAMMA, "--radius-scale", "nan"]),
+    ("usage-errors/grid-points-abc", ["density", _GAMMA, "--grid-points", "abc"]),
+    ("usage-errors/expiry-NOPE", ["represent", _GAMMA, "--expiry", "NOPE"]),
+    ("usage-errors/unknown-subcommand", ["nope", _GAMMA]),
 )
 
 
@@ -220,18 +230,21 @@ def main(argv) -> int:
     sys.path.insert(0, str(src_root))
     from smilegeo import cli
 
-    log = []
-    for rel, args in runs():
-        target = out_dir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main([*args, "--out", str(target)])
-        note = err.getvalue().strip().replace("\n", " | ")
-        log.append(f"{rel} {code}" + (f" {note}" if note else ""))
-    (out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n")
-    failed = sum(1 for line in log if line.split(" ")[1] != "0")
-    print(f"{len(log)} runs, {failed} non-zero exits, outputs in {out_dir}")
+    total = failed = 0
+    for log_dir, group in ((out_dir, runs()), (out_dir / "usage-errors", USAGE_ERRORS)):
+        log = []
+        for rel, args in group:
+            target = out_dir / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([*args, "--out", str(target)])
+            note = err.getvalue().strip().replace("\n", " | ")
+            log.append(f"{rel} {code}" + (f" {note}" if note else ""))
+        (log_dir / "exit_codes.txt").write_text("\n".join(log) + "\n")
+        total += len(log)
+        failed += sum(1 for line in log if line.split(" ")[1] != "0")
+    print(f"{total} runs, {failed} non-zero exits, outputs in {out_dir}")
     return 0
 
 
